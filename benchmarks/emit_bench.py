@@ -51,12 +51,20 @@ GRID = [
 
 
 def _git_rev() -> str:
+    """Short HEAD revision; ``+dirty`` when tracked files differ from
+    it (the measured code is then HEAD plus uncommitted changes)."""
     try:
-        return subprocess.check_output(
+        rev = subprocess.check_output(
             ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT, text=True
+        ).strip()
+        dirty = subprocess.check_output(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=REPO_ROOT,
+            text=True,
         ).strip()
     except (subprocess.CalledProcessError, OSError):
         return "unknown"
+    return rev + "+dirty" if dirty else rev
 
 
 def _fingerprint(result: ReplayResult) -> str:

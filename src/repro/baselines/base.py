@@ -16,14 +16,17 @@ owns the storage state common to all of them:
 
 Subclasses customise two policy points on the write path:
 
-* :meth:`DedupScheme._lookup_fingerprint` -- how a chunk fingerprint
-  is resolved to a candidate duplicate PBA (in-memory-only lookup,
-  full index with on-disk lookups, ...), and
+* :meth:`DedupScheme._probe` -- how a write's chunk fingerprints are
+  resolved to candidate duplicate PBAs (in-memory-only lookup by
+  default, full index with on-disk lookups for Full-Dedupe, ...), and
 * :meth:`DedupScheme._choose_dedupe` -- which redundant chunks to
   actually deduplicate (none, all, long runs only, Figure-5
   categories).
 
-The commit logic is shared and enforces the Request Redirector's
+A write is planned in one pass per request: one probe of the hot
+Index table, one policy decision, then one commit loop in which each
+block costs one Map-table call and, if written, one index call.  The
+commit logic is shared and enforces the Request Redirector's
 consistency rule: a physical block referenced through the Map table is
 never overwritten in place; the write is redirected to a fresh log
 block instead.  A stale duplicate target (its content changed between
@@ -236,13 +239,6 @@ class DedupScheme(abc.ABC):
     features: Dict[str, object] = {}
     #: Simulated seconds between cache-management epochs, or ``None``.
     epoch_interval: Optional[float] = None
-    #: Whether a *guaranteed-miss* index probe may be replaced by
-    #: :meth:`_lookup_unique` (the columnar batch driver proves
-    #: first-stream-occurrence fingerprints can't be in any index).
-    #: ``False`` for schemes whose miss path has side effects beyond
-    #: the LRU miss counter and the cache notification (Full-Dedupe
-    #: pays an on-disk lookup either way).
-    fast_unique: bool = True
 
     def __init__(self, config: SchemeConfig) -> None:
         self.config = config
@@ -392,11 +388,7 @@ class DedupScheme(abc.ABC):
             request.volume_id,
         )
 
-    def plan_batch(
-        self,
-        requests: Sequence[IORequest],
-        chunk_unique: Optional[Sequence[Optional[Sequence[bool]]]] = None,
-    ) -> List[PlannedIO]:
+    def plan_batch(self, requests: Sequence[IORequest]) -> List[PlannedIO]:
         """Plan a window of requests, in arrival order.
 
         The batched front-end of the columnar replay driver.  The
@@ -404,36 +396,9 @@ class DedupScheme(abc.ABC):
         each request's own arrival time -- exactly what the event loop
         would have done, since planning never reads the clock on the
         fast path.
-
-        ``chunk_unique`` optionally carries, per write request, a
-        per-chunk flag marking fingerprints whose occurrence is the
-        first in the whole replayed stream (``None`` per read).  Such
-        a chunk can't be in any index, so eligible schemes replace the
-        probe with its exact miss side effects
-        (:meth:`_lookup_unique`) -- a pure shortcut, bit-identical by
-        the golden batch-replay tests.  Hints are ignored whenever any
-        scheme feature could invalidate them (no-fingerprint schemes,
-        chunking rewrites, span tracing, ``fast_unique = False``).
         """
-        if (
-            chunk_unique is None
-            or not self.fast_unique
-            or not self.uses_fingerprints
-            or self.chunker is not None
-            or self.spans is not None
-        ):
-            process = self.process
-            return [process(request, request.time) for request in requests]
-        out: List[PlannedIO] = []
-        append = out.append
         process = self.process
-        hinted = self._process_write_hinted
-        for request, mask in zip(requests, chunk_unique):
-            if mask is not None:
-                append(hinted(request, mask))
-            else:
-                append(process(request, request.time))
-        return out
+        return [process(request, request.time) for request in requests]
 
     def plan_columns(
         self,
@@ -460,76 +425,6 @@ class DedupScheme(abc.ABC):
         tests pin this.
         """
         return None
-
-    def _lookup_unique(self, fingerprint: int) -> None:
-        """Charge the exact side effects of a guaranteed index miss.
-
-        Called in place of :meth:`_lookup_fingerprint` for a chunk the
-        batch classifier proved absent from every index (first stream
-        occurrence): the LRU's miss counter advances and the cache is
-        notified (iCache's ghost index measures the opportunity cost),
-        exactly as the missed probe would have done -- only the
-        fruitless dictionary search is skipped.
-        """
-        assert self.index_table is not None
-        self.index_table.lru.misses += 1
-        self.cache.on_index_miss(fingerprint)
-
-    def _process_write_hinted(
-        self, request: IORequest, unique_mask: Sequence[bool]
-    ) -> PlannedIO:
-        """:meth:`_process_write` with first-occurrence probe hints.
-
-        Line-for-line the unhinted write path, except flagged chunks
-        take :meth:`_lookup_unique`.  Only reachable through
-        :meth:`plan_batch` on the hint-eligible fast path.
-        """
-        now = request.time
-        self._obs_now = now
-        self.writes_total += 1
-        self.write_blocks_total += request.nblocks
-        fingerprints = request.fingerprints
-        assert fingerprints is not None
-
-        delay = self.hash_engine.delay_for(request.nblocks)
-        extra_ops: List[VolumeOp] = []
-        duplicate_pbas: List[Optional[int]] = []
-        append_pba = duplicate_pbas.append
-        lookup = self._lookup_fingerprint
-        unique = self._lookup_unique
-        for i, fp in enumerate(fingerprints):
-            if unique_mask[i]:
-                unique(fp)
-                append_pba(None)
-            else:
-                pba, ops = lookup(fp)
-                if ops:
-                    extra_ops.extend(ops)
-                append_pba(pba)
-
-        dedupe_idx = self._choose_dedupe(request, duplicate_pbas)
-        if self.decision_hook is not None:
-            self.decision_hook(request, duplicate_pbas, dedupe_idx)
-        if self.quarantined_lbas:
-            bypassed = {
-                i for i in dedupe_idx
-                if request.lba + i in self.quarantined_lbas
-            }
-            if bypassed:
-                self.dedupe_bypass_writes += len(bypassed)
-                dedupe_idx = dedupe_idx - bypassed
-        write_ops, deduped_idx = self._commit_write(request, duplicate_pbas, dedupe_idx)
-        eliminated = not write_ops and request.nblocks > 0
-        if eliminated:
-            self.write_requests_removed += 1
-        self.write_blocks_deduped += len(deduped_idx)
-        return PlannedIO(
-            delay=delay,
-            volume_ops=extra_ops + write_ops,
-            eliminated=eliminated,
-            deduped_blocks=len(deduped_idx),
-            deduped_idx=deduped_idx,
-        )
 
     def on_epoch(self, now: float) -> List[VolumeOp]:
         """Periodic cache management; returns background swap traffic.
@@ -572,14 +467,24 @@ class DedupScheme(abc.ABC):
     # policy points
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
-    def _lookup_fingerprint(self, fingerprint: int) -> Tuple[Optional[int], List[VolumeOp]]:
-        """Resolve a chunk fingerprint to a candidate duplicate PBA.
+    def _probe(
+        self, fingerprints: Sequence[int]
+    ) -> Tuple[List[Optional[int]], List[VolumeOp]]:
+        """Resolve a write's chunk fingerprints to duplicate PBAs.
 
-        Returns ``(pba_or_None, extra_ops)`` where ``extra_ops`` are
-        lookup costs charged to the request (e.g. an on-disk index
-        read for Full-Dedupe).
+        Returns ``(pbas, extra_ops)``: per chunk the candidate
+        duplicate PBA or ``None``, and the lookup costs charged to the
+        request (e.g. on-disk index reads for Full-Dedupe).  The
+        default is POD's Data Deduplicator: one probe of the hot Index
+        table for the whole request, where a miss simply means "treat
+        as unique" -- the cache is told about the misses in one call so
+        iCache's ghost index can measure the opportunity cost.
         """
+        assert self.index_table is not None
+        pbas, missed = self.index_table.probe(fingerprints)
+        if missed:
+            self.cache.on_index_misses(missed)
+        return pbas, []
 
     @abc.abstractmethod
     def _choose_dedupe(
@@ -588,13 +493,13 @@ class DedupScheme(abc.ABC):
         """Chunk indices (into the request) to deduplicate."""
 
     def _admit_to_index(self, fingerprint: int, pba: int) -> None:
-        """Record a freshly written unique chunk in the index."""
-        if self.index_table is None:
-            return
-        self.index_table.insert(fingerprint, pba)
-        evicted = self.index_table.drain_evicted()
-        if evicted:
-            self.cache.note_index_evictions(evicted)
+        """Record a freshly written unique chunk in the index.
+
+        The entries it evicts are handed to the cache once per request,
+        at the end of :meth:`_commit_write`.
+        """
+        if self.index_table is not None:
+            self.index_table.insert(fingerprint, pba)
 
     # ------------------------------------------------------------------
     # shared read path
@@ -636,26 +541,24 @@ class DedupScheme(abc.ABC):
     # ------------------------------------------------------------------
 
     def _process_write(self, request: IORequest, now: float) -> PlannedIO:
+        """Plan one write in a single pass: probe, classify, commit."""
         self.writes_total += 1
-        self.write_blocks_total += request.nblocks
+        nblocks = request.nblocks
+        self.write_blocks_total += nblocks
         assert request.fingerprints is not None
 
         delay = 0.0
-        extra_ops: List[VolumeOp] = []
+        lookup_ops: List[VolumeOp] = []
         if self.uses_fingerprints:
-            delay = self.hash_engine.delay_for(request.nblocks)
-            duplicate_pbas: List[Optional[int]] = []
-            for fp in request.fingerprints:
-                pba, ops = self._lookup_fingerprint(fp)
-                extra_ops.extend(ops)
-                duplicate_pbas.append(pba)
+            delay = self.hash_engine.delay_for(nblocks)
+            duplicate_pbas, lookup_ops = self._probe(request.fingerprints)
         else:
-            duplicate_pbas = [None] * request.nblocks
+            duplicate_pbas = [None] * nblocks
 
         dedupe_idx = self._choose_dedupe(request, duplicate_pbas)
         if self.decision_hook is not None:
             self.decision_hook(request, duplicate_pbas, dedupe_idx)
-        if self.quarantined_lbas:
+        if self.quarantined_lbas and dedupe_idx:
             # Degradation mode: a quarantined LBA's content is
             # unverifiable, so its write must carry real data -- never
             # a dedup pointer -- until the map heals (the write-side
@@ -668,13 +571,13 @@ class DedupScheme(abc.ABC):
                 self.dedupe_bypass_writes += len(bypassed)
                 dedupe_idx = dedupe_idx - bypassed
         write_ops, deduped_idx = self._commit_write(request, duplicate_pbas, dedupe_idx)
-        eliminated = not write_ops and request.nblocks > 0
+        eliminated = not write_ops and nblocks > 0
         if eliminated:
             self.write_requests_removed += 1
         self.write_blocks_deduped += len(deduped_idx)
         return PlannedIO(
             delay=delay,
-            volume_ops=extra_ops + write_ops,
+            volume_ops=lookup_ops + write_ops if lookup_ops else write_ops,
             eliminated=eliminated,
             deduped_blocks=len(deduped_idx),
             deduped_idx=deduped_idx,
@@ -691,23 +594,37 @@ class DedupScheme(abc.ABC):
         Returns ``(data_write_ops, deduped_chunk_indices)`` where the
         indices are the request chunks whose write was eliminated (in
         ascending order; ``len()`` of it is the deduped block count).
+
+        One loop over the blocks.  A deduplicated block costs one
+        Map-table call (:meth:`_map_dedupe`); a written block costs one
+        Map-table call that decides and applies its placement
+        (:meth:`MapTable.place_write`) and one index call.  The
+        written blocks leave the read cache, and the index evictions
+        reach the cache, once per request: nothing in the loop reads
+        either, so the final state is the per-block one.
         """
-        assert request.fingerprints is not None
+        fingerprints = request.fingerprints
+        assert fingerprints is not None
+        lba0 = request.lba
+        self.written_lbas.update(range(lba0, lba0 + request.nblocks))
         write_pbas: List[int] = []
-        overwritten: Set[int] = set()
         deduped: List[int] = []
+        place = self.map_table.place_write
+        allocate = self.log_alloc.allocate
+        content = self.content
+        on_write = self._on_physical_write
+        admit = self._admit_to_index if self.uses_fingerprints else None
+        quarantined = self.quarantined_lbas
 
-        for i, lba in enumerate(request.blocks()):
-            fp = request.fingerprints[i]
-            self.written_lbas.add(lba)
-
-            if i in dedupe_idx:
+        for i, fp in enumerate(fingerprints):
+            lba = lba0 + i
+            if dedupe_idx and i in dedupe_idx:
                 target = duplicate_pbas[i]
                 assert target is not None
                 # Safety net: the duplicate target must still hold the
                 # claimed content (an earlier chunk of this very
-                # request may have overwritten it).
-                if target in overwritten or self.content.read(target) != fp:
+                # request may have overwritten or freed it).
+                if target in write_pbas or content.read(target) != fp:
                     self.stale_dedupe_avoided += 1
                 else:
                     self._map_dedupe(lba, target)
@@ -715,52 +632,37 @@ class DedupScheme(abc.ABC):
                     continue
 
             # Normal (non-deduplicated) write.
-            if self.quarantined_lbas and lba in self.quarantined_lbas:
+            if quarantined and lba in quarantined:
                 # Real data reaching a quarantined LBA heals it: the
                 # map entry below is rebuilt from scratch and the
                 # content is again vouched for.
-                self.quarantined_lbas.discard(lba)
+                quarantined.discard(lba)
                 self.quarantine_heals += 1
-            target = self._write_target(lba)
-            overwritten.add(target)
-            if self.index_table is not None:
-                self.index_table.invalidate_pba(target)
-            self.content.write(target, fp)
-            self.cache.read_remove(target)
-            self._on_physical_write(target)
-            if self.uses_fingerprints:
-                self._admit_to_index(fp, target)
+            target, freed, redirected = place(lba, allocate)
+            if freed is not None:
+                self._reclaim(freed, keep=target)
+            if redirected:
+                self.redirected_writes += 1
+            content.write(target, fp)
+            on_write(target)
+            if admit is not None:
+                admit(fp, target)
             write_pbas.append(target)
 
-        ops = extents_to_ops(OpType.WRITE, write_pbas)
-        self.write_blocks_written += len(write_pbas)
-        return ops, tuple(deduped)
+        if write_pbas:
+            self.cache.read_remove_many(write_pbas)
+            self.write_blocks_written += len(write_pbas)
+        if self.index_table is not None:
+            evicted = self.index_table.drain_evicted()
+            if evicted:
+                self.cache.note_index_evictions(evicted)
+        return extents_to_ops(OpType.WRITE, write_pbas), tuple(deduped)
 
     def _map_dedupe(self, lba: int, target: int) -> None:
         """Point ``lba`` at an existing duplicate block."""
-        if self.map_table.translate(lba) == target:
-            return  # same-location redundancy: nothing to update
-        if target == self.regions.home_of(lba):
-            freed = self.map_table.clear_mapping(lba)
-        else:
-            freed = self.map_table.set_mapping(lba, target)
-        self._reclaim(freed)
-
-    def _write_target(self, lba: int) -> int:
-        """Pick the physical block for an in-place or redirected write,
-        honouring the consistency rule."""
-        home = self.regions.home_of(lba)
-        current = self.map_table.translate(lba)
-        target = self.map_table.choose_write_target(lba)
-        if target is None:
-            target = self.log_alloc.allocate()
-            freed = self.map_table.set_mapping(lba, target)
-            self._reclaim(freed, keep=target)
-            self.redirected_writes += 1
-        elif target == home and current != home:
-            freed = self.map_table.clear_mapping(lba)
-            self._reclaim(freed, keep=target)
-        return target
+        freed = self.map_table.remap(lba, target)
+        if freed is not None:
+            self._reclaim(freed)
 
     def _reclaim(self, freed: Optional[int], keep: Optional[int] = None) -> None:
         """Recycle a log block whose last reference went away."""

@@ -38,9 +38,6 @@ class FullDedupe(DedupScheme):
     """Deduplicate every redundant chunk, whatever the cost."""
 
     name = "Full-Dedupe"
-    #: Even a guaranteed-miss probe pays the on-disk index lookup, so
-    #: the batch driver's first-occurrence shortcut does not apply.
-    fast_unique = False
     features = {
         "capacity_saving": True,
         "performance_enhancement": False,
@@ -58,25 +55,34 @@ class FullDedupe(DedupScheme):
 
     # ------------------------------------------------------------------
 
-    def _lookup_fingerprint(self, fingerprint: int) -> Tuple[Optional[int], List[VolumeOp]]:
-        assert self.index_table is not None
-        entry = self.index_table.lookup(fingerprint)
-        if entry is not None:
-            return entry.pba, []
-        # Hot-cache miss: the full index lives on disk, so resolving
-        # the fingerprint (present *or* absent) costs one random 4 KB
-        # read in the index region.
-        self.disk_index_lookups += 1
+    def _probe(
+        self, fingerprints: Sequence[int]
+    ) -> Tuple[List[Optional[int]], List[VolumeOp]]:
+        """Chunk by chunk: a full-index hit is promoted into the hot
+        cache before the next chunk is probed, so a fingerprint repeated
+        within one request hits the second time."""
+        index = self.index_table
+        assert index is not None
+        pbas: List[Optional[int]] = []
         ops: List[VolumeOp] = []
-        if self.config.charge_index_io and self.regions.index_blocks > 0:
-            slot = fingerprint % self.regions.index_blocks
-            ops.append(VolumeOp(OpType.READ, self.regions.index_base + slot, 1))
-        pba = self._full_index.get(fingerprint)
-        if pba is None:
-            return None, ops
-        self.index_table.insert(fingerprint, pba)
-        self.cache.note_index_evictions(self.index_table.drain_evicted())
-        return pba, ops
+        for fingerprint in fingerprints:
+            entry = index.lookup(fingerprint)
+            if entry is not None:
+                pbas.append(entry.pba)
+                continue
+            # Hot-cache miss: the full index lives on disk, so
+            # resolving the fingerprint (present *or* absent) costs one
+            # random 4 KB read in the index region.
+            self.disk_index_lookups += 1
+            if self.config.charge_index_io and self.regions.index_blocks > 0:
+                slot = fingerprint % self.regions.index_blocks
+                ops.append(VolumeOp(OpType.READ, self.regions.index_base + slot, 1))
+            pba = self._full_index.get(fingerprint)
+            if pba is not None:
+                index.insert(fingerprint, pba)
+                self.cache.note_index_evictions(index.drain_evicted())
+            pbas.append(pba)
+        return pbas, ops
 
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]

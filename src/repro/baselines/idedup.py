@@ -18,12 +18,11 @@ lookups.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set
 
 from repro.baselines.base import DedupScheme
 from repro.core.categorize import sequential_runs
 from repro.sim.request import IORequest
-from repro.storage.volume import VolumeOp
 
 
 class IDedup(DedupScheme):
@@ -37,14 +36,6 @@ class IDedup(DedupScheme):
         "large_writes_elimination": True,
         "cache_partitioning": "static",
     }
-
-    def _lookup_fingerprint(self, fingerprint: int) -> Tuple[Optional[int], List[VolumeOp]]:
-        assert self.index_table is not None
-        entry = self.index_table.lookup(fingerprint)
-        if entry is not None:
-            return entry.pba, []
-        self.cache.on_index_miss(fingerprint)
-        return None, []
 
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]

@@ -54,16 +54,13 @@ class IODedup(DedupScheme):
     # never deduplicate.
     # ------------------------------------------------------------------
 
-    def _lookup_fingerprint(self, fingerprint: int) -> Tuple[Optional[int], List[VolumeOp]]:
+    def _probe(
+        self, fingerprints: Sequence[int]
+    ) -> Tuple[List[Optional[int]], List[VolumeOp]]:
+        # A miss only counts as a miss: no ghost-cache notification
+        # (there is no adaptive cache to inform).
         assert self.index_table is not None
-        entry = self.index_table.lookup(fingerprint)
-        return (entry.pba if entry is not None else None), []
-
-    def _lookup_unique(self, fingerprint: int) -> None:
-        # I/O-Dedup's miss path only counts the miss: no ghost-cache
-        # notification (there is no adaptive cache to inform).
-        assert self.index_table is not None
-        self.index_table.lru.misses += 1
+        return self.index_table.probe(fingerprints)[0], []
 
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]

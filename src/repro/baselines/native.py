@@ -8,7 +8,7 @@ without deduplication has no index to cache).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.baselines.base import DedupScheme, PlannedIO, SchemeConfig
 from repro.cache.partition import PartitionedCache
@@ -39,10 +39,6 @@ class Native(DedupScheme):
     def _make_cache(self) -> PartitionedCache:
         # All DRAM is read cache: there is no index to store.
         return PartitionedCache(self.config.memory_bytes, index_fraction=0.0)
-
-    def _lookup_fingerprint(self, fingerprint: int) -> Tuple[Optional[int], List[VolumeOp]]:
-        """Never called (``uses_fingerprints`` is False)."""
-        return None, []
 
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
@@ -78,11 +74,7 @@ class Native(DedupScheme):
             and self.cache.read.capacity_bytes >= BLOCK_SIZE
         )
 
-    def plan_batch(
-        self,
-        requests: Sequence[IORequest],
-        chunk_unique: Optional[Sequence[Optional[Sequence[bool]]]] = None,
-    ) -> List[PlannedIO]:
+    def plan_batch(self, requests: Sequence[IORequest]) -> List[PlannedIO]:
         """Plan a window of requests through the no-dedup fast path.
 
         Bit-identical to the generic path (pinned by the golden batch
@@ -95,7 +87,7 @@ class Native(DedupScheme):
         in locals and flush once per call.
         """
         if not self._batch_fast_ok():
-            return super().plan_batch(requests, chunk_unique)
+            return super().plan_batch(requests)
         read_lru = self.cache.read
         entries = read_lru._entries  # pod: ignore[POD007]
         e_get = entries.get

@@ -71,10 +71,6 @@ class PostProcessDedupe(DedupScheme):
     # foreground path: exactly Native
     # ------------------------------------------------------------------
 
-    def _lookup_fingerprint(self, fingerprint: int) -> Tuple[Optional[int], List[VolumeOp]]:
-        """Never called inline (``uses_fingerprints`` is False)."""
-        return None, []
-
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
     ) -> Set[int]:

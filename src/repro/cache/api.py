@@ -10,7 +10,7 @@ two implementations share no base class.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.cache.lru import LRUCache
 
@@ -50,6 +50,10 @@ class DramCache(Protocol):
     def on_index_miss(self, fingerprint: int) -> None:
         ...
 
+    def on_index_misses(self, fingerprints: Iterable[int]) -> None:
+        """:meth:`on_index_miss` for every miss of one write, in order."""
+        ...
+
     def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:
         ...
 
@@ -62,6 +66,10 @@ class DramCache(Protocol):
         ...
 
     def read_remove(self, pba: int) -> bool:
+        ...
+
+    def read_remove_many(self, pbas: Sequence[int]) -> None:
+        """:meth:`read_remove` every block of a batch."""
         ...
 
     # -- management ----------------------------------------------------

@@ -15,7 +15,7 @@ the cache it shadows.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterator, List, Optional, TypeVar
+from typing import Generic, Iterable, Iterator, List, Optional, TypeVar
 
 from repro.errors import CacheError
 
@@ -62,12 +62,16 @@ class GhostCache(Generic[K]):
         if size <= 0:
             raise CacheError(f"entry size must be positive, got {size}")
         self.evictions_recorded += 1
-        if key in self._keys:
-            self._used -= self._keys.pop(key)
+        keys = self._keys
+        old = keys.pop(key, None)
+        if old is not None:
+            self._used -= old
         if size > self.capacity_bytes:
             return [key]
-        self._keys[key] = size
+        keys[key] = size
         self._used += size
+        if self._used <= self.capacity_bytes:
+            return []
         dropped: List[K] = []
         while self._used > self.capacity_bytes and self._keys:
             k, s = self._keys.popitem(last=False)
@@ -85,6 +89,26 @@ class GhostCache(Generic[K]):
             self.hits_total += 1
             return True
         return False
+
+    def hit_many(self, keys: Iterable[K]) -> List[K]:
+        """:meth:`hit` every key of a batch, in order; returns the keys
+        that hit."""
+        present = self._keys
+        hits: List[K] = []
+        for key in keys:
+            if key in present:
+                self._used -= present.pop(key)
+                hits.append(key)
+        self.hits += len(hits)
+        self.hits_total += len(hits)
+        return hits
+
+    def remove_many(self, keys: Iterable[K]) -> None:
+        """Silently drop every key of a batch (no hits counted)."""
+        present = self._keys
+        for key in keys:
+            if key in present:
+                self._used -= present.pop(key)
 
     def remove(self, key: K) -> bool:
         """Silently drop *key* (no hit counted)."""

@@ -12,7 +12,7 @@ un-parameterised uses keep the historical ``Any`` behaviour.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import CacheError
 
@@ -74,6 +74,30 @@ class LRUCache(Generic[K, V]):
         self.hits += 1
         return entry[0]
 
+    def get_many(self, keys: Iterable[K]) -> List[Optional[V]]:
+        """:meth:`get` over a batch of keys, in order, in one call.
+
+        Returns one value (``None`` on a miss) per key; promotions and
+        the hit/miss counters are exactly those of the per-key calls.
+        """
+        entries = self._entries
+        find = entries.get
+        promote = entries.move_to_end
+        out: List[Optional[V]] = []
+        append = out.append
+        hits = 0
+        for key in keys:
+            entry = find(key)
+            if entry is None:
+                append(None)
+            else:
+                promote(key)
+                hits += 1
+                append(entry[0])
+        self.hits += hits
+        self.misses += len(out) - hits
+        return out
+
     def peek(self, key: K) -> Optional[V]:
         """Look up without promoting or counting."""
         entry = self._entries.get(key)
@@ -88,13 +112,16 @@ class LRUCache(Generic[K, V]):
         size = self.default_entry_size if size is None else size
         if size <= 0:
             raise CacheError(f"entry size must be positive, got {size}")
-        if key in self._entries:
-            _, old_size = self._entries.pop(key)
-            self._used -= old_size
+        entries = self._entries
+        old = entries.pop(key, None)
+        if old is not None:
+            self._used -= old[1]
         if size > self.capacity_bytes:
             return [(key, value, size)]
-        self._entries[key] = (value, size)
+        entries[key] = (value, size)
         self._used += size
+        if self._used <= self.capacity_bytes:
+            return []
         return self._evict_to_fit()
 
     def remove(self, key: K) -> bool:
@@ -104,6 +131,14 @@ class LRUCache(Generic[K, V]):
             return False
         self._used -= entry[1]
         return True
+
+    def remove_many(self, keys: Iterable[K]) -> None:
+        """:meth:`remove` every key of a batch (absent keys are skipped)."""
+        pop = self._entries.pop
+        for key in keys:
+            entry = pop(key, None)
+            if entry is not None:
+                self._used -= entry[1]
 
     def resize(self, new_capacity_bytes: int) -> List[Evicted[K, V]]:
         """Change capacity; returns LRU victims shed to fit."""
@@ -144,7 +179,11 @@ class LRUCache(Generic[K, V]):
 
     def _evict_to_fit(self) -> List[Evicted[K, V]]:
         victims: List[Evicted[K, V]] = []
-        while self._used > self.capacity_bytes and self._entries:
-            victims.append(self.pop_lru())  # type: ignore[arg-type]
+        entries = self._entries
+        capacity = self.capacity_bytes
+        while self._used > capacity and entries:
+            key, (value, size) = entries.popitem(last=False)
+            self._used -= size
+            victims.append((key, value, size))
         self.evictions += len(victims)
         return victims

@@ -13,7 +13,7 @@ the same two caches but re-balances them at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constants import BLOCK_SIZE, INDEX_ENTRY_SIZE
 from repro.cache.lru import LRUCache
@@ -107,9 +107,15 @@ class PartitionedCache:
     def read_remove(self, pba: int) -> bool:
         return self.read.remove(pba)
 
+    def read_remove_many(self, pbas: Sequence[int]) -> None:
+        self.read.remove_many(pbas)
+
     # -- bookkeeping ---------------------------------------------------
 
     def on_index_miss(self, fingerprint: int) -> None:
+        """Fixed partitions keep no ghost history; nothing to record."""
+
+    def on_index_misses(self, fingerprints: Iterable[int]) -> None:
         """Fixed partitions keep no ghost history; nothing to record."""
 
     def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:

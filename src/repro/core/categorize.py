@@ -102,17 +102,18 @@ def sequential_runs(duplicate_pbas: Sequence[Optional[int]]) -> List[Tuple[int, 
     """
     runs: List[Tuple[int, int]] = []
     start: Optional[int] = None
+    prev: Optional[int] = None
     for i, pba in enumerate(duplicate_pbas):
         if pba is None:
             if start is not None:
                 runs.append((start, i - start))
                 start = None
-            continue
-        if start is None:
+        elif start is None:
             start = i
-        elif duplicate_pbas[i - 1] is None or pba != duplicate_pbas[i - 1] + 1:
+        elif prev is None or pba != prev + 1:
             runs.append((start, i - start))
             start = i
+        prev = pba
     if start is not None:
         runs.append((start, len(duplicate_pbas) - start))
     return runs

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.ghost import GhostCache
 from repro.cache.lru import LRUCache
@@ -204,6 +204,10 @@ class ICache:
         self.ghost_read.remove(key)
         return self.read.remove(key)
 
+    def read_remove_many(self, keys: Sequence[int]) -> None:
+        self.ghost_read.remove_many(keys)
+        self.read.remove_many(keys)
+
     # ------------------------------------------------------------------
     # index-cache interface (the IndexTable sits on ``self.index``)
     # ------------------------------------------------------------------
@@ -220,22 +224,32 @@ class ICache:
     def on_index_miss(self, fingerprint: int) -> None:
         """Called by the scheme when the hot index missed: probe the
         ghost index (a hit = one duplicate we failed to detect)."""
-        if self.ghost_index.hit(fingerprint) and self.obs.level >= TraceLevel.CHUNK:
-            self.obs.emit(
-                TraceLevel.CHUNK,
-                self._obs_clock() if self._obs_clock is not None else 0.0,
-                EventType.CACHE_GHOST_HIT,
-                cache="index",
-                key=fingerprint,
-            )
+        self.on_index_misses((fingerprint,))
+
+    def on_index_misses(self, fingerprints: Iterable[int]) -> None:
+        """:meth:`on_index_miss` for every miss of one write, in order
+        (one ghost probe call per request on the write path)."""
+        hits = self.ghost_index.hit_many(fingerprints)
+        if hits and self.obs.level >= TraceLevel.CHUNK:
+            now = self._obs_clock() if self._obs_clock is not None else 0.0
+            for fingerprint in hits:
+                self.obs.emit(
+                    TraceLevel.CHUNK,
+                    now,
+                    EventType.CACHE_GHOST_HIT,
+                    cache="index",
+                    key=fingerprint,
+                )
 
     def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:
         """Feed IndexTable victims into the ghost index and park their
         data in the reserved swap area for a later swap-in."""
+        store = self._index_store
+        record = self.ghost_index.record_eviction
         for fingerprint, entry in evicted:
-            self._index_store[fingerprint] = entry
-            for dropped in self.ghost_index.record_eviction(fingerprint, INDEX_ENTRY_SIZE):
-                self._index_store.pop(dropped, None)
+            store[fingerprint] = entry
+            for dropped in record(fingerprint, INDEX_ENTRY_SIZE):
+                store.pop(dropped, None)
 
     # ------------------------------------------------------------------
     # the Access Monitor + Swap Module

@@ -19,13 +19,12 @@ sensitive small-write elimination the paper's title is about.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set
 
 from repro.baselines.base import DedupScheme, SchemeConfig
 from repro.core.categorize import Category, categorize_write
 from repro.obs.events import EventType, TraceLevel
 from repro.sim.request import IORequest
-from repro.storage.volume import VolumeOp
 
 
 class SelectDedupe(DedupScheme):
@@ -45,19 +44,28 @@ class SelectDedupe(DedupScheme):
         #: Requests per Figure-5 category (workload diagnostics).
         self.category_counts: Dict[Category, int] = {c: 0 for c in Category}
 
-    def _lookup_fingerprint(self, fingerprint: int) -> Tuple[Optional[int], List[VolumeOp]]:
-        assert self.index_table is not None
-        entry = self.index_table.lookup(fingerprint)
-        if entry is not None:
-            return entry.pba, []
-        # Hot-index miss: treated as unique data.  Tell the cache so
-        # iCache's ghost index can measure the opportunity cost.
-        self.cache.on_index_miss(fingerprint)
-        return None, []
-
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
     ) -> Set[int]:
+        nchunks = len(duplicate_pbas)
+        if (
+            nchunks
+            and self.obs.level < TraceLevel.CHUNK
+            and self.config.select_threshold >= 1
+        ):
+            # Figure 5's two common cases, decided straight from the
+            # probe result (a traced run always takes categorize_write,
+            # whose runs the REQUEST_CLASSIFY event reports).
+            misses = duplicate_pbas.count(None)
+            if misses == nchunks:
+                self.category_counts[Category.UNIQUE] += 1
+                return set()
+            first = duplicate_pbas[0]
+            if misses == 0 and first is not None and list(duplicate_pbas) == list(
+                range(first, first + nchunks)
+            ):
+                self.category_counts[Category.FULLY_REDUNDANT] += 1
+                return set(range(nchunks))
         decision = categorize_write(duplicate_pbas, self.config.select_threshold)
         self.category_counts[decision.category] += 1
         if self.obs.level >= TraceLevel.CHUNK:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.lru import LRUCache
 from repro.constants import INDEX_ENTRY_SIZE
@@ -75,6 +75,28 @@ class IndexTable:
         entry.count += 1
         return entry
 
+    def probe(
+        self, fingerprints: Sequence[int]
+    ) -> Tuple[List[Optional[int]], List[int]]:
+        """:meth:`lookup` every chunk fingerprint of one write, in order.
+
+        One call per request on the write path.  Returns the duplicate
+        PBA per chunk (``None`` on a miss) and the missed fingerprints
+        in chunk order; promotions, ``Count`` increments and hit/miss
+        counters equal those of the per-chunk lookups.
+        """
+        pbas: List[Optional[int]] = []
+        missed: List[int] = []
+        add_pba = pbas.append
+        for fingerprint, entry in zip(fingerprints, self.lru.get_many(fingerprints)):
+            if entry is None:
+                add_pba(None)
+                missed.append(fingerprint)
+            else:
+                entry.count += 1
+                add_pba(entry.pba)
+        return pbas, missed
+
     def peek(self, fingerprint: int) -> Optional[IndexEntry]:
         """Query without promoting or counting (stats/tests)."""
         return self.lru.peek(fingerprint)
@@ -95,19 +117,23 @@ class IndexTable:
         If another fingerprint already claims ``pba`` the stale claim
         is dropped first (the block's content has changed).
         """
-        self.invalidate_pba(pba)
-        stale = self.lru.peek(fingerprint)
+        by_pba = self._by_pba
+        lru = self.lru
+        claimant = by_pba.pop(pba, None)  # invalidate_pba(pba), inlined
+        if claimant is not None:
+            lru.remove(claimant)
+        stale = lru.peek(fingerprint)
         if stale is not None:
-            self._by_pba.pop(stale.pba, None)
-        entry = IndexEntry(pba=pba, count=0)
-        victims = self.lru.put(fingerprint, entry)
-        self._by_pba[pba] = fingerprint
+            by_pba.pop(stale.pba, None)
+        entry = IndexEntry(pba)
+        victims = lru.put(fingerprint, entry)
+        by_pba[pba] = fingerprint
         for key, value, _size in victims:
             if key == fingerprint:
                 # Entry was larger than the cache; nothing was kept.
-                self._by_pba.pop(pba, None)
+                by_pba.pop(pba, None)
             else:
-                self._by_pba.pop(value.pba, None)
+                by_pba.pop(value.pba, None)
                 self._evicted.append((key, value))
         return entry
 

@@ -20,7 +20,7 @@ referenced by any LBA must never be overwritten in place.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.errors import DedupError
 from repro.storage.allocator import RegionMap
@@ -33,6 +33,9 @@ class MapTable:
 
     def __init__(self, regions: RegionMap, nvram: Optional[NvramMeter] = None) -> None:
         self.regions = regions
+        #: Volume size (``RegionMap`` is frozen, so the derived
+        #: property chain is read once, not per mapping update).
+        self._total_blocks = regions.total_blocks
         self.nvram = nvram if nvram is not None else NvramMeter()
         self._map: Dict[int, int] = {}
         self._refs: Dict[int, int] = {}
@@ -115,37 +118,53 @@ class MapTable:
         (identity), keeping the table minimal -- the paper sizes NVRAM
         by deduplicated writes only.
         """
-        self.regions.home_of(lba)  # validates the LBA range
-        if pba < 0 or pba >= self.regions.total_blocks:
+        home = self.regions.home_of(lba)  # validates the LBA range
+        if pba < 0 or pba >= self._total_blocks:
             raise DedupError(f"PBA {pba} outside the volume")
-        freed = self.clear_mapping(lba)
-        if pba != self.regions.home_of(lba):
-            if self.journal is not None:
-                self.journal.append_set(lba, pba)  # write-ahead
-            self._map[lba] = pba
-            self._refs[pba] = self._refs.get(pba, 0) + 1
-            self.nvram.add(1)
-        return freed
+        return self._rebind(lba, self._map.get(lba), None if pba == home else pba)
 
     def clear_mapping(self, lba: int) -> Optional[int]:
         """Return ``lba`` to its identity (home) mapping.
 
         Returns the PBA that became unreferenced, if any.
         """
-        if lba in self._map and self.journal is not None:
-            self.journal.append_clear(lba)  # write-ahead
-        old = self._map.pop(lba, None)
-        if old is None:
+        current = self._map.get(lba)
+        if current is None:
             return None
-        self.nvram.remove(1)
-        count = self._refs.get(old, 0)
-        if count <= 0:
-            raise DedupError(f"refcount underflow on PBA {old}")
-        if count == 1:
-            del self._refs[old]
-            return old
-        self._refs[old] = count - 1
-        return None
+        return self._rebind(lba, current, None)
+
+    def _rebind(self, lba: int, current: Optional[int], pba: Optional[int]) -> Optional[int]:
+        """Move ``lba`` from its explicit entry ``current`` to ``pba``.
+
+        The one implementation of a Map-table update: ``None`` stands
+        for the identity (home) mapping on either side.  Journals
+        write-ahead, keeps the reference counts and the NVRAM meter,
+        and returns the PBA whose last reference went away, or
+        ``None``.
+        """
+        journal = self.journal
+        refs = self._refs
+        freed = None
+        if current is not None:
+            if journal is not None:
+                journal.append_clear(lba)  # write-ahead
+            del self._map[lba]
+            self.nvram.remove(1)
+            count = refs.get(current, 0)
+            if count <= 0:
+                raise DedupError(f"refcount underflow on PBA {current}")
+            if count == 1:
+                del refs[current]
+                freed = current
+            else:
+                refs[current] = count - 1
+        if pba is not None:
+            if journal is not None:
+                journal.append_set(lba, pba)  # write-ahead
+            self._map[lba] = pba
+            refs[pba] = refs.get(pba, 0) + 1
+            self.nvram.add(1)
+        return freed
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -197,17 +216,63 @@ class MapTable:
         * otherwise ``None`` -- every candidate is shared.
         """
         home = self.regions.home_of(lba)
-        current = self.translate(lba)
-        if not self.is_referenced(home):
+        refs = self._refs
+        if refs.get(home, 0) <= 0:
             return home
+        current = self._map.get(lba)
         if (
-            current != home
+            current is not None
+            and current != home
             and self.regions.is_log(current)
-            and self.refs(current) == 1
-            and self._map.get(lba) == current
+            and refs.get(current) == 1
         ):
             return current
         return None
+
+    # ------------------------------------------------------------------
+    # one-call write-path decisions (one call per block, not a chain)
+    # ------------------------------------------------------------------
+
+    def place_write(
+        self, lba: int, allocate: Callable[[], int]
+    ) -> Tuple[int, Optional[int], bool]:
+        """Decide and apply where a *non-deduplicated* write lands.
+
+        :meth:`choose_write_target` plus the mapping update it implies:
+        the home block when nothing references it (dropping a stale
+        redirection), the LBA's private log block, or else a fresh
+        block from ``allocate`` that the LBA is redirected to.  Returns
+        ``(target, freed, redirected)``; ``freed`` is the block whose
+        last reference went away (the caller reclaims it), or ``None``.
+        """
+        target = self.choose_write_target(lba)
+        current = self._map.get(lba)
+        if target is None:
+            target = allocate()
+            if target < 0 or target >= self._total_blocks:
+                raise DedupError(f"PBA {target} outside the volume")
+            return target, self._rebind(lba, current, target), True
+        if current is None or current == target:
+            return target, None, False
+        # The home block is free again: the stale redirection goes.
+        return target, self._rebind(lba, current, None), False
+
+    def remap(self, lba: int, target: int) -> Optional[int]:
+        """Point ``lba`` at the existing duplicate block ``target``.
+
+        A no-op when the LBA already resolves there (same-location
+        redundancy).  Returns the block whose last reference went
+        away, or ``None``.
+        """
+        home = self.regions.home_of(lba)
+        current = self._map.get(lba)
+        if target == (home if current is None else current):
+            return None
+        if target == home:
+            return self._rebind(lba, current, None)
+        if target < 0 or target >= self._total_blocks:
+            raise DedupError(f"PBA {target} outside the volume")
+        return self._rebind(lba, current, target)
 
     def live_pbas(self, written_lbas: Iterable[int]) -> Set[int]:
         """Distinct physical blocks backing the given logical blocks.

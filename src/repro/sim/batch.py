@@ -19,13 +19,12 @@ event.  This driver exploits three structural facts of the fast path
    every arrival's heap sequence number is assigned at setup).
 
 Planning therefore proceeds in batches over the *columnar* trace
-(:mod:`repro.traces.columnar`): fingerprints are classified per batch
-(first-stream-occurrence chunks can skip their guaranteed-miss index
-probe -- see :meth:`DedupScheme.plan_batch`), requests are
-materialised via the no-validation :meth:`IORequest.raw`, and the
-disk/metrics phase replays completions through a single merged
-arrival-cursor + callback-heap loop that reproduces the engine's
-``(time, seq)`` event order exactly.
+(:mod:`repro.traces.columnar`): requests are materialised via the
+no-validation :meth:`IORequest.raw` (or not at all, when the scheme
+plans straight off the columns -- :meth:`DedupScheme.plan_columns`),
+and the disk/metrics phase replays completions through a single
+merged arrival-cursor + callback-heap loop that reproduces the
+engine's ``(time, seq)`` event order exactly.
 
 The result is **bit-identical** to :func:`repro.sim.replay.replay_traces`
 for every scheme and any batch size (pinned by golden tests), at a
@@ -218,7 +217,6 @@ def _replay_merged(
     is_write_l = (merged.ops == 1).tolist()
     offsets_l = merged.fp_offsets.tolist()
     fp_ids_l = merged.fp_ids.tolist()
-    unique_l = merged.first_unique.tolist()
     pool = merged.pool
     measured_l = merged.measured.tolist()
     collect_warmup = config.collect_warmup
@@ -260,16 +258,10 @@ def _replay_merged(
     cross: List[int] = [0] * n
     tick_ops: List[list] = []
     fp_owner: Optional[Dict[int, int]] = {} if multi else None
-    use_hints = (
-        scheme.fast_unique
-        and scheme.uses_fingerprints
-        and scheme.chunker is None
-        and scheme.spans is None
-    )
     plan_cursor = 0
     plan_tick = 0
     plan_batch = scheme.plan_batch
-    plan_columns = scheme.plan_columns if fp_owner is None and not use_hints else None
+    plan_columns = scheme.plan_columns if fp_owner is None else None
     raw = IORequest.raw
     write_op = OpType.WRITE
     read_op = OpType.READ
@@ -293,24 +285,17 @@ def _replay_merged(
         batch: List[IORequest] = []
         append_req = batch.append
         pool_at = pool.__getitem__
-        masks: Optional[List[Optional[List[bool]]]] = [] if use_hints else None
         for i in range(a, b):
             if is_write_l[i]:
-                lo = offsets_l[i]
-                hi = offsets_l[i + 1]
                 fps: Optional[Tuple[int, ...]] = tuple(
-                    map(pool_at, fp_ids_l[lo:hi])
+                    map(pool_at, fp_ids_l[offsets_l[i] : offsets_l[i + 1]])
                 )
                 req = raw(times_l[i], write_op, lbas_l[i], nblocks_l[i], fps, i, vids_l[i])
-                if masks is not None:
-                    masks.append(unique_l[lo:hi])
             else:
                 req = raw(times_l[i], read_op, lbas_l[i], nblocks_l[i], None, i, vids_l[i])
-                if masks is not None:
-                    masks.append(None)
             requests[i] = req
             append_req(req)
-        plans = plan_batch(batch, masks)
+        plans = plan_batch(batch)
         planned[a:b] = plans
         if fp_owner is not None:
             owner_get = fp_owner.get

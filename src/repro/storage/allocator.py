@@ -67,10 +67,15 @@ class RegionMap:
         return self.swap_base + self.swap_blocks
 
     def home_of(self, lba: int) -> int:
-        """Home PBA of a logical block."""
+        """Home PBA of a logical block.
+
+        The home region starts at PBA 0 (``home_base``), so the home
+        block is the LBA itself; the property is not consulted on this
+        per-block path.
+        """
         if not (0 <= lba < self.logical_blocks):
             raise StorageError(f"LBA {lba} outside logical space of {self.logical_blocks}")
-        return self.home_base + lba
+        return lba
 
     def is_home(self, pba: int) -> bool:
         return self.home_base <= pba < self.log_base

@@ -128,7 +128,8 @@ class ContentStore:
 
     def write(self, pba: int, fingerprint: int) -> None:
         """Record that ``fingerprint`` now lives at ``pba``."""
-        self._check(pba)
+        if not (0 <= pba < self.total_blocks):
+            self._check(pba)
         self._content[pba] = fingerprint
 
     def write_run(self, pba: int, fingerprints: Iterable[int]) -> None:
@@ -138,7 +139,8 @@ class ContentStore:
 
     def read(self, pba: int) -> Optional[int]:
         """Fingerprint stored at ``pba``, or ``None`` if never written."""
-        self._check(pba)
+        if not (0 <= pba < self.total_blocks):
+            self._check(pba)
         return self._content.get(pba)
 
     def discard(self, pba: int) -> None:

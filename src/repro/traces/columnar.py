@@ -19,10 +19,7 @@ The representation is lossless: ``from_trace`` / ``to_trace`` round-
 trip exactly (property-tested), and the columnar replay driver in
 :mod:`repro.sim.batch` is bit-identical to the object path.
 
-Batch classification -- the vectorized half of POD's Data
-Deduplicator -- happens here: :func:`first_occurrence_mask` marks the
-chunks whose fingerprint has never been seen before (those *cannot*
-hit the Index table, letting schemes skip the LRU probe), and
+Batch classification for reporting happens here too:
 :func:`classify_chunks` buckets every chunk as unique / cold / hot by
 global occurrence count (the hot set is what POD's Index table is
 designed to capture).
@@ -43,7 +40,6 @@ __all__ = [
     "ColumnarTrace",
     "MergedColumns",
     "merge_columnar",
-    "first_occurrence_mask",
     "classify_chunks",
     "load_trace_columnar",
 ]
@@ -274,7 +270,6 @@ class MergedColumns:
         "fp_offsets",
         "fp_ids",
         "pool",
-        "first_unique",
     )
 
     def __init__(
@@ -288,7 +283,6 @@ class MergedColumns:
         fp_offsets: np.ndarray,
         fp_ids: np.ndarray,
         pool: List[int],
-        first_unique: np.ndarray,
     ) -> None:
         self.times = times
         self.ops = ops
@@ -299,10 +293,6 @@ class MergedColumns:
         self.fp_offsets = fp_offsets
         self.fp_ids = fp_ids
         self.pool = pool
-        #: Per-chunk flag: first global occurrence of this fingerprint
-        #: (in merged stream order) -- such a chunk can never hit the
-        #: Index table, so batch planners skip its LRU probe.
-        self.first_unique = first_unique
 
     def __len__(self) -> int:
         return len(self.times)
@@ -369,7 +359,6 @@ def merge_columnar(
             fp_offsets=ct.fp_offsets,
             fp_ids=ct.fp_ids,
             pool=ct.pool,
-            first_unique=first_occurrence_mask(ct.fp_ids),
         )
 
     # Unify the fingerprint pools (chunk ids remapped into the merged
@@ -410,28 +399,22 @@ def merge_columnar(
         ]
     )[order]
 
-    # Re-gather the CSR fingerprint columns in merged request order.
-    chunk_counts = np.concatenate(
-        [np.diff(ct.fp_offsets) for ct in ctraces]
-    )[order]
+    # Re-gather the CSR fingerprint columns in merged request order:
+    # merged chunk slot p of request r (source row order[r]) reads
+    # source chunk src_start[order[r]] + (p - fp_offsets[r]), one
+    # ``np.repeat`` index gather for the whole stream.
+    src_counts = np.concatenate([np.diff(ct.fp_offsets) for ct in ctraces])
+    src_starts = np.zeros(len(src_counts), dtype=np.int64)
+    np.cumsum(src_counts[:-1], out=src_starts[1:])
+    chunk_counts = src_counts[order]
     fp_offsets = np.zeros(len(times) + 1, dtype=np.int64)
     np.cumsum(chunk_counts, out=fp_offsets[1:])
     all_ids = (
         np.concatenate(remapped) if pool else np.empty(0, dtype=np.int64)
     )
-    src_offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(np.concatenate(
-            [np.diff(ct.fp_offsets) for ct in ctraces]
-        ))]
-    )
-    fp_ids = np.empty(len(all_ids), dtype=np.int64)
-    pos = 0
-    for src_row in order.tolist():
-        a = src_offsets[src_row]
-        b = src_offsets[src_row + 1]
-        if b > a:
-            fp_ids[pos : pos + (b - a)] = all_ids[a:b]
-            pos += b - a
+    gather = np.repeat(src_starts[order] - fp_offsets[:-1], chunk_counts)
+    gather += np.arange(len(gather), dtype=np.int64)
+    fp_ids = all_ids[gather]
 
     return MergedColumns(
         times=times[order],
@@ -443,29 +426,12 @@ def merge_columnar(
         fp_offsets=fp_offsets,
         fp_ids=fp_ids,
         pool=pool,
-        first_unique=first_occurrence_mask(fp_ids),
     )
 
 
 # ----------------------------------------------------------------------
 # vectorized fingerprint classification
 # ----------------------------------------------------------------------
-
-
-def first_occurrence_mask(fp_ids: np.ndarray) -> np.ndarray:
-    """Boolean mask: chunk ``k`` is the first occurrence of its
-    fingerprint in stream order.
-
-    A first-occurrence chunk cannot be present in any Index table (it
-    was never admitted) nor in any ghost index (never evicted), so the
-    batch planner may replace its index probe with the probe's exact
-    miss side effects.
-    """
-    mask = np.zeros(len(fp_ids), dtype=bool)
-    if len(fp_ids):
-        _, first_idx = np.unique(fp_ids, return_index=True)
-        mask[first_idx] = True
-    return mask
 
 
 def classify_chunks(
@@ -478,9 +444,8 @@ def classify_chunks(
     * ``hot``    -- duplicated ``hot_threshold`` or more times (the
       working set POD's hot-entry-only Index table is built to hold).
 
-    Pure observation over the columns (one ``bincount``); the replay
-    drivers use :func:`first_occurrence_mask` for the behavioural
-    shortcut and this for reporting.
+    Pure observation over the columns (one ``bincount``), for
+    reporting.
     """
     if hot_threshold < 2:
         raise TraceError("hot_threshold must be >= 2")

@@ -1,0 +1,225 @@
+"""The per-block write chain, kept as a test-only reference.
+
+Before the schemes planned a write in one fused pass per request, a
+write went ``_process_write`` -> ``_lookup_fingerprint`` per chunk ->
+``_choose_dedupe`` (``categorize_write`` for every Select-Dedupe
+request) -> ``_commit_write`` -> ``_map_dedupe`` / ``_write_target``
+/ ``_reclaim`` / ``_admit_to_index`` per block, each going through
+``MapTable.translate`` / ``choose_write_target`` / ``set_mapping`` /
+``clear_mapping`` and ``IndexTable.lookup`` / ``insert`` /
+``drain_evicted``.  :func:`reference_class` grafts that chain onto a
+scheme class, so the differential tests can replay one workload
+through both and require the same plans and the same final state.
+
+The per-scheme hooks that the fused path keeps (SAR's SSD admission
+and invalidation, Full-Dedupe's full-index bookkeeping, Post-Process's
+dirty tracking, I/O-Dedup's content map) are inherited unchanged:
+they are reached through ``super()`` from this chain exactly as they
+were from the old one.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+
+from repro.baselines.base import DedupScheme, PlannedIO
+from repro.baselines.full_dedupe import FullDedupe
+from repro.baselines.iodedup import IODedup
+from repro.core.categorize import categorize_write
+from repro.core.select_dedupe import SelectDedupe
+from repro.obs.events import EventType, TraceLevel
+from repro.sim.request import IORequest, OpType
+from repro.storage.volume import VolumeOp, extents_to_ops
+
+
+class ReferenceWritePath(DedupScheme):
+    """The per-block write chain (insert between a scheme class and
+    :class:`DedupScheme` in the MRO -- see :func:`reference_class`)."""
+
+    # -- probe: one call per chunk -------------------------------------
+
+    def _lookup_fingerprint(
+        self, fingerprint: int
+    ) -> Tuple[Optional[int], List[VolumeOp]]:
+        assert self.index_table is not None
+        entry = self.index_table.lookup(fingerprint)
+        if isinstance(self, FullDedupe):
+            if entry is not None:
+                return entry.pba, []
+            self.disk_index_lookups += 1
+            ops: List[VolumeOp] = []
+            if self.config.charge_index_io and self.regions.index_blocks > 0:
+                slot = fingerprint % self.regions.index_blocks
+                ops.append(VolumeOp(OpType.READ, self.regions.index_base + slot, 1))
+            pba = self._full_index.get(fingerprint)
+            if pba is None:
+                return None, ops
+            self.index_table.insert(fingerprint, pba)
+            self.cache.note_index_evictions(self.index_table.drain_evicted())
+            return pba, ops
+        if isinstance(self, IODedup):
+            return (entry.pba if entry is not None else None), []
+        if entry is not None:
+            return entry.pba, []
+        self.cache.on_index_miss(fingerprint)
+        return None, []
+
+    # -- the request ---------------------------------------------------
+
+    def _process_write(self, request: IORequest, now: float) -> PlannedIO:
+        self.writes_total += 1
+        self.write_blocks_total += request.nblocks
+        assert request.fingerprints is not None
+
+        delay = 0.0
+        extra_ops: List[VolumeOp] = []
+        if self.uses_fingerprints:
+            delay = self.hash_engine.delay_for(request.nblocks)
+            duplicate_pbas: List[Optional[int]] = []
+            for fp in request.fingerprints:
+                pba, ops = self._lookup_fingerprint(fp)
+                extra_ops.extend(ops)
+                duplicate_pbas.append(pba)
+        else:
+            duplicate_pbas = [None] * request.nblocks
+
+        dedupe_idx = self._choose_dedupe(request, duplicate_pbas)
+        if self.decision_hook is not None:
+            self.decision_hook(request, duplicate_pbas, dedupe_idx)
+        if self.quarantined_lbas:
+            bypassed = {
+                i for i in dedupe_idx
+                if request.lba + i in self.quarantined_lbas
+            }
+            if bypassed:
+                self.dedupe_bypass_writes += len(bypassed)
+                dedupe_idx = dedupe_idx - bypassed
+        write_ops, deduped_idx = self._commit_write(request, duplicate_pbas, dedupe_idx)
+        eliminated = not write_ops and request.nblocks > 0
+        if eliminated:
+            self.write_requests_removed += 1
+        self.write_blocks_deduped += len(deduped_idx)
+        return PlannedIO(
+            delay=delay,
+            volume_ops=extra_ops + write_ops,
+            eliminated=eliminated,
+            deduped_blocks=len(deduped_idx),
+            deduped_idx=deduped_idx,
+        )
+
+    # -- commit: one chain per block -----------------------------------
+
+    def _commit_write(
+        self,
+        request: IORequest,
+        duplicate_pbas: Sequence[Optional[int]],
+        dedupe_idx: Set[int],
+    ) -> Tuple[List[VolumeOp], Tuple[int, ...]]:
+        assert request.fingerprints is not None
+        write_pbas: List[int] = []
+        overwritten: Set[int] = set()
+        deduped: List[int] = []
+
+        for i, lba in enumerate(request.blocks()):
+            fp = request.fingerprints[i]
+            self.written_lbas.add(lba)
+
+            if i in dedupe_idx:
+                target = duplicate_pbas[i]
+                assert target is not None
+                if target in overwritten or self.content.read(target) != fp:
+                    self.stale_dedupe_avoided += 1
+                else:
+                    self._map_dedupe(lba, target)
+                    deduped.append(i)
+                    continue
+
+            if self.quarantined_lbas and lba in self.quarantined_lbas:
+                self.quarantined_lbas.discard(lba)
+                self.quarantine_heals += 1
+            target = self._write_target(lba)
+            overwritten.add(target)
+            if self.index_table is not None:
+                self.index_table.invalidate_pba(target)
+            self.content.write(target, fp)
+            self.cache.read_remove(target)
+            self._on_physical_write(target)
+            if self.uses_fingerprints:
+                self._admit_to_index(fp, target)
+            write_pbas.append(target)
+
+        ops = extents_to_ops(OpType.WRITE, write_pbas)
+        self.write_blocks_written += len(write_pbas)
+        return ops, tuple(deduped)
+
+    def _map_dedupe(self, lba: int, target: int) -> None:
+        if self.map_table.translate(lba) == target:
+            return
+        if target == self.regions.home_of(lba):
+            freed = self.map_table.clear_mapping(lba)
+        else:
+            freed = self.map_table.set_mapping(lba, target)
+        self._reclaim(freed)
+
+    def _write_target(self, lba: int) -> int:
+        home = self.regions.home_of(lba)
+        current = self.map_table.translate(lba)
+        target = self.map_table.choose_write_target(lba)
+        if target is None:
+            target = self.log_alloc.allocate()
+            freed = self.map_table.set_mapping(lba, target)
+            self._reclaim(freed, keep=target)
+            self.redirected_writes += 1
+        elif target == home and current != home:
+            freed = self.map_table.clear_mapping(lba)
+            self._reclaim(freed, keep=target)
+        return target
+
+    def _reclaim(self, freed: Optional[int], keep: Optional[int] = None) -> None:
+        if freed is None or freed == keep:
+            return
+        if self.log_alloc.owns(freed) and self.log_alloc.is_allocated(freed):
+            self.log_alloc.free(freed)
+            self.content.discard(freed)
+            self.cache.read_remove(freed)
+            if self.index_table is not None:
+                self.index_table.invalidate_pba(freed)
+            self._on_physical_write(freed)
+
+    def _admit_to_index(self, fingerprint: int, pba: int) -> None:
+        if self.index_table is None:
+            return
+        self.index_table.insert(fingerprint, pba)
+        evicted = self.index_table.drain_evicted()
+        if evicted:
+            self.cache.note_index_evictions(evicted)
+
+
+def _select_dedupe_reference_choice(
+    self: SelectDedupe, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
+) -> Set[int]:
+    """Select-Dedupe's policy as it was: ``categorize_write`` always."""
+    decision = categorize_write(duplicate_pbas, self.config.select_threshold)
+    self.category_counts[decision.category] += 1
+    if self.obs.level >= TraceLevel.CHUNK:
+        self.obs.emit(
+            TraceLevel.CHUNK,
+            self._obs_now,
+            EventType.REQUEST_CLASSIFY,
+            req_id=request.req_id,
+            **decision.to_fields(request.nblocks),
+        )
+    return set(decision.dedupe_chunks)
+
+
+_CACHE: Dict[type, type] = {}
+
+
+def reference_class(cls: Type[DedupScheme]) -> Type[DedupScheme]:
+    """``cls`` with the per-block write chain in place of the fused one."""
+    if cls not in _CACHE:
+        namespace: Dict[str, object] = {"name": cls.name}
+        if issubclass(cls, SelectDedupe):
+            namespace["_choose_dedupe"] = _select_dedupe_reference_choice
+        _CACHE[cls] = type(f"Reference{cls.__name__}", (cls, ReferenceWritePath), namespace)
+    return _CACHE[cls]

@@ -14,7 +14,6 @@ from repro.sim.request import OpType
 from repro.traces.columnar import (
     ColumnarTrace,
     classify_chunks,
-    first_occurrence_mask,
     load_trace_columnar,
     merge_columnar,
 )
@@ -150,18 +149,6 @@ class TestValidation:
 
 
 class TestClassification:
-    @given(
-        ids=st.lists(st.integers(min_value=0, max_value=12), max_size=60)
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_first_occurrence_mask_matches_scan(self, ids):
-        fp_ids = np.asarray(ids, dtype=np.int64)
-        mask = first_occurrence_mask(fp_ids)
-        seen = set()
-        for k, fid in enumerate(ids):
-            assert mask[k] == (fid not in seen)
-            seen.add(fid)
-
     @given(
         ids=st.lists(st.integers(min_value=0, max_value=12), max_size=60),
         threshold=st.integers(min_value=2, max_value=5),
