@@ -10,6 +10,8 @@ contract covers the timeline/span/SLO instrumentation too.  A second
 (informational, printed) set of measurements shows what REQUEST/
 CHUNK-level recording and armed timeline+span+SLO telemetry cost,
 which is allowed to be expensive: you only pay for what you watch.
+Timeline+SLO without spans also runs on the columnar batch driver;
+its row is measured against the unarmed columnar replay.
 
 Runnable two ways::
 
@@ -19,6 +21,7 @@ Runnable two ways::
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
 import time
 
@@ -28,6 +31,7 @@ from repro.jobs import JobsConfig, ScrubberSpec
 from repro.obs import TraceLevel, TraceRecorder
 from repro.obs.slo import SloObjective, SloPolicy
 from repro.obs.timeline import TimelineConfig
+from repro.sim.batch import DEFAULT_BATCH_SIZE
 from repro.sim.replay import ReplayConfig, replay_trace
 from repro.traces.synthetic import WEB_VM, generate_trace
 
@@ -55,6 +59,10 @@ TELEMETRY = ReplayConfig(
     )),
 )
 
+#: The same timeline + SLO without spans: eligible for the columnar
+#: batch driver (spans still force the object event loop).
+COLUMNAR_TELEMETRY = dataclasses.replace(TELEMETRY, spans=False)
+
 #: Armed leased-jobs configuration for the informational measurement:
 #: two workers plus a capped background scrub pass.  The jobs-*off*
 #: path has zero cost by construction (``config.jobs is None`` is the
@@ -66,18 +74,20 @@ JOBS = ReplayConfig(
 )
 
 
-def _time_replay(recorder, config: ReplayConfig = ReplayConfig()) -> float:
+def _time_replay(
+    recorder, config: ReplayConfig = ReplayConfig(), batch_size=None
+) -> float:
     scheme = _scheme()
     t0 = time.perf_counter()
-    replay_trace(TRACE, scheme, config, recorder=recorder)
+    replay_trace(TRACE, scheme, config, recorder=recorder, batch_size=batch_size)
     return time.perf_counter() - t0
 
 
 def _median_runtime(
-    make_recorder, config: ReplayConfig = ReplayConfig()
+    make_recorder, config: ReplayConfig = ReplayConfig(), batch_size=None
 ) -> float:
     return statistics.median(
-        _time_replay(make_recorder(), config) for _ in range(REPEATS)
+        _time_replay(make_recorder(), config, batch_size) for _ in range(REPEATS)
     )
 
 
@@ -94,6 +104,12 @@ def measure() -> dict:
         "chunk": _median_runtime(lambda: TraceRecorder(level=TraceLevel.CHUNK)),
         "telemetry": _median_runtime(lambda: None, TELEMETRY),
         "jobs": _median_runtime(lambda: None, JOBS),
+        "columnar": _median_runtime(
+            lambda: None, ReplayConfig(), DEFAULT_BATCH_SIZE
+        ),
+        "columnar_telemetry": _median_runtime(
+            lambda: None, COLUMNAR_TELEMETRY, DEFAULT_BATCH_SIZE
+        ),
     }
     out["off_overhead"] = out["off"] / out["baseline"] - 1.0
     return out
@@ -122,6 +138,10 @@ def main() -> None:  # pragma: no cover - manual entry point
           f"({(m['telemetry'] / m['baseline'] - 1) * 100:+.1f}%)")
     print(f"leased jobs + scrub : {m['jobs'] * 1e3:8.1f} ms "
           f"({(m['jobs'] / m['baseline'] - 1) * 100:+.1f}%)")
+    print(f"columnar driver     : {m['columnar'] * 1e3:8.1f} ms")
+    print(f"timeline+slo, columnar driver: {m['columnar_telemetry'] * 1e3:8.1f} ms "
+          f"({(m['columnar_telemetry'] / m['columnar'] - 1) * 100:+.1f}% "
+          f"vs unarmed columnar)")
     status = "OK" if m["off_overhead"] < MAX_OFF_OVERHEAD else "FAIL"
     print(f"off-level contract (<{MAX_OFF_OVERHEAD * 100:.0f}%): {status}")
 

@@ -12,7 +12,8 @@ single-core CI boxes jitter 20%+, and the minimum is the least noisy
 location estimate of machine capability).  The columnar variant
 replays a pre-interned ColumnarTrace -- conversion is load-time cost,
 like parsing.  Bit-identity is asserted on the full result fingerprint
-(metrics, scheme stats, utilisation), not just sampled fields.
+(metrics, scheme stats, utilisation; plus the timeline document and
+``slo_stats`` on telemetry-armed rows), not just sampled fields.
 
 Usage::
 
@@ -31,8 +32,10 @@ from typing import Any, Dict, List, Optional
 
 from repro.baselines.base import SchemeConfig
 from repro.experiments.runner import SCHEME_CLASSES
+from repro.obs.slo import SloPolicy
+from repro.obs.timeline import TimelineConfig
 from repro.sim.batch import DEFAULT_BATCH_SIZE
-from repro.sim.replay import ReplayResult, replay_trace
+from repro.sim.replay import ReplayConfig, ReplayResult, replay_trace
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
 from repro.traces.synthetic import HOMES, WEB_VM, generate_trace
@@ -40,13 +43,21 @@ from repro.traces.synthetic import HOMES, WEB_VM, generate_trace
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_replay.json"
 
+#: Timeline + SLO armed (1 s windows, the policy of examples/slo.json):
+#: the CLI's ``--timeline 1.0 --slo examples/slo.json``.
+TELEMETRY = ReplayConfig(
+    timeline=TimelineConfig(window=1.0),
+    slo=SloPolicy.load(str(REPO_ROOT / "examples" / "slo.json")),
+)
+
 #: The fixed measurement grid: (trace name, generator spec, scale,
-#: scheme).  Small enough to run in CI, large enough that per-run
-#: wall times sit well above timer resolution.
+#: scheme, replay config).  Small enough to run in CI, large enough
+#: that per-run wall times sit well above timer resolution.
 GRID = [
-    ("web-vm", WEB_VM, 0.2, "Native"),
-    ("homes", HOMES, 1.0, "Native"),
-    ("web-vm", WEB_VM, 0.2, "POD"),
+    ("web-vm", WEB_VM, 0.2, "Native", ReplayConfig()),
+    ("homes", HOMES, 1.0, "Native", ReplayConfig()),
+    ("web-vm", WEB_VM, 0.2, "POD", ReplayConfig()),
+    ("web-vm", WEB_VM, 0.2, "Native", TELEMETRY),
 ]
 
 
@@ -81,13 +92,25 @@ def _fingerprint(result: ReplayResult) -> str:
     )
 
 
+def _telemetry_fingerprint(result: ReplayResult) -> str:
+    """:func:`_fingerprint` plus the timeline document and SLO verdict."""
+    timeline = result.timeline.as_dict() if result.timeline is not None else None
+    return _fingerprint(result) + json.dumps(
+        {"timeline": timeline, "slo": result.slo_stats}, sort_keys=True, default=str
+    )
+
+
 def _replay(
-    trace: Any, logical_blocks: int, scheme_name: str, batch_size: Optional[int]
+    trace: Any,
+    logical_blocks: int,
+    scheme_name: str,
+    config: ReplayConfig,
+    batch_size: Optional[int],
 ) -> ReplayResult:
     scheme = SCHEME_CLASSES[scheme_name](
         SchemeConfig(logical_blocks=logical_blocks, memory_bytes=256 * 1024)
     )
-    return replay_trace(trace, scheme, batch_size=batch_size)
+    return replay_trace(trace, scheme, config, batch_size=batch_size)
 
 
 def _best_rate(
@@ -95,35 +118,40 @@ def _best_rate(
     logical_blocks: int,
     requests: int,
     scheme_name: str,
+    config: ReplayConfig,
     batch_size: Optional[int],
     trials: int,
 ) -> float:
     best = float("inf")
     for _ in range(trials):
         t0 = time.perf_counter()
-        _replay(trace, logical_blocks, scheme_name, batch_size)
+        _replay(trace, logical_blocks, scheme_name, config, batch_size)
         best = min(best, time.perf_counter() - t0)
     return requests / best
 
 
 def measure(trials: int) -> List[Dict[str, Any]]:
     entries: List[Dict[str, Any]] = []
-    for trace_name, spec, scale, scheme_name in GRID:
+    for trace_name, spec, scale, scheme_name, config in GRID:
         trace: Trace = generate_trace(spec, scale=scale)
         ctrace = ColumnarTrace.from_trace(trace)
         n = len(trace.records)
         logical = trace.logical_blocks
-        identical = _fingerprint(
-            _replay(trace, logical, scheme_name, None)
-        ) == _fingerprint(_replay(ctrace, logical, scheme_name, DEFAULT_BATCH_SIZE))
-        obj = _best_rate(trace, logical, n, scheme_name, None, trials)
-        col = _best_rate(
-            ctrace, logical, n, scheme_name, DEFAULT_BATCH_SIZE, trials
+        identical = _telemetry_fingerprint(
+            _replay(trace, logical, scheme_name, config, None)
+        ) == _telemetry_fingerprint(
+            _replay(ctrace, logical, scheme_name, config, DEFAULT_BATCH_SIZE)
         )
+        obj = _best_rate(trace, logical, n, scheme_name, config, None, trials)
+        col = _best_rate(
+            ctrace, logical, n, scheme_name, config, DEFAULT_BATCH_SIZE, trials
+        )
+        telemetry = "timeline+slo" if config.effective_timeline() else "off"
         entry = {
             "trace": trace_name,
             "scale": scale,
             "scheme": scheme_name,
+            "telemetry": telemetry,
             "requests": n,
             "batch_size": DEFAULT_BATCH_SIZE,
             "object_req_per_s": round(obj, 1),
@@ -133,7 +161,8 @@ def measure(trials: int) -> List[Dict[str, Any]]:
         }
         entries.append(entry)
         print(
-            f"{trace_name:8s} {scheme_name:8s} object {obj:9.0f} req/s  "
+            f"{trace_name:8s} {scheme_name:8s} {telemetry:12s} "
+            f"object {obj:9.0f} req/s  "
             f"columnar {col:9.0f} req/s  speedup {col / obj:5.2f}x  "
             f"bit-identical {identical}"
         )

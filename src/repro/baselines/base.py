@@ -388,7 +388,11 @@ class DedupScheme(abc.ABC):
             request.volume_id,
         )
 
-    def plan_batch(self, requests: Sequence[IORequest]) -> List[PlannedIO]:
+    def plan_batch(
+        self,
+        requests: Sequence[IORequest],
+        nvram_out: Optional[List[int]] = None,
+    ) -> List[PlannedIO]:
         """Plan a window of requests, in arrival order.
 
         The batched front-end of the columnar replay driver.  The
@@ -396,9 +400,20 @@ class DedupScheme(abc.ABC):
         each request's own arrival time -- exactly what the event loop
         would have done, since planning never reads the clock on the
         fast path.
+
+        ``nvram_out``, when given, receives ``self.nvram.bytes_used``
+        as read just before each request is planned: the value the
+        object path's timeline gauge samples at every arrival.
         """
         process = self.process
-        return [process(request, request.time) for request in requests]
+        if nvram_out is None:
+            return [process(request, request.time) for request in requests]
+        nvram = self.nvram
+        out: List[PlannedIO] = []
+        for request in requests:
+            nvram_out.append(nvram.bytes_used)
+            out.append(process(request, request.time))
+        return out
 
     def plan_columns(
         self,
@@ -410,6 +425,7 @@ class DedupScheme(abc.ABC):
         fp_offsets: Sequence[int],
         fp_ids: Sequence[int],
         pool: Sequence[int],
+        nvram_out: Optional[List[int]] = None,
     ) -> Optional[List[PlannedIO]]:
         """Plan arrivals ``[a, b)`` straight from merged columns.
 
@@ -422,7 +438,8 @@ class DedupScheme(abc.ABC):
         window.  Returning ``None`` (the default) falls back to
         materialised :meth:`plan_batch`.  Implementations must be
         bit-identical to the generic path -- the golden batch-replay
-        tests pin this.
+        tests pin this -- and fill ``nvram_out`` as :meth:`plan_batch`
+        does (a ``None`` return leaves it untouched).
         """
         return None
 

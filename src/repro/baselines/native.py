@@ -74,7 +74,11 @@ class Native(DedupScheme):
             and self.cache.read.capacity_bytes >= BLOCK_SIZE
         )
 
-    def plan_batch(self, requests: Sequence[IORequest]) -> List[PlannedIO]:
+    def plan_batch(
+        self,
+        requests: Sequence[IORequest],
+        nvram_out: Optional[List[int]] = None,
+    ) -> List[PlannedIO]:
         """Plan a window of requests through the no-dedup fast path.
 
         Bit-identical to the generic path (pinned by the golden batch
@@ -84,10 +88,13 @@ class Native(DedupScheme):
         single contiguous :class:`VolumeOp`.  The read path inlines the
         LRU read cache (uniform ``BLOCK_SIZE`` entries), reproducing
         its hit/miss/eviction accounting exactly; counters accumulate
-        in locals and flush once per call.
+        in locals and flush once per call.  The map table never
+        changes here, so every ``nvram_out`` entry is the same value.
         """
         if not self._batch_fast_ok():
-            return super().plan_batch(requests)
+            return super().plan_batch(requests, nvram_out)
+        if nvram_out is not None:
+            nvram_out.extend([self.nvram.bytes_used] * len(requests))
         read_lru = self.cache.read
         entries = read_lru._entries  # pod: ignore[POD007]
         e_get = entries.get
@@ -177,12 +184,15 @@ class Native(DedupScheme):
         fp_offsets: Sequence[int],
         fp_ids: Sequence[int],
         pool: Sequence[int],
+        nvram_out: Optional[List[int]] = None,
     ) -> Optional[List[PlannedIO]]:
         """Columns-native twin of :meth:`plan_batch` (same inlined
         no-dedup core, kept in lockstep): plans straight off the merged
         column lists so the driver skips request materialisation."""
         if not self._batch_fast_ok():
             return None
+        if nvram_out is not None:
+            nvram_out.extend([self.nvram.bytes_used] * (b - a))
         read_lru = self.cache.read
         entries = read_lru._entries  # pod: ignore[POD007]
         e_get = entries.get

@@ -240,15 +240,19 @@ class TimelineSampler:
         idx = self.window_index(t)
         win = self._windows.get(idx)
         if win is None:
-            if len(self._windows) >= self.config.max_windows:
-                raise ConfigError(
-                    f"timeline exceeded {self.config.max_windows} windows; "
-                    f"use a wider --timeline window than {self._width}s"
-                )
-            win = _Window(self._bounds, len(self._latency_rules))
-            self._windows[idx] = win
+            win = self._new_window(idx)
         if t > self.t_end:
             self.t_end = t
+        return win
+
+    def _new_window(self, idx: int) -> _Window:
+        if len(self._windows) >= self.config.max_windows:
+            raise ConfigError(
+                f"timeline exceeded {self.config.max_windows} windows; "
+                f"use a wider --timeline window than {self._width}s"
+            )
+        win = _Window(self._bounds, len(self._latency_rules))
+        self._windows[idx] = win
         return win
 
     # ------------------------------------------------------------------
@@ -390,10 +394,7 @@ class TimelineSampler:
             for idx in range(lo, hi + 1):
                 win = self._windows.get(idx)
                 if win is None:
-                    if len(self._windows) >= self.config.max_windows:
-                        break
-                    win = _Window(self._bounds, len(self._latency_rules))
-                    self._windows[idx] = win
+                    win = self._new_window(idx)
                 if name not in win.activity:
                     win.activity[name] = 1.0
 

@@ -4,11 +4,12 @@ The object replay path (:mod:`repro.sim.replay`) schedules one heap
 event per request arrival and plans each request inside its event
 handler.  That is fully general -- and pays interpreter dispatch per
 event.  This driver exploits three structural facts of the fast path
-(analytic FCFS service, no faults, no observation):
+(analytic FCFS service, no faults, no per-request tracing):
 
 1. **Planning is clock-free.**  ``scheme.process(request, now)`` never
-   reads ``now`` on the fast path (it only feeds observation), so
-   requests can be planned in arrival order *ahead* of disk servicing.
+   reads ``now`` on the fast path (it only feeds spans and recorders),
+   so requests can be planned in arrival order *ahead* of disk
+   servicing.
 2. **Completion is scheme-free.**  Finishing a request touches only
    the disks and the metrics collector, never scheme state.
 3. **Epoch ticks are the only interleaving.**  A scheme's ``on_epoch``
@@ -26,11 +27,20 @@ and the disk/metrics phase replays completions through a single
 merged arrival-cursor + callback-heap loop that reproduces the
 engine's ``(time, seq)`` event order exactly.
 
+An armed timeline (``ReplayConfig.timeline``, or the one an SLO
+policy implies) rides along: completions reach it through
+``metrics.record`` in the engine's exact event order, so per-window
+counts, histograms and SLO good/bad counts match the object path.
+Its gauges are per-window maxima and so independent of order: the
+``nvram_bytes`` the planning tier reports before each request and the
+``queue_lag`` computed at each arrival are folded per window, and the
+iCache partition sizes are noted as each tick's ``on_epoch`` runs.
+
 The result is **bit-identical** to :func:`repro.sim.replay.replay_traces`
 for every scheme and any batch size (pinned by golden tests), at a
 multiple of its throughput (see ``BENCH_replay.json`` and
 ``docs/performance.md``).  Configurations outside the fast path
-(schedulers, faults, SSD, telemetry, ...) are detected by
+(schedulers, faults, SSD, spans, jobs, ...) are detected by
 :func:`batch_eligible` and silently fall back to the object path --
 which is bit-identical anyway.
 """
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 import gc
 import math
+from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -48,8 +59,15 @@ from repro.baselines.base import DedupScheme, PlannedIO
 from repro.constants import BLOCK_SIZE
 from repro.errors import ConfigError
 from repro.metrics.collector import MetricsCollector
+from repro.obs.timeline import TimelineSampler
 from repro.sim.engine import disk_utilisation
-from repro.sim.replay import ReplayConfig, ReplayResult, size_disks
+from repro.sim.replay import (
+    ReplayConfig,
+    ReplayResult,
+    close_timeline,
+    open_timeline,
+    size_disks,
+)
 from repro.sim.request import IORequest, OpType
 from repro.storage.disk import Disk
 from repro.storage.namespace import NamespaceMapper
@@ -74,9 +92,10 @@ def batch_eligible(config: ReplayConfig) -> bool:
     """Can this replay config take the columnar fast path?
 
     The batch driver reproduces the *fast* path of the event loop:
-    analytic FCFS disks, healthy array, no SSD tier, no telemetry or
-    tracing, no invariant checking.  Anything else falls back to the
-    object path (bit-identical, just slower).
+    analytic FCFS disks, healthy array, no SSD tier, no spans or jobs,
+    no invariant checking.  A timeline and SLO policy are carried.
+    Anything else falls back to the object path (bit-identical, just
+    slower); so does any replay given a trace recorder.
     """
     return (
         config.scheduler is None
@@ -85,9 +104,7 @@ def batch_eligible(config: ReplayConfig) -> bool:
         and not config.check_invariants
         and config.faults is None
         and config.fault_seed is None
-        and config.timeline is None
         and not config.spans
-        and config.slo is None
         and config.jobs is None
     )
 
@@ -135,6 +152,7 @@ def replay_columnar(
     metrics = collector if collector is not None else MetricsCollector()
     if per_volume_metrics:
         metrics.track_volumes()
+    sampler = open_timeline(config, metrics)
 
     merged = merge_columnar(
         ctraces, [mapper.volume(vid).base for vid in range(len(ctraces))]
@@ -146,6 +164,7 @@ def replay_columnar(
     total_warmup = sum(ct.warmup_count for ct in ctraces)
 
     boundary = {"writes": 0, "removed": 0}
+    t_end = 0.0
     if n:
         # The batch core churns short-lived acyclic objects (plans and
         # volume ops die by refcount); generational GC scans are pure
@@ -153,9 +172,9 @@ def replay_columnar(
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            _replay_merged(
+            t_end = _replay_merged(
                 merged, scheme, raid, disks, metrics, config, batch_size,
-                multi, boundary,
+                multi, boundary, sampler,
             )
         finally:
             if gc_was_enabled:
@@ -176,6 +195,7 @@ def replay_columnar(
                 entry["requests"] = 0
             volumes.append(entry)
 
+    slo_stats = close_timeline(sampler, config, t_end)
     timeline = getattr(scheme.cache, "epoch_timeline", [])
     return ReplayResult(
         trace_name=run_name,
@@ -192,6 +212,8 @@ def replay_columnar(
             e.as_dict() if hasattr(e, "as_dict") else dict(e) for e in timeline
         ],
         volumes=volumes,
+        timeline=sampler,
+        slo_stats=slo_stats,
     )
 
 
@@ -205,9 +227,11 @@ def _replay_merged(
     batch_size: int,
     multi: bool,
     boundary: Dict[str, int],
-) -> None:
+    sampler: Optional[TimelineSampler],
+) -> float:
     """Plan (windowed, batched) and service (event-ordered) the merged
-    stream.  Mutates ``scheme``/``disks``/``metrics``/``boundary``."""
+    stream.  Mutates ``scheme``/``disks``/``metrics``/``boundary`` and
+    feeds ``sampler``; returns the clock of the last event."""
     n = len(merged)
     times = merged.times
     times_l = times.tolist()
@@ -251,6 +275,28 @@ def _replay_merged(
         tick_wends = np.searchsorted(times, tick_times, side="right").tolist()
 
     # ------------------------------------------------------------------
+    # timeline segments: maximal arrival runs inside one sampler window
+    # (``TimelineSampler.window_index`` arithmetic, vectorised).  The
+    # object path notes ``nvram_bytes``/``queue_lag`` at every arrival;
+    # gauges are per-window maxima, so one note per segment carrying
+    # the segment's maxima writes the same windows.
+    # ------------------------------------------------------------------
+    seg_starts: List[int] = []
+    seg_ends: List[int] = []
+    seg_nvram: List[int] = []
+    seg_lag: List[float] = []
+    if sampler is not None:
+        origin = sampler.config.origin
+        wins = np.where(
+            times < origin, 0.0, (times - origin) / sampler.config.window
+        ).astype(np.int64)
+        seg_ends = (np.flatnonzero(np.diff(wins)) + 1).tolist()
+        seg_starts = [0] + seg_ends
+        seg_ends.append(n)
+        seg_nvram = [0] * len(seg_starts)
+        seg_lag = [0.0] * len(seg_starts)
+
+    # ------------------------------------------------------------------
     # planning state
     # ------------------------------------------------------------------
     requests: List[Optional[IORequest]] = [None] * n
@@ -266,9 +312,10 @@ def _replay_merged(
     write_op = OpType.WRITE
     read_op = OpType.READ
 
-    def _plan_range(a: int, b: int) -> None:
+    def _plan_range(a: int, b: int, nvram: Optional[List[int]]) -> None:
         """Materialise and plan arrivals [a, b) (never crosses a tick
-        window or the warm-up boundary)."""
+        window, a timeline segment or the warm-up boundary); the tier
+        fills ``nvram`` as documented on ``DedupScheme.plan_batch``."""
         if a == boundary_idx:
             boundary["writes"] = scheme.writes_total
             boundary["removed"] = scheme.write_requests_removed
@@ -277,7 +324,8 @@ def _replay_merged(
             # the column lists; requests stay ``None`` and ``_finish``
             # materialises the recorded ones lazily.
             plans = plan_columns(
-                a, b, is_write_l, lbas_l, nblocks_l, offsets_l, fp_ids_l, pool
+                a, b, is_write_l, lbas_l, nblocks_l, offsets_l, fp_ids_l, pool,
+                nvram_out=nvram,
             )
             if plans is not None:
                 planned[a:b] = plans
@@ -295,7 +343,7 @@ def _replay_merged(
                 req = raw(times_l[i], read_op, lbas_l[i], nblocks_l[i], None, i, vids_l[i])
             requests[i] = req
             append_req(req)
-        plans = plan_batch(batch)
+        plans = plan_batch(batch, nvram_out=nvram)
         planned[a:b] = plans
         if fp_owner is not None:
             owner_get = fp_owner.get
@@ -326,12 +374,31 @@ def _replay_merged(
             # Every arrival in this window is planned: fire the tick's
             # scheme-state half (its disk half runs in event order).
             tick_ops.append(scheme.on_epoch(tick_times[tick]))
+            if sampler is not None:
+                # iCache partition sizes move only here; gauges keep
+                # per-window maxima, so noting them at plan time is
+                # the event loop's note at the tick.
+                sampler.note_gauges(
+                    tick_times[tick],
+                    icache_index_bytes=float(scheme.cache.index.capacity_bytes),
+                    icache_read_bytes=float(scheme.cache.read.capacity_bytes),
+                )
             plan_tick = tick + 1
             return
         stop = min(wend, cursor + batch_size)
         if cursor < boundary_idx < stop:
             stop = boundary_idx
-        _plan_range(cursor, stop)
+        if sampler is None:
+            _plan_range(cursor, stop, None)
+        else:
+            # Stay inside one timeline segment and fold the NVRAM bytes
+            # read before each planned arrival into its maximum.
+            k = bisect_right(seg_starts, cursor) - 1
+            stop = min(stop, seg_ends[k])
+            nvram: List[int] = []
+            _plan_range(cursor, stop, nvram)
+            if nvram:
+                seg_nvram[k] = max(seg_nvram[k], max(nvram))
         plan_cursor = stop
 
     def ensure_planned(idx: int) -> None:
@@ -668,7 +735,6 @@ def _replay_merged(
                     i,
                     vids_l[i],
                 )
-                requests[i] = req
             record(
                 req,
                 times_l[i],
@@ -682,8 +748,28 @@ def _replay_merged(
             for vop in plan.background_ops:
                 for op in raid_map(vop):
                     _svc(op.disk_id, issue_time, op.pba, op.nblocks)
+        # Nothing reads a finished request's plan or request object
+        # again: drop them so plan-ahead does not keep them alive.
+        planned[i] = None
+        requests[i] = None
+
+    seg_k = 0
+    seg_next = seg_ends[0] if seg_ends else n
+
+    def _note_lag(i: int, now: float) -> None:
+        """The event loop's ``queue_lag`` gauge at arrival ``i``: the
+        worst disk backlog past ``now`` (``Simulator.queue_lag``),
+        folded into the arrival's segment maximum."""
+        nonlocal seg_k, seg_next
+        if i == seg_next:
+            seg_k += 1
+            seg_next = seg_ends[seg_k]
+        lag = max(d_busy) - now
+        if lag > seg_lag[seg_k]:
+            seg_lag[seg_k] = lag
 
     cursor = 0
+    t_last = last_arrival_f
     if not tick_times:
         # No epoch ticks: the event stream is pure in-order arrivals
         # until some plan carries a delay (then the generic heap loop
@@ -697,6 +783,8 @@ def _replay_merged(
             if plan.delay > 0:
                 break
             cursor = i + 1
+            if sampler is not None:
+                _note_lag(i, times_l[i])
             _finish(i, times_l[i])
     while cursor < n or heap:
         if cursor < n and (not heap or times_l[cursor] <= heap[0][0]):
@@ -707,6 +795,8 @@ def _replay_merged(
             plan = planned[i]
             assert plan is not None
             now = times_l[i]
+            if sampler is not None:
+                _note_lag(i, now)
             if plan.delay > 0:
                 heappush(heap, (now + plan.delay, seq, _FINISH, i))
                 seq += 1
@@ -714,6 +804,7 @@ def _replay_merged(
                 _finish(i, now)
         else:
             t, _s, kind, payload = heappop(heap)
+            t_last = t
             if kind == _FINISH:
                 _finish(payload, t)
             else:
@@ -732,6 +823,13 @@ def _replay_merged(
     # with no events -- impossible here since n > 0 -- or final ticks
     # whose planning fired inside the loop).
     ensure_planned(n - 1)
+    if sampler is not None:
+        for k, start in enumerate(seg_starts):
+            sampler.note_gauges(
+                times_l[start],
+                nvram_bytes=float(seg_nvram[k]),
+                queue_lag=seg_lag[k],
+            )
     # Flush the mirrored disk state back to the Disk objects.
     for d, disk in enumerate(disks):
         disk.head = d_head[d]
@@ -742,3 +840,6 @@ def _replay_merged(
         disk.seek_time_total = d_seek[d]
         disk.rotation_time_total = d_rot[d]
         disk.transfer_time_total = d_xfer[d]
+    # Events pop in time order: the last arrival or heap pop is the
+    # final clock (``Simulator.now`` after ``run``).
+    return max(t_last, last_arrival_f)

@@ -231,6 +231,32 @@ def size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
     return _size_disks(total_volume_blocks, config)
 
 
+def open_timeline(
+    config: ReplayConfig, metrics: MetricsCollector
+) -> Optional[TimelineSampler]:
+    """The replay's timeline sampler, fed by every ``metrics.record``
+    (``None`` when neither ``timeline`` nor ``slo`` is armed)."""
+    tl_config = config.effective_timeline()
+    if tl_config is None:
+        return None
+    sampler = TimelineSampler(tl_config, policy=config.slo)
+    metrics.attach_timeline(sampler)
+    return sampler
+
+
+def close_timeline(
+    sampler: Optional[TimelineSampler], config: ReplayConfig, t_end: float
+) -> Optional[Dict[str, Any]]:
+    """End the timeline at the clock of the run's last event and
+    evaluate the SLO policy over it; returns the ``slo_stats``."""
+    if sampler is None:
+        return None
+    sampler.finish(t_end)
+    if config.slo is None:
+        return None
+    return evaluate_slo(config.slo, sampler.as_dict())
+
+
 def _merge_streams(
     traces: Sequence[Trace], mapper: NamespaceMapper
 ) -> Tuple[List[IORequest], List[bool]]:
@@ -300,8 +326,10 @@ def replay_trace(
     (:mod:`repro.sim.batch`): requests are planned in vectorized
     batches and completions replayed through a specialised loop --
     bit-identical to the event-loop path (pinned by golden tests) at a
-    multiple of its throughput.  Configs outside the fast path fall
-    back to the object path silently.
+    multiple of its throughput.  An armed timeline or SLO policy stays
+    on it (same timeline bytes and ``slo_stats``); configs outside the
+    fast path (see :func:`repro.sim.batch.batch_eligible`) and any
+    ``recorder`` fall back to the object path silently.
 
     This is the N=1 special case of :func:`replay_traces` (without
     the per-volume metric breakdowns); the two are bit-identical for
@@ -341,6 +369,11 @@ def replay_traces(
     tracks per-volume response times and eliminated writes, and each
     inline-deduplicated block is classified as *cross-volume* (its
     content was first written by another volume) or *intra-volume*.
+
+    ``batch_size`` selects the columnar batch driver exactly as in
+    :func:`replay_trace`: timeline and SLO telemetry ride along,
+    anything :func:`repro.sim.batch.batch_eligible` rejects (or a
+    ``recorder``) takes this object event loop instead.
     """
     if not traces:
         raise ConfigError("replay_traces needs at least one trace")
@@ -395,14 +428,7 @@ def replay_traces(
     ssd = Ssd(config.ssd_params) if config.ssd_params is not None else None
 
     # Telemetry (all observation only; None = zero-overhead off path).
-    tl_config = config.effective_timeline()
-    sampler: Optional[TimelineSampler] = (
-        TimelineSampler(tl_config, policy=config.slo)
-        if tl_config is not None
-        else None
-    )
-    if sampler is not None:
-        metrics.attach_timeline(sampler)
+    sampler = open_timeline(config, metrics)
     tracer: Optional[SpanTracer] = SpanTracer() if config.spans else None
     if tracer is not None:
         scheme.spans = tracer
@@ -755,12 +781,7 @@ def replay_traces(
                 entry["requests"] = 0
             volumes.append(entry)
 
-    slo_stats: Optional[Dict[str, Any]] = None
-    if sampler is not None:
-        sampler.finish(sim.now)
-        if config.slo is not None:
-            slo_stats = evaluate_slo(config.slo, sampler.as_dict())
-
+    slo_stats = close_timeline(sampler, config, sim.now)
     timeline = getattr(scheme.cache, "epoch_timeline", [])
     return ReplayResult(
         trace_name=run_name,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
+from typing import Optional
 
 from repro.baselines.base import SchemeConfig
 from repro.core.pod import POD
@@ -37,7 +38,9 @@ POLICY = SloPolicy(objectives=(
 ))
 
 
-def _golden_telemetry_replay() -> ReplayResult:
+def _golden_telemetry_replay(
+    spans: bool = True, batch_size: Optional[int] = None
+) -> ReplayResult:
     scheme = POD(
         SchemeConfig(logical_blocks=64, memory_bytes=8192, icache_epoch=1.0)
     )
@@ -46,9 +49,10 @@ def _golden_telemetry_replay() -> ReplayResult:
         scheme,
         ReplayConfig(
             timeline=TimelineConfig(window=0.5),
-            spans=True,
+            spans=spans,
             slo=POLICY,
         ),
+        batch_size=batch_size,
     )
 
 
@@ -62,6 +66,12 @@ def regenerate() -> None:  # pragma: no cover - maintenance helper
     print(f"wrote {GOLDEN_TIMELINE} and {GOLDEN_SPANS}")
 
 
+def _jsonl(result: ReplayResult) -> str:
+    buf = io.StringIO()
+    result.timeline.write_jsonl(buf)
+    return buf.getvalue()
+
+
 def test_golden_timeline_snapshot():
     result = _golden_telemetry_replay()
     buf = io.StringIO()
@@ -71,6 +81,18 @@ def test_golden_timeline_snapshot():
         "schema change is intentional, bump TIMELINE_SCHEMA_VERSION "
         "and regenerate (see module docstring)"
     )
+
+
+def test_golden_timeline_snapshot_on_the_columnar_driver():
+    """Spans do not feed the timeline, so with them off the replay
+    takes the columnar batch driver -- and must still write the
+    committed snapshot byte for byte, with the same SLO verdict."""
+    untraced = _golden_telemetry_replay(spans=False)
+    assert _jsonl(untraced) == GOLDEN_TIMELINE.read_text(encoding="utf-8")
+    columnar = _golden_telemetry_replay(spans=False, batch_size=4096)
+    assert columnar.spans is None
+    assert _jsonl(columnar) == GOLDEN_TIMELINE.read_text(encoding="utf-8")
+    assert columnar.slo_stats == _golden_telemetry_replay().slo_stats
 
 
 def test_golden_spans_snapshot():

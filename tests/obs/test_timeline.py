@@ -119,6 +119,14 @@ class TestGaugesActivityRpc:
         flagged = [d["index"] for d in docs if "fail_slow" in d["activity"]]
         assert flagged == [1, 2, 3]
 
+    def test_interval_past_window_cap_raises_instead_of_dropping(self):
+        s = TimelineSampler(TimelineConfig(window=1.0, max_windows=2))
+        s.note_request(0.5, is_read=True, nblocks=1, response=0.01)
+        s.finish(4.0)
+        s.annotate_interval("fail_slow", 0.2, 3.4)
+        with pytest.raises(ConfigError, match="exceeded 2 windows"):
+            s.window_docs()
+
     def test_interval_end_before_start_rejected(self):
         s = TimelineSampler(TimelineConfig())
         with pytest.raises(ConfigError):

@@ -10,6 +10,7 @@ benchmarks/ (bench_replay_throughput.py, emit_bench.py).
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -17,6 +18,8 @@ import pytest
 from repro.baselines.base import SchemeConfig
 from repro.dedup.chunking import ChunkingConfig
 from repro.experiments.runner import SCHEME_CLASSES
+from repro.obs.slo import SloObjective, SloPolicy
+from repro.obs.timeline import TimelineConfig
 from repro.sim.replay import ReplayConfig, replay_trace, replay_traces
 from repro.storage.raid import RaidLevel
 from repro.traces.columnar import ColumnarTrace
@@ -37,20 +40,21 @@ def homes_trace():
 
 def fingerprint(result) -> str:
     """Everything observable about a replay, as one canonical string."""
-    return json.dumps(
-        {
-            "summary": result.metrics.as_dict(),
-            "stats": result.scheme_stats,
-            "util": result.utilisation,
-            "writes_total": result.writes_total,
-            "write_requests_removed": result.write_requests_removed,
-            "capacity_blocks": result.capacity_blocks,
-            "epochs": result.epoch_timeline,
-            "volumes": result.volumes,
-        },
-        sort_keys=True,
-        default=str,
-    )
+    doc = {
+        "summary": result.metrics.as_dict(),
+        "stats": result.scheme_stats,
+        "util": result.utilisation,
+        "writes_total": result.writes_total,
+        "write_requests_removed": result.write_requests_removed,
+        "capacity_blocks": result.capacity_blocks,
+        "epochs": result.epoch_timeline,
+        "volumes": result.volumes,
+    }
+    if result.timeline is not None:
+        doc["timeline"] = result.timeline.as_dict()
+    if result.slo_stats is not None:
+        doc["slo"] = result.slo_stats
+    return json.dumps(doc, sort_keys=True, default=str)
 
 
 def replay(traces, scheme_name, batch_size, config=None, **overrides):
@@ -146,3 +150,52 @@ def test_replay_trace_entry_point(web_trace):
     a = replay_trace(web_trace, scheme_a)
     b = replay_trace(web_trace, scheme_b, batch_size=512)
     assert fingerprint(a) == fingerprint(b)
+
+
+#: Timeline + SLO armed: small windows (many window boundaries inside
+#: every planning batch) and read/write latency objectives at run and
+#: volume scope, so ``slo_counts`` cover both matcher kinds.
+TELEMETRY = ReplayConfig(
+    timeline=TimelineConfig(window=0.5),
+    slo=SloPolicy(objectives=(
+        SloObjective(name="rd", metric="latency", threshold=0.01, op="read",
+                     target=0.9),
+        SloObjective(name="wr", metric="latency", threshold=0.005,
+                     op="write", target=0.9),
+        SloObjective(name="v0-rd", metric="latency", threshold=0.01,
+                     scope="volume:0", op="read", target=0.9),
+        SloObjective(name="v1-wr", metric="latency", threshold=0.005,
+                     scope="volume:1", op="write", target=0.9),
+    )),
+)
+
+
+def _timeline_jsonl(result) -> str:
+    buf = io.StringIO()
+    result.timeline.write_jsonl(buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("multi", [False, True], ids=["single", "multi"])
+@pytest.mark.parametrize("scheme_name", sorted(SCHEME_CLASSES))
+def test_telemetry_bit_identity(scheme_name, multi, web_trace, homes_trace):
+    """Timeline + SLO armed: the columnar driver writes the object
+    path's timeline JSONL and ``slo_stats`` byte for byte.  POD runs
+    1 s iCache epochs (tick gauges, NVRAM moving inside a batch) and
+    plans a fingerprinting ``delay`` per write (the heap branch)."""
+    traces = [web_trace, homes_trace] if multi else [web_trace]
+    base = replay(traces, scheme_name, None, config=TELEMETRY, icache_epoch=1.0)
+    assert base.timeline is not None and base.slo_stats is not None
+    if scheme_name == "POD":
+        gauges = [w["gauges"] for w in base.timeline.as_dict()["windows"]]
+        assert any("icache_index_bytes" in g for g in gauges)
+        assert len({g.get("nvram_bytes") for g in gauges}) > 2
+        assert SchemeConfig.fingerprint_delay > 0
+    for batch_size in (1, 7, 4096):
+        got = replay(
+            traces, scheme_name, batch_size, config=TELEMETRY, icache_epoch=1.0
+        )
+        where = f"{scheme_name} diverges at batch_size={batch_size}"
+        assert _timeline_jsonl(got) == _timeline_jsonl(base), where
+        assert got.slo_stats == base.slo_stats, where
+        assert fingerprint(got) == fingerprint(base), where
