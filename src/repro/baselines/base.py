@@ -4,7 +4,7 @@ Every deduplication scheme (Native, Full-Dedupe, iDedup, I/O-Dedup,
 Select-Dedupe, POD) implements :class:`DedupScheme`.  The base class
 owns the storage state common to all of them:
 
-* the :class:`~repro.core.map_table.MapTable` (LBA -> PBA indirection
+* the :class:`~repro.dedup.map_table.MapTable` (LBA -> PBA indirection
   with refcount consistency),
 * the :class:`~repro.storage.volume.ContentStore` (what is physically
   on disk, used for integrity checking and capacity accounting),

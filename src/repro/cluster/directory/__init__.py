@@ -34,6 +34,7 @@ from repro.cluster.directory.quorum import (
     KillSpec,
     LookupResult,
     ReplicatedDirectory,
+    RequestRound,
     required,
 )
 from repro.cluster.directory.replica import ReplicaPlacer, replicas
@@ -51,6 +52,7 @@ __all__ = [
     "RefcountGc",
     "ReplicaPlacer",
     "ReplicatedDirectory",
+    "RequestRound",
     "replicas",
     "required",
 ]

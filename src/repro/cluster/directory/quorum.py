@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import filterfalse
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.directory.gc import GcSpec
 from repro.cluster.directory.replica import ReplicaPlacer
@@ -165,13 +166,35 @@ class LookupResult:
         self.unavailable = False
 
 
+class RequestRound:
+    """One write request's blocks for
+    :meth:`ReplicatedDirectory.lookup_register`, and the wire tallies
+    the call fills in."""
+
+    def __init__(
+        self, fingerprints: Sequence[int], lba: int, shadow: Dict[int, int]
+    ) -> None:
+        #: Block ``i`` writes ``fingerprints[i]`` at address ``lba + i``.
+        self.fingerprints = fingerprints
+        self.lba = lba
+        #: The origin's address -> fingerprint it holds (updated).
+        self.shadow = shadow
+        #: Remote member -> lookups it served.
+        self.per_dst: Dict[int, int] = {}
+        #: ``(origin, stale replica)`` -> read-repair pushes.
+        self.repair_links: Dict[Tuple[int, int], int] = {}
+        #: Blocks whose first writer is another node.
+        self.remote_dups = 0
+
+
 class ReplicatedDirectory:
     """R-way replicated fingerprint directory with read repair.
 
     ``tables[m]`` is member ``m``'s replica table (fingerprint ->
     :class:`DirectoryEntry`).  All mutation goes through
-    :meth:`lookup_register`, :meth:`note_overwrite` and the GC's
-    decrement commits, each deterministic in arrival order.
+    :meth:`lookup_register` (one call per write block or per write
+    request), :meth:`note_overwrite` and the GC's decrement commits, each
+    deterministic in arrival order.
     """
 
     def __init__(
@@ -187,6 +210,7 @@ class ReplicatedDirectory:
             )
         self.config = config
         self.placer = ReplicaPlacer(router, config.replication)
+        self._need = required(config.consistency, config.replication)
         self.tables: Dict[int, Dict[int, DirectoryEntry]] = {
             n: {} for n in range(nnodes)
         }
@@ -227,85 +251,166 @@ class ReplicatedDirectory:
 
     def live_replicas(self, fingerprint: int) -> List[int]:
         """Preference-ordered replica set minus dead members."""
-        return [m for m in self.placer.replicas(fingerprint) if m not in self.down]
+        placement = self.placer.placement(fingerprint)
+        if not self.down:
+            return list(placement)
+        return [m for m in placement if m not in self.down]
 
     # ------------------------------------------------------------------
     # the lookup + register + read-repair round
     # ------------------------------------------------------------------
 
     def lookup_register(
-        self, fingerprint: int, origin: int, new_holder: bool
+        self,
+        fingerprint: int,
+        origin: int,
+        new_holder: bool,
+        *,
+        request: Optional[RequestRound] = None,
     ) -> LookupResult:
-        """One write block's directory round.
+        """One write block's directory round, or one write request's.
 
         Consults the first ``required`` live replicas in preference
         order; registers a fresh first-writer entry on a miss; repairs
-        divergent contacted replicas on a hit; and (when ``new_holder``)
+        divergent contacted replicas on a hit; for a ``new_holder``
         counts one more logical block holding this content.  Returns
         everything the driver needs to charge wire costs.
+
+        With ``request`` the call runs that whole write request
+        instead, block by block (``fingerprint`` and ``new_holder`` are
+        not read): block ``i`` first overwrites ``lba + i`` in the
+        request's shadow -- replaced content gets a decrement intent,
+        and a block that changes content is a new holder -- then does
+        the round above.  The request's wire tallies land in
+        ``request``; the returned result stays empty.
         """
-        self.lookups += 1
         res = LookupResult()
-        if new_holder:
-            self.live_counts[fingerprint] = (
-                self.live_counts.get(fingerprint, 0) + 1
+        sink: Optional[LookupResult] = None
+        if request is None:
+            # A shadow that already holds the content makes the block an
+            # existing holder; an empty one makes it a new holder.
+            request = RequestRound(
+                (fingerprint,), 0, {} if new_holder else {0: fingerprint}
             )
-        live = self.live_replicas(fingerprint)
-        need = required(self.config.consistency, self.config.replication)
-        if not live:
-            # Every replica dead: miss-as-unique, nothing recorded.
-            self.unavailable_lookups += 1
-            res.unavailable = True
-            return res
-        if len(live) < need:
-            self.degraded_lookups += 1
-            res.degraded = True
-            need = len(live)
-        contacted = live[:need]
-        res.contacted = contacted
-        for m in contacted:
-            self.lookups_served[m] += 1
-        entries: List[Tuple[int, Optional[DirectoryEntry]]] = [
-            (m, self.tables[m].get(fingerprint)) for m in contacted
-        ]
-        present: List[Tuple[int, DirectoryEntry]] = [
-            (m, e) for m, e in entries if e is not None
-        ]
-        if present:
-            winner = min(present, key=lambda me: me[1].seq)[1]
-            res.writer = winner.writer
-            if winner.writer != origin:
-                res.remote_dup = True
-            # Read repair: contacted replicas whose copy is missing or
-            # lost the seq race re-converge to the winner.
-            stale = [m for m, e in entries if e is None or e.seq != winner.seq]
-            if stale:
-                self.read_repairs += 1
-                self.repair_pushes += len(stale)
-                res.repairs = stale
-                for m in stale:
-                    self.repairs_received[m] += 1
-                    self.tables[m][fingerprint] = DirectoryEntry(
-                        winner.writer, winner.seq, winner.refs
-                    )
+            sink = res
+        memo = self.placer.memo()
+        placement = self.placer.placement
+        down = self.down
+        need = self._need
+        tables = self.tables
+        received = self.repairs_received
+        live_counts = self.live_counts
+        overwrite = self.note_overwrite
+        seq = self._seq
+        shadow = request.shadow
+        repair_links = request.repair_links
+        # Contacted replica set -> blocks that contacted it, folded
+        # into the per-member counters once per request.
+        contacts: Dict[Tuple[int, ...], int] = {}
+        remote_dups = registrations = read_repairs = repair_pushes = 0
+        degraded = unavailable = remote_refs = 0
+        for addr, fp in enumerate(request.fingerprints, request.lba):
+            old = shadow.get(addr)
+            new_holder = old != fp
             if new_holder:
-                if res.remote_dup:
-                    self.remote_refs_registered += 1
+                if old is not None:
+                    overwrite(old)
+                shadow[addr] = fp
+                live_counts[fp] = live_counts.get(fp, 0) + 1
+            live = memo.get(fp) or placement(fp)
+            if down:
+                live = tuple(filterfalse(down.__contains__, live))
+            if len(live) < need:
+                if not live:
+                    # Every replica dead: miss-as-unique, nothing recorded.
+                    unavailable += 1
+                    if sink is not None:
+                        sink.unavailable = True
+                    continue
+                degraded += 1
+                if sink is not None:
+                    sink.degraded = True
+                contacted = live
+            else:
+                contacted = live[:need]
+            contacts[contacted] = contacts.get(contacted, 0) + 1
+            if sink is not None:
+                sink.contacted = list(contacted)
+            # The winner is the lowest seq (the true first registration,
+            # first in preference order on a tie); any missing or
+            # different copy among the contacted ones is divergence.
+            entries: List[Optional[DirectoryEntry]] = []
+            winner: Optional[DirectoryEntry] = None
+            diverged = False
+            for m in contacted:
+                entry = tables[m].get(fp)
+                entries.append(entry)
+                if entry is None:
+                    diverged = True
+                elif winner is None:
+                    winner = entry
+                elif entry.seq != winner.seq:
+                    diverged = True
+                    if entry.seq < winner.seq:
+                        winner = entry
+            if winner is None:
+                # Directory miss: register origin as first writer on the
+                # contacted replicas (the uncontacted ones stay stale
+                # until a read repair finds them).
+                seq += 1
+                registrations += 1
                 for m in contacted:
-                    entry = self.tables[m].get(fingerprint)
+                    tables[m][fp] = DirectoryEntry(origin, seq, 1)
+                if sink is not None:
+                    sink.registered = True
+                continue
+            stale: List[int] = []
+            if diverged:
+                # Read repair: contacted replicas whose copy is missing
+                # or lost the seq race re-converge to the winner; the
+                # origin coordinates the push (Cassandra style).
+                wseq = winner.seq
+                for k, m in enumerate(contacted):
+                    entry = entries[k]
+                    if entry is None or entry.seq != wseq:
+                        stale.append(m)
+                        received[m] += 1
+                        entries[k] = tables[m][fp] = DirectoryEntry(
+                            winner.writer, wseq, winner.refs
+                        )
+                        link = (origin, m)
+                        repair_links[link] = repair_links.get(link, 0) + 1
+                read_repairs += 1
+                repair_pushes += len(stale)
+            remote = winner.writer != origin
+            if remote:
+                remote_dups += 1
+            if new_holder:
+                if remote:
+                    remote_refs += 1
+                for entry in entries:
                     if entry is not None:
                         entry.refs += 1
-        else:
-            # Directory miss: register origin as first writer on the
-            # contacted replicas (the uncontacted ones stay stale until
-            # a read repair finds them).
-            self._seq += 1
-            self.registrations += 1
-            res.registered = True
+            if sink is not None:
+                sink.writer = winner.writer
+                sink.remote_dup = remote
+                sink.repairs = stale
+        served = self.lookups_served
+        per_dst = request.per_dst
+        for contacted, blocks in contacts.items():
             for m in contacted:
-                self.tables[m][fingerprint] = DirectoryEntry(
-                    origin, self._seq, 1
-                )
+                served[m] += blocks
+                if m != origin:
+                    per_dst[m] = per_dst.get(m, 0) + blocks
+        self._seq = seq
+        self.lookups += len(request.fingerprints)
+        self.registrations += registrations
+        self.read_repairs += read_repairs
+        self.repair_pushes += repair_pushes
+        self.degraded_lookups += degraded
+        self.unavailable_lookups += unavailable
+        self.remote_refs_registered += remote_refs
+        request.remote_dups += remote_dups
         return res
 
     # ------------------------------------------------------------------

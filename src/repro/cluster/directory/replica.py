@@ -22,7 +22,7 @@ hypothesis.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.cluster.router import FingerprintRouter
 from repro.errors import ClusterError
@@ -41,11 +41,16 @@ def replicas(router: FingerprintRouter, fingerprint: int, r: int) -> List[int]:
 
 
 class ReplicaPlacer:
-    """A router bound to a fixed replication factor.
+    """A router bound to a fixed replication factor, with placement
+    memoized per ring epoch.
 
-    Thin convenience wrapper so the directory layer asks one object
-    "where does this fingerprint live" without re-threading ``r``
-    through every call site.
+    The directory asks one object "where does this fingerprint live"
+    without re-threading ``r`` through every call site.  Each
+    fingerprint's replica set is walked once per ring epoch
+    (:attr:`FingerprintRouter.epoch`) and kept as a tuple shared by
+    every fingerprint with the same set; a membership change drops the
+    memo.  Liveness is not placement: callers filter dead members out
+    of the memoized set themselves.
     """
 
     def __init__(self, router: FingerprintRouter, replication: int) -> None:
@@ -55,10 +60,31 @@ class ReplicaPlacer:
             )
         self.router = router
         self.replication = replication
+        self._epoch = router.epoch
+        self._memo: Dict[int, Tuple[int, ...]] = {}
+        self._sets: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+
+    def memo(self) -> Dict[int, Tuple[int, ...]]:
+        """Fingerprint -> replica set for the current ring epoch (only
+        fingerprints already placed; :meth:`placement` fills it)."""
+        if self._epoch != self.router.epoch:
+            self._epoch = self.router.epoch
+            self._memo = {}
+            self._sets = {}
+        return self._memo
+
+    def placement(self, fingerprint: int) -> Tuple[int, ...]:
+        """Preference-ordered replica set for ``fingerprint`` (memoized)."""
+        memo = self.memo()
+        row = memo.get(fingerprint)
+        if row is None:
+            walk = tuple(self.router.route_replicas(fingerprint, self.replication))
+            row = memo[fingerprint] = self._sets.setdefault(walk, walk)
+        return row
 
     def replicas(self, fingerprint: int) -> List[int]:
         """Preference-ordered replica set for ``fingerprint``."""
-        return self.router.route_replicas(fingerprint, self.replication)
+        return list(self.placement(fingerprint))
 
     def primary(self, fingerprint: int) -> int:
         """The first preference -- identical to ``router.route``."""

@@ -41,7 +41,11 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from repro.analysis.sanitizer import PodSanitizer
 from repro.baselines.base import DedupScheme, PlannedIO
 from repro.cluster.directory.gc import MODE_ONLINE, GcJob, RefcountGc
-from repro.cluster.directory.quorum import DirectoryConfig, ReplicatedDirectory
+from repro.cluster.directory.quorum import (
+    DirectoryConfig,
+    ReplicatedDirectory,
+    RequestRound,
+)
 from repro.cluster.netmodel import NetworkFabric, NetworkModel
 from repro.cluster.node import ClusterNode
 from repro.cluster.rebalance import RebalanceSpec, ShardMigrator
@@ -374,6 +378,52 @@ def replay_cluster(
     shards: Dict[int, Dict[int, int]] = {n: {} for n in range(nnodes)}
     migration: Dict[str, Optional[ShardMigrator]] = {"migrator": None}
 
+    def send_links(
+        now: float,
+        links: Dict[Tuple[int, int], int],
+        entry_bytes: int,
+        span: str = "",
+        count_field: str = "",
+        root: int = -1,
+        req_id: int = -1,
+    ) -> float:
+        """One batched RPC of ``count * entry_bytes`` per ``(src, dst)``
+        link, in sorted link order and in parallel: returns the latest
+        completion (``now`` for no links).  ``span`` names a traced span
+        per RPC under ``root``, carrying ``count`` as ``count_field``."""
+        latest = now
+        for src, dst in sorted(links):
+            count = links[(src, dst)]
+            nbytes = count * entry_bytes
+            done = fabric.round_trip(now, src, dst, nbytes)
+            if sampler is not None:
+                sampler.note_rpc(now, src, dst, nbytes, fabric.last_service)
+            if span and tracer is not None and root > 0:
+                tracer.emit(
+                    now,
+                    done,
+                    span,
+                    parent=root,
+                    req_id=req_id,
+                    node=src,
+                    dst=dst,
+                    **{count_field: count},
+                )
+            if obs.level >= TraceLevel.CHUNK:
+                obs.emit(
+                    TraceLevel.CHUNK,
+                    now,
+                    EventType.NET_RPC,
+                    src=src,
+                    dst=dst,
+                    bytes=nbytes,
+                    queued=fabric.last_queue_wait,
+                    done=done,
+                )
+            if done > latest:
+                latest = done
+        return latest
+
     # -- replicated directory (None = legacy single-copy shards) -------
     directory: Optional[ReplicatedDirectory] = None
     refcount_gc: Optional[RefcountGc] = None
@@ -459,34 +509,7 @@ def replay_cluster(
                 # Decrement pushes from each entry's coordinating
                 # replica to the others; sunk cost on a fenced step,
                 # exactly like migration sends.
-                done = sim.now
-                for src, dst in sorted(links):
-                    moved = links[(src, dst)]
-                    t = fabric.round_trip(
-                        sim.now, src, dst, moved * cluster.net.entry_bytes
-                    )
-                    if sampler is not None:
-                        sampler.note_rpc(
-                            sim.now,
-                            src,
-                            dst,
-                            moved * cluster.net.entry_bytes,
-                            fabric.last_service,
-                        )
-                    if obs.level >= TraceLevel.CHUNK:
-                        obs.emit(
-                            TraceLevel.CHUNK,
-                            sim.now,
-                            EventType.NET_RPC,
-                            src=src,
-                            dst=dst,
-                            bytes=moved * cluster.net.entry_bytes,
-                            queued=fabric.last_queue_wait,
-                            done=t,
-                        )
-                    if t > done:
-                        done = t
-                return done
+                return send_links(sim.now, links, cluster.net.entry_bytes)
 
             jobs_runtime.submit(
                 "gc",
@@ -561,161 +584,63 @@ def replay_cluster(
                     migrator.note_registered(fp)
             elif writer != node.node_id:
                 remote_dups += 1
-        delay = 0.0
-        remote_lookups = 0
-        for dst in sorted(per_dst):
-            count = per_dst[dst]
-            remote_lookups += count
-            done = fabric.round_trip(
-                now, node.node_id, dst, count * cluster.net.lookup_bytes
+        return (
+            charge_lookups(node.node_id, per_dst, now, root, request.req_id),
+            sum(per_dst.values()),
+            remote_dups,
+        )
+
+    def charge_lookups(
+        origin: int, per_dst: Dict[int, int], now: float, root: int, req_id: int
+    ) -> float:
+        """Wire delay of one write's lookup fan-out: one batched RPC
+        per remote destination."""
+        links = {(origin, dst): count for dst, count in per_dst.items()}
+        return (
+            send_links(
+                now,
+                links,
+                cluster.net.lookup_bytes,
+                "rpc.lookup",
+                "lookups",
+                root,
+                req_id,
             )
-            if sampler is not None:
-                sampler.note_rpc(
-                    now,
-                    node.node_id,
-                    dst,
-                    count * cluster.net.lookup_bytes,
-                    fabric.last_service,
-                )
-            if tracer is not None and root > 0:
-                tracer.emit(
-                    now,
-                    done,
-                    "rpc.lookup",
-                    parent=root,
-                    req_id=request.req_id,
-                    node=node.node_id,
-                    dst=dst,
-                    lookups=count,
-                )
-            if obs.level >= TraceLevel.CHUNK:
-                obs.emit(
-                    TraceLevel.CHUNK,
-                    now,
-                    EventType.NET_RPC,
-                    src=node.node_id,
-                    dst=dst,
-                    bytes=count * cluster.net.lookup_bytes,
-                    queued=fabric.last_queue_wait,
-                    done=done,
-                )
-            if done - now > delay:
-                delay = done - now
-        return delay, remote_lookups, remote_dups
+            - now
+        )
 
     def directory_lookup_cost(
         node: ClusterNode, request: IORequest, now: float, root: int = -1
     ) -> Tuple[float, int, int]:
         """Consult the *replicated* directory for one write's blocks.
 
-        Same contract as :func:`remote_lookup_cost` (``(net_delay,
-        remote_lookups, remote_duplicate_blocks)``), but each
-        fingerprint contacts its first ``required`` live replicas,
-        overwrites queue refcount-decrement intents, and divergent
-        replicas get read-repair pushes (charged per link, span-traced
-        as ``directory.repair``).  At R=1 the contacted set is exactly
-        the legacy shard owner, so counts and wire arithmetic reduce
-        to the legacy path block for block.
+        Same contract as :func:`remote_lookup_cost`.  The directory
+        does the request's overwrites, lookups, registrations and read
+        repairs in one whole-request ``lookup_register`` call; this
+        only charges the wire: one lookup RPC per remote destination
+        and one repair push per ``(origin, stale replica)`` link
+        (span-traced as ``directory.repair``), all in parallel.  At R=1
+        the contacted set is exactly the legacy shard owner, so counts
+        and wire arithmetic reduce to the legacy path block for block.
         """
         assert request.fingerprints is not None
         assert directory is not None and block_content is not None
-        shadow = block_content[node.node_id]
-        per_dst: Dict[int, int] = {}
-        repair_links: Dict[Tuple[int, int], int] = {}
-        remote_dups = 0
-        for i, fp in enumerate(request.fingerprints):
-            lba = request.lba + i
-            old = shadow.get(lba)
-            new_holder = old != fp
-            if old is not None and old != fp:
-                directory.note_overwrite(old)
-            shadow[lba] = fp
-            res = directory.lookup_register(fp, node.node_id, new_holder)
-            for m in res.contacted:
-                if m != node.node_id:
-                    per_dst[m] = per_dst.get(m, 0) + 1
-            for dst in res.repairs:
-                # The origin coordinates the repair push (Cassandra
-                # style): one directory entry per stale replica.
-                key = (node.node_id, dst)
-                repair_links[key] = repair_links.get(key, 0) + 1
-            if res.remote_dup:
-                remote_dups += 1
-        delay = 0.0
-        remote_lookups = 0
-        for dst in sorted(per_dst):
-            count = per_dst[dst]
-            remote_lookups += count
-            done = fabric.round_trip(
-                now, node.node_id, dst, count * cluster.net.lookup_bytes
+        origin = node.node_id
+        rnd = RequestRound(request.fingerprints, request.lba, block_content[origin])
+        directory.lookup_register(0, origin, True, request=rnd)
+        delay = charge_lookups(origin, rnd.per_dst, now, root, request.req_id)
+        if rnd.repair_links:
+            repaired = send_links(
+                now,
+                rnd.repair_links,
+                cluster.net.entry_bytes,
+                "directory.repair",
+                "entries",
+                root,
+                request.req_id,
             )
-            if sampler is not None:
-                sampler.note_rpc(
-                    now,
-                    node.node_id,
-                    dst,
-                    count * cluster.net.lookup_bytes,
-                    fabric.last_service,
-                )
-            if tracer is not None and root > 0:
-                tracer.emit(
-                    now,
-                    done,
-                    "rpc.lookup",
-                    parent=root,
-                    req_id=request.req_id,
-                    node=node.node_id,
-                    dst=dst,
-                    lookups=count,
-                )
-            if obs.level >= TraceLevel.CHUNK:
-                obs.emit(
-                    TraceLevel.CHUNK,
-                    now,
-                    EventType.NET_RPC,
-                    src=node.node_id,
-                    dst=dst,
-                    bytes=count * cluster.net.lookup_bytes,
-                    queued=fabric.last_queue_wait,
-                    done=done,
-                )
-            if done - now > delay:
-                delay = done - now
-        for src, dst in sorted(repair_links):
-            count = repair_links[(src, dst)]
-            done = fabric.round_trip(
-                now, src, dst, count * cluster.net.entry_bytes
-            )
-            if sampler is not None:
-                sampler.note_rpc(
-                    now, src, dst, count * cluster.net.entry_bytes,
-                    fabric.last_service,
-                )
-            if tracer is not None and root > 0:
-                tracer.emit(
-                    now,
-                    done,
-                    "directory.repair",
-                    parent=root,
-                    req_id=request.req_id,
-                    node=src,
-                    dst=dst,
-                    entries=count,
-                )
-            if obs.level >= TraceLevel.CHUNK:
-                obs.emit(
-                    TraceLevel.CHUNK,
-                    now,
-                    EventType.NET_RPC,
-                    src=src,
-                    dst=dst,
-                    bytes=count * cluster.net.entry_bytes,
-                    queued=fabric.last_queue_wait,
-                    done=done,
-                )
-            if done - now > delay:
-                delay = done - now
-        return delay, remote_lookups, remote_dups
+            delay = max(delay, repaired - now)
+        return delay, sum(rnd.per_dst.values()), rnd.remote_dups
 
     def finish(
         request: IORequest,
@@ -1139,34 +1064,7 @@ def replay_cluster(
                 # step -- the bytes were already on the wire), the
                 # directory mutation only at the fenced commit.
                 def send(links: Dict[Tuple[int, int], int]) -> float:
-                    done = sim.now
-                    for src, dst in sorted(links):
-                        moved = links[(src, dst)]
-                        t = fabric.round_trip(
-                            sim.now, src, dst, moved * cluster.net.entry_bytes
-                        )
-                        if sampler is not None:
-                            sampler.note_rpc(
-                                sim.now,
-                                src,
-                                dst,
-                                moved * cluster.net.entry_bytes,
-                                fabric.last_service,
-                            )
-                        if obs.level >= TraceLevel.CHUNK:
-                            obs.emit(
-                                TraceLevel.CHUNK,
-                                sim.now,
-                                EventType.NET_RPC,
-                                src=src,
-                                dst=dst,
-                                bytes=moved * cluster.net.entry_bytes,
-                                queued=fabric.last_queue_wait,
-                                done=t,
-                            )
-                        if t > done:
-                            done = t
-                    return done
+                    return send_links(sim.now, links, cluster.net.entry_bytes)
 
                 jobs_runtime.submit(
                     "migrate",
@@ -1182,30 +1080,7 @@ def replay_cluster(
             links = migrator.next_batch(rb.entries_per_batch)
             if sampler is not None:
                 sampler.note_activity(sim.now, "migration", migrator.progress)
-            for src, dst in sorted(links):
-                moved = links[(src, dst)]
-                done = fabric.round_trip(
-                    sim.now, src, dst, moved * cluster.net.entry_bytes
-                )
-                if sampler is not None:
-                    sampler.note_rpc(
-                        sim.now,
-                        src,
-                        dst,
-                        moved * cluster.net.entry_bytes,
-                        fabric.last_service,
-                    )
-                if obs.level >= TraceLevel.CHUNK:
-                    obs.emit(
-                        TraceLevel.CHUNK,
-                        sim.now,
-                        EventType.NET_RPC,
-                        src=src,
-                        dst=dst,
-                        bytes=moved * cluster.net.entry_bytes,
-                        queued=fabric.last_queue_wait,
-                        done=done,
-                    )
+            send_links(sim.now, links, cluster.net.entry_bytes)
             if obs.level >= TraceLevel.SUMMARY:
                 obs.emit(
                     TraceLevel.SUMMARY,

@@ -66,6 +66,9 @@ class FingerprintRouter:
         if vnodes <= 0:
             raise ClusterError(f"need at least one virtual node, got {vnodes}")
         self.vnodes = vnodes
+        #: Bumped on every membership change (placement memos are valid
+        #: for one epoch).
+        self.epoch = 0
         self._members: List[int] = []
         self._tokens: List[int] = []
         self._owners: List[int] = []
@@ -116,6 +119,7 @@ class FingerprintRouter:
         ring.sort()
         self._tokens = [token for token, _ in ring]
         self._owners = [owner for _, owner in ring]
+        self.epoch += 1
 
     # ------------------------------------------------------------------
     # routing

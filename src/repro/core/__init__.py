@@ -1,9 +1,11 @@
 """The paper's contribution: Select-Dedupe, iCache, and POD.
 
-* :mod:`repro.core.map_table` -- the Map table: LBA -> PBA indirection
-  with m-to-1 reference counting and NVRAM accounting (Section III-B).
-* :mod:`repro.core.index_table` -- the Index table: in-memory LRU of
-  hot fingerprints with per-entry ``Count`` popularity (Section III-B).
+* :class:`MapTable` -- the Map table: LBA -> PBA indirection with
+  m-to-1 reference counting and NVRAM accounting (Section III-B),
+  defined in :mod:`repro.dedup.map_table`.
+* :class:`IndexTable` -- the Index table: in-memory LRU of hot
+  fingerprints with per-entry ``Count`` popularity (Section III-B),
+  defined in :mod:`repro.dedup.index_table`.
 * :mod:`repro.core.categorize` -- the three-way write-request
   categorisation of Figure 5.
 * :mod:`repro.core.select_dedupe` -- the request-based selective
@@ -15,8 +17,8 @@
 
 from __future__ import annotations
 
-from repro.core.map_table import MapTable
-from repro.core.index_table import IndexTable, IndexEntry
+from repro.dedup.map_table import MapTable
+from repro.dedup.index_table import IndexTable, IndexEntry
 from repro.core.categorize import Category, CategoryDecision, categorize_write
 from repro.core.select_dedupe import SelectDedupe
 from repro.core.icache import ICache, ICacheConfig

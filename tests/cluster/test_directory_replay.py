@@ -5,7 +5,10 @@ The contracts this file pins:
 1. **Golden bit-identity.**  With ``directory=None`` (and at R=1, GC
    off) the cluster replay must stay byte-identical to the
    pre-directory code path -- the default report's sha256 is committed
-   in ``golden_cluster_report.sha256`` and checked here.
+   in ``golden_cluster_report.sha256`` and checked here.  Armed
+   directory runs are pinned too, one sha256 per configuration in
+   ``golden_directory_reports.sha256``: a drifted repair order,
+   refcount or wire charge shows up as a changed report.
 2. **Armed R=1 equivalence.**  Arming the directory at R=1 changes the
    bookkeeping machinery but not a single replay decision: metrics and
    shard contents match the legacy path exactly.
@@ -35,11 +38,13 @@ from repro.errors import ClusterError, ConfigError
 from repro.experiments import runner
 from repro.jobs import JobsConfig
 from repro.obs.report import build_run_report
+from repro.obs.timeline import TimelineConfig
 from repro.sim.replay import ReplayConfig
 
 SCALE = 0.05
 SEED = 7
 GOLDEN = Path(__file__).with_name("golden_cluster_report.sha256")
+GOLDEN_DIRECTORY = Path(__file__).with_name("golden_directory_reports.sha256")
 
 
 def _report_sha(result):
@@ -69,6 +74,79 @@ def _trace_end(scale=SCALE):
     return max(rec.time for t in volumes for rec in t.records)
 
 
+def _killed_config():
+    """R=3 QUORUM, node 1's metadata killed at a quarter of the run,
+    online GC from a tenth of it."""
+    t_end = _trace_end()
+    return ClusterConfig(
+        directory=DirectoryConfig(
+            replication=3,
+            consistency=Consistency.QUORUM,
+            gc=GcSpec(start=0.1 * t_end, interval=0.02, batch=64),
+            kill=KillSpec(node=1, time=0.25 * t_end),
+        ),
+        verify_content=True,
+    )
+
+
+def _run_killed(replay_config=None):
+    return _run(
+        nodes=3,
+        cluster_config=_killed_config(),
+        replay_config=(
+            replay_config
+            if replay_config is not None
+            else ReplayConfig(jobs=JobsConfig())
+        ),
+    )
+
+
+def _golden_directory():
+    out = {}
+    for line in GOLDEN_DIRECTORY.read_text().splitlines():
+        digest, case = line.split(" ", 1)
+        out[case] = digest
+    return out
+
+
+#: Armed-directory configurations pinned by sha256 (besides the
+#: ``killed`` fixture below).
+DIRECTORY_CASES = {
+    # The benchmark's shape: 3 nodes, R=2 QUORUM, online GC as a leased
+    # job, content oracle on.
+    "r2-quorum-gc": lambda: _run(
+        nodes=3,
+        cluster_config=ClusterConfig(
+            verify_content=True,
+            directory=DirectoryConfig(
+                replication=2, consistency=Consistency.QUORUM, gc=GcSpec()
+            ),
+        ),
+        replay_config=ReplayConfig(jobs=JobsConfig()),
+    ),
+    # R=3 ALL with a metadata kill: every lookup after the kill is
+    # degraded to the two survivors.
+    "r3-all-kill": lambda: _run(
+        nodes=3,
+        cluster_config=ClusterConfig(
+            verify_content=True,
+            directory=DirectoryConfig(
+                replication=3,
+                consistency=Consistency.ALL,
+                kill=KillSpec(node=1, time=0.25 * _trace_end()),
+            ),
+        ),
+    ),
+    # The killed configuration with spans and timeline armed, so the
+    # per-link lookup, repair and GC wire charges are pinned too.
+    "killed-telemetry": lambda: _run_killed(
+        ReplayConfig(
+            jobs=JobsConfig(), spans=True, timeline=TimelineConfig(window=5.0)
+        )
+    ),
+}
+
+
 class TestGoldenBitIdentity:
     def test_default_report_matches_committed_sha(self):
         """The R=1/GC-off default replay is pinned byte for byte.  If
@@ -76,6 +154,13 @@ class TestGoldenBitIdentity:
         path -- do NOT regenerate the golden without understanding why.
         """
         assert _report_sha(_run()) == GOLDEN.read_text().strip()
+
+    @pytest.mark.parametrize("case", sorted(DIRECTORY_CASES))
+    def test_armed_directory_report_matches_committed_sha(self, case):
+        """Armed-directory replays are pinned byte for byte; a moved
+        digest means the directory decided or charged something
+        differently."""
+        assert _report_sha(DIRECTORY_CASES[case]()) == _golden_directory()[case]
 
 
 class TestArmedR1Equivalence:
@@ -119,20 +204,10 @@ class TestArmedR1Equivalence:
 class TestKillUnderQuorum:
     @pytest.fixture(scope="class")
     def killed(self):
-        t_end = _trace_end()
-        return _run(
-            nodes=3,
-            cluster_config=ClusterConfig(
-                directory=DirectoryConfig(
-                    replication=3,
-                    consistency=Consistency.QUORUM,
-                    gc=GcSpec(start=0.1 * t_end, interval=0.02, batch=64),
-                    kill=KillSpec(node=1, time=0.25 * t_end),
-                ),
-                verify_content=True,
-            ),
-            replay_config=ReplayConfig(jobs=JobsConfig()),
-        )
+        return _run_killed()
+
+    def test_report_matches_committed_sha(self, killed):
+        assert _report_sha(killed) == _golden_directory()["killed"]
 
     def test_run_completes_and_heals_by_read_repair(self, killed):
         d = killed.cluster_stats["directory"]
@@ -169,20 +244,7 @@ class TestKillUnderQuorum:
         assert d["registrations"] > 0 and d["lookups"] > d["registrations"]
 
     def test_deterministic(self, killed):
-        t_end = _trace_end()
-        again = _run(
-            nodes=3,
-            cluster_config=ClusterConfig(
-                directory=DirectoryConfig(
-                    replication=3,
-                    consistency=Consistency.QUORUM,
-                    gc=GcSpec(start=0.1 * t_end, interval=0.02, batch=64),
-                    kill=KillSpec(node=1, time=0.25 * t_end),
-                ),
-                verify_content=True,
-            ),
-            replay_config=ReplayConfig(jobs=JobsConfig()),
-        )
+        again = _run_killed()
         assert again.cluster_stats["directory"] == killed.cluster_stats[
             "directory"
         ]

@@ -100,6 +100,22 @@ class TestRouting:
         r.remove_member(2)
         assert r.route_many(FPS) == before
 
+    def test_replica_walks_follow_membership_changes(self):
+        """Replica sets after a membership change are the fresh ring's,
+        and each change moves the ring epoch (placement memos key on
+        it)."""
+        r = FingerprintRouter([0, 1, 2], vnodes=16)
+        before = [r.route_replicas(fp, 2) for fp in FPS]
+        epoch = r.epoch
+        r.add_member(3)
+        assert r.epoch > epoch
+        fresh = FingerprintRouter([0, 1, 2, 3], vnodes=16)
+        assert [r.route_replicas(fp, 2) for fp in FPS] == [
+            fresh.route_replicas(fp, 2) for fp in FPS
+        ]
+        r.remove_member(3)
+        assert [r.route_replicas(fp, 2) for fp in FPS] == before
+
     def test_pinned_golden_routes(self):
         """Cross-process stability: exact routes, captured once."""
         r = FingerprintRouter([0, 1, 2], vnodes=16)

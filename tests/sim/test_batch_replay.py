@@ -21,8 +21,10 @@ from repro.experiments.runner import SCHEME_CLASSES
 from repro.obs.slo import SloObjective, SloPolicy
 from repro.obs.timeline import TimelineConfig
 from repro.sim.replay import ReplayConfig, replay_trace, replay_traces
+from repro.sim.request import OpType
 from repro.storage.raid import RaidLevel
 from repro.traces.columnar import ColumnarTrace
+from repro.traces.format import Trace, TraceRecord
 from repro.traces.synthetic import HOMES, WEB_VM, generate_trace
 
 SCALE = 0.02
@@ -199,3 +201,25 @@ def test_telemetry_bit_identity(scheme_name, multi, web_trace, homes_trace):
         assert _timeline_jsonl(got) == _timeline_jsonl(base), where
         assert got.slo_stats == base.slo_stats, where
         assert fingerprint(got) == fingerprint(base), where
+
+
+def test_timeline_ends_on_unmeasured_delayed_finish(web_trace):
+    """The run's last event is the delayed finish of a warm-up write
+    arriving after all measured traffic has completed: no measured
+    request notes its time, so only the final heap pop can carry the
+    timeline's end clock to it."""
+    last = web_trace.records[-1].time
+    tail = Trace(
+        "tail",
+        [TraceRecord(last + 30.0, OpType.WRITE, 0, 1, (0xD1FF,))],
+        logical_blocks=8,
+        warmup_count=1,
+    )
+    config = ReplayConfig(timeline=TimelineConfig(window=0.5))
+    base = replay([web_trace, tail], "Select-Dedupe", None, config=config)
+    assert SchemeConfig.fingerprint_delay > 0
+    assert base.timeline.t_end > last + 30.0
+    for batch_size in (1, 4096):
+        got = replay([web_trace, tail], "Select-Dedupe", batch_size, config=config)
+        assert got.timeline.t_end == base.timeline.t_end, batch_size
+        assert _timeline_jsonl(got) == _timeline_jsonl(base), batch_size
