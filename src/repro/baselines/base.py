@@ -23,9 +23,14 @@ Subclasses customise two policy points on the write path:
   actually deduplicate (none, all, long runs only, Figure-5
   categories).
 
-A write is planned in one pass per request: one probe of the hot
-Index table, one policy decision, then one commit loop in which each
-block costs one Map-table call and, if written, one index call.  The
+A request is planned with one call per request into each piece of
+state.  A write is one probe of the hot Index table, one policy
+decision, then the commit kernel: one loop over the blocks applies the
+Map-table updates, the content and the log-block allocations in block
+order and records a change log, which the read cache, the Index table,
+the ghost index and per-scheme side state then each take in one call
+(:meth:`DedupScheme._on_changes` is the per-scheme hook).  A read is
+one Map-table translation, one read-cache probe and one fill.  The
 commit logic is shared and enforces the Request Redirector's
 consistency rule: a physical block referenced through the Map table is
 never overwritten in place; the write is redirected to a fresh log
@@ -49,7 +54,7 @@ from repro.constants import (
 )
 from repro.dedup.chunking import ChunkingConfig, ChunkTransform
 from repro.dedup.index_table import IndexTable
-from repro.dedup.map_table import MapTable
+from repro.dedup.map_table import FREED, REMAPPED, WROTE, Change, MapTable
 from repro.dedup.fingerprint import HashEngine
 from repro.errors import ConfigError
 from repro.cache.api import DramCache
@@ -343,12 +348,8 @@ class DedupScheme(abc.ABC):
     def process(self, request: IORequest, now: float) -> PlannedIO:
         """Plan the physical I/O for one user request."""
         self._obs_now = now
-        if self.chunker is not None and request.op is OpType.WRITE:
-            request = self._chunked(request)
         if self.spans is None:
-            if request.is_write:
-                return self._process_write(request, now)
-            return self._process_read(request, now)
+            return self._plan(request, now)
         # Span-traced path: the Index/Map lookup (and any dedup
         # classification work inside it) is one child of the request's
         # root span.  Planning happens at one simulated instant, so
@@ -356,10 +357,7 @@ class DedupScheme(abc.ABC):
         sid = self.spans.start(
             now, "scheme.lookup", parent=self.span_parent, req_id=request.req_id
         )
-        if request.is_write:
-            planned = self._process_write(request, now)
-        else:
-            planned = self._process_read(request, now)
+        planned = self._plan(request, now)
         self.spans.end(
             now,
             sid,
@@ -368,6 +366,13 @@ class DedupScheme(abc.ABC):
             cache_hit_blocks=planned.cache_hit_blocks,
         )
         return planned
+
+    def _plan(self, request: IORequest, now: float) -> PlannedIO:
+        if request.op is OpType.WRITE:
+            if self.chunker is not None:
+                request = self._chunked(request)
+            return self._process_write(request, now)
+        return self._process_read(request, now)
 
     def _chunked(self, request: IORequest) -> IORequest:
         """Rewrite a write's fingerprints through the CDC transform.
@@ -388,60 +393,59 @@ class DedupScheme(abc.ABC):
             request.volume_id,
         )
 
-    def plan_batch(
-        self,
-        requests: Sequence[IORequest],
-        nvram_out: Optional[List[int]] = None,
-    ) -> List[PlannedIO]:
-        """Plan a window of requests, in arrival order.
-
-        The batched front-end of the columnar replay driver.  The
-        default implementation is the per-request :meth:`process` at
-        each request's own arrival time -- exactly what the event loop
-        would have done, since planning never reads the clock on the
-        fast path.
-
-        ``nvram_out``, when given, receives ``self.nvram.bytes_used``
-        as read just before each request is planned: the value the
-        object path's timeline gauge samples at every arrival.
-        """
-        process = self.process
-        if nvram_out is None:
-            return [process(request, request.time) for request in requests]
-        nvram = self.nvram
-        out: List[PlannedIO] = []
-        for request in requests:
-            nvram_out.append(nvram.bytes_used)
-            out.append(process(request, request.time))
-        return out
-
     def plan_columns(
         self,
         a: int,
         b: int,
+        times: Sequence[float],
         is_write: Sequence[bool],
         lbas: Sequence[int],
         nblocks: Sequence[int],
+        volume_ids: Sequence[int],
         fp_offsets: Sequence[int],
         fp_ids: Sequence[int],
         pool: Sequence[int],
         nvram_out: Optional[List[int]] = None,
-    ) -> Optional[List[PlannedIO]]:
-        """Plan arrivals ``[a, b)`` straight from merged columns.
+    ) -> List[PlannedIO]:
+        """Plan arrivals ``[a, b)`` straight from merged trace columns.
 
-        The zero-materialisation tier of the batched front-end: a
-        scheme that can plan from the raw column lists (request ``i``
-        is ``lbas[i]``/``nblocks[i]``; its write chunks are
-        ``pool[fp_ids[k]]`` for ``k`` in ``fp_offsets[i] ..
-        fp_offsets[i+1]``) returns the plans and the driver never
-        builds :class:`~repro.sim.request.IORequest` objects for the
-        window.  Returning ``None`` (the default) falls back to
-        materialised :meth:`plan_batch`.  Implementations must be
-        bit-identical to the generic path -- the golden batch-replay
-        tests pin this -- and fill ``nvram_out`` as :meth:`plan_batch`
-        does (a ``None`` return leaves it untouched).
+        The columnar replay driver's planning call: request ``i`` is
+        ``lbas[i]``/``nblocks[i]`` arriving at ``times[i]`` on volume
+        ``volume_ids[i]``; its write chunks are ``pool[fp_ids[k]]`` for
+        ``k`` in ``fp_offsets[i] .. fp_offsets[i+1]``.  Each request is
+        planned in arrival order exactly as :meth:`process` plans it
+        (the driver never arms spans), so the result is bit-identical
+        to the object event loop -- the golden batch-replay tests pin
+        this.  ``nvram_out``, when given, receives
+        ``self.nvram.bytes_used`` as read just before each request is
+        planned: the value the object path's timeline gauge samples at
+        every arrival.
         """
-        return None
+        raw = IORequest.raw
+        write_op = OpType.WRITE
+        read_op = OpType.READ
+        pool_at = pool.__getitem__
+        chunker = self.chunker
+        process_write = self._process_write
+        process_read = self._process_read
+        nvram = self.nvram
+        out: List[PlannedIO] = []
+        append = out.append
+        for i in range(a, b):
+            if nvram_out is not None:
+                nvram_out.append(nvram.bytes_used)
+            now = times[i]
+            self._obs_now = now
+            if is_write[i]:
+                fps = tuple(map(pool_at, fp_ids[fp_offsets[i] : fp_offsets[i + 1]]))
+                if chunker is not None:
+                    fps = chunker.transform(fps)
+                request = raw(now, write_op, lbas[i], nblocks[i], fps, i, volume_ids[i])
+                append(process_write(request, now))
+            else:
+                request = raw(now, read_op, lbas[i], nblocks[i], None, i, volume_ids[i])
+                append(process_read(request, now))
+        return out
 
     def on_epoch(self, now: float) -> List[VolumeOp]:
         """Periodic cache management; returns background swap traffic.
@@ -453,7 +457,8 @@ class DedupScheme(abc.ABC):
 
     def capacity_blocks(self) -> int:
         """Physical blocks in use backing all written logical blocks
-        (the Fig. 10 capacity measure)."""
+        (the Fig. 10 capacity measure).  Walks every written LBA: a
+        replay reads it once, from :meth:`stats`."""
         return len(self.map_table.live_pbas(self.written_lbas))
 
     # ------------------------------------------------------------------
@@ -509,34 +514,23 @@ class DedupScheme(abc.ABC):
     ) -> Set[int]:
         """Chunk indices (into the request) to deduplicate."""
 
-    def _admit_to_index(self, fingerprint: int, pba: int) -> None:
-        """Record a freshly written unique chunk in the index.
-
-        The entries it evicts are handed to the cache once per request,
-        at the end of :meth:`_commit_write`.
-        """
-        if self.index_table is not None:
-            self.index_table.insert(fingerprint, pba)
-
     # ------------------------------------------------------------------
     # shared read path
     # ------------------------------------------------------------------
 
     def _process_read(self, request: IORequest, now: float) -> PlannedIO:
+        """Plan one read: one Map-table call translates the request, one
+        cache call looks its blocks up (probing the ghost read cache
+        with the misses), and one cache call inserts the misses."""
+        nblocks = request.nblocks
         self.reads_total += 1
-        self.read_blocks_total += request.nblocks
+        self.read_blocks_total += nblocks
         if self.quarantined_lbas:
             self.quarantine_reads += sum(
                 1 for lba in request.blocks() if lba in self.quarantined_lbas
             )
-        pbas = self.map_table.translate_many(request.blocks())
-        missing: List[int] = []
-        hits = 0
-        for pba in pbas:
-            if self.cache.read_lookup(pba):
-                hits += 1
-            else:
-                missing.append(pba)
+        missing = self.cache.read_probe(self.map_table.translate_range(request.lba, nblocks))
+        hits = nblocks - len(missing)
         self.read_cache_hit_blocks += hits
         if self.obs.level >= TraceLevel.CHUNK:
             self.obs.emit(
@@ -547,10 +541,11 @@ class DedupScheme(abc.ABC):
                 hits=hits,
                 misses=len(missing),
             )
+        if not missing:
+            return PlannedIO(delay=0.0, volume_ops=[], cache_hit_blocks=hits)
         ops = extents_to_ops(OpType.READ, missing)
         self.read_extents_issued += len(ops)
-        for pba in set(missing):
-            self.cache.read_insert(pba)
+        self.cache.read_fill(set(missing))
         return PlannedIO(delay=0.0, volume_ops=ops, cache_hit_blocks=hits)
 
     # ------------------------------------------------------------------
@@ -606,97 +601,141 @@ class DedupScheme(abc.ABC):
         duplicate_pbas: Sequence[Optional[int]],
         dedupe_idx: Set[int],
     ) -> Tuple[List[VolumeOp], Tuple[int, ...]]:
-        """Apply one write to the map table, content store and caches.
+        """Apply one write to the Map table, content store and caches.
 
         Returns ``(data_write_ops, deduped_chunk_indices)`` where the
         indices are the request chunks whose write was eliminated (in
         ascending order; ``len()`` of it is the deduped block count).
 
-        One loop over the blocks.  A deduplicated block costs one
-        Map-table call (:meth:`_map_dedupe`); a written block costs one
-        Map-table call that decides and applies its placement
-        (:meth:`MapTable.place_write`) and one index call.  The
-        written blocks leave the read cache, and the index evictions
-        reach the cache, once per request: nothing in the loop reads
-        either, so the final state is the per-block one.
+        The commit kernel: one loop over the blocks decides and applies
+        each block's Map-table remap or placement (the rule of
+        :meth:`MapTable.choose_write_target`, inlined; mutations go
+        through :meth:`MapTable.rebind`), its content and the log
+        blocks it allocates or recycles -- in block order, because a
+        recycled block feeds a later allocation and a written block
+        feeds a later block's stale-target check.  The loop records a
+        change log (:data:`~repro.dedup.map_table.WROTE` ...); the
+        state owners nothing in the loop reads -- the read cache, the
+        Index table, the ghost index and per-scheme side state -- then
+        see the whole request in one call each (:meth:`_settle`), in
+        the same per-block order.  A request reaching past the logical
+        space is rejected before any of its blocks is committed.
         """
         fingerprints = request.fingerprints
         assert fingerprints is not None
         lba0 = request.lba
-        self.written_lbas.update(range(lba0, lba0 + request.nblocks))
-        write_pbas: List[int] = []
-        deduped: List[int] = []
-        place = self.map_table.place_write
+        table = self.map_table
+        table.check_range(lba0, len(fingerprints))
+        self.written_lbas.update(range(lba0, lba0 + len(fingerprints)))
+        mapped = table._map.get  # pod: ignore[POD007]
+        refs = table._refs.get  # pod: ignore[POD007]
+        rebind = table.rebind
+        log_lo = self.regions.log_base
+        log_hi = self.regions.index_base
+        content = self.content._content  # pod: ignore[POD007]
+        stored = content.get
         allocate = self.log_alloc.allocate
-        content = self.content
-        on_write = self._on_physical_write
-        admit = self._admit_to_index if self.uses_fingerprints else None
+        release = self._release
         quarantined = self.quarantined_lbas
+        changes: List[Change] = []
+        note = changes.append
+        write_pbas: List[int] = []
+        dropped: List[int] = []
+        deduped: List[int] = []
+        stale = heals = redirected = 0
+        try:
+            for i, fp in enumerate(fingerprints):
+                lba = lba0 + i
+                current = mapped(lba)
+                if dedupe_idx and i in dedupe_idx:
+                    target = duplicate_pbas[i]
+                    assert target is not None
+                    # Safety net: the duplicate target must still hold
+                    # the claimed content (an earlier chunk of this very
+                    # request may have overwritten or freed it).
+                    if target not in write_pbas and stored(target) == fp:
+                        if target != (lba if current is None else current):
+                            freed = rebind(lba, current, None if target == lba else target)
+                            if freed is not None:
+                                release(freed, changes, dropped)
+                        note((REMAPPED, target, lba))
+                        deduped.append(i)
+                        continue
+                    stale += 1
 
-        for i, fp in enumerate(fingerprints):
-            lba = lba0 + i
-            if dedupe_idx and i in dedupe_idx:
-                target = duplicate_pbas[i]
-                assert target is not None
-                # Safety net: the duplicate target must still hold the
-                # claimed content (an earlier chunk of this very
-                # request may have overwritten or freed it).
-                if target in write_pbas or content.read(target) != fp:
-                    self.stale_dedupe_avoided += 1
+                # Normal (non-deduplicated) write.
+                if quarantined and lba in quarantined:
+                    # Real data reaching a quarantined LBA heals it: the
+                    # map entry below is rebuilt from scratch and the
+                    # content is again vouched for.
+                    quarantined.discard(lba)
+                    heals += 1
+                if refs(lba, 0) <= 0:
+                    # The home block is unreferenced: write in place and
+                    # drop a stale redirection.
+                    target = lba
+                    if current is not None:
+                        freed = rebind(lba, current, None)
+                        if freed is not None:
+                            release(freed, changes, dropped)
+                elif (
+                    current is not None
+                    and current != lba
+                    and log_lo <= current < log_hi
+                    and refs(current) == 1
+                ):
+                    target = current  # the LBA's private log block
                 else:
-                    self._map_dedupe(lba, target)
-                    deduped.append(i)
-                    continue
+                    # Every candidate is shared: redirect to a fresh block.
+                    target = allocate()
+                    redirected += 1
+                    freed = rebind(lba, current, target)
+                    if freed is not None:
+                        release(freed, changes, dropped)
+                content[target] = fp
+                note((WROTE, target, fp))
+                write_pbas.append(target)
+        finally:
+            # A block that raised (the log region ran out) leaves the
+            # blocks before it committed: settle those as well.
+            self.stale_dedupe_avoided += stale
+            self.quarantine_heals += heals
+            self.redirected_writes += redirected
+            self._settle(changes, write_pbas + dropped)
+        self.write_blocks_written += len(write_pbas)
+        return extents_to_ops(OpType.WRITE, write_pbas), tuple(deduped)
 
-            # Normal (non-deduplicated) write.
-            if quarantined and lba in quarantined:
-                # Real data reaching a quarantined LBA heals it: the
-                # map entry below is rebuilt from scratch and the
-                # content is again vouched for.
-                quarantined.discard(lba)
-                self.quarantine_heals += 1
-            target, freed, redirected = place(lba, allocate)
-            if freed is not None:
-                self._reclaim(freed, keep=target)
-            if redirected:
-                self.redirected_writes += 1
-            content.write(target, fp)
-            on_write(target)
-            if admit is not None:
-                admit(fp, target)
-            write_pbas.append(target)
+    def _release(self, freed: int, changes: List[Change], dropped: List[int]) -> None:
+        """``freed`` lost its last Map-table reference: log the change,
+        and recycle it if it is an allocated log block (its content is
+        discarded; it joins ``dropped``, the blocks that leave the read
+        cache)."""
+        alloc = self.log_alloc
+        recycled = alloc.owns(freed) and alloc.is_allocated(freed)
+        if recycled:
+            alloc.free(freed)
+            self.content.discard(freed)
+            dropped.append(freed)
+        changes.append((FREED, freed, recycled))
 
-        if write_pbas:
-            self.cache.read_remove_many(write_pbas)
-            self.write_blocks_written += len(write_pbas)
+    def _settle(self, changes: List[Change], dropped: List[int]) -> None:
+        """Bring the owners outside the commit loop up to date, one call
+        each: the ``dropped`` blocks (written or recycled) leave the read
+        cache, the Index table replays the change log and its evictions
+        reach the cache's ghost index, then :meth:`_on_changes` runs."""
+        if dropped:
+            self.cache.read_remove_many(dropped)
         if self.index_table is not None:
+            self.index_table.apply(changes)
             evicted = self.index_table.drain_evicted()
             if evicted:
                 self.cache.note_index_evictions(evicted)
-        return extents_to_ops(OpType.WRITE, write_pbas), tuple(deduped)
+        self._on_changes(changes)
 
-    def _map_dedupe(self, lba: int, target: int) -> None:
-        """Point ``lba`` at an existing duplicate block."""
-        freed = self.map_table.remap(lba, target)
-        if freed is not None:
-            self._reclaim(freed)
-
-    def _reclaim(self, freed: Optional[int], keep: Optional[int] = None) -> None:
-        """Recycle a log block whose last reference went away."""
-        if freed is None or freed == keep:
-            return
-        if self.log_alloc.owns(freed) and self.log_alloc.is_allocated(freed):
-            self.log_alloc.free(freed)
-            self.content.discard(freed)
-            self.cache.read_remove(freed)
-            if self.index_table is not None:
-                self.index_table.invalidate_pba(freed)
-            self._on_physical_write(freed)
-
-    def _on_physical_write(self, pba: int) -> None:
-        """Hook: the content at ``pba`` changed or was discarded.
-        Subclasses with extra per-PBA state (e.g. SAR's SSD residency)
-        invalidate it here."""
+    def _on_changes(self, changes: List[Change]) -> None:
+        """Hook: one commit's change log, in commit order.  Schemes with
+        extra per-PBA state (SAR's SSD residency, Full-Dedupe's full
+        index, Post-Process's offline index) update it here."""
 
     # ------------------------------------------------------------------
     # swap traffic (iCache)

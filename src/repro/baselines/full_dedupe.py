@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.base import DedupScheme, SchemeConfig
+from repro.dedup.map_table import REMAPPED, WROTE, Change
 from repro.sim.request import IORequest, OpType
 from repro.storage.volume import VolumeOp
 
@@ -94,23 +95,23 @@ class FullDedupe(DedupScheme):
     # keep the full index consistent with physical content
     # ------------------------------------------------------------------
 
-    def _admit_to_index(self, fingerprint: int, pba: int) -> None:
-        stale_fp = self._full_by_pba.pop(pba, None)
-        if stale_fp is not None and self._full_index.get(stale_fp) == pba:
-            del self._full_index[stale_fp]
-        old_pba = self._full_index.get(fingerprint)
-        if old_pba is not None:
-            self._full_by_pba.pop(old_pba, None)
-        self._full_index[fingerprint] = pba
-        self._full_by_pba[pba] = fingerprint
-        super()._admit_to_index(fingerprint, pba)
-
-    def _reclaim(self, freed: Optional[int], keep: Optional[int] = None) -> None:
-        if freed is not None and freed != keep:
-            stale_fp = self._full_by_pba.pop(freed, None)
-            if stale_fp is not None and self._full_index.get(stale_fp) == freed:
-                del self._full_index[stale_fp]
-        super()._reclaim(freed, keep)
+    def _on_changes(self, changes: List[Change]) -> None:
+        """Admit written chunks to the full index; drop the entries of
+        blocks that were rewritten or lost their last reference."""
+        full = self._full_index
+        by_pba = self._full_by_pba
+        for kind, pba, arg in changes:
+            if kind == REMAPPED:
+                continue
+            stale_fp = by_pba.pop(pba, None)
+            if stale_fp is not None and full.get(stale_fp) == pba:
+                del full[stale_fp]
+            if kind == WROTE:
+                old_pba = full.get(arg)
+                if old_pba is not None:
+                    by_pba.pop(old_pba, None)
+                full[arg] = pba
+                by_pba[pba] = arg
 
     def stats(self) -> Dict[str, Any]:
         out = super().stats()

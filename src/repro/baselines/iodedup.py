@@ -24,7 +24,7 @@ metadata that content-addressed caching requires.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.base import DedupScheme, PlannedIO, SchemeConfig
 from repro.sim.request import IORequest, OpType
@@ -77,8 +77,8 @@ class IODedup(DedupScheme):
         # Track content at the written home locations for the
         # content-addressed read cache.
         assert request.fingerprints is not None
-        for i, lba in enumerate(request.blocks()):
-            self._pba_content[self.map_table.translate(lba)] = request.fingerprints[i]
+        pbas = self.map_table.translate_range(request.lba, request.nblocks)
+        self._pba_content.update(zip(pbas, request.fingerprints))
         return ops, deduped
 
     # ------------------------------------------------------------------
@@ -88,21 +88,23 @@ class IODedup(DedupScheme):
     def _process_read(self, request: IORequest, now: float) -> PlannedIO:
         self.reads_total += 1
         self.read_blocks_total += request.nblocks
-        pbas = self.map_table.translate_many(request.blocks())
-        missing: List[int] = []
-        hits = 0
-        for pba in pbas:
-            fp = self._pba_content.get(pba)
-            key = ("c", fp) if fp is not None else ("p", pba)
-            if self.cache.read_lookup(key):
-                hits += 1
-            else:
-                missing.append(pba)
+        pbas = self.map_table.translate_range(request.lba, request.nblocks)
+        keys: List[Any] = [self._cache_key(pba) for pba in pbas]
+        # A key's outcome is the same at every position of one probe
+        # (lookups never insert), so the missed keys identify the
+        # missed blocks.
+        missed = set(self.cache.read_probe(keys))
+        missing = [pba for pba, key in zip(pbas, keys) if key in missed]
+        hits = len(pbas) - len(missing)
         self.read_cache_hit_blocks += hits
         ops = extents_to_ops(OpType.READ, missing)
         self.read_extents_issued += len(ops)
-        for pba in set(missing):
-            fp = self._pba_content.get(pba)
-            key = ("c", fp) if fp is not None else ("p", pba)
-            self.cache.read_insert(key)
+        fill: List[Any] = [self._cache_key(pba) for pba in set(missing)]
+        self.cache.read_fill(fill)
         return PlannedIO(delay=0.0, volume_ops=ops, cache_hit_blocks=hits)
+
+    def _cache_key(self, pba: int) -> Tuple[str, int]:
+        """Content-addressed cache key: the content fingerprint when
+        known, else the block address."""
+        fp = self._pba_content.get(pba)
+        return ("c", fp) if fp is not None else ("p", pba)

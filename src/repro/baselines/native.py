@@ -50,7 +50,7 @@ class Native(DedupScheme):
     # ------------------------------------------------------------------
 
     def _batch_fast_ok(self) -> bool:
-        """Is the specialised :meth:`plan_batch` below exactly the
+        """Is the specialised :meth:`plan_columns` below exactly the
         generic write/read path?
 
         Native never deduplicates, so ``MapTable.set_mapping`` is never
@@ -74,12 +74,21 @@ class Native(DedupScheme):
             and self.cache.read.capacity_bytes >= BLOCK_SIZE
         )
 
-    def plan_batch(
+    def plan_columns(
         self,
-        requests: Sequence[IORequest],
+        a: int,
+        b: int,
+        times: Sequence[float],
+        is_write: Sequence[bool],
+        lbas: Sequence[int],
+        nblocks: Sequence[int],
+        volume_ids: Sequence[int],
+        fp_offsets: Sequence[int],
+        fp_ids: Sequence[int],
+        pool: Sequence[int],
         nvram_out: Optional[List[int]] = None,
     ) -> List[PlannedIO]:
-        """Plan a window of requests through the no-dedup fast path.
+        """Plan a window through the no-dedup fast path.
 
         Bit-identical to the generic path (pinned by the golden batch
         tests): with an always-empty map table the write commit per
@@ -92,105 +101,10 @@ class Native(DedupScheme):
         changes here, so every ``nvram_out`` entry is the same value.
         """
         if not self._batch_fast_ok():
-            return super().plan_batch(requests, nvram_out)
-        if nvram_out is not None:
-            nvram_out.extend([self.nvram.bytes_used] * len(requests))
-        read_lru = self.cache.read
-        entries = read_lru._entries  # pod: ignore[POD007]
-        e_get = entries.get
-        e_pop = entries.pop
-        e_popitem = entries.popitem
-        move_to_end = entries.move_to_end
-        capacity = read_lru.capacity_bytes
-        used = read_lru._used  # pod: ignore[POD007]
-        hits_c = misses_c = evictions_c = 0
-        content = self.content._content  # pod: ignore[POD007]
-        written_add = self.written_lbas.add
-        reads_c = read_blocks_c = read_hits_c = read_extents_c = 0
-        writes_c = write_blocks_c = 0
-        write_op = OpType.WRITE
-        read_op = OpType.READ
-        out: List[PlannedIO] = []
-        append = out.append
-
-        for request in requests:
-            lba = request.lba
-            n = request.nblocks
-            if request.op is write_op:
-                writes_c += 1
-                write_blocks_c += n
-                fps = request.fingerprints
-                assert fps is not None
-                for pba, fp in zip(range(lba, lba + n), fps):
-                    written_add(pba)
-                    content[pba] = fp
-                    e = e_pop(pba, None)
-                    if e is not None:
-                        used -= e[1]
-                append(PlannedIO(0.0, [VolumeOp(write_op, lba, n)], _NO_OPS))
-            else:
-                reads_c += 1
-                read_blocks_c += n
-                missing: List[int] = []
-                mappend = missing.append
-                hits = 0
-                for pba in range(lba, lba + n):
-                    e = e_get(pba)
-                    if e is None:
-                        misses_c += 1
-                        mappend(pba)
-                    else:
-                        move_to_end(pba)
-                        hits_c += 1
-                        hits += 1
-                read_hits_c += hits
-                if missing:
-                    ops = extents_to_ops(read_op, missing)
-                    read_extents_c += len(ops)
-                    # Same iteration order as the generic path's
-                    # ``set(missing)`` insert loop (LRU insertion order
-                    # is observable through later evictions).
-                    for pba in set(missing):
-                        entries[pba] = (True, BLOCK_SIZE)
-                        used += BLOCK_SIZE
-                        while used > capacity:
-                            _k, (_v, s) = e_popitem(last=False)
-                            used -= s
-                            evictions_c += 1
-                    append(PlannedIO(0.0, ops, _NO_OPS, False, 0, hits))
-                else:
-                    append(PlannedIO(0.0, _NO_OPS, _NO_OPS, False, 0, hits))
-
-        read_lru._used = used  # pod: ignore[POD007]
-        read_lru.hits += hits_c
-        read_lru.misses += misses_c
-        read_lru.evictions += evictions_c
-        self.reads_total += reads_c
-        self.read_blocks_total += read_blocks_c
-        self.read_cache_hit_blocks += read_hits_c
-        self.read_extents_issued += read_extents_c
-        self.writes_total += writes_c
-        self.write_blocks_total += write_blocks_c
-        self.write_blocks_written += write_blocks_c
-        return out
-
-    def plan_columns(
-        self,
-        a: int,
-        b: int,
-        is_write: Sequence[bool],
-        lbas: Sequence[int],
-        nblocks: Sequence[int],
-        fp_offsets: Sequence[int],
-        fp_ids: Sequence[int],
-        pool: Sequence[int],
-        nvram_out: Optional[List[int]] = None,
-    ) -> Optional[List[PlannedIO]]:
-        """Columns-native twin of :meth:`plan_batch` (same inlined
-        no-dedup core, kept in lockstep): plans straight off the merged
-        column lists so the driver skips request materialisation."""
-        if not self._batch_fast_ok():
-            return None
+            return super().plan_columns(
+                a, b, times, is_write, lbas, nblocks, volume_ids,
+                fp_offsets, fp_ids, pool, nvram_out,
+            )
         if nvram_out is not None:
             nvram_out.extend([self.nvram.bytes_used] * (b - a))
         read_lru = self.cache.read

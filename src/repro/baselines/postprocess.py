@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.base import DedupScheme, SchemeConfig
+from repro.dedup.map_table import FREED, Change
 from repro.sim.request import IORequest, OpType
 from repro.storage.volume import VolumeOp, extents_to_ops
 
@@ -117,7 +118,7 @@ class PostProcessDedupe(DedupScheme):
             ):
                 # Duplicate found: remap this LBA onto the canonical
                 # copy and reclaim its private block if possible.
-                self._map_dedupe(lba, canonical)
+                self._remap(lba, canonical)
                 self.offline_deduped_blocks += 1
             else:
                 # This copy becomes the canonical one.
@@ -136,12 +137,23 @@ class PostProcessDedupe(DedupScheme):
         # and survives.
         self._dirty.clear()
 
-    def _reclaim(self, freed: Optional[int], keep: Optional[int] = None) -> None:
-        if freed is not None and freed != keep:
-            stale = self._offline_by_pba.pop(freed, None)
-            if stale is not None and self._offline_index.get(stale) == freed:
-                del self._offline_index[stale]
-        super()._reclaim(freed, keep)
+    def _remap(self, lba: int, target: int) -> None:
+        """Point ``lba`` at the canonical copy ``target`` and settle the
+        block it frees before the pass moves on to the next LBA."""
+        changes: List[Change] = []
+        dropped: List[int] = []
+        freed = self.map_table.remap(lba, target)
+        if freed is not None:
+            self._release(freed, changes, dropped)
+        self._settle(changes, dropped)
+
+    def _on_changes(self, changes: List[Change]) -> None:
+        """A block that lost its last reference leaves the offline index."""
+        for kind, pba, _arg in changes:
+            if kind == FREED:
+                stale = self._offline_by_pba.pop(pba, None)
+                if stale is not None and self._offline_index.get(stale) == pba:
+                    del self._offline_index[stale]
 
     def stats(self) -> Dict[str, Any]:
         out = super().stats()

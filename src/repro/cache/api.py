@@ -59,6 +59,14 @@ class DramCache(Protocol):
 
     # -- read side -----------------------------------------------------
 
+    def read_probe(self, pbas: Sequence[int]) -> List[int]:
+        """Look up one read's blocks, in order; returns the misses."""
+        ...
+
+    def read_fill(self, pbas: Iterable[int]) -> None:
+        """Insert one read's missed blocks, in order."""
+        ...
+
     def read_lookup(self, pba: int) -> bool:
         ...
 

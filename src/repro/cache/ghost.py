@@ -15,7 +15,7 @@ the cache it shadows.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterable, Iterator, List, Optional, TypeVar
+from typing import Any, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.errors import CacheError
 
@@ -58,37 +58,61 @@ class GhostCache(Generic[K]):
 
     def record_eviction(self, key: K, size: Optional[int] = None) -> List[K]:
         """Remember an evicted key; returns ghost keys aged out."""
+        return self.record_evictions(((key, None),), size)
+
+    def record_evictions(
+        self,
+        evicted: Iterable[Tuple[K, Any]],
+        size: Optional[int] = None,
+        parked: Optional[Dict[K, Any]] = None,
+    ) -> List[K]:
+        """:meth:`record_eviction` for every ``(key, payload)`` of a batch,
+        in order, in one call; returns the ghost keys aged out.
+
+        With ``parked``, each step also parks the key's payload there
+        and drops the payloads of the keys it ages out -- iCache's
+        reserved-area store, kept in step with the ghost index (a key
+        aged out by one step and re-recorded by a later one keeps its
+        new payload).
+        """
         size = self.default_entry_size if size is None else size
         if size <= 0:
             raise CacheError(f"entry size must be positive, got {size}")
-        self.evictions_recorded += 1
         keys = self._keys
-        old = keys.pop(key, None)
-        if old is not None:
-            self._used -= old
-        if size > self.capacity_bytes:
-            return [key]
-        keys[key] = size
-        self._used += size
-        if self._used <= self.capacity_bytes:
-            return []
+        pop = keys.pop
+        capacity = self.capacity_bytes
+        used = self._used
         dropped: List[K] = []
-        while self._used > self.capacity_bytes and self._keys:
-            k, s = self._keys.popitem(last=False)
-            self._used -= s
-            dropped.append(k)
+        recorded = 0
+        for key, payload in evicted:
+            recorded += 1
+            if parked is not None:
+                parked[key] = payload
+            old = pop(key, None)
+            if old is not None:
+                used -= old
+            if size > capacity:
+                dropped.append(key)
+                if parked is not None:
+                    parked.pop(key, None)
+                continue
+            keys[key] = size
+            used += size
+            while used > capacity:
+                aged, aged_size = keys.popitem(last=False)
+                used -= aged_size
+                dropped.append(aged)
+                if parked is not None:
+                    parked.pop(aged, None)
+        self._used = used
+        self.evictions_recorded += recorded
         return dropped
 
     def hit(self, key: K) -> bool:
         """Check for *key*; on a hit, count it and remove the key
         (the caller is expected to re-admit the entry to the actual
         cache, as ARC does)."""
-        if key in self._keys:
-            self._used -= self._keys.pop(key)
-            self.hits += 1
-            self.hits_total += 1
-            return True
-        return False
+        return bool(self.hit_many((key,)))
 
     def hit_many(self, keys: Iterable[K]) -> List[K]:
         """:meth:`hit` every key of a batch, in order; returns the keys

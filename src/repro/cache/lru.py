@@ -124,6 +124,38 @@ class LRUCache(Generic[K, V]):
             return []
         return self._evict_to_fit()
 
+    def put_many(self, keys: Iterable[K], value: V = None) -> List[Evicted[K, V]]:  # type: ignore[assignment]
+        """:meth:`put` every key of a batch at the default entry size,
+        in order, in one call; returns all the entries evicted to fit.
+
+        Victims, their order and the eviction counter are exactly those
+        of the per-key calls.
+        """
+        size = self.default_entry_size
+        entries = self._entries
+        pop = entries.pop
+        capacity = self.capacity_bytes
+        used = self._used
+        victims: List[Evicted[K, V]] = []
+        evicted = 0
+        for key in keys:
+            old = pop(key, None)
+            if old is not None:
+                used -= old[1]
+            if size > capacity:
+                victims.append((key, value, size))
+                continue
+            entries[key] = (value, size)
+            used += size
+            while used > capacity:
+                victim, (victim_value, victim_size) = entries.popitem(last=False)
+                used -= victim_size
+                victims.append((victim, victim_value, victim_size))
+                evicted += 1
+        self._used = used
+        self.evictions += evicted
+        return victims
+
     def remove(self, key: K) -> bool:
         """Drop *key* if present; returns whether it was there."""
         entry = self._entries.pop(key, None)

@@ -97,12 +97,20 @@ class PartitionedCache:
 
     # -- read side -----------------------------------------------------
 
+    def read_probe(self, pbas: Sequence[int]) -> List[int]:
+        """Look up one read's blocks, in order; returns the misses."""
+        return [pba for pba, value in zip(pbas, self.read.get_many(pbas)) if value is None]
+
+    def read_fill(self, pbas: Iterable[int]) -> None:
+        """Insert a read's missed blocks, in order (victims are dropped)."""
+        self.read.put_many(pbas, True)
+
     def read_lookup(self, pba: int) -> bool:
         """True if the block at ``pba`` is cached."""
-        return self.read.get(pba) is not None
+        return not self.read_probe((pba,))
 
     def read_insert(self, pba: int) -> None:
-        self.read.put(pba, True)
+        self.read_fill((pba,))
 
     def read_remove(self, pba: int) -> bool:
         return self.read.remove(pba)

@@ -1149,11 +1149,13 @@ def replay_cluster(
     for node in nodes:
         utilisation.update(node.utilisation())
 
+    # One stats() per node: it walks every written LBA for capacity.
+    node_stats = [s.stats() for s in schemes]
     if nnodes == 1:
-        scheme_stats = schemes[0].stats()
+        scheme_stats = node_stats[0]
         timeline = getattr(schemes[0].cache, "epoch_timeline", [])
     else:
-        scheme_stats = _aggregate_stats([s.stats() for s in schemes])
+        scheme_stats = _aggregate_stats(node_stats)
         timeline = []
 
     node_summaries: List[Dict[str, Any]] = []
@@ -1166,7 +1168,7 @@ def replay_cluster(
                 "name": node.name,
                 "volumes": list(node.volume_ids),
                 "logical_blocks": node.mapper.total_logical_blocks,
-                "capacity_blocks": node.scheme.capacity_blocks(),
+                "capacity_blocks": node_stats[node.node_id]["capacity_blocks"],
             }
             if node.node_id in tracked_nodes:
                 node_entry.update(metrics.node_as_dict(node.node_id))
@@ -1275,7 +1277,7 @@ def replay_cluster(
         metrics=metrics,
         scheme_stats=scheme_stats,
         utilisation=utilisation,
-        capacity_blocks=sum(s.capacity_blocks() for s in schemes),
+        capacity_blocks=sum(stats["capacity_blocks"] for stats in node_stats),
         writes_total=sum(s.writes_total for s in schemes) - boundary["writes"],
         write_requests_removed=(
             sum(s.write_requests_removed for s in schemes) - boundary["removed"]

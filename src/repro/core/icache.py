@@ -181,24 +181,43 @@ class ICache:
     # read-cache interface
     # ------------------------------------------------------------------
 
+    def read_probe(self, keys: Sequence[int]) -> List[int]:
+        """Look up one read's blocks in the actual cache, in order, and
+        probe the ghost read cache with the misses (the Access
+        Monitor's signal); returns the missed keys in order.
+
+        One call per read request: the actual and the ghost cache are
+        disjoint structures, so looking every key up first and then
+        probing the ghost with the misses is exactly the per-key
+        interleaving.
+        """
+        missing = [
+            key for key, value in zip(keys, self.read.get_many(keys)) if value is None
+        ]
+        if missing:
+            hits = self.ghost_read.hit_many(missing)
+            if hits and self.obs.level >= TraceLevel.CHUNK:
+                now = self._obs_clock() if self._obs_clock is not None else 0.0
+                for key in hits:
+                    self.obs.emit(
+                        TraceLevel.CHUNK, now, EventType.CACHE_GHOST_HIT, cache="read", key=key
+                    )
+        return missing
+
+    def read_fill(self, keys: Iterable[int]) -> None:
+        """Insert a read's missed blocks, in order; the ghost read
+        cache remembers the blocks they evict (one call to each)."""
+        victims = self.read.put_many(keys, True)
+        if victims:
+            self.ghost_read.record_evictions((key, None) for key, _value, _size in victims)
+
     def read_lookup(self, key: int) -> bool:
-        """Actual-cache lookup; a miss probes the ghost read cache
-        (the Access Monitor's signal)."""
-        if self.read.get(key) is not None:
-            return True
-        if self.ghost_read.hit(key) and self.obs.level >= TraceLevel.CHUNK:
-            self.obs.emit(
-                TraceLevel.CHUNK,
-                self._obs_clock() if self._obs_clock is not None else 0.0,
-                EventType.CACHE_GHOST_HIT,
-                cache="read",
-                key=key,
-            )
-        return False
+        """:meth:`read_probe` of one key: True on an actual-cache hit."""
+        return not self.read_probe((key,))
 
     def read_insert(self, key: int) -> None:
-        for victim_key, _value, size in self.read.put(key, True):
-            self.ghost_read.record_eviction(victim_key, size)
+        """:meth:`read_fill` of one key."""
+        self.read_fill((key,))
 
     def read_remove(self, key: int) -> bool:
         self.ghost_read.remove(key)
@@ -243,13 +262,9 @@ class ICache:
 
     def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:
         """Feed IndexTable victims into the ghost index and park their
-        data in the reserved swap area for a later swap-in."""
-        store = self._index_store
-        record = self.ghost_index.record_eviction
-        for fingerprint, entry in evicted:
-            store[fingerprint] = entry
-            for dropped in record(fingerprint, INDEX_ENTRY_SIZE):
-                store.pop(dropped, None)
+        data in the reserved swap area for a later swap-in (one call
+        per request)."""
+        self.ghost_index.record_evictions(evicted, INDEX_ENTRY_SIZE, self._index_store)
 
     # ------------------------------------------------------------------
     # the Access Monitor + Swap Module
@@ -328,15 +343,13 @@ class ICache:
                 evicted = [
                     (fp, entry) for fp, entry, _size in self.index.resize(new_index_bytes)
                 ]
-            for fp, entry in evicted:
-                self._index_store[fp] = entry
-                for dropped in self.ghost_index.record_eviction(fp, INDEX_ENTRY_SIZE):
-                    self._index_store.pop(dropped, None)
+            self.note_index_evictions(evicted)
             self.read.resize(new_read_bytes)
             self._swap_in_read()
         else:
-            for key, _value, size in self.read.resize(new_read_bytes):
-                self.ghost_read.record_eviction(key, size)
+            self.ghost_read.record_evictions(
+                (key, None) for key, _value, _size in self.read.resize(new_read_bytes)
+            )
             self.index.resize(new_index_bytes)
             self._swap_in_index()
         # Ghost capacities track the complement of their actual cache.
@@ -348,31 +361,28 @@ class ICache:
 
         Candidates are ordered by their ``Count`` popularity first and
         eviction recency second -- the Index table keeps Count exactly
-        so the hot entries can be told apart (Section III-B).
+        so the hot entries can be told apart (Section III-B).  The sort
+        is stable on a C-level key, and the Index table restores the
+        candidates in one call.
         """
-        candidates = sorted(
-            (
-                (fp, self._index_store[fp])
-                for fp in self.ghost_index.keys_mru()
-                if fp in self._index_store
-            ),
-            key=lambda item: item[1].count,
-            reverse=True,
-        )
-        restored = []
-        for fp, entry in candidates:
-            if self.index.free_bytes < INDEX_ENTRY_SIZE:
-                break
-            ok = (
-                self._index_table.restore(fp, entry)
-                if self._index_table is not None
-                else bool(self.index.put(fp, entry) or True)
-            )
-            if ok:
+        store = self._index_store
+        fps = [fp for fp in self.ghost_index.keys_mru() if fp in store]
+        entries = [store[fp] for fp in fps]
+        counts = [entry.count for entry in entries]
+        order = sorted(range(len(fps)), key=counts.__getitem__, reverse=True)
+        candidates = [(fps[k], entries[k]) for k in order]
+        if self._index_table is not None:
+            restored = self._index_table.restore_many(candidates)
+        else:
+            restored = []
+            for fp, entry in candidates:
+                if self.index.free_bytes < INDEX_ENTRY_SIZE:
+                    break
+                self.index.put(fp, entry)
                 restored.append(fp)
+        self.ghost_index.remove_many(restored)
         for fp in restored:
-            self.ghost_index.remove(fp)
-            self._index_store.pop(fp, None)
+            store.pop(fp, None)
 
     def _swap_in_read(self) -> None:
         """Refill grown read space with the most recent ghost blocks."""

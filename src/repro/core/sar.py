@@ -26,12 +26,13 @@ category-1/3 dedup still introduces (visible in
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.baselines.base import PlannedIO, SchemeConfig
 from repro.cache.lru import LRUCache
 from repro.constants import BLOCK_SIZE
 from repro.core.select_dedupe import SelectDedupe
+from repro.dedup.map_table import REMAPPED, WROTE, Change
 from repro.errors import ConfigError
 from repro.sim.request import IORequest, OpType
 from repro.storage.volume import extents_to_ops
@@ -63,16 +64,6 @@ class SARDedupe(SelectDedupe):
     # admission on the write path
     # ------------------------------------------------------------------
 
-    def _map_dedupe(self, lba: int, target: int) -> None:
-        super()._map_dedupe(lba, target)
-        if target == self.regions.home_of(lba) or target in self._ssd:
-            return
-        # A remapped reference: later reads of this LBA will seek to a
-        # foreign location unless the block is staged on the SSD.
-        self._ssd.put(target, True)
-        self._pending_ssd_writes += 1
-        self.ssd_admitted_blocks += 1
-
     def _process_write(self, request: IORequest, now: float) -> PlannedIO:
         self._pending_ssd_writes = 0
         planned = super()._process_write(request, now)
@@ -86,23 +77,19 @@ class SARDedupe(SelectDedupe):
     def _process_read(self, request: IORequest, now: float) -> PlannedIO:
         self.reads_total += 1
         self.read_blocks_total += request.nblocks
-        pbas = self.map_table.translate_many(request.blocks())
-        hdd_missing: List[int] = []
-        cache_hits = 0
-        ssd_hits = 0
-        for pba in pbas:
-            if self.cache.read_lookup(pba):
-                cache_hits += 1
-            elif self._ssd.get(pba) is not None:
-                ssd_hits += 1
-            else:
-                hdd_missing.append(pba)
+        missing = self.cache.read_probe(
+            self.map_table.translate_range(request.lba, request.nblocks)
+        )
+        cache_hits = request.nblocks - len(missing)
+        ssd_lookup = self._ssd.get
+        hdd_missing = [pba for pba in missing if ssd_lookup(pba) is None]
+        ssd_hits = len(missing) - len(hdd_missing)
         self.read_cache_hit_blocks += cache_hits
         self.ssd_served_blocks += ssd_hits
         ops = extents_to_ops(OpType.READ, hdd_missing)
         self.read_extents_issued += len(ops)
-        for pba in set(hdd_missing):
-            self.cache.read_insert(pba)
+        if hdd_missing:
+            self.cache.read_fill(set(hdd_missing))
         return PlannedIO(
             delay=0.0,
             volume_ops=ops,
@@ -111,11 +98,25 @@ class SARDedupe(SelectDedupe):
         )
 
     # ------------------------------------------------------------------
-    # invalidation
+    # admission and invalidation, from the write's change log
     # ------------------------------------------------------------------
 
-    def _on_physical_write(self, pba: int) -> None:
-        self._ssd.remove(pba)
+    def _on_changes(self, changes: List[Change]) -> None:
+        """Stage remapped references on the SSD; drop the SSD copy of a
+        block whose content changed or was discarded."""
+        ssd = self._ssd
+        for kind, pba, arg in changes:
+            if kind == REMAPPED:
+                # A remapped reference: later reads of this LBA will
+                # seek to a foreign location unless the block is staged
+                # on the SSD (``arg`` is the LBA, i.e. its home block).
+                if pba == arg or pba in ssd:
+                    continue
+                ssd.put(pba, True)
+                self._pending_ssd_writes += 1
+                self.ssd_admitted_blocks += 1
+            elif kind == WROTE or arg:
+                ssd.remove(pba)
 
     def _volatile_reset(self) -> None:
         # The SSD itself is non-volatile, but its residency map is

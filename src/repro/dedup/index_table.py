@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.lru import LRUCache
 from repro.constants import INDEX_ENTRY_SIZE
+from repro.dedup.map_table import FREED, WROTE, Change
 from repro.errors import DedupError
 
 
@@ -111,31 +112,71 @@ class IndexTable:
         """
         return MappingProxyType(self._by_pba)
 
-    def insert(self, fingerprint: int, pba: int) -> IndexEntry:
+    def insert(self, fingerprint: int, pba: int) -> None:
         """Insert a new hot entry with ``Count = 0``.
 
         If another fingerprint already claims ``pba`` the stale claim
-        is dropped first (the block's content has changed).
+        is dropped first (the block's content has changed).  The
+        one-block form of :meth:`apply`.
         """
-        by_pba = self._by_pba
+        self.apply(((WROTE, pba, fingerprint),))
+
+    def apply(self, changes: Iterable[Change]) -> None:
+        """Replay one write's change log against the table in one call,
+        in commit order.
+
+        A ``WROTE`` block is admitted: its PBA's previous claimant and
+        the fingerprint's stale claim are dropped, the new entry
+        (``Count = 0``) becomes MRU and LRU entries are evicted to fit.
+        A recycled ``FREED`` block's claim is dropped as by
+        :meth:`invalidate_pba`.  The LRU put and eviction are inlined at
+        ``default_entry_size``; the LRU order, the PBA reverse map, the
+        evictions queued for :meth:`drain_evicted` and the eviction
+        counter are those of one call per block.  Order matters: a
+        recycled block's invalidation frees a slot that an admission
+        after it would otherwise have evicted for.
+        """
         lru = self.lru
-        claimant = by_pba.pop(pba, None)  # invalidate_pba(pba), inlined
-        if claimant is not None:
-            lru.remove(claimant)
-        stale = lru.peek(fingerprint)
-        if stale is not None:
-            by_pba.pop(stale.pba, None)
-        entry = IndexEntry(pba)
-        victims = lru.put(fingerprint, entry)
-        by_pba[pba] = fingerprint
-        for key, value, _size in victims:
-            if key == fingerprint:
-                # Entry was larger than the cache; nothing was kept.
-                by_pba.pop(pba, None)
-            else:
-                by_pba.pop(value.pba, None)
-                self._evicted.append((key, value))
-        return entry
+        entries = lru._entries  # pod: ignore[POD007]
+        pop = entries.pop
+        popitem = entries.popitem
+        used = lru._used  # pod: ignore[POD007]
+        size = lru.default_entry_size
+        capacity = lru.capacity_bytes
+        by_pba = self._by_pba
+        claim = by_pba.pop
+        queue = self._evicted.append
+        evictions = 0
+        for kind, pba, arg in changes:
+            if kind == WROTE:
+                claimant = claim(pba, None)
+                if claimant is not None:
+                    old = pop(claimant, None)
+                    if old is not None:
+                        used -= old[1]
+                old = pop(arg, None)
+                if old is not None:
+                    used -= old[1]
+                    claim(old[0].pba, None)
+                if size > capacity:
+                    continue  # larger than the whole table: nothing kept
+                entries[arg] = (IndexEntry(pba), size)
+                used += size
+                by_pba[pba] = arg
+                while used > capacity:
+                    victim, (entry, victim_size) = popitem(last=False)
+                    used -= victim_size
+                    claim(entry.pba, None)
+                    queue((victim, entry))
+                    evictions += 1
+            elif kind == FREED and arg:
+                claimant = claim(pba, None)
+                if claimant is not None:
+                    old = pop(claimant, None)
+                    if old is not None:
+                        used -= old[1]
+        lru._used = used  # pod: ignore[POD007]
+        lru.evictions += evictions
 
     def remove(self, fingerprint: int) -> bool:
         """Drop an entry (not counted as an eviction)."""
@@ -176,17 +217,31 @@ class IndexTable:
         free, the fingerprint is not already present, and no other
         fingerprint currently claims the entry's PBA.
         """
-        if self.lru.free_bytes < self.lru.default_entry_size:
-            return False
-        if fingerprint in self.lru or entry.pba in self._by_pba:
-            return False
-        victims = self.lru.put(fingerprint, entry)
-        if victims:  # pragma: no cover - free space was checked above
-            for key, value, _size in victims:
-                self._by_pba.pop(value.pba, None)
-                self._evicted.append((key, value))
-        self._by_pba[entry.pba] = fingerprint
-        return True
+        return bool(self.restore_many(((fingerprint, entry),)))
+
+    def restore_many(
+        self, candidates: Iterable[Tuple[int, IndexEntry]]
+    ) -> List[int]:
+        """:meth:`restore` candidates in order, in one call, until the
+        table has no free slot; returns the restored fingerprints."""
+        lru = self.lru
+        entries = lru._entries  # pod: ignore[POD007]
+        used = lru._used  # pod: ignore[POD007]
+        size = lru.default_entry_size
+        capacity = lru.capacity_bytes
+        by_pba = self._by_pba
+        restored: List[int] = []
+        for fingerprint, entry in candidates:
+            if capacity - used < size:
+                break
+            if fingerprint in entries or entry.pba in by_pba:
+                continue
+            entries[fingerprint] = (entry, size)
+            used += size
+            by_pba[entry.pba] = fingerprint
+            restored.append(fingerprint)
+        lru._used = used  # pod: ignore[POD007]
+        return restored
 
     def drain_evicted(self) -> List[Tuple[int, IndexEntry]]:
         """Return and clear the evictions since the last drain.

@@ -20,12 +20,32 @@ referenced by any LBA must never be overwritten in place.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import DedupError
 from repro.storage.allocator import RegionMap
 from repro.storage.journal import MapJournal
 from repro.storage.nvram import NvramMeter
+
+
+#: Entry kinds of the change log one write request's commit produces,
+#: in commit order, as ``(kind, pba, arg)`` triples.  The log is how
+#: the state owners outside the commit loop (the Index table, the read
+#: cache, per-scheme side state) see the request's per-block changes
+#: in their exact order, one call per request each.
+#:
+#: ``(WROTE, pba, fingerprint)`` -- a block was written with new content;
+WROTE = 0
+#: ``(FREED, pba, recycled)`` -- ``pba`` lost its last Map-table
+#: reference; ``recycled`` is true when it was a log block handed back
+#: to the allocator (its content discarded);
+FREED = 1
+#: ``(REMAPPED, pba, lba)`` -- ``lba`` now resolves to the existing
+#: duplicate block ``pba`` (a deduplicated block).
+REMAPPED = 2
+
+#: One change-log entry.
+Change = Tuple[int, int, int]
 
 
 class MapTable:
@@ -68,8 +88,26 @@ class MapTable:
         return self.regions.home_of(lba)
 
     def translate_many(self, lbas: Iterable[int]) -> list:
-        """Translate a batch of LBAs (read-path helper)."""
+        """Translate a batch of LBAs."""
         return [self.translate(lba) for lba in lbas]
+
+    def translate_range(self, lba: int, nblocks: int) -> List[int]:
+        """Translate the run ``[lba, lba + nblocks)`` in one call (the
+        read path's one Map-table call per request).
+
+        The range is validated once up front; each block without an
+        entry resolves to itself, its home block (``home_base`` is 0).
+        """
+        self.check_range(lba, nblocks)
+        get = self._map.get
+        return [get(block, block) for block in range(lba, lba + nblocks)]
+
+    def check_range(self, lba: int, nblocks: int) -> None:
+        """Raise :meth:`RegionMap.home_of`'s error for the first block of
+        ``[lba, lba + nblocks)`` outside the logical space, if any."""
+        end = self.regions.logical_blocks
+        if lba < 0 or lba + nblocks > end:
+            self.regions.home_of(lba if lba < 0 else max(lba, end))
 
     def is_redirected(self, lba: int) -> bool:
         return lba in self._map
@@ -121,7 +159,7 @@ class MapTable:
         home = self.regions.home_of(lba)  # validates the LBA range
         if pba < 0 or pba >= self._total_blocks:
             raise DedupError(f"PBA {pba} outside the volume")
-        return self._rebind(lba, self._map.get(lba), None if pba == home else pba)
+        return self.rebind(lba, self._map.get(lba), None if pba == home else pba)
 
     def clear_mapping(self, lba: int) -> Optional[int]:
         """Return ``lba`` to its identity (home) mapping.
@@ -131,9 +169,9 @@ class MapTable:
         current = self._map.get(lba)
         if current is None:
             return None
-        return self._rebind(lba, current, None)
+        return self.rebind(lba, current, None)
 
-    def _rebind(self, lba: int, current: Optional[int], pba: Optional[int]) -> Optional[int]:
+    def rebind(self, lba: int, current: Optional[int], pba: Optional[int]) -> Optional[int]:
         """Move ``lba`` from its explicit entry ``current`` to ``pba``.
 
         The one implementation of a Map-table update: ``None`` stands
@@ -230,32 +268,8 @@ class MapTable:
         return None
 
     # ------------------------------------------------------------------
-    # one-call write-path decisions (one call per block, not a chain)
+    # single-entry update outside the write path
     # ------------------------------------------------------------------
-
-    def place_write(
-        self, lba: int, allocate: Callable[[], int]
-    ) -> Tuple[int, Optional[int], bool]:
-        """Decide and apply where a *non-deduplicated* write lands.
-
-        :meth:`choose_write_target` plus the mapping update it implies:
-        the home block when nothing references it (dropping a stale
-        redirection), the LBA's private log block, or else a fresh
-        block from ``allocate`` that the LBA is redirected to.  Returns
-        ``(target, freed, redirected)``; ``freed`` is the block whose
-        last reference went away (the caller reclaims it), or ``None``.
-        """
-        target = self.choose_write_target(lba)
-        current = self._map.get(lba)
-        if target is None:
-            target = allocate()
-            if target < 0 or target >= self._total_blocks:
-                raise DedupError(f"PBA {target} outside the volume")
-            return target, self._rebind(lba, current, target), True
-        if current is None or current == target:
-            return target, None, False
-        # The home block is free again: the stale redirection goes.
-        return target, self._rebind(lba, current, None), False
 
     def remap(self, lba: int, target: int) -> Optional[int]:
         """Point ``lba`` at the existing duplicate block ``target``.
@@ -269,10 +283,10 @@ class MapTable:
         if target == (home if current is None else current):
             return None
         if target == home:
-            return self._rebind(lba, current, None)
+            return self.rebind(lba, current, None)
         if target < 0 or target >= self._total_blocks:
             raise DedupError(f"PBA {target} outside the volume")
-        return self._rebind(lba, current, target)
+        return self.rebind(lba, current, target)
 
     def live_pbas(self, written_lbas: Iterable[int]) -> Set[int]:
         """Distinct physical blocks backing the given logical blocks.

@@ -197,13 +197,14 @@ def replay_columnar(
 
     slo_stats = close_timeline(sampler, config, t_end)
     timeline = getattr(scheme.cache, "epoch_timeline", [])
+    scheme_stats = scheme.stats()
     return ReplayResult(
         trace_name=run_name,
         scheme_name=scheme.name,
         metrics=metrics,
-        scheme_stats=scheme.stats(),
+        scheme_stats=scheme_stats,
         utilisation=disk_utilisation(disks),
-        capacity_blocks=scheme.capacity_blocks(),
+        capacity_blocks=scheme_stats["capacity_blocks"],
         writes_total=scheme.writes_total - boundary["writes"],
         write_requests_removed=(
             scheme.write_requests_removed - boundary["removed"]
@@ -299,68 +300,49 @@ def _replay_merged(
     # ------------------------------------------------------------------
     # planning state
     # ------------------------------------------------------------------
-    requests: List[Optional[IORequest]] = [None] * n
     planned: List[Optional[PlannedIO]] = [None] * n
     cross: List[int] = [0] * n
     tick_ops: List[list] = []
+    #: Multi-volume runs: the volume that first wrote each fingerprint
+    #: id (the merged pool interns values, so ids compare like values).
     fp_owner: Optional[Dict[int, int]] = {} if multi else None
     plan_cursor = 0
     plan_tick = 0
-    plan_batch = scheme.plan_batch
-    plan_columns = scheme.plan_columns if fp_owner is None else None
+    plan_columns = scheme.plan_columns
     raw = IORequest.raw
     write_op = OpType.WRITE
     read_op = OpType.READ
 
     def _plan_range(a: int, b: int, nvram: Optional[List[int]]) -> None:
-        """Materialise and plan arrivals [a, b) (never crosses a tick
-        window, a timeline segment or the warm-up boundary); the tier
-        fills ``nvram`` as documented on ``DedupScheme.plan_batch``."""
+        """Plan arrivals [a, b) straight off the column lists (never
+        crosses a tick window, a timeline segment or the warm-up
+        boundary); fills ``nvram`` as documented on
+        ``DedupScheme.plan_columns``."""
         if a == boundary_idx:
             boundary["writes"] = scheme.writes_total
             boundary["removed"] = scheme.write_requests_removed
-        if plan_columns is not None:
-            # Zero-materialisation tier: the scheme plans straight off
-            # the column lists; requests stay ``None`` and ``_finish``
-            # materialises the recorded ones lazily.
-            plans = plan_columns(
-                a, b, is_write_l, lbas_l, nblocks_l, offsets_l, fp_ids_l, pool,
-                nvram_out=nvram,
-            )
-            if plans is not None:
-                planned[a:b] = plans
-                return
-        batch: List[IORequest] = []
-        append_req = batch.append
-        pool_at = pool.__getitem__
-        for i in range(a, b):
-            if is_write_l[i]:
-                fps: Optional[Tuple[int, ...]] = tuple(
-                    map(pool_at, fp_ids_l[offsets_l[i] : offsets_l[i + 1]])
-                )
-                req = raw(times_l[i], write_op, lbas_l[i], nblocks_l[i], fps, i, vids_l[i])
-            else:
-                req = raw(times_l[i], read_op, lbas_l[i], nblocks_l[i], None, i, vids_l[i])
-            requests[i] = req
-            append_req(req)
-        plans = plan_batch(batch, nvram_out=nvram)
+        plans = plan_columns(
+            a, b, times_l, is_write_l, lbas_l, nblocks_l, vids_l,
+            offsets_l, fp_ids_l, pool, nvram_out=nvram,
+        )
         planned[a:b] = plans
         if fp_owner is not None:
+            # Cross-volume redundancy: a deduplicated chunk whose raw
+            # fingerprint some other volume wrote first.
             owner_get = fp_owner.get
             owner_set = fp_owner.setdefault
             for i in range(a, b):
-                req_i = batch[i - a]
-                fps_i = req_i.fingerprints
-                if fps_i is None:
+                if not is_write_l[i]:
                     continue
-                vid = req_i.volume_id
+                ids = fp_ids_l[offsets_l[i] : offsets_l[i + 1]]
+                vid = vids_l[i]
                 c = 0
                 for k in plans[i - a].deduped_idx:
-                    owner = owner_get(fps_i[k])
+                    owner = owner_get(ids[k])
                     if owner is not None and owner != vid:
                         c += 1
-                for fp in fps_i:
-                    owner_set(fp, vid)
+                for fid in ids:
+                    owner_set(fid, vid)
                 if c:
                     cross[i] = c
 
@@ -721,20 +703,18 @@ def _replay_merged(
                     if done > completion:
                         completion = done
         if collect_warmup or measured_l[i]:
-            req = requests[i]
-            if req is None:
-                # Zero-materialisation planning left no request object;
-                # build the minimal one the collector reads (op /
-                # nblocks / volume id -- it never touches fingerprints).
-                req = raw(
-                    times_l[i],
-                    write_op if is_write_l[i] else read_op,
-                    lbas_l[i],
-                    nblocks_l[i],
-                    None,
-                    i,
-                    vids_l[i],
-                )
+            # Planning kept no request object; build the minimal one
+            # the collector reads (op / nblocks / volume id -- it never
+            # touches fingerprints).
+            req = raw(
+                times_l[i],
+                write_op if is_write_l[i] else read_op,
+                lbas_l[i],
+                nblocks_l[i],
+                None,
+                i,
+                vids_l[i],
+            )
             record(
                 req,
                 times_l[i],
@@ -748,10 +728,9 @@ def _replay_merged(
             for vop in plan.background_ops:
                 for op in raid_map(vop):
                     _svc(op.disk_id, issue_time, op.pba, op.nblocks)
-        # Nothing reads a finished request's plan or request object
-        # again: drop them so plan-ahead does not keep them alive.
+        # Nothing reads a finished request's plan again: drop it so
+        # plan-ahead does not keep it alive.
         planned[i] = None
-        requests[i] = None
 
     seg_k = 0
     seg_next = seg_ends[0] if seg_ends else n

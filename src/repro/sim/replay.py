@@ -783,13 +783,14 @@ def replay_traces(
 
     slo_stats = close_timeline(sampler, config, sim.now)
     timeline = getattr(scheme.cache, "epoch_timeline", [])
+    scheme_stats = scheme.stats()
     return ReplayResult(
         trace_name=run_name,
         scheme_name=scheme.name,
         metrics=metrics,
-        scheme_stats=scheme.stats(),
+        scheme_stats=scheme_stats,
         utilisation=sim.utilisation(),
-        capacity_blocks=scheme.capacity_blocks(),
+        capacity_blocks=scheme_stats["capacity_blocks"],
         writes_total=scheme.writes_total - boundary["writes"],
         write_requests_removed=scheme.write_requests_removed - boundary["removed"],
         epoch_timeline=[

@@ -19,8 +19,9 @@ The simulated volume is divided into fixed regions:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Set
+from typing import Deque, List, Set
 
 from repro.errors import StorageError
 
@@ -120,7 +121,7 @@ class LogAllocator:
         self.base = base
         self.nblocks = nblocks
         self._next = base
-        self._free: List[int] = []
+        self._free: Deque[int] = deque()
         self._allocated: Set[int] = set()
 
     @property
@@ -145,7 +146,7 @@ class LogAllocator:
             pba = self._next
             self._next += 1
         elif self._free:
-            pba = self._free.pop(0)
+            pba = self._free.popleft()
         else:
             raise StorageError("log region exhausted")
         self._allocated.add(pba)

@@ -1,40 +1,53 @@
-"""The per-block write chain, kept as a test-only reference.
+"""The per-block write and read chains, kept as a test-only reference.
 
-Before the schemes planned a write in one fused pass per request, a
-write went ``_process_write`` -> ``_lookup_fingerprint`` per chunk ->
-``_choose_dedupe`` (``categorize_write`` for every Select-Dedupe
-request) -> ``_commit_write`` -> ``_map_dedupe`` / ``_write_target``
-/ ``_reclaim`` / ``_admit_to_index`` per block, each going through
+Before the schemes planned a request with one call per request into
+each piece of state, a write went ``_process_write`` ->
+``_lookup_fingerprint`` per chunk -> ``_choose_dedupe``
+(``categorize_write`` for every Select-Dedupe request) ->
+``_commit_write`` -> ``_map_dedupe`` / ``_write_target`` /
+``_reclaim`` / ``_admit_to_index`` per block, each going through
 ``MapTable.translate`` / ``choose_write_target`` / ``set_mapping`` /
 ``clear_mapping`` and ``IndexTable.lookup`` / ``insert`` /
-``drain_evicted``.  :func:`reference_class` grafts that chain onto a
-scheme class, so the differential tests can replay one workload
-through both and require the same plans and the same final state.
+``drain_evicted``; a read translated, looked up and inserted block by
+block.  The per-scheme side state was kept by per-block hooks: SAR's
+SSD admission on every remap and invalidation on every physical
+write, Full-Dedupe's and Post-Process's full/offline index on every
+admission and reclaim, I/O-Dedup's content map per written block.
 
-The per-scheme hooks that the fused path keeps (SAR's SSD admission
-and invalidation, Full-Dedupe's full-index bookkeeping, Post-Process's
-dirty tracking, I/O-Dedup's content map) are inherited unchanged:
-they are reached through ``super()`` from this chain exactly as they
-were from the old one.
+:func:`reference_class` puts that chain in front of a scheme class,
+on the per-key cache chain of :mod:`reference_caches`, so the
+differential tests can replay one workload through both and require
+the same plans and the same final state.  Nothing here calls the
+request-level kernels (the commit kernel, ``MapTable.translate_range``
+/ ``rebind``, ``IndexTable.apply`` / ``restore_many``, the caches'
+``read_probe`` / ``read_fill`` and the ghost batch methods), and the
+schemes' request-level ``_on_changes`` hooks must never run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.baselines.base import DedupScheme, PlannedIO
 from repro.baselines.full_dedupe import FullDedupe
 from repro.baselines.iodedup import IODedup
+from repro.baselines.postprocess import PostProcessDedupe
 from repro.core.categorize import categorize_write
+from repro.core.sar import SARDedupe
 from repro.core.select_dedupe import SelectDedupe
 from repro.obs.events import EventType, TraceLevel
 from repro.sim.request import IORequest, OpType
 from repro.storage.volume import VolumeOp, extents_to_ops
 
+from tests.baselines.reference_caches import reference_cache
+
 
 class ReferenceWritePath(DedupScheme):
-    """The per-block write chain (insert between a scheme class and
-    :class:`DedupScheme` in the MRO -- see :func:`reference_class`)."""
+    """The per-block chains (first in the MRO -- see
+    :func:`reference_class`)."""
+
+    def _make_cache(self) -> Any:
+        return reference_cache(super()._make_cache())
 
     # -- probe: one call per chunk -------------------------------------
 
@@ -64,9 +77,11 @@ class ReferenceWritePath(DedupScheme):
         self.cache.on_index_miss(fingerprint)
         return None, []
 
-    # -- the request ---------------------------------------------------
+    # -- the write request ---------------------------------------------
 
     def _process_write(self, request: IORequest, now: float) -> PlannedIO:
+        if isinstance(self, SARDedupe):
+            self._pending_ssd_writes = 0
         self.writes_total += 1
         self.write_blocks_total += request.nblocks
         assert request.fingerprints is not None
@@ -105,6 +120,9 @@ class ReferenceWritePath(DedupScheme):
             eliminated=eliminated,
             deduped_blocks=len(deduped_idx),
             deduped_idx=deduped_idx,
+            ssd_write_blocks=(
+                self._pending_ssd_writes if isinstance(self, SARDedupe) else 0
+            ),
         )
 
     # -- commit: one chain per block -----------------------------------
@@ -150,16 +168,26 @@ class ReferenceWritePath(DedupScheme):
 
         ops = extents_to_ops(OpType.WRITE, write_pbas)
         self.write_blocks_written += len(write_pbas)
+        if isinstance(self, PostProcessDedupe):
+            self._dirty.update(request.blocks())
+        if isinstance(self, IODedup):
+            for i, lba in enumerate(request.blocks()):
+                self._pba_content[self.map_table.translate(lba)] = request.fingerprints[i]
         return ops, tuple(deduped)
 
     def _map_dedupe(self, lba: int, target: int) -> None:
-        if self.map_table.translate(lba) == target:
-            return
-        if target == self.regions.home_of(lba):
-            freed = self.map_table.clear_mapping(lba)
-        else:
-            freed = self.map_table.set_mapping(lba, target)
-        self._reclaim(freed)
+        if self.map_table.translate(lba) != target:
+            if target == self.regions.home_of(lba):
+                freed = self.map_table.clear_mapping(lba)
+            else:
+                freed = self.map_table.set_mapping(lba, target)
+            self._reclaim(freed)
+        if isinstance(self, SARDedupe):
+            if target == self.regions.home_of(lba) or target in self._ssd:
+                return
+            self._ssd.put(target, True)
+            self._pending_ssd_writes += 1
+            self.ssd_admitted_blocks += 1
 
     def _write_target(self, lba: int) -> int:
         home = self.regions.home_of(lba)
@@ -178,6 +206,14 @@ class ReferenceWritePath(DedupScheme):
     def _reclaim(self, freed: Optional[int], keep: Optional[int] = None) -> None:
         if freed is None or freed == keep:
             return
+        if isinstance(self, FullDedupe):
+            stale_fp = self._full_by_pba.pop(freed, None)
+            if stale_fp is not None and self._full_index.get(stale_fp) == freed:
+                del self._full_index[stale_fp]
+        if isinstance(self, PostProcessDedupe):
+            stale = self._offline_by_pba.pop(freed, None)
+            if stale is not None and self._offline_index.get(stale) == freed:
+                del self._offline_index[stale]
         if self.log_alloc.owns(freed) and self.log_alloc.is_allocated(freed):
             self.log_alloc.free(freed)
             self.content.discard(freed)
@@ -186,13 +222,79 @@ class ReferenceWritePath(DedupScheme):
                 self.index_table.invalidate_pba(freed)
             self._on_physical_write(freed)
 
+    def _on_physical_write(self, pba: int) -> None:
+        if isinstance(self, SARDedupe):
+            self._ssd.remove(pba)
+
     def _admit_to_index(self, fingerprint: int, pba: int) -> None:
+        if isinstance(self, FullDedupe):
+            stale_fp = self._full_by_pba.pop(pba, None)
+            if stale_fp is not None and self._full_index.get(stale_fp) == pba:
+                del self._full_index[stale_fp]
+            old_pba = self._full_index.get(fingerprint)
+            if old_pba is not None:
+                self._full_by_pba.pop(old_pba, None)
+            self._full_index[fingerprint] = pba
+            self._full_by_pba[pba] = fingerprint
         if self.index_table is None:
             return
         self.index_table.insert(fingerprint, pba)
         evicted = self.index_table.drain_evicted()
         if evicted:
             self.cache.note_index_evictions(evicted)
+
+    def _remap(self, lba: int, target: int) -> None:
+        """Post-Process's offline remap, through the per-block chain."""
+        self._map_dedupe(lba, target)
+
+    def _on_changes(self, changes: List[Any]) -> None:
+        raise AssertionError("the per-block reference never settles a change log")
+
+    # -- the read request: one chain per block -------------------------
+
+    def _process_read(self, request: IORequest, now: float) -> PlannedIO:
+        self.reads_total += 1
+        self.read_blocks_total += request.nblocks
+        if not isinstance(self, (SARDedupe, IODedup)) and self.quarantined_lbas:
+            self.quarantine_reads += sum(
+                1 for lba in request.blocks() if lba in self.quarantined_lbas
+            )
+        pbas = [self.map_table.translate(lba) for lba in request.blocks()]
+        missing: List[int] = []
+        hits = 0
+        ssd_hits = 0
+        for pba in pbas:
+            if self.cache.read_lookup(self._read_key(pba)):
+                hits += 1
+            elif isinstance(self, SARDedupe) and self._ssd.get(pba) is not None:
+                ssd_hits += 1
+            else:
+                missing.append(pba)
+        self.read_cache_hit_blocks += hits
+        if isinstance(self, SARDedupe):
+            self.ssd_served_blocks += ssd_hits
+        elif not isinstance(self, IODedup) and self.obs.level >= TraceLevel.CHUNK:
+            self.obs.emit(
+                TraceLevel.CHUNK,
+                now,
+                EventType.CACHE_READ,
+                req_id=request.req_id,
+                hits=hits,
+                misses=len(missing),
+            )
+        ops = extents_to_ops(OpType.READ, missing)
+        self.read_extents_issued += len(ops)
+        for pba in set(missing):
+            self.cache.read_insert(self._read_key(pba))
+        return PlannedIO(
+            delay=0.0, volume_ops=ops, cache_hit_blocks=hits, ssd_read_blocks=ssd_hits
+        )
+
+    def _read_key(self, pba: int) -> Any:
+        if isinstance(self, IODedup):
+            fp = self._pba_content.get(pba)
+            return ("c", fp) if fp is not None else ("p", pba)
+        return pba
 
 
 def _select_dedupe_reference_choice(
@@ -216,10 +318,11 @@ _CACHE: Dict[type, type] = {}
 
 
 def reference_class(cls: Type[DedupScheme]) -> Type[DedupScheme]:
-    """``cls`` with the per-block write chain in place of the fused one."""
+    """``cls`` with the per-block chains in place of the request-level
+    kernels."""
     if cls not in _CACHE:
         namespace: Dict[str, object] = {"name": cls.name}
         if issubclass(cls, SelectDedupe):
             namespace["_choose_dedupe"] = _select_dedupe_reference_choice
-        _CACHE[cls] = type(f"Reference{cls.__name__}", (cls, ReferenceWritePath), namespace)
+        _CACHE[cls] = type(f"Reference{cls.__name__}", (ReferenceWritePath, cls), namespace)
     return _CACHE[cls]

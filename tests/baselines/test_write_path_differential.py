@@ -1,14 +1,18 @@
-"""The fused write path against the per-block chain it replaced.
+"""The request-level write and read paths against the per-block chains
+they replaced.
 
-Every scheme plans a write in one pass per request (one index probe,
-one policy decision, one commit loop).  The per-block chain it
-replaced lives on, test-only, in :mod:`reference_write_path`.  Here
-hypothesis generates workloads built to reach the write path's corner
-cases, and each scheme replays them twice -- fused and reference --
-from the same starting state:
+Every scheme plans a request with one call per request into each piece
+of state (one index probe, one policy decision, the commit kernel and
+its change log; a read's one translation, probe and fill).  The
+per-block chains, on the per-key cache chain, live on test-only in
+:mod:`reference_write_path` and :mod:`reference_caches`.  Here
+hypothesis generates workloads built to reach the corner cases of
+both, reads interleaved with writes, and each scheme replays them
+twice -- fused and reference -- from the same starting state:
 
 * a DRAM budget small enough that index inserts evict (and iCache's
-  ghost index fills and hits),
+  ghost index fills and hits), or an index large enough that the ghost
+  read cache can remember a block,
 * iCache / Post-Process epochs between requests,
 * a write-ahead journal on the Map table,
 * quarantined LBAs (dedupe bypass and healing),
@@ -19,7 +23,8 @@ from the same starting state:
 Each request's :class:`PlannedIO` must match field by field, and so
 must the final ``stats()``, Map-table snapshot, on-disk content, index
 LRU order (with each entry's PBA and Count), read-cache order, ghost
-and journal state, and the CHUNK-level trace events.
+and journal state, iCache epoch timeline, and the CHUNK-level trace
+events.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from repro.obs.events import TraceLevel
 from repro.obs.trace import TraceRecorder
 from repro.sim.request import IORequest
 
+from tests.baselines.reference_caches import ReferenceIndexTable
 from tests.baselines.reference_write_path import reference_class
 
 SCHEMES: Tuple[Type[DedupScheme], ...] = (
@@ -91,6 +97,7 @@ ops = st.one_of(
     write_op(),
     write_op(),
     read_op(),
+    read_op(),
     st.just(("e",)),
     st.tuples(
         st.just("q"),
@@ -102,7 +109,9 @@ setups = st.fixed_dictionaries(
     {
         "journal": st.booleans(),
         "traced": st.booleans(),
-        "index_entries": st.integers(min_value=1, max_value=12),
+        # 128+ entries: the ghost read cache (sized like the index
+        # cache) can remember a 4 KB block.
+        "index_entries": st.one_of(st.integers(1, 12), st.integers(128, 140)),
         "read_blocks": st.integers(min_value=1, max_value=4),
         "log_fraction": st.sampled_from([0.5, 0.15]),
     }
@@ -190,6 +199,7 @@ def _state(scheme: DedupScheme) -> Dict[str, Any]:
         "log": (scheme.log_alloc.allocated_count, scheme.log_alloc.free_count),
     }
     if isinstance(scheme.cache, ICache):
+        state["epochs"] = [e.as_dict() for e in scheme.cache.epoch_timeline]
         state["ghost_index"] = list(scheme.cache.ghost_index.keys_mru())
         state["ghost_read"] = list(scheme.cache.ghost_read.keys_mru())
         state["parked"] = {
@@ -203,15 +213,38 @@ def _state(scheme: DedupScheme) -> Dict[str, Any]:
     return state
 
 
-#: Directed cases on top of the generated ones: an earlier chunk of
-#: the same request rewrites the block a later chunk would dedupe onto
-#: (with the content it already held), once through a quarantine
-#: bypass and once through a Figure-5 run that leaves the first chunk
-#: out.  Only the intra-request overwrite check can tell these apart.
+#: Directed cases on top of the generated ones.  First, an earlier
+#: chunk of the same request rewrites the block a later chunk would
+#: dedupe onto (with the content it already held), once through a
+#: quarantine bypass and once through a Figure-5 run that leaves the
+#: first chunk out: only the intra-request overwrite check can tell
+#: these apart.  Then the commit paths random workloads rarely reach.
 PLAIN = {"journal": False, "traced": False, "index_entries": 12,
          "read_blocks": 2, "log_fraction": 0.5}
 REWRITE_BYPASSED = [("w", 0, (1,)), ("q", frozenset({0})), ("w", 0, (1, 1))]
 REWRITE_OUTSIDE_RUN = [("w", 0, (1, 2, 3)), ("w", 1, (2, 5, 1, 2, 3))]
+#: Redirect then recycle: LBAs 0-1 are redirected to log blocks
+#: (their homes are shared), read into the cache, then return home
+#: once the sharers move away, recycling the log blocks.
+RECYCLE = [("w", 0, (1, 2)), ("w", 2, (1, 2)), ("w", 0, (5, 6)), ("r", 0, 2),
+           ("w", 2, (7, 8)), ("w", 0, (9, 10)), ("r", 0, 4)]
+#: A log block shared by two LBAs is never overwritten in place.
+SHARED_LOG_BLOCK = [("w", 0, (1, 2)), ("w", 2, (1, 2)), ("w", 0, (5, 6)),
+                    ("w", 4, (5, 6)), ("w", 0, (7, 8)), ("r", 0, 6)]
+#: A no-op remap (the LBA already resolves to its duplicate) still
+#: stages the block on SAR's SSD once the SSD has dropped it.
+NOOP_REMAP = [("w", 0, (1, 2)), ("w", 2, (1, 2)), ("w", 10, (3, 4)),
+              ("w", 12, (3, 4)), ("w", 2, (1, 2))]
+#: SAR stages two log blocks on its SSD (LBAs 4-5 dedupe onto LBAs
+#: 0-1's redirected copies); once every referencer moves away the log
+#: blocks are recycled and their SSD copies must go with them.
+SSD_RECYCLE = [("w", 0, (1, 2)), ("w", 2, (1, 2)), ("w", 0, (5, 6)), ("w", 4, (5, 6)),
+               ("w", 4, (7, 8)), ("w", 2, (9, 10)), ("w", 0, (11, 12)), ("r", 0, 6)]
+#: The log region (7 blocks) runs out mid-request, after 7 of 8
+#: redirected blocks were committed: the state they left must match.
+SMALL_LOG = dict(PLAIN, log_fraction=0.15)
+LOG_EXHAUSTED = [("r", 0, 8), ("w", 0, tuple(range(1, 9))), ("w", 8, tuple(range(1, 9))),
+                 ("w", 0, tuple(range(11, 19)))]
 
 
 @pytest.mark.parametrize("cls", SCHEMES, ids=lambda c: c.name)
@@ -219,6 +252,11 @@ REWRITE_OUTSIDE_RUN = [("w", 0, (1, 2, 3)), ("w", 1, (2, 5, 1, 2, 3))]
 @given(setup=setups, workload=st.lists(ops, min_size=1, max_size=50))
 @example(setup=PLAIN, workload=REWRITE_BYPASSED)
 @example(setup=PLAIN, workload=REWRITE_OUTSIDE_RUN)
+@example(setup=PLAIN, workload=RECYCLE)
+@example(setup=PLAIN, workload=SHARED_LOG_BLOCK)
+@example(setup=PLAIN, workload=NOOP_REMAP)
+@example(setup=PLAIN, workload=SSD_RECYCLE)
+@example(setup=SMALL_LOG, workload=LOG_EXHAUSTED)
 def test_fused_write_path_matches_per_block_chain(
     cls: Type[DedupScheme], setup: Dict[str, Any], workload: List[Tuple[Any, ...]]
 ) -> None:
@@ -230,27 +268,35 @@ def test_fused_write_path_matches_per_block_chain(
 
 def test_reference_chain_is_the_per_block_one() -> None:
     """The reference really is a different code path: it probes chunk
-    by chunk and never calls the fused Map-table decisions."""
+    by chunk, reads block by block on the per-key cache chain, and
+    never reaches the request-level kernels."""
     reference = _build(reference_class(POD), {
         "journal": False, "traced": False, "index_entries": 4,
         "read_blocks": 1, "log_fraction": 0.5,
     })
     calls: List[str] = []
-    table = reference.map_table
-    remap, place_write = table.remap, table.place_write
 
-    def spy_remap(lba: int, target: int) -> Optional[int]:
-        calls.append("remap")
-        return remap(lba, target)
+    def spy(owner: Any, name: str) -> None:
+        original = getattr(owner, name)
 
-    def spy_place(lba: int, allocate: Any) -> Tuple[int, Optional[int], bool]:
-        calls.append("place_write")
-        return place_write(lba, allocate)
+        def wrapper(*args: Any, **kwargs: Any) -> Any:
+            calls.append(name)
+            return original(*args, **kwargs)
 
-    table.remap = spy_remap  # type: ignore[method-assign]
-    table.place_write = spy_place  # type: ignore[method-assign]
+        setattr(owner, name, wrapper)
+
+    assert isinstance(reference.index_table, ReferenceIndexTable)
+    spy(reference.map_table, "translate_range")
+    spy(reference.index_table, "apply")
+    spy(reference.index_table, "restore_many")
+    for name in ("read_probe", "read_fill", "read_remove_many"):
+        spy(reference.cache, name)
+    for ghost in (reference.cache.ghost_index, reference.cache.ghost_read):
+        spy(ghost, "record_evictions")
+        spy(ghost, "hit_many")
     for k, lba in enumerate((0, 8)):
         reference.process(IORequest.write(time=k, lba=lba, fingerprints=[1, 2, 3]), float(k))
+    reference.process(IORequest.read(time=2.0, lba=0, nblocks=3), 2.0)
     assert reference.stats()["write_blocks_deduped"] == 3
+    assert reference.stats()["read_cache_hit_blocks"] == 0
     assert calls == []
-

@@ -118,6 +118,24 @@ def test_chunking_bit_identity(scheme_name, web_trace):
     assert got == base
 
 
+@pytest.mark.parametrize("scheme_name", ["POD", "Full-Dedupe"])
+def test_multi_volume_chunking_bit_identity(scheme_name, web_trace, homes_trace):
+    """Multi-volume + CDC: the chunker's stream state spans volumes and
+    the driver plans straight off the merged columns, counting
+    cross-volume redundancy by fingerprint id -- all of it must match
+    the object path at any batch size."""
+    chunking = ChunkingConfig(min_blocks=2, avg_blocks=4, max_blocks=16)
+    traces = [web_trace, homes_trace]
+    base = replay(traces, scheme_name, None, chunking=chunking)
+    assert sum(v.get("cross_volume_deduped_blocks", 0) for v in base.volumes) > 0
+    expected = fingerprint(base)
+    for batch_size in (1, 7, 4096):
+        got = replay(traces, scheme_name, batch_size, chunking=chunking)
+        assert fingerprint(got) == expected, (
+            f"{scheme_name} diverges at batch_size={batch_size}"
+        )
+
+
 def test_raid0_bit_identity(web_trace):
     config = ReplayConfig(raid_level=RaidLevel.RAID0)
     base = fingerprint(replay([web_trace], "POD", None, config=config))
