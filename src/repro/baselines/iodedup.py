@@ -14,7 +14,7 @@ The original system additionally keeps duplicated copies on disk and
 lets the head pick the nearest replica to cut seek latency; that
 head-scheduling optimisation is orthogonal to the cache and is *not*
 modelled (documented substitution -- it would require a continuous
-head-position model shared with the scheduler, and Table I only needs
+head-position model shared with the disk queue, and Table I only needs
 the scheme's policy profile: no write elimination, capacity
 unchanged, static cache).
 

@@ -102,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scale", type=float, default=0.1)
     run.add_argument("--index-fraction", type=float, default=None,
                      help="fixed index-cache share (non-POD schemes)")
-    run.add_argument("--scheduler", choices=["fcfs", "clook"], default=None,
-                     help="event-driven disk queue discipline "
-                     "(default: fast analytic FCFS)")
     run.add_argument("--failed-disk", type=int, default=None,
                      help="run the RAID-5 array degraded with this member failed")
     run.add_argument("--raid", choices=["raid5", "raid0", "single"], default="raid5")
@@ -663,7 +660,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.obs import TraceLevel, TraceRecorder, build_run_report, write_report
     from repro.sim.replay import ReplayConfig
     from repro.storage.raid import RaidLevel
-    from repro.storage.scheduler import SchedulingPolicy
 
     overrides = {}
     if args.index_fraction is not None:
@@ -682,7 +678,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     replay_config = ReplayConfig(
         raid_level=level,
         ndisks=ndisks,
-        scheduler=SchedulingPolicy(args.scheduler) if args.scheduler else None,
         failed_disk=args.failed_disk,
         check_invariants=args.check_invariants,
         sanitize_every=args.sanitize_every,
@@ -745,7 +740,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         config_doc = {
             "raid": args.raid,
             "ndisks": ndisks,
-            "scheduler": args.scheduler,
             "failed_disk": args.failed_disk,
             "index_fraction": args.index_fraction,
             "faults": args.faults,

@@ -10,24 +10,22 @@ instance: the cluster layer above it routes dedup lookups and pays
 network costs, but data placement, Select-Dedupe decisions, sanitizer
 invariants and the content oracle all remain per-node properties.
 
-Disk service replicates :meth:`repro.sim.engine.Simulator.service_disk_ops`
-exactly (same FCFS busy-horizon arithmetic, same ``disk.op`` trace
-events) so that a one-node cluster produces byte-identical traces and
-utilisation tables to the classic engine path.
+Disk service is the single-node engine's own
+(:func:`repro.storage.raid.service_volume_ops`), so a one-node cluster
+produces byte-identical traces and utilisation tables to the classic
+engine path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.baselines.base import DedupScheme
 from repro.errors import ClusterError
-from repro.obs.events import EventType, TraceLevel
 from repro.obs.trace import TraceRecorder
-from repro.sim.request import DiskOp
 from repro.storage.disk import Disk
 from repro.storage.namespace import NamespaceMapper
-from repro.storage.raid import RaidArray
+from repro.storage.raid import RaidArray, service_volume_ops
 from repro.storage.volume import VolumeOp
 
 
@@ -83,76 +81,13 @@ class ClusterNode:
         self.net_delay_total = 0.0
         self.requests_served = 0
 
-    # ------------------------------------------------------------------
-    # disk service (mirrors Simulator.service_disk_ops analytically)
-    # ------------------------------------------------------------------
-
-    def service_disk_ops(
-        self, obs: TraceRecorder, now: float, ops: Sequence[DiskOp]
-    ) -> float:
-        """Issue raw per-disk ops FCFS; return the last completion time."""
-        completion = now
-        trace_ops = obs.level >= TraceLevel.CHUNK
-        for op in ops:
-            if not (0 <= op.disk_id < len(self.disks)):
-                raise ClusterError(
-                    f"node {self.node_id}: op addressed to unknown disk {op.disk_id}"
-                )
-            disk = self.disks[op.disk_id]
-            busy_before = disk.busy_until if trace_ops else 0.0
-            done = disk.service(now, op.pba, op.nblocks)
-            if trace_ops:
-                obs.emit(
-                    TraceLevel.CHUNK,
-                    now,
-                    EventType.DISK_OP,
-                    disk=disk.disk_id,
-                    op=op.op.value,
-                    pba=op.pba,
-                    nblocks=op.nblocks,
-                    start=max(now, busy_before),
-                    done=done,
-                )
-            if done > completion:
-                completion = done
-        return completion
-
     def service_volume_ops(
         self, obs: TraceRecorder, now: float, ops: Sequence[VolumeOp]
     ) -> float:
         """RAID-translate the node's volume extents and service them."""
-        disk_ops: List[DiskOp] = []
-        for vop in ops:
-            if self.failed_disk is not None:
-                disk_ops.extend(self.raid.map_degraded(vop, self.failed_disk))
-            else:
-                disk_ops.extend(self.raid.map(vop))
-        return self.service_disk_ops(obs, now, disk_ops)
-
-    def queue_lag(self, now: float) -> float:
-        """Worst backlog across the node's member disks at ``now``."""
-        lag = 0.0
-        for disk in self.disks:
-            behind = disk.busy_until - now
-            if behind > lag:
-                lag = behind
-        return lag
-
-    # ------------------------------------------------------------------
-
-    def utilisation(self) -> Dict[int, Dict[str, float]]:
-        """Per-disk utilisation keyed by cluster-unique disk id."""
-        return {
-            disk.disk_id: {
-                "ops": disk.ops_serviced,
-                "blocks": disk.blocks_moved,
-                "busy_time": disk.busy_time,
-                "seek_time": disk.seek_time_total,
-                "rotation_time": disk.rotation_time_total,
-                "transfer_time": disk.transfer_time_total,
-            }
-            for disk in self.disks
-        }
+        return service_volume_ops(
+            self.raid, self.disks, now, ops, self.failed_disk, obs
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -65,9 +65,9 @@ from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.engine import Simulator
 from repro.sim.replay import ReplayConfig, ReplayResult, size_disks
 from repro.sim.request import IORequest, OpType
-from repro.storage.disk import Disk
+from repro.storage.disk import Disk, disk_utilisation, queue_lag
 from repro.storage.namespace import NamespaceMapper
-from repro.storage.raid import RaidArray
+from repro.storage.raid import RaidArray, service_disk_ops
 from repro.storage.rebuild import RebuildController
 from repro.storage.ssd import Ssd
 from repro.storage.volume import VolumeOp
@@ -198,11 +198,6 @@ def replay_cluster(
         raise ConfigError("replay_cluster needs at least one trace")
     if not schemes:
         raise ConfigError("replay_cluster needs at least one scheme (node)")
-    if config.scheduler is not None:
-        raise ConfigError(
-            "cluster replays run on the analytic FCFS path only "
-            "(ReplayConfig.scheduler must be None)"
-        )
     if config.faults is not None or config.fault_seed is not None:
         raise ConfigError(
             "cluster replays take node faults via ClusterConfig.node_failure, "
@@ -752,7 +747,7 @@ def replay_cluster(
                 now,
                 node_id=node.node_id,
                 nvram_bytes=float(node.scheme.nvram.bytes_used),
-                queue_lag=node.queue_lag(now),
+                queue_lag=queue_lag(node.disks, now),
             )
         if obs.level >= TraceLevel.REQUEST:
             extra: Dict[str, Any] = {"volume": request.volume_id} if multi else {}
@@ -944,7 +939,7 @@ def replay_cluster(
                 # to the next epoch's claimant.
                 def issue(ops: List[Any], node: ClusterNode = node) -> float:
                     # Background load on the failed node's spindles only.
-                    return node.service_disk_ops(obs, sim.now, ops)
+                    return service_disk_ops(node.disks, sim.now, ops, obs)
 
                 jobs_runtime.submit(
                     "rebuild",
@@ -963,7 +958,7 @@ def replay_cluster(
                 ops = ctrl.next_batch(spec.rows_per_batch)
                 if ops:
                     # Background load on the failed node's spindles only.
-                    node.service_disk_ops(obs, sim.now, ops)
+                    service_disk_ops(node.disks, sim.now, ops, obs)
             if sampler is not None:
                 sampler.note_activity(sim.now, "rebuild", ctrl.progress)
             if ctrl.done:
@@ -1147,7 +1142,7 @@ def replay_cluster(
 
     utilisation: Dict[int, Dict[str, float]] = {}
     for node in nodes:
-        utilisation.update(node.utilisation())
+        utilisation.update(disk_utilisation(node.disks))
 
     # One stats() per node: it walks every written LBA for capacity.
     node_stats = [s.stats() for s in schemes]

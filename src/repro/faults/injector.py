@@ -47,6 +47,7 @@ in the run report via the replay's metrics registry.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 import numpy as np
@@ -137,11 +138,6 @@ class FaultInjector:
     def install(self, sim: "Simulator", scheme: "DedupScheme") -> None:
         """Arm every fault in the plan against a fresh replay."""
         plan = self.plan
-        if sim.schedulers is not None:
-            raise ConfigError(
-                "fault injection requires the analytic FCFS service path "
-                "(event-driven schedulers are not supported)"
-            )
         self._scheme = scheme
 
         # -- latent sector errors --------------------------------------
@@ -150,7 +146,7 @@ class FaultInjector:
             disk, disk_pba, _row = sim.raid.locate(vpba)
             self._lse_by_disk.setdefault(disk, {})[disk_pba] = vpba
         if self._lse_by_disk:
-            sim.fault_hook = self.on_disk_op
+            sim.fault_hook = partial(self.on_disk_op, sim)
         self._count("lse_injected", len(lse_pbas))
 
         # -- fail-slow windows -----------------------------------------
@@ -348,9 +344,7 @@ class FaultInjector:
             from repro.jobs.jobs import RebuildJob
 
             def issue(ops: List[DiskOp]) -> float:
-                holder: Dict[str, float] = {}
-                sim.issue_disk_ops(ops, lambda t: holder.setdefault("t", t))
-                return holder.get("t", sim.now)
+                return sim.service_disk_ops(sim.now, ops)
 
             self.jobs.submit(
                 "rebuild",
@@ -395,7 +389,7 @@ class FaultInjector:
             if ops:
                 # Background load: competes for the spindles, gates
                 # nothing.
-                sim.issue_disk_ops(ops, lambda _t: None)
+                sim.service_disk_ops(sim.now, ops)
         if self.timeline is not None:
             self.timeline.note_activity(sim.now, "rebuild", ctrl.progress)
         if ctrl.done:

@@ -4,7 +4,7 @@ The object replay path (:mod:`repro.sim.replay`) schedules one heap
 event per request arrival and plans each request inside its event
 handler.  That is fully general -- and pays interpreter dispatch per
 event.  This driver exploits three structural facts of the fast path
-(analytic FCFS service, no faults, no per-request tracing):
+(no faults, no per-request tracing):
 
 1. **Planning is clock-free.**  ``scheme.process(request, now)`` never
    reads ``now`` on the fast path (it only feeds spans and recorders),
@@ -25,7 +25,9 @@ no-validation :meth:`IORequest.raw` (or not at all, when the scheme
 plans straight off the columns -- :meth:`DedupScheme.plan_columns`),
 and the disk/metrics phase replays completions through a single
 merged arrival-cursor + callback-heap loop that reproduces the
-engine's ``(time, seq)`` event order exactly.
+engine's ``(time, seq)`` event order exactly.  Disk service is the
+engine's own, :meth:`RaidArray.service` on the member disks (a
+degraded array included); the driver keeps no disk state.
 
 An armed timeline (``ReplayConfig.timeline``, or the one an SLO
 policy implies) rides along: completions reach it through
@@ -40,7 +42,7 @@ The result is **bit-identical** to :func:`repro.sim.replay.replay_traces`
 for every scheme and any batch size (pinned by golden tests), at a
 multiple of its throughput (see ``BENCH_replay.json`` and
 ``docs/performance.md``).  Configurations outside the fast path
-(schedulers, faults, SSD, spans, jobs, ...) are detected by
+(faults, SSD, spans, jobs, ...) are detected by
 :func:`batch_eligible` and silently fall back to the object path --
 which is bit-identical anyway.
 """
@@ -48,7 +50,6 @@ which is bit-identical anyway.
 from __future__ import annotations
 
 import gc
-import math
 from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -56,11 +57,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.baselines.base import DedupScheme, PlannedIO
-from repro.constants import BLOCK_SIZE
 from repro.errors import ConfigError
 from repro.metrics.collector import MetricsCollector
 from repro.obs.timeline import TimelineSampler
-from repro.sim.engine import disk_utilisation
 from repro.sim.replay import (
     ReplayConfig,
     ReplayResult,
@@ -69,9 +68,9 @@ from repro.sim.replay import (
     size_disks,
 )
 from repro.sim.request import IORequest, OpType
-from repro.storage.disk import Disk
+from repro.storage.disk import Disk, disk_utilisation, queue_lag
 from repro.storage.namespace import NamespaceMapper
-from repro.storage.raid import RaidArray, RaidLevel
+from repro.storage.raid import RaidArray
 from repro.traces.columnar import ColumnarTrace, MergedColumns, merge_columnar
 from repro.traces.format import Trace
 
@@ -92,15 +91,13 @@ def batch_eligible(config: ReplayConfig) -> bool:
     """Can this replay config take the columnar fast path?
 
     The batch driver reproduces the *fast* path of the event loop:
-    analytic FCFS disks, healthy array, no SSD tier, no spans or jobs,
-    no invariant checking.  A timeline and SLO policy are carried.
+    no SSD tier, no faults, no spans or jobs, no invariant checking.
+    A timeline, an SLO policy and a degraded array are carried.
     Anything else falls back to the object path (bit-identical, just
     slower); so does any replay given a trace recorder.
     """
     return (
-        config.scheduler is None
-        and config.failed_disk is None
-        and config.ssd_params is None
+        config.ssd_params is None
         and not config.check_invariants
         and config.faults is None
         and config.fault_seed is None
@@ -402,78 +399,11 @@ def _replay_merged(
         heappush(heap, (tick_times[0], seq, _TICK, 0))
         seq += 1
 
-    raid_map = raid.map
+    service = raid.service
+    failed_disk = config.failed_disk
     record = metrics.record
     interval_f = scheme.epoch_interval if scheme.epoch_interval is not None else 0.0
     last_arrival_f = times_l[-1]
-
-    # ------------------------------------------------------------------
-    # disk mechanics, mirrored into flat locals.  Every service goes
-    # through ``_svc`` below and the state is flushed back to the Disk
-    # objects once at the end.  The per-disk accumulation order equals
-    # the object path's ``Disk.service`` call order, so every float is
-    # bit-identical; the bounds check is elided (raid-mapped ops on
-    # disks sized by ``size_disks`` are in bounds by construction, and
-    # the eligibility gate excludes fail-slow windows).
-    # ------------------------------------------------------------------
-    g = raid.geometry
-    su = g.stripe_unit_blocks
-    nd = g.ndisks
-    nd1 = nd - 1
-    dd = g.data_disks
-    raid5 = g.level is RaidLevel.RAID5
-    params = disks[0].params
-    d_total = params.total_blocks
-    smin = params.seek_min
-    sdelta = params.seek_max - params.seek_min
-    rate = params.transfer_rate
-    overhead = params.controller_overhead
-    rot = 60.0 / params.rpm / 2.0
-    sqrt = math.sqrt
-    blk = BLOCK_SIZE
-    #: Per-length memo for the RAID-5 read-modify-write rewrite op:
-    #: after reading ``(dpba, n)`` the head sits at ``dpba + n``, so
-    #: the immediate rewrite always seeks a distance of exactly ``n``
-    #: -- its seek / transfer / duration depend on ``n`` alone.
-    rmw: Dict[int, Tuple[float, float, float]] = {}
-    rmw_get = rmw.get
-    d_head = [d.head for d in disks]
-    d_busy = [d.busy_until for d in disks]
-    d_ops = [d.ops_serviced for d in disks]
-    d_blocks = [d.blocks_moved for d in disks]
-    d_busyt = [d.busy_time for d in disks]
-    d_seek = [d.seek_time_total for d in disks]
-    d_rot = [d.rotation_time_total for d in disks]
-    d_xfer = [d.transfer_time_total for d in disks]
-
-    def _svc(d: int, now: float, pba: int, n: int) -> float:
-        """``Disk.service`` on the mirrored locals (bit-identical)."""
-        busy = d_busy[d]
-        start = busy if busy > now else now
-        dist = pba - d_head[d]
-        if dist < 0:
-            dist = -dist
-        if dist > 0:
-            frac = dist / d_total
-            if frac > 1.0:
-                frac = 1.0
-            seek = smin + sdelta * sqrt(frac)
-            rot_t = rot
-        else:
-            seek = 0.0
-            rot_t = 0.0
-        transfer = n * blk / rate
-        duration = overhead + seek + rot_t + transfer
-        d_head[d] = pba + n
-        done = start + duration
-        d_busy[d] = done
-        d_ops[d] += 1
-        d_blocks[d] += n
-        d_busyt[d] += duration
-        d_seek[d] += seek
-        d_rot[d] += rot_t
-        d_xfer[d] += transfer
-        return done
 
     def _finish(i: int, issue_time: float) -> None:
         plan = planned[i]
@@ -485,223 +415,9 @@ def _replay_merged(
             )
         completion = issue_time
         for vop in plan.volume_ops:
-            pba = vop.pba
-            n = vop.nblocks
-            offset = pba % su
-            if offset + n <= su:
-                # Extent inside one stripe unit: the raid mapping is a
-                # single fragment, computed without DiskOp objects
-                # (``RaidArray.locate`` arithmetic inlined).  A RAID-5
-                # write of one fragment is always a partial stripe
-                # (data_disks >= 2), i.e. the fixed read-modify-write
-                # sequence data read/write then parity read/write.
-                unit = pba // su
-                row = unit // dd
-                lane = unit - row * dd
-                dpba = row * su + offset
-                if raid5:
-                    parity = nd1 - row % nd
-                    disk = (parity + 1 + lane) % nd
-                    if vop.op is read_op:
-                        done = _svc(disk, issue_time, dpba, n)
-                        if done > completion:
-                            completion = done
-                    else:
-                        # Data R+W then parity R+W, ``_svc`` inlined:
-                        # the rewrite half of each pair starts at the
-                        # read's completion and reuses the memoized
-                        # distance-``n`` seek.  Identical per-disk
-                        # accumulation order (one add per op), so every
-                        # float matches the generic path bit-for-bit.
-                        m = rmw_get(n)
-                        if m is None:
-                            frac = n / d_total
-                            if frac > 1.0:
-                                frac = 1.0
-                            sk = smin + sdelta * sqrt(frac)
-                            tr = n * blk / rate
-                            m = (sk, tr, overhead + sk + rot + tr)
-                            rmw[n] = m
-                        seek_n, transfer, dur_n = m
-                        end = dpba + n
-                        two_n = n + n
-                        dk = disk
-                        while True:
-                            busy = d_busy[dk]
-                            start = busy if busy > issue_time else issue_time
-                            dist = dpba - d_head[dk]
-                            if dist < 0:
-                                dist = -dist
-                            if dist > 0:
-                                if dist == n:
-                                    d_seek[dk] += seek_n
-                                    duration = dur_n
-                                else:
-                                    frac = dist / d_total
-                                    if frac > 1.0:
-                                        frac = 1.0
-                                    seek = smin + sdelta * sqrt(frac)
-                                    d_seek[dk] += seek
-                                    duration = overhead + seek + rot + transfer
-                                d_rot[dk] += rot
-                            else:
-                                duration = overhead + transfer
-                            done = start + duration
-                            start = done if done > issue_time else issue_time
-                            done = start + dur_n
-                            d_busy[dk] = done
-                            d_head[dk] = end
-                            d_ops[dk] += 2
-                            d_blocks[dk] += two_n
-                            t = d_busyt[dk] + duration
-                            d_busyt[dk] = t + dur_n
-                            d_seek[dk] += seek_n
-                            d_rot[dk] += rot
-                            d_xfer[dk] += transfer
-                            d_xfer[dk] += transfer
-                            if done > completion:
-                                completion = done
-                            if dk == parity:
-                                break
-                            dk = parity
-                else:
-                    done = _svc(lane % nd, issue_time, dpba, n)
-                    if done > completion:
-                        completion = done
-            elif nd == 1:
-                # Single spindle: ``_split`` merges the unit fragments
-                # back into one contiguous disk op (disk PBA == volume
-                # PBA), for reads and writes alike.
-                done = _svc(0, issue_time, pba, n)
-                if done > completion:
-                    completion = done
-            elif offset + n <= 2 * su and (pba // su) % dd != dd - 1:
-                # Crosses exactly one stripe-unit boundary and the
-                # second fragment stays in the same row: two data
-                # fragments on adjacent lanes; a RAID-5 write pays
-                # read-modify-write per fragment, then the merged
-                # parity range(s) -- ``map_write``'s exact op order.
-                unit = pba // su
-                row = unit // dd
-                lane = unit - row * dd
-                n1 = su - offset
-                n2 = n - n1
-                dpba1 = row * su + offset
-                dpba2 = row * su
-                if raid5:
-                    parity = nd1 - row % nd
-                    disk1 = (parity + 1 + lane) % nd
-                    disk2 = (parity + 2 + lane) % nd
-                else:
-                    parity = -1
-                    disk1 = lane % nd
-                    disk2 = (lane + 1) % nd
-                if vop.op is read_op or not raid5:
-                    done = _svc(disk1, issue_time, dpba1, n1)
-                    if done > completion:
-                        completion = done
-                    done = _svc(disk2, issue_time, dpba2, n2)
-                    if done > completion:
-                        completion = done
-                else:
-                    done = _svc(disk1, issue_time, dpba1, n1)
-                    if done > completion:
-                        completion = done
-                    done = _svc(disk1, issue_time, dpba1, n1)
-                    if done > completion:
-                        completion = done
-                    done = _svc(disk2, issue_time, dpba2, n2)
-                    if done > completion:
-                        completion = done
-                    done = _svc(disk2, issue_time, dpba2, n2)
-                    if done > completion:
-                        completion = done
-                    # Parity ranges [(dpba1, n1), (dpba2, n2)] sort to
-                    # [(dpba2, n2), (dpba1, n1)] and merge into one
-                    # full-unit range iff they touch (offset <= n2;
-                    # fragment 1 always ends at the unit boundary).
-                    if offset <= n2:
-                        done = _svc(parity, issue_time, dpba2, su)
-                        if done > completion:
-                            completion = done
-                        done = _svc(parity, issue_time, dpba2, su)
-                        if done > completion:
-                            completion = done
-                    else:
-                        done = _svc(parity, issue_time, dpba2, n2)
-                        if done > completion:
-                            completion = done
-                        done = _svc(parity, issue_time, dpba2, n2)
-                        if done > completion:
-                            completion = done
-                        done = _svc(parity, issue_time, dpba1, n1)
-                        if done > completion:
-                            completion = done
-                        done = _svc(parity, issue_time, dpba1, n1)
-                        if done > completion:
-                            completion = done
-            elif offset + n <= 2 * su:
-                # Crosses exactly one stripe-unit boundary from the
-                # last data lane of its row into lane 0 of the next
-                # row: two fragments in *different* parity rows.
-                # ``map_write`` groups by parity row (sorted order),
-                # and each row is a partial stripe (a fragment never
-                # covers a whole row when data_disks >= 2), so a
-                # RAID-5 write pays data RMW + parity RMW for row r,
-                # then the same for row r+1.
-                unit = pba // su
-                row = unit // dd
-                n1 = su - offset
-                n2 = n - n1
-                dpba1 = row * su + offset
-                row2 = row + 1
-                dpba2 = row2 * su
-                if raid5:
-                    p1 = nd1 - row % nd
-                    disk1 = (p1 + nd1) % nd  # lane == dd-1 == nd-2
-                    p2 = nd1 - row2 % nd
-                    disk2 = (p2 + 1) % nd  # lane 0 of the next row
-                else:
-                    p1 = p2 = -1
-                    disk1 = nd1  # lane == dd-1 == nd-1 on RAID-0
-                    disk2 = 0
-                if vop.op is read_op or not raid5:
-                    done = _svc(disk1, issue_time, dpba1, n1)
-                    if done > completion:
-                        completion = done
-                    done = _svc(disk2, issue_time, dpba2, n2)
-                    if done > completion:
-                        completion = done
-                else:
-                    done = _svc(disk1, issue_time, dpba1, n1)
-                    if done > completion:
-                        completion = done
-                    done = _svc(disk1, issue_time, dpba1, n1)
-                    if done > completion:
-                        completion = done
-                    done = _svc(p1, issue_time, dpba1, n1)
-                    if done > completion:
-                        completion = done
-                    done = _svc(p1, issue_time, dpba1, n1)
-                    if done > completion:
-                        completion = done
-                    done = _svc(disk2, issue_time, dpba2, n2)
-                    if done > completion:
-                        completion = done
-                    done = _svc(disk2, issue_time, dpba2, n2)
-                    if done > completion:
-                        completion = done
-                    done = _svc(p2, issue_time, dpba2, n2)
-                    if done > completion:
-                        completion = done
-                    done = _svc(p2, issue_time, dpba2, n2)
-                    if done > completion:
-                        completion = done
-            else:
-                for op in raid_map(vop):
-                    done = _svc(op.disk_id, issue_time, op.pba, op.nblocks)
-                    if done > completion:
-                        completion = done
+            done = service(disks, issue_time, vop, failed_disk)
+            if done > completion:
+                completion = done
         if collect_warmup or measured_l[i]:
             # Planning kept no request object; build the minimal one
             # the collector reads (op / nblocks / volume id -- it never
@@ -724,10 +440,8 @@ def _replay_merged(
                 plan.deduped_blocks,
                 cross[i],
             )
-        if plan.background_ops:
-            for vop in plan.background_ops:
-                for op in raid_map(vop):
-                    _svc(op.disk_id, issue_time, op.pba, op.nblocks)
+        for vop in plan.background_ops:
+            service(disks, issue_time, vop, failed_disk)
         # Nothing reads a finished request's plan again: drop it so
         # plan-ahead does not keep it alive.
         planned[i] = None
@@ -737,13 +451,12 @@ def _replay_merged(
 
     def _note_lag(i: int, now: float) -> None:
         """The event loop's ``queue_lag`` gauge at arrival ``i``: the
-        worst disk backlog past ``now`` (``Simulator.queue_lag``),
-        folded into the arrival's segment maximum."""
+        worst disk backlog past ``now``, folded into the arrival's segment maximum."""
         nonlocal seg_k, seg_next
         if i == seg_next:
             seg_k += 1
             seg_next = seg_ends[seg_k]
-        lag = max(d_busy) - now
+        lag = queue_lag(disks, now)
         if lag > seg_lag[seg_k]:
             seg_lag[seg_k] = lag
 
@@ -788,11 +501,8 @@ def _replay_merged(
                 _finish(payload, t)
             else:
                 ensure_tick_planned(payload)
-                ops = tick_ops[payload]
-                if ops:
-                    for vop in ops:
-                        for op in raid_map(vop):
-                            _svc(op.disk_id, t, op.pba, op.nblocks)
+                for vop in tick_ops[payload]:
+                    service(disks, t, vop, failed_disk)
                 nxt = t + interval_f
                 if nxt <= last_arrival_f + interval_f:
                     heappush(heap, (nxt, seq, _TICK, payload + 1))
@@ -809,16 +519,6 @@ def _replay_merged(
                 nvram_bytes=float(seg_nvram[k]),
                 queue_lag=seg_lag[k],
             )
-    # Flush the mirrored disk state back to the Disk objects.
-    for d, disk in enumerate(disks):
-        disk.head = d_head[d]
-        disk.busy_until = d_busy[d]
-        disk.ops_serviced = d_ops[d]
-        disk.blocks_moved = d_blocks[d]
-        disk.busy_time = d_busyt[d]
-        disk.seek_time_total = d_seek[d]
-        disk.rotation_time_total = d_rot[d]
-        disk.transfer_time_total = d_xfer[d]
     # Events pop in time order: the last arrival or heap pop is the
     # final clock (``Simulator.now`` after ``run``).
     return max(t_last, last_arrival_f)

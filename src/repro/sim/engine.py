@@ -20,45 +20,28 @@ Higher layers interact through two calls:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.obs.events import EventType, TraceLevel
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.request import DiskOp
-from repro.storage.disk import Disk
-from repro.storage.raid import RaidArray
+from repro.storage.disk import Disk, disk_utilisation
+from repro.storage.raid import FaultHook, RaidArray, service_disk_ops, service_volume_ops
 from repro.storage.volume import VolumeOp
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.storage.scheduler import DiskScheduler
-
-#: Fault-injection hook signature: consulted per disk op on the
-#: analytic path; returns a completion time to override normal
-#: service, or ``None`` to fall through.
-FaultHook = Callable[["Simulator", float, DiskOp], Optional[float]]
 
 
 class Simulator:
     """Discrete-event engine over a set of disks behind a RAID layer.
 
-    Two disk-service modes:
-
-    * **analytic FCFS** (default, ``schedulers=None``) -- completion
-      times computed at issue time from each disk's busy horizon; fast
-      and exact for FCFS.
-    * **event-driven** -- pass per-disk
-      :class:`~repro.storage.scheduler.DiskScheduler` objects and use
-      :meth:`issue_disk_ops` / :meth:`issue_volume_ops`; ops complete
-      via events, which permits reordering policies such as C-LOOK.
+    Disks are served FCFS analytically: completion times are computed
+    at issue time from each disk's busy horizon.
     """
 
     def __init__(
         self,
         disks: Sequence[Disk],
         raid: Optional[RaidArray],
-        schedulers: Optional[Sequence["DiskScheduler"]] = None,
         failed_disk: Optional[int] = None,
     ) -> None:
         if raid is None:
@@ -67,8 +50,6 @@ class Simulator:
             # cluster replay, where each node has a private array.
             if disks:
                 raise SimulationError("bare event-loop mode takes no disks")
-            if schedulers:
-                raise SimulationError("bare event-loop mode takes no schedulers")
             if failed_disk is not None:
                 raise SimulationError("bare event-loop mode has no disks to fail")
         elif len(disks) != raid.geometry.ndisks:
@@ -77,11 +58,6 @@ class Simulator:
             )
         self.disks: List[Disk] = list(disks)
         self.raid: Optional[RaidArray] = raid
-        self.schedulers: Optional[List["DiskScheduler"]] = (
-            list(schedulers) if schedulers is not None else None
-        )
-        if self.schedulers is not None and len(self.schedulers) != len(self.disks):
-            raise SimulationError("need one scheduler per disk")
         self.failed_disk = failed_disk
         if failed_disk is not None and not (0 <= failed_disk < len(self.disks)):
             raise SimulationError(f"no member disk {failed_disk} to fail")
@@ -91,35 +67,16 @@ class Simulator:
         #: Attached trace recorder (observation only; the disabled
         #: default costs one integer compare per guarded site).
         self.obs: TraceRecorder = NULL_RECORDER
-        #: Fault-injection hook consulted per disk op on the analytic
-        #: path: return a completion time to *override* normal service
-        #: (the hook did the mechanical work itself, e.g. a failed
-        #: read plus its parity reconstruction), or ``None`` to fall
-        #: through.  ``None`` by default -- the healthy path pays one
-        #: ``is not None`` test per op.
+        #: Fault-injection hook consulted per disk op: return a
+        #: completion time to *override* normal service (the hook did
+        #: the mechanical work itself, e.g. a failed read plus its
+        #: parity reconstruction), or ``None`` to fall through.  ``None``
+        #: by default, which keeps disk service on ``RaidArray.service``.
         self.fault_hook: Optional[FaultHook] = None
 
     def attach_observer(self, recorder: TraceRecorder) -> None:
         """Attach a trace recorder for disk-level micro-events."""
         self.obs = recorder
-
-    def queue_lag(self, now: float) -> float:
-        """Worst backlog across member disks: how far the busiest
-        disk's busy horizon extends past ``now`` (0 when idle).  The
-        timeline sampler records this as a per-window gauge."""
-        lag = 0.0
-        for disk in self.disks:
-            d = disk.busy_until - now
-            if d > lag:
-                lag = d
-        return lag
-
-    def _translate(self, vop: VolumeOp) -> List[DiskOp]:
-        if self.raid is None:
-            raise SimulationError("bare event-loop engine cannot translate volume ops")
-        if self.failed_disk is not None:
-            return self.raid.map_degraded(vop, self.failed_disk)
-        return self.raid.map(vop)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -147,89 +104,15 @@ class Simulator:
 
         An empty op list completes immediately at ``now``.
         """
-        if self.schedulers is not None:
-            raise SimulationError(
-                "analytic service is unavailable with event-driven "
-                "schedulers; use issue_disk_ops"
-            )
-        completion = now
-        trace_ops = self.obs.level >= TraceLevel.CHUNK
-        for op in ops:
-            if not (0 <= op.disk_id < len(self.disks)):
-                raise SimulationError(f"op addressed to unknown disk {op.disk_id}")
-            if self.fault_hook is not None:
-                hooked = self.fault_hook(self, now, op)
-                if hooked is not None:
-                    if hooked > completion:
-                        completion = hooked
-                    continue
-            disk = self.disks[op.disk_id]
-            busy_before = disk.busy_until if trace_ops else 0.0
-            done = disk.service(now, op.pba, op.nblocks)
-            if trace_ops:
-                self.obs.emit(
-                    TraceLevel.CHUNK,
-                    now,
-                    EventType.DISK_OP,
-                    disk=op.disk_id,
-                    op=op.op.value,
-                    pba=op.pba,
-                    nblocks=op.nblocks,
-                    start=max(now, busy_before),
-                    done=done,
-                )
-            if done > completion:
-                completion = done
-        return completion
+        return service_disk_ops(self.disks, now, ops, self.obs, self.fault_hook)
 
     def service_volume_ops(self, now: float, ops: Sequence[VolumeOp]) -> float:
         """Translate volume extents through RAID and service them."""
-        disk_ops: List[DiskOp] = []
-        for vop in ops:
-            disk_ops.extend(self._translate(vop))
-        return self.service_disk_ops(now, disk_ops)
-
-    # ------------------------------------------------------------------
-    # callback-style issue (works in both service modes)
-    # ------------------------------------------------------------------
-
-    def issue_disk_ops(
-        self, ops: Sequence[DiskOp], on_complete: Callable[[float], None]
-    ) -> None:
-        """Issue ops at the current time; ``on_complete(t)`` fires once
-        the last of them is done.
-
-        In analytic mode the callback runs synchronously with the
-        computed (possibly future) completion timestamp; in event-
-        driven mode it runs when the completion event fires, with the
-        then-current clock.
-        """
-        if self.schedulers is None:
-            on_complete(self.service_disk_ops(self.now, ops))
-            return
-        if not ops:
-            on_complete(self.now)
-            return
-        state = {"left": len(ops)}
-
-        def one_done() -> None:
-            state["left"] -= 1
-            if state["left"] == 0:
-                on_complete(self.now)
-
-        for op in ops:
-            if not (0 <= op.disk_id < len(self.schedulers)):
-                raise SimulationError(f"op addressed to unknown disk {op.disk_id}")
-            self.schedulers[op.disk_id].submit(self, op, one_done)
-
-    def issue_volume_ops(
-        self, ops: Sequence[VolumeOp], on_complete: Callable[[float], None]
-    ) -> None:
-        """RAID-translate and issue with a completion callback."""
-        disk_ops: List[DiskOp] = []
-        for vop in ops:
-            disk_ops.extend(self._translate(vop))
-        self.issue_disk_ops(disk_ops, on_complete)
+        if self.raid is None:
+            raise SimulationError("bare event-loop engine cannot translate volume ops")
+        return service_volume_ops(
+            self.raid, self.disks, now, ops, self.failed_disk, self.obs, self.fault_hook
+        )
 
     # ------------------------------------------------------------------
     # main loop
@@ -293,22 +176,3 @@ class Simulator:
     def utilisation(self) -> Dict[int, Dict[str, float]]:
         """Per-disk utilisation summary (for reports and debugging)."""
         return disk_utilisation(self.disks)
-
-
-def disk_utilisation(disks: Sequence[Disk]) -> Dict[int, Dict[str, float]]:
-    """Per-disk utilisation summary for any disk set.
-
-    Shared by the engine and the columnar batch driver (which services
-    disks without a :class:`Simulator`) so both report identically.
-    """
-    return {
-        disk.disk_id: {
-            "ops": disk.ops_serviced,
-            "blocks": disk.blocks_moved,
-            "busy_time": disk.busy_time,
-            "seek_time": disk.seek_time_total,
-            "rotation_time": disk.rotation_time_total,
-            "transfer_time": disk.transfer_time_total,
-        }
-        for disk in disks
-    }

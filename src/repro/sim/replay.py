@@ -49,10 +49,9 @@ from repro.obs.timeline import TimelineConfig, TimelineSampler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.engine import Simulator
 from repro.sim.request import IORequest, OpType
-from repro.storage.disk import Disk, DiskParams
+from repro.storage.disk import Disk, DiskParams, queue_lag
 from repro.storage.namespace import NamespaceMapper
 from repro.storage.raid import RaidArray, RaidGeometry, RaidLevel
-from repro.storage.scheduler import DiskScheduler, SchedulingPolicy
 from repro.storage.ssd import Ssd, SsdParams
 from repro.storage.volume import VolumeOp
 from repro.traces.columnar import ColumnarTrace
@@ -73,10 +72,6 @@ class ReplayConfig:
     disk_params: Optional[DiskParams] = None
     #: Include warm-up requests in the metrics (diagnostics only).
     collect_warmup: bool = False
-    #: Disk queue discipline.  ``None`` = the fast analytic FCFS path;
-    #: a :class:`SchedulingPolicy` switches to event-driven service
-    #: (FCFS for validation, CLOOK for the elevator ablation).
-    scheduler: Optional[SchedulingPolicy] = None
     #: Run the RAID-5 array in degraded mode with this member failed:
     #: reads touching it reconstruct from the row's survivors.
     failed_disk: Optional[int] = None
@@ -410,18 +405,8 @@ def replay_traces(
     geometry = config.geometry()
     params = _size_disks(scheme.regions.total_blocks, config)
     disks = [Disk(params, disk_id=i) for i in range(geometry.ndisks)]
-    schedulers = (
-        [DiskScheduler(disk, config.scheduler) for disk in disks]
-        if config.scheduler is not None
-        else None
-    )
     array = RaidArray(geometry)
-    sim = Simulator(
-        disks,
-        array,
-        schedulers=schedulers,
-        failed_disk=config.failed_disk,
-    )
+    sim = Simulator(disks, array, failed_disk=config.failed_disk)
     metrics = collector if collector is not None else MetricsCollector()
     if per_volume_metrics:
         metrics.track_volumes()
@@ -480,11 +465,6 @@ def replay_traces(
     jobs_runtime: Optional[JobRuntime] = None
     admission: Optional[AdmissionController] = None
     if config.jobs is not None:
-        if config.scheduler is not None:
-            raise ConfigError(
-                "leased jobs issue maintenance I/O through the analytic "
-                "service path (event-driven schedulers are not supported)"
-            )
         jobs_runtime = JobRuntime(
             config.jobs,
             sim,
@@ -504,15 +484,13 @@ def replay_traces(
 
             def scrub_read(pba: int, nblocks: int) -> float:
                 ops = array.map(VolumeOp(OpType.READ, pba, nblocks))
-                holder: Dict[str, float] = {}
                 if injector is not None:
                     injector.in_scrub = True
                 try:
-                    sim.issue_disk_ops(ops, lambda t: holder.setdefault("t", t))
+                    return sim.service_disk_ops(sim.now, ops)
                 finally:
                     if injector is not None:
                         injector.in_scrub = False
-                return holder.get("t", sim.now)
 
             jobs_runtime.submit(
                 "scrub",
@@ -571,47 +549,45 @@ def replay_traces(
             if planned.ssd_write_blocks:
                 ssd.service(issue_time, planned.ssd_write_blocks)  # background
 
-        def complete(completion: float) -> None:
-            completion = max(completion, ssd_done)
-            measured = config.collect_warmup or measured_flags[request.req_id]
-            completed_at = max(completion, issue_time)
-            if tracer is not None and root > 0:
-                if planned.volume_ops:
-                    tracer.emit(
-                        issue_time, completed_at, "disk",
-                        parent=root, req_id=request.req_id,
-                    )
-                tracer.end(completed_at, root, response=completed_at - arrival)
-            if measured:
-                metrics.record(
-                    request,
-                    arrival,
-                    completed_at,
-                    eliminated=planned.eliminated,
-                    cache_hit_blocks=planned.cache_hit_blocks,
-                    deduped_blocks=planned.deduped_blocks,
-                    cross_volume_blocks=cross,
+        completion = sim.service_volume_ops(issue_time, planned.volume_ops)
+        completion = max(completion, ssd_done)
+        measured = config.collect_warmup or measured_flags[request.req_id]
+        completed_at = max(completion, issue_time)
+        if tracer is not None and root > 0:
+            if planned.volume_ops:
+                tracer.emit(
+                    issue_time, completed_at, "disk",
+                    parent=root, req_id=request.req_id,
                 )
-            if obs.level >= TraceLevel.REQUEST:
-                extra = {"volume": request.volume_id} if multi else {}
-                obs.emit(
-                    TraceLevel.REQUEST,
-                    completed_at,
-                    EventType.REQUEST_COMPLETE,
-                    req_id=request.req_id,
-                    op=request.op.value,
-                    nblocks=request.nblocks,
-                    response=completed_at - arrival,
-                    eliminated=planned.eliminated,
-                    deduped_blocks=planned.deduped_blocks,
-                    cache_hit_blocks=planned.cache_hit_blocks,
-                    measured=measured,
-                    **extra,
-                )
-
-        sim.issue_volume_ops(planned.volume_ops, complete)
+            tracer.end(completed_at, root, response=completed_at - arrival)
+        if measured:
+            metrics.record(
+                request,
+                arrival,
+                completed_at,
+                eliminated=planned.eliminated,
+                cache_hit_blocks=planned.cache_hit_blocks,
+                deduped_blocks=planned.deduped_blocks,
+                cross_volume_blocks=cross,
+            )
+        if obs.level >= TraceLevel.REQUEST:
+            extra = {"volume": request.volume_id} if multi else {}
+            obs.emit(
+                TraceLevel.REQUEST,
+                completed_at,
+                EventType.REQUEST_COMPLETE,
+                req_id=request.req_id,
+                op=request.op.value,
+                nblocks=request.nblocks,
+                response=completed_at - arrival,
+                eliminated=planned.eliminated,
+                deduped_blocks=planned.deduped_blocks,
+                cache_hit_blocks=planned.cache_hit_blocks,
+                measured=measured,
+                **extra,
+            )
         if planned.background_ops:
-            sim.issue_volume_ops(planned.background_ops, lambda _t: None)
+            sim.service_volume_ops(issue_time, planned.background_ops)
 
     # Fig. 11 counts removed write requests over the measured day
     # only, so snapshot the scheme's counters at the warm-up boundary
@@ -640,7 +616,7 @@ def replay_traces(
             sampler.note_gauges(
                 now,
                 nvram_bytes=float(scheme.nvram.bytes_used),
-                queue_lag=sim.queue_lag(now),
+                queue_lag=queue_lag(disks, now),
             )
         if obs.level >= TraceLevel.REQUEST:
             extra = {"volume": request.volume_id} if multi else {}
@@ -735,7 +711,7 @@ def replay_traces(
                 # the partition budgets right after the move.
                 sanitizer.assert_clean(scheme, sim.now)
             if ops:
-                sim.issue_volume_ops(ops, lambda _t: None)
+                sim.service_volume_ops(sim.now, ops)
             next_time = sim.now + interval
             if next_time <= last_arrival + interval:
                 sim.schedule_callback(next_time, epoch_tick)

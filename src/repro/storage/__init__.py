@@ -4,7 +4,8 @@
   curve, rotation, transfer) matching the paper's 7200 RPM SATA disks.
 * :mod:`repro.storage.raid` -- RAID-0/RAID-5 address mapping with the
   64 KB stripe unit and read-modify-write small-write handling used in
-  the evaluation.
+  the evaluation, and the one volume-op -> disk service path
+  (:meth:`RaidArray.service`, :func:`service_volume_ops`).
 * :mod:`repro.storage.volume` -- the logical volume: extent ops,
   content store (for data-integrity oracles), extent coalescing.
 * :mod:`repro.storage.allocator` -- physical block regions and the
@@ -19,7 +20,6 @@ from __future__ import annotations
 from repro.storage.disk import Disk, DiskParams
 from repro.storage.raid import RaidArray, RaidLevel
 from repro.storage.rebuild import RebuildController
-from repro.storage.scheduler import DiskScheduler, SchedulingPolicy
 from repro.storage.ssd import Ssd, SsdParams
 from repro.storage.volume import VolumeOp, ContentStore, coalesce_extents
 from repro.storage.allocator import RegionMap, LogAllocator
@@ -31,8 +31,6 @@ __all__ = [
     "DiskParams",
     "RaidArray",
     "RaidLevel",
-    "DiskScheduler",
-    "SchedulingPolicy",
     "RebuildController",
     "Ssd",
     "SsdParams",

@@ -20,9 +20,9 @@ amplification* effect that motivates Select-Dedupe's category 2.
 
 from __future__ import annotations
 
-import math
+from math import sqrt
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.constants import BLOCK_SIZE
 from repro.errors import StorageError
@@ -75,7 +75,7 @@ class DiskParams:
         if distance_blocks == 0:
             return 0.0
         frac = min(1.0, distance_blocks / self.total_blocks)
-        return self.seek_min + (self.seek_max - self.seek_min) * math.sqrt(frac)
+        return self.seek_min + (self.seek_max - self.seek_min) * sqrt(frac)
 
     def transfer_time(self, nblocks: int) -> float:
         """Media transfer time for ``nblocks`` 4 KB blocks."""
@@ -126,6 +126,19 @@ class Disk:
         #: Ops that ran slowed, and the extra seconds charged.
         self.slow_ops: int = 0
         self.slow_extra_time: float = 0.0
+        # Service constants, read once per op.  Each is the operand the
+        # ``DiskParams`` methods use, so every float is computed by the
+        # same operations in the same order.
+        self._total = params.total_blocks
+        self._seek_min = params.seek_min
+        self._seek_span = params.seek_max - params.seek_min
+        self._rotation = params.avg_rotational_latency
+        self._rate = params.transfer_rate
+        self._overhead = params.controller_overhead
+        #: ``service_rmw`` memo: the rewrite after a read of ``n`` blocks
+        #: seeks exactly ``n`` blocks back, so its ``(seek, transfer,
+        #: duration)`` depends on ``n`` alone.
+        self._rmw: Dict[int, Tuple[float, float, float]] = {}
 
     def add_slow_window(self, start: float, end: float, multiplier: float) -> None:
         """Register a fail-slow window (fault injection)."""
@@ -143,46 +156,49 @@ class Disk:
                 m *= mult
         return m
 
-    def _components(self, pba: int, nblocks: int) -> "tuple[float, float, float]":
-        """(seek, rotation, transfer) seconds for one access."""
-        if pba < 0 or pba + nblocks > self.params.total_blocks:
-            raise StorageError(
-                f"disk {self.disk_id}: access [{pba}, {pba + nblocks}) outside "
-                f"capacity {self.params.total_blocks}"
-            )
-        distance = abs(pba - self.head)
-        seek = rotation = 0.0
-        if distance > 0:
-            seek = self.params.seek_time(distance)
-            rotation = self.params.avg_rotational_latency
-        return seek, rotation, self.params.transfer_time(nblocks)
-
-    def components(self, pba: int, nblocks: int) -> "tuple[float, float, float]":
-        """Public ``(seek, rotation, transfer)`` breakdown of one access.
-
-        The sanctioned surface for schedulers and accounting that need
-        the mechanical split rather than the summed
-        :meth:`service_time`.  Pure: does not move the head or advance
-        the busy horizon.
-        """
-        return self._components(pba, nblocks)
-
     def service_time(self, pba: int, nblocks: int) -> float:
         """Mechanical time to service an access at ``pba`` of ``nblocks``.
 
-        Does not include queueing delay; the engine adds that.
+        Does not include queueing delay; the engine adds that.  Pure:
+        does not move the head or advance the busy horizon.
         """
-        seek, rotation, transfer = self._components(pba, nblocks)
-        return self.params.controller_overhead + seek + rotation + transfer
+        if pba < 0 or pba + nblocks > self._total:
+            raise self._out_of_range(pba, nblocks)
+        distance = abs(pba - self.head)
+        seek = rotation = 0.0
+        if distance:
+            seek = self.params.seek_time(distance)
+            rotation = self._rotation
+        return self._overhead + seek + rotation + self.params.transfer_time(nblocks)
+
+    def _out_of_range(self, pba: int, nblocks: int) -> StorageError:
+        return StorageError(
+            f"disk {self.disk_id}: access [{pba}, {pba + nblocks}) outside "
+            f"capacity {self._total}"
+        )
 
     def service(self, now: float, pba: int, nblocks: int) -> float:
         """Schedule one op FCFS and return its *completion time*.
 
         Mutates the disk state (head position, busy horizon, counters).
         """
-        start = max(now, self.busy_until)
-        seek, rotation, transfer = self._components(pba, nblocks)
-        overhead = self.params.controller_overhead
+        if pba < 0 or pba + nblocks > self._total:
+            raise self._out_of_range(pba, nblocks)
+        busy = self.busy_until
+        start = busy if busy > now else now
+        distance = pba - self.head
+        if distance:
+            if distance < 0:
+                distance = -distance
+            frac = distance / self._total
+            if frac > 1.0:
+                frac = 1.0
+            seek = self._seek_min + self._seek_span * sqrt(frac)
+            rotation = self._rotation
+        else:
+            seek = rotation = 0.0
+        transfer = nblocks * BLOCK_SIZE / self._rate
+        overhead = self._overhead
         if self.slow_windows:
             mult = self.slow_multiplier(start)
             if mult > 1.0:
@@ -195,14 +211,72 @@ class Disk:
                 self.slow_extra_time += (overhead + seek + rotation + transfer) - base
         duration = overhead + seek + rotation + transfer
         self.head = pba + nblocks
-        self.busy_until = start + duration
+        done = start + duration
+        self.busy_until = done
         self.ops_serviced += 1
         self.blocks_moved += nblocks
         self.busy_time += duration
         self.seek_time_total += seek
         self.rotation_time_total += rotation
         self.transfer_time_total += transfer
-        return self.busy_until
+        return done
+
+    def service_rmw(self, now: float, pba: int, nblocks: int) -> float:
+        """Read ``[pba, pba + nblocks)`` then rewrite it, both issued at
+        ``now`` (one half of a RAID-5 read-modify-write); return the
+        rewrite's completion time.
+
+        Exactly ``service(now, pba, nblocks)`` twice: same counters,
+        same float operations in the same order.  The rewrite's seek
+        distance is always ``nblocks`` (the read left the head at the
+        extent's end), so its costs come from a per-length memo.
+        """
+        if self.slow_windows or pba < 0 or pba + nblocks > self._total:
+            self.service(now, pba, nblocks)
+            return self.service(now, pba, nblocks)
+        memo = self._rmw.get(nblocks)
+        if memo is None:
+            frac = nblocks / self._total
+            if frac > 1.0:
+                frac = 1.0
+            seek = self._seek_min + self._seek_span * sqrt(frac)
+            transfer = nblocks * BLOCK_SIZE / self._rate
+            memo = (seek, transfer, self._overhead + seek + self._rotation + transfer)
+            self._rmw[nblocks] = memo
+        seek_n, transfer, duration_n = memo
+        rotation = self._rotation
+        busy = self.busy_until
+        start = busy if busy > now else now
+        distance = pba - self.head
+        if distance:
+            if distance < 0:
+                distance = -distance
+            if distance == nblocks:
+                seek = seek_n
+                duration = duration_n
+            else:
+                frac = distance / self._total
+                if frac > 1.0:
+                    frac = 1.0
+                seek = self._seek_min + self._seek_span * sqrt(frac)
+                duration = self._overhead + seek + rotation + transfer
+            self.seek_time_total += seek
+            self.rotation_time_total += rotation
+        else:
+            duration = self._overhead + transfer
+        # The rewrite queues behind the read (``start + duration`` is
+        # never before ``now``).
+        done = start + duration + duration_n
+        self.head = pba + nblocks
+        self.busy_until = done
+        self.ops_serviced += 2
+        self.blocks_moved += nblocks + nblocks
+        self.busy_time = (self.busy_time + duration) + duration_n
+        self.seek_time_total += seek_n
+        self.rotation_time_total += rotation
+        self.transfer_time_total += transfer
+        self.transfer_time_total += transfer
+        return done
 
     def reset(self) -> None:
         """Return the disk to its initial idle state."""
@@ -217,3 +291,30 @@ class Disk:
         self.slow_windows = []
         self.slow_ops = 0
         self.slow_extra_time = 0.0
+
+
+def queue_lag(disks: Sequence[Disk], now: float) -> float:
+    """Worst backlog across ``disks``: how far the busiest disk's busy
+    horizon extends past ``now`` (0 when all are idle).  The timeline
+    sampler records it as a per-window gauge."""
+    lag = 0.0
+    for disk in disks:
+        behind = disk.busy_until - now
+        if behind > lag:
+            lag = behind
+    return lag
+
+
+def disk_utilisation(disks: Sequence[Disk]) -> Dict[int, Dict[str, float]]:
+    """Per-disk utilisation summary, keyed by ``disk_id``, for reports."""
+    return {
+        disk.disk_id: {
+            "ops": disk.ops_serviced,
+            "blocks": disk.blocks_moved,
+            "busy_time": disk.busy_time,
+            "seek_time": disk.seek_time_total,
+            "rotation_time": disk.rotation_time_total,
+            "transfer_time": disk.transfer_time_total,
+        }
+        for disk in disks
+    }

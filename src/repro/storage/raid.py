@@ -18,12 +18,25 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import BLOCKS_PER_STRIPE_UNIT
-from repro.errors import StorageError
+from repro.errors import SimulationError, StorageError
+from repro.obs.events import EventType, TraceLevel
+from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.request import DiskOp, OpType
+from repro.storage.disk import Disk
 from repro.storage.volume import VolumeOp
+
+#: Fault-injection hook: consulted per disk op on the per-op service
+#: path; returns a completion time to override normal service (the hook
+#: did the mechanical work itself), or ``None`` to fall through.
+FaultHook = Callable[[float, DiskOp], Optional[float]]
+
+# Enum member lookups cost ~100 ns each; the service path reads these
+# once per volume op.
+_READ = OpType.READ
+_CHUNK = int(TraceLevel.CHUNK)
 
 
 class RaidLevel(enum.Enum):
@@ -71,6 +84,10 @@ class RaidArray:
 
     def __init__(self, geometry: RaidGeometry) -> None:
         self.geometry = geometry
+        self._su = geometry.stripe_unit_blocks
+        self._nd = geometry.ndisks
+        self._dd = geometry.data_disks
+        self._raid5 = geometry.level is RaidLevel.RAID5
 
     # ------------------------------------------------------------------
     # address arithmetic
@@ -185,6 +202,105 @@ class RaidArray:
         return self.map_write(op)
 
     # ------------------------------------------------------------------
+    # service
+    # ------------------------------------------------------------------
+
+    def service(
+        self,
+        disks: Sequence[Disk],
+        now: float,
+        vop: VolumeOp,
+        failed_disk: Optional[int] = None,
+    ) -> float:
+        """Service one volume op on the member ``disks``, FCFS, issued
+        at ``now``; return the completion time of its last disk op.
+
+        Makes exactly the :meth:`Disk.service` calls of servicing
+        :meth:`map` (:meth:`map_degraded` with a failed member) op by
+        op, so every disk counter and completion time is bit-identical
+        to that reference.  Extents of one stripe-unit fragment, and of
+        two fragments in one row or across a row wrap, are serviced
+        without building ``DiskOp`` lists; each RAID-5 read-modify-write
+        pair goes through :meth:`Disk.service_rmw`.
+        """
+        if failed_disk is not None:
+            return service_disk_ops(disks, now, self.map_degraded(vop, failed_disk))
+        pba = vop.pba
+        n = vop.nblocks
+        nd = self._nd
+        if nd == 1:
+            # Every fragment lands on the one disk at its volume address,
+            # and ``_split`` merges them back into one op.
+            return disks[0].service(now, pba, n)
+        su = self._su
+        dd = self._dd
+        unit, offset = divmod(pba, su)
+        if offset + n > su + su:
+            return service_disk_ops(disks, now, self.map(vop))
+        row, lane = divmod(unit, dd)
+        dpba = row * su + offset
+        if self._raid5:
+            parity = nd - 1 - row % nd
+            disk = disks[(parity + 1 + lane) % nd]
+        else:
+            disk = disks[lane % nd]
+        read = vop.op is _READ
+        if offset + n <= su:
+            # One fragment.  A RAID-5 write of it is a partial stripe
+            # (data_disks >= 2): data read+rewrite, then parity.
+            if read or not self._raid5:
+                return disk.service(now, dpba, n)
+            done = disk.service_rmw(now, dpba, n)
+            parity_done = disks[parity].service_rmw(now, dpba, n)
+            return parity_done if parity_done > done else done
+        # Two fragments: the rest of this unit, then the head of the next
+        # unit -- the next lane of this row, or lane 0 of the next row.
+        n1 = su - offset
+        n2 = n - n1
+        row2, lane2 = divmod(unit + 1, dd)
+        dpba2 = row2 * su
+        if self._raid5:
+            parity2 = nd - 1 - row2 % nd
+            disk2 = disks[(parity2 + 1 + lane2) % nd]
+        else:
+            disk2 = disks[lane2 % nd]
+        if read or not self._raid5:
+            done = disk.service(now, dpba, n1)
+            done2 = disk2.service(now, dpba2, n2)
+            return done2 if done2 > done else done
+        if row2 != row:
+            # Two partial rows, in row order: data then parity per row.
+            done = disk.service_rmw(now, dpba, n1)
+            t = disks[parity].service_rmw(now, dpba, n1)
+            if t > done:
+                done = t
+            t = disk2.service_rmw(now, dpba2, n2)
+            if t > done:
+                done = t
+            t = disks[parity2].service_rmw(now, dpba2, n2)
+            return t if t > done else done
+        if n == dd * su:
+            # Both fragments make up the whole row (two data disks):
+            # a full-stripe write.
+            return service_disk_ops(disks, now, self.map(vop))
+        # One partial row: both data fragments, then the parity ranges
+        # [dpba2, +n2) and [dpba, +n1), merged into the whole unit when
+        # they touch (fragment one always ends at the unit boundary).
+        done = disk.service_rmw(now, dpba, n1)
+        t = disk2.service_rmw(now, dpba2, n2)
+        if t > done:
+            done = t
+        parity_disk = disks[parity]
+        if offset <= n2:
+            t = parity_disk.service_rmw(now, dpba2, su)
+        else:
+            t = parity_disk.service_rmw(now, dpba2, n2)
+            if t > done:
+                done = t
+            t = parity_disk.service_rmw(now, dpba, n1)
+        return t if t > done else done
+
+    # ------------------------------------------------------------------
     # degraded mode (one failed member)
     # ------------------------------------------------------------------
 
@@ -295,3 +411,81 @@ def _merge_ranges(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
         else:
             out.append((start, length))
     return out
+
+
+def service_disk_ops(
+    disks: Sequence[Disk],
+    now: float,
+    ops: Sequence[DiskOp],
+    obs: TraceRecorder = NULL_RECORDER,
+    fault_hook: Optional[FaultHook] = None,
+) -> float:
+    """Issue raw per-disk ops FCFS at ``now``; return the last
+    completion time (``now`` for no ops).
+
+    The per-op path: ``fault_hook`` sees every op first, and a
+    recorder at CHUNK level gets one ``disk.op`` event per op serviced.
+    """
+    completion = now
+    trace_ops = obs.level >= _CHUNK
+    for op in ops:
+        if not (0 <= op.disk_id < len(disks)):
+            raise SimulationError(f"op addressed to unknown disk {op.disk_id}")
+        if fault_hook is not None:
+            hooked = fault_hook(now, op)
+            if hooked is not None:
+                if hooked > completion:
+                    completion = hooked
+                continue
+        disk = disks[op.disk_id]
+        busy_before = disk.busy_until
+        done = disk.service(now, op.pba, op.nblocks)
+        if trace_ops:
+            obs.emit(
+                TraceLevel.CHUNK,
+                now,
+                EventType.DISK_OP,
+                disk=disk.disk_id,
+                op=op.op.value,
+                pba=op.pba,
+                nblocks=op.nblocks,
+                start=max(now, busy_before),
+                done=done,
+            )
+        if done > completion:
+            completion = done
+    return completion
+
+
+def service_volume_ops(
+    raid: RaidArray,
+    disks: Sequence[Disk],
+    now: float,
+    ops: Sequence[VolumeOp],
+    failed_disk: Optional[int] = None,
+    obs: TraceRecorder = NULL_RECORDER,
+    fault_hook: Optional[FaultHook] = None,
+) -> float:
+    """Translate volume extents through ``raid`` and service them on
+    ``disks`` FCFS at ``now``; return the last completion time.
+
+    Runs :meth:`RaidArray.service` unless a fault hook or a CHUNK-level
+    recorder needs to see each disk op; then it maps every extent and
+    takes the per-op :func:`service_disk_ops` path (same results).
+    """
+    completion = now
+    if fault_hook is None and obs.level < _CHUNK:
+        service = raid.service
+        for vop in ops:
+            done = service(disks, now, vop, failed_disk)
+            if done > completion:
+                completion = done
+        return completion
+    for vop in ops:
+        disk_ops = (
+            raid.map(vop) if failed_disk is None else raid.map_degraded(vop, failed_disk)
+        )
+        done = service_disk_ops(disks, now, disk_ops, obs, fault_hook)
+        if done > completion:
+            completion = done
+    return completion

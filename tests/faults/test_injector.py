@@ -18,7 +18,6 @@ from repro.obs.events import EVENT_FIELDS, FAULT_EVENT_TYPES, TraceLevel
 from repro.obs.trace import TraceRecorder
 from repro.sim.replay import ReplayConfig, replay_trace
 from repro.storage.raid import RaidLevel
-from repro.storage.scheduler import SchedulingPolicy
 from repro.traces.synthetic import WEB_VM, generate_trace
 
 _TRACE = generate_trace(WEB_VM, scale=0.02)
@@ -72,12 +71,6 @@ class TestOffPathAndDeterminism:
     def test_fault_seed_without_plan_rejected(self):
         with pytest.raises(ConfigError, match="fault_seed"):
             run(None, fault_seed=3)
-
-    def test_event_driven_schedulers_rejected(self):
-        with pytest.raises(ConfigError, match="analytic"):
-            run(FaultPlan.from_dict(
-                {"latent_sector_errors": {"random_count": 1}}
-            ), scheduler=SchedulingPolicy("fcfs"))
 
     def test_seed_changes_lse_placement(self):
         scheme = SelectDedupe(SchemeConfig(

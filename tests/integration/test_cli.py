@@ -94,10 +94,10 @@ class TestCommands:
         content = (tmp_path / "EXPERIMENTS.md").read_text()
         assert "Fig. 11" in content and "Table II" in content
 
-    def test_run_with_scheduler_and_raid(self, capsys):
+    def test_run_with_raid(self, capsys):
         rc = main(
             ["run", "--trace", "web-vm", "--scheme", "Native", "--scale", "0.02",
-             "--scheduler", "clook", "--raid", "raid0", "--ndisks", "2"]
+             "--raid", "raid0", "--ndisks", "2"]
         )
         assert rc == 0
         assert "Native on web-vm" in capsys.readouterr().out

@@ -8,7 +8,6 @@ import pytest
 
 from repro.baselines.base import SchemeConfig
 from repro.sim.replay import ReplayConfig, replay_trace
-from repro.storage.scheduler import SchedulingPolicy
 from repro.traces.synthetic import HOMES, generate_trace
 from tests.conftest import ALL_SCHEMES
 
@@ -18,11 +17,11 @@ def trace():
     return generate_trace(HOMES, scale=0.02)
 
 
-def run_once(trace, cls, scheduler=None):
+def run_once(trace, cls, config=ReplayConfig()):
     scheme = cls(
         SchemeConfig(logical_blocks=trace.logical_blocks, memory_bytes=128 * 1024)
     )
-    return replay_trace(trace, scheme, ReplayConfig(scheduler=scheduler))
+    return replay_trace(trace, scheme, config)
 
 
 @pytest.mark.parametrize("cls", ALL_SCHEMES, ids=lambda c: c.name)
@@ -34,10 +33,10 @@ def test_replay_deterministic(trace, cls):
     assert a.capacity_blocks == b.capacity_blocks
 
 
-def test_event_mode_deterministic(trace):
+def test_degraded_mode_deterministic(trace):
     cls = ALL_SCHEMES[0]
-    a = run_once(trace, cls, SchedulingPolicy.CLOOK)
-    b = run_once(trace, cls, SchedulingPolicy.CLOOK)
+    a = run_once(trace, cls, ReplayConfig(failed_disk=1))
+    b = run_once(trace, cls, ReplayConfig(failed_disk=1))
     assert a.metrics.as_dict() == b.metrics.as_dict()
 
 

@@ -20,6 +20,7 @@ from repro.dedup.chunking import ChunkingConfig
 from repro.experiments.runner import SCHEME_CLASSES
 from repro.obs.slo import SloObjective, SloPolicy
 from repro.obs.timeline import TimelineConfig
+from repro.sim.batch import batch_eligible
 from repro.sim.replay import ReplayConfig, replay_trace, replay_traces
 from repro.sim.request import OpType
 from repro.storage.raid import RaidLevel
@@ -150,12 +151,30 @@ def test_single_disk_bit_identity(web_trace):
     )
 
 
-def test_ineligible_config_falls_back(web_trace):
-    """Configs outside the batch fast path (event-driven scheduler)
-    silently take the object path -- same results, no error."""
-    from repro.storage.scheduler import SchedulingPolicy
+@pytest.mark.parametrize("scheme_name", ["Native", "POD"])
+@pytest.mark.parametrize("failed_disk", range(4))
+def test_degraded_array_bit_identity(scheme_name, failed_disk, web_trace):
+    """A RAID-5 array with one member failed runs on the driver (every
+    extent maps degraded) and matches the object path, whichever member
+    is down."""
+    config = ReplayConfig(failed_disk=failed_disk)
+    assert batch_eligible(config)
+    base = replay([web_trace], scheme_name, None, config=config)
+    assert base.utilisation[failed_disk]["ops"] == 0
+    expected = fingerprint(base)
+    for batch_size in (1, 7, 4096):
+        got = replay([web_trace], scheme_name, batch_size, config=config)
+        assert fingerprint(got) == expected, (
+            f"{scheme_name}, disk {failed_disk} failed, diverges at "
+            f"batch_size={batch_size}"
+        )
 
-    config = ReplayConfig(scheduler=SchedulingPolicy.CLOOK)
+
+def test_ineligible_config_falls_back(web_trace):
+    """Configs outside the batch fast path (span tracing) silently take
+    the object path -- same results, no error."""
+    config = ReplayConfig(spans=True)
+    assert not batch_eligible(config)
     base = fingerprint(replay([web_trace], "POD", None, config=config))
     assert fingerprint(replay([web_trace], "POD", 4096, config=config)) == base
 

@@ -48,10 +48,8 @@ class TestReplayConfig:
         b = ReplayConfig()
         assert hash(a) == hash(b) and a == b
 
-    def test_scheduler_field_distinguishes(self):
-        from repro.storage.scheduler import SchedulingPolicy
-
-        assert ReplayConfig() != ReplayConfig(scheduler=SchedulingPolicy.CLOOK)
+    def test_spans_field_distinguishes(self):
+        assert ReplayConfig() != ReplayConfig(spans=True)
 
 
 class TestReplayResult:

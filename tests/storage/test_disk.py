@@ -86,6 +86,12 @@ class TestDiskService:
             d.service_time(99, 2)
         with pytest.raises(StorageError):
             d.service_time(-1, 1)
+        for service in (d.service, d.service_rmw):
+            with pytest.raises(StorageError):
+                service(0.0, 99, 2)
+            with pytest.raises(StorageError):
+                service(0.0, -1, 1)
+        assert d.ops_serviced == 0 and d.head == 0 and d.busy_until == 0.0
 
     def test_reset(self):
         d = Disk(DiskParams())
