@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import Completions, MetricsCollector
 from repro.sim.request import IORequest, OpType
 from repro.traces.stats import SIZE_BUCKETS_KB, _bucket_kb
 
@@ -80,6 +80,27 @@ class DetailedCollector(MetricsCollector):
                 arrival=arrival,
                 completion=completion,
                 volume_id=request.volume_id,
+            )
+        )
+
+    def record_columns(self, rows: Completions) -> None:
+        super().record_columns(rows)
+        self.samples.extend(
+            RequestSample(
+                req_id=req_id,
+                op=OpType.READ if is_read else OpType.WRITE,
+                nblocks=nblocks,
+                arrival=arrival,
+                completion=completion,
+                volume_id=volume_id,
+            )
+            for req_id, is_read, nblocks, arrival, completion, volume_id in zip(
+                rows.req_id.tolist(),
+                rows.is_read.tolist(),
+                rows.nblocks.tolist(),
+                rows.arrival.tolist(),
+                rows.completion.tolist(),
+                rows.volume_id.tolist(),
             )
         )
 

@@ -17,12 +17,18 @@ historical API; callers that need exact per-request samples use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import (
+    Histogram,
+    MetricsRegistry,
+    first_seen,
+    group_sums,
+    observe_grouped,
+)
 from repro.sim.request import IORequest, OpType
 
 
@@ -73,6 +79,24 @@ class ResponseSummary:
             total_blocks=total_blocks,
             p999=hist.p999,
         )
+
+
+class Completions(NamedTuple):
+    """A batch of completed requests as parallel columns: row ``k`` is
+    one :meth:`MetricsCollector.record` call (``is_read`` stands for
+    the request's op, ``req_id``/``nblocks``/``volume_id`` for its
+    fields)."""
+
+    req_id: np.ndarray
+    is_read: np.ndarray
+    nblocks: np.ndarray
+    volume_id: np.ndarray
+    arrival: np.ndarray
+    completion: np.ndarray
+    eliminated: np.ndarray
+    cache_hit_blocks: np.ndarray
+    deduped_blocks: np.ndarray
+    cross_volume_blocks: np.ndarray
 
 
 class _VolumeSeries:
@@ -292,6 +316,94 @@ class MetricsCollector:
                 deduped_blocks=deduped_blocks,
                 cache_hit_blocks=cache_hit_blocks,
                 cross_volume_blocks=cross_volume_blocks,
+            )
+
+    def record_columns(self, rows: Completions) -> None:
+        """Fold a batch of completions in: the same state as
+        :meth:`record` on every row in row order.
+
+        Histograms take their samples through
+        :func:`~repro.obs.registry.observe_grouped`, counters their
+        per-series sums, and an attached timeline its
+        :meth:`~repro.obs.timeline.TimelineSampler.note_requests`.
+        Lazily created volume series appear in first-seen order.  A
+        completion before its arrival raises before anything changes.
+        A subclass that overrides :meth:`record` must override this
+        too: the columnar driver records through it.
+        """
+        n = len(rows.req_id)
+        if not n:
+            return
+        arrival = rows.arrival
+        completion = rows.completion
+        early = np.flatnonzero(completion < arrival)
+        if len(early):
+            k = int(early[0])
+            raise SimulationError(
+                f"request {int(rows.req_id[k])} completed at {completion[k]} "
+                f"before its arrival at {arrival[k]}"
+            )
+        response = completion - arrival
+        is_read = rows.is_read
+        write = (~is_read).astype(np.int64)
+        nblocks = rows.nblocks
+        read_blocks = np.where(is_read, nblocks, 0)
+        write_blocks = nblocks - read_blocks
+        # Histogram 0/1 is the run's read/write series, 2 + 2v + op
+        # volume slot v's.
+        hists = [self._read_hist, self._write_hist]
+        groups = write
+        samples = response
+        if self._volumes is not None:
+            distinct, in_order, slot = first_seen(rows.volume_id)
+            for vid in in_order:
+                self._volume_series(vid)
+            series = [self._volumes[vid] for vid in distinct]
+            for s in series:
+                hists.append(s.read_hist)
+                hists.append(s.write_hist)
+            groups = np.concatenate((groups, 2 + 2 * slot + write))
+            samples = np.concatenate((response, response))
+        observe_grouped(hists, groups, samples)
+        self._read_blocks.inc(int(read_blocks.sum()))
+        self._write_blocks.inc(int(write_blocks.sum()))
+        self._elim_requests.inc(int(np.count_nonzero(rows.eliminated)))
+        self._elim_blocks.inc(int(rows.deduped_blocks.sum()))
+        self._cache_hit_blocks.inc(int(rows.cache_hit_blocks.sum()))
+        first = float(arrival.min())
+        if self.first_arrival is None or first < self.first_arrival:
+            self.first_arrival = first
+        last = float(completion.max())
+        if last > self.last_completion:
+            self.last_completion = last
+        if self._volumes is not None:
+            nv = len(series)
+            for s, rb, wb, el, dd, cv, ch in zip(
+                series,
+                group_sums(slot, nv, read_blocks),
+                group_sums(slot, nv, write_blocks),
+                group_sums(slot, nv, rows.eliminated),
+                group_sums(slot, nv, rows.deduped_blocks),
+                group_sums(slot, nv, rows.cross_volume_blocks),
+                group_sums(slot, nv, rows.cache_hit_blocks),
+            ):
+                s.read_blocks.inc(rb)
+                s.write_blocks.inc(wb)
+                s.eliminated_requests.inc(el)
+                s.deduped_blocks.inc(dd)
+                s.cross_volume_deduped_blocks.inc(cv)
+                s.cache_hit_blocks.inc(ch)
+        if self._timeline is not None:
+            self._timeline.note_requests(
+                completion,
+                is_read=is_read,
+                nblocks=nblocks,
+                response=response,
+                volume_id=(rows.volume_id if self._volumes is not None else None),
+                eliminated=rows.eliminated,
+                deduped_blocks=rows.deduped_blocks,
+                cache_hit_blocks=rows.cache_hit_blocks,
+                cross_volume_blocks=rows.cross_volume_blocks,
             )
 
     # ------------------------------------------------------------------

@@ -19,6 +19,8 @@ import bisect
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 __all__ = [
@@ -27,6 +29,9 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "default_latency_bounds",
+    "first_seen",
+    "group_sums",
+    "observe_grouped",
 ]
 
 
@@ -112,6 +117,21 @@ class Histogram:
         self.vmin = math.inf
         self.vmax = -math.inf
 
+    def fresh(self, name: str) -> "Histogram":
+        """An empty histogram named ``name`` on this one's bounds, shared
+        rather than copied and re-validated (the timeline makes two per
+        window scope)."""
+        out = Histogram.__new__(Histogram)
+        out.name = name
+        out.bounds = self.bounds
+        out.counts = [0] * len(self.bounds)
+        out.overflow = 0
+        out.count = 0
+        out.total = 0.0
+        out.vmin = math.inf
+        out.vmax = -math.inf
+        return out
+
     # ------------------------------------------------------------------
 
     def observe(self, v: float) -> None:
@@ -129,10 +149,6 @@ class Histogram:
             self.overflow += 1
         else:
             self.counts[i] += 1
-
-    def observe_many(self, values: Sequence[float]) -> None:
-        for v in values:
-            self.observe(v)
 
     # ------------------------------------------------------------------
 
@@ -240,6 +256,80 @@ class Histogram:
                 for lo, hi, c in self.nonzero_buckets()
             ]
         return out
+
+
+def observe_grouped(
+    hists: Sequence[Histogram], groups: np.ndarray, values: np.ndarray
+) -> None:
+    """Observe ``values[k]`` into ``hists[groups[k]]`` for every ``k``:
+    the same state as ``hists[groups[k]].observe(values[k])`` in
+    record order, for one whole batch of samples.
+
+    Bucket counts come from one ``searchsorted`` and one ``bincount``
+    over (histogram, bucket) keys, and min/max do not depend on order.
+    Each histogram's float ``total`` is added sample by sample in
+    record order (a pairwise ``sum`` would round differently).  Every
+    histogram must share the first one's bucket bounds.  A negative
+    sample raises before any histogram changes.
+    """
+    n = len(values)
+    if not n:
+        return
+    if values.min() < 0:
+        k = int(np.flatnonzero(values < 0)[0])
+        raise ConfigError(
+            f"histogram {hists[int(groups[k])].name}: negative sample {values[k]}"
+        )
+    bounds = hists[0].bounds
+    nbuckets = len(bounds) + 1  # the last one is the overflow bucket
+    buckets = np.searchsorted(np.asarray(bounds), values, side="left")
+    keys = groups * nbuckets + buckets
+    tally = np.bincount(keys, minlength=len(hists) * nbuckets)
+    occupied = np.flatnonzero(tally)
+    for key, c in zip(occupied.tolist(), tally[occupied].tolist()):
+        g, b = divmod(key, nbuckets)
+        if b == nbuckets - 1:
+            hists[g].overflow += c
+        else:
+            hists[g].counts[b] += c
+    # One contiguous run of samples per histogram, record order kept.
+    order = np.argsort(groups, kind="stable")
+    ordered = values[order]
+    sizes = np.bincount(groups, minlength=len(hists))
+    present = np.flatnonzero(sizes)
+    starts = (np.cumsum(sizes) - sizes)[present]
+    lows = np.minimum.reduceat(ordered, starts).tolist()
+    highs = np.maximum.reduceat(ordered, starts).tolist()
+    samples = ordered.tolist()
+    for g, a, size, lo, hi in zip(
+        present.tolist(), starts.tolist(), sizes[present].tolist(), lows, highs
+    ):
+        h = hists[g]
+        total = h.total
+        for v in samples[a : a + size]:
+            total += v
+        h.total = total
+        h.count += size
+        if lo < h.vmin:
+            h.vmin = lo
+        if hi > h.vmax:
+            h.vmax = hi
+
+
+def first_seen(keys: np.ndarray) -> Tuple[List[int], List[int], np.ndarray]:
+    """``(distinct, in_order, slot)``: the distinct ``keys`` sorted,
+    the same keys in order of first appearance, and each row's index
+    into ``distinct``.  Folds create lazily made state in first-seen
+    order, as a row-by-row loop would."""
+    distinct, first, slot = np.unique(keys, return_index=True, return_inverse=True)
+    in_order = distinct[np.argsort(first)].tolist()
+    return distinct.tolist(), in_order, slot.reshape(-1)
+
+
+def group_sums(slot: np.ndarray, nslots: int, values: np.ndarray) -> List[int]:
+    """Per-slot sums of the integer column ``values`` (summed as
+    float64, so exact while every sum stays below 2**53)."""
+    return np.bincount(slot, weights=values, minlength=nslots).astype(np.int64).tolist()
 
 
 class MetricsRegistry:

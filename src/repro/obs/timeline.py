@@ -32,8 +32,16 @@ import json
 from dataclasses import dataclass
 from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.errors import ConfigError
-from repro.obs.registry import Histogram, default_latency_bounds
+from repro.obs.registry import (
+    Histogram,
+    default_latency_bounds,
+    first_seen,
+    group_sums,
+    observe_grouped,
+)
 
 #: Bumped on any breaking change to the window document layout.
 #: Adding a new optional field is not a breaking change.
@@ -104,7 +112,7 @@ class _Scope:
         "read_hist", "write_hist",
     )
 
-    def __init__(self, bounds: List[float]) -> None:
+    def __init__(self, empty: Histogram) -> None:
         self.reads = 0
         self.writes = 0
         self.read_blocks = 0
@@ -117,8 +125,8 @@ class _Scope:
         self.remote_lookups = 0
         #: Fresh per-window histograms -- this is the "histogram reset"
         #: that makes per-window percentiles honest (not cumulative).
-        self.read_hist = Histogram("timeline.read", bounds)
-        self.write_hist = Histogram("timeline.write", bounds)
+        self.read_hist = empty.fresh("timeline.read")
+        self.write_hist = empty.fresh("timeline.write")
 
     def note(
         self,
@@ -180,8 +188,8 @@ class _Window:
     __slots__ = ("run", "volumes", "nodes", "gauges", "node_gauges",
                  "links", "activity", "slo_counts")
 
-    def __init__(self, bounds: List[float], n_slo: int) -> None:
-        self.run = _Scope(bounds)
+    def __init__(self, empty: Histogram, n_slo: int) -> None:
+        self.run = _Scope(empty)
         self.volumes: Dict[int, _Scope] = {}
         self.nodes: Dict[int, _Scope] = {}
         #: gauge name -> per-window maximum.
@@ -209,8 +217,9 @@ class TimelineSampler:
         self.config = config
         self._width = config.window
         self._origin = config.origin
-        self._bounds = default_latency_bounds(
-            per_decade=config.latency_per_decade
+        #: Every window histogram is ``fresh`` from this one: shared bounds.
+        self._empty = Histogram(
+            "timeline", default_latency_bounds(per_decade=config.latency_per_decade)
         )
         self._windows: Dict[int, _Window] = {}
         self._intervals: List[Tuple[str, float, float]] = []
@@ -251,7 +260,7 @@ class TimelineSampler:
                 f"timeline exceeded {self.config.max_windows} windows; "
                 f"use a wider --timeline window than {self._width}s"
             )
-        win = _Window(self._bounds, len(self._latency_rules))
+        win = _Window(self._empty, len(self._latency_rules))
         self._windows[idx] = win
         return win
 
@@ -286,7 +295,7 @@ class TimelineSampler:
         if volume_id >= 0:
             scope = win.volumes.get(volume_id)
             if scope is None:
-                scope = _Scope(self._bounds)
+                scope = _Scope(self._empty)
                 win.volumes[volume_id] = scope
             scope.note(
                 is_read, nblocks, response, eliminated, deduped_blocks,
@@ -296,6 +305,115 @@ class TimelineSampler:
             if kind == "run" or (kind == "volume" and sid == volume_id):
                 if op == "all" or (op == "read") == is_read:
                     win.slo_counts[i][1 if response > threshold else 0] += 1
+
+    def note_requests(
+        self,
+        t: np.ndarray,
+        *,
+        is_read: np.ndarray,
+        nblocks: np.ndarray,
+        response: np.ndarray,
+        volume_id: Optional[np.ndarray],
+        eliminated: np.ndarray,
+        deduped_blocks: np.ndarray,
+        cache_hit_blocks: np.ndarray,
+        cross_volume_blocks: np.ndarray,
+    ) -> None:
+        """Batch form of :meth:`note_request`: the same windows, scopes,
+        histograms and SLO counts as calling it on every row in row
+        order, with ``volume_id=None`` standing for ``-1`` on every row
+        (volume ids are otherwise non-negative).
+
+        Windows and volume scopes are created in first-seen order; a
+        batch that needs more than ``max_windows`` windows raises the
+        :class:`ConfigError` before anything is noted.
+        """
+        n = len(t)
+        if not n:
+            return
+        index = np.where(
+            t < self._origin, 0, (t - self._origin) / self._width
+        ).astype(np.int64)
+        distinct, in_order, wslot = first_seen(index)
+        wins = self._windows
+        for idx in in_order:
+            if idx not in wins:
+                self._new_window(idx)
+        last = float(t.max())
+        if last > self.t_end:
+            self.t_end = last
+        windows = [wins[idx] for idx in distinct]
+        # Scope slot w is window w's run scope; with volumes, each row
+        # is noted a second time, into its (window, volume) scope.
+        scopes = [win.run for win in windows]
+        slot = wslot
+        if volume_id is not None:
+            nvol = int(volume_id.max()) + 1
+            pairs, pairs_in_order, pslot = first_seen(wslot * nvol + volume_id)
+            for key in pairs_in_order:
+                w, vid = divmod(key, nvol)
+                if vid not in windows[w].volumes:
+                    windows[w].volumes[vid] = _Scope(self._empty)
+            for key in pairs:
+                w, vid = divmod(key, nvol)
+                scopes.append(windows[w].volumes[vid])
+            slot = np.concatenate((wslot, len(windows) + pslot))
+
+        def rows(col: np.ndarray) -> np.ndarray:
+            return col if volume_id is None else np.concatenate((col, col))
+
+        nscopes = len(scopes)
+        reads = rows(is_read)
+        blocks = rows(nblocks)
+        read_blocks = np.where(reads, blocks, 0)
+        for scope, r, w, rb, wb, el, dd, ch, cv in zip(
+            scopes,
+            group_sums(slot, nscopes, reads),
+            group_sums(slot, nscopes, ~reads),
+            group_sums(slot, nscopes, read_blocks),
+            group_sums(slot, nscopes, blocks - read_blocks),
+            group_sums(slot, nscopes, rows(eliminated)),
+            group_sums(slot, nscopes, rows(deduped_blocks)),
+            group_sums(slot, nscopes, rows(cache_hit_blocks)),
+            group_sums(slot, nscopes, rows(cross_volume_blocks)),
+        ):
+            scope.reads += r
+            scope.writes += w
+            scope.read_blocks += rb
+            scope.write_blocks += wb
+            scope.eliminated_requests += el
+            scope.deduped_blocks += dd
+            scope.cache_hit_blocks += ch
+            scope.cross_volume_blocks += cv
+        hists: List[Histogram] = []
+        for scope in scopes:
+            hists.append(scope.read_hist)
+            hists.append(scope.write_hist)
+        observe_grouped(hists, 2 * slot + ~reads, rows(response))
+        for i, (kind, sid, op, threshold) in enumerate(self._latency_rules):
+            # Rows this rule counts (``None``: every row), as in
+            # ``note_request``, where an untracked volume id is -1.
+            match: Optional[np.ndarray]
+            if kind == "run" or (kind == "volume" and volume_id is None and sid == -1):
+                match = None
+            elif kind == "volume" and volume_id is not None:
+                match = volume_id == sid
+            else:
+                continue
+            if op != "all":
+                on_op = is_read if op == "read" else ~is_read
+                match = on_op if match is None else match & on_op
+            keys = 2 * wslot + (response > threshold)
+            if match is not None:
+                keys = keys[match]
+            tally = np.bincount(keys, minlength=2 * len(windows)).tolist()
+            for w, win in enumerate(windows):
+                good = tally[2 * w]
+                bad = tally[2 * w + 1]
+                if good or bad:
+                    counts = win.slo_counts[i]
+                    counts[0] += good
+                    counts[1] += bad
 
     def note_node_request(
         self,
@@ -316,7 +434,7 @@ class TimelineSampler:
         win = self._window(t)
         scope = win.nodes.get(node_id)
         if scope is None:
-            scope = _Scope(self._bounds)
+            scope = _Scope(self._empty)
             win.nodes[node_id] = scope
         scope.note(
             is_read, nblocks, response, eliminated, deduped_blocks,

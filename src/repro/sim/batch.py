@@ -29,14 +29,20 @@ engine's ``(time, seq)`` event order exactly.  Disk service is the
 engine's own, :meth:`RaidArray.service` on the member disks (a
 degraded array included); the driver keeps no disk state.
 
-An armed timeline (``ReplayConfig.timeline``, or the one an SLO
-policy implies) rides along: completions reach it through
-``metrics.record`` in the engine's exact event order, so per-window
-counts, histograms and SLO good/bad counts match the object path.
-Its gauges are per-window maxima and so independent of order: the
-``nvram_bytes`` the planning tier reports before each request and the
-``queue_lag`` computed at each arrival are folded per window, and the
-iCache partition sizes are noted as each tick's ``on_epoch`` runs.
+Measured completions are not recorded one at a time: the servicing
+loop buffers each one's index, completion time and plan counters as
+columns and folds every ``batch_size`` of them, in the engine's exact
+event order, into the collector with one
+:meth:`MetricsCollector.record_columns` call.  The collector passes
+the batch on to an armed timeline (``ReplayConfig.timeline``, or the
+one an SLO policy implies), so per-window counts, histograms and SLO
+good/bad counts match the object path's per-completion ``record``.
+The timeline's gauges are per-window maxima and so independent of
+order: the ``nvram_bytes`` the planning tier reports before each
+request and the ``queue_lag`` at each arrival are folded per window,
+and the iCache partition sizes are noted as each tick's ``on_epoch``
+runs.  ``queue_lag`` comes from a running maximum of every disk
+service's completion, not from a scan of the member disks.
 
 The result is **bit-identical** to :func:`repro.sim.replay.replay_traces`
 for every scheme and any batch size (pinned by golden tests), at a
@@ -58,7 +64,7 @@ import numpy as np
 
 from repro.baselines.base import DedupScheme, PlannedIO
 from repro.errors import ConfigError
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import Completions, MetricsCollector
 from repro.obs.timeline import TimelineSampler
 from repro.sim.replay import (
     ReplayConfig,
@@ -67,8 +73,7 @@ from repro.sim.replay import (
     open_timeline,
     size_disks,
 )
-from repro.sim.request import IORequest, OpType
-from repro.storage.disk import Disk, disk_utilisation, queue_lag
+from repro.storage.disk import Disk, disk_utilisation
 from repro.storage.namespace import NamespaceMapper
 from repro.storage.raid import RaidArray
 from repro.traces.columnar import ColumnarTrace, MergedColumns, merge_columnar
@@ -306,9 +311,6 @@ def _replay_merged(
     plan_cursor = 0
     plan_tick = 0
     plan_columns = scheme.plan_columns
-    raw = IORequest.raw
-    write_op = OpType.WRITE
-    read_op = OpType.READ
 
     def _plan_range(a: int, b: int, nvram: Optional[List[int]]) -> None:
         """Plan arrivals [a, b) straight off the column lists (never
@@ -401,11 +403,52 @@ def _replay_merged(
 
     service = raid.service
     failed_disk = config.failed_disk
-    record = metrics.record
     interval_f = scheme.epoch_interval if scheme.epoch_interval is not None else 0.0
     last_arrival_f = times_l[-1]
 
+    # ------------------------------------------------------------------
+    # measured completions, buffered as columns and folded into the
+    # collector (and through it the timeline) every ``batch_size``
+    # completions: one ``record_columns`` call instead of one
+    # ``record`` per completion, in the same completion order.
+    # ------------------------------------------------------------------
+    done_idx: List[int] = []
+    done_time: List[float] = []
+    done_elim: List[bool] = []
+    done_hit: List[int] = []
+    done_dedup: List[int] = []
+    is_read = merged.ops != 1
+
+    def _fold() -> None:
+        idx = np.array(done_idx, dtype=np.int64)
+        metrics.record_columns(Completions(
+            req_id=idx,
+            is_read=is_read[idx],
+            nblocks=merged.nblocks[idx].astype(np.int64),
+            volume_id=merged.volume_ids[idx].astype(np.int64),
+            arrival=times[idx],
+            completion=np.array(done_time, dtype=np.float64),
+            eliminated=np.array(done_elim, dtype=bool),
+            cache_hit_blocks=np.array(done_hit, dtype=np.int64),
+            deduped_blocks=np.array(done_dedup, dtype=np.int64),
+            cross_volume_blocks=np.array(
+                [cross[k] for k in done_idx], dtype=np.int64
+            ),
+        ))
+        for buf in (done_idx, done_time, done_elim, done_hit, done_dedup):
+            buf.clear()
+
+    #: Latest completion any disk service has returned: every member's
+    #: busy horizon only grows (``Disk.service``/``service_rmw`` set it
+    #: to the completion they return, and ``RaidArray.service`` returns
+    #: the latest of its ops), so it is the latest member horizon, and
+    #: a positive ``horizon - now`` is ``queue_lag(disks, now)``.
+    #: (Events run in time order: an op-less service's ``now`` folded
+    #: in here never exceeds a later arrival's.)
+    horizon = 0.0
+
     def _finish(i: int, issue_time: float) -> None:
+        nonlocal horizon
         plan = planned[i]
         assert plan is not None
         if plan.ssd_read_blocks or plan.ssd_write_blocks:
@@ -418,30 +461,20 @@ def _replay_merged(
             done = service(disks, issue_time, vop, failed_disk)
             if done > completion:
                 completion = done
+        if completion > horizon:
+            horizon = completion
         if collect_warmup or measured_l[i]:
-            # Planning kept no request object; build the minimal one
-            # the collector reads (op / nblocks / volume id -- it never
-            # touches fingerprints).
-            req = raw(
-                times_l[i],
-                write_op if is_write_l[i] else read_op,
-                lbas_l[i],
-                nblocks_l[i],
-                None,
-                i,
-                vids_l[i],
-            )
-            record(
-                req,
-                times_l[i],
-                completion,
-                plan.eliminated,
-                plan.cache_hit_blocks,
-                plan.deduped_blocks,
-                cross[i],
-            )
+            done_idx.append(i)
+            done_time.append(completion)
+            done_elim.append(plan.eliminated)
+            done_hit.append(plan.cache_hit_blocks)
+            done_dedup.append(plan.deduped_blocks)
+            if len(done_idx) >= batch_size:
+                _fold()
         for vop in plan.background_ops:
-            service(disks, issue_time, vop, failed_disk)
+            done = service(disks, issue_time, vop, failed_disk)
+            if done > horizon:
+                horizon = done
         # Nothing reads a finished request's plan again: drop it so
         # plan-ahead does not keep it alive.
         planned[i] = None
@@ -456,7 +489,7 @@ def _replay_merged(
         if i == seg_next:
             seg_k += 1
             seg_next = seg_ends[seg_k]
-        lag = queue_lag(disks, now)
+        lag = horizon - now
         if lag > seg_lag[seg_k]:
             seg_lag[seg_k] = lag
 
@@ -502,7 +535,9 @@ def _replay_merged(
             else:
                 ensure_tick_planned(payload)
                 for vop in tick_ops[payload]:
-                    service(disks, t, vop, failed_disk)
+                    done = service(disks, t, vop, failed_disk)
+                    if done > horizon:
+                        horizon = done
                 nxt = t + interval_f
                 if nxt <= last_arrival_f + interval_f:
                     heappush(heap, (nxt, seq, _TICK, payload + 1))
@@ -512,6 +547,8 @@ def _replay_merged(
     # with no events -- impossible here since n > 0 -- or final ticks
     # whose planning fired inside the loop).
     ensure_planned(n - 1)
+    if done_idx:
+        _fold()
     if sampler is not None:
         for k, start in enumerate(seg_starts):
             sampler.note_gauges(

@@ -36,6 +36,7 @@ from hypothesis import strategies as st
 from repro.cluster.directory import (
     Consistency,
     DirectoryConfig,
+    DirectoryEntry,
     LookupResult,
     RefcountGc,
     ReplicatedDirectory,
@@ -161,3 +162,38 @@ class TestDirectoryDifferential:
         after = [d.live_replicas(fp) for fp in range(200)]
         assert after == [fresh.route_replicas(fp, 2) for fp in range(200)]
         assert after != before
+
+    def test_seq_tie_repairs_with_the_first_in_preference_entry(self):
+        """Two contacted replicas hold the same seq with different
+        ``refs`` (random streams never build this) and the third lacks
+        the entry: the tie goes to the first replica in preference
+        order, so the repair copies its ``refs``, in the kernel (both
+        call forms) and in the per-block reference alike."""
+        fp = 7
+        for new_holder in (False, True):
+            fused, ref = _directories(3, 3, Consistency.ALL, 4)
+            fused_request = _directories(3, 3, Consistency.ALL, 4)[0]
+            want = None
+            for d, form in (
+                (fused, "one"), (ref, "one"), (fused_request, "request")
+            ):
+                first, second, third = d.live_replicas(fp)
+                d.tables[first][fp] = DirectoryEntry(1, 5, 2)
+                d.tables[second][fp] = DirectoryEntry(1, 5, 9)
+                if form == "one":
+                    d.lookup_register(fp, 0, new_holder)
+                else:
+                    shadow = {} if new_holder else {0: fp}
+                    d.lookup_register(
+                        0, 0, True, request=RequestRound((fp,), 0, shadow)
+                    )
+                bump = 1 if new_holder else 0
+                got = [
+                    (e.writer, e.seq, e.refs)
+                    for e in (d.tables[m][fp] for m in (first, second, third))
+                ]
+                assert got == [(1, 5, 2 + bump), (1, 5, 9 + bump), (1, 5, 2 + bump)]
+                assert d.read_repairs == 1 and d.repair_pushes == 1
+                if want is None:
+                    want = _state(d)
+                assert _state(d) == want, (type(d).__name__, form, new_holder)

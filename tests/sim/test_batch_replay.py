@@ -18,6 +18,7 @@ import pytest
 from repro.baselines.base import SchemeConfig
 from repro.dedup.chunking import ChunkingConfig
 from repro.experiments.runner import SCHEME_CLASSES
+from repro.metrics.analysis import DetailedCollector
 from repro.obs.slo import SloObjective, SloPolicy
 from repro.obs.timeline import TimelineConfig
 from repro.sim.batch import batch_eligible
@@ -60,7 +61,8 @@ def fingerprint(result) -> str:
     return json.dumps(doc, sort_keys=True, default=str)
 
 
-def replay(traces, scheme_name, batch_size, config=None, **overrides):
+def replay(traces, scheme_name, batch_size, config=None, collector=None,
+           **overrides):
     params = dict(
         logical_blocks=sum(t.logical_blocks for t in traces),
         memory_bytes=256 * 1024,
@@ -71,6 +73,7 @@ def replay(traces, scheme_name, batch_size, config=None, **overrides):
         traces,
         scheme,
         config if config is not None else ReplayConfig(),
+        collector=collector,
         batch_size=batch_size,
     )
 
@@ -259,4 +262,46 @@ def test_timeline_ends_on_unmeasured_delayed_finish(web_trace):
     for batch_size in (1, 4096):
         got = replay([web_trace, tail], "Select-Dedupe", batch_size, config=config)
         assert got.timeline.t_end == base.timeline.t_end, batch_size
+        assert _timeline_jsonl(got) == _timeline_jsonl(base), batch_size
+
+
+@pytest.mark.parametrize("multi", [False, True], ids=["single", "multi"])
+def test_detailed_collector_samples_on_the_driver(multi, web_trace, homes_trace):
+    """The driver folds completions in batches; a collector that keeps
+    per-request samples still gets every one, in the object path's
+    order, with the object path's fields."""
+    traces = [web_trace, homes_trace] if multi else [web_trace]
+    base = DetailedCollector()
+    replay(traces, "POD", None, config=TELEMETRY, collector=base)
+    assert base.samples and len(base.samples) == base.requests
+    for batch_size in (1, 7, 4096):
+        got = DetailedCollector()
+        result = replay(traces, "POD", batch_size, config=TELEMETRY, collector=got)
+        assert result.metrics is got
+        assert got.samples == base.samples, batch_size
+        assert got.registry.as_dict(True) == base.registry.as_dict(True), batch_size
+
+
+def test_queue_lag_counts_epoch_tick_ops():
+    """The driver's ``queue_lag`` gauge is a running maximum of disk
+    service completions; an epoch tick's background ops must raise it.
+    Post-Process scans every block written before its first tick (t=2)
+    and one read arrives just behind that scan, so the lag its window
+    keeps is the scan's backlog."""
+    records = [
+        TraceRecord(0.001 * k, OpType.WRITE, 16 * k, 4,
+                    tuple(range(4 * k, 4 * k + 4)))
+        for k in range(64)
+    ]
+    records += [TraceRecord(t, OpType.READ, 0, 1) for t in (2.0005, 3.5)]
+    trace = Trace("scan", records, logical_blocks=16 * 64)
+    config = ReplayConfig(timeline=TimelineConfig(window=0.5))
+    base = replay([trace], "Post-Process", None, config=config)
+    lags = {
+        w["index"]: w["gauges"].get("queue_lag")
+        for w in base.timeline.as_dict()["windows"]
+    }
+    assert base.scheme_stats["offline_scans"] == 1 and lags[4] > 0.0
+    for batch_size in (1, 4096):
+        got = replay([trace], "Post-Process", batch_size, config=config)
         assert _timeline_jsonl(got) == _timeline_jsonl(base), batch_size
