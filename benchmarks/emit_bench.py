@@ -2,10 +2,11 @@
 
 Measures object-path vs columnar-batch replay throughput on fixed
 (trace, scheme) pairs and appends one run record -- git revision,
-requests/sec for both paths, speedup, and a bit-identity verdict -- to
-``BENCH_replay.json`` at the repo root.  The file is committed: each
-PR that touches replay performance appends a run, building a
-trajectory reviewers can diff instead of re-measuring.
+requests/sec for both paths, speedup, the trace generator's cost per
+request, and a bit-identity verdict -- to ``BENCH_replay.json`` at the
+repo root.  The file is committed: each PR that touches replay
+performance appends a run, building a trajectory reviewers can diff
+instead of re-measuring.
 
 Method: every number is the best of ``--trials`` runs (min wall time;
 single-core CI boxes jitter 20%+, and the minimum is the least noisy
@@ -14,6 +15,9 @@ replays a pre-interned ColumnarTrace -- conversion is load-time cost,
 like parsing.  Bit-identity is asserted on the full result fingerprint
 (metrics, scheme stats, utilisation; plus the timeline document and
 ``slo_stats`` on telemetry-armed rows), not just sampled fields.
+
+The exit status is 1 when any entry is not bit-identical, with or
+without ``--dry-run``, so ``--dry-run --trials 1`` is a quick check.
 
 Usage::
 
@@ -28,7 +32,7 @@ import platform
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.base import SchemeConfig
 from repro.experiments.runner import SCHEME_CLASSES
@@ -38,7 +42,7 @@ from repro.sim.batch import DEFAULT_BATCH_SIZE
 from repro.sim.replay import ReplayConfig, ReplayResult, replay_trace
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
-from repro.traces.synthetic import HOMES, WEB_VM, generate_trace
+from repro.traces.synthetic import HOMES, WEB_VM, TraceSpec, generate_trace
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_replay.json"
@@ -130,12 +134,23 @@ def _best_rate(
     return requests / best
 
 
+def _best_generate(spec: TraceSpec, scale: float, trials: int) -> Tuple[Trace, float]:
+    """The generated trace and the best of ``trials`` generation times."""
+    best = float("inf")
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        trace = generate_trace(spec, scale=scale)
+        best = min(best, time.perf_counter() - t0)
+    return trace, best
+
+
 def measure(trials: int) -> List[Dict[str, Any]]:
     entries: List[Dict[str, Any]] = []
     for trace_name, spec, scale, scheme_name, config in GRID:
-        trace: Trace = generate_trace(spec, scale=scale)
+        trace, generate_s = _best_generate(spec, scale, trials)
         ctrace = ColumnarTrace.from_trace(trace)
         n = len(trace.records)
+        generate_us = generate_s / n * 1e6
         logical = trace.logical_blocks
         identical = _telemetry_fingerprint(
             _replay(trace, logical, scheme_name, config, None)
@@ -157,6 +172,7 @@ def measure(trials: int) -> List[Dict[str, Any]]:
             "object_req_per_s": round(obj, 1),
             "columnar_req_per_s": round(col, 1),
             "speedup": round(col / obj, 2),
+            "generate_us_per_req": round(generate_us, 2),
             "bit_identical": identical,
         }
         entries.append(entry)
@@ -164,7 +180,7 @@ def measure(trials: int) -> List[Dict[str, Any]]:
             f"{trace_name:8s} {scheme_name:8s} {telemetry:12s} "
             f"object {obj:9.0f} req/s  "
             f"columnar {col:9.0f} req/s  speedup {col / obj:5.2f}x  "
-            f"bit-identical {identical}"
+            f"generate {generate_us:5.1f} us/req  bit-identical {identical}"
         )
     return entries
 
@@ -179,6 +195,8 @@ def main() -> int:
         help="measure and print, but do not rewrite the trajectory file",
     )
     args = parser.parse_args()
+    if args.trials < 1:
+        parser.error("--trials must be at least 1")
 
     entries = measure(args.trials)
     run = {
@@ -190,14 +208,13 @@ def main() -> int:
     }
     if args.dry_run:
         print(json.dumps(run, indent=2))
-        return 0
-
-    trajectory: Dict[str, Any] = {"runs": []}
-    if args.out.exists():
-        trajectory = json.loads(args.out.read_text())
-    trajectory.setdefault("runs", []).append(run)
-    args.out.write_text(json.dumps(trajectory, indent=2) + "\n")
-    print(f"wrote {args.out} ({len(trajectory['runs'])} runs)")
+    else:
+        trajectory: Dict[str, Any] = {"runs": []}
+        if args.out.exists():
+            trajectory = json.loads(args.out.read_text())
+        trajectory.setdefault("runs", []).append(run)
+        args.out.write_text(json.dumps(trajectory, indent=2) + "\n")
+        print(f"wrote {args.out} ({len(trajectory['runs'])} runs)")
     if not all(e["bit_identical"] for e in entries):
         print("FAIL: columnar path diverged from the object path")
         return 1

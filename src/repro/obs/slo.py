@@ -98,11 +98,19 @@ class SloObjective:
             return -1
         _, _, raw = self.scope.partition(":")
         try:
-            return int(raw)
+            ident = int(raw)
         except ValueError:
             raise ConfigError(
                 f"SLO {self.name!r}: scope id {raw!r} is not an integer"
             ) from None
+        # -1 is what a replay without per-volume tracking stamps on
+        # every completion: a negative id would silently match the
+        # whole run.
+        if ident < 0:
+            raise ConfigError(
+                f"SLO {self.name!r}: scope id must be non-negative, got {ident}"
+            )
+        return ident
 
     def as_dict(self) -> Dict[str, Any]:
         return {

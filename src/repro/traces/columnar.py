@@ -149,40 +149,39 @@ class ColumnarTrace:
     @classmethod
     def from_trace(cls, trace: Trace) -> "ColumnarTrace":
         """Intern a request-level trace into columns (lossless)."""
-        n = len(trace.records)
-        times = np.empty(n, dtype=np.float64)
-        ops = np.empty(n, dtype=np.uint8)
-        lbas = np.empty(n, dtype=np.int64)
-        nblocks = np.empty(n, dtype=np.int64)
-        fp_offsets = np.zeros(n + 1, dtype=np.int64)
-        fp_ids_list: List[int] = []
+        times: List[float] = []
+        ops: List[int] = []
+        lbas: List[int] = []
+        nblocks: List[int] = []
+        fp_offsets = [0]
+        fp_ids: List[int] = []
         pool: List[int] = []
         intern: Dict[int, int] = {}
-        append_fp = fp_ids_list.append
-        for i, rec in enumerate(trace.records):
-            times[i] = rec.time
-            ops[i] = OP_WRITE if rec.op is OpType.WRITE else OP_READ
-            lbas[i] = rec.lba
-            nblocks[i] = rec.nblocks
+        get_fid = intern.get
+        append_fp = fp_ids.append
+        for rec in trace.records:
+            times.append(rec.time)
+            ops.append(OP_WRITE if rec.op is OpType.WRITE else OP_READ)
+            lbas.append(rec.lba)
+            nblocks.append(rec.nblocks)
             if rec.fingerprints is not None:
                 for fp in rec.fingerprints:
-                    fid = intern.get(fp)
+                    fid = get_fid(fp)
                     if fid is None:
-                        fid = len(pool)
-                        intern[fp] = fid
+                        fid = intern[fp] = len(pool)
                         pool.append(fp)
                     append_fp(fid)
-            fp_offsets[i + 1] = len(fp_ids_list)
+            fp_offsets.append(len(fp_ids))
         return cls(
             name=trace.name,
             logical_blocks=trace.logical_blocks,
             warmup_count=trace.warmup_count,
-            times=times,
-            ops=ops,
-            lbas=lbas,
-            nblocks=nblocks,
-            fp_offsets=fp_offsets,
-            fp_ids=np.asarray(fp_ids_list, dtype=np.int64),
+            times=np.array(times, dtype=np.float64),
+            ops=np.array(ops, dtype=np.uint8),
+            lbas=np.array(lbas, dtype=np.int64),
+            nblocks=np.array(nblocks, dtype=np.int64),
+            fp_offsets=np.array(fp_offsets, dtype=np.int64),
+            fp_ids=np.array(fp_ids, dtype=np.int64),
             pool=pool,
             validate=False,  # the Trace already validated every record
         )

@@ -36,6 +36,7 @@ Generation is deterministic given ``(spec, seed, scale)``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -51,6 +52,8 @@ from repro.traces.workload import (
     PhaseProcess,
     SizeDistribution,
     ZipfChooser,
+    check_probs,
+    choice_cdf,
 )
 
 #: Redundancy class labels, in a fixed order for categorical draws.
@@ -115,9 +118,7 @@ class TraceSpec:
             raise TraceError("write ratio must be in (0, 1)")
         if set(self.class_probs) != set(CLASSES):
             raise TraceError(f"class_probs must have exactly the keys {CLASSES}")
-        total = sum(self.class_probs.values())
-        if not (0.999 <= total <= 1.001):
-            raise TraceError(f"class probabilities sum to {total}")
+        check_probs([self.class_probs[c] for c in CLASSES], "class")
         if not (0.0 <= self.p_same_lba <= 1.0):
             raise TraceError("p_same_lba outside [0, 1]")
 
@@ -225,8 +226,7 @@ class _GeneratorState:
         )
         self.write_sizes = SizeDistribution.of(spec.write_sizes)
         self.read_sizes = SizeDistribution.of(spec.read_sizes)
-        self.class_names = list(CLASSES)
-        self.class_p = np.array([spec.class_probs[c] for c in CLASSES])
+        self.class_cdf = choice_cdf([spec.class_probs[c] for c in CLASSES])
 
     # -- segment pool ---------------------------------------------------
 
@@ -285,13 +285,17 @@ class _GeneratorState:
         return lba
 
     def fresh(self, n: int) -> Tuple[int, ...]:
-        return tuple(next(self.fresh_fp) for _ in range(n))
+        return tuple(itertools.islice(self.fresh_fp, n))
+
+    def draw_class(self) -> str:
+        """A write's redundancy class, drawn from ``spec.class_probs``."""
+        return CLASSES[bisect_right(self.class_cdf, self.rng.random())]
 
 
 def _gen_write(state: _GeneratorState) -> Tuple[int, Tuple[int, ...]]:
     """One write request: returns (lba, fingerprints)."""
     spec, rng = state.spec, state.rng
-    cls = state.class_names[int(rng.choice(len(CLASSES), p=state.class_p))]
+    cls = state.draw_class()
     n = state.write_sizes.draw(rng)
 
     if cls in ("partial_seq", "partial_scat") and n < 4:
@@ -399,7 +403,12 @@ def generate_trace(
     if scale != 1.0:
         spec = spec.scaled(scale)
     rng = np.random.default_rng(spec.seed if seed is None else seed)
-    state = _GeneratorState(spec, rng)
+    return _generate(_GeneratorState(spec, rng))
+
+
+def _generate(state: _GeneratorState) -> Trace:
+    """Draw every record of ``state.spec`` from ``state.rng``."""
+    spec, rng = state.spec, state.rng
     arrivals = ArrivalProcess(spec.burst, rng)
     phases = PhaseProcess(
         PhaseModel(write_ratio=spec.write_ratio, mean_phase_len=spec.mean_phase_len),
@@ -461,7 +470,9 @@ def salt_fingerprints(trace: Trace, salt: int, name: Optional[str] = None) -> Tr
     records = [
         rec
         if rec.fingerprints is None
-        else replace(rec, fingerprints=tuple(fp + salt for fp in rec.fingerprints))
+        else TraceRecord(
+            rec.time, rec.op, rec.lba, rec.nblocks, tuple([fp + salt for fp in rec.fingerprints])
+        )
         for rec in trace.records
     ]
     return Trace(
@@ -543,21 +554,18 @@ def clone_tenants(
         }
         rate = float(k + 1) ** (-arrival_skew)
         records: List[TraceRecord] = []
+        get = remap.get
         for rec in base.records:
-            t = rec.time / rate
-            if rec.fingerprints is None:
-                records.append(replace(rec, time=t))
-            else:
-                fps = tuple(remap.get(fp, fp) for fp in rec.fingerprints)
-                records.append(
-                    TraceRecord(
-                        time=t,
-                        op=rec.op,
-                        lba=rec.lba,
-                        nblocks=rec.nblocks,
-                        fingerprints=fps,
-                    )
+            fps = rec.fingerprints
+            records.append(
+                TraceRecord(
+                    rec.time / rate,
+                    rec.op,
+                    rec.lba,
+                    rec.nblocks,
+                    None if fps is None else tuple(map(get, fps, fps)),
                 )
+            )
         tenants.append(
             Trace(
                 name=name,

@@ -82,7 +82,7 @@ def objective(draw: Any, k: int) -> SloObjective:
         name=f"o{k}",
         metric="latency",
         threshold=draw(st.sampled_from(THRESHOLDS)),
-        scope=draw(st.sampled_from(["run", "volume:0", "volume:2", "volume:-1"])),
+        scope=draw(st.sampled_from(["run", "volume:0", "volume:2"])),
         op=draw(st.sampled_from(["all", "read", "write"])),
         target=0.9,
     )

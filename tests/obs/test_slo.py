@@ -44,6 +44,18 @@ class TestObjectiveValidation:
         with pytest.raises(ConfigError):
             objective(scope="volume:x")
 
+    @pytest.mark.parametrize("scope", ["volume:-1", "node:-1", "volume:-7"])
+    def test_rejects_negative_scope_ids(self, scope):
+        # A replay without per-volume tracking stamps volume id -1 on
+        # every completion, so "volume:-1" would count the whole run.
+        with pytest.raises(ConfigError, match="non-negative"):
+            objective(scope=scope)
+        with pytest.raises(ConfigError, match="non-negative"):
+            SloPolicy.from_dict(
+                {"objectives": [{"name": "o", "metric": "latency",
+                                 "threshold": 0.01, "scope": scope}]}
+            )
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             SloObjective.from_dict(
