@@ -19,7 +19,7 @@ from repro.constants import BLOCKS_PER_STRIPE_UNIT
 from repro.experiments.runner import build_scheme, get_trace
 from repro.metrics.report import render_table
 from repro.sim.engine import Simulator
-from repro.sim.replay import ReplayConfig, _size_disks, replay_trace
+from repro.sim.replay import ReplayConfig, replay_trace, size_disks
 from repro.storage.disk import Disk
 from repro.storage.raid import RaidArray
 from repro.storage.rebuild import RebuildController
@@ -51,7 +51,7 @@ def run_experiment(scale):
     for scheme_name in ("Native", "POD"):
         scheme = build_scheme(scheme_name, spec, scale=scale)
         replay_trace(trace, scheme, config)
-        params = _size_disks(scheme.regions.total_blocks, config)
+        params = size_disks(scheme.regions.total_blocks, config)
         # rebuild only the rows the volume actually occupies
         row_blocks = geometry.data_disks * BLOCKS_PER_STRIPE_UNIT
         disk_rows = math.ceil(scheme.regions.total_blocks / row_blocks)

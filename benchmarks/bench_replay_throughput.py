@@ -37,7 +37,7 @@ def _scheme(scheme_name):
 @pytest.mark.parametrize("scheme_name", list(SCHEME_CLASSES))
 def test_replay_throughput(benchmark, scheme_name):
     def run():
-        return replay_trace(TRACE, _scheme(scheme_name))
+        return replay_trace(TRACE, _scheme(scheme_name), batch_size=None)
 
     result = benchmark(run)
     assert result.metrics.requests > 0

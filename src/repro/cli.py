@@ -128,11 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fault-seed", type=int, default=None, metavar="N",
                      help="override the fault plan's RNG seed "
                      "(requires --faults)")
-    run.add_argument("--batch-size", type=int, default=None, metavar="N",
-                     help="replay through the columnar batch driver, planning "
-                          "N requests per batch (bit-identical to the default "
-                          "event loop, several times faster; incompatible "
-                          "configs fall back silently)")
     run.add_argument("--chunking", default=None, metavar="[ALGO:]MIN:AVG:MAX",
                      help="enable content-defined chunking with the given "
                           "chunk bounds in 4 KB blocks (AVG must be a power "
@@ -173,10 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     multi.add_argument("--fault-seed", type=int, default=None, metavar="N",
                        help="override the fault plan's RNG seed "
                        "(requires --faults)")
-    multi.add_argument("--batch-size", type=int, default=None, metavar="N",
-                       help="replay through the columnar batch driver "
-                            "(bit-identical to the event loop; incompatible "
-                            "configs fall back silently)")
     multi.add_argument("--chunking", default=None, metavar="MIN:AVG:MAX",
                        help="enable content-defined chunking (see 'run')")
     multi.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
@@ -461,6 +452,15 @@ def _fault_plan(args: argparse.Namespace):
     return FaultPlan.load(args.faults)
 
 
+def _print_invariants(result) -> None:
+    """One line for a run with ``--check-invariants`` (none otherwise)."""
+    if result.sanitizer is None:
+        return
+    s = result.sanitizer.summary()
+    print(f"invariants clean: {s['checks_run']} structural checks, "
+          f"{s['decisions_validated']} dedupe decisions validated")
+
+
 def _print_fault_summary(result) -> None:
     """One-line fault verdict after a replay (full detail in reports)."""
     stats = getattr(result, "fault_stats", None)
@@ -698,14 +698,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Plain run: share the memoised fast path with the figure benches.
         result = runner.run_single(
             args.trace, args.scheme, scale=args.scale,
-            replay_config=replay_config, batch_size=args.batch_size,
-            **overrides,
+            replay_config=replay_config, **overrides,
         )
         _print_result(result)
-        if result.sanitizer is not None:
-            s = result.sanitizer.summary()
-            print(f"invariants clean: {s['checks_run']} structural checks, "
-                  f"{s['decisions_validated']} dedupe decisions validated")
+        _print_invariants(result)
         _print_fault_summary(result)
         _print_jobs_summary(result)
         return 0
@@ -719,16 +715,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     result = runner.run_observed(
         args.trace, args.scheme, scale=args.scale, seed=args.seed,
-        replay_config=replay_config, recorder=recorder,
-        batch_size=args.batch_size, **overrides,
+        replay_config=replay_config, recorder=recorder, **overrides,
     )
     wall = time.perf_counter() - t0
     _print_result(result)
 
-    if result.sanitizer is not None:
-        s = result.sanitizer.summary()
-        print(f"invariants clean: {s['checks_run']} structural checks, "
-              f"{s['decisions_validated']} dedupe decisions validated")
+    _print_invariants(result)
     _print_fault_summary(result)
     _print_jobs_summary(result)
     _print_telemetry(result, args)
@@ -787,7 +779,6 @@ def cmd_run_multi(args: argparse.Namespace) -> int:
         divergence=args.divergence,
         arrival_skew=args.skew,
         replay_config=replay_config,
-        batch_size=args.batch_size,
         **overrides,
     )
     _print_result(result)
@@ -810,10 +801,7 @@ def cmd_run_multi(args: argparse.Namespace) -> int:
             for v in result.volumes
         ],
     ))
-    if result.sanitizer is not None:
-        s = result.sanitizer.summary()
-        print(f"invariants clean: {s['checks_run']} structural checks, "
-              f"{s['decisions_validated']} dedupe decisions validated")
+    _print_invariants(result)
     _print_fault_summary(result)
     _print_jobs_summary(result)
     _print_telemetry(result, args)
@@ -998,10 +986,7 @@ def cmd_run_cluster(args: argparse.Namespace) -> int:
             print(f"oracle node{oracle.get('node')}: "
                   f"{oracle.get('blocks_checked', 0)} blocks checked, "
                   f"{oracle.get('mismatches', 0)} mismatches")
-    if result.sanitizer is not None:
-        s = result.sanitizer.summary()
-        print(f"invariants clean: {s['checks_run']} structural checks, "
-              f"{s['decisions_validated']} dedupe decisions validated")
+    _print_invariants(result)
     _print_jobs_summary(result)
     _print_telemetry(result, args)
     if args.report_out is not None:

@@ -34,9 +34,8 @@ path decision-for-decision and is pinned bit-identical to
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.sanitizer import PodSanitizer
 from repro.baselines.base import DedupScheme, PlannedIO
@@ -64,6 +63,9 @@ from repro.obs.timeline import TimelineSampler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.engine import Simulator
 from repro.sim.replay import ReplayConfig, ReplayResult, size_disks
+# The single-node merge, with each volume rebased into its owner
+# node's local space (the bases coincide at N=1: bit-identical).
+from repro.sim.replay import _merge_streams as _merge_cluster_streams
 from repro.sim.request import IORequest, OpType
 from repro.storage.disk import Disk, disk_utilisation, queue_lag
 from repro.storage.namespace import NamespaceMapper
@@ -118,46 +120,6 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.vnodes <= 0:
             raise ClusterError(f"vnodes must be positive, got {self.vnodes}")
-
-
-def _merge_cluster_streams(
-    traces: Sequence[Trace], bases: Sequence[int]
-) -> Tuple[List[IORequest], List[bool]]:
-    """Merge-sort N streams exactly like the single-node replay, but
-    rebase each volume into its *owner node's* local address space.
-
-    Stability, req-id assignment and measured-flag semantics are
-    identical to :func:`repro.sim.replay._merge_streams`; only the
-    base address per volume differs (node-local rather than global).
-    For one node the bases coincide and the merge is bit-identical.
-    """
-
-    def stream(vid: int, trace: Trace) -> Iterator[Tuple[float, int, IORequest, bool]]:
-        base = bases[vid]
-        warmup = trace.warmup_count
-        for i, rec in enumerate(trace.records):
-            req = IORequest(
-                time=rec.time,
-                op=rec.op,
-                lba=base + rec.lba,
-                nblocks=rec.nblocks,
-                fingerprints=rec.fingerprints,
-                req_id=-1,
-                volume_id=vid,
-            )
-            yield rec.time, vid, req, i >= warmup
-
-    merged = heapq.merge(
-        *(stream(vid, t) for vid, t in enumerate(traces)),
-        key=lambda item: item[0],
-    )
-    requests: List[IORequest] = []
-    measured: List[bool] = []
-    for req_id, (_t, _vid, req, is_measured) in enumerate(merged):
-        req.req_id = req_id
-        requests.append(req)
-        measured.append(is_measured)
-    return requests, measured
 
 
 def _aggregate_stats(stats_list: Sequence[Dict[str, Any]]) -> Dict[str, Any]:

@@ -35,26 +35,22 @@ from repro.traces.synthetic import paper_traces
 
 #: One fully serialised job: the trace as a columnar payload (flat
 #: NumPy buffers -- cheap to pickle), the resolved scheme name, its
-#: full configuration, the replay configuration and the batch size.
-Job = Tuple[Dict[str, Any], str, SchemeConfig, ReplayConfig, Optional[int]]
+#: full configuration and the replay configuration.
+Job = Tuple[Dict[str, Any], str, SchemeConfig, ReplayConfig]
 
 
 def _run_job(job: Job) -> ReplayResult:
     """Worker entry point (module-level for picklability).
 
     Rebuilds the columnar trace from its shipped columns and replays
-    it exactly as :func:`repro.experiments.runner.run_single` would:
-    through the batch driver when a batch size is given, otherwise via
-    the lossless ``to_trace`` materialisation onto the object path.
+    it exactly as :func:`repro.experiments.runner.run_single` would.
     """
     from repro.sim.replay import replay_trace
 
-    payload, scheme_name, scheme_config, replay_config, batch_size = job
+    payload, scheme_name, scheme_config, replay_config = job
     ctrace = ColumnarTrace.from_payload(payload)
     scheme = DEFAULT_REGISTRY.build(scheme_name, scheme_config)
-    return replay_trace(
-        ctrace, scheme, replay_config, batch_size=batch_size
-    )
+    return replay_trace(ctrace, scheme, replay_config)
 
 
 def run_matrix_parallel(
@@ -64,7 +60,6 @@ def run_matrix_parallel(
     seed: Optional[int] = None,
     replay_config: Optional[ReplayConfig] = None,
     max_workers: Optional[int] = None,
-    batch_size: Optional[int] = None,
     **config_overrides: Any,
 ) -> Dict[Tuple[str, str], ReplayResult]:
     """Replay every (trace, scheme) pair on a process pool.
@@ -95,7 +90,7 @@ def run_matrix_parallel(
         payload = ColumnarTrace.from_trace(trace).payload()
         config = runner.scheme_config_for(specs[t], scale, **config_overrides)
         for s in schemes:
-            jobs.append((payload, s, config, replay_config, batch_size))
+            jobs.append((payload, s, config, replay_config))
 
     workers = max_workers or min(len(jobs), os.cpu_count() or 1)
     out: Dict[Tuple[str, str], ReplayResult] = {}
@@ -113,7 +108,6 @@ def run_matrix_parallel(
             scale,
             seed,
             replay_config,
-            batch_size,
             overrides,
         )
         runner.memoize_result(cache_key, result)

@@ -126,17 +126,12 @@ def run_single(
     scale: float = DEFAULT_SCALE,
     seed: Optional[int] = None,
     replay_config: Optional[ReplayConfig] = None,
-    batch_size: Optional[int] = None,
     **config_overrides,
 ) -> ReplayResult:
     """Replay one (trace, scheme) pair, memoised.
 
     ``config_overrides`` are :class:`SchemeConfig` fields (e.g.
-    ``index_fraction=0.3`` for the Fig. 3 sweep).  ``batch_size``
-    opts into the columnar batch driver (bit-identical to the object
-    path, so it shares the memo key space with ``batch_size=None``
-    runs of the same configuration only by accident -- the key keeps
-    them separate to stay honest about what actually ran).
+    ``index_fraction=0.3`` for the Fig. 3 sweep).
     """
     specs = paper_traces()
     if trace_name not in specs:
@@ -149,7 +144,6 @@ def run_single(
         scale,
         seed,
         replay_config,
-        batch_size,
         tuple(sorted(config_overrides.items())),
     )
     bypass = telemetry_armed(replay_config)
@@ -158,7 +152,7 @@ def run_single(
     spec = specs[trace_name]
     trace = get_trace(spec, scale=scale, seed=seed)
     scheme = build_scheme(scheme_name, spec, scale=scale, **config_overrides)
-    result = replay_trace(trace, scheme, replay_config, batch_size=batch_size)
+    result = replay_trace(trace, scheme, replay_config)
     if not bypass:
         _run_cache[key] = result
     return result
@@ -171,7 +165,6 @@ def run_observed(
     seed: Optional[int] = None,
     replay_config: Optional[ReplayConfig] = None,
     recorder: Optional[TraceRecorder] = None,
-    batch_size: Optional[int] = None,
     **config_overrides,
 ) -> ReplayResult:
     """Replay one (trace, scheme) pair with observability attached.
@@ -191,9 +184,7 @@ def run_observed(
     spec = specs[trace_name]
     trace = get_trace(spec, scale=scale, seed=seed)
     scheme = build_scheme(scheme_name, spec, scale=scale, **config_overrides)
-    return replay_trace(
-        trace, scheme, replay_config, recorder=recorder, batch_size=batch_size
-    )
+    return replay_trace(trace, scheme, replay_config, recorder=recorder)
 
 
 def run_custom(
@@ -202,7 +193,6 @@ def run_custom(
     scale: float = DEFAULT_SCALE,
     seed: Optional[int] = None,
     replay_config: Optional[ReplayConfig] = None,
-    batch_size: Optional[int] = None,
     **config_overrides,
 ) -> ReplayResult:
     """Replay a non-preset trace spec (e.g. a figure-specific variant).
@@ -218,7 +208,6 @@ def run_custom(
         scale,
         seed,
         replay_config,
-        batch_size,
         tuple(sorted(config_overrides.items())),
     )
     bypass = telemetry_armed(replay_config)
@@ -226,7 +215,7 @@ def run_custom(
         return _run_cache[key]
     trace = get_trace(spec, scale=scale, seed=seed)
     scheme = build_scheme(scheme_name, spec, scale=scale, **config_overrides)
-    result = replay_trace(trace, scheme, replay_config, batch_size=batch_size)
+    result = replay_trace(trace, scheme, replay_config)
     if not bypass:
         _run_cache[key] = result
     return result
@@ -281,7 +270,6 @@ def run_multi(
     arrival_skew: float = 0.5,
     replay_config: Optional[ReplayConfig] = None,
     recorder: Optional[TraceRecorder] = None,
-    batch_size: Optional[int] = None,
     **config_overrides,
 ) -> ReplayResult:
     """Replay a multi-volume tenant set through one shared dedup domain.
@@ -320,9 +308,7 @@ def run_multi(
     )
     params.update(config_overrides)
     scheme = DEFAULT_REGISTRY.build(scheme_name, SchemeConfig(**params))
-    return replay_traces(
-        volumes, scheme, replay_config, recorder=recorder, batch_size=batch_size
-    )
+    return replay_traces(volumes, scheme, replay_config, recorder=recorder)
 
 
 def run_cluster(

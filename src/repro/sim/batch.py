@@ -44,13 +44,17 @@ and the iCache partition sizes are noted as each tick's ``on_epoch``
 runs.  ``queue_lag`` comes from a running maximum of every disk
 service's completion, not from a scan of the member disks.
 
-The result is **bit-identical** to :func:`repro.sim.replay.replay_traces`
-for every scheme and any batch size (pinned by golden tests), at a
-multiple of its throughput (see ``BENCH_replay.json`` and
-``docs/performance.md``).  Configurations outside the fast path
-(faults, SSD, spans, jobs, ...) are detected by
-:func:`batch_eligible` and silently fall back to the object path --
-which is bit-identical anyway.
+The result is **bit-identical** to the object event loop of
+:func:`repro.sim.replay.replay_traces` for every scheme and any batch
+size (pinned by golden tests), at a multiple of its throughput (see
+``BENCH_replay.json`` and ``docs/performance.md``).  It is the default
+single-node path: ``replay_trace``/``replay_traces`` take it for every
+config :func:`batch_eligible` accepts when no trace recorder is
+attached.  Faults, the SSD tier, spans, jobs, invariant checking and
+recorders run on the object loop, as does ``batch_size=None`` (the
+reference the driver is tested against).  Both loops build their
+array, collector and result through one
+:class:`~repro.sim.replay.ReplayScaffold`.
 """
 
 from __future__ import annotations
@@ -58,33 +62,23 @@ from __future__ import annotations
 import gc
 from bisect import bisect_right
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.baselines.base import DedupScheme, PlannedIO
 from repro.errors import ConfigError
 from repro.metrics.collector import Completions, MetricsCollector
-from repro.obs.timeline import TimelineSampler
 from repro.sim.replay import (
+    DEFAULT_BATCH_SIZE,
     ReplayConfig,
     ReplayResult,
-    close_timeline,
-    open_timeline,
-    size_disks,
+    ReplayScaffold,
 )
-from repro.storage.disk import Disk, disk_utilisation
-from repro.storage.namespace import NamespaceMapper
-from repro.storage.raid import RaidArray
 from repro.traces.columnar import ColumnarTrace, MergedColumns, merge_columnar
 from repro.traces.format import Trace
 
 __all__ = ["batch_eligible", "replay_columnar", "DEFAULT_BATCH_SIZE"]
-
-#: Planning window, in requests.  Large enough to amortise the NumPy
-#: slicing per batch, small enough to keep materialised request
-#: windows cache-friendly; results are invariant to it (tested).
-DEFAULT_BATCH_SIZE = 4096
 
 #: Heap entry kinds for the servicing loop (compared after seq, so the
 #: values never decide order -- seqs are unique).
@@ -98,7 +92,7 @@ def batch_eligible(config: ReplayConfig) -> bool:
     The batch driver reproduces the *fast* path of the event loop:
     no SSD tier, no faults, no spans or jobs, no invariant checking.
     A timeline, an SLO policy and a degraded array are carried.
-    Anything else falls back to the object path (bit-identical, just
+    Anything else runs on the object loop (bit-identical, just
     slower); so does any replay given a trace recorder.
     """
     return (
@@ -109,12 +103,6 @@ def batch_eligible(config: ReplayConfig) -> bool:
         and not config.spans
         and config.jobs is None
     )
-
-
-def _as_columnar(trace: Union[Trace, ColumnarTrace]) -> ColumnarTrace:
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return ColumnarTrace.from_trace(trace)
 
 
 def replay_columnar(
@@ -129,8 +117,8 @@ def replay_columnar(
 
     Accepts :class:`Trace` or :class:`ColumnarTrace` inputs (the shard
     workers of the parallel runner ship columns directly).  Requires a
-    :func:`batch_eligible` config -- callers wanting automatic
-    fallback should go through ``replay_traces(..., batch_size=...)``.
+    :func:`batch_eligible` config; :func:`repro.sim.replay.replay_traces`
+    routes every other config to the object loop.
     """
     if not traces:
         raise ConfigError("replay_columnar needs at least one trace")
@@ -139,102 +127,41 @@ def replay_columnar(
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
 
-    ctraces = [_as_columnar(t) for t in traces]
-    mapper = NamespaceMapper((ct.name, ct.logical_blocks) for ct in ctraces)
-    multi = len(ctraces) > 1
-    if mapper.total_logical_blocks > scheme.regions.logical_blocks:
-        raise ConfigError(
-            f"trace touches {mapper.total_logical_blocks} logical blocks but "
-            f"the scheme was configured for {scheme.regions.logical_blocks}"
-        )
-    geometry = config.geometry()
-    params = size_disks(scheme.regions.total_blocks, config)
-    disks = [Disk(params, disk_id=i) for i in range(geometry.ndisks)]
-    raid = RaidArray(geometry)
-    metrics = collector if collector is not None else MetricsCollector()
-    if per_volume_metrics:
-        metrics.track_volumes()
-    sampler = open_timeline(config, metrics)
-
-    merged = merge_columnar(
-        ctraces, [mapper.volume(vid).base for vid in range(len(ctraces))]
+    ctraces = [
+        t if isinstance(t, ColumnarTrace) else ColumnarTrace.from_trace(t)
+        for t in traces
+    ]
+    scaffold = ReplayScaffold(
+        ctraces, scheme, config, collector, per_volume_metrics
     )
-    n = len(merged)
-    run_name = (
-        ctraces[0].name if not multi else "+".join(ct.name for ct in ctraces)
-    )
-    total_warmup = sum(ct.warmup_count for ct in ctraces)
-
-    boundary = {"writes": 0, "removed": 0}
+    merged = merge_columnar(ctraces, scaffold.bases)
     t_end = 0.0
-    if n:
+    if len(merged):
         # The batch core churns short-lived acyclic objects (plans and
         # volume ops die by refcount); generational GC scans are pure
         # overhead here, so gate the collector off for the hot loop.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            t_end = _replay_merged(
-                merged, scheme, raid, disks, metrics, config, batch_size,
-                multi, boundary, sampler,
-            )
+            t_end = _replay_merged(merged, scaffold, batch_size)
         finally:
             if gc_was_enabled:
                 gc.enable()
-
-    volumes: List[Dict[str, Any]] = []
-    if per_volume_metrics:
-        tracked = set(metrics.volume_ids())
-        for ns in mapper:
-            entry: Dict[str, Any] = {
-                "volume_id": ns.volume_id,
-                "name": ns.name,
-                "logical_blocks": ns.logical_blocks,
-            }
-            if ns.volume_id in tracked:
-                entry.update(metrics.volume_as_dict(ns.volume_id))
-            else:  # volume with no measured traffic
-                entry["requests"] = 0
-            volumes.append(entry)
-
-    slo_stats = close_timeline(sampler, config, t_end)
-    timeline = getattr(scheme.cache, "epoch_timeline", [])
-    scheme_stats = scheme.stats()
-    return ReplayResult(
-        trace_name=run_name,
-        scheme_name=scheme.name,
-        metrics=metrics,
-        scheme_stats=scheme_stats,
-        utilisation=disk_utilisation(disks),
-        capacity_blocks=scheme_stats["capacity_blocks"],
-        writes_total=scheme.writes_total - boundary["writes"],
-        write_requests_removed=(
-            scheme.write_requests_removed - boundary["removed"]
-        ),
-        epoch_timeline=[
-            e.as_dict() if hasattr(e, "as_dict") else dict(e) for e in timeline
-        ],
-        volumes=volumes,
-        timeline=sampler,
-        slo_stats=slo_stats,
-    )
+    return scaffold.result(t_end)
 
 
 def _replay_merged(
-    merged: MergedColumns,
-    scheme: DedupScheme,
-    raid: RaidArray,
-    disks: List[Disk],
-    metrics: MetricsCollector,
-    config: ReplayConfig,
-    batch_size: int,
-    multi: bool,
-    boundary: Dict[str, int],
-    sampler: Optional[TimelineSampler],
+    merged: MergedColumns, scaffold: ReplayScaffold, batch_size: int
 ) -> float:
     """Plan (windowed, batched) and service (event-ordered) the merged
-    stream.  Mutates ``scheme``/``disks``/``metrics``/``boundary`` and
-    feeds ``sampler``; returns the clock of the last event."""
+    stream.  Mutates the scheme, disks, collector and warm-up boundary
+    of ``scaffold`` and feeds its sampler; returns the clock of the last
+    event."""
+    scheme = scaffold.scheme
+    config = scaffold.config
+    disks = scaffold.disks
+    metrics = scaffold.metrics
+    sampler = scaffold.sampler
     n = len(merged)
     times = merged.times
     times_l = times.tolist()
@@ -307,7 +234,7 @@ def _replay_merged(
     tick_ops: List[list] = []
     #: Multi-volume runs: the volume that first wrote each fingerprint
     #: id (the merged pool interns values, so ids compare like values).
-    fp_owner: Optional[Dict[int, int]] = {} if multi else None
+    fp_owner: Optional[Dict[int, int]] = {} if scaffold.multi else None
     plan_cursor = 0
     plan_tick = 0
     plan_columns = scheme.plan_columns
@@ -318,8 +245,7 @@ def _replay_merged(
         boundary); fills ``nvram`` as documented on
         ``DedupScheme.plan_columns``."""
         if a == boundary_idx:
-            boundary["writes"] = scheme.writes_total
-            boundary["removed"] = scheme.write_requests_removed
+            scaffold.mark_boundary()
         plans = plan_columns(
             a, b, times_l, is_write_l, lbas_l, nblocks_l, vids_l,
             offsets_l, fp_ids_l, pool, nvram_out=nvram,
@@ -401,7 +327,7 @@ def _replay_merged(
         heappush(heap, (tick_times[0], seq, _TICK, 0))
         seq += 1
 
-    service = raid.service
+    service = scaffold.array.service
     failed_disk = config.failed_disk
     interval_f = scheme.epoch_interval if scheme.epoch_interval is not None else 0.0
     last_arrival_f = times_l[-1]

@@ -12,7 +12,7 @@ optional background ops (iCache swap traffic) that load the disks
 without gating completion.  Schemes with an ``epoch_interval`` get a
 periodic callback for cache management.
 
-Two replay drivers share one engine loop:
+Two entry points:
 
 * :func:`replay_trace` -- the classic single-volume replay;
 * :func:`replay_traces` -- N timestamped trace streams merge-sorted
@@ -22,6 +22,11 @@ Two replay drivers share one engine loop:
   ``replay_trace`` is exactly the N=1 special case: a single-volume
   replay through either entry point is bit-identical (pinned by the
   golden regression tests).
+
+Both run every config the columnar driver (:mod:`repro.sim.batch`)
+carries on that driver, and everything else on the object event loop
+below; the two loops share their setup and teardown
+(:class:`ReplayScaffold`) and give bit-identical results.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from repro.obs.timeline import TimelineConfig, TimelineSampler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.engine import Simulator
 from repro.sim.request import IORequest, OpType
-from repro.storage.disk import Disk, DiskParams, queue_lag
+from repro.storage.disk import Disk, DiskParams, disk_utilisation, queue_lag
 from repro.storage.namespace import NamespaceMapper
 from repro.storage.raid import RaidArray, RaidGeometry, RaidLevel
 from repro.storage.ssd import Ssd, SsdParams
@@ -198,8 +203,19 @@ class ReplayResult:
         return out
 
 
-def _size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
-    """Pick per-disk capacity so the array exposes the needed volume."""
+#: Planning window of the columnar driver, in requests (the default
+#: ``batch_size`` of :func:`replay_trace`/:func:`replay_traces`).  Large
+#: enough to amortise the NumPy slicing per batch, small enough to keep
+#: materialised request windows cache-friendly; results are invariant
+#: to it (tested).
+DEFAULT_BATCH_SIZE = 4096
+
+
+def size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
+    """Pick per-disk capacity so the array exposes the needed volume.
+
+    The cluster replay sizes each node's private array with this same
+    rule (a bit-identity requirement at N=1)."""
     geometry = config.geometry()
     data_disks = geometry.data_disks
     su = geometry.stripe_unit_blocks
@@ -219,58 +235,27 @@ def _size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
     )
 
 
-def size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
-    """Public accessor for the disk-sizing rule (the cluster replay
-    sizes each node's private array with exactly the same arithmetic
-    as the single-node replay -- a bit-identity requirement)."""
-    return _size_disks(total_volume_blocks, config)
-
-
-def open_timeline(
-    config: ReplayConfig, metrics: MetricsCollector
-) -> Optional[TimelineSampler]:
-    """The replay's timeline sampler, fed by every ``metrics.record``
-    (``None`` when neither ``timeline`` nor ``slo`` is armed)."""
-    tl_config = config.effective_timeline()
-    if tl_config is None:
-        return None
-    sampler = TimelineSampler(tl_config, policy=config.slo)
-    metrics.attach_timeline(sampler)
-    return sampler
-
-
-def close_timeline(
-    sampler: Optional[TimelineSampler], config: ReplayConfig, t_end: float
-) -> Optional[Dict[str, Any]]:
-    """End the timeline at the clock of the run's last event and
-    evaluate the SLO policy over it; returns the ``slo_stats``."""
-    if sampler is None:
-        return None
-    sampler.finish(t_end)
-    if config.slo is None:
-        return None
-    return evaluate_slo(config.slo, sampler.as_dict())
-
-
 def _merge_streams(
-    traces: Sequence[Trace], mapper: NamespaceMapper
+    traces: Sequence[Trace], bases: Sequence[int]
 ) -> Tuple[List[IORequest], List[bool]]:
     """Merge-sort N timestamped streams into one global request list.
 
-    Each stream's requests are rebased into its volume's slice of the
-    shared domain and tagged with the volume id; global ``req_id``s
-    are assigned in merged order.  The merge is stable: equal
-    timestamps keep volume order, so the merged stream is a pure
-    function of its inputs (determinism).  Returns the requests plus a
-    parallel measured-flag list (a request is measured when it is past
-    its *own* volume's warm-up prefix).
+    Each stream's requests are rebased by its volume's base address
+    (``bases[vid]``: the volume's slice of the shared domain here, its
+    owner node's local space in :mod:`repro.cluster.replay`) and tagged
+    with the volume id; global ``req_id``s are assigned in merged order.
+    The merge is stable: equal timestamps keep volume order, so the
+    merged stream is a pure function of its inputs (determinism).
+    Returns the requests plus a parallel measured-flag list (a request
+    is measured when it is past its *own* volume's warm-up prefix).
 
-    For N=1 this degenerates to exactly ``list(trace.requests())``
-    with ``measured[i] = i >= warmup_count`` -- the classic path.
+    For N=1 at base 0 this degenerates to exactly
+    ``list(trace.requests())`` with ``measured[i] = i >= warmup_count``
+    -- the classic path.
     """
 
     def stream(vid: int, trace: Trace) -> Iterator[Tuple[float, int, IORequest, bool]]:
-        base = mapper.volume(vid).base
+        base = bases[vid]
         warmup = trace.warmup_count
         for i, rec in enumerate(trace.records):
             req = IORequest(
@@ -297,13 +282,126 @@ def _merge_streams(
     return requests, measured
 
 
+class ReplayScaffold:
+    """The setup and teardown both single-node loops share.
+
+    The object event loop (:func:`replay_traces`) and the columnar
+    driver (:func:`repro.sim.batch.replay_columnar`) differ only in
+    how they move requests through the array.  Both lay the volumes
+    out with one :class:`NamespaceMapper`, size and build the member
+    disks and the :class:`RaidArray`, and arm the collector (per-volume
+    tracking, timeline) here; at the end :meth:`result` closes the
+    timeline and fills the :class:`ReplayResult` fields both produce.
+    """
+
+    def __init__(
+        self,
+        traces: Sequence[Union[Trace, ColumnarTrace]],
+        scheme: DedupScheme,
+        config: ReplayConfig,
+        collector: Optional[MetricsCollector],
+        per_volume_metrics: bool,
+    ) -> None:
+        self.scheme = scheme
+        self.config = config
+        self.per_volume_metrics = per_volume_metrics
+        self.mapper = NamespaceMapper((t.name, t.logical_blocks) for t in traces)
+        if self.mapper.total_logical_blocks > scheme.regions.logical_blocks:
+            raise ConfigError(
+                f"trace touches {self.mapper.total_logical_blocks} logical blocks but "
+                f"the scheme was configured for {scheme.regions.logical_blocks}"
+            )
+        #: Per-volume base addresses in the shared domain.
+        self.bases = [ns.base for ns in self.mapper]
+        self.multi = len(traces) > 1
+        self.run_name = (
+            traces[0].name if not self.multi else "+".join(t.name for t in traces)
+        )
+        geometry = config.geometry()
+        if config.failed_disk is not None and not (
+            0 <= config.failed_disk < geometry.ndisks
+        ):
+            raise ConfigError(f"no member disk {config.failed_disk} to fail")
+        params = size_disks(scheme.regions.total_blocks, config)
+        self.disks = [Disk(params, disk_id=i) for i in range(geometry.ndisks)]
+        self.array = RaidArray(geometry)
+        self.metrics = collector if collector is not None else MetricsCollector()
+        if per_volume_metrics:
+            self.metrics.track_volumes()
+        # The timeline sampler is fed by every collector record (None
+        # when neither ``timeline`` nor ``slo`` is armed).
+        tl_config = config.effective_timeline()
+        self.sampler: Optional[TimelineSampler] = None
+        if tl_config is not None:
+            self.sampler = TimelineSampler(tl_config, policy=config.slo)
+            self.metrics.attach_timeline(self.sampler)
+        # Fig. 11 counts removed write requests over the measured day
+        # only: the scheme's counters at the warm-up boundary.
+        self.writes_at_boundary = 0
+        self.removed_at_boundary = 0
+
+    def mark_boundary(self) -> None:
+        """Snapshot the scheme's write counters at the warm-up boundary
+        (just before the first measured arrival is planned)."""
+        self.writes_at_boundary = self.scheme.writes_total
+        self.removed_at_boundary = self.scheme.write_requests_removed
+
+    def result(self, t_end: float, **extra: Any) -> ReplayResult:
+        """End the timeline at ``t_end`` (the clock of the run's last
+        event), evaluate the SLO policy over it and build the result;
+        ``extra`` fills the fields only the object loop produces."""
+        scheme = self.scheme
+        metrics = self.metrics
+        volumes: List[Dict[str, Any]] = []
+        if self.per_volume_metrics:
+            tracked = set(metrics.volume_ids())
+            for ns in self.mapper:
+                entry: Dict[str, Any] = {
+                    "volume_id": ns.volume_id,
+                    "name": ns.name,
+                    "logical_blocks": ns.logical_blocks,
+                }
+                if ns.volume_id in tracked:
+                    entry.update(metrics.volume_as_dict(ns.volume_id))
+                else:  # volume with no measured traffic
+                    entry["requests"] = 0
+                volumes.append(entry)
+
+        slo_stats: Optional[Dict[str, Any]] = None
+        if self.sampler is not None:
+            self.sampler.finish(t_end)
+            if self.config.slo is not None:
+                slo_stats = evaluate_slo(self.config.slo, self.sampler.as_dict())
+        timeline = getattr(scheme.cache, "epoch_timeline", [])
+        scheme_stats = scheme.stats()
+        return ReplayResult(
+            trace_name=self.run_name,
+            scheme_name=scheme.name,
+            metrics=metrics,
+            scheme_stats=scheme_stats,
+            utilisation=disk_utilisation(self.disks),
+            capacity_blocks=scheme_stats["capacity_blocks"],
+            writes_total=scheme.writes_total - self.writes_at_boundary,
+            write_requests_removed=(
+                scheme.write_requests_removed - self.removed_at_boundary
+            ),
+            epoch_timeline=[
+                e.as_dict() if hasattr(e, "as_dict") else dict(e) for e in timeline
+            ],
+            volumes=volumes,
+            timeline=self.sampler,
+            slo_stats=slo_stats,
+            **extra,
+        )
+
+
 def replay_trace(
     trace: Union[Trace, ColumnarTrace],
     scheme: DedupScheme,
     config: ReplayConfig = ReplayConfig(),
     collector: Optional[MetricsCollector] = None,
     recorder: Optional[TraceRecorder] = None,
-    batch_size: Optional[int] = None,
+    batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
 ) -> ReplayResult:
     """Replay ``trace`` through ``scheme`` on the configured array.
 
@@ -317,14 +415,15 @@ def replay_trace(
     are identical to an un-instrumented replay; the disabled path
     costs one integer compare per instrumentation site.
 
-    ``batch_size`` opts into the columnar batch driver
-    (:mod:`repro.sim.batch`): requests are planned in vectorized
-    batches and completions replayed through a specialised loop --
-    bit-identical to the event-loop path (pinned by golden tests) at a
-    multiple of its throughput.  An armed timeline or SLO policy stays
-    on it (same timeline bytes and ``slo_stats``); configs outside the
-    fast path (see :func:`repro.sim.batch.batch_eligible`) and any
-    ``recorder`` fall back to the object path silently.
+    The replay runs on the columnar batch driver
+    (:mod:`repro.sim.batch`), planning ``batch_size`` requests per
+    batch, whenever :func:`repro.sim.batch.batch_eligible` accepts the
+    config and no ``recorder`` is attached; an armed timeline, SLO
+    policy or degraded array rides along.  Everything else (faults,
+    jobs, spans, the SSD tier, invariant checking, a recorder) runs on
+    the object event loop of :func:`replay_traces`, which is also what
+    ``batch_size=None`` selects: the reference loop the driver is
+    pinned bit-identical to by the golden tests.
 
     This is the N=1 special case of :func:`replay_traces` (without
     the per-volume metric breakdowns); the two are bit-identical for
@@ -348,7 +447,7 @@ def replay_traces(
     collector: Optional[MetricsCollector] = None,
     recorder: Optional[TraceRecorder] = None,
     per_volume_metrics: bool = True,
-    batch_size: Optional[int] = None,
+    batch_size: Optional[int] = DEFAULT_BATCH_SIZE,
 ) -> ReplayResult:
     """Replay N trace streams onto one shared-dedup-domain array.
 
@@ -365,10 +464,9 @@ def replay_traces(
     inline-deduplicated block is classified as *cross-volume* (its
     content was first written by another volume) or *intra-volume*.
 
-    ``batch_size`` selects the columnar batch driver exactly as in
-    :func:`replay_trace`: timeline and SLO telemetry ride along,
-    anything :func:`repro.sim.batch.batch_eligible` rejects (or a
-    ``recorder``) takes this object event loop instead.
+    The loop is chosen as in :func:`replay_trace`: the columnar driver
+    for every config it carries, this object event loop for the rest,
+    for any ``recorder`` and for ``batch_size=None``.
     """
     if not traces:
         raise ConfigError("replay_traces needs at least one trace")
@@ -389,31 +487,24 @@ def replay_traces(
                 batch_size=batch_size,
                 per_volume_metrics=per_volume_metrics,
             )
-    # Columnar inputs that did not take the batch driver (or were
-    # passed with batch_size=None) materialise back to request-level
-    # traces -- the round-trip is lossless, so the result is identical.
+    # Columnar inputs on the object loop materialise back to
+    # request-level traces -- the round-trip is lossless, so the
+    # result is identical.
     traces = [
         t.to_trace() if isinstance(t, ColumnarTrace) else t for t in traces
     ]
-    mapper = NamespaceMapper((t.name, t.logical_blocks) for t in traces)
-    multi = len(traces) > 1
-    if mapper.total_logical_blocks > scheme.regions.logical_blocks:
-        raise ConfigError(
-            f"trace touches {mapper.total_logical_blocks} logical blocks but "
-            f"the scheme was configured for {scheme.regions.logical_blocks}"
-        )
-    geometry = config.geometry()
-    params = _size_disks(scheme.regions.total_blocks, config)
-    disks = [Disk(params, disk_id=i) for i in range(geometry.ndisks)]
-    array = RaidArray(geometry)
+    scaffold = ReplayScaffold(
+        traces, scheme, config, collector, per_volume_metrics
+    )
+    multi = scaffold.multi
+    disks = scaffold.disks
+    array = scaffold.array
+    metrics = scaffold.metrics
+    sampler = scaffold.sampler
     sim = Simulator(disks, array, failed_disk=config.failed_disk)
-    metrics = collector if collector is not None else MetricsCollector()
-    if per_volume_metrics:
-        metrics.track_volumes()
     ssd = Ssd(config.ssd_params) if config.ssd_params is not None else None
 
     # Telemetry (all observation only; None = zero-overhead off path).
-    sampler = open_timeline(config, metrics)
     tracer: Optional[SpanTracer] = SpanTracer() if config.spans else None
     if tracer is not None:
         scheme.spans = tracer
@@ -443,7 +534,7 @@ def replay_traces(
         injector.spans = tracer
         # Volume-id -> namespace resolution for per-volume NVRAM-loss
         # recovery (NvramLossSpec.scope == "volume").
-        injector.mapper = mapper
+        injector.mapper = scaffold.mapper
         if sampler is not None:
             # Known-in-advance fault intervals become window bands up
             # front; tick-driven activity (rebuild progress) is noted
@@ -453,7 +544,7 @@ def replay_traces(
     elif config.fault_seed is not None:
         raise ConfigError("fault_seed given without a fault plan")
 
-    requests, measured_flags = _merge_streams(traces, mapper)
+    requests, measured_flags = _merge_streams(traces, scaffold.bases)
     for request in requests:
         sim.schedule_arrival(request.time, request)
 
@@ -509,7 +600,6 @@ def replay_traces(
             )
         jobs_runtime.start()
 
-    run_name = traces[0].name if not multi else "+".join(t.name for t in traces)
     total_warmup = sum(t.warmup_count for t in traces)
     #: First writer of each fingerprint, for the cross-volume vs
     #: intra-volume split (multi-volume replays only -- the single
@@ -521,7 +611,7 @@ def replay_traces(
             TraceLevel.SUMMARY,
             requests[0].time if requests else 0.0,
             EventType.RUN_START,
-            trace=run_name,
+            trace=scaffold.run_name,
             scheme=scheme.name,
             requests=len(requests),
             warmup=total_warmup,
@@ -589,18 +679,17 @@ def replay_traces(
         if planned.background_ops:
             sim.service_volume_ops(issue_time, planned.background_ops)
 
-    # Fig. 11 counts removed write requests over the measured day
-    # only, so snapshot the scheme's counters at the warm-up boundary
-    # (the first arrival that is past its volume's warm-up prefix).
-    boundary = {"writes": 0, "removed": 0, "taken": total_warmup == 0}
+    # The warm-up boundary is the first arrival that is past its
+    # volume's warm-up prefix.
+    boundary_taken = total_warmup == 0
     arrivals = {"count": 0}
 
     def handle_request(request: IORequest, arrival: float) -> None:
+        nonlocal boundary_taken
         now = sim.now
-        if not boundary["taken"] and measured_flags[request.req_id]:
-            boundary["writes"] = scheme.writes_total
-            boundary["removed"] = scheme.write_requests_removed
-            boundary["taken"] = True
+        if not boundary_taken and measured_flags[request.req_id]:
+            scaffold.mark_boundary()
+            boundary_taken = True
         root = -1
         if tracer is not None:
             # Root span: arrival to completion (ended in complete()).
@@ -742,42 +831,11 @@ def replay_traces(
             makespan=metrics.as_dict()["makespan"],
         )
 
-    volumes: List[Dict[str, Any]] = []
-    if per_volume_metrics:
-        tracked = set(metrics.volume_ids())
-        for ns in mapper:
-            entry: Dict[str, Any] = {
-                "volume_id": ns.volume_id,
-                "name": ns.name,
-                "logical_blocks": ns.logical_blocks,
-            }
-            if ns.volume_id in tracked:
-                entry.update(metrics.volume_as_dict(ns.volume_id))
-            else:  # volume with no measured traffic
-                entry["requests"] = 0
-            volumes.append(entry)
-
-    slo_stats = close_timeline(sampler, config, sim.now)
-    timeline = getattr(scheme.cache, "epoch_timeline", [])
-    scheme_stats = scheme.stats()
-    return ReplayResult(
-        trace_name=run_name,
-        scheme_name=scheme.name,
-        metrics=metrics,
-        scheme_stats=scheme_stats,
-        utilisation=sim.utilisation(),
-        capacity_blocks=scheme_stats["capacity_blocks"],
-        writes_total=scheme.writes_total - boundary["writes"],
-        write_requests_removed=scheme.write_requests_removed - boundary["removed"],
-        epoch_timeline=[
-            e.as_dict() if hasattr(e, "as_dict") else dict(e) for e in timeline
-        ],
+    return scaffold.result(
+        sim.now,
         recorder=recorder,
         sanitizer=sanitizer,
-        volumes=volumes,
         fault_stats=injector.summary() if injector is not None else None,
-        timeline=sampler,
         spans=tracer,
-        slo_stats=slo_stats,
         jobs_stats=jobs_runtime.summary() if jobs_runtime is not None else None,
     )

@@ -1,9 +1,15 @@
 """Integration tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
 from repro.experiments import runner
+from repro.sim import batch
+
+SLO_POLICY = str(Path(__file__).resolve().parents[2] / "examples" / "slo.json")
 
 
 @pytest.fixture(autouse=True)
@@ -115,6 +121,61 @@ class TestCommands:
         assert rc == 0
         assert (out / "figures.json").exists()
         assert (out / "fig8_overall_response.csv").exists()
+
+
+#: CLI runs the columnar driver carries, and the report sections that
+#: must come out equal on the object event loop.
+DRIVER_RUNS = {
+    "telemetry": (
+        ["run", "--trace", "web-vm", "--scheme", "pod", "--scale", "0.02",
+         "--seed", "1", "--timeline", "1.0", "--slo", SLO_POLICY],
+        ("timeline", "slo"),
+    ),
+    "multi-volume-telemetry": (
+        ["run-multi", "--trace", "web-vm", "--trace", "mail", "--copies", "2",
+         "--scheme", "pod", "--scale", "0.02", "--seed", "1",
+         "--timeline", "1.0", "--slo", SLO_POLICY],
+        ("timeline", "slo", "histograms", "volumes"),
+    ),
+    "degraded-array": (
+        ["run", "--trace", "web-vm", "--scheme", "pod", "--raid", "raid5",
+         "--failed-disk", "1", "--scale", "0.02", "--seed", "1"],
+        ("counters", "histograms", "utilisation"),
+    ),
+    "multi-volume-cdc": (
+        ["run-multi", "--trace", "web-vm", "--trace", "mail", "--copies", "2",
+         "--scheme", "pod", "--chunking", "gear", "--scale", "0.02",
+         "--seed", "1"],
+        ("counters", "histograms", "volumes", "icache_timeline", "utilisation"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVER_RUNS))
+def test_driver_report_equals_object_loop(name, tmp_path, monkeypatch):
+    """A default CLI run takes the columnar driver; with the driver
+    refused it takes the object event loop, and the report sections
+    both loops fill are equal."""
+    argv, sections = DRIVER_RUNS[name]
+    driver_calls = []
+    replay_columnar = batch.replay_columnar
+
+    def spy(*args, **kwargs):
+        driver_calls.append(1)
+        return replay_columnar(*args, **kwargs)
+
+    monkeypatch.setattr(batch, "replay_columnar", spy)
+    reports = {}
+    for loop in ("driver", "object"):
+        if loop == "object":
+            monkeypatch.setattr(batch, "batch_eligible", lambda config: False)
+        runner.clear_run_cache()
+        out = tmp_path / f"{loop}.json"
+        assert main(argv + ["--report-out", str(out)]) == 0
+        reports[loop] = json.loads(out.read_text())
+    assert driver_calls == [1], "the default run did not take the driver"
+    for section in sections:
+        assert reports["driver"][section] == reports["object"][section], section
 
 
 class TestDirectoryFlags:

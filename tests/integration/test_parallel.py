@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.parallel import run_matrix_parallel
+from repro.sim.replay import ReplayConfig, replay_trace
+from repro.traces.synthetic import paper_traces
 
 SCALE = 0.02
 
@@ -60,34 +62,34 @@ def _fingerprints(matrix):
 def test_worker_count_invariance():
     """Shipping traces as column payloads must not leak any worker-
     count dependence: 1, 2 and 3 workers produce bit-identical
-    matrices, with and without the columnar batch driver."""
+    matrices."""
     grid = dict(
         trace_names=["web-vm", "homes"], scheme_names=["Native", "POD"],
         scale=SCALE,
     )
-    for batch_size in (None, 4096):
-        base = None
-        for workers in (1, 2, 3):
-            runner.clear_run_cache()
-            got = _fingerprints(
-                run_matrix_parallel(
-                    max_workers=workers, batch_size=batch_size, **grid
-                )
-            )
-            if base is None:
-                base = got
-            assert got == base, (
-                f"matrix differs at max_workers={workers}, "
-                f"batch_size={batch_size}"
-            )
+    base = None
+    for workers in (1, 2, 3):
+        runner.clear_run_cache()
+        got = _fingerprints(run_matrix_parallel(max_workers=workers, **grid))
+        if base is None:
+            base = got
+        assert got == base, f"matrix differs at max_workers={workers}"
 
 
 def test_batch_size_matches_object_path():
-    """The batched parallel matrix equals the object-path serial one
-    (the columnar driver's bit-identity, end to end through workers)."""
-    serial = runner.run_matrix(["web-vm"], ["POD"], scale=SCALE)
-    runner.clear_run_cache()
+    """The parallel matrix (columnar driver in the workers) equals a
+    per-pair replay on the reference object event loop."""
     batched = run_matrix_parallel(
-        ["web-vm"], ["POD"], scale=SCALE, max_workers=2, batch_size=4096
+        ["web-vm", "homes"], ["Native", "POD"], scale=SCALE, max_workers=2
     )
-    assert _fingerprints(batched) == _fingerprints(serial)
+    specs = paper_traces()
+    reference = {}
+    for trace_name, scheme_name in batched:
+        spec = specs[trace_name]
+        reference[(trace_name, scheme_name)] = replay_trace(
+            runner.get_trace(spec, scale=SCALE),
+            runner.build_scheme(scheme_name, spec, scale=SCALE),
+            ReplayConfig(),
+            batch_size=None,
+        )
+    assert _fingerprints(batched) == _fingerprints(reference)

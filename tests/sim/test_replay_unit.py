@@ -3,37 +3,46 @@
 import pytest
 
 from repro.baselines.base import SchemeConfig
+from repro.baselines.native import Native
 from repro.constants import BLOCKS_PER_STRIPE_UNIT
 from repro.errors import ConfigError
 from repro.metrics.collector import MetricsCollector
-from repro.sim.replay import ReplayConfig, ReplayResult, _size_disks
+from repro.sim.replay import (
+    DEFAULT_BATCH_SIZE,
+    ReplayConfig,
+    ReplayResult,
+    replay_trace,
+    size_disks,
+)
+from repro.sim.request import OpType
 from repro.storage.disk import DiskParams
 from repro.storage.raid import RaidLevel
+from repro.traces.format import Trace, TraceRecord
 
 SU = BLOCKS_PER_STRIPE_UNIT
 
 
 class TestSizeDisks:
     def test_default_disk_large_enough_untouched(self):
-        params = _size_disks(1000, ReplayConfig())
+        params = size_disks(1000, ReplayConfig())
         assert params.total_blocks == DiskParams().total_blocks
 
     def test_grows_for_big_volumes(self):
         need = DiskParams().total_blocks * 4
-        params = _size_disks(need, ReplayConfig())
+        params = size_disks(need, ReplayConfig())
         geometry = ReplayConfig().geometry()
         rows = params.total_blocks // SU
         assert rows * geometry.data_disks * SU >= need
 
     def test_respects_custom_params(self):
         custom = DiskParams(total_blocks=1 << 24, rpm=15000)
-        params = _size_disks(1000, ReplayConfig(disk_params=custom))
+        params = size_disks(1000, ReplayConfig(disk_params=custom))
         assert params.rpm == 15000
         assert params.total_blocks == 1 << 24
 
     def test_mechanical_params_preserved_when_growing(self):
         custom = DiskParams(total_blocks=64, seek_max=0.5)
-        params = _size_disks(10_000_000, ReplayConfig(disk_params=custom))
+        params = size_disks(10_000_000, ReplayConfig(disk_params=custom))
         assert params.seek_max == 0.5
         assert params.total_blocks > 64
 
@@ -50,6 +59,19 @@ class TestReplayConfig:
 
     def test_spans_field_distinguishes(self):
         assert ReplayConfig() != ReplayConfig(spans=True)
+
+    @pytest.mark.parametrize("batch_size", [DEFAULT_BATCH_SIZE, None])
+    def test_unknown_failed_disk_rejected_up_front(self, batch_size):
+        """Both single-node loops reject a failed member the array
+        does not have before replaying anything."""
+        trace = Trace(
+            "t", [TraceRecord(0.0, OpType.READ, 0, 1)], logical_blocks=8
+        )
+        scheme = Native(SchemeConfig(logical_blocks=8, memory_bytes=4096))
+        with pytest.raises(ConfigError, match="no member disk 7"):
+            replay_trace(
+                trace, scheme, ReplayConfig(failed_disk=7), batch_size=batch_size
+            )
 
 
 class TestReplayResult:
