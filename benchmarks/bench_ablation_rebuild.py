@@ -18,10 +18,9 @@ from conftest import emit
 from repro.constants import BLOCKS_PER_STRIPE_UNIT
 from repro.experiments.runner import build_scheme, get_trace
 from repro.metrics.report import render_table
-from repro.sim.engine import Simulator
 from repro.sim.replay import ReplayConfig, replay_trace, size_disks
 from repro.storage.disk import Disk
-from repro.storage.raid import RaidArray
+from repro.storage.raid import RaidArray, service_disk_ops
 from repro.storage.rebuild import RebuildController
 from repro.traces.synthetic import paper_traces
 
@@ -32,12 +31,11 @@ BATCH_ROWS = 8
 def offline_rebuild_time(raid, params, controller) -> float:
     """Rebuild with no foreground traffic; returns the makespan."""
     disks = [Disk(params, disk_id=i) for i in range(raid.geometry.ndisks)]
-    sim = Simulator(disks, raid)
     done = 0.0
     while not controller.done:
         batch = controller.next_batch(BATCH_ROWS)
         if batch:
-            done = sim.service_disk_ops(done, batch)
+            done = service_disk_ops(disks, done, batch)
     return done
 
 

@@ -10,10 +10,10 @@ instance: the cluster layer above it routes dedup lookups and pays
 network costs, but data placement, Select-Dedupe decisions, sanitizer
 invariants and the content oracle all remain per-node properties.
 
-Disk service is the single-node engine's own
-(:func:`repro.storage.raid.service_volume_ops`), so a one-node cluster
-produces byte-identical traces and utilisation tables to the classic
-engine path.
+Disk service is :func:`repro.storage.raid.service_volume_ops` (the
+path the columnar driver's :meth:`RaidArray.service` kernel is pinned
+to), with the node's fault hook when a
+:class:`~repro.faults.injector.FaultInjector` targets the node.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from typing import List, Optional, Sequence
 from repro.baselines.base import DedupScheme
 from repro.errors import ClusterError
 from repro.obs.trace import TraceRecorder
+from repro.sim.request import DiskOp
 from repro.storage.disk import Disk
 from repro.storage.namespace import NamespaceMapper
-from repro.storage.raid import RaidArray, service_volume_ops
+from repro.storage.raid import FaultHook, RaidArray, service_disk_ops, service_volume_ops
 from repro.storage.volume import VolumeOp
 
 
@@ -72,6 +73,10 @@ class ClusterNode:
         self.mapper = mapper
         #: Failed member disk (local index), or None when healthy.
         self.failed_disk: Optional[int] = None
+        #: Fault-injection hook consulted per disk op (see
+        #: :data:`repro.storage.raid.FaultHook`); None keeps disk
+        #: service on the ``RaidArray.service`` kernel.
+        self.fault_hook: Optional[FaultHook] = None
         #: Global volume ids served by this node, in arrival-merge order.
         self.volume_ids: List[int] = []
         # -- cluster accounting (fed by the replay driver) --------------
@@ -86,8 +91,14 @@ class ClusterNode:
     ) -> float:
         """RAID-translate the node's volume extents and service them."""
         return service_volume_ops(
-            self.raid, self.disks, now, ops, self.failed_disk, obs
+            self.raid, self.disks, now, ops, self.failed_disk, obs, self.fault_hook
         )
+
+    def service_disk_ops(
+        self, obs: TraceRecorder, now: float, ops: Sequence[DiskOp]
+    ) -> float:
+        """Issue raw per-disk ops (rebuild, scrub) on the node's disks."""
+        return service_disk_ops(self.disks, now, ops, obs, self.fault_hook)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,7 +8,7 @@ survive it:
 ==================  ==================================================
 fault class         injection / recovery path
 ==================  ==================================================
-latent sector       engine-level disk-op hook: the read attempt fails
+latent sector       per-disk-op fault hook: the read attempt fails
 errors              (but still spins the disk), is retried with
                     bounded backoff, then reconstructed by reading the
                     same block range from every surviving member of
@@ -19,7 +19,7 @@ errors              (but still spins the disk), is retried with
 fail-slow disks     per-disk latency-multiplier windows inside
                     ``Disk.service`` (a degrading drive is correct but
                     slow).
-member failure      ``Simulator.failed_disk`` flips mid-replay, so
+member failure      the node's ``failed_disk`` flips mid-replay, so
                     foreground traffic pays degraded-read/write costs,
                     while a :class:`~repro.storage.rebuild.RebuildController`
                     runs as paced background load until the spare is
@@ -47,7 +47,6 @@ in the run report via the replay's metrics registry.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 import numpy as np
@@ -69,6 +68,7 @@ from repro.storage.rebuild import RebuildController
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.baselines.base import DedupScheme
+    from repro.cluster.node import ClusterNode
     from repro.sim.engine import Simulator
 
 #: Blast-radius histogram buckets: powers of two up to 64 Ki logical
@@ -77,7 +77,12 @@ BLAST_RADIUS_BOUNDS = [float(2**i) for i in range(17)]
 
 
 class FaultInjector:
-    """Owns one replay's fault schedule, recovery state and counters."""
+    """Owns one replay's fault schedule, recovery state and counters.
+
+    :meth:`install` targets one node (its member disks, RAID array,
+    ``failed_disk`` and fault hook) and schedules the plan's timed
+    faults on the replay's clock.
+    """
 
     def __init__(
         self,
@@ -94,9 +99,9 @@ class FaultInjector:
         #: "volume"``): volume_id -> blocked-until time.  Consulted via
         #: :meth:`blocked_until_for`; empty for global-scope plans.
         self._blocked_by_volume: Dict[int, float] = {}
-        #: The replay's namespace mapper (set by the harness on
-        #: multi-volume replays); needed to attribute recovered journal
-        #: records to tenant namespaces for per-volume recovery.
+        #: The node's namespace mapper (set by :meth:`install`); needed
+        #: to attribute recovered journal records to tenant namespaces
+        #: for per-volume recovery.
         self.mapper: Optional[Any] = None
         #: Leased-job runtime (set by the harness when jobs are armed):
         #: the rebuild then runs as a leased job instead of the legacy
@@ -129,65 +134,71 @@ class FaultInjector:
         self._finalized = False
         #: The end-to-end content oracle shadowing this replay.
         self.oracle = ContentOracle()
-        self._scheme: Optional["DedupScheme"] = None
+        self._sim: Optional["Simulator"] = None
+        self._node: Optional["ClusterNode"] = None
 
     # ------------------------------------------------------------------
     # installation
     # ------------------------------------------------------------------
 
-    def install(self, sim: "Simulator", scheme: "DedupScheme") -> None:
-        """Arm every fault in the plan against a fresh replay."""
+    def install(self, sim: "Simulator", node: "ClusterNode") -> None:
+        """Arm every fault in the plan against ``node`` on ``sim``'s
+        clock, before the replay schedules its arrivals.  Attach the
+        timeline first: fail-slow windows become its bands here."""
         plan = self.plan
-        self._scheme = scheme
+        self._sim = sim
+        self._node = node
+        self.mapper = node.mapper
+        scheme = node.scheme
 
         # -- latent sector errors --------------------------------------
-        lse_pbas = self._resolve_lse_pbas(scheme)
+        lse_pbas = self.resolve_lse_pbas(scheme)
         for vpba in lse_pbas:
-            disk, disk_pba, _row = sim.raid.locate(vpba)
+            disk, disk_pba, _row = node.raid.locate(vpba)
             self._lse_by_disk.setdefault(disk, {})[disk_pba] = vpba
         if self._lse_by_disk:
-            sim.fault_hook = partial(self.on_disk_op, sim)
+            node.fault_hook = self.on_disk_op
         self._count("lse_injected", len(lse_pbas))
 
         # -- fail-slow windows -----------------------------------------
         for spec in plan.fail_slow:
-            if not (0 <= spec.disk < len(sim.disks)):
+            if not (0 <= spec.disk < len(node.disks)):
                 raise FaultError(f"fail-slow spec names unknown disk {spec.disk}")
-            sim.disks[spec.disk].add_slow_window(spec.start, spec.end, spec.multiplier)
+            node.disks[spec.disk].add_slow_window(spec.start, spec.end, spec.multiplier)
             self._count("fail_slow_windows")
+            if self.timeline is not None:
+                # Known in advance: the whole interval is banded up
+                # front (tick-driven activity is noted live).
+                self.timeline.annotate_interval("fail_slow", spec.start, spec.end)
 
         # -- member failure + rebuild ----------------------------------
         if plan.member_failure is not None:
             spec = plan.member_failure
-            if sim.raid.geometry.level is not RaidLevel.RAID5:
+            if node.raid.geometry.level is not RaidLevel.RAID5:
                 raise ConfigError("member failure requires a RAID-5 array")
-            if not (0 <= spec.disk < len(sim.disks)):
+            if not (0 <= spec.disk < len(node.disks)):
                 raise FaultError(f"member-failure spec names unknown disk {spec.disk}")
-            if sim.failed_disk is not None:
+            if node.failed_disk is not None:
                 raise ConfigError(
                     "cannot schedule a member failure on an array that "
                     "already runs degraded (ReplayConfig.failed_disk)"
                 )
-            sim.schedule_callback(
-                spec.time, self._begin_member_failure, sim, scheme, spec
-            )
+            sim.schedule_callback(spec.time, self._begin_member_failure, spec)
 
         # -- NVRAM power loss ------------------------------------------
         if plan.nvram_loss:
             scheme.enable_journal()
             for nspec in plan.nvram_loss:
-                sim.schedule_callback(
-                    nspec.time, self._fire_nvram_loss, sim, scheme, nspec
-                )
+                sim.schedule_callback(nspec.time, self._fire_nvram_loss, nspec)
 
         # -- index corruption ------------------------------------------
         for cspec in plan.index_corruption:
-            sim.schedule_callback(
-                cspec.time, self._fire_index_corruption, sim, scheme, cspec
-            )
+            sim.schedule_callback(cspec.time, self._fire_index_corruption, cspec)
 
-    def _resolve_lse_pbas(self, scheme: "DedupScheme") -> List[int]:
-        """Pinned PBAs plus seeded random draws from the home region."""
+    def resolve_lse_pbas(self, scheme: "DedupScheme") -> List[int]:
+        """Where the plan's latent sector errors land: pinned PBAs plus
+        seeded random draws from the home region (consumes the plan's
+        RNG, so call it once per injector)."""
         spec = self.plan.latent_sector_errors
         total = scheme.regions.total_blocks
         chosen: Set[int] = set()
@@ -225,14 +236,13 @@ class FaultInjector:
         return sorted(chosen)
 
     # ------------------------------------------------------------------
-    # latent sector errors (engine disk-op hook)
+    # latent sector errors (the node's disk-op hook)
     # ------------------------------------------------------------------
 
-    def on_disk_op(
-        self, sim: "Simulator", now: float, op: DiskOp
-    ) -> Optional[float]:
-        """Intercept one disk op; return its completion time to
-        override normal service, or ``None`` to fall through."""
+    def on_disk_op(self, now: float, op: DiskOp) -> Optional[float]:
+        """The node's fault hook: intercept one disk op; return its
+        completion time to override normal service, or ``None`` to
+        fall through."""
         bad = self._lse_by_disk.get(op.disk_id)
         if not bad:
             return None
@@ -247,7 +257,9 @@ class FaultInjector:
             self._count("lse_healed_by_write", len(hit))
             return None
 
-        disk = sim.disks[op.disk_id]
+        node = self._node
+        assert node is not None
+        disk = node.disks[op.disk_id]
         self._count("lse_read_failures")
         if self.in_scrub:
             # The scrubber got here before any foreground read did.
@@ -260,8 +272,8 @@ class FaultInjector:
             done = disk.service(done + retry.backoff, op.pba, op.nblocks)
 
         recoverable = (
-            sim.raid.geometry.level is RaidLevel.RAID5
-            and sim.failed_disk is None
+            node.raid.geometry.level is RaidLevel.RAID5
+            and node.failed_disk is None
         )
         if not recoverable:
             # No parity (RAID-0/SINGLE) or a peer is already dead: the
@@ -281,16 +293,15 @@ class FaultInjector:
         # every surviving member of the row, then repair the faulted
         # range with a write back.
         peer_done = done
-        for peer in sim.disks:
+        for peer in node.disks:
             if peer.disk_id == op.disk_id:
                 continue
             t = peer.service(done, op.pba, op.nblocks)
             if t > peer_done:
                 peer_done = t
         repaired = disk.service(peer_done, op.pba, op.nblocks)
-        assert self._scheme is not None
         for dpba in hit:
-            self._observe_blast_radius(self._scheme, bad[dpba])
+            self._observe_blast_radius(node.scheme, bad[dpba])
             del bad[dpba]
         self._count("lse_reconstructions")
         self._count("lse_sectors_recovered", len(hit))
@@ -314,20 +325,21 @@ class FaultInjector:
     # member failure + paced rebuild
     # ------------------------------------------------------------------
 
-    def _begin_member_failure(
-        self, sim: "Simulator", scheme: "DedupScheme", spec: MemberFailureSpec
-    ) -> None:
-        sim.failed_disk = spec.disk
+    def _begin_member_failure(self, spec: MemberFailureSpec) -> None:
+        sim, node = self._sim, self._node
+        assert sim is not None and node is not None
+        scheme = node.scheme
+        node.failed_disk = spec.disk
         self._member_failed_at = sim.now
         self._count("member_failures")
-        su = sim.raid.geometry.stripe_unit_blocks
-        disk_rows = max(1, sim.disks[spec.disk].params.total_blocks // su)
+        su = node.raid.geometry.stripe_unit_blocks
+        disk_rows = max(1, node.disks[spec.disk].params.total_blocks // su)
         live = (
             scheme.map_table.live_pbas(scheme.written_lbas)
             if spec.capacity_aware
             else None
         )
-        ctrl = RebuildController(sim.raid, spec.disk, disk_rows, live)
+        ctrl = RebuildController(node.raid, spec.disk, disk_rows, live)
         self.rebuild = ctrl
         if self.timeline is not None:
             self.timeline.note_activity(sim.now, "degraded", 1.0)
@@ -343,25 +355,20 @@ class FaultInjector:
             # leases via epoch-fenced re-claim.
             from repro.jobs.jobs import RebuildJob
 
-            def issue(ops: List[DiskOp]) -> float:
-                return sim.service_disk_ops(sim.now, ops)
-
             self.jobs.submit(
                 "rebuild",
-                RebuildJob(ctrl, spec.rows_per_batch, issue),
+                RebuildJob(ctrl, spec.rows_per_batch, self._issue_rebuild),
                 spec.interval,
-                on_done=lambda _t: self._complete_member_failure(sim, spec),
+                on_done=lambda _t: self._complete_member_failure(spec),
             )
             return
-        sim.schedule_callback(sim.now + spec.interval, self._rebuild_tick, sim, spec)
+        sim.schedule_callback(sim.now + spec.interval, self._rebuild_tick, spec)
 
-    def _complete_member_failure(
-        self, sim: "Simulator", spec: MemberFailureSpec
-    ) -> None:
+    def _complete_member_failure(self, spec: MemberFailureSpec) -> None:
         """The array heals: shared by the legacy tick and the job path."""
-        ctrl = self.rebuild
-        assert ctrl is not None
-        sim.failed_disk = None
+        sim, node, ctrl = self._sim, self._node, self.rebuild
+        assert sim is not None and node is not None and ctrl is not None
+        node.failed_disk = None
         assert self._member_failed_at is not None
         duration = sim.now - self._member_failed_at
         self._count("rebuilds_completed")
@@ -381,29 +388,36 @@ class FaultInjector:
                 ),
             )
 
-    def _rebuild_tick(self, sim: "Simulator", spec: MemberFailureSpec) -> None:
-        ctrl = self.rebuild
-        assert ctrl is not None
+    def _issue_rebuild(self, ops: List[DiskOp]) -> float:
+        """Issue one rebuild batch on the node's spindles (through the
+        fault hook) at the current clock; returns its completion."""
+        assert self._sim is not None and self._node is not None
+        return self._node.service_disk_ops(self.obs, self._sim.now, ops)
+
+    def _rebuild_tick(self, spec: MemberFailureSpec) -> None:
+        sim, ctrl = self._sim, self.rebuild
+        assert sim is not None and ctrl is not None
         if not ctrl.done:
             ops = ctrl.next_batch(spec.rows_per_batch)
             if ops:
                 # Background load: competes for the spindles, gates
                 # nothing.
-                sim.service_disk_ops(sim.now, ops)
+                self._issue_rebuild(ops)
         if self.timeline is not None:
             self.timeline.note_activity(sim.now, "rebuild", ctrl.progress)
         if ctrl.done:
-            self._complete_member_failure(sim, spec)
+            self._complete_member_failure(spec)
             return
-        sim.schedule_callback(sim.now + spec.interval, self._rebuild_tick, sim, spec)
+        sim.schedule_callback(sim.now + spec.interval, self._rebuild_tick, spec)
 
     # ------------------------------------------------------------------
     # NVRAM power loss + journal recovery
     # ------------------------------------------------------------------
 
-    def _fire_nvram_loss(
-        self, sim: "Simulator", scheme: "DedupScheme", spec: NvramLossSpec
-    ) -> None:
+    def _fire_nvram_loss(self, spec: NvramLossSpec) -> None:
+        sim, node = self._sim, self._node
+        assert sim is not None and node is not None
+        scheme = node.scheme
         journal = scheme.map_table.journal
         assert journal is not None  # attached by install()
         truth = scheme.map_table.snapshot()
@@ -539,9 +553,10 @@ class FaultInjector:
     # index corruption
     # ------------------------------------------------------------------
 
-    def _fire_index_corruption(
-        self, sim: "Simulator", scheme: "DedupScheme", spec: IndexCorruptionSpec
-    ) -> None:
+    def _fire_index_corruption(self, spec: IndexCorruptionSpec) -> None:
+        sim, node = self._sim, self._node
+        assert sim is not None and node is not None
+        scheme = node.scheme
         table = scheme.index_table
         if table is None or len(table) == 0:
             self._count("index_corruptions_skipped")
@@ -597,12 +612,15 @@ class FaultInjector:
     def attach_observer(self, recorder: TraceRecorder) -> None:
         self.obs = recorder
 
-    def finalize(self, scheme: "DedupScheme") -> None:
-        """End-of-run sweep: blast radius of still-latent errors,
-        registry mirroring, and the content-oracle verdict."""
+    def finalize(self) -> None:
+        """End-of-run sweep over the installed node: blast radius of
+        still-latent errors, registry mirroring, and the content-oracle
+        verdict."""
         if self._finalized:
             return
         self._finalized = True
+        assert self._node is not None
+        scheme = self._node.scheme
         latent = 0
         for bad in self._lse_by_disk.values():
             for vpba in bad.values():

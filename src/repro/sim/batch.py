@@ -1,6 +1,7 @@
 """Columnar batch replay: the vectorized front-end of the event loop.
 
-The object replay path (:mod:`repro.sim.replay`) schedules one heap
+The event loop (:func:`repro.cluster.replay.replay_cluster`, which
+runs single-node replays as a one-node cluster) schedules one heap
 event per request arrival and plans each request inside its event
 handler.  That is fully general -- and pays interpreter dispatch per
 event.  This driver exploits three structural facts of the fast path
@@ -26,8 +27,8 @@ plans straight off the columns -- :meth:`DedupScheme.plan_columns`),
 and the disk/metrics phase replays completions through a single
 merged arrival-cursor + callback-heap loop that reproduces the
 engine's ``(time, seq)`` event order exactly.  Disk service is the
-engine's own, :meth:`RaidArray.service` on the member disks (a
-degraded array included); the driver keeps no disk state.
+event loop's own, :meth:`RaidArray.service` on the member disks (a
+degraded array included).
 
 Measured completions are not recorded one at a time: the servicing
 loop buffers each one's index, completion time and plan counters as
@@ -36,7 +37,7 @@ event order, into the collector with one
 :meth:`MetricsCollector.record_columns` call.  The collector passes
 the batch on to an armed timeline (``ReplayConfig.timeline``, or the
 one an SLO policy implies), so per-window counts, histograms and SLO
-good/bad counts match the object path's per-completion ``record``.
+good/bad counts match the event loop's per-completion ``record``.
 The timeline's gauges are per-window maxima and so independent of
 order: the ``nvram_bytes`` the planning tier reports before each
 request and the ``queue_lag`` at each arrival are folded per window,
@@ -44,16 +45,15 @@ and the iCache partition sizes are noted as each tick's ``on_epoch``
 runs.  ``queue_lag`` comes from a running maximum of every disk
 service's completion, not from a scan of the member disks.
 
-The result is **bit-identical** to the object event loop of
-:func:`repro.sim.replay.replay_traces` for every scheme and any batch
-size (pinned by golden tests), at a multiple of its throughput (see
-``BENCH_replay.json`` and ``docs/performance.md``).  It is the default
-single-node path: ``replay_trace``/``replay_traces`` take it for every
-config :func:`batch_eligible` accepts when no trace recorder is
-attached.  Faults, the SSD tier, spans, jobs, invariant checking and
-recorders run on the object loop, as does ``batch_size=None`` (the
-reference the driver is tested against).  Both loops build their
-array, collector and result through one
+The result is **bit-identical** to the one-node event loop for every
+scheme and any batch size (pinned by golden tests), at a multiple of
+its throughput (see ``BENCH_replay.json`` and ``docs/performance.md``).
+It is the default single-node path: ``replay_trace``/``replay_traces``
+take it for every config :func:`batch_eligible` accepts when no trace
+recorder is attached.  Faults, the SSD tier, spans, jobs, invariant
+checking and recorders run on the event loop, as does
+``batch_size=None`` (the reference the driver is tested against).  The
+driver builds its array, collector and result through
 :class:`~repro.sim.replay.ReplayScaffold`.
 """
 
@@ -92,7 +92,7 @@ def batch_eligible(config: ReplayConfig) -> bool:
     The batch driver reproduces the *fast* path of the event loop:
     no SSD tier, no faults, no spans or jobs, no invariant checking.
     A timeline, an SLO policy and a degraded array are carried.
-    Anything else runs on the object loop (bit-identical, just
+    Anything else runs on the one-node event loop (bit-identical, just
     slower); so does any replay given a trace recorder.
     """
     return (
@@ -118,7 +118,7 @@ def replay_columnar(
     Accepts :class:`Trace` or :class:`ColumnarTrace` inputs (the shard
     workers of the parallel runner ship columns directly).  Requires a
     :func:`batch_eligible` config; :func:`repro.sim.replay.replay_traces`
-    routes every other config to the object loop.
+    routes every other config to the one-node event loop.
     """
     if not traces:
         raise ConfigError("replay_columnar needs at least one trace")
@@ -207,7 +207,7 @@ def _replay_merged(
     # ------------------------------------------------------------------
     # timeline segments: maximal arrival runs inside one sampler window
     # (``TimelineSampler.window_index`` arithmetic, vectorised).  The
-    # object path notes ``nvram_bytes``/``queue_lag`` at every arrival;
+    # event loop notes ``nvram_bytes``/``queue_lag`` at every arrival;
     # gauges are per-window maxima, so one note per segment carrying
     # the segment's maxima writes the same windows.
     # ------------------------------------------------------------------

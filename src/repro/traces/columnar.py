@@ -252,7 +252,7 @@ class ColumnarTrace:
 class MergedColumns:
     """N volume streams merge-sorted into one global columnar stream.
 
-    The columnar mirror of ``replay_traces``'s ``_merge_streams``:
+    The columnar mirror of :func:`repro.sim.replay._merge_streams`:
     requests are rebased into their volume's slice of the shared
     domain, global request ids are positional, and the merge is stable
     (equal timestamps keep volume order).  ``measured`` flags requests

@@ -20,8 +20,10 @@ import json
 import pytest
 
 from repro.cluster import ClusterConfig, NetworkModel, RebalanceSpec
+from repro.dedup.chunking import ChunkingConfig
 from repro.errors import ConfigError
 from repro.experiments import runner
+from repro.faults import FaultPlan, NodeFailureSpec
 from repro.obs.report import build_run_report
 from repro.sim.replay import ReplayConfig
 
@@ -143,6 +145,65 @@ class TestAccountingConservation:
         with pytest.raises(ConfigError):
             runner.run_cluster(
                 ["web-vm"], "POD", nodes=5, copies=2, scale=SCALE, seed=SEED
+            )
+
+
+class TestContentOracleVersusChunking:
+    """Both content oracles check reads against the raw trace
+    fingerprints, which content-defined chunking rewrites: the pairing
+    is refused before any request replays, not reported as wrong
+    reads at the end."""
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_verify_content_with_cdc_rejected_up_front(self, nodes):
+        with pytest.raises(ConfigError, match="content-defined chunking"):
+            runner.run_cluster(
+                ["mail"],
+                "POD",
+                nodes=nodes,
+                copies=2,
+                scale=0.02,
+                seed=1,
+                cluster_config=ClusterConfig(verify_content=True),
+                chunking=ChunkingConfig(),
+            )
+
+    def test_faults_with_cdc_rejected_up_front(self):
+        with pytest.raises(ConfigError, match="content-defined chunking"):
+            runner.run_observed(
+                "mail",
+                "POD",
+                scale=0.02,
+                seed=1,
+                replay_config=ReplayConfig(faults=FaultPlan()),
+                chunking=ChunkingConfig(),
+            )
+
+    def test_node_failure_and_fault_plan_rejected_together(self):
+        with pytest.raises(ConfigError, match="node_failure cannot be combined"):
+            runner.run_cluster(
+                ["mail"],
+                "POD",
+                nodes=1,
+                copies=1,
+                scale=0.02,
+                seed=1,
+                replay_config=ReplayConfig(failed_disk=1),
+                cluster_config=ClusterConfig(
+                    node_failure=NodeFailureSpec(node=0, disk=2, time=1.0)
+                ),
+            )
+
+    def test_faults_need_exactly_one_node(self):
+        with pytest.raises(ConfigError, match="multi-node"):
+            runner.run_cluster(
+                ["mail"],
+                "POD",
+                nodes=2,
+                copies=2,
+                scale=0.02,
+                seed=1,
+                replay_config=ReplayConfig(faults=FaultPlan()),
             )
 
 

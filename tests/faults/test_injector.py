@@ -78,9 +78,9 @@ class TestOffPathAndDeterminism:
         plan = FaultPlan.from_dict(
             {"latent_sector_errors": {"random_count": 20}}
         )
-        a = FaultInjector(plan.with_seed(1))._resolve_lse_pbas(scheme)
-        b = FaultInjector(plan.with_seed(1))._resolve_lse_pbas(scheme)
-        c = FaultInjector(plan.with_seed(2))._resolve_lse_pbas(scheme)
+        a = FaultInjector(plan.with_seed(1)).resolve_lse_pbas(scheme)
+        b = FaultInjector(plan.with_seed(1)).resolve_lse_pbas(scheme)
+        c = FaultInjector(plan.with_seed(2)).resolve_lse_pbas(scheme)
         assert a == b
         assert a != c
 

@@ -1,12 +1,11 @@
-"""Property-based tests for the engine and the SSD model."""
+"""Property-based tests for disk service and the SSD model."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import Simulator
 from repro.sim.request import DiskOp, OpType
 from repro.storage.disk import Disk, DiskParams
-from repro.storage.raid import RaidArray, RaidGeometry, RaidLevel
+from repro.storage.raid import service_disk_ops
 from repro.storage.ssd import Ssd, SsdParams
 
 CAP = 1 << 18
@@ -33,10 +32,9 @@ class TestEngineProperties:
     @settings(max_examples=60)
     def test_completion_monotone_and_busy_conserved(self, raw):
         disk = Disk(DiskParams(total_blocks=CAP))
-        sim = Simulator([disk], RaidArray(RaidGeometry(RaidLevel.SINGLE, 1)))
         done_prev = 0.0
         for op in _ops(raw):
-            done = sim.service_disk_ops(0.0, [op])
+            done = service_disk_ops([disk], 0.0, [op])
             # FCFS: completions never go backwards
             assert done >= done_prev
             done_prev = done

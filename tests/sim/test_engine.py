@@ -1,27 +1,44 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine (clock and event queue)
+and the disk-service functions the replay's nodes issue through."""
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.baselines.base import SchemeConfig
+from repro.baselines.native import Native
+from repro.cluster.node import ClusterNode
+from repro.errors import ClusterError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.request import DiskOp, OpType
-from repro.storage.disk import Disk, DiskParams
-from repro.storage.raid import RaidArray, RaidGeometry, RaidLevel
+from repro.storage.disk import Disk, DiskParams, disk_utilisation
+from repro.storage.namespace import NamespaceMapper
+from repro.storage.raid import (
+    RaidArray,
+    RaidGeometry,
+    RaidLevel,
+    service_disk_ops,
+    service_volume_ops,
+)
 from repro.storage.volume import VolumeOp
 
 
-def make_sim(ndisks=1, level=RaidLevel.SINGLE, blocks=65536):
-    geometry = RaidGeometry(level=level, ndisks=ndisks)
+def make_sim():
+    return Simulator()
+
+
+def make_disks(ndisks=1, blocks=65536):
     params = DiskParams(total_blocks=blocks)
-    disks = [Disk(params, disk_id=i) for i in range(ndisks)]
-    return Simulator(disks, RaidArray(geometry))
+    return [Disk(params, disk_id=i) for i in range(ndisks)]
 
 
 class TestSimulatorBasics:
     def test_disk_count_must_match_geometry(self):
         geometry = RaidGeometry(level=RaidLevel.RAID0, ndisks=4)
-        with pytest.raises(SimulationError):
-            Simulator([Disk(DiskParams())], RaidArray(geometry))
+        scheme = Native(SchemeConfig(logical_blocks=8, memory_bytes=4096))
+        with pytest.raises(ClusterError):
+            ClusterNode(
+                0, scheme, make_disks(1), RaidArray(geometry),
+                NamespaceMapper([("t", 8)]),
+            )
 
     def test_callbacks_run_in_order(self):
         sim = make_sim()
@@ -76,52 +93,52 @@ class TestSimulatorBasics:
 
 class TestDiskService:
     def test_single_op_completion_time(self):
-        sim = make_sim()
-        done = sim.service_disk_ops(0.0, [DiskOp(0, OpType.READ, 100, 4)])
-        expected = sim.disks[0].params.controller_overhead
-        expected += sim.disks[0].params.seek_time(100)
-        expected += sim.disks[0].params.avg_rotational_latency
-        expected += sim.disks[0].params.transfer_time(4)
+        disks = make_disks()
+        done = service_disk_ops(disks, 0.0, [DiskOp(0, OpType.READ, 100, 4)])
+        expected = disks[0].params.controller_overhead
+        expected += disks[0].params.seek_time(100)
+        expected += disks[0].params.avg_rotational_latency
+        expected += disks[0].params.transfer_time(4)
         assert done == pytest.approx(expected)
 
     def test_empty_ops_complete_immediately(self):
-        sim = make_sim()
-        assert sim.service_disk_ops(3.0, []) == 3.0
+        assert service_disk_ops(make_disks(), 3.0, []) == 3.0
 
     def test_fcfs_queueing_on_one_disk(self):
-        sim = make_sim()
-        first = sim.service_disk_ops(0.0, [DiskOp(0, OpType.READ, 1000, 1)])
-        second = sim.service_disk_ops(0.0, [DiskOp(0, OpType.READ, 50000, 1)])
+        disks = make_disks()
+        first = service_disk_ops(disks, 0.0, [DiskOp(0, OpType.READ, 1000, 1)])
+        second = service_disk_ops(disks, 0.0, [DiskOp(0, OpType.READ, 50000, 1)])
         # The second op waits for the first even though both were
         # issued at t=0.
         assert second > first
 
     def test_parallel_disks_overlap(self):
-        sim = make_sim(ndisks=2, level=RaidLevel.RAID0)
-        both = sim.service_disk_ops(
+        disks = make_disks(ndisks=2)
+        both = service_disk_ops(
+            disks,
             0.0,
             [DiskOp(0, OpType.READ, 1000, 1), DiskOp(1, OpType.READ, 1000, 1)],
         )
-        solo = Disk(sim.disks[0].params).service(0.0, 1000, 1)
+        solo = Disk(disks[0].params).service(0.0, 1000, 1)
         # Two disks in parallel take as long as one op, not two.
         assert both == pytest.approx(solo)
 
     def test_unknown_disk_rejected(self):
-        sim = make_sim()
         with pytest.raises(SimulationError):
-            sim.service_disk_ops(0.0, [DiskOp(5, OpType.READ, 0, 1)])
+            service_disk_ops(make_disks(), 0.0, [DiskOp(5, OpType.READ, 0, 1)])
 
     def test_volume_ops_route_through_raid(self):
-        sim = make_sim(ndisks=4, level=RaidLevel.RAID0)
-        done = sim.service_volume_ops(0.0, [VolumeOp(OpType.READ, 0, 64)])
+        disks = make_disks(ndisks=4)
+        raid = RaidArray(RaidGeometry(level=RaidLevel.RAID0, ndisks=4))
+        done = service_volume_ops(raid, disks, 0.0, [VolumeOp(OpType.READ, 0, 64)])
         assert done > 0.0
         # A 64-block read at stripe unit 16 touches all four disks.
-        assert sum(d.ops_serviced for d in sim.disks) == 4
+        assert sum(d.ops_serviced for d in disks) == 4
 
     def test_utilisation_reporting(self):
-        sim = make_sim()
-        sim.service_disk_ops(0.0, [DiskOp(0, OpType.WRITE, 0, 8)])
-        util = sim.utilisation()
+        disks = make_disks()
+        service_disk_ops(disks, 0.0, [DiskOp(0, OpType.WRITE, 0, 8)])
+        util = disk_utilisation(disks)
         assert util[0]["ops"] == 1
         assert util[0]["blocks"] == 8
         assert util[0]["busy_time"] > 0
