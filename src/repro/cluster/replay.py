@@ -43,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.analysis.sanitizer import PodSanitizer
 from repro.baselines.base import DedupScheme, PlannedIO
 from repro.cluster.directory.gc import MODE_ONLINE, GcJob, RefcountGc
@@ -62,14 +64,14 @@ from repro.faults.plan import FailSlowSpec, NodeFailureSpec
 from repro.jobs.admission import AdmissionController
 from repro.jobs.jobs import MigrationJob, RebuildJob, ScrubJob
 from repro.jobs.runtime import JobRuntime
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import Completions, MetricsCollector
 from repro.obs.events import EventType, TraceLevel
 from repro.obs.slo import evaluate_slo
 from repro.obs.spans import SpanTracer
 from repro.obs.timeline import TimelineSampler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.engine import Simulator
-from repro.sim.replay import ReplayConfig, ReplayResult, size_disks
+from repro.sim.replay import DEFAULT_BATCH_SIZE, ReplayConfig, ReplayResult, size_disks
 # The single-node merge, with each volume rebased into its owner
 # node's local space (the bases coincide at N=1: bit-identical).
 from repro.sim.replay import _merge_streams as _merge_cluster_streams
@@ -268,6 +270,10 @@ def replay_cluster(
     cluster_active = (
         net_active or node_failure is not None or rebalance is not None or dir_active
     )
+    # Per-node series and the cluster sections of the result: at N>1,
+    # with any cluster feature, or with the per-node content oracle,
+    # whose summary they carry (also at one node).
+    cluster_report = multi_node or cluster_active or cluster.verify_content
 
     # ------------------------------------------------------------------
     # build the nodes
@@ -321,7 +327,7 @@ def replay_cluster(
     metrics = collector if collector is not None else MetricsCollector()
     if per_volume_metrics:
         metrics.track_volumes()
-    if multi_node or cluster_active:
+    if cluster_report:
         metrics.track_nodes()
     ssds: List[Optional[Ssd]] = [
         Ssd(config.ssd_params) if config.ssd_params is not None else None
@@ -376,31 +382,39 @@ def replay_cluster(
     # -- cluster overlay state -----------------------------------------
     router = FingerprintRouter(range(nnodes), vnodes=cluster.vnodes)
     fabric = NetworkFabric(cluster.net)
+    lookup_bytes = cluster.net.lookup_bytes
+    entry_bytes = cluster.net.entry_bytes
     #: Shard-owner member id -> (fingerprint -> first-writer node id).
     shards: Dict[int, Dict[int, int]] = {n: {} for n in range(nnodes)}
     migration: Dict[str, Optional[ShardMigrator]] = {"migrator": None}
 
     def send_links(
         now: float,
-        links: Dict[Tuple[int, int], int],
+        src: int,
+        counts: Dict[int, int],
         entry_bytes: int,
         span: str = "",
         count_field: str = "",
         root: int = -1,
         req_id: int = -1,
     ) -> float:
-        """One batched RPC of ``count * entry_bytes`` per ``(src, dst)``
-        link, in sorted link order and in parallel: returns the latest
-        completion (``now`` for no links).  ``span`` names a traced span
-        per RPC under ``root``, carrying ``count`` as ``count_field``."""
+        """One batched RPC of ``count * entry_bytes`` from ``src`` to
+        each destination in ``counts``, in destination order and in
+        parallel: returns the latest completion (``now`` for none).
+        ``span`` names a traced span per RPC under ``root``, carrying
+        ``count`` as ``count_field``."""
         latest = now
-        for src, dst in sorted(links):
-            count = links[(src, dst)]
+        traced = bool(span) and tracer is not None and root > 0
+        for dst in sorted(counts):
+            count = counts[dst]
             nbytes = count * entry_bytes
             done = fabric.round_trip(now, src, dst, nbytes)
+            if done > latest:
+                latest = done
             if sampler is not None:
                 sampler.note_rpc(now, src, dst, nbytes, fabric.last_service)
-            if span and tracer is not None and root > 0:
+            if traced:
+                assert tracer is not None
                 tracer.emit(
                     now,
                     done,
@@ -422,9 +436,17 @@ def replay_cluster(
                     queued=fabric.last_queue_wait,
                     done=done,
                 )
-            if done > latest:
-                latest = done
         return latest
+
+    def send_background(links: Dict[Tuple[int, int], int]) -> float:
+        """Background entry pushes (migration, GC decrements): one
+        batched RPC per ``(src, dst)`` link, in link order and in
+        parallel, issued now."""
+        now = sim.now
+        return max([now] + [
+            send_links(now, src, {dst: count}, entry_bytes)
+            for (src, dst), count in sorted(links.items())
+        ])
 
     # -- replicated directory (None = legacy single-copy shards) -------
     directory: Optional[ReplicatedDirectory] = None
@@ -439,8 +461,11 @@ def replay_cluster(
             refcount_gc = RefcountGc(directory)
 
     requests, measured_flags = _merge_cluster_streams(traces, bases)
-    for request in requests:
-        sim.schedule_arrival(request.time, request)
+    # Handed over after the fault injector's callbacks and before every
+    # other: the arrivals win timestamp ties against jobs, epochs and
+    # finishes, and lose them against timed faults.
+    arrival_times = [request.time for request in requests]
+    sim.set_arrivals(arrival_times, requests)
 
     # Leased background jobs (see repro.jobs): the cluster's
     # maintenance work -- node-failure rebuild, shard migration, one
@@ -524,12 +549,9 @@ def replay_cluster(
                 )
             )
 
-            def gc_send(links: Dict[Tuple[int, int], int]) -> float:
-                # Decrement pushes from each entry's coordinating
-                # replica to the others; sunk cost on a fenced step,
-                # exactly like migration sends.
-                return send_links(sim.now, links, cluster.net.entry_bytes)
-
+            # Decrement pushes from each entry's coordinating replica
+            # to the others; sunk cost on a fenced step, exactly like
+            # migration sends.
             jobs_runtime.submit(
                 "gc",
                 GcJob(
@@ -537,7 +559,7 @@ def replay_cluster(
                     gc_spec.batch,
                     gc_rounds,
                     gc_spec.entry_cost,
-                    gc_send,
+                    send_background,
                 ),
                 gc_spec.interval,
                 not_before=gc_spec.start,
@@ -578,15 +600,15 @@ def replay_cluster(
         {"node": n} if multi_node else {} for n in range(nnodes)
     ]
 
-    def remote_lookup_cost(
-        node: ClusterNode, request: IORequest, now: float, root: int = -1
-    ) -> Tuple[float, int, int]:
+    def remote_lookup(
+        node: ClusterNode, request: IORequest
+    ) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int], int]:
         """Consult the sharded directory for one write's fingerprints.
 
-        Returns ``(net_delay, remote_lookups, remote_duplicate_blocks)``
-        and registers first writers.  One batched RPC per distinct
-        remote shard owner; the request waits for the slowest of them
-        (lookups fan out in parallel).
+        Returns ``(per_dst, repair_links, remote_duplicate_blocks)``
+        (the legacy directory repairs nothing) and registers first
+        writers: one lookup per fingerprint, batched into one RPC per
+        distinct remote shard owner.
         """
         assert request.fingerprints is not None
         migrator = migration["migrator"]
@@ -609,63 +631,57 @@ def replay_cluster(
                     migrator.note_registered(fp)
             elif writer != node.node_id:
                 remote_dups += 1
-        return (
-            charge_lookups(node.node_id, per_dst, now, root, request.req_id),
-            sum(per_dst.values()),
-            remote_dups,
-        )
+        return per_dst, {}, remote_dups
 
-    def charge_lookups(
-        origin: int, per_dst: Dict[int, int], now: float, root: int, req_id: int
-    ) -> float:
-        """Wire delay of one write's lookup fan-out: one batched RPC
-        per remote destination."""
-        links = {(origin, dst): count for dst, count in per_dst.items()}
-        return (
-            send_links(
-                now,
-                links,
-                cluster.net.lookup_bytes,
-                "rpc.lookup",
-                "lookups",
-                root,
-                req_id,
-            )
-            - now
-        )
-
-    def directory_lookup_cost(
-        node: ClusterNode, request: IORequest, now: float, root: int = -1
-    ) -> Tuple[float, int, int]:
+    def directory_lookup(
+        node: ClusterNode, request: IORequest
+    ) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int], int]:
         """Consult the *replicated* directory for one write's blocks.
 
-        Same contract as :func:`remote_lookup_cost`.  The directory
-        does the request's overwrites, lookups, registrations and read
-        repairs in one whole-request ``lookup_register`` call; this
-        only charges the wire: one lookup RPC per remote destination
-        and one repair push per ``(origin, stale replica)`` link
-        (span-traced as ``directory.repair``), all in parallel.  At R=1
-        the contacted set is exactly the legacy shard owner, so counts
-        and wire arithmetic reduce to the legacy path block for block.
+        Same contract as :func:`remote_lookup`.  The directory does the
+        request's overwrites, lookups, registrations and read repairs
+        in one whole-request ``lookup_register`` call, which fills in
+        the lookups per remote destination and the repair pushes per
+        ``(origin, stale replica)`` link.  At R=1 the contacted set is
+        exactly the legacy shard owner, so counts and wire arithmetic
+        reduce to the legacy path block for block.
         """
         assert request.fingerprints is not None
         assert directory is not None and block_content is not None
         origin = node.node_id
         rnd = RequestRound(request.fingerprints, request.lba, block_content[origin])
         directory.lookup_register(0, origin, True, request=rnd)
-        delay = charge_lookups(origin, rnd.per_dst, now, root, request.req_id)
-        if rnd.repair_links:
-            repaired = send_links(
-                now,
-                rnd.repair_links,
-                cluster.net.entry_bytes,
-                "directory.repair",
-                "entries",
-                root,
-                request.req_id,
-            )
-            delay = max(delay, repaired - now)
-        return delay, sum(rnd.per_dst.values()), rnd.remote_dups
+        return rnd.per_dst, rnd.repair_links, rnd.remote_dups
+
+    lookup = directory_lookup if dir_active else remote_lookup
+    lookups_on = dir_active or net_active
+
+    # Measured completions, buffered as rows and folded into the
+    # collector (and its timeline) as columns every DEFAULT_BATCH_SIZE
+    # completions and after the run: the state ``record`` and
+    # ``record_node`` per completion would leave.  A row is (req id,
+    # arrival, completion, eliminated, cache-hit, deduped and
+    # cross-volume blocks, net delay, remote lookups, remote dups).
+    done: List[Tuple[Any, ...]] = []
+    i8, f8 = np.int64, np.float64
+    row_types = (f8, f8, bool, i8, i8, i8, f8, i8, i8)
+
+    def fold() -> None:
+        cols = list(zip(*done))
+        reqs = [requests[k] for k in cols[0]]
+        rest = [np.array(col, dtype=t) for col, t in zip(cols[1:], row_types)]
+        rows = Completions(
+            np.array(cols[0], dtype=i8),
+            np.array([r.op is OpType.READ for r in reqs], dtype=bool),
+            np.array([r.nblocks for r in reqs], dtype=i8),
+            np.array([r.volume_id for r in reqs], dtype=i8),
+            *rest[:6],
+        )
+        metrics.record_columns(rows)
+        if metrics.tracks_nodes:
+            node_ids = [node_of[r.volume_id].node_id for r in reqs]
+            metrics.record_node_columns(rows, np.array(node_ids, dtype=i8), *rest[6:])
+        done.clear()
 
     def finish(
         request: IORequest,
@@ -712,28 +728,12 @@ def replay_cluster(
                 )
             tracer.end(completed_at, root, response=completed_at - arrival)
         if measured:
-            metrics.record(
-                request,
-                arrival,
-                completed_at,
-                eliminated=planned.eliminated,
-                cache_hit_blocks=planned.cache_hit_blocks,
-                deduped_blocks=planned.deduped_blocks,
-                cross_volume_blocks=cross,
-            )
-            if metrics.tracks_nodes:
-                metrics.record_node(
-                    request,
-                    node.node_id,
-                    arrival,
-                    completed_at,
-                    eliminated=planned.eliminated,
-                    cache_hit_blocks=planned.cache_hit_blocks,
-                    deduped_blocks=planned.deduped_blocks,
-                    net_delay=net_info[0],
-                    remote_lookups=net_info[1],
-                    remote_duplicate_blocks=net_info[2],
-                )
+            done.append((
+                request.req_id, arrival, completed_at, planned.eliminated,
+                planned.cache_hit_blocks, planned.deduped_blocks, cross, *net_info,
+            ))
+            if len(done) >= DEFAULT_BATCH_SIZE:
+                fold()
         if obs.level >= TraceLevel.REQUEST:
             extra: Dict[str, Any] = {"volume": request.volume_id} if multi else {}
             obs.emit(
@@ -809,15 +809,25 @@ def replay_cluster(
             else:
                 oracles[node.node_id].check_read(request, node.scheme)
         net_info: Tuple[float, int, int] = (0.0, 0, 0)
-        if request.is_write and request.fingerprints is not None and (
-            dir_active or net_active
-        ):
-            if dir_active:
-                net_info = directory_lookup_cost(node, request, now, root)
-            else:
-                net_info = remote_lookup_cost(node, request, now, root)
+        if lookups_on and request.is_write and request.fingerprints is not None:
+            origin = node.node_id
+            per_dst, repair_links, remote_dups = lookup(node, request)
+            # One batched lookup RPC per remote destination and one
+            # repair push per stale replica, all in parallel.
+            done = send_links(
+                now, origin, per_dst, lookup_bytes, "rpc.lookup", "lookups",
+                root, request.req_id,
+            )
+            if repair_links:
+                repairs = {dst: count for (_src, dst), count in repair_links.items()}
+                repaired = send_links(
+                    now, origin, repairs, entry_bytes, "directory.repair", "entries",
+                    root, request.req_id,
+                )
+                done = max(done, repaired)
+            net_info = (done - now, sum(per_dst.values()), remote_dups)
             node.remote_lookups += net_info[1]
-            node.remote_duplicate_blocks += net_info[2]
+            node.remote_duplicate_blocks += remote_dups
             node.net_delay_total += net_info[0]
         cross = 0
         if fp_owner is not None and request.fingerprints is not None:
@@ -1111,12 +1121,9 @@ def replay_cluster(
                 # charge happens at plan time (sunk cost on a fenced
                 # step -- the bytes were already on the wire), the
                 # directory mutation only at the fenced commit.
-                def send(links: Dict[Tuple[int, int], int]) -> float:
-                    return send_links(sim.now, links, cluster.net.entry_bytes)
-
                 jobs_runtime.submit(
                     "migrate",
-                    MigrationJob(migrator, rb.entries_per_batch, send),
+                    MigrationJob(migrator, rb.entries_per_batch, send_background),
                     rb.interval,
                 )
                 return
@@ -1128,7 +1135,7 @@ def replay_cluster(
             links = migrator.next_batch(rb.entries_per_batch)
             if sampler is not None:
                 sampler.note_activity(sim.now, "migration", migrator.progress)
-            send_links(sim.now, links, cluster.net.entry_bytes)
+            send_background(links)
             if obs.level >= TraceLevel.SUMMARY:
                 obs.emit(
                     TraceLevel.SUMMARY,
@@ -1145,6 +1152,8 @@ def replay_cluster(
     # ------------------------------------------------------------------
 
     sim.run(arrival_handler=on_arrival)
+    if done:
+        fold()
 
     if jobs_runtime is not None:
         # Mirror job counters into the registry and verify the step
@@ -1212,7 +1221,7 @@ def replay_cluster(
 
     node_summaries: List[Dict[str, Any]] = []
     cluster_stats: Optional[Dict[str, Any]] = None
-    if multi_node or cluster_active:
+    if cluster_report:
         tracked_nodes = set(metrics.node_ids())
         for node in nodes:
             node_entry: Dict[str, Any] = {

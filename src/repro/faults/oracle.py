@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Set, Tuple
 
+import numpy as np
+
 from repro.errors import FaultError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -67,27 +69,31 @@ class ContentOracle:
         """Record the truth a completed write establishes."""
         assert request.fingerprints is not None
         self.writes_noted += 1
-        for i, lba in enumerate(request.blocks()):
-            self.expected[lba] = request.fingerprints[i]
-            if self.at_risk:
-                self.at_risk.discard(lba)
+        blocks = range(request.lba, request.lba + request.nblocks)
+        self.expected.update(zip(blocks, request.fingerprints))
+        if self.at_risk:
+            self.at_risk.difference_update(blocks)
 
     def check_read(self, request: "IORequest", scheme: "DedupScheme") -> None:
         """Assert a read resolves to the last-written content."""
         self.reads_checked += 1
-        for lba in request.blocks():
-            want = self.expected.get(lba)
+        lba = request.lba
+        pbas = scheme.map_table.translate_range(lba, request.nblocks)
+        want_of = self.expected.get
+        at_risk = self.at_risk
+        read = scheme.content.read
+        for block, pba in zip(range(lba, lba + request.nblocks), pbas):
+            want = want_of(block)
             if want is None:
                 continue  # never-written block: nothing to vouch for
-            if lba in self.at_risk:
+            if at_risk and block in at_risk:
                 self.at_risk_reads += 1
                 continue
             self.blocks_checked += 1
-            pba = scheme.map_table.translate(lba)
-            got = scheme.content.read(pba)
+            got = read(pba)
             if got != want:
                 self._mismatch(
-                    f"read of LBA {lba} -> PBA {pba}: expected fingerprint "
+                    f"read of LBA {block} -> PBA {pba}: expected fingerprint "
                     f"{want}, found {got}"
                 )
 
@@ -172,19 +178,28 @@ class ContentOracle:
 
         Returns diagnostics for non-at-risk mismatches (empty = clean).
         """
+        expected = self.expected
         problems: List[str] = []
-        for lba in sorted(self.expected):
-            if lba in self.at_risk:
-                continue
-            pba = scheme.map_table.translate(lba)
-            got = scheme.content.read(pba)
-            if got != self.expected[lba]:
-                problems.append(
-                    f"final state: LBA {lba} -> PBA {pba}: expected "
-                    f"fingerprint {self.expected[lba]}, found {got}"
-                )
-                if len(problems) >= MAX_MISMATCHES:
-                    break
+        if not expected:
+            return problems
+        read = scheme.content.read
+        lbas = np.array(sorted(expected), dtype=np.int64)
+        # One Map-table call per run of consecutive written LBAs.
+        starts = [0] + (np.flatnonzero(np.diff(lbas) != 1) + 1).tolist()
+        for a, b in zip(starts, starts[1:] + [len(lbas)]):
+            first = int(lbas[a])
+            pbas = scheme.map_table.translate_range(first, b - a)
+            for lba, pba in zip(range(first, first + b - a), pbas):
+                if lba in self.at_risk:
+                    continue
+                got = read(pba)
+                if got != expected[lba]:
+                    problems.append(
+                        f"final state: LBA {lba} -> PBA {pba}: expected "
+                        f"fingerprint {expected[lba]}, found {got}"
+                    )
+                    if len(problems) >= MAX_MISMATCHES:
+                        return problems
         return problems
 
     def assert_clean(self, scheme: "DedupScheme") -> None:

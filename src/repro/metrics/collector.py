@@ -99,6 +99,19 @@ class Completions(NamedTuple):
     cross_volume_blocks: np.ndarray
 
 
+def _responses(rows: Completions) -> np.ndarray:
+    """``completion - arrival`` per row; a completion before its
+    arrival raises before anything is recorded."""
+    early = np.flatnonzero(rows.completion < rows.arrival)
+    if len(early):
+        k = int(early[0])
+        raise SimulationError(
+            f"request {int(rows.req_id[k])} completed at {rows.completion[k]} "
+            f"before its arrival at {rows.arrival[k]}"
+        )
+    return rows.completion - rows.arrival
+
+
 class _VolumeSeries:
     """Per-volume metric series (created lazily by the collector).
 
@@ -329,21 +342,13 @@ class MetricsCollector:
         Lazily created volume series appear in first-seen order.  A
         completion before its arrival raises before anything changes.
         A subclass that overrides :meth:`record` must override this
-        too: the columnar driver records through it.
+        too: both replay loops record through it.
         """
-        n = len(rows.req_id)
-        if not n:
+        if not len(rows.req_id):
             return
         arrival = rows.arrival
         completion = rows.completion
-        early = np.flatnonzero(completion < arrival)
-        if len(early):
-            k = int(early[0])
-            raise SimulationError(
-                f"request {int(rows.req_id[k])} completed at {completion[k]} "
-                f"before its arrival at {arrival[k]}"
-            )
-        response = completion - arrival
+        response = _responses(rows)
         is_read = rows.is_read
         write = (~is_read).astype(np.int64)
         nblocks = rows.nblocks
@@ -442,10 +447,12 @@ class MetricsCollector:
     ) -> None:
         """Record one completed request against its owner node.
 
-        Called by the cluster replay *in addition to* :meth:`record`
-        (the global series stay the single source of cluster totals;
-        per-node series are the breakdown).  ``net_delay`` is the
-        response-time contribution of remote fingerprint lookups.
+        The scalar form of :meth:`record_node_columns`, which the
+        cluster replay folds through *in addition to*
+        :meth:`record_columns` (the global series stay the single source
+        of cluster totals; per-node series are the breakdown).
+        ``net_delay`` is the response-time contribution of remote
+        fingerprint lookups.
         """
         if self._nodes is None:
             raise SimulationError("record_node without track_nodes()")
@@ -487,6 +494,66 @@ class MetricsCollector:
                 net_delay=net_delay,
                 remote_lookups=remote_lookups,
             )
+
+    def record_node_columns(
+        self,
+        rows: Completions,
+        node_id: np.ndarray,
+        net_delay: np.ndarray,
+        remote_lookups: np.ndarray,
+        remote_duplicate_blocks: np.ndarray,
+    ) -> None:
+        """Fold a batch of node completions in: the same state as
+        :meth:`record_node` on every row in row order, row ``k`` owned
+        by node ``node_id[k]``.  Node series appear in first-seen order;
+        only positive net delays reach the ``net.delay`` histogram."""
+        if self._nodes is None:
+            raise SimulationError("record_node_columns without track_nodes()")
+        if not len(rows.req_id):
+            return
+        response = _responses(rows)
+        is_read = rows.is_read
+        distinct, in_order, slot = first_seen(node_id)
+        for nid in in_order:
+            self._node_series(nid)
+        series = [self._nodes[nid] for nid in distinct]
+        ns = len(series)
+        # Histogram 2s + op is node slot s's read/write series, 2ns + s
+        # its net-delay series.
+        hists = [h for s in series for h in (s.read_hist, s.write_hist)]
+        hists.extend(s.net_delay_hist for s in series)
+        delayed = net_delay > 0.0
+        observe_grouped(
+            hists,
+            np.concatenate((2 * slot + ~is_read, 2 * ns + slot[delayed])),
+            np.concatenate((response, net_delay[delayed])),
+        )
+        read_blocks = np.where(is_read, rows.nblocks, 0)
+        columns = (
+            read_blocks, rows.nblocks - read_blocks, rows.eliminated, rows.deduped_blocks,
+            rows.cache_hit_blocks, remote_lookups, remote_duplicate_blocks,
+        )
+        sums = zip(*(group_sums(slot, ns, col) for col in columns))
+        for s, row in zip(series, sums):
+            counters = (
+                s.read_blocks, s.write_blocks, s.eliminated_requests, s.deduped_blocks,
+                s.cache_hit_blocks, s.remote_lookups, s.remote_duplicate_blocks,
+            )
+            for counter, n in zip(counters, row):
+                counter.inc(n)
+        if self._timeline is not None:
+            note = self._timeline.note_node_request
+            for t, nid, read, nb, resp, elim, dedup, hit, delay, lookups in zip(
+                rows.completion.tolist(), node_id.tolist(), is_read.tolist(),
+                rows.nblocks.tolist(), response.tolist(), rows.eliminated.tolist(),
+                rows.deduped_blocks.tolist(), rows.cache_hit_blocks.tolist(),
+                net_delay.tolist(), remote_lookups.tolist(),
+            ):
+                note(
+                    t, node_id=nid, is_read=read, nblocks=nb, response=resp,
+                    eliminated=elim, deduped_blocks=dedup, cache_hit_blocks=hit,
+                    net_delay=delay, remote_lookups=lookups,
+                )
 
     def node_ids(self) -> list:
         """Node ids with recorded traffic (empty unless tracking)."""

@@ -4,9 +4,8 @@ This subpackage provides the event engine that all experiments run on:
 
 * :mod:`repro.sim.request` -- the I/O request model (block-granular
   reads and writes carrying per-chunk fingerprints).
-* :mod:`repro.sim.events` -- the event queue.
-* :mod:`repro.sim.engine` -- the simulator core: clock, disk service
-  scheduling, request completion tracking.
+* :mod:`repro.sim.engine` -- the simulator core: the clock, a heap of
+  timed callbacks and a cursor over the time-sorted arrivals.
 * :mod:`repro.sim.replay` -- the open-loop trace replay harness that
   drives a deduplication scheme with a trace and collects metrics.
 """
@@ -14,13 +13,11 @@ This subpackage provides the event engine that all experiments run on:
 from __future__ import annotations
 
 from repro.sim.request import IORequest, OpType
-from repro.sim.events import Event, EventKind, EventQueue
 
 _LAZY_EXPORTS = {
-    # Lazy: the engine depends on repro.storage (which imports
-    # repro.sim.request) and replay depends on repro.baselines (which
-    # also imports repro.sim.request); importing either eagerly here
-    # would create a package-level cycle.
+    # Lazy: replay depends on repro.baselines (which imports
+    # repro.sim.request), so importing it eagerly here would create a
+    # package-level cycle; the engine is loaded on first use alike.
     "Simulator": "repro.sim.engine",
     "ReplayConfig": "repro.sim.replay",
     "ReplayResult": "repro.sim.replay",
@@ -40,9 +37,6 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "IORequest",
     "OpType",
-    "Event",
-    "EventKind",
-    "EventQueue",
     "Simulator",
     "ReplayConfig",
     "ReplayResult",

@@ -1,105 +1,111 @@
-"""The discrete-event simulator core: the clock and the event queue.
+"""The discrete-event simulator core: the clock, a heap of timed
+callbacks and a cursor over the arrivals.
 
-Higher layers schedule work through two calls:
+The replay hands its merged, time-sorted arrivals over once
+(:meth:`Simulator.set_arrivals`; :meth:`Simulator.run` passes each to
+its arrival handler) and schedules everything else -- fingerprint
+delays, iCache epochs, request finalisation, fault and job pacing --
+with :meth:`Simulator.schedule_callback`.
 
-* :meth:`Simulator.schedule_arrival` -- a request arrival at its trace
-  timestamp (consumed by the replay's arrival handler);
-* :meth:`Simulator.schedule_callback` -- run a function at a future
-  simulated time (fingerprint delays, iCache epochs, request
-  finalisation, fault and job pacing).
-
-Events pop in ``(time, seq)`` order, so equal timestamps keep their
-scheduling order.  The engine keeps no disk state: the replay's nodes
-own their member disks and RAID arrays and service ops through
-:func:`repro.storage.raid.service_volume_ops`.
+Events run in ``(time, seq)`` order, so equal timestamps keep their
+scheduling order.  The arrivals take one contiguous block of sequence
+numbers when they are handed over: a callback scheduled before that
+wins a timestamp tie against every arrival, one scheduled after loses
+it.  The engine keeps no disk state: the replay's nodes own their
+member disks and RAID arrays.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import heapq
+from itertools import islice
+from operator import lt
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventKind, EventQueue
 
 
 class Simulator:
-    """Discrete-event engine: a clock and an event queue."""
+    """Discrete-event engine: a clock, a heap of ``(time, seq, fn,
+    args)`` callbacks and a cursor over the arrivals."""
 
     def __init__(self) -> None:
-        self.queue = EventQueue()
+        self._heap: List[Tuple[float, int, Callable[..., None], Tuple[Any, ...]]] = []
+        self._seq = 0
+        self._times: Sequence[float] = ()
+        self._arrivals: Sequence[object] = ()
+        #: Sequence number of the first arrival.
+        self._arrival_seq = 0
+        self._cursor = 0
         self.now: float = 0.0
+        #: Events run so far: arrivals and callbacks.
         self.events_processed: int = 0
-
-    # ------------------------------------------------------------------
-    # scheduling
-    # ------------------------------------------------------------------
 
     def schedule_callback(
         self, time: float, fn: Callable[..., None], *args: object
-    ) -> Event:
+    ) -> None:
         """Run ``fn(*args)`` at simulated ``time`` (>= now)."""
         if time < self.now:
             raise SimulationError(f"callback scheduled in the past ({time} < {self.now})")
-        return self.queue.schedule(time, EventKind.CALLBACK, (fn, args))
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
+        self._seq += 1
 
-    def schedule_arrival(self, time: float, payload: object) -> Event:
-        """Schedule a REQUEST_ARRIVAL event (consumed by the replay
-        harness's registered handler)."""
-        return self.queue.schedule(time, EventKind.REQUEST_ARRIVAL, payload)
-
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
+    def set_arrivals(self, times: Sequence[float], arrivals: Sequence[object]) -> None:
+        """Hand over the arrivals once: ``arrivals[k]`` arrives at
+        ``times[k]``; ``times`` is sorted and not before ``now``."""
+        if self._arrivals:
+            raise SimulationError("arrivals were already handed over")
+        if len(times) != len(arrivals):
+            raise SimulationError(f"{len(times)} arrival times for {len(arrivals)} arrivals")
+        if times and (times[0] < self.now or any(map(lt, islice(times, 1, None), times))):
+            raise SimulationError("arrival times must be sorted and not in the past")
+        self._times = times
+        self._arrivals = arrivals
+        self._arrival_seq = self._seq
+        self._seq += len(arrivals)
 
     def run(
-        self,
-        arrival_handler: Optional[Callable[[float, object], None]] = None,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
+        self, arrival_handler: Optional[Callable[[float, Any], None]] = None
     ) -> None:
-        """Drain the event queue.
-
-        Parameters
-        ----------
-        arrival_handler:
-            Called as ``handler(now, payload)`` for every
-            REQUEST_ARRIVAL event.  Required if any are scheduled.
-        until:
-            Stop (leaving events queued) once the clock passes this.
-        max_events:
-            Safety valve for tests.
-        """
-        # Hot loop: hoist every invariant attribute/global into locals
-        # (measured: the pop/dispatch overhead is paid once per event,
-        # millions of times on production-size replays).
-        queue = self.queue
-        pop = queue.pop
-        callback_kind = EventKind.CALLBACK
-        arrival_kind = EventKind.REQUEST_ARRIVAL
+        """Run every event: ``arrival_handler(now, arrival)`` for each
+        arrival, and each callback, in ``(time, seq)`` order."""
+        times = self._times
+        arrivals = self._arrivals
+        n = len(arrivals)
+        cursor = self._cursor
+        if cursor < n and arrival_handler is None:
+            raise SimulationError("arrivals with no registered handler")
+        first_seq = self._arrival_seq
+        heap = self._heap
+        pop = heapq.heappop
         processed = self.events_processed
         try:
-            while queue:
-                if until is not None:
-                    next_time = queue.peek_time()
-                    if next_time is not None and next_time > until:
-                        break
-                event = pop()
-                time = event.time
-                if time < self.now:
-                    raise SimulationError("event queue returned an event in the past")
-                self.now = time
-                processed += 1
-                kind = event.kind
-                if kind is callback_kind:
-                    fn, args = event.payload
+            while True:
+                if cursor < n:
+                    t = times[cursor]
+                    # The heap top runs first when it is earlier than
+                    # the next arrival, or as early and scheduled
+                    # before the arrival block (a smaller seq).
+                    if heap:
+                        top = heap[0]
+                        if top[0] <= t and (top[1] < first_seq or top[0] < t):
+                            self.now = top[0]
+                            processed += 1
+                            pop(heap)
+                            top[2](*top[3])
+                            continue
+                    arrival = arrivals[cursor]
+                    cursor += 1
+                    self.now = t
+                    processed += 1
+                    arrival_handler(t, arrival)  # type: ignore[misc]
+                elif heap:
+                    t, _seq, fn, args = pop(heap)
+                    self.now = t
+                    processed += 1
                     fn(*args)
-                elif kind is arrival_kind:
-                    if arrival_handler is None:
-                        raise SimulationError("arrival event with no registered handler")
-                    arrival_handler(time, event.payload)
-                else:  # pragma: no cover - future event kinds
-                    raise SimulationError(f"unhandled event kind {kind}")
-                if max_events is not None and processed >= max_events:
+                else:
                     break
         finally:
+            self._cursor = cursor
             self.events_processed = processed

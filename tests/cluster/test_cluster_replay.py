@@ -148,6 +148,33 @@ class TestAccountingConservation:
             )
 
 
+class TestContentOracleReport:
+    """``verify_content`` checks every read on every node, and the
+    per-node oracle summary reaches ``cluster_stats`` (and the report's
+    ``cluster`` section) at any node count, one node included."""
+
+    @pytest.mark.parametrize("nodes", [1, 2])
+    def test_oracle_summary_reported(self, nodes):
+        result = runner.run_cluster(
+            ["mail"],
+            "POD",
+            nodes=nodes,
+            copies=2,
+            scale=0.02,
+            seed=1,
+            cluster_config=ClusterConfig(verify_content=True),
+        )
+        assert result.cluster_stats is not None
+        oracle = result.cluster_stats["oracle"]
+        assert [o["node"] for o in oracle] == list(range(nodes))
+        assert all(o["reads_checked"] > 0 and o["mismatches"] == 0 for o in oracle)
+        # Every read is checked once, on its owner node.
+        reads = sum(n["read_requests"] for n in result.nodes)
+        assert reads == result.metrics.as_dict()["read_requests"] > 0
+        report = build_run_report(result, seed=1, scale=0.02, clock=lambda: 0.0)
+        assert report["cluster"]["oracle"] == oracle
+
+
 class TestContentOracleVersusChunking:
     """Both content oracles check reads against the raw trace
     fingerprints, which content-defined chunking rewrites: the pairing

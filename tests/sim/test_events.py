@@ -1,57 +1,84 @@
-"""Unit tests for the event queue."""
+"""Unit tests for the engine's event order: the callback heap and the
+arrival cursor run events in ``(time, seq)`` order."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, EventKind, EventQueue
+from repro.sim.engine import Simulator
+
+
+def _arrival_log(log):
+    return lambda now, payload: log.append(("arrival", now, payload))
 
 
 class TestEventQueue:
     def test_pop_in_time_order(self):
-        q = EventQueue()
-        q.schedule(3.0, EventKind.CALLBACK, "c")
-        q.schedule(1.0, EventKind.CALLBACK, "a")
-        q.schedule(2.0, EventKind.CALLBACK, "b")
-        assert [q.pop().payload for _ in range(3)] == ["a", "b", "c"]
+        sim = Simulator()
+        got = []
+        sim.schedule_callback(3.0, got.append, "c")
+        sim.schedule_callback(1.0, got.append, "a")
+        sim.schedule_callback(2.0, got.append, "b")
+        sim.run()
+        assert got == ["a", "b", "c"]
 
     def test_fifo_among_simultaneous_events(self):
-        q = EventQueue()
+        sim = Simulator()
+        got = []
         for i in range(10):
-            q.schedule(5.0, EventKind.CALLBACK, i)
-        assert [q.pop().payload for _ in range(10)] == list(range(10))
+            sim.schedule_callback(5.0, got.append, i)
+        sim.run()
+        assert got == list(range(10))
 
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q and len(q) == 0
-        q.schedule(0.0, EventKind.CALLBACK)
-        assert q and len(q) == 1
+    def test_events_processed_counts_arrivals_and_callbacks(self):
+        sim = Simulator()
+        sim.run()
+        assert sim.events_processed == 0 and sim.now == 0.0
+        sim.schedule_callback(0.5, lambda: None)
+        sim.set_arrivals([0.0, 1.0], ["x", "y"])
+        sim.run(arrival_handler=lambda now, p: None)
+        assert sim.events_processed == 3
 
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.schedule(7.5, EventKind.CALLBACK)
-        q.schedule(2.5, EventKind.CALLBACK)
-        assert q.peek_time() == 2.5
+    def test_clock_reads_the_earliest_event_time(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_callback(7.5, lambda: seen.append(sim.now))
+        sim.schedule_callback(2.5, lambda: seen.append(sim.now))
+        sim.run()
+        assert seen == [2.5, 7.5]
 
-    def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            EventQueue().pop()
+    def test_run_with_nothing_scheduled_returns(self):
+        sim = Simulator()
+        sim.run()
+        sim.run(arrival_handler=_arrival_log([]))
+        assert sim.now == 0.0 and sim.events_processed == 0
 
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
-            EventQueue().schedule(-1.0, EventKind.CALLBACK)
+            Simulator().schedule_callback(-1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            Simulator().set_arrivals([-1.0], ["x"])
 
     def test_push_assigns_sequence(self):
-        q = EventQueue()
-        e1 = q.push(Event(time=0.0, kind=EventKind.CALLBACK))
-        e2 = q.push(Event(time=0.0, kind=EventKind.CALLBACK))
-        assert e2.seq > e1.seq
+        # Callbacks scheduled before the arrivals are handed over win a
+        # timestamp tie against them; callbacks scheduled after lose it.
+        sim = Simulator()
+        log = []
+        sim.schedule_callback(1.0, log.append, "before")
+        sim.set_arrivals([1.0, 1.0], ["a0", "a1"])
+        sim.schedule_callback(1.0, log.append, "after")
+        sim.run(arrival_handler=lambda now, p: log.append(p))
+        assert log == ["before", "a0", "a1", "after"]
 
     def test_interleaved_push_pop(self):
-        q = EventQueue()
-        q.schedule(1.0, EventKind.CALLBACK, 1)
-        q.schedule(5.0, EventKind.CALLBACK, 5)
-        assert q.pop().payload == 1
-        q.schedule(3.0, EventKind.CALLBACK, 3)
-        assert q.pop().payload == 3
-        assert q.pop().payload == 5
+        sim = Simulator()
+        log = []
+
+        def first():
+            log.append(1)
+            sim.schedule_callback(3.0, log.append, 3)
+
+        sim.schedule_callback(1.0, first)
+        sim.schedule_callback(5.0, log.append, 5)
+        sim.set_arrivals([2.0, 4.0], [2, 4])
+        sim.run(arrival_handler=lambda now, p: log.append(p))
+        assert log == [1, 2, 3, 4, 5]
