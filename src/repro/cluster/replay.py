@@ -495,20 +495,15 @@ def replay_cluster(
                 def scrub_read(
                     pba: int, nblocks: int, node: ClusterNode = node
                 ) -> float:
+                    # Through the RAID layer so degraded rows
+                    # reconstruct like any foreground read; the fault
+                    # hook credits latent errors it finds to the
+                    # scrubber.
                     vop = VolumeOp(OpType.READ, pba, nblocks)
-                    if multi_node:
-                        # Through the RAID layer so degraded rows
-                        # reconstruct like any foreground read.
-                        return node.service_volume_ops(obs, sim.now, [vop])
-                    # One node scrubs the healthy mapping (degraded
-                    # rows included) through the fault hook, which
-                    # credits latent errors it finds to the scrubber.
                     if injector is not None:
                         injector.in_scrub = True
                     try:
-                        return node.service_disk_ops(
-                            obs, sim.now, node.raid.map(vop)
-                        )
+                        return node.service_volume_ops(obs, sim.now, [vop])
                     finally:
                         if injector is not None:
                             injector.in_scrub = False

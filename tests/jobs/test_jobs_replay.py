@@ -171,6 +171,20 @@ class TestScrubber:
         b = _replay(ReplayConfig(jobs=jobs))
         assert a.jobs_stats == b.jobs_stats
 
+    def test_scrub_of_a_degraded_array_never_reads_the_failed_member(self):
+        # A degraded row is reconstructed from its survivors, for the
+        # scrubber as for any foreground read.
+        jobs = dataclasses.replace(
+            JOBS, scrub=ScrubberSpec(start=0.5, region_blocks=4096, interval=0.01)
+        )
+        result = replay_trace(
+            _TRACE, _scheme(), ReplayConfig(failed_disk=1, jobs=jobs),
+            batch_size=None,
+        )
+        scrubs = [j for j in result.jobs_stats["jobs"] if j["kind"] == "scrub"]
+        assert scrubs[0]["detail"]["blocks_scrubbed"] > 0
+        assert result.utilisation[1]["ops"] == 0
+
 
 class TestAdmission:
     def test_token_bucket_throttles_and_admits_in_order(self):
