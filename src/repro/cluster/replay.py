@@ -26,6 +26,17 @@ adds a cluster overlay on the write path:
   array mid-replay and rebuilds it in place, generalising the fault
   layer's member failure to the cluster.
 
+:func:`replay_cluster` builds one :class:`_ClusterReplay`, runs it and
+returns its result.  The object holds the run's state in attributes
+and has one method per step: arrival and admission, request handling,
+completion and the columnar fold, the network sends, the two directory
+lookups, the epoch tick, node failure and rebuild, the metadata kill
+and stop-the-world GC sweep, and rebalance with its migration.  Node
+build, collector and timeline arming, the warm-up boundary and the
+result fields every replay has come from
+:class:`~repro.sim.replay.ReplayScaffold`, shared with the columnar
+driver; this module adds the cluster sections.
+
 It is also the single-node event loop: :func:`repro.sim.replay.replay_traces`
 sends every config the columnar driver (:mod:`repro.sim.batch`) does
 not take here as a one-node cluster.  Two things only a single node
@@ -41,7 +52,8 @@ timeline gauges no ``node_id`` and the scrubber job is named
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,19 +78,23 @@ from repro.jobs.jobs import MigrationJob, RebuildJob, ScrubJob
 from repro.jobs.runtime import JobRuntime
 from repro.metrics.collector import Completions, MetricsCollector
 from repro.obs.events import EventType, TraceLevel
-from repro.obs.slo import evaluate_slo
+# Not called here (the scaffold evaluates SLOs): kept as a module
+# attribute because perfbench's layer tracer wraps it by name.
+from repro.obs.slo import evaluate_slo  # noqa: F401
 from repro.obs.spans import SpanTracer
-from repro.obs.timeline import TimelineSampler
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.engine import Simulator
-from repro.sim.replay import DEFAULT_BATCH_SIZE, ReplayConfig, ReplayResult, size_disks
+from repro.sim.replay import (
+    DEFAULT_BATCH_SIZE,
+    ReplayConfig,
+    ReplayResult,
+    ReplayScaffold,
+)
 # The single-node merge, with each volume rebased into its owner
 # node's local space (the bases coincide at N=1: bit-identical).
 from repro.sim.replay import _merge_streams as _merge_cluster_streams
 from repro.sim.request import IORequest, OpType
-from repro.storage.disk import Disk, disk_utilisation, queue_lag
-from repro.storage.namespace import NamespaceMapper
-from repro.storage.raid import RaidArray
+from repro.storage.disk import queue_lag
 from repro.storage.rebuild import RebuildController
 from repro.storage.ssd import Ssd
 from repro.storage.volume import VolumeOp
@@ -131,19 +147,6 @@ class ClusterConfig:
             raise ClusterError(f"vnodes must be positive, got {self.vnodes}")
 
 
-def _aggregate_stats(stats_list: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Sum numeric scheme stats across nodes (non-numerics from node 0)."""
-    out: Dict[str, Any] = dict(stats_list[0])
-    for stats in stats_list[1:]:
-        for key, value in stats.items():
-            if isinstance(value, bool):
-                continue
-            prev = out.get(key)
-            if isinstance(value, (int, float)) and isinstance(prev, (int, float)):
-                out[key] = prev + value
-    return out
-
-
 def replay_cluster(
     traces: Sequence[Trace],
     schemes: Sequence[DedupScheme],
@@ -168,6 +171,28 @@ def replay_cluster(
     ``replay_traces(traces, schemes[0], config)`` by construction.
     ``config.faults`` and ``config.failed_disk`` need exactly one node.
     """
+    assignment = _check_inputs(traces, schemes, cluster, config, assignment)
+    replay = _ClusterReplay(
+        traces, schemes, cluster, config, assignment, collector, recorder,
+        per_volume_metrics,
+    )
+    result = replay.run()
+    # Job callbacks hold bound methods of the replay, which puts it in
+    # reference cycles: drop its state now rather than leave the whole
+    # run (nodes, directory, requests) to the cycle collector.
+    vars(replay).clear()
+    return result
+
+
+def _check_inputs(
+    traces: Sequence[Trace],
+    schemes: Sequence[DedupScheme],
+    cluster: ClusterConfig,
+    config: ReplayConfig,
+    assignment: Optional[Sequence[int]],
+) -> List[int]:
+    """Reject every combination the event loop cannot run; return the
+    volume-to-node assignment (default ``vid % len(schemes)``)."""
     if not traces:
         raise ConfigError("replay_cluster needs at least one trace")
     if not schemes:
@@ -213,9 +238,8 @@ def replay_cluster(
     for vid, node_id in enumerate(assignment):
         if not (0 <= node_id < nnodes):
             raise ClusterError(f"volume {vid} assigned to unknown node {node_id}")
-    served: Set[int] = set(assignment)
-    if served != set(range(nnodes)):
-        missing = sorted(set(range(nnodes)) - served)
+    missing = sorted(set(range(nnodes)) - set(assignment))
+    if missing:
         raise ClusterError(f"node(s) {missing} serve no volume")
 
     rebalance = cluster.rebalance
@@ -229,12 +253,16 @@ def replay_cluster(
             raise ClusterError(
                 f"node-failure spec names unknown member disk {node_failure.disk}"
             )
-    if rebalance is not None:
-        if rebalance.remove_node is not None and (
-            rebalance.remove_node >= nnodes + rebalance.add_nodes
-        ):
+    if rebalance is not None and rebalance.remove_node is not None:
+        if rebalance.remove_node >= nnodes + rebalance.add_nodes:
             raise ClusterError(
                 f"rebalance removes unknown member {rebalance.remove_node}"
+            )
+    for fs in cluster.fail_slow:
+        if not (0 <= fs.disk // config.ndisks < nnodes):
+            raise ClusterError(
+                f"fail-slow spec names unknown cluster disk {fs.disk} "
+                f"(have {nnodes * config.ndisks})"
             )
     directory_cfg = cluster.directory
     if directory_cfg is not None:
@@ -242,11 +270,6 @@ def replay_cluster(
             raise ConfigError(
                 "the replicated directory and shard rebalancing cannot be "
                 "combined yet (replica sets would race the migration)"
-            )
-        if directory_cfg.replication > nnodes:
-            raise ClusterError(
-                f"replication factor {directory_cfg.replication} exceeds the "
-                f"{nnodes}-node cluster"
             )
         if directory_cfg.kill is not None and directory_cfg.kill.node >= nnodes:
             raise ClusterError(
@@ -261,134 +284,296 @@ def replay_cluster(
                 "online refcount GC runs as a leased job and needs "
                 "ReplayConfig.jobs (pass --jobs, or --gc implies it on the CLI)"
             )
+    return list(assignment)
 
-    # -- feature gates (each one must leave the plain N=1 path alone) --
-    multi = len(traces) > 1
-    multi_node = nnodes > 1
-    net_active = multi_node or (rebalance is not None and rebalance.add_nodes > 0)
-    dir_active = directory_cfg is not None
-    cluster_active = (
-        net_active or node_failure is not None or rebalance is not None or dir_active
-    )
-    # Per-node series and the cluster sections of the result: at N>1,
-    # with any cluster feature, or with the per-node content oracle,
-    # whose summary they carry (also at one node).
-    cluster_report = multi_node or cluster_active or cluster.verify_content
 
-    # ------------------------------------------------------------------
-    # build the nodes
-    # ------------------------------------------------------------------
-    geometry = config.geometry()
-    node_traces: List[List[Trace]] = [[] for _ in range(nnodes)]
-    node_vids: List[List[int]] = [[] for _ in range(nnodes)]
-    for vid, trace in enumerate(traces):
-        node_traces[assignment[vid]].append(trace)
-        node_vids[assignment[vid]].append(vid)
+#: Per-node cluster counters the result reports per node and summed.
+_NODE_TOTALS = ("remote_lookups", "remote_duplicate_blocks", "rebalance_misses")
 
-    nodes: List[ClusterNode] = []
-    bases: List[int] = [0] * len(traces)
-    for n in range(nnodes):
-        scheme = schemes[n]
-        mapper = NamespaceMapper(
-            (t.name, t.logical_blocks) for t in node_traces[n]
+#: Column dtypes of a buffered completion row past its request id:
+#: arrival, completion, eliminated, cache-hit, deduped and
+#: cross-volume blocks, net delay, remote lookups, remote dups.
+_ROW_TYPES = (
+    np.float64, np.float64, bool, np.int64, np.int64, np.int64,
+    np.float64, np.int64, np.int64,
+)
+
+
+class _ClusterReplay:
+    """One run of the event loop: the state of :func:`replay_cluster`
+    in attributes, one method per step."""
+
+    def __init__(
+        self,
+        traces: Sequence[Trace],
+        schemes: Sequence[DedupScheme],
+        cluster: ClusterConfig,
+        config: ReplayConfig,
+        assignment: Sequence[int],
+        collector: Optional[MetricsCollector],
+        recorder: Optional[TraceRecorder],
+        per_volume_metrics: bool,
+    ) -> None:
+        self.cluster = cluster
+        self.config = config
+        self.recorder = recorder
+        self.nnodes = nnodes = len(schemes)
+        rebalance = cluster.rebalance
+        directory_cfg = cluster.directory
+        # -- feature gates (each one must leave the plain N=1 path alone) --
+        self.multi = len(traces) > 1
+        self.multi_node = nnodes > 1
+        net_active = self.multi_node or (
+            rebalance is not None and rebalance.add_nodes > 0
         )
-        if mapper.total_logical_blocks > scheme.regions.logical_blocks:
-            raise ConfigError(
-                f"node {n}: volumes touch {mapper.total_logical_blocks} logical "
-                f"blocks but the scheme was configured for "
-                f"{scheme.regions.logical_blocks}"
-            )
-        params = size_disks(scheme.regions.total_blocks, config)
-        disks = [
-            Disk(params, disk_id=n * geometry.ndisks + j)
-            for j in range(geometry.ndisks)
-        ]
-        node = ClusterNode(n, scheme, disks, RaidArray(geometry), mapper)
-        node.failed_disk = config.failed_disk
-        node.volume_ids = list(node_vids[n])
-        for local_vid, vid in enumerate(node_vids[n]):
-            bases[vid] = mapper.volume(local_vid).base
-        nodes.append(node)
-
-    node_of: List[ClusterNode] = [nodes[assignment[vid]] for vid in range(len(traces))]
-
-    for fs in cluster.fail_slow:
-        fs_node, fs_member = divmod(fs.disk, geometry.ndisks)
-        if not (0 <= fs_node < nnodes):
-            raise ClusterError(
-                f"fail-slow spec names unknown cluster disk {fs.disk} "
-                f"(have {nnodes * geometry.ndisks})"
-            )
-        nodes[fs_node].disks[fs_member].add_slow_window(
-            fs.start, fs.end, fs.multiplier
+        dir_active = directory_cfg is not None
+        cluster_active = (
+            net_active
+            or cluster.node_failure is not None
+            or rebalance is not None
+            or dir_active
+        )
+        # Per-node series and the cluster sections of the result: at N>1,
+        # with any cluster feature, or with the per-node content oracle,
+        # whose summary they carry (also at one node).
+        self.cluster_report = (
+            self.multi_node or cluster_active or cluster.verify_content
         )
 
-    sim = Simulator()
-    metrics = collector if collector is not None else MetricsCollector()
-    if per_volume_metrics:
-        metrics.track_volumes()
-    if cluster_report:
-        metrics.track_nodes()
-    ssds: List[Optional[Ssd]] = [
-        Ssd(config.ssd_params) if config.ssd_params is not None else None
-        for _ in range(nnodes)
-    ]
-
-    obs = recorder if recorder is not None else NULL_RECORDER
-    if recorder is not None:
-        for node in nodes:
-            node.scheme.attach_observer(recorder)
-
-    # -- telemetry (observation only; absent unless armed) -------------
-    timeline_config = config.effective_timeline()
-    sampler: Optional[TimelineSampler] = None
-    if timeline_config is not None:
-        sampler = TimelineSampler(timeline_config, policy=config.slo)
-        metrics.attach_timeline(sampler)
+        self.scaffold = scaffold = ReplayScaffold(
+            traces, schemes, config, collector, per_volume_metrics, assignment
+        )
+        self.nodes = nodes = scaffold.nodes
+        self.node_of: List[ClusterNode] = [nodes[owner] for owner in assignment]
         for fs in cluster.fail_slow:
-            sampler.annotate_interval("fail_slow", fs.start, fs.end)
-    tracer: Optional[SpanTracer] = SpanTracer() if config.spans else None
-    if tracer is not None:
-        for node in nodes:
-            node.scheme.spans = tracer
+            fs_node, fs_member = divmod(fs.disk, config.ndisks)
+            nodes[fs_node].disks[fs_member].add_slow_window(
+                fs.start, fs.end, fs.multiplier
+            )
 
-    sanitizer: Optional[PodSanitizer] = None
-    if config.check_invariants:
-        if config.sanitize_every <= 0:
-            raise ConfigError("sanitize_every must be positive")
-        sanitizer = PodSanitizer(registry=metrics.registry)
-        for node in nodes:
-            sanitizer.attach(node.scheme)
-
-    # Deterministic fault injection (one node only): installed before
-    # the arrivals are scheduled, so its timed faults keep their tie
-    # order against them.  Its content oracle is the node's.
-    injector: Optional[FaultInjector] = None
-    oracles: Optional[List[ContentOracle]] = None
-    if config.faults is not None:
-        plan = config.faults
-        if config.fault_seed is not None:
-            plan = plan.with_seed(config.fault_seed)
-        injector = FaultInjector(plan, registry=metrics.registry)
+        self.sim = Simulator()
+        self.metrics = metrics = scaffold.metrics
+        if self.cluster_report:
+            metrics.track_nodes()
+        self.ssds: List[Optional[Ssd]] = [
+            Ssd(config.ssd_params) if config.ssd_params is not None else None
+            for _ in range(nnodes)
+        ]
+        self.obs = recorder if recorder is not None else NULL_RECORDER
         if recorder is not None:
-            injector.attach_observer(recorder)
-        injector.timeline = sampler
-        injector.spans = tracer
-        injector.install(sim, nodes[0])
-        oracles = [injector.oracle]
-    elif cluster.verify_content:
-        oracles = [ContentOracle() for _ in range(nnodes)]
+            for node in nodes:
+                node.scheme.attach_observer(recorder)
 
-    # -- cluster overlay state -----------------------------------------
-    router = FingerprintRouter(range(nnodes), vnodes=cluster.vnodes)
-    fabric = NetworkFabric(cluster.net)
-    lookup_bytes = cluster.net.lookup_bytes
-    entry_bytes = cluster.net.entry_bytes
-    #: Shard-owner member id -> (fingerprint -> first-writer node id).
-    shards: Dict[int, Dict[int, int]] = {n: {} for n in range(nnodes)}
-    migration: Dict[str, Optional[ShardMigrator]] = {"migrator": None}
+        # -- telemetry (observation only; absent unless armed) -------------
+        self.sampler = sampler = scaffold.sampler
+        if sampler is not None:
+            for fs in cluster.fail_slow:
+                sampler.annotate_interval("fail_slow", fs.start, fs.end)
+        self.tracer: Optional[SpanTracer] = SpanTracer() if config.spans else None
+        if self.tracer is not None:
+            for node in nodes:
+                node.scheme.spans = self.tracer
+        self.sanitizer: Optional[PodSanitizer] = None
+        if config.check_invariants:
+            self.sanitizer = PodSanitizer(registry=metrics.registry)
+            for node in nodes:
+                self.sanitizer.attach(node.scheme)
+
+        self._arm_faults()
+
+        # -- cluster overlay state -----------------------------------------
+        self.router = FingerprintRouter(range(nnodes), vnodes=cluster.vnodes)
+        self.fabric = NetworkFabric(cluster.net)
+        self.lookup_bytes = cluster.net.lookup_bytes
+        self.entry_bytes = cluster.net.entry_bytes
+        #: Shard-owner member id -> (fingerprint -> first-writer node id).
+        self.shards: Dict[int, Dict[int, int]] = {n: {} for n in range(nnodes)}
+        self.migrator: Optional[ShardMigrator] = None
+        # The replicated directory (None = legacy single-copy shards).
+        self.directory: Optional[ReplicatedDirectory] = None
+        self.refcount_gc: Optional[RefcountGc] = None
+        #: Per-node logical shadow (node-local lba -> fingerprint held) so
+        #: overwrites queue refcount-decrement intents for the old content.
+        self.block_content: List[Dict[int, int]] = []
+        if directory_cfg is not None:
+            self.directory = ReplicatedDirectory(self.router, nnodes, directory_cfg)
+            self.block_content = [{} for _ in range(nnodes)]
+            if directory_cfg.gc is not None:
+                self.refcount_gc = RefcountGc(self.directory)
+        self.lookup = self.directory_lookup if dir_active else self.remote_lookup
+        self.lookups_on = dir_active or net_active
+
+        self.requests, self.measured_flags = _merge_cluster_streams(
+            traces, scaffold.bases
+        )
+        # Handed over after the fault injector's callbacks and before every
+        # other: the arrivals win timestamp ties against jobs, epochs and
+        # finishes, and lose them against timed faults.
+        self.sim.set_arrivals([r.time for r in self.requests], self.requests)
+        self.last_arrival = self.requests[-1].time if self.requests else 0.0
+        self.jobs_runtime: Optional[JobRuntime] = None
+        self.admission: Optional[AdmissionController] = None
+        if config.jobs is not None:
+            self._arm_jobs()
+
+        self.total_warmup = sum(t.warmup_count for t in traces)
+        #: Per-node span attributes: node-tagged only at N>1, so a
+        #: one-node run emits the single-node forms (as do the gauges).
+        self.span_tags: List[Dict[str, Any]] = [
+            {"node": n} if self.multi_node else {} for n in range(nnodes)
+        ]
+        #: Per-node first-writer maps for the cross-volume vs intra-volume
+        #: split (content only collapses within a node, so classification
+        #: is a per-node question; one dict at N=1, exactly the classic
+        #: multi-volume path).
+        self.fp_owner: Optional[List[Dict[int, int]]] = (
+            [{} for _ in range(nnodes)] if self.multi else None
+        )
+        # Measured completions, buffered as rows (see ``finish``).
+        self.done: List[Tuple[Any, ...]] = []
+        # Fig. 11 counts removed write requests over the measured day only,
+        # so snapshot the (cluster-wide) scheme counters at the warm-up
+        # boundary -- the first handled request past its volume's warm-up
+        # prefix.
+        self.boundary_taken = self.total_warmup == 0
+        self.handled = 0
+        #: Stop-the-world GC window: arrivals stall until ``stw_until``
+        #: while the sweep runs (the casstor "cleanup time" the online GC
+        #: beats).
+        self.stw_until = 0.0
+        self.stw_stalled = 0
+        self.stw_processed = 0
+        self.rebuild_ctrl: Optional[RebuildController] = None
+        self.failed_at = 0.0
+        self._schedule_events()
+
+    # ------------------------------------------------------------------
+    # set-up
+    # ------------------------------------------------------------------
+
+    def _arm_faults(self) -> None:
+        """Deterministic fault injection (one node only), installed
+        before the arrivals are handed over so its timed faults keep
+        their tie order against them (its content oracle is the
+        node's), or one content oracle per node for ``verify_content``."""
+        config = self.config
+        self.injector: Optional[FaultInjector] = None
+        self.oracles: Optional[List[ContentOracle]] = None
+        if config.faults is not None:
+            plan = config.faults
+            if config.fault_seed is not None:
+                plan = plan.with_seed(config.fault_seed)
+            injector = FaultInjector(plan, registry=self.metrics.registry)
+            if self.recorder is not None:
+                injector.attach_observer(self.recorder)
+            injector.timeline = self.sampler
+            injector.spans = self.tracer
+            injector.install(self.sim, self.nodes[0])
+            self.injector = injector
+            self.oracles = [injector.oracle]
+        elif self.cluster.verify_content:
+            self.oracles = [ContentOracle() for _ in range(self.nnodes)]
+
+    def _arm_jobs(self) -> None:
+        """Leased background jobs (see repro.jobs): the cluster's
+        maintenance work -- node-failure rebuild, shard migration, one
+        scrubber per node, online GC -- runs under epoch-fenced worker
+        leases; without jobs the legacy self-paced ticks run instead."""
+        jobs = self.config.jobs
+        assert jobs is not None
+        horizon = self.last_arrival
+        injector = self.injector
+        runtime = JobRuntime(
+            jobs,
+            self.sim,
+            horizon=horizon,
+            oracle=injector.oracle if injector is not None else None,
+            registry=self.metrics.registry,
+        )
+        runtime.timeline = self.sampler
+        runtime.spans = self.tracer
+        self.jobs_runtime = runtime
+        self.admission = runtime.admission
+        if injector is not None:
+            # Member-failure rebuilds become leased jobs instead of
+            # self-paced ticks.
+            injector.jobs = runtime
+        scrub = jobs.scrub
+        if scrub is not None:
+            for node in self.nodes:
+                runtime.submit(
+                    f"scrub.n{node.node_id}" if self.multi_node else "scrub",
+                    ScrubJob(
+                        node.scheme.regions.total_blocks,
+                        scrub.region_blocks,
+                        partial(self.scrub_read, node),
+                        regions_cap=scrub.regions if scrub.regions is not None else 0,
+                    ),
+                    scrub.interval,
+                    not_before=scrub.start,
+                )
+        directory_cfg = self.cluster.directory
+        gc = directory_cfg.gc if directory_cfg is not None else None
+        if self.refcount_gc is not None and gc is not None and gc.mode == MODE_ONLINE:
+            # Online refcount GC as a leased job: the ledger needs a
+            # fixed total, so the job runs a fixed number of rounds
+            # sized to the trace horizon, each draining up to ``batch``
+            # decrement intents from the fenced cursor.  Decrement
+            # pushes go from each entry's coordinating replica to the
+            # others; sunk cost on a fenced step, exactly like
+            # migration sends.
+            rounds = (
+                gc.rounds
+                if gc.rounds is not None
+                else max(1, int(max(0.0, horizon - gc.start) / gc.interval) + 1)
+            )
+            runtime.submit(
+                "gc",
+                GcJob(
+                    self.refcount_gc, gc.batch, rounds, gc.entry_cost,
+                    self.send_background,
+                ),
+                gc.interval,
+                not_before=gc.start,
+            )
+        runtime.start()
+
+    def _schedule_events(self) -> None:
+        """Schedule the timed events after the arrivals: each node's
+        iCache epochs, then node failure, metadata kill, stop-the-world
+        sweep and rebalance (this order breaks their timestamp ties)."""
+        sim = self.sim
+        ticking = [n for n in self.nodes if n.scheme.epoch_interval is not None]
+        if self.requests and ticking:
+            # Every node's second and later ticks run on the last node
+            # with an epoch interval (at N>1 the other nodes tick once),
+            # the schedule the committed cluster goldens pin.
+            last = ticking[-1]
+            self.epoch_next = (last, last.scheme.epoch_interval)
+            for node in ticking:
+                interval = node.scheme.epoch_interval
+                sim.schedule_callback(
+                    self.requests[0].time + interval, self.epoch_tick, node, interval
+                )
+        cluster = self.cluster
+        if cluster.node_failure is not None:
+            sim.schedule_callback(cluster.node_failure.time, self.begin_node_failure)
+        directory_cfg = cluster.directory
+        if directory_cfg is not None:
+            if directory_cfg.kill is not None:
+                sim.schedule_callback(directory_cfg.kill.time, self.kill_metadata_node)
+            gc = directory_cfg.gc
+            if gc is not None and gc.mode != MODE_ONLINE:
+                sim.schedule_callback(gc.start, self.stw_sweep)
+        if cluster.rebalance is not None:
+            sim.schedule_callback(cluster.rebalance.time, self.begin_rebalance)
+
+    # ------------------------------------------------------------------
+    # the network
+    # ------------------------------------------------------------------
 
     def send_links(
+        self,
         now: float,
         src: int,
         counts: Dict[int, int],
@@ -404,6 +589,10 @@ def replay_cluster(
         ``span`` names a traced span per RPC under ``root``, carrying
         ``count`` as ``count_field``."""
         latest = now
+        fabric = self.fabric
+        sampler = self.sampler
+        tracer = self.tracer
+        obs = self.obs
         traced = bool(span) and tracer is not None and root > 0
         for dst in sorted(counts):
             count = counts[dst]
@@ -416,187 +605,32 @@ def replay_cluster(
             if traced:
                 assert tracer is not None
                 tracer.emit(
-                    now,
-                    done,
-                    span,
-                    parent=root,
-                    req_id=req_id,
-                    node=src,
-                    dst=dst,
+                    now, done, span, parent=root, req_id=req_id, node=src, dst=dst,
                     **{count_field: count},
                 )
             if obs.level >= TraceLevel.CHUNK:
                 obs.emit(
-                    TraceLevel.CHUNK,
-                    now,
-                    EventType.NET_RPC,
-                    src=src,
-                    dst=dst,
-                    bytes=nbytes,
-                    queued=fabric.last_queue_wait,
-                    done=done,
+                    TraceLevel.CHUNK, now, EventType.NET_RPC, src=src, dst=dst,
+                    bytes=nbytes, queued=fabric.last_queue_wait, done=done,
                 )
         return latest
 
-    def send_background(links: Dict[Tuple[int, int], int]) -> float:
+    def send_background(self, links: Dict[Tuple[int, int], int]) -> float:
         """Background entry pushes (migration, GC decrements): one
         batched RPC per ``(src, dst)`` link, in link order and in
         parallel, issued now."""
-        now = sim.now
+        now = self.sim.now
         return max([now] + [
-            send_links(now, src, {dst: count}, entry_bytes)
+            self.send_links(now, src, {dst: count}, self.entry_bytes)
             for (src, dst), count in sorted(links.items())
         ])
 
-    # -- replicated directory (None = legacy single-copy shards) -------
-    directory: Optional[ReplicatedDirectory] = None
-    refcount_gc: Optional[RefcountGc] = None
-    #: Per-node logical shadow (node-local lba -> fingerprint held) so
-    #: overwrites queue refcount-decrement intents for the old content.
-    block_content: Optional[List[Dict[int, int]]] = None
-    if directory_cfg is not None:
-        directory = ReplicatedDirectory(router, nnodes, directory_cfg)
-        block_content = [{} for _ in range(nnodes)]
-        if directory_cfg.gc is not None:
-            refcount_gc = RefcountGc(directory)
-
-    requests, measured_flags = _merge_cluster_streams(traces, bases)
-    # Handed over after the fault injector's callbacks and before every
-    # other: the arrivals win timestamp ties against jobs, epochs and
-    # finishes, and lose them against timed faults.
-    arrival_times = [request.time for request in requests]
-    sim.set_arrivals(arrival_times, requests)
-
-    # Leased background jobs (see repro.jobs): the cluster's
-    # maintenance work -- node-failure rebuild, shard migration, one
-    # scrubber per node -- runs under epoch-fenced worker leases when
-    # armed; None keeps the legacy self-paced tick path bit-identical.
-    jobs_runtime: Optional[JobRuntime] = None
-    admission: Optional[AdmissionController] = None
-    if config.jobs is not None:
-        jobs_runtime = JobRuntime(
-            config.jobs,
-            sim,
-            horizon=requests[-1].time if requests else 0.0,
-            oracle=injector.oracle if injector is not None else None,
-            registry=metrics.registry,
-        )
-        jobs_runtime.timeline = sampler
-        jobs_runtime.spans = tracer
-        admission = jobs_runtime.admission
-        if injector is not None:
-            # Member-failure rebuilds become leased jobs instead of
-            # self-paced ticks.
-            injector.jobs = jobs_runtime
-        scrub_spec = config.jobs.scrub
-        if scrub_spec is not None:
-            for node in nodes:
-
-                def scrub_read(
-                    pba: int, nblocks: int, node: ClusterNode = node
-                ) -> float:
-                    # Through the RAID layer so degraded rows
-                    # reconstruct like any foreground read; the fault
-                    # hook credits latent errors it finds to the
-                    # scrubber.
-                    vop = VolumeOp(OpType.READ, pba, nblocks)
-                    if injector is not None:
-                        injector.in_scrub = True
-                    try:
-                        return node.service_volume_ops(obs, sim.now, [vop])
-                    finally:
-                        if injector is not None:
-                            injector.in_scrub = False
-
-                jobs_runtime.submit(
-                    f"scrub.n{node.node_id}" if multi_node else "scrub",
-                    ScrubJob(
-                        node.scheme.regions.total_blocks,
-                        scrub_spec.region_blocks,
-                        scrub_read,
-                        regions_cap=(
-                            scrub_spec.regions
-                            if scrub_spec.regions is not None
-                            else 0
-                        ),
-                    ),
-                    scrub_spec.interval,
-                    not_before=scrub_spec.start,
-                )
-        gc_spec = directory_cfg.gc if directory_cfg is not None else None
-        if (
-            refcount_gc is not None
-            and gc_spec is not None
-            and gc_spec.mode == MODE_ONLINE
-        ):
-            # Online refcount GC as a leased job: the ledger needs a
-            # fixed total, so the job runs a fixed number of rounds
-            # sized to the trace horizon, each draining up to ``batch``
-            # decrement intents from the fenced cursor.
-            gc_horizon = requests[-1].time if requests else 0.0
-            gc_rounds = (
-                gc_spec.rounds
-                if gc_spec.rounds is not None
-                else max(
-                    1,
-                    int(max(0.0, gc_horizon - gc_spec.start) / gc_spec.interval)
-                    + 1,
-                )
-            )
-
-            # Decrement pushes from each entry's coordinating replica
-            # to the others; sunk cost on a fenced step, exactly like
-            # migration sends.
-            jobs_runtime.submit(
-                "gc",
-                GcJob(
-                    refcount_gc,
-                    gc_spec.batch,
-                    gc_rounds,
-                    gc_spec.entry_cost,
-                    send_background,
-                ),
-                gc_spec.interval,
-                not_before=gc_spec.start,
-            )
-        jobs_runtime.start()
-
-    run_name = traces[0].name if not multi else "+".join(t.name for t in traces)
-    total_warmup = sum(t.warmup_count for t in traces)
-    #: Per-node first-writer maps for the cross-volume vs intra-volume
-    #: split (content only collapses within a node, so classification
-    #: is a per-node question; one dict at N=1, exactly the classic
-    #: multi-volume path).
-    fp_owner: Optional[List[Dict[int, int]]] = (
-        [{} for _ in range(nnodes)] if multi else None
-    )
-    if obs.level >= TraceLevel.SUMMARY:
-        extra_run: Dict[str, Any] = {"volumes": len(traces)} if multi else {}
-        if multi_node:
-            extra_run["nodes"] = nnodes
-        obs.emit(
-            TraceLevel.SUMMARY,
-            requests[0].time if requests else 0.0,
-            EventType.RUN_START,
-            trace=run_name,
-            scheme=schemes[0].name,
-            requests=len(requests),
-            warmup=total_warmup,
-            **extra_run,
-        )
-
     # ------------------------------------------------------------------
-    # the request path
+    # the directory
     # ------------------------------------------------------------------
-
-    #: Per-node span attributes: node-tagged only at N>1, so a
-    #: one-node run emits the single-node forms (as do the gauges).
-    span_tags: List[Dict[str, Any]] = [
-        {"node": n} if multi_node else {} for n in range(nnodes)
-    ]
 
     def remote_lookup(
-        node: ClusterNode, request: IORequest
+        self, node: ClusterNode, request: IORequest
     ) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int], int]:
         """Consult the sharded directory for one write's fingerprints.
 
@@ -606,12 +640,14 @@ def replay_cluster(
         distinct remote shard owner.
         """
         assert request.fingerprints is not None
-        migrator = migration["migrator"]
+        migrator = self.migrator
         pending = migrator.pending if migrator is not None else None
+        route = self.router.route
+        shards = self.shards
         per_dst: Dict[int, int] = {}
         remote_dups = 0
         for fp in request.fingerprints:
-            shard = router.route(fp)
+            shard = route(fp)
             if shard != node.node_id:
                 per_dst[shard] = per_dst.get(shard, 0) + 1
             table = shards.setdefault(shard, {})
@@ -629,11 +665,11 @@ def replay_cluster(
         return per_dst, {}, remote_dups
 
     def directory_lookup(
-        node: ClusterNode, request: IORequest
+        self, node: ClusterNode, request: IORequest
     ) -> Tuple[Dict[int, int], Dict[Tuple[int, int], int], int]:
         """Consult the *replicated* directory for one write's blocks.
 
-        Same contract as :func:`remote_lookup`.  The directory does the
+        Same contract as :meth:`remote_lookup`.  The directory does the
         request's overwrites, lookups, registrations and read repairs
         in one whole-request ``lookup_register`` call, which fills in
         the lookups per remote destination and the repair pushes per
@@ -642,43 +678,144 @@ def replay_cluster(
         reduce to the legacy path block for block.
         """
         assert request.fingerprints is not None
-        assert directory is not None and block_content is not None
+        assert self.directory is not None
         origin = node.node_id
-        rnd = RequestRound(request.fingerprints, request.lba, block_content[origin])
-        directory.lookup_register(0, origin, True, request=rnd)
+        content = self.block_content[origin]
+        rnd = RequestRound(request.fingerprints, request.lba, content)
+        self.directory.lookup_register(0, origin, True, request=rnd)
         return rnd.per_dst, rnd.repair_links, rnd.remote_dups
 
-    lookup = directory_lookup if dir_active else remote_lookup
-    lookups_on = dir_active or net_active
+    # ------------------------------------------------------------------
+    # the request path
+    # ------------------------------------------------------------------
 
-    # Measured completions, buffered as rows and folded into the
-    # collector (and its timeline) as columns every DEFAULT_BATCH_SIZE
-    # completions and after the run: the state ``record`` and
-    # ``record_node`` per completion would leave.  A row is (req id,
-    # arrival, completion, eliminated, cache-hit, deduped and
-    # cross-volume blocks, net delay, remote lookups, remote dups).
-    done: List[Tuple[Any, ...]] = []
-    i8, f8 = np.int64, np.float64
-    row_types = (f8, f8, bool, i8, i8, i8, f8, i8, i8)
+    def on_arrival(self, now: float, request: IORequest) -> None:
+        """Release an arrival: it waits out a stop-the-world sweep, or
+        else until the later of crash recovery and admission; it keeps
+        its arrival time (the stall is charged to its response time)."""
+        if self.stw_until > now:
+            # Foreground drained for the stop-the-world sweep.
+            self.stw_stalled += 1
+            self.sim.schedule_callback(
+                self.stw_until, self.handle_request, request, now
+            )
+            return
+        release = now
+        if self.injector is not None:
+            # Crash recovery stalls admission: globally, or only for
+            # the volume whose namespace is replaying (per-volume
+            # NVRAM-loss scope).
+            blocked = self.injector.blocked_until_for(request.volume_id)
+            if blocked > release:
+                release = blocked
+        if self.admission is not None:
+            # Per-tenant token bucket; charged even when not
+            # throttling so the bucket drains deterministically.
+            admitted = self.admission.admit(request.volume_id, release, request.nblocks)
+            if admitted > release:
+                release = admitted
+        if release > now:
+            self.sim.schedule_callback(release, self.handle_request, request, now)
+            return
+        self.handle_request(request, now)
 
-    def fold() -> None:
-        cols = list(zip(*done))
-        reqs = [requests[k] for k in cols[0]]
-        rest = [np.array(col, dtype=t) for col, t in zip(cols[1:], row_types)]
-        rows = Completions(
-            np.array(cols[0], dtype=i8),
-            np.array([r.op is OpType.READ for r in reqs], dtype=bool),
-            np.array([r.nblocks for r in reqs], dtype=i8),
-            np.array([r.volume_id for r in reqs], dtype=i8),
-            *rest[:6],
-        )
-        metrics.record_columns(rows)
-        if metrics.tracks_nodes:
-            node_ids = [node_of[r.volume_id].node_id for r in reqs]
-            metrics.record_node_columns(rows, np.array(node_ids, dtype=i8), *rest[6:])
-        done.clear()
+    def handle_request(self, request: IORequest, arrival: float) -> None:
+        """Plan one released request, charge its directory round trips
+        and finish it now or after its planning and network delay."""
+        now = self.sim.now
+        node = self.node_of[request.volume_id]
+        tracer = self.tracer
+        if not self.boundary_taken and self.measured_flags[request.req_id]:
+            self.scaffold.mark_boundary()
+            self.boundary_taken = True
+        root = -1
+        if tracer is not None:
+            # Root span: arrival to completion (ended in finish()).
+            tags = self.span_tags[node.node_id]
+            root = tracer.start(arrival, "request", req_id=request.req_id, **tags)
+            if now > arrival:
+                # Admission stalled behind crash recovery, throttling
+                # or a stop-the-world sweep.
+                tracer.emit(
+                    arrival, now, "admission.stall",
+                    parent=root, req_id=request.req_id, **tags,
+                )
+            node.scheme.span_parent = root
+        if self.sampler is not None:
+            self.sampler.note_gauges(
+                now,
+                node_id=node.node_id if self.multi_node else None,
+                nvram_bytes=float(node.scheme.nvram.bytes_used),
+                queue_lag=queue_lag(node.disks, now),
+            )
+        obs = self.obs
+        if obs.level >= TraceLevel.REQUEST:
+            extra: Dict[str, Any] = {"volume": request.volume_id} if self.multi else {}
+            obs.emit(
+                TraceLevel.REQUEST, now, EventType.REQUEST_ARRIVE,
+                req_id=request.req_id, op=request.op.value, lba=request.lba,
+                nblocks=request.nblocks, **extra,
+            )
+        node.requests_served += 1
+        planned = node.scheme.process(request, now)
+        if self.oracles is not None:
+            if request.is_write:
+                self.oracles[node.node_id].note_write(request)
+            else:
+                self.oracles[node.node_id].check_read(request, node.scheme)
+        net_info: Tuple[float, int, int] = (0.0, 0, 0)
+        if self.lookups_on and request.is_write and request.fingerprints is not None:
+            origin = node.node_id
+            per_dst, repair_links, remote_dups = self.lookup(node, request)
+            # One batched lookup RPC per remote destination and one
+            # repair push per stale replica, all in parallel.
+            done = self.send_links(
+                now, origin, per_dst, self.lookup_bytes, "rpc.lookup", "lookups",
+                root, request.req_id,
+            )
+            if repair_links:
+                repairs = {dst: count for (_src, dst), count in repair_links.items()}
+                repaired = self.send_links(
+                    now, origin, repairs, self.entry_bytes, "directory.repair",
+                    "entries", root, request.req_id,
+                )
+                done = max(done, repaired)
+            net_info = (done - now, sum(per_dst.values()), remote_dups)
+            node.remote_lookups += net_info[1]
+            node.remote_duplicate_blocks += remote_dups
+            node.net_delay_total += net_info[0]
+        cross = 0
+        if self.fp_owner is not None and request.fingerprints is not None:
+            owners = self.fp_owner[node.node_id]
+            vid = request.volume_id
+            for i in planned.deduped_idx:
+                owner = owners.get(request.fingerprints[i])
+                if owner is not None and owner != vid:
+                    cross += 1
+            for fp in request.fingerprints:
+                owners.setdefault(fp, vid)
+        if self.sanitizer is not None:
+            self.handled += 1
+            if self.handled % self.config.sanitize_every == 0:
+                self.sanitizer.assert_clean(node.scheme, now)
+        total_delay = planned.delay + net_info[0]
+        if total_delay > 0:
+            if tracer is not None and root > 0 and planned.delay > 0:
+                # Fingerprint classification: the planning delay between
+                # arrival handling and op issue (net wait is the rpc span).
+                tracer.emit(
+                    now, now + planned.delay, "classify", parent=root,
+                    req_id=request.req_id, **self.span_tags[node.node_id],
+                )
+            self.sim.schedule_callback(
+                now + total_delay, self.finish, request, planned, arrival, cross,
+                net_info, root,
+            )
+        else:
+            self.finish(request, planned, arrival, cross, net_info, root)
 
     def finish(
+        self,
         request: IORequest,
         planned: PlannedIO,
         arrival: float,
@@ -686,10 +823,18 @@ def replay_cluster(
         net_info: Tuple[float, int, int],
         root: int = -1,
     ) -> None:
-        node = node_of[request.volume_id]
-        issue_time = sim.now
+        """Issue a planned request's ops and complete it.
 
-        ssd = ssds[node.node_id]
+        A measured completion is buffered as a row and folded into the
+        collector (and its timeline) as columns every
+        ``DEFAULT_BATCH_SIZE`` completions and after the run: the state
+        ``record`` and ``record_node`` per completion would leave.
+        """
+        node = self.node_of[request.volume_id]
+        obs = self.obs
+        issue_time = self.sim.now
+
+        ssd = self.ssds[node.node_id]
         ssd_done = issue_time
         if planned.ssd_read_blocks or planned.ssd_write_blocks:
             if ssd is None:
@@ -704,651 +849,425 @@ def replay_cluster(
 
         completion = node.service_volume_ops(obs, issue_time, planned.volume_ops)
         completion = max(completion, ssd_done)
-        measured = config.collect_warmup or measured_flags[request.req_id]
+        measured = self.config.collect_warmup or self.measured_flags[request.req_id]
         completed_at = max(completion, issue_time)
+        tracer = self.tracer
         if tracer is not None and root > 0:
             if planned.volume_ops:
-                disk_tags = span_tags[node.node_id]
+                disk_tags = self.span_tags[node.node_id]
                 if disk_tags:
                     disk_tags = dict(
                         disk_tags, blocks=sum(op.nblocks for op in planned.volume_ops)
                     )
                 tracer.emit(
-                    issue_time,
-                    completed_at,
-                    "disk",
-                    parent=root,
-                    req_id=request.req_id,
-                    **disk_tags,
+                    issue_time, completed_at, "disk", parent=root,
+                    req_id=request.req_id, **disk_tags,
                 )
             tracer.end(completed_at, root, response=completed_at - arrival)
         if measured:
+            done = self.done
             done.append((
                 request.req_id, arrival, completed_at, planned.eliminated,
                 planned.cache_hit_blocks, planned.deduped_blocks, cross, *net_info,
             ))
             if len(done) >= DEFAULT_BATCH_SIZE:
-                fold()
+                self.fold()
         if obs.level >= TraceLevel.REQUEST:
-            extra: Dict[str, Any] = {"volume": request.volume_id} if multi else {}
+            extra: Dict[str, Any] = {"volume": request.volume_id} if self.multi else {}
             obs.emit(
-                TraceLevel.REQUEST,
-                completed_at,
-                EventType.REQUEST_COMPLETE,
-                req_id=request.req_id,
-                op=request.op.value,
-                nblocks=request.nblocks,
-                response=completed_at - arrival,
-                eliminated=planned.eliminated,
+                TraceLevel.REQUEST, completed_at, EventType.REQUEST_COMPLETE,
+                req_id=request.req_id, op=request.op.value, nblocks=request.nblocks,
+                response=completed_at - arrival, eliminated=planned.eliminated,
                 deduped_blocks=planned.deduped_blocks,
-                cache_hit_blocks=planned.cache_hit_blocks,
-                measured=measured,
-                **extra,
+                cache_hit_blocks=planned.cache_hit_blocks, measured=measured, **extra,
             )
         if planned.background_ops:
             node.service_volume_ops(obs, issue_time, planned.background_ops)
 
-    # Fig. 11 counts removed write requests over the measured day only,
-    # so snapshot the (cluster-wide) scheme counters at the warm-up
-    # boundary -- the first arrival past its volume's warm-up prefix.
-    boundary = {"writes": 0, "removed": 0, "taken": total_warmup == 0}
-    arrivals = {"count": 0}
-    #: Stop-the-world GC window: arrivals stall until ``until`` while
-    #: the sweep runs (the casstor "cleanup time" the online GC beats).
-    stw_state: Dict[str, float] = {"until": 0.0, "stalled": 0.0, "processed": 0.0}
+    def fold(self) -> None:
+        """Fold the buffered completion rows into the collector."""
+        cols = list(zip(*self.done))
+        requests = self.requests
+        reqs = [requests[k] for k in cols[0]]
+        rest = [np.array(col, dtype=t) for col, t in zip(cols[1:], _ROW_TYPES)]
+        rows = Completions(
+            np.array(cols[0], dtype=np.int64),
+            np.array([r.op is OpType.READ for r in reqs], dtype=bool),
+            np.array([r.nblocks for r in reqs], dtype=np.int64),
+            np.array([r.volume_id for r in reqs], dtype=np.int64),
+            *rest[:6],
+        )
+        metrics = self.metrics
+        metrics.record_columns(rows)
+        if metrics.tracks_nodes:
+            node_of = self.node_of
+            node_ids = [node_of[r.volume_id].node_id for r in reqs]
+            metrics.record_node_columns(
+                rows, np.array(node_ids, dtype=np.int64), *rest[6:]
+            )
+        self.done.clear()
 
-    def handle_request(request: IORequest, arrival: float) -> None:
-        now = sim.now
-        node = node_of[request.volume_id]
-        if not boundary["taken"] and measured_flags[request.req_id]:
-            boundary["writes"] = sum(s.writes_total for s in schemes)
-            boundary["removed"] = sum(s.write_requests_removed for s in schemes)
-            boundary["taken"] = True
-        root = -1
-        if tracer is not None:
-            # Root span: arrival to completion (ended in finish()).
-            tags = span_tags[node.node_id]
-            root = tracer.start(arrival, "request", req_id=request.req_id, **tags)
-            if now > arrival:
-                # Admission stalled behind crash recovery, throttling
-                # or a stop-the-world sweep.
-                tracer.emit(
-                    arrival, now, "admission.stall",
-                    parent=root, req_id=request.req_id, **tags,
-                )
-            node.scheme.span_parent = root
-        if sampler is not None:
-            sampler.note_gauges(
-                now,
-                node_id=node.node_id if multi_node else None,
-                nvram_bytes=float(node.scheme.nvram.bytes_used),
-                queue_lag=queue_lag(node.disks, now),
-            )
-        if obs.level >= TraceLevel.REQUEST:
-            extra: Dict[str, Any] = {"volume": request.volume_id} if multi else {}
-            obs.emit(
-                TraceLevel.REQUEST,
-                now,
-                EventType.REQUEST_ARRIVE,
-                req_id=request.req_id,
-                op=request.op.value,
-                lba=request.lba,
-                nblocks=request.nblocks,
-                **extra,
-            )
-        node.requests_served += 1
-        planned = node.scheme.process(request, now)
-        if oracles is not None:
-            if request.is_write:
-                oracles[node.node_id].note_write(request)
-            else:
-                oracles[node.node_id].check_read(request, node.scheme)
-        net_info: Tuple[float, int, int] = (0.0, 0, 0)
-        if lookups_on and request.is_write and request.fingerprints is not None:
-            origin = node.node_id
-            per_dst, repair_links, remote_dups = lookup(node, request)
-            # One batched lookup RPC per remote destination and one
-            # repair push per stale replica, all in parallel.
-            done = send_links(
-                now, origin, per_dst, lookup_bytes, "rpc.lookup", "lookups",
-                root, request.req_id,
-            )
-            if repair_links:
-                repairs = {dst: count for (_src, dst), count in repair_links.items()}
-                repaired = send_links(
-                    now, origin, repairs, entry_bytes, "directory.repair", "entries",
-                    root, request.req_id,
-                )
-                done = max(done, repaired)
-            net_info = (done - now, sum(per_dst.values()), remote_dups)
-            node.remote_lookups += net_info[1]
-            node.remote_duplicate_blocks += remote_dups
-            node.net_delay_total += net_info[0]
-        cross = 0
-        if fp_owner is not None and request.fingerprints is not None:
-            owners = fp_owner[node.node_id]
-            vid = request.volume_id
-            for i in planned.deduped_idx:
-                owner = owners.get(request.fingerprints[i])
-                if owner is not None and owner != vid:
-                    cross += 1
-            for fp in request.fingerprints:
-                owners.setdefault(fp, vid)
-        if sanitizer is not None:
-            arrivals["count"] += 1
-            if arrivals["count"] % config.sanitize_every == 0:
-                sanitizer.assert_clean(node.scheme, now)
-        total_delay = planned.delay + net_info[0]
-        if total_delay > 0:
-            if tracer is not None and root > 0 and planned.delay > 0:
-                # Fingerprint classification: the planning delay between
-                # arrival handling and op issue (net wait is the rpc span).
-                tracer.emit(
-                    now,
-                    now + planned.delay,
-                    "classify",
-                    parent=root,
-                    req_id=request.req_id,
-                    **span_tags[node.node_id],
-                )
-            sim.schedule_callback(
-                now + total_delay,
-                finish,
-                request,
-                planned,
-                arrival,
-                cross,
-                net_info,
-                root,
-            )
-        else:
-            finish(request, planned, arrival, cross, net_info, root)
+    # ------------------------------------------------------------------
+    # background work
+    # ------------------------------------------------------------------
 
-    def on_arrival(now: float, request: IORequest) -> None:
-        if stw_state["until"] > now:
-            # Foreground drained for the stop-the-world sweep; the
-            # stall is charged to response time (arrival kept).
-            stw_state["stalled"] += 1
-            sim.schedule_callback(stw_state["until"], handle_request, request, now)
-            return
-        release = now
+    def _summary(self, event: EventType, **fields: Any) -> None:
+        """Record a SUMMARY-level run event at the current clock."""
+        if self.obs.level >= TraceLevel.SUMMARY:
+            self.obs.emit(TraceLevel.SUMMARY, self.sim.now, event, **fields)
+
+    def epoch_tick(self, node: ClusterNode, interval: float) -> None:
+        """One node's iCache epoch; schedules the next tick (on
+        ``epoch_next``) while arrivals remain within an interval."""
+        now = self.sim.now
+        ops = node.scheme.on_epoch(now)
+        if self.sanitizer is not None:
+            self.sanitizer.assert_clean(node.scheme, now)
+        if self.sampler is not None:
+            self.sampler.note_gauges(
+                now,
+                node_id=node.node_id if self.multi_node else None,
+                icache_index_bytes=float(node.scheme.cache.index.capacity_bytes),
+                icache_read_bytes=float(node.scheme.cache.read.capacity_bytes),
+            )
+        if ops:
+            node.service_volume_ops(self.obs, now, ops)
+        next_time = now + interval
+        if next_time <= self.last_arrival + interval:
+            self.sim.schedule_callback(next_time, self.epoch_tick, *self.epoch_next)
+
+    def scrub_read(self, node: ClusterNode, pba: int, nblocks: int) -> float:
+        """The scrubber's read of one region of ``node``'s volume space."""
+        # Through the RAID layer so degraded rows reconstruct like any
+        # foreground read; the fault hook credits latent errors it
+        # finds to the scrubber.
+        vop = VolumeOp(OpType.READ, pba, nblocks)
+        injector = self.injector
         if injector is not None:
-            # Crash recovery stalls admission: globally, or only for
-            # the volume whose namespace is replaying (per-volume
-            # NVRAM-loss scope).
-            blocked = injector.blocked_until_for(request.volume_id)
-            if blocked > release:
-                release = blocked
-        if admission is not None:
-            # Per-tenant token bucket; charged even when not
-            # throttling so the bucket drains deterministically.
-            admitted = admission.admit(request.volume_id, release, request.nblocks)
-            if admitted > release:
-                release = admitted
-        if release > now:
-            # The request keeps its arrival timestamp (the stall is
-            # charged to its response time) and is processed once
-            # recovery/throttling releases it.
-            sim.schedule_callback(release, handle_request, request, now)
-            return
-        handle_request(request, now)
+            injector.in_scrub = True
+        try:
+            return node.service_volume_ops(self.obs, self.sim.now, [vop])
+        finally:
+            if injector is not None:
+                injector.in_scrub = False
 
-    # ------------------------------------------------------------------
-    # per-node iCache epochs
-    # ------------------------------------------------------------------
-    if requests:
-        last_arrival = requests[-1].time
-        for node in nodes:
-            interval = node.scheme.epoch_interval
-            if interval is None:
-                continue
-            if interval <= 0:
-                raise ConfigError("epoch interval must be positive")
-
-            def epoch_tick(
-                node: ClusterNode = node, interval: float = interval
-            ) -> None:
-                ops = node.scheme.on_epoch(sim.now)
-                if sanitizer is not None:
-                    sanitizer.assert_clean(node.scheme, sim.now)
-                if sampler is not None:
-                    sampler.note_gauges(
-                        sim.now,
-                        node_id=node.node_id if multi_node else None,
-                        icache_index_bytes=float(
-                            node.scheme.cache.index.capacity_bytes
-                        ),
-                        icache_read_bytes=float(
-                            node.scheme.cache.read.capacity_bytes
-                        ),
-                    )
-                if ops:
-                    node.service_volume_ops(obs, sim.now, ops)
-                next_time = sim.now + interval
-                if next_time <= last_arrival + interval:
-                    sim.schedule_callback(next_time, epoch_tick)
-
-            sim.schedule_callback(requests[0].time + interval, epoch_tick)
-
-    # ------------------------------------------------------------------
-    # node failure: degrade one node's array, rebuild it in place
-    # ------------------------------------------------------------------
-    rebuild_state: Dict[str, Any] = {"controller": None, "failed_at": None}
-    if node_failure is not None:
-        spec = node_failure
-
-        def complete_node_failure() -> None:
-            node = nodes[spec.node]
-            ctrl = rebuild_state["controller"]
-            assert ctrl is not None
-            node.failed_disk = None
-            failed_at = rebuild_state["failed_at"]
-            assert failed_at is not None
-            if tracer is not None:
-                tracer.emit(
-                    failed_at,
-                    sim.now,
-                    "recovery.rebuild",
-                    node=spec.node,
-                    disk=spec.disk,
-                    rows_rebuilt=ctrl.rows_rebuilt,
-                )
-            if obs.level >= TraceLevel.SUMMARY:
-                obs.emit(
-                    TraceLevel.SUMMARY,
-                    sim.now,
-                    EventType.FAULT_RECOVER,
-                    kind="node_failure",
-                    latency=sim.now - failed_at,
-                    detail=(
-                        f"node {spec.node} disk {spec.disk} rebuilt: "
-                        f"{ctrl.rows_rebuilt} rows rebuilt, "
-                        f"{ctrl.rows_skipped} skipped"
-                    ),
-                )
-
-        def begin_node_failure() -> None:
-            node = nodes[spec.node]
-            node.failed_disk = spec.disk
-            rebuild_state["failed_at"] = sim.now
-            su = geometry.stripe_unit_blocks
-            disk_rows = max(1, node.disks[spec.disk].params.total_blocks // su)
-            live = (
-                node.scheme.map_table.live_pbas(node.scheme.written_lbas)
-                if spec.capacity_aware
-                else None
+    def begin_node_failure(self) -> None:
+        """Degrade one node's array and start rebuilding it in place."""
+        spec = self.cluster.node_failure
+        assert spec is not None
+        sim = self.sim
+        node = self.nodes[spec.node]
+        node.failed_disk = spec.disk
+        self.failed_at = sim.now
+        su = self.config.stripe_unit_blocks
+        disk_rows = max(1, node.disks[spec.disk].params.total_blocks // su)
+        live = (
+            node.scheme.map_table.live_pbas(node.scheme.written_lbas)
+            if spec.capacity_aware
+            else None
+        )
+        ctrl = RebuildController(node.raid, spec.disk, disk_rows, live)
+        self.rebuild_ctrl = ctrl
+        if self.sampler is not None:
+            self.sampler.note_activity(sim.now, "node_failure", 1.0)
+        self._summary(EventType.CLUSTER_NODE_FAIL, node=spec.node, disk=spec.disk)
+        if self.jobs_runtime is not None:
+            # Reconstruction runs as a leased job: a worker claims it,
+            # plans batches from the committed cursor, and a fail-slow
+            # stall that outlives the lease hands the job to the next
+            # epoch's claimant.
+            self.jobs_runtime.submit(
+                "rebuild",
+                RebuildJob(ctrl, spec.rows_per_batch, self.rebuild_issue),
+                spec.interval,
+                on_done=lambda _t: self.complete_node_failure(),
             )
-            ctrl = RebuildController(node.raid, spec.disk, disk_rows, live)
-            rebuild_state["controller"] = ctrl
-            if sampler is not None:
-                sampler.note_activity(sim.now, "node_failure", 1.0)
-            if obs.level >= TraceLevel.SUMMARY:
-                obs.emit(
-                    TraceLevel.SUMMARY,
-                    sim.now,
-                    EventType.CLUSTER_NODE_FAIL,
-                    node=spec.node,
-                    disk=spec.disk,
-                )
-            if jobs_runtime is not None:
-                # Reconstruction runs as a leased job: a worker claims
-                # it, plans batches from the committed cursor, and a
-                # fail-slow stall that outlives the lease hands the job
-                # to the next epoch's claimant.
-                def issue(ops: List[Any], node: ClusterNode = node) -> float:
-                    # Background load on the failed node's spindles only.
-                    return node.service_disk_ops(obs, sim.now, ops)
+            return
+        sim.schedule_callback(sim.now + spec.interval, self.rebuild_tick)
 
-                jobs_runtime.submit(
-                    "rebuild",
-                    RebuildJob(ctrl, spec.rows_per_batch, issue),
-                    spec.interval,
-                    on_done=lambda _t: complete_node_failure(),
-                )
-                return
-            sim.schedule_callback(sim.now + spec.interval, rebuild_tick)
+    def rebuild_issue(self, ops: List[Any]) -> float:
+        """Background rebuild load on the failed node's spindles only."""
+        spec = self.cluster.node_failure
+        assert spec is not None
+        return self.nodes[spec.node].service_disk_ops(self.obs, self.sim.now, ops)
 
-        def rebuild_tick() -> None:
-            node = nodes[spec.node]
-            ctrl = rebuild_state["controller"]
-            assert ctrl is not None
-            if not ctrl.done:
-                ops = ctrl.next_batch(spec.rows_per_batch)
-                if ops:
-                    # Background load on the failed node's spindles only.
-                    node.service_disk_ops(obs, sim.now, ops)
-            if sampler is not None:
-                sampler.note_activity(sim.now, "rebuild", ctrl.progress)
-            if ctrl.done:
-                complete_node_failure()
-                return
-            sim.schedule_callback(sim.now + spec.interval, rebuild_tick)
+    def rebuild_tick(self) -> None:
+        """One self-paced rebuild batch (no jobs subsystem)."""
+        spec = self.cluster.node_failure
+        ctrl = self.rebuild_ctrl
+        assert spec is not None and ctrl is not None
+        if not ctrl.done:
+            ops = ctrl.next_batch(spec.rows_per_batch)
+            if ops:
+                self.rebuild_issue(ops)
+        if self.sampler is not None:
+            self.sampler.note_activity(self.sim.now, "rebuild", ctrl.progress)
+        if ctrl.done:
+            self.complete_node_failure()
+            return
+        self.sim.schedule_callback(self.sim.now + spec.interval, self.rebuild_tick)
 
-        sim.schedule_callback(spec.time, begin_node_failure)
-
-    # ------------------------------------------------------------------
-    # metadata-node kill + stop-the-world GC baseline
-    # ------------------------------------------------------------------
-    if directory is not None and directory_cfg is not None:
-        kill_spec = directory_cfg.kill
-        if kill_spec is not None:
-            kill = kill_spec
-
-            def do_kill() -> None:
-                assert directory is not None
-                directory.kill(kill.node)
-                if sampler is not None:
-                    sampler.note_activity(sim.now, "metadata_kill", 1.0)
-                if obs.level >= TraceLevel.SUMMARY:
-                    obs.emit(
-                        TraceLevel.SUMMARY,
-                        sim.now,
-                        EventType.FAULT_INJECT,
-                        kind="metadata_kill",
-                        detail=(
-                            f"node {kill.node} directory replica down "
-                            "(data plane unaffected)"
-                        ),
-                    )
-
-            sim.schedule_callback(kill.time, do_kill)
-        stw_spec = directory_cfg.gc
-        if (
-            refcount_gc is not None
-            and stw_spec is not None
-            and stw_spec.mode != MODE_ONLINE
-        ):
-            sweep_spec = stw_spec
-
-            def stw_sweep() -> None:
-                assert refcount_gc is not None
-                processed = refcount_gc.drain_all()
-                stall = processed * sweep_spec.entry_cost
-                stw_state["processed"] += processed
-                stw_state["until"] = sim.now + stall
-                if sampler is not None and stall > 0:
-                    sampler.annotate_interval("gc_stw", sim.now, sim.now + stall)
-                if obs.level >= TraceLevel.SUMMARY:
-                    obs.emit(
-                        TraceLevel.SUMMARY,
-                        sim.now,
-                        EventType.FAULT_INJECT,
-                        kind="gc_stw",
-                        detail=(
-                            f"stop-the-world gc: {processed} intents, "
-                            f"{stall:.6f}s foreground stall"
-                        ),
-                    )
-
-            sim.schedule_callback(sweep_spec.start, stw_sweep)
-
-    # ------------------------------------------------------------------
-    # membership change + paced shard migration
-    # ------------------------------------------------------------------
-    if rebalance is not None:
-        rb = rebalance
-
-        def begin_rebalance() -> None:
-            added = [nnodes + i for i in range(rb.add_nodes)]
-            for member in added:
-                router.add_member(member)
-                shards.setdefault(member, {})
-            if rb.remove_node is not None:
-                router.remove_member(rb.remove_node)
-            migrator = ShardMigrator(router, shards)
-            migration["migrator"] = migrator
-            if sampler is not None:
-                sampler.note_activity(sim.now, "rebalance", 1.0)
-            if obs.level >= TraceLevel.SUMMARY:
-                obs.emit(
-                    TraceLevel.SUMMARY,
-                    sim.now,
-                    EventType.CLUSTER_REBALANCE,
-                    added=len(added),
-                    removed=0 if rb.remove_node is None else 1,
-                    moves=migrator.entries_total,
-                    ring_size=router.ring_size(),
-                )
-            if migrator.done:
-                return
-            if jobs_runtime is not None:
-                # Migration runs as a leased job; the per-link wire
-                # charge happens at plan time (sunk cost on a fenced
-                # step -- the bytes were already on the wire), the
-                # directory mutation only at the fenced commit.
-                jobs_runtime.submit(
-                    "migrate",
-                    MigrationJob(migrator, rb.entries_per_batch, send_background),
-                    rb.interval,
-                )
-                return
-            sim.schedule_callback(sim.now + rb.interval, migrate_tick)
-
-        def migrate_tick() -> None:
-            migrator = migration["migrator"]
-            assert migrator is not None
-            links = migrator.next_batch(rb.entries_per_batch)
-            if sampler is not None:
-                sampler.note_activity(sim.now, "migration", migrator.progress)
-            send_background(links)
-            if obs.level >= TraceLevel.SUMMARY:
-                obs.emit(
-                    TraceLevel.SUMMARY,
-                    sim.now,
-                    EventType.CLUSTER_MIGRATE,
-                    moved=migrator.entries_migrated,
-                    remaining=migrator.remaining,
-                )
-            if not migrator.done:
-                sim.schedule_callback(sim.now + rb.interval, migrate_tick)
-
-        sim.schedule_callback(rb.time, begin_rebalance)
-
-    # ------------------------------------------------------------------
-
-    sim.run(arrival_handler=on_arrival)
-    if done:
-        fold()
-
-    if jobs_runtime is not None:
-        # Mirror job counters into the registry and verify the step
-        # ledger (no step lost, none double-applied).
-        jobs_runtime.finalize()
-
-    if sanitizer is not None:
-        for node in nodes:
-            sanitizer.assert_clean(node.scheme, sim.now)
-
-    if injector is not None:
-        # Sweep still-latent faults into the blast-radius histogram and
-        # run the end-to-end content oracle over the final state.
-        injector.finalize()
-    elif oracles is not None:
-        for node in nodes:
-            oracles[node.node_id].assert_clean(node.scheme)
-
-    if obs.level >= TraceLevel.SUMMARY:
-        obs.emit(
-            TraceLevel.SUMMARY,
-            sim.now,
-            EventType.RUN_END,
-            events_processed=sim.events_processed,
-            makespan=metrics.as_dict()["makespan"],
+    def complete_node_failure(self) -> None:
+        """Heal the failed node's array once its rebuild is done."""
+        spec = self.cluster.node_failure
+        ctrl = self.rebuild_ctrl
+        assert spec is not None and ctrl is not None
+        now = self.sim.now
+        self.nodes[spec.node].failed_disk = None
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.failed_at, now, "recovery.rebuild",
+                node=spec.node, disk=spec.disk, rows_rebuilt=ctrl.rows_rebuilt,
+            )
+        self._summary(
+            EventType.FAULT_RECOVER,
+            kind="node_failure",
+            latency=now - self.failed_at,
+            detail=(
+                f"node {spec.node} disk {spec.disk} rebuilt: "
+                f"{ctrl.rows_rebuilt} rows rebuilt, "
+                f"{ctrl.rows_skipped} skipped"
+            ),
         )
 
+    def kill_metadata_node(self) -> None:
+        """Take one node's directory replica down (data plane unaffected)."""
+        assert self.directory is not None and self.cluster.directory is not None
+        kill = self.cluster.directory.kill
+        assert kill is not None
+        self.directory.kill(kill.node)
+        if self.sampler is not None:
+            self.sampler.note_activity(self.sim.now, "metadata_kill", 1.0)
+        self._summary(
+            EventType.FAULT_INJECT,
+            kind="metadata_kill",
+            detail=f"node {kill.node} directory replica down (data plane unaffected)",
+        )
+
+    def stw_sweep(self) -> None:
+        """The stop-the-world GC baseline: drain every decrement intent
+        now and stall arrivals for the sweep's cost."""
+        assert self.refcount_gc is not None and self.cluster.directory is not None
+        gc = self.cluster.directory.gc
+        assert gc is not None
+        now = self.sim.now
+        processed = self.refcount_gc.drain_all()
+        stall = processed * gc.entry_cost
+        self.stw_processed += processed
+        self.stw_until = now + stall
+        if self.sampler is not None and stall > 0:
+            self.sampler.annotate_interval("gc_stw", now, now + stall)
+        self._summary(
+            EventType.FAULT_INJECT,
+            kind="gc_stw",
+            detail=(
+                f"stop-the-world gc: {processed} intents, "
+                f"{stall:.6f}s foreground stall"
+            ),
+        )
+
+    def begin_rebalance(self) -> None:
+        """Change the ring membership and start migrating the displaced
+        directory entries."""
+        rb = self.cluster.rebalance
+        assert rb is not None
+        router = self.router
+        added = [self.nnodes + i for i in range(rb.add_nodes)]
+        for member in added:
+            router.add_member(member)
+            self.shards.setdefault(member, {})
+        if rb.remove_node is not None:
+            router.remove_member(rb.remove_node)
+        migrator = ShardMigrator(router, self.shards)
+        self.migrator = migrator
+        if self.sampler is not None:
+            self.sampler.note_activity(self.sim.now, "rebalance", 1.0)
+        self._summary(
+            EventType.CLUSTER_REBALANCE,
+            added=len(added),
+            removed=0 if rb.remove_node is None else 1,
+            moves=migrator.entries_total,
+            ring_size=router.ring_size(),
+        )
+        if migrator.done:
+            return
+        if self.jobs_runtime is not None:
+            # Migration runs as a leased job; the per-link wire charge
+            # happens at plan time (sunk cost on a fenced step -- the
+            # bytes were already on the wire), the directory mutation
+            # only at the fenced commit.
+            self.jobs_runtime.submit(
+                "migrate",
+                MigrationJob(migrator, rb.entries_per_batch, self.send_background),
+                rb.interval,
+            )
+            return
+        self.sim.schedule_callback(self.sim.now + rb.interval, self.migrate_tick)
+
+    def migrate_tick(self) -> None:
+        """One self-paced migration batch (no jobs subsystem)."""
+        rb = self.cluster.rebalance
+        migrator = self.migrator
+        assert rb is not None and migrator is not None
+        links = migrator.next_batch(rb.entries_per_batch)
+        if self.sampler is not None:
+            self.sampler.note_activity(self.sim.now, "migration", migrator.progress)
+        self.send_background(links)
+        self._summary(
+            EventType.CLUSTER_MIGRATE,
+            moved=migrator.entries_migrated, remaining=migrator.remaining,
+        )
+        if not migrator.done:
+            self.sim.schedule_callback(self.sim.now + rb.interval, self.migrate_tick)
+
     # ------------------------------------------------------------------
-    # result assembly
+    # run and result
     # ------------------------------------------------------------------
 
-    slo_stats: Optional[Dict[str, Any]] = None
-    if sampler is not None:
-        sampler.finish(sim.now)
-        if config.slo is not None:
-            slo_stats = evaluate_slo(config.slo, sampler.as_dict())
+    def run(self) -> ReplayResult:
+        """Run the loop to exhaustion, close the run's checks and build
+        the result."""
+        sim = self.sim
+        obs = self.obs
+        if obs.level >= TraceLevel.SUMMARY:
+            extra_run: Dict[str, Any] = (
+                {"volumes": len(self.scaffold.volumes)} if self.multi else {}
+            )
+            if self.multi_node:
+                extra_run["nodes"] = self.nnodes
+            obs.emit(
+                TraceLevel.SUMMARY, self.requests[0].time if self.requests else 0.0,
+                EventType.RUN_START, trace=self.scaffold.run_name,
+                scheme=self.nodes[0].scheme.name, requests=len(self.requests),
+                warmup=self.total_warmup, **extra_run,
+            )
+        sim.run(arrival_handler=self.on_arrival)
+        if self.done:
+            self.fold()
+        if self.jobs_runtime is not None:
+            # Mirror job counters into the registry and verify the step
+            # ledger (no step lost, none double-applied).
+            self.jobs_runtime.finalize()
+        if self.sanitizer is not None:
+            for node in self.nodes:
+                self.sanitizer.assert_clean(node.scheme, sim.now)
+        if self.injector is not None:
+            # Sweep still-latent faults into the blast-radius histogram
+            # and run the end-to-end content oracle over the final state.
+            self.injector.finalize()
+        elif self.oracles is not None:
+            for node in self.nodes:
+                self.oracles[node.node_id].assert_clean(node.scheme)
+        if obs.level >= TraceLevel.SUMMARY:
+            obs.emit(
+                TraceLevel.SUMMARY, sim.now, EventType.RUN_END,
+                events_processed=sim.events_processed,
+                makespan=self.metrics.as_dict()["makespan"],
+            )
 
-    volumes: List[Dict[str, Any]] = []
-    if per_volume_metrics:
-        tracked = set(metrics.volume_ids())
-        for vid, trace in enumerate(traces):
+        result = self.scaffold.result(sim.now)
+        if self.cluster_report:
+            result.nodes = self._node_summaries()
+            result.cluster_stats = self._cluster_stats()
+        result.recorder = self.recorder
+        result.sanitizer = self.sanitizer
+        if self.injector is not None:
+            result.fault_stats = self.injector.summary()
+        result.spans = self.tracer
+        if self.jobs_runtime is not None:
+            result.jobs_stats = self.jobs_runtime.summary()
+        return result
+
+    def _node_summaries(self) -> List[Dict[str, Any]]:
+        """The result's per-node entries."""
+        metrics = self.metrics
+        tracked = set(metrics.node_ids())
+        summaries: List[Dict[str, Any]] = []
+        for node in self.nodes:
             entry: Dict[str, Any] = {
-                "volume_id": vid,
-                "name": trace.name,
-                "logical_blocks": trace.logical_blocks,
-            }
-            if vid in tracked:
-                entry.update(metrics.volume_as_dict(vid))
-            else:  # volume with no measured traffic
-                entry["requests"] = 0
-            volumes.append(entry)
-
-    utilisation: Dict[int, Dict[str, float]] = {}
-    for node in nodes:
-        utilisation.update(disk_utilisation(node.disks))
-
-    # One stats() per node: it walks every written LBA for capacity.
-    node_stats = [s.stats() for s in schemes]
-    if nnodes == 1:
-        scheme_stats = node_stats[0]
-        timeline = getattr(schemes[0].cache, "epoch_timeline", [])
-    else:
-        scheme_stats = _aggregate_stats(node_stats)
-        timeline = []
-
-    node_summaries: List[Dict[str, Any]] = []
-    cluster_stats: Optional[Dict[str, Any]] = None
-    if cluster_report:
-        tracked_nodes = set(metrics.node_ids())
-        for node in nodes:
-            node_entry: Dict[str, Any] = {
                 "node_id": node.node_id,
                 "name": node.name,
                 "volumes": list(node.volume_ids),
                 "logical_blocks": node.mapper.total_logical_blocks,
-                "capacity_blocks": node_stats[node.node_id]["capacity_blocks"],
+                "capacity_blocks": self.scaffold.node_stats[node.node_id][
+                    "capacity_blocks"
+                ],
             }
-            if node.node_id in tracked_nodes:
-                node_entry.update(metrics.node_as_dict(node.node_id))
+            if node.node_id in tracked:
+                entry.update(metrics.node_as_dict(node.node_id))
             else:  # node with no measured traffic
-                node_entry["requests"] = 0
+                entry["requests"] = 0
             # Raw whole-run node counters deliberately override the
             # measured-window metric counters of the same name: the
             # per-node breakdown must sum exactly to the cluster totals
-            # below (which are whole-run).
-            node_entry.update(
-                {
-                    "writes_total": node.scheme.writes_total,
-                    "write_requests_removed": node.scheme.write_requests_removed,
-                    "requests_served": node.requests_served,
-                    "remote_lookups": node.remote_lookups,
-                    "remote_duplicate_blocks": node.remote_duplicate_blocks,
-                    "rebalance_misses": node.rebalance_misses,
-                    "net_delay_total": node.net_delay_total,
-                }
+            # (which are whole-run).
+            entry.update(_fields(node.scheme, "writes_total", "write_requests_removed"))
+            entry.update(
+                _fields(node, "requests_served", *_NODE_TOTALS, "net_delay_total")
             )
-            if directory is not None:
-                node_entry["directory"] = directory.member_summary(node.node_id)
-            node_summaries.append(node_entry)
+            if self.directory is not None:
+                entry["directory"] = self.directory.member_summary(node.node_id)
+            summaries.append(entry)
+        return summaries
 
-        net = cluster.net
-        cluster_stats = {
-            "nodes": nnodes,
+    def _cluster_stats(self) -> Dict[str, Any]:
+        """The result's cluster section: ring, fabric, directory and the
+        progress of rebalance, node failure and GC."""
+        cluster = self.cluster
+        directory = self.directory
+        stats: Dict[str, Any] = {
+            "nodes": self.nnodes,
             "vnodes": cluster.vnodes,
-            "ring_members": list(router.members),
-            "net": {
-                "latency": net.latency,
-                "bandwidth": net.bandwidth,
-                "lookup_bytes": net.lookup_bytes,
-                "entry_bytes": net.entry_bytes,
-            },
-            "fabric": fabric.summary(),
-            "remote_lookups": sum(n.remote_lookups for n in nodes),
-            "remote_duplicate_blocks": sum(
-                n.remote_duplicate_blocks for n in nodes
+            "ring_members": list(self.router.members),
+            "net": _fields(
+                cluster.net, "latency", "bandwidth", "lookup_bytes", "entry_bytes"
             ),
-            "rebalance_misses": sum(n.rebalance_misses for n in nodes),
-            "shard_entries": (
-                directory.entries_by_member()
-                if directory is not None
-                else {
-                    str(member): len(shards[member]) for member in sorted(shards)
-                }
-            ),
+            "fabric": self.fabric.summary(),
         }
-        migrator = migration["migrator"]
+        for name in _NODE_TOTALS:
+            stats[name] = sum(getattr(node, name) for node in self.nodes)
+        stats["shard_entries"] = (
+            directory.entries_by_member()
+            if directory is not None
+            else {str(m): len(self.shards[m]) for m in sorted(self.shards)}
+        )
+        rebalance = cluster.rebalance
         if rebalance is not None:
-            rb_stats: Dict[str, Any] = {
-                "time": rebalance.time,
-                "add_nodes": rebalance.add_nodes,
-                "remove_node": rebalance.remove_node,
-            }
-            if migrator is not None:
-                rb_stats.update(migrator.summary())
-            cluster_stats["rebalance"] = rb_stats
-        ctrl = rebuild_state["controller"]
+            rb_stats = _fields(rebalance, "time", "add_nodes", "remove_node")
+            if self.migrator is not None:
+                rb_stats.update(self.migrator.summary())
+            stats["rebalance"] = rb_stats
+        node_failure = cluster.node_failure
         if node_failure is not None:
-            nf_stats: Dict[str, Any] = {
-                "node": node_failure.node,
-                "disk": node_failure.disk,
-                "time": node_failure.time,
-            }
-            if ctrl is not None:
-                nf_stats.update(
-                    {
-                        "done": ctrl.done,
-                        "progress": ctrl.progress,
-                        "rows_scanned": ctrl.rows_scanned,
-                        "rows_rebuilt": ctrl.rows_rebuilt,
-                        "rows_skipped": ctrl.rows_skipped,
-                    }
-                )
-            cluster_stats["node_failure"] = nf_stats
+            nf_stats = _fields(node_failure, "node", "disk", "time")
+            if self.rebuild_ctrl is not None:
+                nf_stats.update(_fields(
+                    self.rebuild_ctrl,
+                    "done", "progress", "rows_scanned", "rows_rebuilt", "rows_skipped",
+                ))
+            stats["node_failure"] = nf_stats
+        directory_cfg = cluster.directory
         if directory is not None and directory_cfg is not None:
             dir_stats: Dict[str, Any] = dict(directory.summary())
             if directory_cfg.kill is not None:
-                dir_stats["kill"] = {
-                    "node": directory_cfg.kill.node,
-                    "time": directory_cfg.kill.time,
-                }
-            if refcount_gc is not None and directory_cfg.gc is not None:
-                gc_stats: Dict[str, Any] = dict(refcount_gc.summary())
-                gc_stats["mode"] = directory_cfg.gc.mode
-                gc_stats["start"] = directory_cfg.gc.start
-                gc_stats["batch"] = directory_cfg.gc.batch
-                if directory_cfg.gc.mode != MODE_ONLINE:
-                    gc_stats["stw_stalled_requests"] = int(stw_state["stalled"])
-                    gc_stats["stw_processed_intents"] = int(
-                        stw_state["processed"]
-                    )
+                dir_stats["kill"] = _fields(directory_cfg.kill, "node", "time")
+            gc = directory_cfg.gc
+            if self.refcount_gc is not None and gc is not None:
+                gc_stats: Dict[str, Any] = dict(self.refcount_gc.summary())
+                gc_stats.update(_fields(gc, "mode", "start", "batch"))
+                if gc.mode != MODE_ONLINE:
+                    gc_stats["stw_stalled_requests"] = self.stw_stalled
+                    gc_stats["stw_processed_intents"] = self.stw_processed
                 dir_stats["gc"] = gc_stats
-            cluster_stats["directory"] = dir_stats
-        if oracles is not None:
-            cluster_stats["oracle"] = [
+            stats["directory"] = dir_stats
+        if self.oracles is not None:
+            stats["oracle"] = [
                 {"node": node_id, **oracle.summary()}
-                for node_id, oracle in enumerate(oracles)
+                for node_id, oracle in enumerate(self.oracles)
             ]
+        return stats
 
-    return ReplayResult(
-        trace_name=run_name,
-        scheme_name=schemes[0].name,
-        metrics=metrics,
-        scheme_stats=scheme_stats,
-        utilisation=utilisation,
-        capacity_blocks=sum(stats["capacity_blocks"] for stats in node_stats),
-        writes_total=sum(s.writes_total for s in schemes) - boundary["writes"],
-        write_requests_removed=(
-            sum(s.write_requests_removed for s in schemes) - boundary["removed"]
-        ),
-        epoch_timeline=[
-            e.as_dict() if hasattr(e, "as_dict") else dict(e) for e in timeline
-        ],
-        recorder=recorder,
-        sanitizer=sanitizer,
-        volumes=volumes,
-        fault_stats=injector.summary() if injector is not None else None,
-        nodes=node_summaries,
-        cluster_stats=cluster_stats,
-        timeline=sampler,
-        spans=tracer,
-        slo_stats=slo_stats,
-        jobs_stats=jobs_runtime.summary() if jobs_runtime is not None else None,
-    )
+
+def _fields(obj: Any, *names: str) -> Dict[str, Any]:
+    """``{name: obj.<name>}`` for each of ``names``."""
+    return {name: getattr(obj, name) for name in names}

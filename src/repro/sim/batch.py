@@ -1,11 +1,10 @@
-"""Columnar batch replay: the vectorized front-end of the event loop.
+"""Columnar batch replay: the vectorized driver of the fast path.
 
 The event loop (:func:`repro.cluster.replay.replay_cluster`, which
-runs single-node replays as a one-node cluster) schedules one heap
-event per request arrival and plans each request inside its event
-handler.  That is fully general -- and pays interpreter dispatch per
-event.  This driver exploits three structural facts of the fast path
-(no faults, no per-request tracing):
+runs single-node replays as a one-node cluster) plans each request in
+its arrival handler and pays interpreter dispatch per event.  This
+driver exploits three structural facts of the fast path (no faults,
+jobs, spans, SSD tier, invariant checks or trace recorder):
 
 1. **Planning is clock-free.**  ``scheme.process(request, now)`` never
    reads ``now`` on the fast path (it only feeds spans and recorders),
@@ -16,45 +15,33 @@ event.  This driver exploits three structural facts of the fast path
 3. **Epoch ticks are the only interleaving.**  A scheme's ``on_epoch``
    does mutate scheme state, so plan-ahead is windowed: all arrivals
    up to a tick's timestamp are planned (in arrival order) before the
-   tick fires, exactly the order the event loop would have produced
-   (arrival events always outrank callbacks on timestamp ties, because
-   every arrival's heap sequence number is assigned at setup).
+   tick fires, exactly the order the event loop produces (arrivals
+   win timestamp ties against every callback scheduled after they are
+   handed over to the engine, epoch ticks included).
 
-Planning therefore proceeds in batches over the *columnar* trace
-(:mod:`repro.traces.columnar`): requests are materialised via the
-no-validation :meth:`IORequest.raw` (or not at all, when the scheme
-plans straight off the columns -- :meth:`DedupScheme.plan_columns`),
-and the disk/metrics phase replays completions through a single
-merged arrival-cursor + callback-heap loop that reproduces the
-engine's ``(time, seq)`` event order exactly.  Disk service is the
-event loop's own, :meth:`RaidArray.service` on the member disks (a
-degraded array included).
-
-Measured completions are not recorded one at a time: the servicing
-loop buffers each one's index, completion time and plan counters as
-columns and folds every ``batch_size`` of them, in the engine's exact
-event order, into the collector with one
-:meth:`MetricsCollector.record_columns` call.  The collector passes
-the batch on to an armed timeline (``ReplayConfig.timeline``, or the
-one an SLO policy implies), so per-window counts, histograms and SLO
-good/bad counts match the event loop's per-completion ``record``.
-The timeline's gauges are per-window maxima and so independent of
-order: the ``nvram_bytes`` the planning tier reports before each
-request and the ``queue_lag`` at each arrival are folded per window,
-and the iCache partition sizes are noted as each tick's ``on_epoch``
-runs.  ``queue_lag`` comes from a running maximum of every disk
-service's completion, not from a scan of the member disks.
+Planning proceeds in batches straight off the merged columnar trace
+(:mod:`repro.traces.columnar`, :meth:`DedupScheme.plan_columns`); the
+disk phase replays completions through one arrival-cursor +
+callback-heap loop that reproduces the engine's ``(time, seq)`` event
+order, issuing through :meth:`RaidArray.service` (a degraded array
+included).  Measured completions are buffered as columns and folded
+every ``batch_size`` into the collector with one
+:meth:`MetricsCollector.record_columns` call, which feeds an armed
+timeline the per-window counts, histograms and SLO good/bad counts
+per-completion records would.  The timeline's gauges are per-window
+maxima and so order-free: the ``nvram_bytes`` before each request and
+the ``queue_lag`` at each arrival (from a running maximum of disk
+completions) are folded per window, and the iCache partition sizes are
+noted as each tick's ``on_epoch`` runs.
 
 The result is **bit-identical** to the one-node event loop for every
 scheme and any batch size (pinned by golden tests), at a multiple of
 its throughput (see ``BENCH_replay.json`` and ``docs/performance.md``).
-It is the default single-node path: ``replay_trace``/``replay_traces``
-take it for every config :func:`batch_eligible` accepts when no trace
-recorder is attached.  Faults, the SSD tier, spans, jobs, invariant
-checking and recorders run on the event loop, as does
-``batch_size=None`` (the reference the driver is tested against).  The
-driver builds its array, collector and result through
-:class:`~repro.sim.replay.ReplayScaffold`.
+``replay_trace``/``replay_traces`` take it for every config
+:func:`batch_eligible` accepts unless a trace recorder is attached or
+``batch_size`` is ``None``.  Node build, collector arming and the
+result come from :class:`~repro.sim.replay.ReplayScaffold`, which the
+event loop shares; this driver is its one-node case.
 """
 
 from __future__ import annotations
@@ -132,7 +119,7 @@ def replay_columnar(
         for t in traces
     ]
     scaffold = ReplayScaffold(
-        ctraces, scheme, config, collector, per_volume_metrics
+        ctraces, [scheme], config, collector, per_volume_metrics, [0] * len(ctraces)
     )
     merged = merge_columnar(ctraces, scaffold.bases)
     t_end = 0.0
@@ -157,9 +144,10 @@ def _replay_merged(
     stream.  Mutates the scheme, disks, collector and warm-up boundary
     of ``scaffold`` and feeds its sampler; returns the clock of the last
     event."""
-    scheme = scaffold.scheme
+    node = scaffold.nodes[0]
+    scheme = node.scheme
     config = scaffold.config
-    disks = scaffold.disks
+    disks = node.disks
     metrics = scaffold.metrics
     sampler = scaffold.sampler
     n = len(merged)
@@ -189,8 +177,6 @@ def _replay_merged(
     tick_wends: List[int] = []
     if scheme.epoch_interval is not None:
         interval = scheme.epoch_interval
-        if interval <= 0:
-            raise ConfigError("epoch interval must be positive")
         last_arrival = times_l[-1]
         t = times_l[0] + interval
         while True:
@@ -327,8 +313,8 @@ def _replay_merged(
         heappush(heap, (tick_times[0], seq, _TICK, 0))
         seq += 1
 
-    service = scaffold.array.service
-    failed_disk = config.failed_disk
+    service = node.raid.service
+    failed_disk = node.failed_disk
     interval_f = scheme.epoch_interval if scheme.epoch_interval is not None else 0.0
     last_arrival_f = times_l[-1]
 

@@ -24,13 +24,14 @@ Two entry points:
   golden regression tests).
 
 Both run every config the columnar driver (:mod:`repro.sim.batch`)
-carries on that driver, set up and torn down by
-:class:`ReplayScaffold`.  Everything else -- faults, jobs, spans, the
+carries on that driver.  Everything else -- faults, jobs, spans, the
 SSD tier, invariant checking, a trace recorder, and ``batch_size=None``
 -- runs on the event loop of
 :func:`repro.cluster.replay.replay_cluster` as a one-node cluster.
 This module holds no event loop of its own; the two loops give
-bit-identical results wherever both apply.
+bit-identical results wherever both apply.  Both are set up and torn
+down by :class:`ReplayScaffold`: node build, collector and timeline
+arming, the warm-up boundary and the result fields every replay has.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ class ReplayConfig:
     def __post_init__(self) -> None:
         if self.failed_disk is not None and not (0 <= self.failed_disk < self.ndisks):
             raise ConfigError(f"no member disk {self.failed_disk} to fail")
+        if self.check_invariants and self.sanitize_every <= 0:
+            raise ConfigError("sanitize_every must be positive")
 
     def geometry(self) -> RaidGeometry:
         return RaidGeometry(
@@ -285,43 +288,85 @@ def _merge_streams(
     return requests, measured
 
 
-class ReplayScaffold:
-    """The columnar driver's setup and teardown.
+def _aggregate_stats(stats_list: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Sum numeric scheme stats across nodes (non-numerics from node 0)."""
+    out: Dict[str, Any] = dict(stats_list[0])
+    for stats in stats_list[1:]:
+        for key, value in stats.items():
+            if isinstance(value, bool):
+                continue
+            prev = out.get(key)
+            if isinstance(value, (int, float)) and isinstance(prev, (int, float)):
+                out[key] = prev + value
+    return out
 
-    :func:`repro.sim.batch.replay_columnar` lays the volumes out with
-    one :class:`NamespaceMapper`, sizes and builds the member disks and
-    the :class:`RaidArray`, and arms the collector (per-volume
-    tracking, timeline) here; at the end :meth:`result` closes the
-    timeline and fills the :class:`ReplayResult`.
+
+class ReplayScaffold:
+    """Set-up and teardown shared by both replay loops.
+
+    Rejects a non-positive epoch interval, builds one
+    :class:`~repro.cluster.node.ClusterNode` per scheme -- the
+    node-local :class:`NamespaceMapper` over the volumes
+    ``assignment[vid]`` names it the owner of, member disks sized by
+    :func:`size_disks` and a :class:`RaidArray` -- and arms the
+    collector (per-volume tracking, timeline).  The loop
+    calls :meth:`mark_boundary` at the warm-up boundary, and at the end
+    :meth:`result` closes the timeline, evaluates the SLO policy and
+    fills the :class:`ReplayResult` fields every replay has.  The
+    columnar driver (:mod:`repro.sim.batch`) is its one-node case; the
+    event loop (:mod:`repro.cluster.replay`) adds its cluster sections
+    to the result.
     """
 
     def __init__(
         self,
         traces: Sequence[Union[Trace, ColumnarTrace]],
-        scheme: DedupScheme,
+        schemes: Sequence[DedupScheme],
         config: ReplayConfig,
         collector: Optional[MetricsCollector],
         per_volume_metrics: bool,
+        assignment: Sequence[int],
     ) -> None:
-        self.scheme = scheme
+        # Imported here: repro.cluster imports this module.
+        from repro.cluster.node import ClusterNode
+
+        for scheme in schemes:
+            if scheme.epoch_interval is not None and scheme.epoch_interval <= 0:
+                raise ConfigError("epoch interval must be positive")
+        self.schemes = list(schemes)
         self.config = config
         self.per_volume_metrics = per_volume_metrics
-        self.mapper = NamespaceMapper((t.name, t.logical_blocks) for t in traces)
-        if self.mapper.total_logical_blocks > scheme.regions.logical_blocks:
-            raise ConfigError(
-                f"trace touches {self.mapper.total_logical_blocks} logical blocks but "
-                f"the scheme was configured for {scheme.regions.logical_blocks}"
-            )
-        #: Per-volume base addresses in the shared domain.
-        self.bases = [ns.base for ns in self.mapper]
+        #: (name, logical blocks) per volume, in volume-id order.
+        self.volumes = [(t.name, t.logical_blocks) for t in traces]
+        geometry = config.geometry()
+        #: Per-volume base addresses in the owner node's local space.
+        self.bases = [0] * len(traces)
+        self.nodes: List[ClusterNode] = []
+        for n, scheme in enumerate(schemes):
+            vids = [vid for vid, owner in enumerate(assignment) if owner == n]
+            mapper = NamespaceMapper(self.volumes[vid] for vid in vids)
+            if mapper.total_logical_blocks > scheme.regions.logical_blocks:
+                where = f"node {n}: " if len(schemes) > 1 else ""
+                raise ConfigError(
+                    f"{where}volumes touch {mapper.total_logical_blocks} logical "
+                    f"blocks but the scheme was configured for "
+                    f"{scheme.regions.logical_blocks}"
+                )
+            params = size_disks(scheme.regions.total_blocks, config)
+            disks = [
+                Disk(params, disk_id=n * geometry.ndisks + j)
+                for j in range(geometry.ndisks)
+            ]
+            node = ClusterNode(n, scheme, disks, RaidArray(geometry), mapper)
+            node.failed_disk = config.failed_disk
+            node.volume_ids = vids
+            for local_vid, vid in enumerate(vids):
+                self.bases[vid] = mapper.volume(local_vid).base
+            self.nodes.append(node)
         self.multi = len(traces) > 1
         self.run_name = (
             traces[0].name if not self.multi else "+".join(t.name for t in traces)
         )
-        geometry = config.geometry()
-        params = size_disks(scheme.regions.total_blocks, config)
-        self.disks = [Disk(params, disk_id=i) for i in range(geometry.ndisks)]
-        self.array = RaidArray(geometry)
         self.metrics = collector if collector is not None else MetricsCollector()
         if per_volume_metrics:
             self.metrics.track_volumes()
@@ -333,53 +378,66 @@ class ReplayScaffold:
             self.sampler = TimelineSampler(tl_config, policy=config.slo)
             self.metrics.attach_timeline(self.sampler)
         # Fig. 11 counts removed write requests over the measured day
-        # only: the scheme's counters at the warm-up boundary.
+        # only: the schemes' counters at the warm-up boundary.
         self.writes_at_boundary = 0
         self.removed_at_boundary = 0
+        #: Per-node ``stats()``, filled by :meth:`result`.
+        self.node_stats: List[Dict[str, Any]] = []
 
     def mark_boundary(self) -> None:
-        """Snapshot the scheme's write counters at the warm-up boundary
-        (just before the first measured arrival is planned)."""
-        self.writes_at_boundary = self.scheme.writes_total
-        self.removed_at_boundary = self.scheme.write_requests_removed
+        """Snapshot the schemes' write counters at the warm-up boundary
+        (just before the first measured request is planned)."""
+        self.writes_at_boundary = sum(s.writes_total for s in self.schemes)
+        self.removed_at_boundary = sum(s.write_requests_removed for s in self.schemes)
 
     def result(self, t_end: float) -> ReplayResult:
         """End the timeline at ``t_end`` (the clock of the run's last
         event), evaluate the SLO policy over it and build the result."""
-        scheme = self.scheme
+        schemes = self.schemes
         metrics = self.metrics
-        volumes: List[Dict[str, Any]] = []
-        if self.per_volume_metrics:
-            tracked = set(metrics.volume_ids())
-            for ns in self.mapper:
-                entry: Dict[str, Any] = {
-                    "volume_id": ns.volume_id,
-                    "name": ns.name,
-                    "logical_blocks": ns.logical_blocks,
-                }
-                if ns.volume_id in tracked:
-                    entry.update(metrics.volume_as_dict(ns.volume_id))
-                else:  # volume with no measured traffic
-                    entry["requests"] = 0
-                volumes.append(entry)
-
         slo_stats: Optional[Dict[str, Any]] = None
         if self.sampler is not None:
             self.sampler.finish(t_end)
             if self.config.slo is not None:
                 slo_stats = evaluate_slo(self.config.slo, self.sampler.as_dict())
-        timeline = getattr(scheme.cache, "epoch_timeline", [])
-        scheme_stats = scheme.stats()
+
+        volumes: List[Dict[str, Any]] = []
+        if self.per_volume_metrics:
+            tracked = set(metrics.volume_ids())
+            for vid, (name, logical_blocks) in enumerate(self.volumes):
+                entry: Dict[str, Any] = {
+                    "volume_id": vid,
+                    "name": name,
+                    "logical_blocks": logical_blocks,
+                }
+                if vid in tracked:
+                    entry.update(metrics.volume_as_dict(vid))
+                else:  # volume with no measured traffic
+                    entry["requests"] = 0
+                volumes.append(entry)
+
+        utilisation: Dict[int, Dict[str, float]] = {}
+        for node in self.nodes:
+            utilisation.update(disk_utilisation(node.disks))
+        # One stats() per node: it walks every written LBA for capacity.
+        self.node_stats = [s.stats() for s in schemes]
+        if len(schemes) == 1:
+            scheme_stats = self.node_stats[0]
+            timeline = getattr(schemes[0].cache, "epoch_timeline", [])
+        else:
+            scheme_stats = _aggregate_stats(self.node_stats)
+            timeline = []
         return ReplayResult(
             trace_name=self.run_name,
-            scheme_name=scheme.name,
+            scheme_name=schemes[0].name,
             metrics=metrics,
             scheme_stats=scheme_stats,
-            utilisation=disk_utilisation(self.disks),
-            capacity_blocks=scheme_stats["capacity_blocks"],
-            writes_total=scheme.writes_total - self.writes_at_boundary,
+            utilisation=utilisation,
+            capacity_blocks=sum(st["capacity_blocks"] for st in self.node_stats),
+            writes_total=sum(s.writes_total for s in schemes) - self.writes_at_boundary,
             write_requests_removed=(
-                scheme.write_requests_removed - self.removed_at_boundary
+                sum(s.write_requests_removed for s in schemes)
+                - self.removed_at_boundary
             ),
             epoch_timeline=[
                 e.as_dict() if hasattr(e, "as_dict") else dict(e) for e in timeline
@@ -410,16 +468,12 @@ def replay_trace(
     are identical to an un-instrumented replay; the disabled path
     costs one integer compare per instrumentation site.
 
-    The replay runs on the columnar batch driver
-    (:mod:`repro.sim.batch`), planning ``batch_size`` requests per
-    batch, whenever :func:`repro.sim.batch.batch_eligible` accepts the
-    config and no ``recorder`` is attached; an armed timeline, SLO
-    policy or degraded array rides along.  Everything else (faults,
-    jobs, spans, the SSD tier, invariant checking, a recorder) runs on
-    the event loop of :func:`repro.cluster.replay.replay_cluster` as a
-    one-node cluster, which is also what ``batch_size=None`` selects:
-    the reference loop the driver is pinned bit-identical to by the
-    golden tests.
+    The replay runs on the columnar batch driver, planning
+    ``batch_size`` requests per batch, whenever
+    :func:`repro.sim.batch.batch_eligible` accepts the config and no
+    ``recorder`` is attached; else on the one-node event loop, which
+    is also what ``batch_size=None`` selects (the reference the
+    driver is pinned bit-identical to by the golden tests).
 
     This is the N=1 special case of :func:`replay_traces` (without
     the per-volume metric breakdowns); the two are bit-identical for

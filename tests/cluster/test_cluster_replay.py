@@ -16,16 +16,22 @@ The three load-bearing contracts of the cluster subsystem:
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.baselines.base import SchemeConfig
+from repro.baselines.native import Native
 from repro.cluster import ClusterConfig, NetworkModel, RebalanceSpec
+from repro.cluster.replay import _ClusterReplay
 from repro.dedup.chunking import ChunkingConfig
 from repro.errors import ConfigError
 from repro.experiments import runner
 from repro.faults import FaultPlan, NodeFailureSpec
 from repro.obs.report import build_run_report
 from repro.sim.replay import ReplayConfig
+from repro.sim.request import OpType
+from repro.traces.format import Trace, TraceRecord
 
 SCALE = 0.05
 SEED = 7
@@ -285,3 +291,101 @@ class TestLiveRebalance:
         assert sum(
             n["rebalance_misses"] for n in rebalanced.nodes
         ) == cluster["rebalance_misses"]
+
+
+def _event_loop(nodes):
+    """An armed, not yet run, event loop over one tiny volume per node."""
+    traces = [
+        Trace(
+            f"v{n}",
+            [TraceRecord(1.0, OpType.WRITE, 0, 2, (10 + n, 20 + n))],
+            logical_blocks=8,
+        )
+        for n in range(nodes)
+    ]
+    schemes = [
+        Native(SchemeConfig(logical_blocks=8, memory_bytes=4096))
+        for _ in range(nodes)
+    ]
+    return _ClusterReplay(
+        traces, schemes, ClusterConfig(), ReplayConfig(),
+        assignment=list(range(nodes)), collector=None, recorder=None,
+        per_volume_metrics=True,
+    )
+
+
+class _FabricStub:
+    """Records round trips and completes each at a fixed time per
+    destination."""
+
+    last_service = 0.0
+    last_queue_wait = 0.0
+
+    def __init__(self, done_at):
+        self.done_at = done_at
+        self.calls = []
+
+    def round_trip(self, now, src, dst, nbytes):
+        self.calls.append((now, src, dst, nbytes))
+        return self.done_at[dst]
+
+
+class TestReplaySteps:
+    """Steps of the event loop, one method each, checked alone."""
+
+    def test_send_links_visits_destinations_in_sorted_order(self):
+        loop = _event_loop(nodes=3)
+        loop.fabric = stub = _FabricStub({0: 2.0, 1: 5.0, 2: 3.0})
+        latest = loop.send_links(1.0, 0, {2: 3, 0: 2, 1: 1}, 64)
+        assert stub.calls == [(1.0, 0, 0, 128), (1.0, 0, 1, 64), (1.0, 0, 2, 192)]
+        # The RPCs run in parallel: the latest completion, not a sum.
+        assert latest == 5.0
+
+    def test_send_links_without_counts_returns_now(self):
+        loop = _event_loop(nodes=2)
+        loop.fabric = stub = _FabricStub({})
+        assert loop.send_links(4.5, 1, {}, 64) == 4.5
+        assert stub.calls == []
+
+    @pytest.mark.parametrize(
+        "stw_until, blocked, admitted, release",
+        [
+            (0.0, 0.0, 0.0, None),  # nothing holds it: handled at once
+            (0.0, 3.0, 0.0, 3.0),  # crash recovery
+            (0.0, 0.0, 4.0, 4.0),  # admission
+            (0.0, 3.0, 4.0, 4.0),  # the later of the two
+            (0.0, 5.0, 4.0, 5.0),
+            (6.0, 3.0, 4.0, 6.0),  # a stop-the-world sweep holds it
+        ],
+    )
+    def test_arrival_release_rule(self, stw_until, blocked, admitted, release):
+        """An arrival is released when a stop-the-world sweep ends, or
+        else at the later of the injector's block and admission; the
+        handler always gets its arrival time."""
+        loop = _event_loop(nodes=1)
+        handled, scheduled, charged = [], [], []
+
+        def admit(vid, t, nblocks):
+            charged.append(t)
+            return max(t, admitted)
+
+        loop.handle_request = lambda request, arrival: handled.append(
+            (request, arrival)
+        )
+        loop.sim.schedule_callback = lambda t, fn, *args: scheduled.append(
+            (t, fn, args)
+        )
+        loop.stw_until = stw_until
+        loop.injector = SimpleNamespace(blocked_until_for=lambda vid: blocked)
+        loop.admission = SimpleNamespace(admit=admit)
+        request = loop.requests[0]
+        loop.on_arrival(1.0, request)
+        if release is None:
+            assert handled == [(request, 1.0)] and scheduled == []
+        else:
+            assert handled == []
+            assert scheduled == [(release, loop.handle_request, (request, 1.0))]
+        # The sweep's stall skips the bucket; otherwise admission is
+        # charged at the injector's release.
+        assert charged == ([] if stw_until > 1.0 else [max(1.0, blocked)])
+        assert loop.stw_stalled == (1 if stw_until > 1.0 else 0)

@@ -73,6 +73,38 @@ class TestReplayConfig:
                 trace, scheme, ReplayConfig(failed_disk=7), batch_size=batch_size
             )
 
+    @pytest.mark.parametrize("batch_size", [DEFAULT_BATCH_SIZE, None])
+    def test_non_positive_epoch_interval_rejected(self, batch_size):
+        """Both loops reject a scheme whose epoch interval is not
+        positive, through the set-up they share."""
+        trace = Trace(
+            "t", [TraceRecord(0.0, OpType.READ, 0, 1)], logical_blocks=8
+        )
+        scheme = Native(SchemeConfig(logical_blocks=8, memory_bytes=4096))
+        scheme.epoch_interval = 0.0
+        with pytest.raises(ConfigError, match="epoch interval must be positive"):
+            replay_trace(trace, scheme, ReplayConfig(), batch_size=batch_size)
+
+    @pytest.mark.parametrize("batch_size", [DEFAULT_BATCH_SIZE, None])
+    def test_non_positive_sanitize_every_rejected(self, batch_size):
+        """The sanitizer cadence is checked when the config is built,
+        and only when invariant checking is on."""
+        trace = Trace(
+            "t", [TraceRecord(0.0, OpType.READ, 0, 1)], logical_blocks=8
+        )
+        scheme = Native(SchemeConfig(logical_blocks=8, memory_bytes=4096))
+        with pytest.raises(ConfigError, match="sanitize_every must be positive"):
+            replay_trace(
+                trace,
+                scheme,
+                ReplayConfig(check_invariants=True, sanitize_every=0),
+                batch_size=batch_size,
+            )
+        result = replay_trace(
+            trace, scheme, ReplayConfig(sanitize_every=0), batch_size=batch_size
+        )
+        assert result.sanitizer is None
+
 
 class TestReplayResult:
     def _result(self, writes, removed):
