@@ -43,8 +43,8 @@ class TestGhostCache:
         assert dropped == ["b"]
 
     def test_oversize_entry_dropped_immediately(self):
-        g = GhostCache(30, default_entry_size=10)
-        dropped = g.record_eviction("big", size=31)
+        g = GhostCache(30, default_entry_size=31)
+        dropped = g.record_eviction("big")
         assert dropped == ["big"]
         assert len(g) == 0
 
@@ -79,6 +79,5 @@ class TestGhostCache:
     def test_invalid_params(self):
         with pytest.raises(CacheError):
             GhostCache(-1)
-        g = GhostCache(10)
         with pytest.raises(CacheError):
-            g.record_eviction("a", size=0)
+            GhostCache(10, default_entry_size=0)

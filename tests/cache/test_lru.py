@@ -9,7 +9,7 @@ from repro.errors import CacheError
 class TestBasics:
     def test_put_get(self):
         c = LRUCache(100)
-        c.put("a", 1, size=10)
+        c.put("a", 1)
         assert c.get("a") == 1
 
     def test_miss_returns_none(self):
@@ -18,21 +18,22 @@ class TestBasics:
 
     def test_contains_and_len(self):
         c = LRUCache(100)
-        c.put("a", size=10)
+        c.put("a")
         assert "a" in c and len(c) == 1
 
     def test_used_and_free_bytes(self):
-        c = LRUCache(100)
-        c.put("a", size=30)
-        c.put("b", size=20)
+        c = LRUCache(100, default_entry_size=25)
+        c.put("a")
+        c.put("b")
         assert c.used_bytes == 50
         assert c.free_bytes == 50
 
     def test_update_replaces_size(self):
-        c = LRUCache(100)
-        c.put("a", size=30)
-        c.put("a", size=50)
-        assert c.used_bytes == 50
+        c = LRUCache(100, default_entry_size=30)
+        c.put("a", 1)
+        c.put("a", 2)
+        assert c.used_bytes == 30 and len(c) == 1
+        assert c.peek("a") == 2
 
     def test_default_entry_size(self):
         c = LRUCache(100, default_entry_size=25)
@@ -42,9 +43,8 @@ class TestBasics:
     def test_invalid_sizes_rejected(self):
         with pytest.raises(CacheError):
             LRUCache(-1)
-        c = LRUCache(10)
         with pytest.raises(CacheError):
-            c.put("a", size=0)
+            LRUCache(10, default_entry_size=0)
 
 
 class TestEviction:
@@ -75,11 +75,10 @@ class TestEviction:
         assert [v[0] for v in victims] == ["a"]
 
     def test_oversize_entry_rejected_whole(self):
-        c = LRUCache(30, default_entry_size=10)
-        c.put("a")
-        victims = c.put("big", "x", size=31)
-        assert victims == [("big", "x", 31)]
-        assert "a" in c and "big" not in c
+        c = LRUCache(30, default_entry_size=31)
+        victims = c.put("big", "x")
+        assert victims == [("big", "x")]
+        assert "big" not in c and c.evictions == 0
 
     def test_capacity_never_exceeded(self):
         c = LRUCache(55, default_entry_size=10)
