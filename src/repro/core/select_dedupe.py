@@ -19,12 +19,15 @@ sensitive small-write elimination the paper's title is about.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.baselines.base import DedupScheme, SchemeConfig
 from repro.core.categorize import Category, categorize_write
 from repro.obs.events import EventType, TraceLevel
 from repro.sim.request import IORequest
+
+_UNIQUE = Category.UNIQUE.value
+_FULLY_REDUNDANT = Category.FULLY_REDUNDANT.value
 
 
 class SelectDedupe(DedupScheme):
@@ -41,8 +44,9 @@ class SelectDedupe(DedupScheme):
 
     def __init__(self, config: SchemeConfig) -> None:
         super().__init__(config)
-        #: Requests per Figure-5 category (workload diagnostics).
-        self.category_counts: Dict[Category, int] = {c: 0 for c in Category}
+        #: Requests per Figure-5 category, indexed by ``Category.value``
+        #: (a list: counting never hashes the enum).
+        self._by_category: List[int] = [0] * len(Category)
 
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
@@ -58,16 +62,16 @@ class SelectDedupe(DedupScheme):
             # whose runs the REQUEST_CLASSIFY event reports).
             misses = duplicate_pbas.count(None)
             if misses == nchunks:
-                self.category_counts[Category.UNIQUE] += 1
+                self._by_category[_UNIQUE] += 1
                 return set()
             first = duplicate_pbas[0]
             if misses == 0 and first is not None and list(duplicate_pbas) == list(
                 range(first, first + nchunks)
             ):
-                self.category_counts[Category.FULLY_REDUNDANT] += 1
+                self._by_category[_FULLY_REDUNDANT] += 1
                 return set(range(nchunks))
         decision = categorize_write(duplicate_pbas, self.config.select_threshold)
-        self.category_counts[decision.category] += 1
+        self._by_category[decision.category.value] += 1
         if self.obs.level >= TraceLevel.CHUNK:
             self.obs.emit(
                 TraceLevel.CHUNK,
@@ -77,6 +81,11 @@ class SelectDedupe(DedupScheme):
                 **decision.to_fields(request.nblocks),
             )
         return set(decision.dedupe_chunks)
+
+    @property
+    def category_counts(self) -> Dict[Category, int]:
+        """Requests per Figure-5 category (workload diagnostics)."""
+        return {c: self._by_category[c.value] for c in Category}
 
     def stats(self) -> dict:
         out = super().stats()

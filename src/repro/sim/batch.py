@@ -49,7 +49,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_right
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,6 +90,18 @@ def batch_eligible(config: ReplayConfig) -> bool:
         and not config.spans
         and config.jobs is None
     )
+
+
+def _cross_volume_chunks(merged: MergedColumns) -> np.ndarray:
+    """Per write chunk of the merged stream: did another volume write
+    its raw fingerprint first?  A deduplicated chunk so flagged is
+    cross-volume redundancy (one first-occurrence pass; the merged pool
+    interns values, so ids compare like values)."""
+    chunk_vol = np.repeat(merged.volume_ids, np.diff(merged.fp_offsets))
+    _ids, first, inverse = np.unique(
+        merged.fp_ids, return_index=True, return_inverse=True
+    )
+    return chunk_vol[first][inverse] != chunk_vol
 
 
 def replay_columnar(
@@ -218,9 +230,15 @@ def _replay_merged(
     planned: List[Optional[PlannedIO]] = [None] * n
     cross: List[int] = [0] * n
     tick_ops: List[list] = []
-    #: Multi-volume runs: the volume that first wrote each fingerprint
-    #: id (the merged pool interns values, so ids compare like values).
-    fp_owner: Optional[Dict[int, int]] = {} if scaffold.multi else None
+    cross_flags = _cross_volume_chunks(merged) if scaffold.multi else None
+    # CDC: one column pass over the whole write stream (its cuts depend
+    # on the stream alone); planning builds each window's effective
+    # fingerprints from the columns.
+    chunk_cols = (
+        scheme.chunker.columns(merged.fp_ids, pool)
+        if scheme.chunker is not None
+        else None
+    )
     plan_cursor = 0
     plan_tick = 0
     plan_columns = scheme.plan_columns
@@ -234,28 +252,21 @@ def _replay_merged(
             scaffold.mark_boundary()
         plans = plan_columns(
             a, b, times_l, is_write_l, lbas_l, nblocks_l, vids_l,
-            offsets_l, fp_ids_l, pool, nvram_out=nvram,
+            offsets_l, fp_ids_l, pool, nvram_out=nvram, chunk_cols=chunk_cols,
         )
         planned[a:b] = plans
-        if fp_owner is not None:
-            # Cross-volume redundancy: a deduplicated chunk whose raw
-            # fingerprint some other volume wrote first.
-            owner_get = fp_owner.get
-            owner_set = fp_owner.setdefault
-            for i in range(a, b):
-                if not is_write_l[i]:
-                    continue
-                ids = fp_ids_l[offsets_l[i] : offsets_l[i + 1]]
-                vid = vids_l[i]
-                c = 0
-                for k in plans[i - a].deduped_idx:
-                    owner = owner_get(ids[k])
-                    if owner is not None and owner != vid:
-                        c += 1
-                for fid in ids:
-                    owner_set(fid, vid)
-                if c:
-                    cross[i] = c
+        if cross_flags is not None:
+            k0 = offsets_l[a]
+            flags = cross_flags[k0 : offsets_l[b]]
+            if flags.any():
+                flags_l = flags.tolist()
+                for i in range(a, b):
+                    deduped = plans[i - a].deduped_idx
+                    if deduped:
+                        base = offsets_l[i] - k0
+                        c = sum([flags_l[base + k] for k in deduped])
+                        if c:
+                            cross[i] = c
 
     def _plan_chunk() -> None:
         """Advance planning by (up to) one batch or one tick."""

@@ -1,5 +1,6 @@
 """Content-defined chunking: config validation, the streaming
-fingerprint transform, and the vectorized byte-level Gear."""
+fingerprint transform, and the vectorized Gear hash.  The kernel is
+checked against the scalar loop in ``test_chunking_kernel_differential``."""
 
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from repro.dedup.chunking import (
     RABIN_WINDOW,
     ChunkingConfig,
     ChunkTransform,
-    cut_points,
     gear_hashes,
 )
 from repro.errors import ConfigError
@@ -229,39 +229,11 @@ class TestGearHashes:
     def test_empty(self):
         assert len(gear_hashes(b"")) == 0
 
-
-class TestCutPoints:
-    @given(
-        data=st.binary(max_size=400),
-        min_size=st.integers(min_value=1, max_value=8),
-        avg_pow=st.integers(min_value=0, max_value=5),
-        slack=st.integers(min_value=0, max_value=40),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_bounds_and_coverage(self, data, min_size, avg_pow, slack):
-        avg = max(min_size, 1 << avg_pow)
-        if avg & (avg - 1):
-            avg = 1 << (avg.bit_length())
-        max_size = avg + slack
-        cuts = cut_points(data, min_size, avg, max_size)
-        if not data:
-            assert cuts == []
-            return
-        assert cuts[-1] == len(data)
-        assert cuts == sorted(set(cuts))
-        start = 0
-        for end in cuts:
-            length = end - start
-            assert length <= max_size
-            # Only the final chunk may undershoot min_size (stream tail).
-            if end != len(data):
-                assert length >= min_size
-            start = end
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            cut_points(b"abc", 0, 4, 8)
-        with pytest.raises(ConfigError):
-            cut_points(b"abc", 2, 3, 8)  # avg not a power of two
-        with pytest.raises(ConfigError):
-            cut_points(b"abc", 4, 2, 8)  # min > avg
+    @given(data=st.binary(max_size=200), bits=st.integers(min_value=0, max_value=64))
+    @settings(max_examples=100, deadline=None)
+    def test_low_bits_exact_with_that_many_terms(self, data, bits):
+        """The CDC kernel asks for log2(avg) terms: those bits are exact."""
+        low = (1 << bits) - 1
+        full = gear_hashes(data)
+        got = gear_hashes(data, bits)
+        assert [int(h) & low for h in got] == [int(h) & low for h in full]
