@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import StorageError
-from repro.sim.request import IORequest
 
 
 @dataclass(frozen=True)
@@ -76,15 +75,6 @@ class VolumeNamespace:
                 f"of {self.logical_blocks} blocks"
             )
         return self.base + lba
-
-    def to_local(self, global_lba: int) -> int:
-        """Translate a global LBA back into this volume's space."""
-        if not (self.base <= global_lba < self.end):
-            raise StorageError(
-                f"global LBA {global_lba} outside volume {self.name!r} "
-                f"[{self.base}, {self.end})"
-            )
-        return global_lba - self.base
 
 
 class NamespaceMapper:
@@ -153,43 +143,3 @@ class NamespaceMapper:
             )
         vid = bisect_right(self._bases, global_lba) - 1
         return vid, global_lba - self._bases[vid]
-
-    def translate_request(self, request: IORequest, volume_id: int) -> IORequest:
-        """Rebase one volume-local request into the shared domain.
-
-        The request's extent must lie entirely inside the volume; the
-        returned request carries the global LBA and the volume id.
-        A request already based at a volume whose base is 0 (the
-        single-volume case) still gets a fresh object so callers can
-        rely on the invariant "replay requests are global".
-        """
-        ns = self.volume(volume_id)
-        if request.lba + request.nblocks > ns.logical_blocks:
-            raise StorageError(
-                f"request [{request.lba}, {request.lba + request.nblocks}) "
-                f"overruns volume {ns.name!r} of {ns.logical_blocks} blocks"
-            )
-        return IORequest(
-            time=request.time,
-            op=request.op,
-            lba=ns.base + request.lba,
-            nblocks=request.nblocks,
-            fingerprints=request.fingerprints,
-            req_id=request.req_id,
-            volume_id=volume_id,
-        )
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def for_traces(traces: Sequence[object]) -> "NamespaceMapper":
-        """One volume per trace, sized to the trace's logical space.
-
-        ``traces`` are :class:`~repro.traces.format.Trace` objects
-        (typed loosely to avoid a storage -> traces import cycle).
-        """
-        return NamespaceMapper(
-            (getattr(t, "name"), getattr(t, "logical_blocks")) for t in traces
-        )

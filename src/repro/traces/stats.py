@@ -182,30 +182,3 @@ def io_vs_capacity_redundancy(trace: Trace, measured_only: bool = True) -> Redun
         same_location_pct=same / total * 100.0,
         different_location_pct=diff / total * 100.0,
     )
-
-
-def burstiness_profile(trace: Trace, window: float = 1.0) -> List[Tuple[float, int, int]]:
-    """Reads/writes per time window (diagnostic for the phase model).
-
-    Returns ``(window_start, reads, writes)`` rows; used by the
-    iCache ablation bench to show the alternating phases the Swap
-    Module reacts to.
-    """
-    if window <= 0:
-        raise TraceError("window must be positive")
-    rows: List[Tuple[float, int, int]] = []
-    cur_start = 0.0
-    reads = writes = 0
-    for rec in trace.records:
-        while rec.time >= cur_start + window:
-            if reads or writes:
-                rows.append((cur_start, reads, writes))
-            cur_start += window
-            reads = writes = 0
-        if rec.is_write:
-            writes += 1
-        else:
-            reads += 1
-    if reads or writes:
-        rows.append((cur_start, reads, writes))
-    return rows

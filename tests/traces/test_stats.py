@@ -2,15 +2,39 @@
 
 import pytest
 
+from typing import List, Tuple
+
 from repro.errors import TraceError
 from repro.sim.request import OpType
 from repro.traces.format import Trace, TraceRecord
 from repro.traces.stats import (
-    burstiness_profile,
     io_vs_capacity_redundancy,
     redundancy_by_size,
     trace_characteristics,
 )
+
+
+def burstiness_profile(trace: Trace, window: float = 1.0) -> List[Tuple[float, int, int]]:
+    """Reads/writes per time window: ``(window_start, reads, writes)``
+    rows for every window with traffic."""
+    if window <= 0:
+        raise TraceError("window must be positive")
+    rows: List[Tuple[float, int, int]] = []
+    cur_start = 0.0
+    reads = writes = 0
+    for rec in trace.records:
+        while rec.time >= cur_start + window:
+            if reads or writes:
+                rows.append((cur_start, reads, writes))
+            cur_start += window
+            reads = writes = 0
+        if rec.is_write:
+            writes += 1
+        else:
+            reads += 1
+    if reads or writes:
+        rows.append((cur_start, reads, writes))
+    return rows
 
 
 def make_trace(records, warmup=0, blocks=1024):
