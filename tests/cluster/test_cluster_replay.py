@@ -356,11 +356,13 @@ class TestReplaySteps:
             (0.0, 3.0, 4.0, 4.0),  # the later of the two
             (0.0, 5.0, 4.0, 5.0),
             (6.0, 3.0, 4.0, 6.0),  # a stop-the-world sweep holds it
+            (6.0, 7.0, 4.0, 7.0),  # ... and crash recovery past it
+            (6.0, 3.0, 8.0, 8.0),  # ... and admission past it
         ],
     )
     def test_arrival_release_rule(self, stw_until, blocked, admitted, release):
-        """An arrival is released when a stop-the-world sweep ends, or
-        else at the later of the injector's block and admission; the
+        """An arrival is released at the latest of the end of a
+        stop-the-world sweep, the injector's block and admission; the
         handler always gets its arrival time."""
         loop = _event_loop(nodes=1)
         handled, scheduled, charged = [], [], []
@@ -385,7 +387,7 @@ class TestReplaySteps:
         else:
             assert handled == []
             assert scheduled == [(release, loop.handle_request, (request, 1.0))]
-        # The sweep's stall skips the bucket; otherwise admission is
-        # charged at the injector's release.
-        assert charged == ([] if stw_until > 1.0 else [max(1.0, blocked)])
+        # Admission is charged at the later of the sweep's end and the
+        # injector's release.
+        assert charged == [max(1.0, stw_until, blocked)]
         assert loop.stw_stalled == (1 if stw_until > 1.0 else 0)
