@@ -1,6 +1,7 @@
 """Cache substrate: LRU, ghost caches, ARC, partitioned DRAM.
 
-* :mod:`repro.cache.lru` -- byte-capacity LRU with eviction reporting.
+* :mod:`repro.cache.lru` -- LRU of uniform-size entries under a byte
+  budget (an entry-count bound), with eviction reporting.
 * :mod:`repro.cache.ghost` -- metadata-only ghost cache (ARC-style
   recency history of evicted entries), the mechanism iCache uses to
   estimate the cost-benefit of growing each cache.
