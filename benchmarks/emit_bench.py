@@ -19,6 +19,10 @@ like parsing.  Bit-identity is asserted on the full result fingerprint
 The exit status is 1 when any entry is not bit-identical, with or
 without ``--dry-run``, so ``--dry-run --trials 1`` is a quick check.
 
+The ``mail x4`` entry is the ``pod-tenants`` shape: four mail tenants
+in one dedup domain, POD with iCache and Gear CDC, on an 8-disk
+RAID-5; it times both loops on the merged stream like the grid rows.
+
 The ``cluster`` entry is the ``cluster-quorum`` shape (3 POD nodes,
 an R=2 QUORUM replicated directory, online refcount GC as a leased job
 and the per-node content oracle), which only the event loop runs: it
@@ -51,13 +55,14 @@ from repro.baselines.base import SchemeConfig
 from repro.cluster.directory.gc import GcSpec
 from repro.cluster.directory.quorum import Consistency, DirectoryConfig
 from repro.cluster.replay import ClusterConfig, replay_cluster
+from repro.dedup.chunking import ChunkingConfig
 from repro.experiments.runner import SCHEME_CLASSES, multi_tenant_traces, paper_traces
 from repro.jobs.plan import JobsConfig
 from repro.obs.report import build_run_report
 from repro.obs.slo import SloPolicy
 from repro.obs.timeline import TimelineConfig
 from repro.sim.batch import DEFAULT_BATCH_SIZE
-from repro.sim.replay import ReplayConfig, ReplayResult, replay_trace
+from repro.sim.replay import ReplayConfig, ReplayResult, replay_trace, replay_traces
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
 from repro.traces.synthetic import HOMES, WEB_VM, TraceSpec, generate_trace
@@ -84,6 +89,11 @@ GRID = [
     ("web-vm", WEB_VM, 0.2, "Native", TELEMETRY),
 ]
 
+
+#: The pod-tenants row: (trace, tenant copies, scale, seed), replayed
+#: by POD with iCache and CDC on an 8-disk array.
+TENANTS_ROW = ("mail", 4, 0.03, 1)
+TENANTS = ReplayConfig(ndisks=8)
 
 #: The cluster row: (traces, tenant copies per trace, nodes, scale,
 #: seed), replayed with the ``cluster-quorum`` configuration below.
@@ -215,6 +225,49 @@ def measure(trials: int) -> List[Dict[str, Any]]:
     return entries
 
 
+def measure_tenants(trials: int) -> Dict[str, Any]:
+    """The pod-tenants row: both loops on the merged tenant stream."""
+    name, copies, scale, seed = TENANTS_ROW
+    volumes = multi_tenant_traces((name,), copies=copies, scale=scale, seed=seed)
+    columns = [ColumnarTrace.from_trace(t) for t in volumes]
+    n = sum(len(t.records) for t in volumes)
+    config = SchemeConfig(
+        logical_blocks=sum(t.logical_blocks for t in volumes),
+        memory_bytes=copies * paper_traces()[name].scaled(scale).memory_bytes,
+        icache_epoch=max(1.0, 16.0 * scale),
+        chunking=ChunkingConfig(),
+    )
+
+    def replay(batch_size: Optional[int]) -> Tuple[ReplayResult, float]:
+        scheme = SCHEME_CLASSES["POD"](config)
+        traces = volumes if batch_size is None else columns
+        t0 = time.perf_counter()
+        result = replay_traces(traces, scheme, TENANTS, batch_size=batch_size)
+        return result, time.perf_counter() - t0
+
+    identical = _fingerprint(replay(None)[0]) == _fingerprint(replay(DEFAULT_BATCH_SIZE)[0])
+    obj = n / min(replay(None)[1] for _ in range(trials))
+    col = n / min(replay(DEFAULT_BATCH_SIZE)[1] for _ in range(trials))
+    entry = {
+        "trace": f"{name} x{copies}",
+        "scale": scale,
+        "scheme": "POD",
+        "telemetry": "off",
+        "shape": f"{copies} tenants, iCache + gear CDC, ndisks=8",
+        "requests": n,
+        "batch_size": DEFAULT_BATCH_SIZE,
+        "object_req_per_s": round(obj, 1),
+        "columnar_req_per_s": round(col, 1),
+        "speedup": round(col / obj, 2),
+        "bit_identical": identical,
+    }
+    print(
+        f"{entry['trace']:8s} POD      cdc          object {obj:9.0f} req/s  "
+        f"columnar {col:9.0f} req/s  speedup {col / obj:5.2f}x  bit-identical {identical}"
+    )
+    return entry
+
+
 def _cluster_replay(volumes: List[Trace]) -> Tuple[ReplayResult, float]:
     """One cluster-row replay on fresh nodes (sized as
     ``runner.run_cluster`` sizes them) and its wall time."""
@@ -288,6 +341,7 @@ def main() -> int:
         parser.error("--trials must be at least 1")
 
     entries = measure(args.trials)
+    entries.append(measure_tenants(args.trials))
     cluster = measure_cluster(args.trials)
     run = {
         "git_rev": _git_rev(),
