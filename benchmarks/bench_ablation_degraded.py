@@ -25,7 +25,9 @@ def run_grid(scale):
             ("healthy", ReplayConfig()),
             ("degraded", ReplayConfig(failed_disk=1)),
         ):
-            result = runner.run_single("web-vm", scheme, scale=scale, replay_config=config)
+            result = runner.execute(runner.RunSpec(
+                "web-vm", scheme, replay=config, scale=scale,
+            ))
             rows.append(
                 {
                     "scheme": scheme,

@@ -19,13 +19,10 @@ def run_sweep(scale):
     rows = []
     for epoch in EPOCHS:
         for step in STEPS:
-            result = runner.run_single(
-                "mail",
-                "POD",
+            result = runner.execute(runner.RunSpec(
+                "mail", "POD", {"icache_epoch": epoch, "icache_step": step},
                 scale=scale,
-                icache_epoch=epoch,
-                icache_step=step,
-            )
+            ))
             rows.append(
                 {
                     "epoch_s": epoch,
@@ -51,7 +48,9 @@ def test_ablation_icache(benchmark, scale):
     )
     emit("ablation_icache", text)
 
-    fixed = runner.run_single("mail", "Select-Dedupe", scale=scale)
+    fixed = runner.execute(runner.RunSpec(
+        "mail", "Select-Dedupe", scale=scale,
+    ))
     fixed_mean = fixed.metrics.overall_summary().mean * 1e3
 
     # The adaptive cache actually adapts...

@@ -21,9 +21,10 @@ THRESHOLDS = (1, 2, 3, 6, 12)
 def run_sweep(scale):
     rows = []
     for threshold in THRESHOLDS:
-        result = runner.run_single(
-            "homes", "Select-Dedupe", scale=scale, select_threshold=threshold
-        )
+        result = runner.execute(runner.RunSpec(
+            "homes", "Select-Dedupe", {"select_threshold": threshold},
+            scale=scale,
+        ))
         rows.append(
             {
                 "threshold": threshold,

@@ -67,9 +67,10 @@ def _row(result, nodes):
 def run_node_sweep(scale):
     rows = []
     for nodes in NODE_COUNTS:
-        result = runner.run_cluster(
-            TRACES, "POD", nodes=nodes, copies=COPIES, scale=scale, seed=SEED
-        )
+        result = runner.execute(runner.RunSpec(
+            TRACES, "POD", tenants=runner.Tenants(copies=COPIES), nodes=nodes,
+            seed=SEED, scale=scale,
+        ))
         rows.append(_row(result, nodes))
     return rows
 
@@ -77,15 +78,11 @@ def run_node_sweep(scale):
 def run_latency_sweep(scale):
     rows = []
     for latency in LATENCIES:
-        result = runner.run_cluster(
-            TRACES,
-            "POD",
-            nodes=4,
-            copies=COPIES,
-            scale=scale,
-            seed=SEED,
-            cluster_config=ClusterConfig(net=NetworkModel(latency=latency)),
-        )
+        result = runner.execute(runner.RunSpec(
+            TRACES, "POD", tenants=runner.Tenants(copies=COPIES), nodes=4,
+            cluster=ClusterConfig(net=NetworkModel(latency=latency)),
+            seed=SEED, scale=scale,
+        ))
         overall = result.metrics.overall_summary()
         rows.append(
             {
@@ -142,23 +139,20 @@ def test_cluster_node_scaling(benchmark, scale):
 
 def run_replication_sweep(scale):
     rows = []
-    baseline = runner.run_cluster(
-        TRACES, "POD", nodes=4, copies=COPIES, scale=scale, seed=SEED
-    )
+    baseline = runner.execute(runner.RunSpec(
+        TRACES, "POD", tenants=runner.Tenants(copies=COPIES), nodes=4,
+        seed=SEED, scale=scale,
+    ))
     for replication, level in REPLICATIONS:
-        result = runner.run_cluster(
-            TRACES,
-            "POD",
-            nodes=4,
-            copies=COPIES,
-            scale=scale,
-            seed=SEED,
-            cluster_config=ClusterConfig(
+        result = runner.execute(runner.RunSpec(
+            TRACES, "POD", tenants=runner.Tenants(copies=COPIES), nodes=4,
+            cluster=ClusterConfig(
                 directory=DirectoryConfig(
                     replication=replication, consistency=level
                 )
             ),
-        )
+            seed=SEED, scale=scale,
+        ))
         overall = result.metrics.overall_summary()
         d = result.cluster_stats["directory"]
         rows.append(

@@ -54,20 +54,16 @@ def _run(scale, mode, t_end):
         mode=mode,
     )
     jobs = JobsConfig() if mode == "online" else None
-    return runner.run_cluster(
-        TRACES,
-        "POD",
-        nodes=NODES,
-        copies=COPIES,
-        scale=scale,
-        seed=SEED,
-        cluster_config=ClusterConfig(
-            directory=DirectoryConfig(replication=2, gc=gc)
-        ),
-        replay_config=ReplayConfig(
+    return runner.execute(runner.RunSpec(
+        TRACES, "POD", tenants=runner.Tenants(copies=COPIES), nodes=NODES,
+        replay=ReplayConfig(
             jobs=jobs, timeline=TimelineConfig(window=t_end / WINDOWS)
         ),
-    )
+        cluster=ClusterConfig(
+            directory=DirectoryConfig(replication=2, gc=gc)
+        ),
+        seed=SEED, scale=scale,
+    ))
 
 
 def _worst_window_p99(result):

@@ -23,7 +23,7 @@ TRACE = "web-vm"
 def run_pair(scale):
     rows = {}
     for scheme in ("Native", "I/O-Dedup"):
-        result = runner.run_single(TRACE, scheme, scale=scale)
+        result = runner.execute(runner.RunSpec(TRACE, scheme, scale=scale))
         stats = result.scheme_stats
         rows[scheme] = {
             "read_hit_blocks": stats["read_cache_hit_blocks"],

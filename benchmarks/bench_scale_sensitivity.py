@@ -20,8 +20,10 @@ TRACE = "web-vm"
 def run_sweep(_ignored=None):
     rows = []
     for s in SCALES:
-        select = runner.run_single(TRACE, "Select-Dedupe", scale=s)
-        pod = runner.run_single(TRACE, "POD", scale=s)
+        select = runner.execute(runner.RunSpec(
+            TRACE, "Select-Dedupe", scale=s,
+        ))
+        pod = runner.execute(runner.RunSpec(TRACE, "POD", scale=s))
         rows.append(
             {
                 "scale": s,

@@ -105,15 +105,22 @@ CLUSTER = ClusterConfig(
 CLUSTER_JOBS = ReplayConfig(jobs=JobsConfig())
 
 
+#: The measured code: a ledger run is ``+dirty`` only when these differ
+#: from HEAD (an edited document does not change what was measured).
+MEASURED_PATHS = ("src", "benchmarks", "perfbench")
+
+
 def _git_rev() -> str:
-    """Short HEAD revision; ``+dirty`` when tracked files differ from
-    it (the measured code is then HEAD plus uncommitted changes)."""
+    """Short HEAD revision; ``+dirty`` when tracked files under
+    :data:`MEASURED_PATHS` differ from it (the measured code is then
+    HEAD plus uncommitted changes)."""
     try:
         rev = subprocess.check_output(
             ["git", "rev-parse", "--short", "HEAD"], cwd=REPO_ROOT, text=True
         ).strip()
         dirty = subprocess.check_output(
-            ["git", "status", "--porcelain", "--untracked-files=no"],
+            ["git", "status", "--porcelain", "--untracked-files=no", "--",
+             *MEASURED_PATHS],
             cwd=REPO_ROOT,
             text=True,
         ).strip()
@@ -270,7 +277,8 @@ def measure_tenants(trials: int) -> Dict[str, Any]:
 
 def _cluster_replay(volumes: List[Trace]) -> Tuple[ReplayResult, float]:
     """One cluster-row replay on fresh nodes (sized as
-    ``runner.run_cluster`` sizes them) and its wall time."""
+    :func:`repro.experiments.runner.execute` sizes them) and its wall
+    time."""
     names, copies, nodes, scale, _seed = CLUSTER_ROW
     specs = paper_traces()
     assignment = [vid % nodes for vid in range(len(volumes))]

@@ -12,14 +12,16 @@ Run:  python examples/mail_server_comparison.py [scale]
 
 import sys
 
-from repro.experiments.runner import PAPER_SCHEMES, run_single
+from repro.experiments.runner import PAPER_SCHEMES, RunSpec, execute
 from repro.metrics.report import improvement_pct, render_table
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.1
 
-    results = {name: run_single("mail", name, scale=scale) for name in PAPER_SCHEMES}
+    results = {
+        name: execute(RunSpec("mail", name, scale=scale)) for name in PAPER_SCHEMES
+    }
     native = results["Native"]
     native_mean = native.metrics.overall_summary().mean
 

@@ -9,9 +9,9 @@ synthetic workloads, and the full set of comparison schemes.
 Quick start::
 
     from repro import POD, SelectDedupe, Native
-    from repro.experiments import run_single
+    from repro.experiments import RunSpec, execute
 
-    result = run_single("mail", "POD", scale=0.1)
+    result = execute(RunSpec("mail", "POD", scale=0.1))
     print(result.summary())
 
 Package map
@@ -24,7 +24,7 @@ Package map
 ``repro.dedup``       fingerprinting, Index table, Map table
 ``repro.traces``      trace format, synthetic generators, analysis
 ``repro.metrics``     response-time collection, report rendering
-``repro.experiments`` runners and per-figure experiment drivers
+``repro.experiments`` RunSpec + execute, per-figure experiment drivers
 """
 
 from __future__ import annotations

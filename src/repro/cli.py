@@ -27,10 +27,11 @@ is a thin argparse layer over :mod:`repro.experiments`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
 from repro.metrics.report import render_table
 
 #: figure-name -> driver attribute on repro.experiments.figures
@@ -48,40 +49,158 @@ FIGURES = {
 }
 
 
-def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
-    """Telemetry flags shared by run / run-multi / run-cluster."""
-    p.add_argument("--timeline", type=float, default=None, nargs="?",
-                   const=1.0, metavar="SECONDS",
+TRACE_NAMES = ("web-vm", "homes", "mail")
+
+
+def _add_trace_args(p: argparse.ArgumentParser, *, tenants: bool) -> None:
+    """What to replay and what to write: every replay command and
+    ``compare``; ``tenants`` takes repeatable base trace families."""
+    if tenants:
+        p.add_argument("--trace", action="append", required=True, dest="traces",
+                       choices=TRACE_NAMES, metavar="NAME",
+                       help="base trace family (repeatable), expanded into "
+                       "--copies tenant volumes")
+        p.add_argument("--copies", type=int, default=2,
+                       help="tenant clones per base trace (default 2)")
+        p.add_argument("--divergence", type=float, default=0.15,
+                       help="share of each clone's content privatised away "
+                       "from the golden image (default 0.15)")
+        p.add_argument("--skew", type=float, default=0.5,
+                       help="tenant k runs at (k+1)^-skew of the base "
+                       "arrival rate (default 0.5)")
+    else:
+        p.add_argument("--trace", required=True, choices=TRACE_NAMES)
+    p.add_argument("--scale", type=float, default=0.1)
+    p.add_argument("--seed", type=int,
+                   help="trace-generator seed (recorded in the run report)")
+    p.add_argument("--report-out", metavar="FILE.json",
+                   help="write the versioned machine-readable run report "
+                   "(compare: one bundling every scheme's run report)")
+    p.add_argument("--check-invariants", action="store_true",
+                   help="debug mode: validate every POD invariant (Map/Index "
+                   "tables, iCache budgets, NVRAM model) on every node during "
+                   "the replay; fails on the first violation, never changes "
+                   "simulated times")
+
+
+def _add_fault_args(p: argparse.ArgumentParser, *, chunking: bool) -> None:
+    """Single-node replay flags: fault plan, and CDC unless ``compare``."""
+    p.add_argument("--faults", metavar="PLAN.json",
+                   help="arm a deterministic fault plan (JSON, see "
+                   "docs/robustness.md and examples/faults.json)")
+    p.add_argument("--fault-seed", type=int, metavar="N",
+                   help="override the fault plan's RNG seed (requires --faults)")
+    if chunking:
+        p.add_argument("--chunking", metavar="[ALGO:]MIN:AVG:MAX",
+                       help="content-defined chunking, bounds in 4 KB blocks "
+                       "(AVG a power of two); ALGO is 'gear' or 'rabin', bare "
+                       "'gear'/'rabin' take the default bounds (2:4:16)")
+
+
+def _add_replay_args(
+    p: argparse.ArgumentParser, scheme_help: str, *, tenants: bool
+) -> None:
+    """Scheme, sanitizer cadence, telemetry and leased jobs: shared by
+    run / run-multi / run-cluster."""
+    p.add_argument("--scheme", required=not tenants, default="POD",
+                   help=scheme_help)
+    p.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
+                   help="structural-check cadence in requests "
+                   "(with --check-invariants; default 1000)")
+    p.add_argument("--timeline", type=float, nargs="?", const=1.0,
+                   metavar="SECONDS",
                    help="sample windowed telemetry (throughput, latency "
-                   "percentiles, dedup/cache rates, queue depths) at this "
-                   "window width in simulated seconds (bare flag: 1.0)")
+                   "percentiles, dedup/cache rates, queue depths) per window "
+                   "of this many simulated seconds (bare flag: 1.0)")
     p.add_argument("--spans", action="store_true",
                    help="record causal spans through the request lifecycle "
                    "(admission, classify, remote lookup, disk, recovery)")
-    p.add_argument("--slo", default=None, metavar="POLICY.json",
+    p.add_argument("--slo", metavar="POLICY.json",
                    help="evaluate SLO objectives over the timeline windows "
                    "(JSON policy, see examples/slo.json; implies --timeline)")
-    p.add_argument("--timeline-out", default=None, metavar="FILE.jsonl",
-                   help="write the sampled timeline as JSON Lines "
-                   "(requires --timeline or --slo)")
-    p.add_argument("--spans-out", default=None, metavar="FILE.jsonl",
-                   help="write completed spans as JSON Lines "
-                   "(requires --spans)")
-
-
-def _add_jobs_args(p: argparse.ArgumentParser) -> None:
-    """Leased-job flags shared by run / run-multi / run-cluster."""
-    p.add_argument("--jobs", default=None, nargs="?", const="",
-                   metavar="CONFIG.json",
+    p.add_argument("--timeline-out", metavar="FILE.jsonl",
+                   help="write the timeline as JSON Lines (needs --timeline/--slo)")
+    p.add_argument("--spans-out", metavar="FILE.jsonl",
+                   help="write completed spans as JSON Lines (requires --spans)")
+    p.add_argument("--jobs", nargs="?", const="", metavar="CONFIG.json",
                    help="arm the leased background-job subsystem (workers, "
                    "lease policy, scrubber, admission; JSON, see "
                    "examples/jobs.json; bare flag: defaults)")
     p.add_argument("--scrub", action="store_true",
-                   help="run a background scrubber job over the volume "
-                   "(implies --jobs)")
-    p.add_argument("--admission", default=None, metavar="RATE:BURST",
+                   help="run a background scrubber job (implies --jobs)")
+    p.add_argument("--admission", metavar="RATE:BURST",
                    help="per-tenant token-bucket admission control in "
                    "blocks/s and burst blocks (implies --jobs)")
+
+
+def _add_array_args(p: argparse.ArgumentParser) -> None:
+    """``run`` only: one array's geometry and event recording."""
+    p.add_argument("--index-fraction", type=float,
+                   help="fixed index-cache share (non-POD schemes)")
+    p.add_argument("--failed-disk", type=int,
+                   help="run the RAID-5 array degraded with this member failed")
+    p.add_argument("--raid", choices=["raid5", "raid0", "single"], default="raid5")
+    p.add_argument("--ndisks", type=int,
+                   help="member disks (default 4 for raid5/raid0, 1 for single)")
+    p.add_argument("--trace-level", choices=["off", "summary", "request", "chunk"],
+                   help="event-recording verbosity (default: request when "
+                   "--trace-out is given, off otherwise)")
+    p.add_argument("--trace-out", metavar="FILE.jsonl",
+                   help="write the recorded simulation events as JSON Lines")
+
+
+def _add_cluster_args(p: argparse.ArgumentParser) -> None:
+    """``run-cluster`` only: nodes, network, membership, directory."""
+    p.add_argument("--nodes", type=int, default=2,
+                   help="POD nodes, volumes assigned round-robin (default 2)")
+    p.add_argument("--vnodes", type=int,
+                   help="virtual nodes per member on the hash ring (default 64)")
+    p.add_argument("--net-latency", type=float, metavar="SECONDS",
+                   help="one-way network latency (default 100e-6)")
+    p.add_argument("--net-bandwidth", type=float, metavar="BYTES_PER_S",
+                   help="per-link bandwidth (default 1e9)")
+    p.add_argument("--rebalance-at", type=float, metavar="SECONDS",
+                   help="trigger a membership change at this simulated time")
+    p.add_argument("--rebalance-add", type=int, default=0, metavar="N",
+                   help="nodes to add at --rebalance-at (default 0)")
+    p.add_argument("--rebalance-remove", type=int, metavar="NODE",
+                   help="node id to retire at --rebalance-at")
+    p.add_argument("--migrate-batch", type=int, default=256, metavar="N",
+                   help="shard entries migrated per background batch (default 256)")
+    p.add_argument("--migrate-interval", type=float, default=0.01, metavar="SECONDS",
+                   help="pause between migration batches (default 0.01)")
+    p.add_argument("--fail-node", type=int, metavar="NODE",
+                   help="degrade this node's RAID-5 array mid-run and pace a "
+                   "rebuild (needs --fail-node-at)")
+    p.add_argument("--fail-node-at", type=float, metavar="SECONDS",
+                   help="simulated time of the node failure")
+    p.add_argument("--fail-slow", action="append", metavar="DISK:START:END:MULT",
+                   help="fail-slow window on a cluster disk (global disk id = "
+                   "node * ndisks + member); repeatable. A window overlapping "
+                   "a leased rebuild exercises stale-lease recovery")
+    p.add_argument("--replication", type=int, metavar="R",
+                   help="arm the replicated fingerprint directory with R-way "
+                   "placement (R=1 pins the legacy single-copy arithmetic)")
+    p.add_argument("--consistency", choices=["one", "quorum", "all"],
+                   default="quorum",
+                   help="directory consistency level (with --replication)")
+    p.add_argument("--gc", nargs="?", const="online", choices=["online", "stw"],
+                   help="refcount GC over the replicated directory: 'online' "
+                   "(leased job; implies --jobs) or 'stw' (stop-the-world "
+                   "baseline); implies --replication 1 if unset")
+    p.add_argument("--gc-start", type=float, default=0.0, metavar="SECONDS",
+                   help="earliest simulated time GC may run (default 0)")
+    p.add_argument("--gc-interval", type=float, default=0.05, metavar="SECONDS",
+                   help="online GC: pause between job steps (default 0.05)")
+    p.add_argument("--gc-batch", type=int, default=64, metavar="N",
+                   help="online GC: decrement intents per step (default 64)")
+    p.add_argument("--kill-metadata-node", metavar="NODE:SECONDS",
+                   help="kill one node's directory replica at a simulated time; "
+                   "degraded lookups fall back to surviving replicas and "
+                   "trigger read repair")
+    p.add_argument("--verify-content", action="store_true",
+                   help="arm a per-node content oracle that checks every "
+                   "read against the write history")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,228 +216,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="replay one trace through one scheme")
-    run.add_argument("--trace", required=True, choices=["web-vm", "homes", "mail"])
-    run.add_argument("--scheme", required=True, help=scheme_help)
-    run.add_argument("--scale", type=float, default=0.1)
-    run.add_argument("--index-fraction", type=float, default=None,
-                     help="fixed index-cache share (non-POD schemes)")
-    run.add_argument("--failed-disk", type=int, default=None,
-                     help="run the RAID-5 array degraded with this member failed")
-    run.add_argument("--raid", choices=["raid5", "raid0", "single"], default="raid5")
-    run.add_argument("--ndisks", type=int, default=None,
-                     help="member disks (default 4 for raid5/raid0, 1 for single)")
-    run.add_argument("--seed", type=int, default=None,
-                     help="trace-generator seed (recorded in the run report)")
-    run.add_argument("--trace-level", choices=["off", "summary", "request", "chunk"],
-                     default=None,
-                     help="event-recording verbosity (default: request when "
-                     "--trace-out is given, off otherwise)")
-    run.add_argument("--trace-out", default=None, metavar="FILE.jsonl",
-                     help="write the recorded simulation events as JSON Lines")
-    run.add_argument("--report-out", default=None, metavar="FILE.json",
-                     help="write the versioned machine-readable run report")
-    run.add_argument("--check-invariants", action="store_true",
-                     help="debug mode: validate every POD invariant "
-                     "(Map/Index tables, iCache budgets, NVRAM model) "
-                     "periodically during the replay; fails loudly on the "
-                     "first violation and never changes simulated times")
-    run.add_argument("--faults", default=None, metavar="PLAN.json",
-                     help="arm a deterministic fault plan (JSON, see "
-                     "docs/robustness.md and examples/faults.json)")
-    run.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                     help="override the fault plan's RNG seed "
-                     "(requires --faults)")
-    run.add_argument("--chunking", default=None, metavar="[ALGO:]MIN:AVG:MAX",
-                     help="enable content-defined chunking with the given "
-                          "chunk bounds in 4 KB blocks (AVG must be a power "
-                          "of two); ALGO is 'gear' or 'rabin', and a bare "
-                          "'gear'/'rabin' takes the default bounds (2:4:16)")
-    run.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
-                     help="structural-check cadence in requests "
-                     "(with --check-invariants; default 1000)")
-    _add_telemetry_args(run)
-    _add_jobs_args(run)
+    _add_trace_args(run, tenants=False)
+    _add_replay_args(run, scheme_help, tenants=False)
+    _add_fault_args(run, chunking=True)
+    _add_array_args(run)
 
     multi = sub.add_parser(
         "run-multi",
         help="replay several tenant volumes through one shared dedup domain",
     )
-    multi.add_argument("--trace", action="append", required=True, dest="traces",
-                       choices=["web-vm", "homes", "mail"], metavar="NAME",
-                       help="base trace family (repeatable); each family is "
-                       "expanded into --copies tenant volumes")
-    multi.add_argument("--scheme", default="POD", help=scheme_help)
-    multi.add_argument("--copies", type=int, default=2,
-                       help="tenant clones per base trace (default 2)")
-    multi.add_argument("--divergence", type=float, default=0.15,
-                       help="fraction of each clone's content privatised "
-                       "away from the golden image (default 0.15)")
-    multi.add_argument("--skew", type=float, default=0.5,
-                       help="per-tenant arrival-rate skew exponent; tenant k "
-                       "runs at (k+1)^-skew of the base rate (default 0.5)")
-    multi.add_argument("--scale", type=float, default=0.1)
-    multi.add_argument("--seed", type=int, default=None,
-                       help="trace-generator seed (recorded in the report)")
-    multi.add_argument("--report-out", default=None, metavar="FILE.json",
-                       help="write the run report with the per-volume section")
-    multi.add_argument("--check-invariants", action="store_true",
-                       help="validate every POD invariant during the replay")
-    multi.add_argument("--faults", default=None, metavar="PLAN.json",
-                       help="arm a deterministic fault plan (JSON)")
-    multi.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                       help="override the fault plan's RNG seed "
-                       "(requires --faults)")
-    multi.add_argument("--chunking", default=None, metavar="MIN:AVG:MAX",
-                       help="enable content-defined chunking (see 'run')")
-    multi.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
-                       help="structural-check cadence in requests "
-                       "(with --check-invariants; default 1000)")
-    _add_telemetry_args(multi)
-    _add_jobs_args(multi)
+    _add_trace_args(multi, tenants=True)
+    _add_replay_args(multi, scheme_help, tenants=True)
+    _add_fault_args(multi, chunking=True)
 
     cluster = sub.add_parser(
         "run-cluster",
         help="replay the tenant volumes across a sharded multi-node cluster",
     )
-    cluster.add_argument("--trace", action="append", required=True, dest="traces",
-                         choices=["web-vm", "homes", "mail"], metavar="NAME",
-                         help="base trace family (repeatable); each family is "
-                         "expanded into --copies tenant volumes")
-    cluster.add_argument("--scheme", default="POD", help=scheme_help)
-    cluster.add_argument("--nodes", type=int, default=2,
-                         help="POD nodes in the cluster (default 2); volumes "
-                         "are assigned round-robin")
-    cluster.add_argument("--copies", type=int, default=2,
-                         help="tenant clones per base trace (default 2)")
-    cluster.add_argument("--divergence", type=float, default=0.15,
-                         help="fraction of each clone's content privatised "
-                         "away from the golden image (default 0.15)")
-    cluster.add_argument("--skew", type=float, default=0.5,
-                         help="per-tenant arrival-rate skew exponent "
-                         "(default 0.5)")
-    cluster.add_argument("--scale", type=float, default=0.1)
-    cluster.add_argument("--seed", type=int, default=None,
-                         help="trace-generator seed (recorded in the report)")
-    cluster.add_argument("--vnodes", type=int, default=None,
-                         help="virtual nodes per member on the hash ring "
-                         "(default 64)")
-    cluster.add_argument("--net-latency", type=float, default=None,
-                         metavar="SECONDS",
-                         help="one-way network latency (default 100e-6)")
-    cluster.add_argument("--net-bandwidth", type=float, default=None,
-                         metavar="BYTES_PER_S",
-                         help="per-link bandwidth (default 1e9)")
-    cluster.add_argument("--rebalance-at", type=float, default=None,
-                         metavar="SECONDS",
-                         help="trigger a membership change at this simulated "
-                         "time")
-    cluster.add_argument("--rebalance-add", type=int, default=0, metavar="N",
-                         help="nodes to add at --rebalance-at (default 0)")
-    cluster.add_argument("--rebalance-remove", type=int, default=None,
-                         metavar="NODE",
-                         help="node id to retire at --rebalance-at")
-    cluster.add_argument("--migrate-batch", type=int, default=256, metavar="N",
-                         help="shard entries migrated per background batch "
-                         "(default 256)")
-    cluster.add_argument("--migrate-interval", type=float, default=0.01,
-                         metavar="SECONDS",
-                         help="pause between migration batches (default 0.01)")
-    cluster.add_argument("--fail-node", type=int, default=None, metavar="NODE",
-                         help="degrade this node's RAID-5 array mid-run and "
-                         "pace a rebuild (needs --fail-node-at)")
-    cluster.add_argument("--fail-node-at", type=float, default=None,
-                         metavar="SECONDS",
-                         help="simulated time of the node failure")
-    cluster.add_argument("--fail-slow", action="append", default=None,
-                         metavar="DISK:START:END:MULT", dest="fail_slow",
-                         help="fail-slow window on a cluster disk (global "
-                         "disk id = node * ndisks + member); repeatable. "
-                         "A window overlapping a leased rebuild exercises "
-                         "stale-lease recovery")
-    cluster.add_argument("--replication", type=int, default=None, metavar="R",
-                         help="arm the replicated fingerprint directory with "
-                         "R-way replica placement (R=1 pins the legacy "
-                         "single-copy arithmetic)")
-    cluster.add_argument("--consistency", choices=["one", "quorum", "all"],
-                         default="quorum",
-                         help="directory read/write consistency level "
-                         "(with --replication; default quorum)")
-    cluster.add_argument("--gc", nargs="?", const="online",
-                         choices=["online", "stw"], default=None,
-                         help="refcount garbage collection over the "
-                         "replicated directory: 'online' (leased job; "
-                         "implies --jobs) or 'stw' (stop-the-world "
-                         "baseline). Implies --replication 1 if unset")
-    cluster.add_argument("--gc-start", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="earliest simulated time GC may run "
-                         "(default 0)")
-    cluster.add_argument("--gc-interval", type=float, default=0.05,
-                         metavar="SECONDS",
-                         help="online GC: pause between job steps "
-                         "(default 0.05)")
-    cluster.add_argument("--gc-batch", type=int, default=64, metavar="N",
-                         help="online GC: decrement intents per step "
-                         "(default 64)")
-    cluster.add_argument("--kill-metadata-node", default=None,
-                         metavar="NODE:SECONDS", dest="kill_metadata_node",
-                         help="kill one node's directory replica at a "
-                         "simulated time (data plane unaffected); degraded "
-                         "lookups fall back to surviving replicas and "
-                         "trigger read repair")
-    cluster.add_argument("--verify-content", action="store_true",
-                         help="arm a per-node content oracle that checks "
-                         "every read against the write history")
-    cluster.add_argument("--check-invariants", action="store_true",
-                         help="validate every POD invariant on every node "
-                         "during the replay")
-    cluster.add_argument("--sanitize-every", type=int, default=1000, metavar="N",
-                         help="structural-check cadence in requests "
-                         "(with --check-invariants; default 1000)")
-    cluster.add_argument("--report-out", default=None, metavar="FILE.json",
-                         help="write the run report with per-node and "
-                         "cluster sections")
-    _add_telemetry_args(cluster)
-    _add_jobs_args(cluster)
+    _add_trace_args(cluster, tenants=True)
+    _add_replay_args(cluster, scheme_help, tenants=True)
+    _add_cluster_args(cluster)
 
     compare = sub.add_parser("compare", help="replay one trace through every scheme")
-    compare.add_argument("--trace", required=True, choices=["web-vm", "homes", "mail"])
-    compare.add_argument("--scale", type=float, default=0.1)
-    compare.add_argument("--seed", type=int, default=None,
-                         help="trace-generator seed (recorded in the report)")
-    compare.add_argument("--report-out", default=None, metavar="FILE.json",
-                         help="write a compare report bundling every run report")
-    compare.add_argument("--check-invariants", action="store_true",
-                         help="validate every POD invariant during each replay")
-    compare.add_argument("--faults", default=None, metavar="PLAN.json",
-                         help="arm the same deterministic fault plan against "
-                         "every scheme (JSON)")
-    compare.add_argument("--fault-seed", type=int, default=None, metavar="N",
-                         help="override the fault plan's RNG seed "
-                         "(requires --faults)")
+    _add_trace_args(compare, tenants=False)
+    _add_fault_args(compare, chunking=False)
 
-    lint = sub.add_parser(
-        "lint", help="run the POD determinism linter (POD001..POD007; "
-        "--flow adds the dataflow tier POD008..POD012)"
+    # The linter parses its own flags (repro.analysis.lint.build_parser).
+    sub.add_parser(
+        "lint", add_help=False, help="run the POD determinism linter "
+        "(POD001..POD007; --flow adds the dataflow tier POD008..POD012)"
     )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--flow", action="store_true",
-                      help="run the whole-program dataflow tier too")
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
-                      default="text")
-    lint.add_argument("--select", default=None, metavar="CODES",
-                      help="comma list of rule codes to enable")
-    lint.add_argument("--fix", action="store_true",
-                      help="apply mechanical fixes, then re-lint")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="suppression baseline to filter findings against")
-    lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                      help="write current findings as the new baseline")
-    lint.add_argument("--dump-summaries", action="store_true",
-                      help="print interprocedural call summaries and exit")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="print the rule catalogue and exit")
 
     stats = sub.add_parser(
         "stats", help="pretty-print a run report, or diff two of them"
@@ -336,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser("trace", help="generate or analyse trace files")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     gen = trace_sub.add_parser("generate", help="write a synthetic trace file")
-    gen.add_argument("--trace", required=True, choices=["web-vm", "homes", "mail"])
+    gen.add_argument("--trace", required=True, choices=TRACE_NAMES)
     gen.add_argument("--scale", type=float, default=0.1)
     gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
@@ -405,6 +332,17 @@ def _print_result(result) -> None:
     print(render_table(f"{result.scheme_name} on {result.trace_name}", ["metric", "value"], rows))
 
 
+def _fields(flag: str, form: str, value: str, *types):
+    """Split a colon-separated flag value into ``types``."""
+    parts = value.split(":")
+    try:
+        if len(parts) != len(types):
+            raise ValueError
+        return [t(p) for t, p in zip(types, parts)]
+    except ValueError:
+        raise ConfigError(f"{flag} expects {form}, got {value!r}") from None
+
+
 def _chunking_config(args: argparse.Namespace):
     """Parse ``--chunking`` into a :class:`ChunkingConfig`, if given.
 
@@ -412,29 +350,17 @@ def _chunking_config(args: argparse.Namespace):
     ``[ALGO:]MIN:AVG:MAX`` in 4 KB blocks.
     """
     from repro.dedup.chunking import ChunkingConfig
-    from repro.errors import ConfigError
 
     spec = getattr(args, "chunking", None)
     if spec is None:
         return None
     if spec in ("gear", "rabin"):
         return ChunkingConfig(algorithm=spec)
-    parts = spec.split(":")
-    algorithm = "gear"
-    if parts and parts[0] in ("gear", "rabin"):
-        algorithm = parts[0]
-        parts = parts[1:]
-    if len(parts) != 3:
-        raise ConfigError(
-            f"--chunking expects 'gear', 'rabin' or [ALGO:]MIN:AVG:MAX, "
-            f"got {spec!r}"
-        )
-    try:
-        lo, avg, hi = (int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(
-            f"--chunking bounds must be integers, got {spec!r}"
-        ) from None
+    algorithm, _, bounds = spec.partition(":")
+    if algorithm not in ("gear", "rabin"):
+        algorithm, bounds = "gear", spec
+    lo, avg, hi = _fields("--chunking", "'gear', 'rabin' or [ALGO:]MIN:AVG:MAX "
+                          "with integer bounds", bounds, int, int, int)
     return ChunkingConfig(
         min_blocks=lo, avg_blocks=avg, max_blocks=hi, algorithm=algorithm
     )
@@ -442,7 +368,6 @@ def _chunking_config(args: argparse.Namespace):
 
 def _fault_plan(args: argparse.Namespace):
     """Load the ``--faults`` plan, if any (``--fault-seed`` needs it)."""
-    from repro.errors import ConfigError
     from repro.faults import FaultPlan
 
     if getattr(args, "faults", None) is None:
@@ -452,34 +377,6 @@ def _fault_plan(args: argparse.Namespace):
     return FaultPlan.load(args.faults)
 
 
-def _print_invariants(result) -> None:
-    """One line for a run with ``--check-invariants`` (none otherwise)."""
-    if result.sanitizer is None:
-        return
-    s = result.sanitizer.summary()
-    print(f"invariants clean: {s['checks_run']} structural checks, "
-          f"{s['decisions_validated']} dedupe decisions validated")
-
-
-def _print_fault_summary(result) -> None:
-    """One-line fault verdict after a replay (full detail in reports)."""
-    stats = getattr(result, "fault_stats", None)
-    if not stats:
-        return
-    counters = stats.get("counters", {})
-    oracle = stats.get("oracle", {})
-    injected = sum(
-        v for k, v in counters.items()
-        if k in ("lse_injected", "member_failures", "nvram_losses",
-                 "index_corruptions", "fail_slow_windows")
-    )
-    print(f"faults: seed={stats.get('seed')} injected={injected} "
-          f"recoveries={stats.get('recovery_latency', {}).get('count', 0)} "
-          f"oracle: {oracle.get('blocks_checked', 0)} blocks checked, "
-          f"{oracle.get('mismatches', 0)} mismatches, "
-          f"{oracle.get('at_risk_reads', 0)} at-risk reads")
-
-
 def _jobs_config(args: argparse.Namespace):
     """Resolve the leased-job flags into a JobsConfig (or None).
 
@@ -487,9 +384,6 @@ def _jobs_config(args: argparse.Namespace):
     cases need no config file; an explicit ``--jobs CONFIG.json``
     provides the full policy and the convenience flags overlay it.
     """
-    import dataclasses
-
-    from repro.errors import ConfigError
     from repro.jobs import AdmissionSpec, JobsConfig, ScrubberSpec
 
     jobs = getattr(args, "jobs", None)
@@ -501,21 +395,10 @@ def _jobs_config(args: argparse.Namespace):
     if scrub and config.scrub is None:
         config = dataclasses.replace(config, scrub=ScrubberSpec())
     if admission is not None:
-        parts = admission.split(":")
-        if len(parts) != 2:
-            raise ConfigError(
-                f"--admission expects RATE:BURST, got {admission!r}"
-            )
-        try:
-            rate, burst = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigError(
-                f"--admission expects numeric RATE:BURST, got {admission!r}"
-            )
-        config = dataclasses.replace(
-            config,
-            admission=AdmissionSpec(rate_blocks=rate, burst_blocks=burst),
-        )
+        rate, burst = _fields("--admission", "numeric RATE:BURST", admission,
+                              float, float)
+        config = dataclasses.replace(config, admission=AdmissionSpec(
+            rate_blocks=rate, burst_blocks=burst))
     return config
 
 
@@ -526,88 +409,28 @@ def _directory_config(args: argparse.Namespace):
     the single-knob cases work; ``--gc online`` additionally implies
     ``--jobs`` (handled by the caller).
     """
-    from repro.cluster.directory import (
-        Consistency,
-        DirectoryConfig,
-        GcSpec,
-        KillSpec,
-    )
-    from repro.errors import ConfigError
+    from repro.cluster.directory import Consistency, DirectoryConfig, GcSpec, KillSpec
 
     replication = getattr(args, "replication", None)
     gc_mode = getattr(args, "gc", None)
     kill = getattr(args, "kill_metadata_node", None)
     if replication is None and gc_mode is None and kill is None:
         return None
-    gc = None
-    if gc_mode is not None:
-        gc = GcSpec(
-            start=args.gc_start,
-            interval=args.gc_interval,
-            batch=args.gc_batch,
-            mode=gc_mode,
-        )
-    kill_spec = None
-    if kill is not None:
-        parts = kill.split(":")
-        if len(parts) != 2:
-            raise ConfigError(
-                f"--kill-metadata-node expects NODE:SECONDS, got {kill!r}"
-            )
-        try:
-            kill_spec = KillSpec(node=int(parts[0]), time=float(parts[1]))
-        except ValueError:
-            raise ConfigError(
-                f"--kill-metadata-node expects numeric NODE:SECONDS, "
-                f"got {kill!r}"
-            ) from None
     return DirectoryConfig(
         replication=replication if replication is not None else 1,
         consistency=Consistency(args.consistency),
-        gc=gc,
-        kill=kill_spec,
+        gc=None if gc_mode is None else GcSpec(
+            start=args.gc_start, interval=args.gc_interval,
+            batch=args.gc_batch, mode=gc_mode,
+        ),
+        kill=None if kill is None else KillSpec(*_fields(
+            "--kill-metadata-node", "numeric NODE:SECONDS", kill, int, float
+        )),
     )
-
-
-def _print_jobs_summary(result) -> None:
-    """One-line leased-jobs digest after a run (when armed)."""
-    stats = getattr(result, "jobs_stats", None)
-    if not stats:
-        return
-    c = stats.get("counters", {})
-    ledger = stats.get("oracle", {})
-    print(f"jobs: {c.get('jobs_completed', 0)}/{c.get('jobs_submitted', 0)} "
-          f"completed, {c.get('claims', 0)} claims "
-          f"({c.get('stale_lease_reclaims', 0)} stale re-claims), "
-          f"{c.get('steps_committed', 0)} steps committed "
-          f"({c.get('fenced_commits', 0)} fenced), "
-          f"ledger violations {len(ledger.get('violations', []))}")
-    adm = stats.get("admission")
-    if adm:
-        print(f"admission: {adm.get('requests_admitted', 0)} admitted, "
-              f"{adm.get('requests_throttled', 0)} throttled, "
-              f"{adm.get('throttle_delay_total', 0.0):.3f}s total delay")
-
-
-def _effective_trace_level(args: argparse.Namespace) -> str:
-    """Resolve the recording verbosity from the CLI flags.
-
-    Explicit ``--trace-level`` wins; otherwise ``--trace-out`` implies
-    ``request`` (a trace file with no events would be useless) and the
-    default is ``off`` (no recording cost at all).
-    """
-    from repro.obs import TraceLevel
-
-    if getattr(args, "trace_level", None) is not None:
-        return TraceLevel.parse(args.trace_level)
-    if getattr(args, "trace_out", None) is not None:
-        return TraceLevel.REQUEST
-    return TraceLevel.OFF
 
 
 def _telemetry_config(args: argparse.Namespace) -> dict:
     """ReplayConfig telemetry kwargs from the shared CLI flags."""
-    from repro.errors import ConfigError
     from repro.obs import SloPolicy, TimelineConfig
 
     kwargs: dict = {}
@@ -626,25 +449,213 @@ def _telemetry_config(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _print_telemetry(result, args: argparse.Namespace) -> None:
-    """Post-run telemetry summary + JSONL outputs (run/run-multi/run-cluster)."""
-    timeline = getattr(result, "timeline", None)
-    if timeline is not None:
-        doc = timeline.as_dict()
+def _cluster_config(args: argparse.Namespace):
+    """Resolve the ``run-cluster`` flags into a ClusterConfig."""
+    from repro.cluster import ClusterConfig, NetworkModel, RebalanceSpec
+    from repro.faults import FailSlowSpec, NodeFailureSpec
+
+    if args.rebalance_at is None and (
+        args.rebalance_add or args.rebalance_remove is not None
+    ):
+        raise ConfigError("--rebalance-add/--rebalance-remove require --rebalance-at")
+    if (args.fail_node is None) != (args.fail_node_at is None):
+        raise ConfigError("--fail-node and --fail-node-at go together")
+    net = {k: v for k, v in (("latency", args.net_latency),
+                             ("bandwidth", args.net_bandwidth)) if v is not None}
+    config = ClusterConfig(
+        net=NetworkModel(**net),
+        rebalance=None if args.rebalance_at is None else RebalanceSpec(
+            time=args.rebalance_at, add_nodes=args.rebalance_add,
+            remove_node=args.rebalance_remove,
+            entries_per_batch=args.migrate_batch, interval=args.migrate_interval,
+        ),
+        node_failure=None if args.fail_node is None else NodeFailureSpec(
+            node=args.fail_node, time=args.fail_node_at),
+        fail_slow=tuple(
+            FailSlowSpec(*_fields("--fail-slow", "numeric DISK:START:END:MULT",
+                                  s, int, float, float, float))
+            for s in args.fail_slow or []
+        ),
+        verify_content=args.verify_content,
+        directory=_directory_config(args),
+    )
+    if args.vnodes is None:
+        return config
+    return dataclasses.replace(config, vnodes=args.vnodes)
+
+
+def _run_spec(args: argparse.Namespace):
+    """The :class:`~repro.experiments.runner.RunSpec` a replay
+    command's flags describe (flags a command lacks take defaults)."""
+    from repro.cluster import ClusterConfig
+    from repro.experiments.runner import RunSpec, Tenants
+    from repro.jobs import JobsConfig
+    from repro.sim.replay import ReplayConfig
+    from repro.storage.raid import RaidLevel
+
+    overrides = {}
+    if getattr(args, "index_fraction", None) is not None:
+        overrides["index_fraction"] = args.index_fraction
+    chunking = _chunking_config(args)
+    if chunking is not None:
+        overrides["chunking"] = chunking
+    nodes = getattr(args, "nodes", None)
+    cluster = _cluster_config(args) if nodes is not None else ClusterConfig()
+    jobs = _jobs_config(args)
+    gc = cluster.directory.gc if cluster.directory is not None else None
+    if jobs is None and gc is not None and gc.mode == "online":
+        jobs = JobsConfig()  # online GC runs as a leased job
+    level = RaidLevel[getattr(args, "raid", "raid5").upper()]
+    ndisks = getattr(args, "ndisks", None)
+    replay = ReplayConfig(
+        raid_level=level,
+        ndisks=ndisks if ndisks is not None else (1 if level is RaidLevel.SINGLE else 4),
+        failed_disk=getattr(args, "failed_disk", None),
+        check_invariants=args.check_invariants,
+        sanitize_every=getattr(args, "sanitize_every", 1000),
+        faults=_fault_plan(args),
+        fault_seed=getattr(args, "fault_seed", None),
+        jobs=jobs,
+        **_telemetry_config(args),
+    )
+    tenants = None
+    if hasattr(args, "copies"):
+        tenants = Tenants(copies=args.copies, divergence=args.divergence,
+                          skew=args.skew)
+    return RunSpec(
+        getattr(args, "traces", None) or (args.trace,),
+        getattr(args, "scheme", "POD"), overrides, tenants=tenants,
+        nodes=nodes, replay=replay, cluster=cluster, seed=args.seed,
+        scale=args.scale,
+    )
+
+
+def _print_tables(result, spec) -> None:
+    """The per-volume (one shared domain) or per-node and cluster
+    sections a replay's result carries."""
+    if spec.nodes is None and result.volumes:
+        print()
+        print(render_table(
+            f"per-volume breakdown ({len(result.volumes)} volumes, "
+            f"shared dedup domain)",
+            ["vol", "name", "reqs", "mean ms", "wr elim blk",
+             "x-vol dedup", "intra dedup"],
+            [[v["volume_id"], v["name"], v.get("requests", 0),
+              f"{v.get('mean_response', 0.0) * 1e3:.3f}",
+              v.get("writes_eliminated_blocks", 0),
+              v.get("cross_volume_deduped_blocks", 0),
+              v.get("intra_volume_deduped_blocks", 0)]
+             for v in result.volumes],
+        ))
+    if result.nodes:
+        print()
+        print(render_table(
+            f"per-node breakdown ({len(result.nodes)} nodes, "
+            f"sharded fingerprint directory)",
+            ["node", "name", "vols", "reqs", "mean ms", "wr elim",
+             "remote lkp", "remote dup", "rebal miss"],
+            [[n["node_id"], n["name"], len(n.get("volumes", [])),
+              n.get("requests", n.get("requests_served", 0)),
+              f"{n.get('mean_response', 0.0) * 1e3:.3f}",
+              n.get("write_requests_removed", 0), n.get("remote_lookups", 0),
+              n.get("remote_duplicate_blocks", 0),
+              n.get("rebalance_misses", 0)]
+             for n in result.nodes],
+        ))
+    cs = result.cluster_stats
+    if cs is None:
+        return
+    fabric = cs.get("fabric", {})
+    print(f"cluster: {cs['nodes']} nodes, ring {cs['ring_members']}, "
+          f"{cs['remote_lookups']} remote lookups, "
+          f"{cs['remote_duplicate_blocks']} remote duplicate blocks, "
+          f"fabric {fabric.get('rpcs', 0)} RPCs / "
+          f"{fabric.get('bytes_moved', 0)} bytes")
+    rb = cs.get("rebalance")
+    if rb is not None:
+        print(f"rebalance: moved {rb.get('entries_migrated', 0)} entries "
+              f"({rb.get('entries_superseded', 0)} superseded), "
+              f"{cs.get('rebalance_misses', 0)} directory misses")
+    nf = cs.get("node_failure")
+    if nf is not None:
+        print(f"node failure: node {nf.get('node')} disk {nf.get('disk')} "
+              f"rebuild done={nf.get('done')} "
+              f"progress={nf.get('progress', 0.0):.2f}")
+    dstats = cs.get("directory")
+    if dstats is not None:
+        print(f"directory: R={dstats.get('replication')} "
+              f"{dstats.get('consistency')}, "
+              f"{dstats.get('read_repairs', 0)} read repairs "
+              f"({dstats.get('repair_pushes', 0)} pushes), "
+              f"{dstats.get('degraded_lookups', 0)} degraded / "
+              f"{dstats.get('unavailable_lookups', 0)} unavailable lookups, "
+              f"{dstats.get('remote_refs_registered', 0)} remote refs, "
+              f"down={dstats.get('down_members', [])}")
+        gcs = dstats.get("gc")
+        if gcs is not None:
+            print(f"gc[{gcs.get('mode')}]: "
+                  f"{gcs.get('gc_reclaimed_blocks', 0)} blocks reclaimed, "
+                  f"{gcs.get('decrements_applied', 0)} decrements applied, "
+                  f"{gcs.get('gc_live_skips', 0)} live skips, "
+                  f"{gcs.get('gc_pending_intents', 0)} pending intents, "
+                  f"{gcs.get('journal_records', 0)} journal records")
+    for oracle in cs.get("oracle", []):
+        print(f"oracle node{oracle.get('node')}: "
+              f"{oracle.get('blocks_checked', 0)} blocks checked, "
+              f"{oracle.get('mismatches', 0)} mismatches")
+
+
+def _print_summaries(result, args: argparse.Namespace) -> None:
+    """One line per armed subsystem (invariants, faults, leased jobs,
+    telemetry; full detail in reports) and the telemetry JSONL files."""
+    if result.sanitizer is not None:
+        s = result.sanitizer.summary()
+        print(f"invariants clean: {s['checks_run']} structural checks, "
+              f"{s['decisions_validated']} dedupe decisions validated")
+    stats = result.fault_stats
+    if stats:
+        counters = stats.get("counters", {})
+        oracle = stats.get("oracle", {})
+        injected = sum(
+            v for k, v in counters.items()
+            if k in ("lse_injected", "member_failures", "nvram_losses",
+                     "index_corruptions", "fail_slow_windows")
+        )
+        print(f"faults: seed={stats.get('seed')} injected={injected} "
+              f"recoveries={stats.get('recovery_latency', {}).get('count', 0)} "
+              f"oracle: {oracle.get('blocks_checked', 0)} blocks checked, "
+              f"{oracle.get('mismatches', 0)} mismatches, "
+              f"{oracle.get('at_risk_reads', 0)} at-risk reads")
+    stats = result.jobs_stats
+    if stats:
+        c = stats.get("counters", {})
+        ledger = stats.get("oracle", {})
+        print(f"jobs: {c.get('jobs_completed', 0)}/{c.get('jobs_submitted', 0)} "
+              f"completed, {c.get('claims', 0)} claims "
+              f"({c.get('stale_lease_reclaims', 0)} stale re-claims), "
+              f"{c.get('steps_committed', 0)} steps committed "
+              f"({c.get('fenced_commits', 0)} fenced), "
+              f"ledger violations {len(ledger.get('violations', []))}")
+        adm = stats.get("admission")
+        if adm:
+            print(f"admission: {adm.get('requests_admitted', 0)} admitted, "
+                  f"{adm.get('requests_throttled', 0)} throttled, "
+                  f"{adm.get('throttle_delay_total', 0.0):.3f}s total delay")
+    if result.timeline is not None:
+        doc = result.timeline.as_dict()
         print(f"timeline: {doc['windows_total']} windows of "
               f"{doc['window']:.4g}s (t_end {doc['t_end']:.3f})")
-        if getattr(args, "timeline_out", None) is not None:
-            lines = timeline.write_jsonl(args.timeline_out)
+        if args.timeline_out is not None:
+            lines = result.timeline.write_jsonl(args.timeline_out)
             print(f"wrote {args.timeline_out}: {lines - 1} windows")
-    spans = getattr(result, "spans", None)
-    if spans is not None:
-        s = spans.summary()
+    if result.spans is not None:
+        s = result.spans.summary()
         print(f"spans: {s['spans']} recorded ({s['dropped']} dropped, "
               f"{s['open']} left open)")
-        if getattr(args, "spans_out", None) is not None:
-            lines = spans.write_jsonl(args.spans_out)
+        if args.spans_out is not None:
+            lines = result.spans.write_jsonl(args.spans_out)
             print(f"wrote {args.spans_out}: {lines - 1} spans")
-    slo = getattr(result, "slo_stats", None)
+    slo = result.slo_stats
     if slo is not None:
         worst = max((o["worst_burn"] for o in slo["objectives"]), default=0.0)
         print(f"slo: {len(slo['objectives'])} objectives over "
@@ -653,384 +664,40 @@ def _print_telemetry(result, args: argparse.Namespace) -> None:
               f"worst burn rate {worst:.2f}")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_replay(args: argparse.Namespace) -> int:
+    """``run``, ``run-multi`` and ``run-cluster``: build the spec,
+    execute it, print the sections the result carries."""
     import time
 
-    from repro.experiments import runner
+    from repro.experiments.runner import execute
     from repro.obs import TraceLevel, TraceRecorder, build_run_report, write_report
-    from repro.sim.replay import ReplayConfig
-    from repro.storage.raid import RaidLevel
 
-    overrides = {}
-    if args.index_fraction is not None:
-        overrides["index_fraction"] = args.index_fraction
-    chunking = _chunking_config(args)
-    if chunking is not None:
-        overrides["chunking"] = chunking
-    level = {
-        "raid5": RaidLevel.RAID5,
-        "raid0": RaidLevel.RAID0,
-        "single": RaidLevel.SINGLE,
-    }[args.raid]
-    ndisks = args.ndisks if args.ndisks is not None else (1 if level is RaidLevel.SINGLE else 4)
-    telemetry = _telemetry_config(args)
-    jobs_config = _jobs_config(args)
-    replay_config = ReplayConfig(
-        raid_level=level,
-        ndisks=ndisks,
-        failed_disk=args.failed_disk,
-        check_invariants=args.check_invariants,
-        sanitize_every=args.sanitize_every,
-        faults=_fault_plan(args),
-        fault_seed=args.fault_seed,
-        jobs=jobs_config,
-        **telemetry,
+    spec = _run_spec(args)
+    # An explicit --trace-level wins; --trace-out implies "request" (a
+    # trace file with no events would be useless); else no recording.
+    level = getattr(args, "trace_level", None)
+    trace_out = getattr(args, "trace_out", None)
+    trace_level = (
+        TraceLevel.parse(level) if level is not None
+        else TraceLevel.REQUEST if trace_out is not None else TraceLevel.OFF
     )
-
-    observed = (
-        args.seed is not None
-        or args.trace_level is not None
-        or args.trace_out is not None
-        or args.report_out is not None
-        or bool(telemetry)
-    )
-    if not observed:
-        # Plain run: share the memoised fast path with the figure benches.
-        result = runner.run_single(
-            args.trace, args.scheme, scale=args.scale,
-            replay_config=replay_config, **overrides,
-        )
-        _print_result(result)
-        _print_invariants(result)
-        _print_fault_summary(result)
-        _print_jobs_summary(result)
-        return 0
-
-    trace_level = _effective_trace_level(args)
-    recorder = (
-        TraceRecorder(level=trace_level)
-        if (trace_level > TraceLevel.OFF or args.trace_out is not None)
-        else None
-    )
+    recorder = None
+    if trace_level > TraceLevel.OFF or trace_out is not None:
+        recorder = TraceRecorder(level=trace_level)
     t0 = time.perf_counter()
-    result = runner.run_observed(
-        args.trace, args.scheme, scale=args.scale, seed=args.seed,
-        replay_config=replay_config, recorder=recorder, **overrides,
-    )
+    result = execute(spec, recorder=recorder)
     wall = time.perf_counter() - t0
     _print_result(result)
-
-    _print_invariants(result)
-    _print_fault_summary(result)
-    _print_jobs_summary(result)
-    _print_telemetry(result, args)
-    if args.trace_out is not None:
-        lines = recorder.write_jsonl(args.trace_out)
-        print(f"wrote {args.trace_out}: {lines - 1} events "
+    _print_tables(result, spec)
+    _print_summaries(result, args)
+    if trace_out is not None:
+        lines = recorder.write_jsonl(trace_out)
+        print(f"wrote {trace_out}: {lines - 1} events "
               f"(level {trace_level.name.lower()}, {recorder.dropped} dropped)")
     if args.report_out is not None:
-        config_doc = {
-            "raid": args.raid,
-            "ndisks": ndisks,
-            "failed_disk": args.failed_disk,
-            "index_fraction": args.index_fraction,
-            "faults": args.faults,
-            "fault_seed": args.fault_seed,
-        }
-        if jobs_config is not None:
-            config_doc["jobs"] = jobs_config.as_dict()
         report = build_run_report(
-            result,
-            seed=args.seed,
-            scale=args.scale,
-            trace_level=trace_level.name.lower(),
-            recorder=recorder,
-            config=config_doc,
-            overhead={"replay_wall_s": wall},
-        )
-        write_report(report, args.report_out)
-        print(f"wrote {args.report_out}")
-    return 0
-
-
-def cmd_run_multi(args: argparse.Namespace) -> int:
-    from repro.experiments import runner
-    from repro.sim.replay import ReplayConfig
-
-    jobs_config = _jobs_config(args)
-    replay_config = ReplayConfig(
-        check_invariants=args.check_invariants,
-        sanitize_every=args.sanitize_every,
-        faults=_fault_plan(args),
-        fault_seed=args.fault_seed,
-        jobs=jobs_config,
-        **_telemetry_config(args),
-    )
-    overrides = {}
-    chunking = _chunking_config(args)
-    if chunking is not None:
-        overrides["chunking"] = chunking
-    result = runner.run_multi(
-        args.traces,
-        args.scheme,
-        copies=args.copies,
-        scale=args.scale,
-        seed=args.seed,
-        divergence=args.divergence,
-        arrival_skew=args.skew,
-        replay_config=replay_config,
-        **overrides,
-    )
-    _print_result(result)
-    print()
-    print(render_table(
-        f"per-volume breakdown ({len(result.volumes)} volumes, "
-        f"shared dedup domain)",
-        ["vol", "name", "reqs", "mean ms", "wr elim blk",
-         "x-vol dedup", "intra dedup"],
-        [
-            [
-                v["volume_id"],
-                v["name"],
-                v.get("requests", 0),
-                f"{v.get('mean_response', 0.0) * 1e3:.3f}",
-                v.get("writes_eliminated_blocks", 0),
-                v.get("cross_volume_deduped_blocks", 0),
-                v.get("intra_volume_deduped_blocks", 0),
-            ]
-            for v in result.volumes
-        ],
-    ))
-    _print_invariants(result)
-    _print_fault_summary(result)
-    _print_jobs_summary(result)
-    _print_telemetry(result, args)
-    if args.report_out is not None:
-        from repro.obs import build_run_report, write_report
-
-        config_doc = {
-            "traces": list(args.traces),
-            "copies": args.copies,
-            "divergence": args.divergence,
-            "arrival_skew": args.skew,
-            "faults": args.faults,
-            "fault_seed": args.fault_seed,
-        }
-        if jobs_config is not None:
-            config_doc["jobs"] = jobs_config.as_dict()
-        report = build_run_report(
-            result,
-            seed=args.seed,
-            scale=args.scale,
-            config=config_doc,
-        )
-        write_report(report, args.report_out)
-        print(f"wrote {args.report_out}")
-    return 0
-
-
-def cmd_run_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterConfig, NetworkModel, RebalanceSpec
-    from repro.errors import ConfigError
-    from repro.experiments import runner
-    from repro.faults import FailSlowSpec, NodeFailureSpec
-    from repro.sim.replay import ReplayConfig
-
-    net_kwargs = {}
-    if args.net_latency is not None:
-        net_kwargs["latency"] = args.net_latency
-    if args.net_bandwidth is not None:
-        net_kwargs["bandwidth"] = args.net_bandwidth
-    rebalance = None
-    if args.rebalance_at is not None:
-        rebalance = RebalanceSpec(
-            time=args.rebalance_at,
-            add_nodes=args.rebalance_add,
-            remove_node=args.rebalance_remove,
-            entries_per_batch=args.migrate_batch,
-            interval=args.migrate_interval,
-        )
-    elif args.rebalance_add or args.rebalance_remove is not None:
-        raise ConfigError(
-            "--rebalance-add/--rebalance-remove require --rebalance-at"
-        )
-    node_failure = None
-    if args.fail_node is not None:
-        if args.fail_node_at is None:
-            raise ConfigError("--fail-node requires --fail-node-at")
-        node_failure = NodeFailureSpec(node=args.fail_node, time=args.fail_node_at)
-    elif args.fail_node_at is not None:
-        raise ConfigError("--fail-node-at requires --fail-node")
-    fail_slow = []
-    for spec_str in args.fail_slow or []:
-        parts = spec_str.split(":")
-        if len(parts) != 4:
-            raise ConfigError(
-                f"--fail-slow expects DISK:START:END:MULT, got {spec_str!r}"
-            )
-        try:
-            fail_slow.append(FailSlowSpec(
-                disk=int(parts[0]),
-                start=float(parts[1]),
-                end=float(parts[2]),
-                multiplier=float(parts[3]),
-            ))
-        except ValueError:
-            raise ConfigError(
-                f"--fail-slow expects numeric DISK:START:END:MULT, "
-                f"got {spec_str!r}"
-            )
-    directory_config = _directory_config(args)
-    cluster_kwargs = dict(
-        net=NetworkModel(**net_kwargs),
-        rebalance=rebalance,
-        node_failure=node_failure,
-        verify_content=args.verify_content,
-    )
-    if fail_slow:
-        cluster_kwargs["fail_slow"] = tuple(fail_slow)
-    if args.vnodes is not None:
-        cluster_kwargs["vnodes"] = args.vnodes
-    if directory_config is not None:
-        cluster_kwargs["directory"] = directory_config
-    cluster_config = ClusterConfig(**cluster_kwargs)
-    jobs_config = _jobs_config(args)
-    if (
-        directory_config is not None
-        and directory_config.gc is not None
-        and directory_config.gc.mode == "online"
-        and jobs_config is None
-    ):
-        # Online GC runs as a leased job: --gc implies --jobs.
-        from repro.jobs import JobsConfig
-
-        jobs_config = JobsConfig()
-    replay_config = ReplayConfig(
-        check_invariants=args.check_invariants,
-        sanitize_every=args.sanitize_every,
-        jobs=jobs_config,
-        **_telemetry_config(args),
-    )
-    result = runner.run_cluster(
-        args.traces,
-        args.scheme,
-        nodes=args.nodes,
-        copies=args.copies,
-        scale=args.scale,
-        seed=args.seed,
-        divergence=args.divergence,
-        arrival_skew=args.skew,
-        replay_config=replay_config,
-        cluster_config=cluster_config,
-    )
-    _print_result(result)
-    if result.nodes:
-        print()
-        print(render_table(
-            f"per-node breakdown ({len(result.nodes)} nodes, "
-            f"sharded fingerprint directory)",
-            ["node", "name", "vols", "reqs", "mean ms", "wr elim",
-             "remote lkp", "remote dup", "rebal miss"],
-            [
-                [
-                    n["node_id"],
-                    n["name"],
-                    len(n.get("volumes", [])),
-                    n.get("requests", n.get("requests_served", 0)),
-                    f"{n.get('mean_response', 0.0) * 1e3:.3f}",
-                    n.get("write_requests_removed", 0),
-                    n.get("remote_lookups", 0),
-                    n.get("remote_duplicate_blocks", 0),
-                    n.get("rebalance_misses", 0),
-                ]
-                for n in result.nodes
-            ],
-        ))
-    cs = result.cluster_stats
-    if cs is not None:
-        fabric = cs.get("fabric", {})
-        print(f"cluster: {cs['nodes']} nodes, ring {cs['ring_members']}, "
-              f"{cs['remote_lookups']} remote lookups, "
-              f"{cs['remote_duplicate_blocks']} remote duplicate blocks, "
-              f"fabric {fabric.get('rpcs', 0)} RPCs / "
-              f"{fabric.get('bytes_moved', 0)} bytes")
-        rb = cs.get("rebalance")
-        if rb is not None:
-            print(f"rebalance: moved {rb.get('entries_migrated', 0)} entries "
-                  f"({rb.get('entries_superseded', 0)} superseded), "
-                  f"{cs.get('rebalance_misses', 0)} directory misses")
-        nf = cs.get("node_failure")
-        if nf is not None:
-            print(f"node failure: node {nf.get('node')} disk {nf.get('disk')} "
-                  f"rebuild done={nf.get('done')} "
-                  f"progress={nf.get('progress', 0.0):.2f}")
-        dstats = cs.get("directory")
-        if dstats is not None:
-            print(f"directory: R={dstats.get('replication')} "
-                  f"{dstats.get('consistency')}, "
-                  f"{dstats.get('read_repairs', 0)} read repairs "
-                  f"({dstats.get('repair_pushes', 0)} pushes), "
-                  f"{dstats.get('degraded_lookups', 0)} degraded / "
-                  f"{dstats.get('unavailable_lookups', 0)} unavailable lookups, "
-                  f"{dstats.get('remote_refs_registered', 0)} remote refs, "
-                  f"down={dstats.get('down_members', [])}")
-            gcs = dstats.get("gc")
-            if gcs is not None:
-                print(f"gc[{gcs.get('mode')}]: "
-                      f"{gcs.get('gc_reclaimed_blocks', 0)} blocks reclaimed, "
-                      f"{gcs.get('decrements_applied', 0)} decrements applied, "
-                      f"{gcs.get('gc_live_skips', 0)} live skips, "
-                      f"{gcs.get('gc_pending_intents', 0)} pending intents, "
-                      f"{gcs.get('journal_records', 0)} journal records")
-        for oracle in cs.get("oracle", []):
-            print(f"oracle node{oracle.get('node')}: "
-                  f"{oracle.get('blocks_checked', 0)} blocks checked, "
-                  f"{oracle.get('mismatches', 0)} mismatches")
-    _print_invariants(result)
-    _print_jobs_summary(result)
-    _print_telemetry(result, args)
-    if args.report_out is not None:
-        from repro.obs import build_run_report, write_report
-
-        config_doc = {
-            "traces": list(args.traces),
-            "nodes": args.nodes,
-            "copies": args.copies,
-            "divergence": args.divergence,
-            "arrival_skew": args.skew,
-            "vnodes": args.vnodes,
-            "net_latency": args.net_latency,
-            "net_bandwidth": args.net_bandwidth,
-            "rebalance_at": args.rebalance_at,
-            "rebalance_add": args.rebalance_add,
-            "rebalance_remove": args.rebalance_remove,
-            "fail_node": args.fail_node,
-            "fail_node_at": args.fail_node_at,
-        }
-        if fail_slow:
-            config_doc["fail_slow"] = list(args.fail_slow)
-        if jobs_config is not None:
-            config_doc["jobs"] = jobs_config.as_dict()
-        if directory_config is not None:
-            config_doc["replication"] = directory_config.replication
-            config_doc["consistency"] = directory_config.consistency.value
-            if directory_config.gc is not None:
-                config_doc["gc"] = {
-                    "mode": directory_config.gc.mode,
-                    "start": directory_config.gc.start,
-                    "interval": directory_config.gc.interval,
-                    "batch": directory_config.gc.batch,
-                }
-            if directory_config.kill is not None:
-                config_doc["kill_metadata_node"] = {
-                    "node": directory_config.kill.node,
-                    "time": directory_config.kill.time,
-                }
-        report = build_run_report(
-            result,
-            seed=args.seed,
-            scale=args.scale,
-            config=config_doc,
+            result, seed=spec.seed, scale=spec.scale, recorder=recorder,
+            config=spec.as_dict(), overhead={"replay_wall_s": wall},
         )
         write_report(report, args.report_out)
         print(f"wrote {args.report_out}")
@@ -1038,40 +705,22 @@ def cmd_run_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from repro.experiments import runner
-    from repro.experiments.runner import PAPER_SCHEMES
-    from repro.sim.replay import ReplayConfig
+    from repro.experiments.runner import PAPER_SCHEMES, execute
+    from repro.obs import build_compare_report, build_run_report, write_report
 
-    observed = args.seed is not None or args.report_out is not None
-    replay_config = ReplayConfig(
-        check_invariants=args.check_invariants,
-        faults=_fault_plan(args),
-        fault_seed=args.fault_seed,
-    )
+    base = _run_spec(args)
     rows = []
     reports = []
     fault_rows = []
     for scheme in PAPER_SCHEMES:
-        if observed:
-            result = runner.run_observed(
-                args.trace, scheme, scale=args.scale, seed=args.seed,
-                replay_config=replay_config,
-            )
-        else:
-            result = runner.run_single(
-                args.trace, scheme, scale=args.scale,
-                replay_config=replay_config,
-            )
-        rows.append(
-            [
-                scheme,
-                result.metrics.overall_summary().mean * 1e3,
-                result.metrics.read_summary().mean * 1e3,
-                result.metrics.write_summary().mean * 1e3,
-                f"{result.removed_write_pct:.1f}%",
-                result.capacity_blocks,
-            ]
-        )
+        spec = dataclasses.replace(base, scheme=scheme)
+        result = execute(spec)
+        m = result.metrics
+        rows.append([
+            scheme, m.overall_summary().mean * 1e3, m.read_summary().mean * 1e3,
+            m.write_summary().mean * 1e3, f"{result.removed_write_pct:.1f}%",
+            result.capacity_blocks,
+        ])
         if result.fault_stats is not None:
             oracle = result.fault_stats.get("oracle", {})
             fault_rows.append([
@@ -1082,18 +731,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 oracle.get("mismatches", 0),
             ])
         if args.report_out is not None:
-            from repro.obs import build_run_report
-
-            reports.append(
-                build_run_report(result, seed=args.seed, scale=args.scale)
-            )
-    print(
-        render_table(
-            f"{args.trace} @ scale {args.scale} (4-disk RAID-5)",
-            ["scheme", "mean (ms)", "read (ms)", "write (ms)", "removed", "capacity"],
-            rows,
-        )
-    )
+            reports.append(build_run_report(
+                result, seed=spec.seed, scale=spec.scale, config=spec.as_dict()
+            ))
+    print(render_table(
+        f"{args.trace} @ scale {args.scale} (4-disk RAID-5)",
+        ["scheme", "mean (ms)", "read (ms)", "write (ms)", "removed", "capacity"],
+        rows,
+    ))
     if fault_rows:
         print()
         print(render_table(
@@ -1103,8 +748,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             fault_rows,
         ))
     if args.report_out is not None:
-        from repro.obs import build_compare_report, write_report
-
         write_report(build_compare_report(reports), args.report_out)
         print(f"\nwrote {args.report_out}")
     return 0
@@ -1306,23 +949,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import lint
 
-    argv: List[str] = list(args.paths) or ["src"]
-    argv += ["--format", args.format]
-    if args.flow:
-        argv += ["--flow"]
-    if args.select is not None:
-        argv += ["--select", args.select]
-    if args.fix:
-        argv += ["--fix"]
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline is not None:
-        argv += ["--write-baseline", args.write_baseline]
-    if args.dump_summaries:
-        argv += ["--dump-summaries"]
-    if args.list_rules:
-        argv += ["--list-rules"]
-    return lint.main(argv)
+    return lint.main(args.lint_argv)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -1336,9 +963,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 COMMANDS = {
-    "run": cmd_run,
-    "run-multi": cmd_run_multi,
-    "run-cluster": cmd_run_cluster,
+    "run": cmd_replay,
+    "run-multi": cmd_replay,
+    "run-cluster": cmd_replay,
     "compare": cmd_compare,
     "stats": cmd_stats,
     "figures": cmd_figures,
@@ -1352,7 +979,12 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "lint":
+        args.lint_argv = extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return COMMANDS[args.command](args)
     except ReproError as exc:

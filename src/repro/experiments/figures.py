@@ -209,9 +209,9 @@ def fig3_partition_sweep(
     rows: List[dict] = []
     body = []
     for fraction in fractions:
-        result = runner.run_custom(
-            calm, "Full-Dedupe", scale=scale, index_fraction=fraction
-        )
+        result = runner.execute(runner.RunSpec(
+            calm, "Full-Dedupe", {"index_fraction": fraction}, scale=scale
+        ))
         read = result.metrics.read_summary()
         write = result.metrics.write_summary()
         rows.append(

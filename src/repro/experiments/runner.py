@@ -1,21 +1,29 @@
-"""Build-and-replay driver with a process-level result cache.
+"""One run specification and one executor, with a process-level memo.
 
-Figures 8, 9a, 9b, 10 and 11 are all views of the same fifteen
-replays (3 traces x 5 schemes), so the runner memoises
-:class:`~repro.sim.replay.ReplayResult` by the full run key; the
-figure benches then share one matrix instead of re-simulating.
+Every replay this package runs -- a figure's (trace, scheme) pair, a
+multi-tenant shared domain, a sharded cluster -- is described by one
+frozen :class:`RunSpec` and run by :func:`execute`.  Figures 8, 9a,
+9b, 10 and 11 are all views of the same fifteen replays (3 traces x
+5 schemes), so :func:`execute` memoises the plain single-trace runs
+by their spec; the figure benches then share one matrix instead of
+re-simulating.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
+import dataclasses
+from dataclasses import dataclass
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union,
+)
 
 from repro.baselines.base import DedupScheme, SchemeConfig
 from repro.baselines.registry import DEFAULT_REGISTRY
 from repro.cluster.replay import ClusterConfig, replay_cluster
 from repro.errors import ConfigError
 from repro.obs.trace import TraceRecorder
-from repro.sim.replay import ReplayConfig, ReplayResult, replay_trace, replay_traces
+from repro.sim.replay import ReplayConfig, ReplayResult, replay_traces
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
 from repro.traces.synthetic import (
     FP_FAMILY_STRIDE,
@@ -39,6 +47,9 @@ PAPER_SCHEMES: Tuple[str, ...] = DEFAULT_REGISTRY.paper_schemes()
 #: 3x5 matrix in seconds, large enough for stable shapes.
 DEFAULT_SCALE: float = 0.25
 
+#: A trace is a preset name (:func:`paper_traces`) or a custom spec.
+TraceRef = Union[str, TraceSpec]
+
 _trace_cache: Dict[Tuple[str, float, Optional[int]], Trace] = {}
 _run_cache: Dict[tuple, ReplayResult] = {}
 
@@ -49,30 +60,6 @@ def clear_run_cache() -> None:
     _run_cache.clear()
 
 
-def memoize_result(key: tuple, result: ReplayResult) -> None:
-    """Install a replay result into the run cache under ``key``.
-
-    Public seam for out-of-process executors (:mod:`repro.experiments.
-    parallel`) that compute results elsewhere and want subsequent
-    :func:`run_single` calls to hit the memo instead of re-simulating.
-    """
-    _run_cache[key] = result
-
-
-def telemetry_armed(config: ReplayConfig) -> bool:
-    """True when the config arms timeline/span/SLO telemetry or the
-    leased-job subsystem.  Such runs bypass the memo like
-    :func:`run_observed` does: the result carries per-run mutable
-    state (sampler, tracer, job runtime summaries) that must be fresh
-    for each caller."""
-    return (
-        config.timeline is not None
-        or config.spans
-        or config.slo is not None
-        or config.jobs is not None
-    )
-
-
 def get_trace(spec: TraceSpec, scale: float = 1.0, seed: Optional[int] = None) -> Trace:
     """Generate (or fetch the memoised) trace for a spec."""
     key = (spec.name, scale, seed)
@@ -81,34 +68,43 @@ def get_trace(spec: TraceSpec, scale: float = 1.0, seed: Optional[int] = None) -
     return _trace_cache[key]
 
 
-def scheme_config_for(
-    spec: TraceSpec, scale: float = 1.0, **overrides
-) -> SchemeConfig:
-    """Per-trace scheme configuration (memory budgets of Section IV-A).
+def _trace_spec(trace: TraceRef) -> TraceSpec:
+    if isinstance(trace, TraceSpec):
+        return trace
+    specs = paper_traces()
+    if trace not in specs:
+        raise ConfigError(f"unknown trace {trace!r}; have {sorted(specs)}")
+    return specs[trace]
 
-    The iCache epoch scales with the generator scale: trace duration
-    and phase length grow proportionally with scale, and the epoch
-    must keep integrating the same number of read/write phases per
-    decision (see benchmarks/bench_ablation_icache.py).
+
+def _node_config(
+    families: Sequence[TraceSpec], scale: float, overrides: Mapping[str, Any]
+) -> SchemeConfig:
+    """The one sizing rule (memory budgets of Section IV-A).
+
+    A node holding one volume of each of ``families`` gets the sum of
+    their scaled logical spaces and memory budgets (a generated
+    trace's ``logical_blocks`` is its scaled spec's).  The iCache
+    epoch scales with the generator scale: trace duration and phase
+    length grow proportionally with scale, and the epoch must keep
+    integrating the same number of read/write phases per decision
+    (see benchmarks/bench_ablation_icache.py).
     """
-    scaled = spec.scaled(scale) if scale != 1.0 else spec
-    params = dict(
-        logical_blocks=scaled.logical_blocks,
-        memory_bytes=scaled.memory_bytes,
+    scaled = [f.scaled(scale) if scale != 1.0 else f for f in families]
+    params: Dict[str, Any] = dict(
+        logical_blocks=sum(s.logical_blocks for s in scaled),
+        memory_bytes=sum(s.memory_bytes for s in scaled),
         icache_epoch=max(1.0, 16.0 * scale),
     )
     params.update(overrides)
     return SchemeConfig(**params)
 
 
-def resolve_scheme_name(scheme_name: str) -> str:
-    """Map a user-typed scheme name to its canonical report name.
-
-    Thin wrapper over :meth:`SchemeRegistry.resolve_name`; the lookup
-    is case-insensitive over names and aliases (``pod`` -> ``POD``),
-    so CLI users do not have to remember the paper's capitalisation.
-    """
-    return DEFAULT_REGISTRY.resolve_name(scheme_name)
+def scheme_config_for(
+    spec: TraceSpec, scale: float = 1.0, **overrides
+) -> SchemeConfig:
+    """Scheme configuration for one volume of ``spec``."""
+    return _node_config([spec], scale, overrides)
 
 
 def build_scheme(
@@ -120,133 +116,27 @@ def build_scheme(
     )
 
 
-def run_single(
-    trace_name: str,
-    scheme_name: str,
-    scale: float = DEFAULT_SCALE,
-    seed: Optional[int] = None,
-    replay_config: Optional[ReplayConfig] = None,
-    **config_overrides,
-) -> ReplayResult:
-    """Replay one (trace, scheme) pair, memoised.
-
-    ``config_overrides`` are :class:`SchemeConfig` fields (e.g.
-    ``index_fraction=0.3`` for the Fig. 3 sweep).
-    """
-    specs = paper_traces()
-    if trace_name not in specs:
-        raise ConfigError(f"unknown trace {trace_name!r}; have {sorted(specs)}")
-    scheme_name = resolve_scheme_name(scheme_name)
-    replay_config = replay_config if replay_config is not None else ReplayConfig()
-    key = (
-        trace_name,
-        scheme_name,
-        scale,
-        seed,
-        replay_config,
-        tuple(sorted(config_overrides.items())),
-    )
-    bypass = telemetry_armed(replay_config)
-    if not bypass and key in _run_cache:
-        return _run_cache[key]
-    spec = specs[trace_name]
-    trace = get_trace(spec, scale=scale, seed=seed)
-    scheme = build_scheme(scheme_name, spec, scale=scale, **config_overrides)
-    result = replay_trace(trace, scheme, replay_config)
-    if not bypass:
-        _run_cache[key] = result
-    return result
-
-
-def run_observed(
-    trace_name: str,
-    scheme_name: str,
-    scale: float = DEFAULT_SCALE,
-    seed: Optional[int] = None,
-    replay_config: Optional[ReplayConfig] = None,
-    recorder: Optional[TraceRecorder] = None,
-    **config_overrides,
-) -> ReplayResult:
-    """Replay one (trace, scheme) pair with observability attached.
-
-    Unlike :func:`run_single` this never consults or populates the
-    memo cache: an instrumented run must actually *run* so the
-    recorder sees the events and the result carries fresh per-replay
-    state (epoch timeline, recorder, scheme stats).  The trace cache
-    is still shared -- trace generation is deterministic in (spec,
-    scale, seed) and observation does not perturb it.
-    """
-    specs = paper_traces()
-    if trace_name not in specs:
-        raise ConfigError(f"unknown trace {trace_name!r}; have {sorted(specs)}")
-    scheme_name = resolve_scheme_name(scheme_name)
-    replay_config = replay_config if replay_config is not None else ReplayConfig()
-    spec = specs[trace_name]
-    trace = get_trace(spec, scale=scale, seed=seed)
-    scheme = build_scheme(scheme_name, spec, scale=scale, **config_overrides)
-    return replay_trace(trace, scheme, replay_config, recorder=recorder)
-
-
-def run_custom(
-    spec: TraceSpec,
-    scheme_name: str,
-    scale: float = DEFAULT_SCALE,
-    seed: Optional[int] = None,
-    replay_config: Optional[ReplayConfig] = None,
-    **config_overrides,
-) -> ReplayResult:
-    """Replay a non-preset trace spec (e.g. a figure-specific variant).
-
-    Memoised by ``spec.name`` -- give variants distinct names.
-    """
-    scheme_name = resolve_scheme_name(scheme_name)
-    replay_config = replay_config if replay_config is not None else ReplayConfig()
-    key = (
-        "custom",
-        spec.name,
-        scheme_name,
-        scale,
-        seed,
-        replay_config,
-        tuple(sorted(config_overrides.items())),
-    )
-    bypass = telemetry_armed(replay_config)
-    if not bypass and key in _run_cache:
-        return _run_cache[key]
-    trace = get_trace(spec, scale=scale, seed=seed)
-    scheme = build_scheme(scheme_name, spec, scale=scale, **config_overrides)
-    result = replay_trace(trace, scheme, replay_config)
-    if not bypass:
-        _run_cache[key] = result
-    return result
-
-
 def multi_tenant_traces(
-    trace_names: Sequence[str],
+    traces: Sequence[TraceRef],
     copies: int = 2,
     scale: float = DEFAULT_SCALE,
     seed: Optional[int] = None,
     divergence: float = 0.15,
     arrival_skew: float = 0.5,
 ) -> List[Trace]:
-    """Expand trace names into the multi-tenant volume set.
+    """Expand base traces into the multi-tenant volume set.
 
-    Each named base trace founds a *family* of ``copies`` tenant
-    volumes (clones of the base image with per-tenant divergence and
-    skewed arrival rates, :func:`clone_tenants`).  Distinct families
-    model unrelated base images, so their fingerprint spaces are
-    salted apart by :data:`FP_FAMILY_STRIDE` -- without the salt,
-    every generator's fingerprints start at 1 and unrelated workloads
-    would alias as cross-volume duplicates.
+    Each base trace founds a *family* of ``copies`` tenant volumes
+    (clones of the base image with per-tenant divergence and skewed
+    arrival rates, :func:`clone_tenants`).  Distinct families model
+    unrelated base images, so their fingerprint spaces are salted
+    apart by :data:`FP_FAMILY_STRIDE` -- without the salt, every
+    generator's fingerprints start at 1 and unrelated workloads would
+    alias as cross-volume duplicates.
     """
-    specs = paper_traces()
     volumes: List[Trace] = []
-    for family, trace_name in enumerate(trace_names):
-        if trace_name not in specs:
-            raise ConfigError(
-                f"unknown trace {trace_name!r}; have {sorted(specs)}"
-            )
-        base = get_trace(specs[trace_name], scale=scale, seed=seed)
+    for family, trace in enumerate(traces):
+        base = get_trace(_trace_spec(trace), scale=scale, seed=seed)
         base = salt_fingerprints(base, family * FP_FAMILY_STRIDE)
         volumes.extend(
             clone_tenants(
@@ -260,142 +150,220 @@ def multi_tenant_traces(
     return volumes
 
 
-def run_multi(
-    trace_names: Sequence[str],
-    scheme_name: str,
-    copies: int = 2,
-    scale: float = DEFAULT_SCALE,
-    seed: Optional[int] = None,
-    divergence: float = 0.15,
-    arrival_skew: float = 0.5,
-    replay_config: Optional[ReplayConfig] = None,
-    recorder: Optional[TraceRecorder] = None,
-    **config_overrides,
-) -> ReplayResult:
-    """Replay a multi-volume tenant set through one shared dedup domain.
+@dataclass(frozen=True)
+class Tenants:
+    """Tenant expansion: ``copies`` clones per base trace, each
+    privatising ``divergence`` of its content, tenant ``k`` arriving
+    at ``(k+1)^-skew`` of the base rate (:func:`multi_tenant_traces`)."""
 
-    The volumes share a single scheme instance: one Map-table, one
-    fingerprint index, one allocator, one cache -- so duplicate content
-    across tenants collapses to one physical copy (the paper's
-    Section I cloud scenario).  The scheme is sized for the *sum* of
-    the per-volume logical spaces and memory budgets; per-volume
-    response times and dedup splits land in ``result.volumes``.
+    copies: int = 2
+    divergence: float = 0.15
+    skew: float = 0.5
 
-    Never memoised: multi-volume runs are interactive/instrumented by
-    design and the tenant expansion is cheap relative to the replay.
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Everything one replay is a function of.
+
+    ``traces`` are preset names or :class:`TraceSpec` objects (a bare
+    one is a one-trace run).  ``tenants=None`` replays the traces as
+    generated; a :class:`Tenants` expands each into a family of tenant
+    volumes.  ``nodes=None`` replays every volume through one shared
+    dedup domain (:func:`~repro.sim.replay.replay_traces`); an int
+    spreads them round-robin over that many nodes
+    (:func:`~repro.cluster.replay.replay_cluster`, which reads
+    ``cluster``).  ``overrides`` are :class:`SchemeConfig` fields
+    (e.g. ``index_fraction=0.3`` for the Fig. 3 sweep), given as a
+    mapping or pairs and kept as sorted pairs.
     """
-    scheme_name = resolve_scheme_name(scheme_name)
-    replay_config = replay_config if replay_config is not None else ReplayConfig()
-    volumes = multi_tenant_traces(
-        trace_names,
-        copies=copies,
-        scale=scale,
-        seed=seed,
-        divergence=divergence,
-        arrival_skew=arrival_skew,
-    )
-    # Each tenant volume brings its base trace's memory budget; the
-    # consolidated host pools them into one shared cache/index budget.
-    specs = paper_traces()
-    memory_bytes = copies * sum(
-        (specs[n].scaled(scale) if scale != 1.0 else specs[n]).memory_bytes
-        for n in trace_names
-    )
-    params = dict(
-        logical_blocks=sum(t.logical_blocks for t in volumes),
-        memory_bytes=memory_bytes,
-        icache_epoch=max(1.0, 16.0 * scale),
-    )
-    params.update(config_overrides)
-    scheme = DEFAULT_REGISTRY.build(scheme_name, SchemeConfig(**params))
-    return replay_traces(volumes, scheme, replay_config, recorder=recorder)
 
+    traces: Tuple[TraceRef, ...]
+    scheme: str = "POD"
+    overrides: Tuple[Tuple[str, Any], ...] = ()
+    tenants: Optional[Tenants] = None
+    nodes: Optional[int] = None
+    replay: ReplayConfig = ReplayConfig()
+    cluster: ClusterConfig = ClusterConfig()
+    seed: Optional[int] = None
+    scale: float = DEFAULT_SCALE
 
-def run_cluster(
-    trace_names: Sequence[str],
-    scheme_name: str,
-    nodes: int = 2,
-    copies: int = 2,
-    scale: float = DEFAULT_SCALE,
-    seed: Optional[int] = None,
-    divergence: float = 0.15,
-    arrival_skew: float = 0.5,
-    replay_config: Optional[ReplayConfig] = None,
-    cluster_config: Optional[ClusterConfig] = None,
-    recorder: Optional[TraceRecorder] = None,
-    **config_overrides,
-) -> ReplayResult:
-    """Replay the multi-tenant volume set across a sharded cluster.
-
-    The tenant expansion is exactly :func:`multi_tenant_traces`; volumes
-    are spread round-robin over ``nodes`` complete POD instances, each
-    sized for the sum of its assigned volumes' logical spaces and
-    memory budgets (the same family-level budgets :func:`run_multi`
-    pools -- at ``nodes=1`` the single node gets the identical
-    configuration, which is what pins the golden bit-identity test).
-
-    Never memoised, like :func:`run_multi`.
-    """
-    scheme_name = resolve_scheme_name(scheme_name)
-    replay_config = replay_config if replay_config is not None else ReplayConfig()
-    cluster_config = (
-        cluster_config if cluster_config is not None else ClusterConfig()
-    )
-    volumes = multi_tenant_traces(
-        trace_names,
-        copies=copies,
-        scale=scale,
-        seed=seed,
-        divergence=divergence,
-        arrival_skew=arrival_skew,
-    )
-    if nodes < 1:
-        raise ConfigError(f"cluster needs at least one node, got {nodes}")
-    if nodes > len(volumes):
-        raise ConfigError(
-            f"{nodes} nodes but only {len(volumes)} tenant volumes; "
-            "every node must own at least one volume"
+    def __post_init__(self) -> None:
+        traces = self.traces
+        if isinstance(traces, (str, TraceSpec)):
+            traces = (traces,)
+        object.__setattr__(self, "traces", tuple(traces))
+        object.__setattr__(
+            self, "scheme", DEFAULT_REGISTRY.resolve_name(self.scheme)
         )
-    # Volume ``v`` descends from base trace family ``v // copies``
-    # (multi_tenant_traces emits tenants family-major), and carries
-    # that family's per-tenant memory budget.
-    specs = paper_traces()
-    family_budget = [
-        (specs[n].scaled(scale) if scale != 1.0 else specs[n]).memory_bytes
-        for n in trace_names
+        object.__setattr__(
+            self, "overrides", tuple(sorted(dict(self.overrides).items()))
+        )
+        if not self.traces:
+            raise ConfigError("a run needs at least one trace")
+        self.trace_specs()  # rejects unknown preset names
+        if self.nodes is None:
+            if self.cluster != ClusterConfig():
+                raise ConfigError("cluster options need a node count")
+            return
+        if self.nodes < 1:
+            raise ConfigError(f"cluster needs at least one node, got {self.nodes}")
+        volumes = len(self.traces) * (self.tenants.copies if self.tenants else 1)
+        if self.nodes > volumes:
+            raise ConfigError(
+                f"{self.nodes} nodes but only {volumes} tenant volumes; "
+                "every node must own at least one volume"
+            )
+
+    def trace_specs(self) -> List[TraceSpec]:
+        """The base trace specs, presets resolved."""
+        return [_trace_spec(t) for t in self.traces]
+
+    @property
+    def memo_key(self) -> Optional[tuple]:
+        """The memo key, or None for runs :func:`execute` never memoises.
+
+        Only plain single-trace runs are memoised.  Tenant and cluster
+        runs are interactive by design, and a run arming the timeline,
+        spans, an SLO or the job subsystem carries per-run mutable
+        state (sampler, tracer, job summaries) each caller must get
+        fresh.  A custom :class:`TraceSpec` is keyed by its name (it
+        is not hashable) -- give variants distinct names.
+        """
+        r = self.replay
+        armed = r.timeline is not None or r.spans or r.slo is not None
+        if armed or r.jobs is not None or len(self.traces) > 1 or (
+            self.tenants is not None or self.nodes is not None
+        ):
+            return None
+        trace = self.traces[0]
+        name = trace if isinstance(trace, str) else ("custom", trace.name)
+        return (name, self.scheme, self.overrides, r, self.seed, self.scale)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The run report's ``config`` section (JSON-ready)."""
+        r, c = self.replay, self.cluster
+        doc: Dict[str, Any] = {
+            "traces": [t if isinstance(t, str) else t.name for t in self.traces],
+            "scheme": self.scheme,
+            "overrides": {
+                k: dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v
+                for k, v in self.overrides
+            },
+            "index_fraction": dict(self.overrides).get("index_fraction"),
+            "seed": self.seed,
+            "scale": self.scale,
+            "raid": r.raid_level.name.lower(),
+            "ndisks": r.ndisks,
+            "failed_disk": r.failed_disk,
+            "faults": r.faults.as_dict() if r.faults is not None else None,
+            "fault_seed": r.fault_seed,
+            "jobs": r.jobs.as_dict() if r.jobs is not None else None,
+        }
+        if self.tenants is not None:
+            t = self.tenants
+            doc.update(copies=t.copies, divergence=t.divergence, arrival_skew=t.skew)
+        if self.nodes is None:
+            return doc
+        rb, nf, d = c.rebalance, c.node_failure, c.directory
+        gc = d.gc if d is not None else None
+        doc.update(
+            nodes=self.nodes, vnodes=c.vnodes,
+            net_latency=c.net.latency, net_bandwidth=c.net.bandwidth,
+            rebalance_at=rb.time if rb else None,
+            rebalance_add=rb.add_nodes if rb else 0,
+            rebalance_remove=rb.remove_node if rb else None,
+            fail_node=nf.node if nf else None, fail_node_at=nf.time if nf else None,
+            fail_slow=[dataclasses.asdict(w) for w in c.fail_slow],
+            verify_content=c.verify_content,
+            replication=d.replication if d else None,
+            consistency=d.consistency.value if d else None,
+            gc=dataclasses.asdict(gc) if gc else None,
+            kill_metadata_node=dataclasses.asdict(d.kill) if d and d.kill else None,
+        )
+        return doc
+
+
+def replay_spec(
+    spec: RunSpec,
+    volumes: Sequence[Union[Trace, ColumnarTrace]],
+    recorder: Optional[TraceRecorder] = None,
+) -> ReplayResult:
+    """Size one scheme per node and replay ``spec``'s volumes.
+
+    Volume ``v`` descends from base trace ``v // copies`` (tenants are
+    family-major), lives on node ``v % nodes``, and each node is sized
+    by :func:`_node_config`; one untenanted volume keeps the classic
+    single-volume report (no per-volume section).
+    """
+    families = spec.trace_specs()
+    per_family = spec.tenants.copies if spec.tenants is not None else 1
+    nodes = spec.nodes or 1
+    assignment = [v % nodes for v in range(len(volumes))]
+    schemes = [
+        DEFAULT_REGISTRY.build(spec.scheme, _node_config(
+            [families[v // per_family] for v, owner in enumerate(assignment)
+             if owner == node],
+            spec.scale, dict(spec.overrides),
+        ))
+        for node in range(nodes)
     ]
-    assignment = [vid % nodes for vid in range(len(volumes))]
-    schemes = []
-    for node in range(nodes):
-        vids = [vid for vid, owner in enumerate(assignment) if owner == node]
-        params = dict(
-            logical_blocks=sum(volumes[v].logical_blocks for v in vids),
-            memory_bytes=sum(family_budget[v // copies] for v in vids),
-            icache_epoch=max(1.0, 16.0 * scale),
+    if spec.nodes is None:
+        return replay_traces(
+            volumes, schemes[0], spec.replay, recorder=recorder,
+            per_volume_metrics=spec.tenants is not None or len(volumes) > 1,
         )
-        params.update(config_overrides)
-        schemes.append(DEFAULT_REGISTRY.build(scheme_name, SchemeConfig(**params)))
     return replay_cluster(
-        volumes,
-        schemes,
-        cluster_config,
-        replay_config,
-        assignment=assignment,
-        recorder=recorder,
+        volumes, schemes, spec.cluster, spec.replay,
+        assignment=assignment, recorder=recorder,
     )
+
+
+def execute(spec: RunSpec, recorder: Optional[TraceRecorder] = None) -> ReplayResult:
+    """Expand ``spec``'s tenants, size its nodes, replay, and memoise.
+
+    A run with a ``recorder`` always replays (the recorder must see
+    the events); see :attr:`RunSpec.memo_key` for the rest of the
+    memo's scope.  The trace cache is shared by every run: trace
+    generation is deterministic in (spec, scale, seed).
+    """
+    key = spec.memo_key if recorder is None else None
+    if key is not None and key in _run_cache:
+        return _run_cache[key]
+    t = spec.tenants
+    if t is None:
+        volumes = [
+            get_trace(s, scale=spec.scale, seed=spec.seed)
+            for s in spec.trace_specs()
+        ]
+    else:
+        volumes = multi_tenant_traces(
+            spec.traces, copies=t.copies, scale=spec.scale, seed=spec.seed,
+            divergence=t.divergence, arrival_skew=t.skew,
+        )
+    result = replay_spec(spec, volumes, recorder)
+    if key is not None:
+        _run_cache[key] = result
+    return result
+
+
+def remember(spec: RunSpec, result: ReplayResult) -> None:
+    """Memoise a result replayed elsewhere (the parallel runner's
+    workers) under ``spec``'s key, as :func:`execute` would have."""
+    if spec.memo_key is not None:
+        _run_cache[spec.memo_key] = result
 
 
 def run_matrix(
     trace_names: Optional[Iterable[str]] = None,
     scheme_names: Optional[Iterable[str]] = None,
     scale: float = DEFAULT_SCALE,
-    **kwargs,
+    seed: Optional[int] = None,
 ) -> Dict[Tuple[str, str], ReplayResult]:
     """Replay every (trace, scheme) combination."""
     traces = list(trace_names) if trace_names is not None else sorted(paper_traces())
     schemes = list(scheme_names) if scheme_names is not None else list(PAPER_SCHEMES)
     return {
-        (t, s): run_single(t, s, scale=scale, **kwargs)
+        (t, s): execute(RunSpec(t, s, seed=seed, scale=scale))
         for t in traces
         for s in schemes
     }

@@ -48,7 +48,9 @@ def _sha(result: ReplayResult) -> str:
 
 def _run(case: str) -> ReplayResult:
     if case in SCHEMES:
-        return runner.run_single(TRACE, case, scale=SCALE, seed=SEED)
+        return runner.execute(runner.RunSpec(
+            TRACE, case, seed=SEED, scale=SCALE,
+        ))
     if case == "SAR":
         spec = paper_traces()[TRACE]
         scheme = SARDedupe(
@@ -57,11 +59,15 @@ def _run(case: str) -> ReplayResult:
         trace = runner.get_trace(spec, scale=SCALE, seed=SEED)
         return replay_trace(trace, scheme, ReplayConfig(ssd_params=SsdParams()))
     if case == "POD+gear":
-        return runner.run_single(
-            TRACE, "POD", scale=SCALE, seed=SEED, chunking=ChunkingConfig()
-        )
+        return runner.execute(runner.RunSpec(
+            TRACE, "POD", {"chunking": ChunkingConfig()}, seed=SEED,
+            scale=SCALE,
+        ))
     if case == "POD-4-tenants":
-        return runner.run_multi([TRACE], "POD", copies=4, scale=SCALE, seed=SEED)
+        return runner.execute(runner.RunSpec(
+            [TRACE], "POD", tenants=runner.Tenants(copies=4), seed=SEED,
+            scale=SCALE,
+        ))
     raise KeyError(case)
 
 

@@ -12,7 +12,7 @@ import dataclasses
 
 from repro.cluster.rebalance import RebalanceSpec
 from repro.cluster.replay import ClusterConfig
-from repro.experiments.runner import run_cluster
+from repro.experiments.runner import RunSpec, Tenants, execute
 from repro.faults import FailSlowSpec, NodeFailureSpec
 from repro.jobs import JobsConfig, LeasePolicy, ScrubberSpec
 from repro.sim.replay import ReplayConfig
@@ -27,16 +27,11 @@ JOBS = JobsConfig(
 
 
 def _run(cluster_config, jobs=JOBS):
-    return run_cluster(
-        ["web-vm", "mail"],
-        "select-dedupe",
-        nodes=2,
-        copies=2,
-        scale=0.02,
-        seed=1,
-        replay_config=ReplayConfig(jobs=jobs),
-        cluster_config=cluster_config,
-    )
+    return execute(RunSpec(
+        ["web-vm", "mail"], "select-dedupe", tenants=Tenants(copies=2),
+        nodes=2, replay=ReplayConfig(jobs=jobs), cluster=cluster_config,
+        seed=1, scale=0.02,
+    ))
 
 
 class TestClusterStaleLeaseRecovery:

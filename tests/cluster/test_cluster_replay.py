@@ -15,6 +15,7 @@ The three load-bearing contracts of the cluster subsystem:
    read (content oracle per node).
 """
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -49,12 +50,14 @@ class TestGoldenOneNode:
     """N=1 cluster replay is *the* single-node replay, bit for bit."""
 
     def test_summary_and_stats_identical_to_run_multi(self):
-        multi = runner.run_multi(
-            ["web-vm"], "POD", copies=2, scale=SCALE, seed=SEED
-        )
-        one = runner.run_cluster(
-            ["web-vm"], "POD", nodes=1, copies=2, scale=SCALE, seed=SEED
-        )
+        multi = runner.execute(runner.RunSpec(
+            ["web-vm"], "POD", tenants=runner.Tenants(copies=2), seed=SEED,
+            scale=SCALE,
+        ))
+        one = runner.execute(runner.RunSpec(
+            ["web-vm"], "POD", tenants=runner.Tenants(copies=2), nodes=1,
+            seed=SEED, scale=SCALE,
+        ))
         # exact == on floats is deliberate: bit-identity, not closeness.
         assert one.summary() == multi.summary()
         assert one.scheme_stats == multi.scheme_stats
@@ -65,37 +68,46 @@ class TestGoldenOneNode:
         assert one.nodes == []
         assert one.cluster_stats is None
 
-    def test_report_byte_identical_to_run_multi(self):
-        multi = runner.run_multi(
-            ["web-vm", "mail"], "POD", copies=2, scale=SCALE, seed=SEED
+    @pytest.mark.parametrize(
+        "traces, copies",
+        [(("web-vm", "mail"), 2), (("homes",), 3)],
+        ids=["web-vm+mail", "homes-x3"],
+    )
+    def test_report_byte_identical_to_run_multi(self, traces, copies):
+        multi = runner.RunSpec(
+            traces, "POD", tenants=runner.Tenants(copies=copies),
+            seed=SEED, scale=SCALE,
         )
-        one = runner.run_cluster(
-            ["web-vm", "mail"], "POD", nodes=1, copies=2, scale=SCALE, seed=SEED
-        )
-        assert _report_bytes(one) == _report_bytes(multi)
+        one = dataclasses.replace(multi, nodes=1)
+        assert _report_bytes(runner.execute(one)) == \
+            _report_bytes(runner.execute(multi))
 
 
 class TestMultiNodeDeterminism:
     def test_same_seed_reproduces_report_bytes(self):
-        a = runner.run_cluster(
-            ["web-vm", "mail"], "POD", nodes=2, copies=2, scale=SCALE, seed=SEED
-        )
-        b = runner.run_cluster(
-            ["web-vm", "mail"], "POD", nodes=2, copies=2, scale=SCALE, seed=SEED
-        )
+        a = runner.execute(runner.RunSpec(
+            ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=2),
+            nodes=2, seed=SEED, scale=SCALE,
+        ))
+        b = runner.execute(runner.RunSpec(
+            ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=2),
+            nodes=2, seed=SEED, scale=SCALE,
+        ))
         assert _report_bytes(a) == _report_bytes(b)
 
     def test_network_latency_is_actually_charged(self):
         """A slower fabric must not speed anything up; remote lookups
         must pay for it in mean response time."""
-        fast = runner.run_cluster(
-            ["web-vm"], "POD", nodes=2, copies=2, scale=SCALE, seed=SEED,
-            cluster_config=ClusterConfig(net=NetworkModel(latency=1e-6)),
-        )
-        slow = runner.run_cluster(
-            ["web-vm"], "POD", nodes=2, copies=2, scale=SCALE, seed=SEED,
-            cluster_config=ClusterConfig(net=NetworkModel(latency=5e-3)),
-        )
+        fast = runner.execute(runner.RunSpec(
+            ["web-vm"], "POD", tenants=runner.Tenants(copies=2), nodes=2,
+            cluster=ClusterConfig(net=NetworkModel(latency=1e-6)), seed=SEED,
+            scale=SCALE,
+        ))
+        slow = runner.execute(runner.RunSpec(
+            ["web-vm"], "POD", tenants=runner.Tenants(copies=2), nodes=2,
+            cluster=ClusterConfig(net=NetworkModel(latency=5e-3)), seed=SEED,
+            scale=SCALE,
+        ))
         f, s = fast.summary(), slow.summary()
         assert s["mean_response"] > f["mean_response"]
         assert s["cluster"]["remote_lookups"] == f["cluster"]["remote_lookups"]
@@ -104,9 +116,10 @@ class TestMultiNodeDeterminism:
 class TestAccountingConservation:
     @pytest.fixture(scope="class")
     def two_node(self):
-        return runner.run_cluster(
-            ["web-vm", "mail"], "POD", nodes=2, copies=2, scale=SCALE, seed=SEED
-        )
+        return runner.execute(runner.RunSpec(
+            ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=2),
+            nodes=2, seed=SEED, scale=SCALE,
+        ))
 
     def test_node_sections_present(self, two_node):
         assert len(two_node.nodes) == 2
@@ -145,13 +158,15 @@ class TestAccountingConservation:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            runner.run_cluster(
-                ["web-vm"], "POD", nodes=0, copies=2, scale=SCALE, seed=SEED
-            )
+            runner.execute(runner.RunSpec(
+                ["web-vm"], "POD", tenants=runner.Tenants(copies=2), nodes=0,
+                seed=SEED, scale=SCALE,
+            ))
         with pytest.raises(ConfigError):
-            runner.run_cluster(
-                ["web-vm"], "POD", nodes=5, copies=2, scale=SCALE, seed=SEED
-            )
+            runner.execute(runner.RunSpec(
+                ["web-vm"], "POD", tenants=runner.Tenants(copies=2), nodes=5,
+                seed=SEED, scale=SCALE,
+            ))
 
 
 class TestContentOracleReport:
@@ -161,15 +176,10 @@ class TestContentOracleReport:
 
     @pytest.mark.parametrize("nodes", [1, 2])
     def test_oracle_summary_reported(self, nodes):
-        result = runner.run_cluster(
-            ["mail"],
-            "POD",
-            nodes=nodes,
-            copies=2,
-            scale=0.02,
-            seed=1,
-            cluster_config=ClusterConfig(verify_content=True),
-        )
+        result = runner.execute(runner.RunSpec(
+            ["mail"], "POD", tenants=runner.Tenants(copies=2), nodes=nodes,
+            cluster=ClusterConfig(verify_content=True), seed=1, scale=0.02,
+        ))
         assert result.cluster_stats is not None
         oracle = result.cluster_stats["oracle"]
         assert [o["node"] for o in oracle] == list(range(nodes))
@@ -190,54 +200,36 @@ class TestContentOracleVersusChunking:
     @pytest.mark.parametrize("nodes", [1, 2])
     def test_verify_content_with_cdc_rejected_up_front(self, nodes):
         with pytest.raises(ConfigError, match="content-defined chunking"):
-            runner.run_cluster(
-                ["mail"],
-                "POD",
-                nodes=nodes,
-                copies=2,
-                scale=0.02,
-                seed=1,
-                cluster_config=ClusterConfig(verify_content=True),
-                chunking=ChunkingConfig(),
-            )
+            runner.execute(runner.RunSpec(
+                ["mail"], "POD", {"chunking": ChunkingConfig()},
+                tenants=runner.Tenants(copies=2), nodes=nodes,
+                cluster=ClusterConfig(verify_content=True), seed=1, scale=0.02,
+            ))
 
     def test_faults_with_cdc_rejected_up_front(self):
         with pytest.raises(ConfigError, match="content-defined chunking"):
-            runner.run_observed(
-                "mail",
-                "POD",
-                scale=0.02,
-                seed=1,
-                replay_config=ReplayConfig(faults=FaultPlan()),
-                chunking=ChunkingConfig(),
-            )
+            runner.execute(runner.RunSpec(
+                "mail", "POD", {"chunking": ChunkingConfig()},
+                replay=ReplayConfig(faults=FaultPlan()), seed=1, scale=0.02,
+            ))
 
     def test_node_failure_and_fault_plan_rejected_together(self):
         with pytest.raises(ConfigError, match="node_failure cannot be combined"):
-            runner.run_cluster(
-                ["mail"],
-                "POD",
-                nodes=1,
-                copies=1,
-                scale=0.02,
-                seed=1,
-                replay_config=ReplayConfig(failed_disk=1),
-                cluster_config=ClusterConfig(
+            runner.execute(runner.RunSpec(
+                ["mail"], "POD", tenants=runner.Tenants(copies=1), nodes=1,
+                replay=ReplayConfig(failed_disk=1),
+                cluster=ClusterConfig(
                     node_failure=NodeFailureSpec(node=0, disk=2, time=1.0)
                 ),
-            )
+                seed=1, scale=0.02,
+            ))
 
     def test_faults_need_exactly_one_node(self):
         with pytest.raises(ConfigError, match="multi-node"):
-            runner.run_cluster(
-                ["mail"],
-                "POD",
-                nodes=2,
-                copies=2,
-                scale=0.02,
-                seed=1,
-                replay_config=ReplayConfig(faults=FaultPlan()),
-            )
+            runner.execute(runner.RunSpec(
+                ["mail"], "POD", tenants=runner.Tenants(copies=2), nodes=2,
+                replay=ReplayConfig(faults=FaultPlan()), seed=1, scale=0.02,
+            ))
 
 
 class TestLiveRebalance:
@@ -247,21 +239,18 @@ class TestLiveRebalance:
             ["web-vm", "mail"], copies=2, scale=SCALE, seed=SEED
         )
         t_end = max(rec.time for t in volumes for rec in t.records)
-        return runner.run_cluster(
-            ["web-vm", "mail"],
-            "POD",
+        return runner.execute(runner.RunSpec(
+            ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=2),
             nodes=2,
-            copies=2,
-            scale=SCALE,
-            seed=SEED,
-            cluster_config=ClusterConfig(
+            replay=ReplayConfig(check_invariants=True, sanitize_every=500),
+            cluster=ClusterConfig(
                 rebalance=RebalanceSpec(
                     time=0.25 * t_end, add_nodes=1, entries_per_batch=64
                 ),
                 verify_content=True,
             ),
-            replay_config=ReplayConfig(check_invariants=True, sanitize_every=500),
-        )
+            seed=SEED, scale=SCALE,
+        ))
 
     def test_migration_ran_and_drained(self, rebalanced):
         rb = rebalanced.cluster_stats["rebalance"]

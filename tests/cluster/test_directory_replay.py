@@ -55,16 +55,11 @@ def _report_sha(result):
 
 
 def _run(nodes=2, cluster_config=None, replay_config=None, scale=SCALE):
-    return runner.run_cluster(
-        ["web-vm", "mail"],
-        "POD",
-        nodes=nodes,
-        copies=2,
-        scale=scale,
-        seed=SEED,
-        cluster_config=cluster_config,
-        replay_config=replay_config,
-    )
+    return runner.execute(runner.RunSpec(
+        ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=2),
+        nodes=nodes, replay=replay_config or ReplayConfig(),
+        cluster=cluster_config or ClusterConfig(), seed=SEED, scale=scale,
+    ))
 
 
 def _trace_end(scale=SCALE):

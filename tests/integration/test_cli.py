@@ -6,8 +6,15 @@ from pathlib import Path
 import pytest
 
 from repro.cli import FIGURES, build_parser, main
+from repro.cluster import ClusterConfig
+from repro.cluster.directory import Consistency, DirectoryConfig
+from repro.dedup.chunking import ChunkingConfig
 from repro.experiments import runner
+from repro.experiments.runner import RunSpec, Tenants, execute
+from repro.obs.report import build_run_report
 from repro.sim import batch
+from repro.sim.replay import ReplayConfig
+from repro.storage.raid import RaidLevel
 
 SLO_POLICY = str(Path(__file__).resolve().parents[2] / "examples" / "slo.json")
 
@@ -176,6 +183,56 @@ def test_driver_report_equals_object_loop(name, tmp_path, monkeypatch):
     assert driver_calls == [1], "the default run did not take the driver"
     for section in sections:
         assert reports["driver"][section] == reports["object"][section], section
+
+
+#: Each replay command's argv and the spec it must build.
+SPEC_RUNS = {
+    "run": (
+        ["run", "--trace", "web-vm", "--scheme", "full-dedupe",
+         "--index-fraction", "0.3", "--raid", "raid0", "--ndisks", "2",
+         "--scale", "0.02", "--seed", "1"],
+        RunSpec("web-vm", "Full-Dedupe", {"index_fraction": 0.3},
+                replay=ReplayConfig(raid_level=RaidLevel.RAID0, ndisks=2),
+                seed=1, scale=0.02),
+    ),
+    "run-multi": (
+        ["run-multi", "--trace", "web-vm", "--trace", "mail", "--copies", "2",
+         "--scheme", "pod", "--chunking", "gear", "--scale", "0.02",
+         "--seed", "1"],
+        RunSpec(("web-vm", "mail"), "POD", {"chunking": ChunkingConfig()},
+                tenants=Tenants(copies=2), seed=1, scale=0.02),
+    ),
+    "run-cluster": (
+        ["run-cluster", "--trace", "mail", "--nodes", "2", "--copies", "2",
+         "--replication", "2", "--verify-content", "--scale", "0.02",
+         "--seed", "1"],
+        RunSpec("mail", "POD", tenants=Tenants(copies=2), nodes=2,
+                cluster=ClusterConfig(
+                    verify_content=True,
+                    directory=DirectoryConfig(
+                        replication=2, consistency=Consistency.QUORUM),
+                ),
+                seed=1, scale=0.02),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_RUNS))
+def test_cli_report_equals_spec_report(name, tmp_path):
+    """A replay command is its spec: the CLI's report is the report of
+    executing the spec built directly, and its config is the spec's."""
+    argv, spec = SPEC_RUNS[name]
+    out = tmp_path / "r.json"
+    assert main(argv + ["--report-out", str(out)]) == 0
+    cli = json.loads(out.read_text())
+    runner.clear_run_cache()
+    direct = json.loads(json.dumps(build_run_report(
+        execute(spec), seed=spec.seed, scale=spec.scale, config=spec.as_dict()
+    )))
+    for doc in (cli, direct):
+        del doc["generated_unix"], doc["overhead"]
+    assert cli == direct
+    assert cli["config"] == spec.as_dict()
 
 
 class TestDirectoryFlags:

@@ -5,12 +5,37 @@ benchmarks/); here we only check the plumbing: memoisation, override
 handling, table rendering, and the qualitative Table I content.
 """
 
+import json
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import figures, runner
+from repro.experiments.parallel import run_matrix_parallel
+from repro.jobs import JobsConfig
+from repro.obs.report import build_run_report
+from repro.obs.slo import SloPolicy
+from repro.obs.timeline import TimelineConfig
+from repro.obs.trace import TraceRecorder
+from repro.sim.replay import ReplayConfig
 
 SCALE = 0.02
+
+#: Spec fields (plus an optional recorder) that take a run out of the
+#: memo: each call must replay and hand back fresh per-run state.
+FRESH = {
+    "timeline": dict(replay=ReplayConfig(timeline=TimelineConfig(window=1.0))),
+    "spans": dict(replay=ReplayConfig(spans=True)),
+    "slo": dict(replay=ReplayConfig(slo=SloPolicy())),
+    "jobs": dict(replay=ReplayConfig(jobs=JobsConfig())),
+    "recorder": {},
+    "tenants": dict(tenants=runner.Tenants(copies=1)),
+    "nodes": dict(nodes=1),
+}
+
+
+def _report_bytes(result):
+    return json.dumps(build_run_report(result, clock=lambda: 0.0), sort_keys=True)
 
 
 @pytest.fixture(autouse=True)
@@ -22,32 +47,59 @@ def fresh_cache():
 
 class TestRunner:
     def test_run_single_returns_result(self):
-        r = runner.run_single("web-vm", "Native", scale=SCALE)
+        r = runner.execute(runner.RunSpec("web-vm", "Native", scale=SCALE))
         assert r.trace_name == "web-vm" and r.scheme_name == "Native"
 
     def test_memoisation_returns_same_object(self):
-        a = runner.run_single("web-vm", "Native", scale=SCALE)
-        b = runner.run_single("web-vm", "Native", scale=SCALE)
+        a = runner.execute(runner.RunSpec("web-vm", "Native", scale=SCALE))
+        b = runner.execute(runner.RunSpec("web-vm", "Native", scale=SCALE))
         assert a is b
 
     def test_overrides_change_the_key(self):
-        a = runner.run_single("web-vm", "Full-Dedupe", scale=SCALE)
-        b = runner.run_single("web-vm", "Full-Dedupe", scale=SCALE, index_fraction=0.2)
+        a = runner.execute(runner.RunSpec(
+            "web-vm", "Full-Dedupe", scale=SCALE,
+        ))
+        b = runner.execute(runner.RunSpec(
+            "web-vm", "Full-Dedupe", {"index_fraction": 0.2}, scale=SCALE,
+        ))
         assert a is not b
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ConfigError):
-            runner.run_single("nope", "Native", scale=SCALE)
+            runner.execute(runner.RunSpec("nope", "Native", scale=SCALE))
         with pytest.raises(ConfigError):
-            runner.run_single("web-vm", "nope", scale=SCALE)
+            runner.execute(runner.RunSpec("web-vm", "nope", scale=SCALE))
 
     def test_run_matrix_covers_all_pairs(self):
         m = runner.run_matrix(["web-vm"], ["Native", "POD"], scale=SCALE)
         assert set(m) == {("web-vm", "Native"), ("web-vm", "POD")}
 
+    @pytest.mark.parametrize("case", ["plain", "parallel"] + sorted(FRESH))
+    def test_memo_scope(self, case):
+        """Plain single-trace specs are memoised (also when the parallel
+        runner computed them); anything carrying per-run state replays."""
+        if case == "parallel":
+            out = run_matrix_parallel(
+                ["homes"], ["Native"], scale=SCALE, max_workers=2
+            )
+            spec = runner.RunSpec("homes", "Native", scale=SCALE)
+            assert runner.execute(spec) is out[("homes", "Native")]
+            return
+        spec = runner.RunSpec("web-vm", "POD", scale=SCALE, **FRESH.get(case, {}))
+        calls = [
+            runner.execute(spec, recorder=TraceRecorder())
+            if case == "recorder" else runner.execute(spec)
+            for _ in range(2)
+        ]
+        if case == "plain":
+            assert calls[0] is calls[1]
+        else:
+            assert calls[0] is not calls[1]
+            assert _report_bytes(calls[0]) == _report_bytes(calls[1])
+
     def test_trace_memoised_across_schemes(self):
-        runner.run_single("web-vm", "Native", scale=SCALE)
-        runner.run_single("web-vm", "POD", scale=SCALE)
+        runner.execute(runner.RunSpec("web-vm", "Native", scale=SCALE))
+        runner.execute(runner.RunSpec("web-vm", "POD", scale=SCALE))
         spec = __import__("repro.traces.synthetic", fromlist=["WEB_VM"]).WEB_VM
         assert len(runner._trace_cache) == 1
 

@@ -23,10 +23,14 @@ class TestFig8Arithmetic:
     def test_normalisation_matches_raw_means(self):
         data, _ = figures.fig8_overall_response(scale=SCALE)
         for trace, by_scheme in data.items():
-            native = runner.run_single(trace, "Native", scale=SCALE)
+            native = runner.execute(runner.RunSpec(
+                trace, "Native", scale=SCALE,
+            ))
             native_mean = native.metrics.overall_summary().mean
             for scheme, normalized in by_scheme.items():
-                raw = runner.run_single(trace, scheme, scale=SCALE)
+                raw = runner.execute(runner.RunSpec(
+                    trace, scheme, scale=SCALE,
+                ))
                 expected = raw.metrics.overall_summary().mean / native_mean * 100.0
                 assert normalized == pytest.approx(expected)
 
@@ -35,9 +39,13 @@ class TestFig10Arithmetic:
     def test_capacity_normalisation(self):
         data, _ = figures.fig10_capacity(scale=SCALE)
         for trace, by_scheme in data.items():
-            native = runner.run_single(trace, "Native", scale=SCALE)
+            native = runner.execute(runner.RunSpec(
+                trace, "Native", scale=SCALE,
+            ))
             for scheme, normalized in by_scheme.items():
-                raw = runner.run_single(trace, scheme, scale=SCALE)
+                raw = runner.execute(runner.RunSpec(
+                    trace, scheme, scale=SCALE,
+                ))
                 expected = raw.capacity_blocks / native.capacity_blocks * 100.0
                 assert normalized == pytest.approx(expected)
 
@@ -47,7 +55,9 @@ class TestFig11Consistency:
         data, _ = figures.fig11_write_reduction(scale=SCALE)
         for trace, by_scheme in data.items():
             for scheme, pct in by_scheme.items():
-                raw = runner.run_single(trace, scheme, scale=SCALE)
+                raw = runner.execute(runner.RunSpec(
+                    trace, scheme, scale=SCALE,
+                ))
                 assert pct == pytest.approx(raw.removed_write_pct)
 
     def test_removed_bounded_by_writes(self):

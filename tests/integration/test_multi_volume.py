@@ -47,9 +47,9 @@ GOLDEN = {
 class TestGoldenSingleVolume:
     @pytest.mark.parametrize("trace_name,scheme_name", sorted(GOLDEN))
     def test_summary_bit_identical_to_pre_refactor(self, trace_name, scheme_name):
-        result = runner.run_observed(
-            trace_name, scheme_name, scale=SCALE, seed=SEED
-        )
+        result = runner.execute(runner.RunSpec(
+            trace_name, scheme_name, seed=SEED, scale=SCALE,
+        ))
         s = result.summary()
         got = (
             s["requests"],
@@ -167,11 +167,12 @@ class TestSharedDedupDomain:
     def test_run_multi_driver(self):
         """The runner-level driver: families salted apart, per-volume
         metrics attached, invariants clean."""
-        result = runner.run_multi(
-            ["web-vm", "mail"], "POD", copies=2, scale=SCALE, seed=SEED,
-            replay_config=ReplayConfig(check_invariants=True,
+        result = runner.execute(runner.RunSpec(
+            ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=2),
+            replay=ReplayConfig(check_invariants=True,
                                        sanitize_every=500),
-        )
+            seed=SEED, scale=SCALE,
+        ))
         assert len(result.volumes) == 4
         names = [v["name"] for v in result.volumes]
         assert names == ["web-vm/t0", "web-vm/t1", "mail/t0", "mail/t1"]

@@ -231,5 +231,7 @@ class TestCliArtifacts:
         assert "POD on web-vm" in capsys.readouterr().out
 
     def test_lowercase_scheme_accepted(self):
-        result = runner.run_single("web-vm", "select-dedupe", scale=SCALE)
+        result = runner.execute(runner.RunSpec(
+            "web-vm", "select-dedupe", scale=SCALE,
+        ))
         assert result.scheme_name == "Select-Dedupe"

@@ -30,14 +30,6 @@ def test_parallel_matches_serial():
         assert parallel[key].capacity_blocks == serial[key].capacity_blocks
 
 
-def test_results_folded_into_memo_cache():
-    run_matrix_parallel(["homes"], ["Native"], scale=SCALE, max_workers=2)
-    # a subsequent serial call must not resimulate: same object back
-    cached = runner.run_single("homes", "Native", scale=SCALE)
-    assert cached.trace_name == "homes"
-    assert len(runner._run_cache) == 1
-
-
 def test_single_worker_path():
     out = run_matrix_parallel(["homes"], ["Native"], scale=SCALE, max_workers=1)
     assert out[("homes", "Native")].metrics.requests > 0

@@ -13,16 +13,16 @@ Pins the three contracts the telemetry stack promises:
    latency inside the window, activity annotations on those windows,
    and SLO violation windows carrying the concurrent activity.
 3. **Surfacing.**  Reports gain timeline/spans/slo sections exactly
-   when armed; the runner memo never leaks a stale sampler; the CLI
-   timeline/dash commands round-trip a written report.
+   when armed (the memo's scope is pinned in test_experiments.py); the
+   CLI timeline/dash commands round-trip a written report.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.runner import telemetry_armed
 from repro.faults.plan import FailSlowSpec, FaultPlan
 from repro.obs.dash import build_dashboard_html
 from repro.obs.openmetrics import to_openmetrics
@@ -52,19 +52,20 @@ def canonical_without_telemetry(report):
 
 class TestObservationOnly:
     def test_single_node_summary_bit_identical(self):
-        base = runner.run_single("web-vm", "POD", scale=0.02)
-        armed = runner.run_single(
-            "web-vm", "POD", scale=0.02, replay_config=TELEMETRY
-        )
+        base = runner.execute(runner.RunSpec("web-vm", "POD", scale=0.02))
+        armed = runner.execute(runner.RunSpec(
+            "web-vm", "POD", replay=TELEMETRY, scale=0.02,
+        ))
         assert base.summary() == armed.summary()
         assert base.timeline is None and armed.timeline is not None
 
     def test_cluster_summary_bit_identical(self):
-        kw = dict(nodes=2, copies=1, scale=0.02, seed=3)
-        base = runner.run_cluster(["web-vm", "mail"], "POD", **kw)
-        armed = runner.run_cluster(
-            ["web-vm", "mail"], "POD", replay_config=TELEMETRY, **kw
+        spec = runner.RunSpec(
+            ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=1),
+            nodes=2, seed=3, scale=0.02,
         )
+        base = runner.execute(spec)
+        armed = runner.execute(dataclasses.replace(spec, replay=TELEMETRY))
         assert base.summary() == armed.summary()
         assert armed.spans is not None and len(armed.spans.spans) > 0
 
@@ -72,11 +73,13 @@ class TestObservationOnly:
         """An empty policy arms the sampler (the sharpest off-by-one
         corner) yet the run and the rest of the report stay identical --
         the telemetry sections are the only delta."""
-        base = runner.run_single("web-vm", "POD", scale=0.02, seed=11)
-        armed = runner.run_single(
-            "web-vm", "POD", scale=0.02, seed=11,
-            replay_config=ReplayConfig(slo=SloPolicy()),
-        )
+        base = runner.execute(runner.RunSpec(
+            "web-vm", "POD", seed=11, scale=0.02,
+        ))
+        armed = runner.execute(runner.RunSpec(
+            "web-vm", "POD", replay=ReplayConfig(slo=SloPolicy()), seed=11,
+            scale=0.02,
+        ))
         assert base.summary() == armed.summary()
         report_base = build_run_report(base, seed=11, clock=lambda: 0.0)
         report_armed = build_run_report(armed, seed=11, clock=lambda: 0.0)
@@ -86,19 +89,6 @@ class TestObservationOnly:
         assert canonical_without_telemetry(report_base) == \
             canonical_without_telemetry(report_armed)
 
-    def test_runner_memo_is_bypassed_when_armed(self):
-        assert not telemetry_armed(ReplayConfig())
-        assert telemetry_armed(TELEMETRY)
-        assert telemetry_armed(ReplayConfig(slo=SloPolicy()))
-        a = runner.run_single(
-            "web-vm", "POD", scale=0.02, replay_config=TELEMETRY
-        )
-        b = runner.run_single(
-            "web-vm", "POD", scale=0.02, replay_config=TELEMETRY
-        )
-        assert a.timeline is not b.timeline  # fresh sampler per run
-        assert a.summary() == b.summary()
-
 
 class TestFailSlowLocalization:
     # placed inside the measured span (warmup traffic is unmetered)
@@ -106,14 +96,15 @@ class TestFailSlowLocalization:
 
     def _windows(self):
         plan = FaultPlan(seed=1, fail_slow=(self.WINDOW,))
-        result = runner.run_observed(
-            "web-vm", "POD", scale=0.05, seed=3,
-            replay_config=ReplayConfig(
+        result = runner.execute(runner.RunSpec(
+            "web-vm", "POD",
+            replay=ReplayConfig(
                 faults=plan,
                 timeline=TimelineConfig(window=1.0),
                 slo=TELEMETRY.slo,
             ),
-        )
+            seed=3, scale=0.05,
+        ))
         return result, result.timeline.as_dict()["windows"]
 
     def test_fail_slow_window_is_annotated_and_visibly_slow(self):
@@ -154,17 +145,18 @@ class TestRebalanceLocalization:
                 time=70.0, add_nodes=1, entries_per_batch=32, interval=0.2
             ),
         )
-        result = runner.run_cluster(
-            ["web-vm", "mail"], "POD", nodes=2, copies=1, scale=0.05,
-            seed=7, cluster_config=cc,
-            replay_config=ReplayConfig(
+        result = runner.execute(runner.RunSpec(
+            ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=1),
+            nodes=2,
+            replay=ReplayConfig(
                 timeline=TimelineConfig(window=1.0),
                 slo=SloPolicy(objectives=(
                     SloObjective(name="wr", metric="latency",
                                  threshold=0.01, op="write", target=0.95),
                 )),
             ),
-        )
+            cluster=cc, seed=7, scale=0.05,
+        ))
         windows = result.timeline.as_dict()["windows"]
         flagged = [
             w for w in windows
@@ -183,11 +175,11 @@ class TestRebalanceLocalization:
         )
 
     def test_cluster_node_window_sums_reconcile(self):
-        result = runner.run_cluster(
-            ["web-vm", "mail"], "POD", nodes=2, copies=1, scale=0.02,
-            seed=3,
-            replay_config=ReplayConfig(timeline=TimelineConfig(window=1.0)),
-        )
+        result = runner.execute(runner.RunSpec(
+            ["web-vm", "mail"], "POD", tenants=runner.Tenants(copies=1),
+            nodes=2, replay=ReplayConfig(timeline=TimelineConfig(window=1.0)),
+            seed=3, scale=0.02,
+        ))
         windows = result.timeline.as_dict()["windows"]
         for node_id in result.metrics.node_ids():
             expected = result.metrics.node_as_dict(node_id)["requests"]
@@ -200,21 +192,21 @@ class TestRebalanceLocalization:
 
 class TestSurfacing:
     def test_report_sections_present_exactly_when_armed(self):
-        base = runner.run_single("web-vm", "POD", scale=0.02)
+        base = runner.execute(runner.RunSpec("web-vm", "POD", scale=0.02))
         report = build_run_report(base, clock=lambda: 0.0)
         assert not ({"timeline", "spans", "slo"} & set(report))
-        armed = runner.run_single(
-            "web-vm", "POD", scale=0.02, replay_config=TELEMETRY
-        )
+        armed = runner.execute(runner.RunSpec(
+            "web-vm", "POD", replay=TELEMETRY, scale=0.02,
+        ))
         report = build_run_report(armed, clock=lambda: 0.0)
         assert {"timeline", "spans", "slo"} <= set(report)
         assert report["timeline"]["schema_version"] == 1
         json.dumps(report)  # fully serialisable
 
     def test_openmetrics_and_dashboard_from_report(self):
-        armed = runner.run_single(
-            "web-vm", "POD", scale=0.02, replay_config=TELEMETRY
-        )
+        armed = runner.execute(runner.RunSpec(
+            "web-vm", "POD", replay=TELEMETRY, scale=0.02,
+        ))
         report = build_run_report(armed, clock=lambda: 0.0)
         text = to_openmetrics(report["timeline"])
         assert text.startswith("# TYPE ") and text.endswith("# EOF\n")

@@ -25,7 +25,7 @@ from repro.faults import (
     MemberFailureSpec,
     NvramLossSpec,
 )
-from repro.experiments.runner import run_multi
+from repro.experiments.runner import RunSpec, Tenants, execute
 from repro.jobs import AdmissionSpec, JobsConfig, LeasePolicy, ScrubberSpec
 from repro.obs.report import build_run_report
 from repro.sim.replay import ReplayConfig, replay_trace
@@ -194,14 +194,10 @@ class TestAdmission:
                 rate_blocks=2048.0, burst_blocks=256.0, maintenance_yield=0.25
             ),
         )
-        result = run_multi(
-            ["web-vm", "mail"],
-            "select-dedupe",
-            copies=2,
-            scale=0.02,
-            seed=3,
-            replay_config=ReplayConfig(jobs=jobs),
-        )
+        result = execute(RunSpec(
+            ["web-vm", "mail"], "select-dedupe", tenants=Tenants(copies=2),
+            replay=ReplayConfig(jobs=jobs), seed=3, scale=0.02,
+        ))
         adm = result.jobs_stats["admission"]
         assert adm["requests_throttled"] > 0
         assert adm["throttle_delay_total"] > 0.0
@@ -210,14 +206,10 @@ class TestAdmission:
         assert adm["requests_admitted"] > adm["requests_throttled"]
 
     def test_admission_off_has_no_summary(self):
-        result = run_multi(
-            ["web-vm", "mail"],
-            "select-dedupe",
-            copies=2,
-            scale=0.02,
-            seed=3,
-            replay_config=ReplayConfig(jobs=JOBS),
-        )
+        result = execute(RunSpec(
+            ["web-vm", "mail"], "select-dedupe", tenants=Tenants(copies=2),
+            replay=ReplayConfig(jobs=JOBS), seed=3, scale=0.02,
+        ))
         assert "admission" not in result.jobs_stats
 
 
@@ -226,14 +218,10 @@ class TestPerVolumeNvramLoss:
         plan = FaultPlan(
             seed=5, nvram_loss=(NvramLossSpec(time=6.0, scope="volume"),)
         )
-        result = run_multi(
-            ["web-vm", "mail"],
-            "select-dedupe",
-            copies=2,
-            scale=0.02,
-            seed=3,
-            replay_config=ReplayConfig(faults=plan, fault_seed=5),
-        )
+        result = execute(RunSpec(
+            ["web-vm", "mail"], "select-dedupe", tenants=Tenants(copies=2),
+            replay=ReplayConfig(faults=plan, fault_seed=5), seed=3, scale=0.02,
+        ))
         counters = result.fault_stats["counters"]
         assert counters["nvram_losses"] == 1
         assert counters["nvram_volume_recoveries"] > 0

@@ -222,10 +222,11 @@ class TestReconciliation:
     """Window sums must equal the whole-run aggregates exactly."""
 
     def test_single_node_run_and_volume_sums_match_metrics(self):
-        result = runner.run_multi(
-            ["web-vm"], "POD", copies=2, scale=0.02, seed=5,
-            replay_config=ReplayConfig(timeline=TimelineConfig(window=1.0)),
-        )
+        result = runner.execute(runner.RunSpec(
+            ["web-vm"], "POD", tenants=runner.Tenants(copies=2),
+            replay=ReplayConfig(timeline=TimelineConfig(window=1.0)), seed=5,
+            scale=0.02,
+        ))
         windows = result.timeline.as_dict()["windows"]
         metrics = result.metrics.as_dict()
         assert metrics["requests"] > 0

@@ -65,9 +65,9 @@ def _sha(result: ReplayResult, recorder: Optional[TraceRecorder] = None) -> str:
 
 
 def _observed(trace: str, scheme: str, config: ReplayConfig) -> ReplayResult:
-    return runner.run_observed(
-        trace, scheme, scale=SCALE, seed=SEED, replay_config=config
-    )
+    return runner.execute(runner.RunSpec(
+        trace, scheme, replay=config, seed=SEED, scale=SCALE,
+    ))
 
 
 def _run(case: str) -> str:
@@ -95,16 +95,13 @@ def _run(case: str) -> str:
         # pin the single-node span and gauge forms.
         jobs = JobsConfig.load(str(EXAMPLES / "jobs.json"))
         return _sha(
-            runner.run_multi(
-                ["mail"],
-                "POD",
-                copies=2,
-                scale=SCALE,
-                seed=SEED,
-                replay_config=ReplayConfig(
+            runner.execute(runner.RunSpec(
+                ["mail"], "POD", tenants=runner.Tenants(copies=2),
+                replay=ReplayConfig(
                     jobs=jobs, spans=True, timeline=TimelineConfig()
                 ),
-            )
+                seed=SEED, scale=SCALE,
+            ))
         )
     if case == "member-failure-leased-rebuild":
         return _sha(
@@ -129,9 +126,10 @@ def _run(case: str) -> str:
         )
     if case == "recorder-request-2copy":
         recorder = TraceRecorder(TraceLevel.REQUEST, max_events=None)
-        result = runner.run_multi(
-            ["web-vm"], "POD", copies=2, scale=SCALE, seed=SEED, recorder=recorder
-        )
+        result = runner.execute(runner.RunSpec(
+            ["web-vm"], "POD", tenants=runner.Tenants(copies=2), seed=SEED,
+            scale=SCALE,
+        ), recorder=recorder)
         return _sha(result, recorder)
     if case == "scrub-degraded":
         jobs = JobsConfig(
