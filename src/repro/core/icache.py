@@ -248,9 +248,15 @@ class ICache:
 
     def on_index_misses(self, fingerprints: Iterable[int]) -> None:
         """:meth:`on_index_miss` for every miss of one write, in order
-        (one ghost probe call per request on the write path)."""
+        (one ghost probe call per request on the write path).  A hit
+        key leaves the ghost index, so its parked entry goes too."""
         hits = self.ghost_index.hit_many(fingerprints)
-        if hits and self.obs.level >= TraceLevel.CHUNK:
+        if not hits:
+            return
+        pop = self._index_store.pop
+        for fingerprint in hits:
+            pop(fingerprint, None)
+        if self.obs.level >= TraceLevel.CHUNK:
             now = self._obs_clock() if self._obs_clock is not None else 0.0
             for fingerprint in hits:
                 self.obs.emit(
@@ -349,8 +355,11 @@ class ICache:
             self.ghost_read.record_evictions(self.read.resize(new_read_bytes))
             self.index.resize(new_index_bytes)
             self._swap_in_index()
-        # Ghost capacities track the complement of their actual cache.
-        self.ghost_index.resize(total - new_index_bytes)
+        # Ghost capacities track the complement of their actual cache;
+        # the keys the ghost index ages out take their parked entries.
+        pop = self._index_store.pop
+        for fingerprint in self.ghost_index.resize(total - new_index_bytes):
+            pop(fingerprint, None)
         self.ghost_read.resize(total - new_read_bytes)
 
     def _swap_in_index(self) -> None:
@@ -358,16 +367,25 @@ class ICache:
 
         Candidates are ordered by their ``Count`` popularity first and
         eviction recency second -- the Index table keeps Count exactly
-        so the hot entries can be told apart (Section III-B).  The sort
-        is stable on a C-level key, and the Index table restores the
-        candidates in one call.
+        so the hot entries can be told apart (Section III-B).  One pass
+        over the ghost keys groups the parked entries by Count, most
+        recent first within a group, and the Index table restores the
+        groups in descending Count in one call.
         """
         store = self._index_store
-        fps = [fp for fp in self.ghost_index.keys_mru() if fp in store]
-        entries = [store[fp] for fp in fps]
-        counts = [entry.count for entry in entries]
-        order = sorted(range(len(fps)), key=counts.__getitem__, reverse=True)
-        candidates = [(fps[k], entries[k]) for k in order]
+        find = store.get
+        groups: Dict[int, List[Tuple[int, Any]]] = {}
+        for fp in self.ghost_index.keys_mru():
+            entry = find(fp)
+            if entry is not None:
+                group = groups.get(entry.count)
+                if group is None:
+                    groups[entry.count] = [(fp, entry)]
+                else:
+                    group.append((fp, entry))
+        candidates = (
+            item for count in sorted(groups, reverse=True) for item in groups[count]
+        )
         if self._index_table is not None:
             restored = self._index_table.restore_many(candidates)
         else:

@@ -26,8 +26,11 @@ from repro.core.categorize import Category, categorize_write
 from repro.obs.events import EventType, TraceLevel
 from repro.sim.request import IORequest
 
+_CHUNK = TraceLevel.CHUNK
 _UNIQUE = Category.UNIQUE.value
 _FULLY_REDUNDANT = Category.FULLY_REDUNDANT.value
+_SCATTERED_PARTIAL = Category.SCATTERED_PARTIAL.value
+_SEQUENTIAL_PARTIAL = Category.SEQUENTIAL_PARTIAL.value
 
 
 class SelectDedupe(DedupScheme):
@@ -51,25 +54,55 @@ class SelectDedupe(DedupScheme):
     def _choose_dedupe(
         self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
     ) -> Set[int]:
+        """Figure 5, decided from the probe result in one pass.
+
+        The pass walks the maximal runs of chunks whose targets are
+        consecutive blocks (:func:`~repro.core.categorize.sequential_runs`)
+        and keeps the runs of at least ``select_threshold`` chunks: one
+        run covering the request is category 1, any kept run makes it
+        category 3, redundancy without one is category 2.  A traced run
+        takes :func:`~repro.core.categorize.categorize_write`, whose runs
+        the ``REQUEST_CLASSIFY`` event reports; it is also the reference
+        the decisions here must equal.
+        """
         nchunks = len(duplicate_pbas)
-        if (
-            nchunks
-            and self.obs.level < TraceLevel.CHUNK
-            and self.config.select_threshold >= 1
-        ):
-            # Figure 5's two common cases, decided straight from the
-            # probe result (a traced run always takes categorize_write,
-            # whose runs the REQUEST_CLASSIFY event reports).
-            misses = duplicate_pbas.count(None)
-            if misses == nchunks:
-                self._by_category[_UNIQUE] += 1
-                return set()
-            first = duplicate_pbas[0]
-            if misses == 0 and first is not None and list(duplicate_pbas) == list(
-                range(first, first + nchunks)
-            ):
-                self._by_category[_FULLY_REDUNDANT] += 1
-                return set(range(nchunks))
+        threshold = self.config.select_threshold
+        if not nchunks or threshold < 1 or self.obs.level >= _CHUNK:
+            return self._categorize(request, duplicate_pbas)
+        misses = duplicate_pbas.count(None)
+        if misses == nchunks:
+            self._by_category[_UNIQUE] += 1
+            return set()
+        if nchunks == 1:  # one redundant chunk is one run
+            self._by_category[_FULLY_REDUNDANT] += 1
+            return {0}
+        chosen: Set[int] = set()
+        runs = start = 0
+        expect = -1  # the target that extends the open run; -1: none open
+        for i, pba in enumerate(duplicate_pbas):
+            if pba == expect:
+                expect += 1
+                continue
+            if expect >= 0 and i - start >= threshold:
+                chosen.update(range(start, i))
+            if pba is None:
+                expect = -1
+            else:
+                runs += 1
+                start = i
+                expect = pba + 1
+        if misses == 0 and runs == 1:
+            self._by_category[_FULLY_REDUNDANT] += 1
+            return set(range(nchunks))
+        if expect >= 0 and nchunks - start >= threshold:
+            chosen.update(range(start, nchunks))
+        self._by_category[_SEQUENTIAL_PARTIAL if chosen else _SCATTERED_PARTIAL] += 1
+        return chosen
+
+    def _categorize(
+        self, request: IORequest, duplicate_pbas: Sequence[Optional[int]]
+    ) -> Set[int]:
+        """:func:`categorize_write`, counted and traced."""
         decision = categorize_write(duplicate_pbas, self.config.select_threshold)
         self._by_category[decision.category.value] += 1
         if self.obs.level >= TraceLevel.CHUNK:

@@ -19,9 +19,8 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.lru import LRUCache
 from repro.constants import INDEX_ENTRY_SIZE
@@ -29,12 +28,32 @@ from repro.dedup.map_table import FREED, WROTE, Change
 from repro.errors import DedupError
 
 
-@dataclass
 class IndexEntry:
-    """One hot fingerprint: where its data lives and how popular it is."""
+    """One hot fingerprint: where its data lives and how popular it is.
+
+    Hand-written ``__slots__`` class (not a dataclass): the Index table
+    builds one per admitted block.  Equality and repr are the
+    dataclass's, and like it an entry is mutable and unhashable.
+    """
+
+    __slots__ = ("pba", "count")
 
     pba: int
-    count: int = 0
+    count: int
+
+    def __init__(self, pba: int, count: int = 0) -> None:
+        self.pba = pba
+        self.count = count
+
+    def __repr__(self) -> str:
+        return f"IndexEntry(pba={self.pba!r}, count={self.count!r})"
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pba == other.pba and self.count == other.count
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class IndexTable:

@@ -377,6 +377,7 @@ class ReferenceICache:
 
     def on_index_miss(self, fingerprint: int) -> None:
         if self.ghost_index.hit(fingerprint):
+            self._index_store.pop(fingerprint, None)
             self._ghost_hit_event("index", fingerprint)
 
     def note_index_evictions(self, evicted: Any) -> None:
@@ -451,7 +452,8 @@ class ReferenceICache:
                 self.ghost_read.record_eviction(key, size)
             self.index.resize(new_index_bytes)
             self._swap_in_index()
-        self.ghost_index.resize(total - new_index_bytes)
+        for fingerprint in self.ghost_index.resize(total - new_index_bytes):
+            self._index_store.pop(fingerprint, None)
         self.ghost_read.resize(total - new_read_bytes)
 
     def _swap_in_index(self) -> None:

@@ -181,3 +181,31 @@ class TestSwapIn:
         ic = make_icache()
         s = ic.stats()
         assert {"index_bytes", "read_bytes", "repartitions", "total_swapped_bytes"} <= set(s)
+
+
+class TestParkedStore:
+    """Swapped-out index entries are parked only while the ghost index
+    remembers their key: swap-in reads ghost keys only."""
+
+    def _parked_within_ghost(self, ic):
+        assert set(ic.parked_index_entries()) <= set(ic.ghost_index.keys_mru())
+
+    def test_pruned_on_ghost_hit_and_on_shrink(self):
+        # 64 index slots in all: 32 live, a 32-key ghost index.
+        ic = make_icache(total_bytes=64 * INDEX_ENTRY_SIZE, step_fraction=0.25)
+        table = IndexTable(ic.index)
+        ic.attach_index_table(table)
+        # Live entries claim PBAs 0-31, so no parked entry can be
+        # swapped back in and the grown index leaves the ghost full.
+        for fp in range(32):
+            table.insert(1000 + fp, fp)
+        ic.note_index_evictions([(fp, IndexEntry(fp)) for fp in range(32)])
+        assert len(ic.parked_index_entries()) == 32
+        ic.on_index_miss(5)
+        assert ic.ghost_index.hits == 1
+        assert 5 not in ic.parked_index_entries()
+        self._parked_within_ghost(ic)
+        ic.on_epoch(1.0)  # the index grows: the ghost index shrinks to 16 keys
+        assert len(ic.ghost_index) == 16
+        self._parked_within_ghost(ic)
+        assert len(ic.parked_index_entries()) == 16

@@ -1,10 +1,13 @@
 """Behavioural tests for Select-Dedupe's write path."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.base import SchemeConfig
-from repro.core.categorize import Category
+from repro.core.categorize import Category, categorize_write
 from repro.core.select_dedupe import SelectDedupe
+from repro.sim.request import IORequest
 from tests.conftest import Oracle
 
 
@@ -135,3 +138,53 @@ class TestStats:
         s = scheme.stats()
         assert s["category_1_fully_redundant"] == 1
         assert s["scheme"] == "Select-Dedupe"
+
+
+def _decide(pbas, threshold=3):
+    """Select-Dedupe's choice for a write whose probe returns ``pbas``
+    (PBA ``p`` holds fingerprint ``1000 + p``), and the change in the
+    category counts."""
+    scheme = SelectDedupe(
+        SchemeConfig(logical_blocks=64, memory_bytes=64 * 1024, select_threshold=threshold)
+    )
+    scheme.process(IORequest.write(time=0.0, lba=0, fingerprints=range(1000, 1010)), 0.0)
+    before = scheme.category_counts
+    seen = []
+    scheme.decision_hook = lambda request, probed, chosen: seen.append((probed, chosen))
+    fps = [2000 + i if p is None else 1000 + p for i, p in enumerate(pbas)]
+    scheme.process(IORequest.write(time=1.0, lba=32, fingerprints=fps), 1.0)
+    ((probed, chosen),) = seen
+    assert list(probed) == list(pbas)
+    return chosen, {c: n - before[c] for c, n in scheme.category_counts.items()}
+
+
+class TestOnePassDecision:
+    """The one-pass Figure-5 decision is categorize_write's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pbas=st.lists(st.one_of(st.none(), st.integers(0, 9)), min_size=1, max_size=12),
+        threshold=st.integers(1, 5),
+    )
+    def test_matches_categorize_write(self, pbas, threshold):
+        chosen, counted = _decide(pbas, threshold)
+        decision = categorize_write(pbas, threshold)
+        assert chosen == set(decision.dedupe_chunks)
+        assert counted == {c: int(c is decision.category) for c in Category}
+
+    @pytest.mark.parametrize(
+        "pbas, category, chosen",
+        [
+            # A run of exactly the threshold (3) is deduplicated.
+            ([None, 7, 8, 9, None], Category.SEQUENTIAL_PARTIAL, {1, 2, 3}),
+            # Two runs that only sum to the threshold are not.
+            ([7, 8, None, 2], Category.SCATTERED_PARTIAL, set()),
+            ([7, 8, 2], Category.SCATTERED_PARTIAL, set()),
+            # Fully redundant, non-contiguous targets: runs decide.
+            ([0, 1, 2, 5, 6, 7], Category.SEQUENTIAL_PARTIAL, set(range(6))),
+            ([7, 9], Category.SCATTERED_PARTIAL, set()),
+            ([9], Category.FULLY_REDUNDANT, {0}),
+        ],
+    )
+    def test_boundaries(self, pbas, category, chosen):
+        assert _decide(pbas) == (chosen, {c: int(c is category) for c in Category})

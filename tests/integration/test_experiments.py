@@ -18,6 +18,7 @@ from repro.obs.slo import SloPolicy
 from repro.obs.timeline import TimelineConfig
 from repro.obs.trace import TraceRecorder
 from repro.sim.replay import ReplayConfig
+from repro.traces.synthetic import WEB_VM
 
 SCALE = 0.02
 
@@ -100,15 +101,10 @@ class TestRunner:
     def test_trace_memoised_across_schemes(self):
         runner.execute(runner.RunSpec("web-vm", "Native", scale=SCALE))
         runner.execute(runner.RunSpec("web-vm", "POD", scale=SCALE))
-        spec = __import__("repro.traces.synthetic", fromlist=["WEB_VM"]).WEB_VM
         assert len(runner._trace_cache) == 1
 
     def test_scheme_config_overrides(self):
-        cfg = runner.scheme_config_for(
-            __import__("repro.traces.synthetic", fromlist=["WEB_VM"]).WEB_VM,
-            scale=SCALE,
-            select_threshold=5,
-        )
+        cfg = runner.scheme_config_for(WEB_VM, scale=SCALE, select_threshold=5)
         assert cfg.select_threshold == 5
 
 
