@@ -246,6 +246,9 @@ class DedupScheme(abc.ABC):
     name: str = "abstract"
     #: Whether the write path computes fingerprints at all.
     uses_fingerprints: bool = True
+    #: Whether plans carry SSD traffic (a replay without
+    #: ``ssd_params`` refuses such a scheme up front).
+    uses_ssd: bool = False
     #: Table-I feature flags, overridden per scheme.
     features: Dict[str, object] = {}
     #: Simulated seconds between cache-management epochs, or ``None``.

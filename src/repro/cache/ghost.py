@@ -65,17 +65,17 @@ class GhostCache(Generic[K]):
     def used_bytes(self) -> int:
         return len(self._keys) * self.default_entry_size
 
-    def record_eviction(self, key: K) -> List[K]:
-        """Remember an evicted key; returns ghost keys aged out."""
-        return self.record_evictions(((key, None),))
+    def record_eviction(self, key: K) -> None:
+        """Remember an evicted key (the least recent keys age out)."""
+        self.record_evictions(((key, None),))
 
     def record_evictions(
         self,
         evicted: Iterable[Tuple[K, Any]],
         parked: Optional[Dict[K, Any]] = None,
-    ) -> List[K]:
+    ) -> None:
         """:meth:`record_eviction` for every ``(key, payload)`` of a batch,
-        in order, in one call; returns the ghost keys aged out.
+        in order, in one call.
 
         With ``parked``, each step also parks the key's payload there
         and drops the payloads of the keys it ages out -- iCache's
@@ -89,7 +89,6 @@ class GhostCache(Generic[K]):
         popitem = keys.popitem
         slots = self.slots
         held = len(keys)
-        dropped: List[K] = []
         recorded = 0
         for key, payload in evicted:
             recorded += 1
@@ -103,11 +102,9 @@ class GhostCache(Generic[K]):
             while held > slots:
                 aged = popitem(last=False)[0]
                 held -= 1
-                dropped.append(aged)
                 if parked is not None:
                     parked.pop(aged, None)
         self.evictions_recorded += recorded
-        return dropped
 
     def hit(self, key: K) -> bool:
         """Check for *key*; on a hit, count it and remove the key

@@ -367,14 +367,17 @@ def _chunking_config(args: argparse.Namespace):
 
 
 def _fault_plan(args: argparse.Namespace):
-    """Load the ``--faults`` plan, if any (``--fault-seed`` needs it)."""
+    """Load the ``--faults`` plan, if any, reseeded by ``--fault-seed``
+    when given (which needs the plan)."""
     from repro.faults import FaultPlan
 
+    seed = getattr(args, "fault_seed", None)
     if getattr(args, "faults", None) is None:
-        if getattr(args, "fault_seed", None) is not None:
+        if seed is not None:
             raise ConfigError("--fault-seed requires --faults")
         return None
-    return FaultPlan.load(args.faults)
+    plan = FaultPlan.load(args.faults)
+    return plan.with_seed(seed) if seed is not None else plan
 
 
 def _jobs_config(args: argparse.Namespace):
@@ -514,7 +517,6 @@ def _run_spec(args: argparse.Namespace):
         check_invariants=args.check_invariants,
         sanitize_every=getattr(args, "sanitize_every", 1000),
         faults=_fault_plan(args),
-        fault_seed=getattr(args, "fault_seed", None),
         jobs=jobs,
         **_telemetry_config(args),
     )

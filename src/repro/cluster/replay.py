@@ -39,8 +39,10 @@ driver; this module adds the cluster sections.
 
 It is also the single-node event loop: :func:`repro.sim.replay.replay_traces`
 sends every config the columnar driver (:mod:`repro.sim.batch`) does
-not take here as a one-node cluster.  Two things only a single node
-carries are accepted at N=1 and rejected at N>1: a deterministic
+not take here as a one-node cluster.  What it runs at one node and at
+N>1 is the table :data:`~repro.sim.replay.CAPABILITIES`:
+:func:`replay_cluster` refuses a run there before it builds a node.
+Two things only a single node carries are a deterministic
 :class:`~repro.faults.plan.FaultPlan` (``ReplayConfig.faults``, whose
 :class:`~repro.faults.injector.FaultInjector` targets the one
 :class:`~repro.cluster.node.ClusterNode`) and a degraded array
@@ -89,7 +91,9 @@ from repro.sim.replay import (
     DEFAULT_BATCH_SIZE,
     ReplayConfig,
     ReplayResult,
+    ReplayRun,
     ReplayScaffold,
+    refusal,
 )
 # The single-node merge, with each volume rebased into its owner
 # node's local space (the bases coincide at N=1: bit-identical).
@@ -170,9 +174,13 @@ def replay_cluster(
     (``replay_traces`` with ``batch_size=None`` calls it), so a
     one-node run without cluster features equals
     ``replay_traces(traces, schemes[0], config)`` by construction.
-    ``config.faults`` and ``config.failed_disk`` need exactly one node.
+    A run :data:`~repro.sim.replay.CAPABILITIES` refuses at this node
+    count raises ``ConfigError`` with the table's reason.
     """
     assignment = _check_inputs(traces, schemes, cluster, config, assignment)
+    reason = refusal(ReplayRun(config, cluster, schemes, recorder))
+    if reason is not None:
+        raise ConfigError(reason)
     replay = _ClusterReplay(
         traces, schemes, cluster, config, assignment, collector, recorder,
         per_volume_metrics,
@@ -201,44 +209,13 @@ def _check_inputs(
     config: ReplayConfig,
     assignment: Optional[Sequence[int]],
 ) -> List[int]:
-    """Reject every combination the event loop cannot run; return the
+    """Reject a node, disk or volume id the run lacks; return the
     volume-to-node assignment (default ``vid % len(schemes)``)."""
     if not traces:
         raise ConfigError("replay_cluster needs at least one trace")
     if not schemes:
         raise ConfigError("replay_cluster needs at least one scheme (node)")
     nnodes = len(schemes)
-    if nnodes > 1:
-        if config.faults is not None or config.fault_seed is not None:
-            raise ConfigError(
-                "multi-node replays take node faults via "
-                "ClusterConfig.node_failure, not ReplayConfig.faults"
-            )
-        if config.failed_disk is not None:
-            raise ConfigError(
-                "multi-node replays take degraded arrays via "
-                "ClusterConfig.node_failure, not ReplayConfig.failed_disk"
-            )
-    elif config.faults is None and config.fault_seed is not None:
-        raise ConfigError("fault_seed given without a fault plan")
-    if cluster.node_failure is not None and (
-        config.faults is not None or config.failed_disk is not None
-    ):
-        # Each would flip and heal the same array's failed member.
-        raise ConfigError(
-            "ClusterConfig.node_failure cannot be combined with "
-            "ReplayConfig.faults or ReplayConfig.failed_disk"
-        )
-    if any(s.chunker is not None for s in schemes) and (
-        config.faults is not None or cluster.verify_content
-    ):
-        # The content oracle checks reads against the raw trace
-        # fingerprints; CDC rewrites what the scheme stores, so the
-        # two are incompatible by construction.
-        raise ConfigError(
-            "content-defined chunking cannot run under a content oracle "
-            "(fault injection or verify_content)"
-        )
     if assignment is None:
         assignment = [vid % nnodes for vid in range(len(traces))]
     if len(assignment) != len(traces):
@@ -274,26 +251,9 @@ def _check_inputs(
                 f"fail-slow spec names unknown cluster disk {fs.disk} "
                 f"(have {nnodes * config.ndisks})"
             )
-    directory_cfg = cluster.directory
-    if directory_cfg is not None:
-        if rebalance is not None:
-            raise ConfigError(
-                "the replicated directory and shard rebalancing cannot be "
-                "combined yet (replica sets would race the migration)"
-            )
-        if directory_cfg.kill is not None and directory_cfg.kill.node >= nnodes:
-            raise ClusterError(
-                f"kill-metadata-node names unknown node {directory_cfg.kill.node}"
-            )
-        if (
-            directory_cfg.gc is not None
-            and directory_cfg.gc.mode == MODE_ONLINE
-            and config.jobs is None
-        ):
-            raise ConfigError(
-                "online refcount GC runs as a leased job and needs "
-                "ReplayConfig.jobs (pass --jobs, or --gc implies it on the CLI)"
-            )
+    kill = cluster.directory.kill if cluster.directory is not None else None
+    if kill is not None and kill.node >= nnodes:
+        raise ClusterError(f"kill-metadata-node names unknown node {kill.node}")
     return list(assignment)
 
 
@@ -470,10 +430,7 @@ class _ClusterReplay:
         self.injector: Optional[FaultInjector] = None
         self.oracles: Optional[List[ContentOracle]] = None
         if config.faults is not None:
-            plan = config.faults
-            if config.fault_seed is not None:
-                plan = plan.with_seed(config.fault_seed)
-            injector = FaultInjector(plan, registry=self.metrics.registry)
+            injector = FaultInjector(config.faults, registry=self.metrics.registry)
             if self.recorder is not None:
                 injector.attach_observer(self.recorder)
             injector.timeline = self.sampler
@@ -844,12 +801,7 @@ class _ClusterReplay:
 
         ssd = self.ssds[node.node_id]
         ssd_done = issue_time
-        if planned.ssd_read_blocks or planned.ssd_write_blocks:
-            if ssd is None:
-                raise ConfigError(
-                    f"scheme {node.scheme.name} emitted SSD traffic but the "
-                    "replay has no ssd_params configured"
-                )
+        if ssd is not None:
             if planned.ssd_read_blocks:
                 ssd_done = ssd.service(issue_time, planned.ssd_read_blocks)
             if planned.ssd_write_blocks:

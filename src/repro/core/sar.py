@@ -42,6 +42,7 @@ class SARDedupe(SelectDedupe):
     """Select-Dedupe + SSD staging of fragmented deduplicated blocks."""
 
     name = "SAR"
+    uses_ssd = True
     features = {
         "capacity_saving": True,
         "performance_enhancement": True,

@@ -256,7 +256,6 @@ class RunSpec:
             "ndisks": r.ndisks,
             "failed_disk": r.failed_disk,
             "faults": r.faults.as_dict() if r.faults is not None else None,
-            "fault_seed": r.fault_seed,
             "jobs": r.jobs.as_dict() if r.jobs is not None else None,
         }
         if self.tenants is not None:

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
 
 import numpy as np
 
-from repro.errors import ConfigError, FaultError
+from repro.errors import FaultError
 from repro.faults.oracle import ContentOracle
 from repro.faults.plan import (
     FaultPlan,
@@ -174,15 +174,8 @@ class FaultInjector:
         # -- member failure + rebuild ----------------------------------
         if plan.member_failure is not None:
             spec = plan.member_failure
-            if node.raid.geometry.level is not RaidLevel.RAID5:
-                raise ConfigError("member failure requires a RAID-5 array")
             if not (0 <= spec.disk < len(node.disks)):
                 raise FaultError(f"member-failure spec names unknown disk {spec.disk}")
-            if node.failed_disk is not None:
-                raise ConfigError(
-                    "cannot schedule a member failure on an array that "
-                    "already runs degraded (ReplayConfig.failed_disk)"
-                )
             sim.schedule_callback(spec.time, self._begin_member_failure, spec)
 
         # -- NVRAM power loss ------------------------------------------

@@ -3,8 +3,9 @@
 The event loop (:func:`repro.cluster.replay.replay_cluster`, which
 runs single-node replays as a one-node cluster) plans each request in
 its arrival handler and pays interpreter dispatch per event.  This
-driver exploits three structural facts of the fast path (no faults,
-jobs, spans, SSD tier, invariant checks or trace recorder):
+driver exploits three structural facts of the fast path (what
+:data:`~repro.sim.replay.CAPABILITIES` gives it: no faults, jobs,
+spans, SSD tier, invariant checks or trace recorder):
 
 1. **Planning is clock-free.**  ``scheme.process(request, now)`` never
    reads ``now`` on the fast path (it only feeds spans and recorders),
@@ -37,11 +38,11 @@ noted as each tick's ``on_epoch`` runs.
 The result is **bit-identical** to the one-node event loop for every
 scheme and any batch size (pinned by golden tests), at a multiple of
 its throughput (see ``BENCH_replay.json`` and ``docs/performance.md``).
-``replay_trace``/``replay_traces`` take it for every config
-:func:`batch_eligible` accepts unless a trace recorder is attached or
-``batch_size`` is ``None``.  Node build, collector arming and the
-result come from :class:`~repro.sim.replay.ReplayScaffold`, which the
-event loop shares; this driver is its one-node case.
+``replay_trace``/``replay_traces`` take it for every run whose
+driver cells in :data:`~repro.sim.replay.CAPABILITIES` carry it.  Node
+build, collector arming and the result come from
+:class:`~repro.sim.replay.ReplayScaffold`, which the event loop shares;
+this driver is its one-node case.
 """
 
 from __future__ import annotations
@@ -65,31 +66,12 @@ from repro.sim.replay import (
 from repro.traces.columnar import ColumnarTrace, MergedColumns, merge_columnar
 from repro.traces.format import Trace
 
-__all__ = ["batch_eligible", "replay_columnar", "DEFAULT_BATCH_SIZE"]
+__all__ = ["replay_columnar", "DEFAULT_BATCH_SIZE"]
 
 #: Heap entry kinds for the servicing loop (compared after seq, so the
 #: values never decide order -- seqs are unique).
 _FINISH = 0
 _TICK = 1
-
-
-def batch_eligible(config: ReplayConfig) -> bool:
-    """Can this replay config take the columnar fast path?
-
-    The batch driver reproduces the *fast* path of the event loop:
-    no SSD tier, no faults, no spans or jobs, no invariant checking.
-    A timeline, an SLO policy and a degraded array are carried.
-    Anything else runs on the one-node event loop (bit-identical, just
-    slower); so does any replay given a trace recorder.
-    """
-    return (
-        config.ssd_params is None
-        and not config.check_invariants
-        and config.faults is None
-        and config.fault_seed is None
-        and not config.spans
-        and config.jobs is None
-    )
 
 
 def _cross_volume_chunks(merged: MergedColumns) -> np.ndarray:
@@ -115,14 +97,13 @@ def replay_columnar(
     """Replay N trace streams through the columnar batch core.
 
     Accepts :class:`Trace` or :class:`ColumnarTrace` inputs (the shard
-    workers of the parallel runner ship columns directly).  Requires a
-    :func:`batch_eligible` config; :func:`repro.sim.replay.replay_traces`
-    routes every other config to the one-node event loop.
+    workers of the parallel runner ship columns directly).  Takes only
+    runs :data:`~repro.sim.replay.CAPABILITIES` gives the driver;
+    :func:`repro.sim.replay.replay_traces` routes every other run to
+    the one-node event loop.
     """
     if not traces:
         raise ConfigError("replay_columnar needs at least one trace")
-    if not batch_eligible(config):
-        raise ConfigError("replay config is outside the columnar fast path")
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
 
@@ -374,11 +355,6 @@ def _replay_merged(
         nonlocal horizon
         plan = planned[i]
         assert plan is not None
-        if plan.ssd_read_blocks or plan.ssd_write_blocks:
-            raise ConfigError(
-                f"scheme {scheme.name} emitted SSD traffic but the replay "
-                "has no ssd_params configured"
-            )
         completion = issue_time
         for vop in plan.volume_ops:
             done = service(disks, issue_time, vop, failed_disk)

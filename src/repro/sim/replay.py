@@ -24,14 +24,14 @@ Two entry points:
   golden regression tests).
 
 Both run every config the columnar driver (:mod:`repro.sim.batch`)
-carries on that driver.  Everything else -- faults, jobs, spans, the
-SSD tier, invariant checking, a trace recorder, and ``batch_size=None``
--- runs on the event loop of
+carries on that driver, and everything else on the event loop of
 :func:`repro.cluster.replay.replay_cluster` as a one-node cluster.
-This module holds no event loop of its own; the two loops give
-bit-identical results wherever both apply.  Both are set up and torn
-down by :class:`ReplayScaffold`: node build, collector and timeline
-arming, the warm-up boundary and the result fields every replay has.
+Which loop carries what, and which combinations no loop runs, is one
+table, :data:`CAPABILITIES`.  This module holds no event loop of its
+own; the two loops give bit-identical results wherever both apply.
+Both are set up and torn down by :class:`ReplayScaffold`: node build,
+collector and timeline arming, the warm-up boundary and the result
+fields every replay has.
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple, Union,
+)
 
 from repro.analysis.sanitizer import PodSanitizer
 from repro.baselines.base import DedupScheme
@@ -59,6 +62,9 @@ from repro.storage.raid import RaidArray, RaidGeometry, RaidLevel
 from repro.storage.ssd import SsdParams
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
+
+if TYPE_CHECKING:
+    from repro.cluster.replay import ClusterConfig
 
 
 @dataclass(frozen=True)
@@ -80,7 +86,7 @@ class ReplayConfig:
     #: node only; a multi-node replay rejects it).
     failed_disk: Optional[int] = None
     #: SSD staging device for SAR-style schemes (None = no SSD; a
-    #: scheme emitting SSD traffic without one is a config error).
+    #: scheme with ``uses_ssd`` is refused without one).
     ssd_params: Optional[SsdParams] = None
     #: Debug mode: run the :class:`~repro.analysis.sanitizer.PodSanitizer`
     #: against the scheme every :attr:`sanitize_every` requests, at every
@@ -95,9 +101,6 @@ class ReplayConfig:
     #: bit-identical to a build without the fault subsystem
     #: (zero-overhead off path).
     faults: Optional[FaultPlan] = None
-    #: Override the plan's RNG seed (CLI ``--fault-seed``; requires
-    #: :attr:`faults`).
-    fault_seed: Optional[int] = None
     #: Windowed time-series sampling (see :mod:`repro.obs.timeline`).
     #: ``None`` keeps the replay on the zero-overhead path -- one
     #: ``is not None`` test per instrumentation site, bit-identical
@@ -448,6 +451,181 @@ class ReplayScaffold:
         )
 
 
+class ReplayRun(NamedTuple):
+    """What a capability rule looks at: one replay's inputs.  The
+    number of nodes is ``len(schemes)``; ``batch_size`` and
+    ``recorder`` are :func:`replay_traces`' arguments."""
+
+    config: ReplayConfig
+    cluster: "ClusterConfig"
+    schemes: Sequence[DedupScheme]
+    recorder: Optional[TraceRecorder] = None
+    batch_size: Optional[int] = None
+
+
+#: A path's cell in a rule: ``CARRIED`` (None) or the reason the path
+#: does not run what the rule matches.
+CARRIED = None
+
+#: A rule's cells: (driver, event loop at one node, event loop at N>1).
+Cells = Tuple[Optional[str], Optional[str], Optional[str]]
+
+
+class Capability(NamedTuple):
+    """One rule of :data:`CAPABILITIES`: the runs ``applies`` matches
+    and, per path, ``CARRIED`` or a reason."""
+
+    name: str
+    applies: Callable[[ReplayRun], bool]
+    cells: Cells
+
+
+def _event_loop(feature: str) -> Cells:
+    """Cells of a feature only the event loop carries (at any N)."""
+    return (f"{feature} runs on the event loop", CARRIED, CARRIED)
+
+
+def _refused(reason: str) -> Cells:
+    """Cells of a combination no path runs (the driver's reason sends
+    the run to the event loop, which refuses it)."""
+    return (reason, reason, reason)
+
+
+def _member_failure(run: ReplayRun) -> bool:
+    """Does the fault plan fail a member disk?"""
+    faults = run.config.faults
+    return faults is not None and faults.member_failure is not None
+
+
+#: Which path carries what: one rule per row, one cell per path
+#: (driver, event loop at one node, event loop at N>1).  The rules that
+#: refuse at N>1 come first, then the combinations no path runs (their
+#: driver reason sends the run to the event loop, which refuses it),
+#: then what only the event loop carries.  :func:`refusal` returns the
+#: first reason in a path's column among the rules a run matches;
+#: :func:`replay_traces` falls back to the event loop on a driver
+#: reason, and :func:`repro.cluster.replay.replay_cluster` raises
+#: ``ConfigError`` with its reason before it builds a node.  Moving a
+#: feature onto a path flips one cell.  Value checks (ids, ranges,
+#: sizes) stay with the layer that owns the value.
+CAPABILITIES: Tuple[Capability, ...] = (
+    Capability(
+        "faults need one node",
+        lambda r: r.config.faults is not None,
+        (CARRIED, CARRIED, "multi-node replays take node faults via "
+         "ClusterConfig.node_failure, not ReplayConfig.faults"),
+    ),
+    Capability(
+        "failed disk needs one node",
+        lambda r: r.config.failed_disk is not None,
+        (CARRIED, CARRIED, "multi-node replays take degraded arrays via "
+         "ClusterConfig.node_failure, not ReplayConfig.failed_disk"),
+    ),
+    # Each would flip and heal the same array's failed member.
+    Capability(
+        "node failure + faults/disk",
+        lambda r: r.cluster.node_failure is not None and (
+            r.config.faults is not None or r.config.failed_disk is not None
+        ),
+        _refused(
+            "ClusterConfig.node_failure cannot be combined with "
+            "ReplayConfig.faults or ReplayConfig.failed_disk"
+        ),
+    ),
+    # The content oracle checks reads against the raw trace
+    # fingerprints; CDC rewrites what the scheme stores.
+    Capability(
+        "CDC under a content oracle",
+        lambda r: any(s.chunker is not None for s in r.schemes) and (
+            r.config.faults is not None or r.cluster.verify_content
+        ),
+        _refused(
+            "content-defined chunking cannot run under a content oracle "
+            "(fault injection or verify_content)"
+        ),
+    ),
+    Capability(
+        "directory + rebalance",
+        lambda r: r.cluster.directory is not None and r.cluster.rebalance is not None,
+        _refused(
+            "the replicated directory and shard rebalancing cannot be "
+            "combined yet (replica sets would race the migration)"
+        ),
+    ),
+    Capability(
+        "online GC without jobs",
+        lambda r: (
+            r.cluster.directory is not None
+            and r.cluster.directory.gc is not None
+            and r.cluster.directory.gc.mode == "online"
+            and r.config.jobs is None
+        ),
+        _refused(
+            "online refcount GC runs as a leased job and needs "
+            "ReplayConfig.jobs (pass --jobs, or --gc implies it on the CLI)"
+        ),
+    ),
+    # Only RAID-5 parity rebuilds or serves a failed member's blocks.
+    Capability(
+        "member failure off RAID-5",
+        lambda r: (
+            _member_failure(r) or r.cluster.node_failure is not None
+        ) and r.config.raid_level is not RaidLevel.RAID5,
+        _refused("member failure requires a RAID-5 array"),
+    ),
+    Capability(
+        "member failure, degraded array",
+        lambda r: _member_failure(r) and r.config.failed_disk is not None,
+        _refused(
+            "cannot schedule a member failure on an array that "
+            "already runs degraded (ReplayConfig.failed_disk)"
+        ),
+    ),
+    Capability(
+        "failed disk off RAID-5",
+        lambda r: (
+            r.config.failed_disk is not None
+            and r.config.raid_level is not RaidLevel.RAID5
+        ),
+        _refused("a degraded array (ReplayConfig.failed_disk) requires RAID-5"),
+    ),
+    Capability(
+        "SSD scheme without an SSD",
+        lambda r: r.config.ssd_params is None and any(s.uses_ssd for s in r.schemes),
+        _refused(
+            "the scheme emits SSD traffic but the replay has no "
+            "ssd_params configured"
+        ),
+    ),
+    Capability("faults", lambda r: r.config.faults is not None,
+               _event_loop("fault injection")),
+    Capability("ssd tier", lambda r: r.config.ssd_params is not None,
+               _event_loop("the SSD tier")),
+    Capability("invariant checks", lambda r: r.config.check_invariants,
+               _event_loop("invariant checking")),
+    Capability("spans", lambda r: r.config.spans, _event_loop("span tracing")),
+    Capability("jobs", lambda r: r.config.jobs is not None,
+               _event_loop("the job subsystem")),
+    Capability("recorder", lambda r: r.recorder is not None,
+               _event_loop("a trace recorder")),
+    Capability("batch_size=None", lambda r: r.batch_size is None,
+               _event_loop("batch_size=None")),
+)
+
+
+def refusal(run: ReplayRun, driver: bool = False) -> Optional[str]:
+    """The first reason :data:`CAPABILITIES` gives for keeping ``run``
+    off a path: the columnar driver's cell when ``driver``, else the
+    event loop's at ``len(run.schemes)`` nodes.  ``None``: the path
+    carries the run."""
+    path = 0 if driver else (1 if len(run.schemes) == 1 else 2)
+    for rule in CAPABILITIES:
+        reason = rule.cells[path]
+        if reason is not None and rule.applies(run):
+            return reason
+    return None
+
+
 def replay_trace(
     trace: Union[Trace, ColumnarTrace],
     scheme: DedupScheme,
@@ -469,11 +647,10 @@ def replay_trace(
     costs one integer compare per instrumentation site.
 
     The replay runs on the columnar batch driver, planning
-    ``batch_size`` requests per batch, whenever
-    :func:`repro.sim.batch.batch_eligible` accepts the config and no
-    ``recorder`` is attached; else on the one-node event loop, which
-    is also what ``batch_size=None`` selects (the reference the
-    driver is pinned bit-identical to by the golden tests).
+    ``batch_size`` requests per batch, unless :data:`CAPABILITIES`
+    sends it to the one-node event loop (a ``recorder``, for one,
+    does; so does ``batch_size=None``, the reference the driver is
+    pinned bit-identical to by the golden tests).
 
     This is the N=1 special case of :func:`replay_traces` (without
     the per-volume metric breakdowns); the two are bit-identical for
@@ -515,32 +692,33 @@ def replay_traces(
     content was first written by another volume) or *intra-volume*.
 
     The loop is chosen as in :func:`replay_trace`: the columnar driver
-    for every config it carries; the one-node cluster event loop for
-    the rest, for any ``recorder`` and for ``batch_size=None``.
+    for every run its :data:`CAPABILITIES` cells carry, the one-node
+    cluster event loop for the rest.
     """
     if not traces:
         raise ConfigError("replay_traces needs at least one trace")
-    if batch_size is not None and recorder is None:
-        from repro.sim.batch import batch_eligible, replay_columnar
-
-        if batch_eligible(config):
-            return replay_columnar(
-                traces,
-                scheme,
-                config,
-                collector=collector,
-                batch_size=batch_size,
-                per_volume_metrics=per_volume_metrics,
-            )
     from repro.cluster.replay import ClusterConfig, replay_cluster
 
+    run = ReplayRun(config, ClusterConfig(), (scheme,), recorder, batch_size)
+    if refusal(run, driver=True) is None:
+        from repro.sim.batch import replay_columnar
+
+        assert batch_size is not None  # the table sends None to the event loop
+        return replay_columnar(
+            traces,
+            scheme,
+            config,
+            collector=collector,
+            batch_size=batch_size,
+            per_volume_metrics=per_volume_metrics,
+        )
     # Columnar inputs on the event loop materialise back to
     # request-level traces -- the round-trip is lossless, so the
     # result is identical.
     return replay_cluster(
         [t.to_trace() if isinstance(t, ColumnarTrace) else t for t in traces],
         [scheme],
-        ClusterConfig(),
+        run.cluster,
         config,
         collector=collector,
         recorder=recorder,

@@ -19,7 +19,7 @@ paying its own seek.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError
 from repro.sim.request import OpType
@@ -133,11 +133,6 @@ class ContentStore:
         if not (0 <= pba < self.total_blocks):
             self._check(pba)
         self._content[pba] = fingerprint
-
-    def write_run(self, pba: int, fingerprints: Iterable[int]) -> None:
-        """Write a contiguous run starting at ``pba``."""
-        for i, fp in enumerate(fingerprints):
-            self.write(pba + i, fp)
 
     def read(self, pba: int) -> Optional[int]:
         """Fingerprint stored at ``pba``, or ``None`` if never written."""

@@ -27,8 +27,7 @@ designed to capture).
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "MergedColumns",
     "merge_columnar",
     "classify_chunks",
-    "load_trace_columnar",
 ]
 
 #: ``ops`` column encoding.
@@ -434,84 +432,3 @@ def classify_chunks(
         "hot": hot,
         "distinct": int(np.count_nonzero(counts)),
     }
-
-
-# ----------------------------------------------------------------------
-# native columnar loader (text trace format)
-# ----------------------------------------------------------------------
-
-
-def load_trace_columnar(path: Union[str, Path]) -> ColumnarTrace:
-    """Parse a saved trace file directly into columns.
-
-    The columnar twin of :func:`repro.traces.format.load_trace`:
-    requests never exist as per-record objects, only as rows in the
-    output arrays (the fingerprint pool is interned during the scan).
-    """
-    path = Path(path)
-    name = path.stem
-    logical_blocks: Optional[int] = None
-    warmup_count = 0
-    times: List[float] = []
-    ops: List[int] = []
-    lbas: List[int] = []
-    nblocks: List[int] = []
-    offsets: List[int] = [0]
-    fp_ids: List[int] = []
-    pool: List[int] = []
-    intern: Dict[int, int] = {}
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) >= 2 and parts[0] == "trace":
-                    name = parts[1]
-                elif len(parts) >= 2 and parts[0] == "logical_blocks":
-                    logical_blocks = int(parts[1])
-                elif len(parts) >= 2 and parts[0] == "warmup_count":
-                    warmup_count = int(parts[1])
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise TraceError(
-                    f"{path}:{lineno}: expected 5 fields, got {len(parts)}"
-                )
-            time_s, op_s, lba_s, nblocks_s, fps_s = parts
-            if op_s == "W":
-                ops.append(OP_WRITE)
-            elif op_s == "R":
-                ops.append(OP_READ)
-            else:
-                raise TraceError(f"{path}:{lineno}: bad op {op_s!r}")
-            times.append(float(time_s))
-            lbas.append(int(lba_s))
-            nblocks.append(int(nblocks_s))
-            if fps_s != "-":
-                for tok in fps_s.split(","):
-                    fp = int(tok)
-                    fid = intern.get(fp)
-                    if fid is None:
-                        fid = len(pool)
-                        intern[fp] = fid
-                        pool.append(fp)
-                    fp_ids.append(fid)
-            offsets.append(len(fp_ids))
-    if logical_blocks is None:
-        logical_blocks = max(
-            (lba + n for lba, n in zip(lbas, nblocks)), default=1
-        )
-    return ColumnarTrace(
-        name=name,
-        logical_blocks=logical_blocks,
-        warmup_count=warmup_count,
-        times=np.asarray(times, dtype=np.float64),
-        ops=np.asarray(ops, dtype=np.uint8),
-        lbas=np.asarray(lbas, dtype=np.int64),
-        nblocks=np.asarray(nblocks, dtype=np.int64),
-        fp_offsets=np.asarray(offsets, dtype=np.int64),
-        fp_ids=np.asarray(fp_ids, dtype=np.int64),
-        pool=pool,
-    )

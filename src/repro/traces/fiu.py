@@ -29,14 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import TraceError
 from repro.sim.request import OpType
 from repro.traces.format import Trace, TraceRecord
-
-if TYPE_CHECKING:
-    from repro.traces.columnar import ColumnarTrace
 
 #: 4 KB blocks per 512-byte sector addressing unit.
 SECTORS_PER_BLOCK = 8
@@ -200,34 +197,4 @@ def load_fiu_trace(
         records=requests,
         logical_blocks=logical_blocks,
         warmup_count=warmup_count,
-    )
-
-
-def load_fiu_trace_columnar(
-    path: Union[str, Path],
-    name: Optional[str] = None,
-    logical_blocks: Optional[int] = None,
-    warmup_count: int = 0,
-    sector_addressing: bool = False,
-    time_epsilon: float = 0.0,
-) -> "ColumnarTrace":
-    """Read an FIU-style file straight into a ColumnarTrace.
-
-    FIU parsing is dominated by the record-reconstruction pass (sector
-    coalescing, timestamp repair), which inherently assembles
-    per-request records; the columnar interning happens immediately
-    after, so callers feeding the batch replay driver never hold the
-    record list beyond this call.
-    """
-    from repro.traces.columnar import ColumnarTrace
-
-    return ColumnarTrace.from_trace(
-        load_fiu_trace(
-            path,
-            name=name,
-            logical_blocks=logical_blocks,
-            warmup_count=warmup_count,
-            sector_addressing=sector_addressing,
-            time_epsilon=time_epsilon,
-        )
     )

@@ -30,22 +30,23 @@ class TestGhostCache:
         g.record_eviction("a")
         g.record_eviction("b")
         g.record_eviction("c")
-        dropped = g.record_eviction("d")
-        assert dropped == ["a"]
-        assert len(g) == 3
+        g.record_eviction("d")
+        assert "a" not in g
+        assert list(g.keys_mru()) == ["d", "c", "b"]
 
     def test_re_eviction_refreshes_recency(self):
         g = GhostCache(30, default_entry_size=10)
         for k in "abc":
             g.record_eviction(k)
         g.record_eviction("a")  # refresh
-        dropped = g.record_eviction("d")
-        assert dropped == ["b"]
+        g.record_eviction("d")
+        assert "b" not in g
+        assert list(g.keys_mru()) == ["d", "a", "c"]
 
     def test_oversize_entry_dropped_immediately(self):
         g = GhostCache(30, default_entry_size=31)
-        dropped = g.record_eviction("big")
-        assert dropped == ["big"]
+        g.record_eviction("big")
+        assert "big" not in g
         assert len(g) == 0
 
     def test_remove_silent(self):

@@ -151,6 +151,22 @@ class TestReplayIntegration:
         with pytest.raises(ConfigError):
             replay_trace(trace, scheme)
 
+    @pytest.mark.parametrize("batch_size", [4096, None])
+    def test_refused_before_planning(self, batch_size):
+        """Without ssd_params the run is refused up front, on the driver
+        and the event loop alike: no request reaches the scheme."""
+        trace = self._trace()
+        scheme = SARDedupe(
+            SchemeConfig(
+                logical_blocks=trace.logical_blocks,
+                memory_bytes=64 * 1024,
+                ssd_bytes=4 * 1024 * 1024,
+            )
+        )
+        with pytest.raises(ConfigError, match="no ssd_params configured"):
+            replay_trace(trace, scheme, ReplayConfig(), batch_size=batch_size)
+        assert scheme.writes_total == scheme.reads_total == 0
+
     def test_sar_reads_no_slower_than_plain_select(self):
         from repro.core.select_dedupe import SelectDedupe
 

@@ -32,7 +32,7 @@ def run_report(fault_seed=7):
     result = replay_trace(
         _TRACE,
         scheme,
-        ReplayConfig(faults=plan, fault_seed=fault_seed, check_invariants=True),
+        ReplayConfig(faults=plan.with_seed(fault_seed), check_invariants=True),
     )
     report = build_run_report(
         result,

@@ -7,9 +7,12 @@ recovery histograms), and the content oracle stayed clean -- no
 injected fault ever turns into silently wrong data.
 """
 
+import json
+
 import pytest
 
 from repro.baselines.base import SchemeConfig
+from repro.cli import main
 from repro.core.pod import POD
 from repro.core.select_dedupe import SelectDedupe
 from repro.errors import ConfigError
@@ -21,6 +24,11 @@ from repro.storage.raid import RaidLevel
 from repro.traces.synthetic import WEB_VM, generate_trace
 
 _TRACE = generate_trace(WEB_VM, scale=0.02)
+
+#: The CLI's ``run`` on the same trace (``--fault-seed`` is a CLI flag:
+#: it reseeds the ``--faults`` plan as it loads).
+CLI_RUN = ["run", "--trace", "web-vm", "--scheme", "select-dedupe",
+           "--scale", "0.02"]
 
 
 def run(plan=None, cls=SelectDedupe, memory_kib=128, recorder=None, **cfg):
@@ -61,16 +69,19 @@ class TestOffPathAndDeterminism:
         assert a.fault_stats == b.fault_stats
         assert a.metrics.as_dict() == b.metrics.as_dict()
 
-    def test_fault_seed_overrides_plan_seed(self):
-        plan = FaultPlan.from_dict(
+    def test_fault_seed_overrides_plan_seed(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
             {"seed": 1, "latent_sector_errors": {"random_count": 10}}
-        )
-        r = run(plan, fault_seed=77)
-        assert r.fault_stats["seed"] == 77
+        ))
+        out = tmp_path / "r.json"
+        assert main(CLI_RUN + ["--faults", str(plan), "--fault-seed", "77",
+                               "--report-out", str(out)]) == 0
+        assert json.loads(out.read_text())["faults"]["seed"] == 77
 
-    def test_fault_seed_without_plan_rejected(self):
-        with pytest.raises(ConfigError, match="fault_seed"):
-            run(None, fault_seed=3)
+    def test_fault_seed_without_plan_rejected(self, capsys):
+        assert main(CLI_RUN + ["--fault-seed", "3"]) == 1
+        assert "error: --fault-seed requires --faults" in capsys.readouterr().err
 
     def test_seed_changes_lse_placement(self):
         scheme = SelectDedupe(SchemeConfig(

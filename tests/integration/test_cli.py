@@ -12,7 +12,7 @@ from repro.dedup.chunking import ChunkingConfig
 from repro.experiments import runner
 from repro.experiments.runner import RunSpec, Tenants, execute
 from repro.obs.report import build_run_report
-from repro.sim import batch
+from repro.sim import batch, replay
 from repro.sim.replay import ReplayConfig
 from repro.storage.raid import RaidLevel
 
@@ -160,9 +160,9 @@ DRIVER_RUNS = {
 
 @pytest.mark.parametrize("name", sorted(DRIVER_RUNS))
 def test_driver_report_equals_object_loop(name, tmp_path, monkeypatch):
-    """A default CLI run takes the columnar driver; with the driver
-    refused it takes the object event loop, and the report sections
-    both loops fill are equal."""
+    """A default CLI run takes the columnar driver; with one more
+    capability rule refusing the driver it takes the object event
+    loop, and the report sections both loops fill are equal."""
     argv, sections = DRIVER_RUNS[name]
     driver_calls = []
     replay_columnar = batch.replay_columnar
@@ -175,7 +175,13 @@ def test_driver_report_equals_object_loop(name, tmp_path, monkeypatch):
     reports = {}
     for loop in ("driver", "object"):
         if loop == "object":
-            monkeypatch.setattr(batch, "batch_eligible", lambda config: False)
+            refuse_driver = replay.Capability(
+                "object loop", lambda run: True,
+                ("this run asks for the event loop", None, None),
+            )
+            monkeypatch.setattr(
+                replay, "CAPABILITIES", replay.CAPABILITIES + (refuse_driver,)
+            )
         runner.clear_run_cache()
         out = tmp_path / f"{loop}.json"
         assert main(argv + ["--report-out", str(out)]) == 0

@@ -68,7 +68,7 @@ class TestStaleLeaseRecovery:
         )
         result = _replay(
             ReplayConfig(
-                faults=plan, fault_seed=7, check_invariants=True, jobs=JOBS
+                faults=plan.with_seed(7), check_invariants=True, jobs=JOBS
             )
         )
 
@@ -109,7 +109,7 @@ class TestStaleLeaseRecovery:
         )
         result = _replay(
             ReplayConfig(
-                faults=plan, fault_seed=7, check_invariants=True, jobs=JOBS
+                faults=plan.with_seed(7), check_invariants=True, jobs=JOBS
             )
         )
         counters = result.jobs_stats["counters"]
@@ -126,7 +126,7 @@ class TestStaleLeaseRecovery:
             ),
             fail_slow=(FailSlowSpec(disk=1, start=5.0, end=9.0, multiplier=40.0),),
         )
-        result = _replay(ReplayConfig(faults=plan, fault_seed=7, jobs=JOBS))
+        result = _replay(ReplayConfig(faults=plan.with_seed(7), jobs=JOBS))
         counters = result.metrics.registry.counters()
         assert counters["jobs.stale_lease_reclaims"] > 0
         assert (
@@ -147,7 +147,7 @@ class TestScrubber:
             JOBS, scrub=ScrubberSpec(start=0.5, region_blocks=4096, interval=0.01)
         )
         result = _replay(
-            ReplayConfig(faults=plan, fault_seed=11, check_invariants=True,
+            ReplayConfig(faults=plan.with_seed(11), check_invariants=True,
                          jobs=jobs)
         )
         fault_counters = result.fault_stats["counters"]
@@ -220,7 +220,7 @@ class TestPerVolumeNvramLoss:
         )
         result = execute(RunSpec(
             ["web-vm", "mail"], "select-dedupe", tenants=Tenants(copies=2),
-            replay=ReplayConfig(faults=plan, fault_seed=5), seed=3, scale=0.02,
+            replay=ReplayConfig(faults=plan.with_seed(5)), seed=3, scale=0.02,
         ))
         counters = result.fault_stats["counters"]
         assert counters["nvram_losses"] == 1
@@ -264,7 +264,7 @@ class TestGoldenJobsOff:
                 disk=2, time=5.0, rows_per_batch=64, interval=0.02
             ),
         )
-        base = ReplayConfig(faults=plan, fault_seed=7, check_invariants=True)
+        base = ReplayConfig(faults=plan.with_seed(7), check_invariants=True)
         plain = self._report(base)
         explicit_off = self._report(dataclasses.replace(base, jobs=None))
         assert json.dumps(plain, sort_keys=True) == json.dumps(

@@ -16,13 +16,19 @@ import json
 import pytest
 
 from repro.baselines.base import SchemeConfig
+from repro.cluster.replay import ClusterConfig
 from repro.dedup.chunking import ChunkingConfig
 from repro.experiments.runner import SCHEME_CLASSES
 from repro.metrics.analysis import DetailedCollector
 from repro.obs.slo import SloObjective, SloPolicy
 from repro.obs.timeline import TimelineConfig
-from repro.sim.batch import batch_eligible
-from repro.sim.replay import ReplayConfig, replay_trace, replay_traces
+from repro.sim.replay import (
+    ReplayConfig,
+    ReplayRun,
+    refusal,
+    replay_trace,
+    replay_traces,
+)
 from repro.sim.request import OpType
 from repro.storage.raid import RaidLevel
 from repro.traces.columnar import ColumnarTrace
@@ -76,6 +82,16 @@ def replay(traces, scheme_name, batch_size, config=None, collector=None,
         collector=collector,
         batch_size=batch_size,
     )
+
+
+def driver_reason(config, scheme_name="POD"):
+    """The capability table's reason to keep a default-batch replay of
+    ``config`` off the driver (None: the driver takes it)."""
+    scheme = SCHEME_CLASSES[scheme_name](
+        SchemeConfig(logical_blocks=1024, memory_bytes=256 * 1024)
+    )
+    run = ReplayRun(config, ClusterConfig(), [scheme], batch_size=4096)
+    return refusal(run, driver=True)
 
 
 @pytest.mark.parametrize("scheme_name", sorted(SCHEME_CLASSES))
@@ -161,7 +177,7 @@ def test_degraded_array_bit_identity(scheme_name, failed_disk, web_trace):
     extent maps degraded) and matches the object path, whichever member
     is down."""
     config = ReplayConfig(failed_disk=failed_disk)
-    assert batch_eligible(config)
+    assert driver_reason(config, scheme_name) is None
     base = replay([web_trace], scheme_name, None, config=config)
     assert base.utilisation[failed_disk]["ops"] == 0
     expected = fingerprint(base)
@@ -177,7 +193,7 @@ def test_ineligible_config_falls_back(web_trace):
     """Configs outside the batch fast path (span tracing) silently take
     the object path -- same results, no error."""
     config = ReplayConfig(spans=True)
-    assert not batch_eligible(config)
+    assert driver_reason(config) == "span tracing runs on the event loop"
     base = fingerprint(replay([web_trace], "POD", None, config=config))
     assert fingerprint(replay([web_trace], "POD", 4096, config=config)) == base
 

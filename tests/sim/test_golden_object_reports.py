@@ -81,8 +81,7 @@ def _run(case: str) -> str:
                 "web-vm",
                 "Select-Dedupe",
                 ReplayConfig(
-                    faults=plan,
-                    fault_seed=7,
+                    faults=plan.with_seed(7),
                     check_invariants=True,
                     sanitize_every=500,
                     spans=True,

@@ -66,11 +66,6 @@ class TestContentStore:
         assert cs.read(5) == 2
         assert cs.occupied_blocks() == 1
 
-    def test_write_run(self):
-        cs = ContentStore(100)
-        cs.write_run(10, [7, 8, 9])
-        assert [cs.read(p) for p in (10, 11, 12)] == [7, 8, 9]
-
     def test_discard(self):
         cs = ContentStore(100)
         cs.write(5, 1)

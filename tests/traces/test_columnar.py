@@ -1,6 +1,5 @@
 """Columnar trace representation: lossless round-trips, payload
-shipping, vectorized fingerprint classification, and the native
-columnar loader."""
+shipping and vectorized fingerprint classification."""
 
 from __future__ import annotations
 
@@ -14,10 +13,9 @@ from repro.sim.request import OpType
 from repro.traces.columnar import (
     ColumnarTrace,
     classify_chunks,
-    load_trace_columnar,
     merge_columnar,
 )
-from repro.traces.format import Trace, TraceRecord, load_trace, save_trace
+from repro.traces.format import Trace, TraceRecord
 from repro.traces.synthetic import WEB_VM, generate_trace
 
 LOGICAL = 128
@@ -207,28 +205,3 @@ class TestMerge:
             merge_columnar([ct], [0, 1])
         with pytest.raises(TraceError):
             merge_columnar([], [])
-
-
-class TestLoader:
-    @given(trace=small_traces())
-    @settings(max_examples=40, deadline=None)
-    def test_loader_matches_object_loader(self, trace, tmp_path_factory):
-        path = tmp_path_factory.mktemp("col") / "t.trace"
-        save_trace(trace, path)
-        ct = load_trace_columnar(path)
-        assert ct.to_trace().records == load_trace(path).records
-        assert ct.warmup_count == trace.warmup_count
-        assert ct.logical_blocks == trace.logical_blocks
-
-    def test_fiu_columnar_loader(self, tmp_path):
-        from repro.traces.fiu import (
-            load_fiu_trace,
-            load_fiu_trace_columnar,
-            write_fiu,
-        )
-
-        trace = generate_trace(WEB_VM, scale=0.005)
-        path = tmp_path / "t.fiu"
-        write_fiu(trace, path)
-        ct = load_fiu_trace_columnar(path)
-        assert ct.to_trace().records == load_fiu_trace(path).records
