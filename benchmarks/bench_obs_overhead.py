@@ -11,7 +11,9 @@ contract covers the timeline/span/SLO instrumentation too.  A second
 CHUNK-level recording and armed timeline+span+SLO telemetry cost,
 which is allowed to be expensive: you only pay for what you watch.
 Timeline+SLO without spans also runs on the columnar batch driver;
-its row is measured against the unarmed columnar replay.
+its row is measured against the unarmed columnar replay and asserted:
+the median armed replay may cost at most ``MAX_COLUMNAR_ARMED_RATIO``
+times the median unarmed one (telemetry stays on at a bounded cost).
 
 Runnable two ways::
 
@@ -24,6 +26,8 @@ from __future__ import annotations
 import dataclasses
 import statistics
 import time
+
+import pytest
 
 from repro.baselines.base import SchemeConfig
 from repro.core.pod import POD
@@ -40,6 +44,12 @@ from repro.traces.synthetic import WEB_VM, generate_trace
 REPEATS = 5
 TRACE = generate_trace(WEB_VM, scale=0.05, seed=1234)
 MAX_OFF_OVERHEAD = 0.05
+#: Bound on armed timeline+SLO / unarmed columnar replay CPU time
+#: (medians of ``COLUMNAR_REPEATS`` alternating rounds), with margin
+#: above the 0.94-1.11 that twenty runs read on a shared 2-core x86-64 VM.
+MAX_COLUMNAR_ARMED_RATIO = 1.2
+#: Alternating rounds of the bounded columnar row (~0.1 s per replay).
+COLUMNAR_REPEATS = 15
 
 
 def _scheme() -> POD:
@@ -75,12 +85,13 @@ JOBS = ReplayConfig(
 
 
 def _time_replay(
-    recorder, config: ReplayConfig = ReplayConfig(), batch_size=None
+    recorder, config: ReplayConfig = ReplayConfig(), batch_size=None,
+    clock=time.perf_counter,
 ) -> float:
     scheme = _scheme()
-    t0 = time.perf_counter()
+    t0 = clock()
     replay_trace(TRACE, scheme, config, recorder=recorder, batch_size=batch_size)
-    return time.perf_counter() - t0
+    return clock() - t0
 
 
 def _median_runtime(
@@ -104,23 +115,45 @@ def measure() -> dict:
         "chunk": _median_runtime(lambda: TraceRecorder(level=TraceLevel.CHUNK)),
         "telemetry": _median_runtime(lambda: None, TELEMETRY),
         "jobs": _median_runtime(lambda: None, JOBS),
-        "columnar": _median_runtime(
-            lambda: None, ReplayConfig(), DEFAULT_BATCH_SIZE
-        ),
-        "columnar_telemetry": _median_runtime(
-            lambda: None, COLUMNAR_TELEMETRY, DEFAULT_BATCH_SIZE
-        ),
     }
+    # The bounded row: unarmed and armed columnar replays alternate
+    # (each goes first in every other round) and are timed in process
+    # CPU time, so that a neighbour's load does not land on one side.
+    runs: dict = {ReplayConfig(): [], COLUMNAR_TELEMETRY: []}
+    for r in range(COLUMNAR_REPEATS):
+        for config in list(runs)[:: 1 if r % 2 == 0 else -1]:
+            runs[config].append(_time_replay(
+                None, config, DEFAULT_BATCH_SIZE, clock=time.process_time
+            ))
+    out["columnar"] = statistics.median(runs[ReplayConfig()])
+    out["columnar_telemetry"] = statistics.median(runs[COLUMNAR_TELEMETRY])
     out["off_overhead"] = out["off"] / out["baseline"] - 1.0
+    out["columnar_armed_ratio"] = out["columnar_telemetry"] / out["columnar"]
     return out
 
 
-def test_tracing_off_overhead_below_5pct():
-    m = measure()
+@pytest.fixture(scope="module")
+def measured() -> dict:
+    return measure()
+
+
+def test_tracing_off_overhead_below_5pct(measured):
+    m = measured
     assert m["off_overhead"] < MAX_OFF_OVERHEAD, (
         f"OFF-level recorder costs {m['off_overhead'] * 100:.1f}% "
         f"(baseline {m['baseline'] * 1e3:.1f} ms, off {m['off'] * 1e3:.1f} ms); "
         f"the contract is <{MAX_OFF_OVERHEAD * 100:.0f}%"
+    )
+
+
+def test_columnar_timeline_slo_cost_bounded(measured):
+    m = measured
+    assert m["columnar_armed_ratio"] <= MAX_COLUMNAR_ARMED_RATIO, (
+        f"timeline+SLO on the columnar driver costs "
+        f"{m['columnar_armed_ratio']:.2f}x the unarmed replay "
+        f"(armed {m['columnar_telemetry'] * 1e3:.1f} ms, "
+        f"unarmed {m['columnar'] * 1e3:.1f} ms); "
+        f"the bound is {MAX_COLUMNAR_ARMED_RATIO:.2f}x"
     )
 
 
@@ -138,12 +171,15 @@ def main() -> None:  # pragma: no cover - manual entry point
           f"({(m['telemetry'] / m['baseline'] - 1) * 100:+.1f}%)")
     print(f"leased jobs + scrub : {m['jobs'] * 1e3:8.1f} ms "
           f"({(m['jobs'] / m['baseline'] - 1) * 100:+.1f}%)")
-    print(f"columnar driver     : {m['columnar'] * 1e3:8.1f} ms")
-    print(f"timeline+slo, columnar driver: {m['columnar_telemetry'] * 1e3:8.1f} ms "
+    print(f"columnar driver     : {m['columnar'] * 1e3:8.1f} ms CPU")
+    print(f"timeline+slo, columnar driver: {m['columnar_telemetry'] * 1e3:8.1f} ms CPU "
           f"({(m['columnar_telemetry'] / m['columnar'] - 1) * 100:+.1f}% "
           f"vs unarmed columnar)")
     status = "OK" if m["off_overhead"] < MAX_OFF_OVERHEAD else "FAIL"
     print(f"off-level contract (<{MAX_OFF_OVERHEAD * 100:.0f}%): {status}")
+    ok = m["columnar_armed_ratio"] <= MAX_COLUMNAR_ARMED_RATIO
+    print(f"columnar armed bound (<={MAX_COLUMNAR_ARMED_RATIO:.2f}x): "
+          f"{'OK' if ok else 'FAIL'}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -105,6 +105,13 @@ from repro.storage.ssd import Ssd
 from repro.storage.volume import VolumeOp
 from repro.traces.format import Trace
 
+#: Trace levels read per arrival, completion and RPC destination,
+#: bound once: an attribute lookup on an Enum class costs several
+#: times a module-global lookup.
+_REQUEST = TraceLevel.REQUEST
+_CHUNK = TraceLevel.CHUNK
+_SUMMARY = TraceLevel.SUMMARY
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -575,9 +582,9 @@ class _ClusterReplay:
                     now, done, span, parent=root, req_id=req_id, node=src, dst=dst,
                     **{count_field: count},
                 )
-            if obs.level >= TraceLevel.CHUNK:
+            if obs.level >= _CHUNK:
                 obs.emit(
-                    TraceLevel.CHUNK, now, EventType.NET_RPC, src=src, dst=dst,
+                    _CHUNK, now, EventType.NET_RPC, src=src, dst=dst,
                     bytes=nbytes, queued=fabric.last_queue_wait, done=done,
                 )
         return latest
@@ -714,10 +721,10 @@ class _ClusterReplay:
                 queue_lag=queue_lag(node.disks, now),
             )
         obs = self.obs
-        if obs.level >= TraceLevel.REQUEST:
+        if obs.level >= _REQUEST:
             extra: Dict[str, Any] = {"volume": request.volume_id} if self.multi else {}
             obs.emit(
-                TraceLevel.REQUEST, now, EventType.REQUEST_ARRIVE,
+                _REQUEST, now, EventType.REQUEST_ARRIVE,
                 req_id=request.req_id, op=request.op.value, lba=request.lba,
                 nblocks=request.nblocks, **extra,
             )
@@ -832,10 +839,10 @@ class _ClusterReplay:
             ))
             if len(done) >= DEFAULT_BATCH_SIZE:
                 self.fold()
-        if obs.level >= TraceLevel.REQUEST:
+        if obs.level >= _REQUEST:
             extra: Dict[str, Any] = {"volume": request.volume_id} if self.multi else {}
             obs.emit(
-                TraceLevel.REQUEST, completed_at, EventType.REQUEST_COMPLETE,
+                _REQUEST, completed_at, EventType.REQUEST_COMPLETE,
                 req_id=request.req_id, op=request.op.value, nblocks=request.nblocks,
                 response=completed_at - arrival, eliminated=planned.eliminated,
                 deduped_blocks=planned.deduped_blocks,
@@ -873,8 +880,8 @@ class _ClusterReplay:
 
     def _summary(self, event: EventType, **fields: Any) -> None:
         """Record a SUMMARY-level run event at the current clock."""
-        if self.obs.level >= TraceLevel.SUMMARY:
-            self.obs.emit(TraceLevel.SUMMARY, self.sim.now, event, **fields)
+        if self.obs.level >= _SUMMARY:
+            self.obs.emit(_SUMMARY, self.sim.now, event, **fields)
 
     def epoch_tick(self, node: ClusterNode, interval: float) -> None:
         """One node's iCache epoch; schedules the next tick (on
@@ -1089,14 +1096,14 @@ class _ClusterReplay:
         the result."""
         sim = self.sim
         obs = self.obs
-        if obs.level >= TraceLevel.SUMMARY:
+        if obs.level >= _SUMMARY:
             extra_run: Dict[str, Any] = (
                 {"volumes": len(self.scaffold.volumes)} if self.multi else {}
             )
             if self.multi_node:
                 extra_run["nodes"] = self.nnodes
             obs.emit(
-                TraceLevel.SUMMARY, self.requests[0].time if self.requests else 0.0,
+                _SUMMARY, self.requests[0].time if self.requests else 0.0,
                 EventType.RUN_START, trace=self.scaffold.run_name,
                 scheme=self.nodes[0].scheme.name, requests=len(self.requests),
                 warmup=self.total_warmup, **extra_run,
@@ -1118,9 +1125,9 @@ class _ClusterReplay:
         elif self.oracles is not None:
             for node in self.nodes:
                 self.oracles[node.node_id].assert_clean(node.scheme)
-        if obs.level >= TraceLevel.SUMMARY:
+        if obs.level >= _SUMMARY:
             obs.emit(
-                TraceLevel.SUMMARY, sim.now, EventType.RUN_END,
+                _SUMMARY, sim.now, EventType.RUN_END,
                 events_processed=sim.events_processed,
                 makespan=self.metrics.as_dict()["makespan"],
             )

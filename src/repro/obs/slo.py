@@ -212,6 +212,14 @@ def evaluate_slo(policy: SloPolicy, timeline: Mapping[str, Any]) -> Dict[str, An
     """Evaluate ``policy`` over a timeline document; returns the run
     report's ``slo`` section.
 
+    It reads each window's ``index``, ``t0``/``t1``, ``activity``,
+    ``slo_counts`` and the ``requests``/``reads``/``writes`` of the
+    objective's scope, plus the document's ``window`` and ``origin``:
+    the full document (``TimelineSampler.as_dict()``, a report's
+    ``timeline`` section, a loaded JSONL) and the count document a
+    replay hands it (``as_dict(counts_only=True)``) give the same
+    verdict.
+
     Latency objectives consume the exact per-window ``slo_counts``
     the sampler recorded for them (index-aligned with the policy's
     latency-objective order).  Throughput objectives compare each

@@ -156,12 +156,17 @@ class _Scope:
         self.net_delay_total += net_delay
         self.remote_lookups += remote_lookups
 
-    def as_dict(self) -> Dict[str, Any]:
-        """Stable-shape window scope document."""
-        return {
+    def as_dict(self, counts_only: bool = False) -> Dict[str, Any]:
+        """Stable-shape window scope document: the request counts, then
+        (unless ``counts_only``) block sums, ratios and latency digests."""
+        doc: Dict[str, Any] = {
             "requests": self.reads + self.writes,
             "reads": self.reads,
             "writes": self.writes,
+        }
+        if counts_only:
+            return doc
+        doc.update({
             "read_blocks": self.read_blocks,
             "write_blocks": self.write_blocks,
             "eliminated_requests": self.eliminated_requests,
@@ -178,7 +183,8 @@ class _Scope:
             ),
             "read_latency": _hist_summary(self.read_hist),
             "write_latency": _hist_summary(self.write_hist),
-        }
+        })
+        return doc
 
 
 class _Window:
@@ -211,6 +217,11 @@ class TimelineSampler:
     ``policy`` (a :class:`repro.obs.slo.SloPolicy`) arms exact
     per-window good/bad counting for its latency objectives -- the SLO
     engine needs exact threshold counts, not interpolated percentiles.
+
+    Two documents render from one renderer (:meth:`window_docs`): the
+    full timeline (:meth:`as_dict`, the report section and the JSONL)
+    and the count document (``as_dict(counts_only=True)``), which is
+    what a replay's SLO verdict reads.
     """
 
     def __init__(self, config: TimelineConfig, policy: Optional[Any] = None) -> None:
@@ -516,8 +527,18 @@ class TimelineSampler:
                 if name not in win.activity:
                     win.activity[name] = 1.0
 
-    def window_docs(self) -> List[Dict[str, Any]]:
-        """All windows as JSON-ready dicts, index-ordered."""
+    def window_docs(self, counts_only: bool = False) -> List[Dict[str, Any]]:
+        """All windows as JSON-ready dicts, index-ordered.
+
+        Each document carries the window's ``index``/``t0``/``t1``, the
+        request counts of its run, volume and node scopes, its
+        ``activity`` (``annotate_interval`` windows applied) and, with
+        a policy armed, its ``slo_counts``: everything
+        :func:`~repro.obs.slo.evaluate_slo` reads.  Unless
+        ``counts_only``, it also carries the block sums, ratios and
+        latency digests of every scope, the gauges and the network
+        links -- the full window, in the same key order either way.
+        """
         self._apply_intervals()
         docs: List[Dict[str, Any]] = []
         for idx in sorted(self._windows):
@@ -527,42 +548,46 @@ class TimelineSampler:
                 "t0": self._origin + idx * self._width,
                 "t1": self._origin + (idx + 1) * self._width,
             }
-            doc.update(win.run.as_dict())
+            doc.update(win.run.as_dict(counts_only))
             doc["volumes"] = {
-                str(vid): win.volumes[vid].as_dict()
+                str(vid): win.volumes[vid].as_dict(counts_only)
                 for vid in sorted(win.volumes)
             }
             doc["nodes"] = {
-                str(nid): win.nodes[nid].as_dict()
+                str(nid): win.nodes[nid].as_dict(counts_only)
                 for nid in sorted(win.nodes)
             }
-            doc["gauges"] = {k: win.gauges[k] for k in sorted(win.gauges)}
-            doc["node_gauges"] = {
-                str(nid): {
-                    k: win.node_gauges[nid][k]
-                    for k in sorted(win.node_gauges[nid])
+            if not counts_only:
+                doc["gauges"] = {k: win.gauges[k] for k in sorted(win.gauges)}
+                doc["node_gauges"] = {
+                    str(nid): {
+                        k: win.node_gauges[nid][k]
+                        for k in sorted(win.node_gauges[nid])
+                    }
+                    for nid in sorted(win.node_gauges)
                 }
-                for nid in sorted(win.node_gauges)
-            }
-            doc["net"] = {
-                f"{src}->{dst}": {
-                    "bytes": int(win.links[(src, dst)][0]),
-                    "busy": win.links[(src, dst)][1],
-                    "rpcs": int(win.links[(src, dst)][2]),
-                    "utilisation": win.links[(src, dst)][1] / self._width,
+                doc["net"] = {
+                    f"{src}->{dst}": {
+                        "bytes": int(win.links[(src, dst)][0]),
+                        "busy": win.links[(src, dst)][1],
+                        "rpcs": int(win.links[(src, dst)][2]),
+                        "utilisation": win.links[(src, dst)][1] / self._width,
+                    }
+                    for src, dst in sorted(win.links)
                 }
-                for src, dst in sorted(win.links)
-            }
             doc["activity"] = {k: win.activity[k] for k in sorted(win.activity)}
             if self._latency_rules:
                 doc["slo_counts"] = [list(c) for c in win.slo_counts]
             docs.append(doc)
         return docs
 
-    def as_dict(self) -> Dict[str, Any]:
-        """The full timeline document (the run report's ``timeline``
-        section; also what the JSONL serialisation carries)."""
-        docs = self.window_docs()
+    def as_dict(self, counts_only: bool = False) -> Dict[str, Any]:
+        """The timeline document: the run report's ``timeline`` section
+        and what the JSONL serialisation carries.  ``counts_only``
+        gives the count document (:meth:`window_docs`), the same window
+        set at the cost of the counts alone: what a replay hands
+        :func:`~repro.obs.slo.evaluate_slo`."""
+        docs = self.window_docs(counts_only)
         return {
             "schema_version": TIMELINE_SCHEMA_VERSION,
             "window": self._width,

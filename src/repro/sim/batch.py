@@ -188,7 +188,9 @@ def _replay_merged(
     # (``TimelineSampler.window_index`` arithmetic, vectorised).  The
     # event loop notes ``nvram_bytes``/``queue_lag`` at every arrival;
     # gauges are per-window maxima, so one note per segment carrying
-    # the segment's maxima writes the same windows.
+    # the segment's maxima writes the same windows.  Planning batches
+    # ignore segments: each batch's per-arrival NVRAM bytes are folded
+    # into the maxima of the segments it spans.
     # ------------------------------------------------------------------
     seg_starts: List[int] = []
     seg_ends: List[int] = []
@@ -224,17 +226,28 @@ def _replay_merged(
     plan_tick = 0
     plan_columns = scheme.plan_columns
 
-    def _plan_range(a: int, b: int, nvram: Optional[List[int]]) -> None:
+    def _plan_range(a: int, b: int) -> None:
         """Plan arrivals [a, b) straight off the column lists (never
-        crosses a tick window, a timeline segment or the warm-up
-        boundary); fills ``nvram`` as documented on
-        ``DedupScheme.plan_columns``."""
+        crosses a tick window or the warm-up boundary) and fold the
+        NVRAM bytes read before each arrival (``nvram_out`` on
+        ``DedupScheme.plan_columns``) into its segment's maximum."""
         if a == boundary_idx:
             scaffold.mark_boundary()
+        nvram: Optional[List[int]] = None if sampler is None else []
         plans = plan_columns(
             a, b, times_l, is_write_l, lbas_l, nblocks_l, vids_l,
             offsets_l, fp_ids_l, pool, nvram_out=nvram, chunk_cols=chunk_cols,
         )
+        if nvram:
+            k = bisect_right(seg_starts, a) - 1
+            lo = a
+            while lo < b:
+                hi = min(seg_ends[k], b)
+                peak = max(nvram[lo - a : hi - a])
+                if peak > seg_nvram[k]:
+                    seg_nvram[k] = peak
+                lo = hi
+                k += 1
         planned[a:b] = plans
         if cross_flags is not None:
             k0 = offsets_l[a]
@@ -273,17 +286,7 @@ def _replay_merged(
         stop = min(wend, cursor + batch_size)
         if cursor < boundary_idx < stop:
             stop = boundary_idx
-        if sampler is None:
-            _plan_range(cursor, stop, None)
-        else:
-            # Stay inside one timeline segment and fold the NVRAM bytes
-            # read before each planned arrival into its maximum.
-            k = bisect_right(seg_starts, cursor) - 1
-            stop = min(stop, seg_ends[k])
-            nvram: List[int] = []
-            _plan_range(cursor, stop, nvram)
-            if nvram:
-                seg_nvram[k] = max(seg_nvram[k], max(nvram))
+        _plan_range(cursor, stop)
         plan_cursor = stop
 
     def ensure_planned(idx: int) -> None:
@@ -378,19 +381,10 @@ def _replay_merged(
         # plan-ahead does not keep it alive.
         planned[i] = None
 
+    # The event loop's ``queue_lag`` gauge at each arrival: the worst
+    # disk backlog past its time, folded into its segment's maximum.
     seg_k = 0
     seg_next = seg_ends[0] if seg_ends else n
-
-    def _note_lag(i: int, now: float) -> None:
-        """The event loop's ``queue_lag`` gauge at arrival ``i``: the
-        worst disk backlog past ``now``, folded into the arrival's segment maximum."""
-        nonlocal seg_k, seg_next
-        if i == seg_next:
-            seg_k += 1
-            seg_next = seg_ends[seg_k]
-        lag = horizon - now
-        if lag > seg_lag[seg_k]:
-            seg_lag[seg_k] = lag
 
     cursor = 0
     t_last = last_arrival_f
@@ -407,9 +401,14 @@ def _replay_merged(
             if plan.delay > 0:
                 break
             cursor = i + 1
+            now = times_l[i]
             if sampler is not None:
-                _note_lag(i, times_l[i])
-            _finish(i, times_l[i])
+                if i == seg_next:
+                    seg_k += 1
+                    seg_next = seg_ends[seg_k]
+                if horizon - now > seg_lag[seg_k]:
+                    seg_lag[seg_k] = horizon - now
+            _finish(i, now)
     while cursor < n or heap:
         if cursor < n and (not heap or times_l[cursor] <= heap[0][0]):
             i = cursor
@@ -420,7 +419,11 @@ def _replay_merged(
             assert plan is not None
             now = times_l[i]
             if sampler is not None:
-                _note_lag(i, now)
+                if i == seg_next:
+                    seg_k += 1
+                    seg_next = seg_ends[seg_k]
+                if horizon - now > seg_lag[seg_k]:
+                    seg_lag[seg_k] = horizon - now
             if plan.delay > 0:
                 heappush(heap, (now + plan.delay, seq, _FINISH, i))
                 seq += 1

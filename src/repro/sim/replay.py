@@ -395,14 +395,18 @@ class ReplayScaffold:
 
     def result(self, t_end: float) -> ReplayResult:
         """End the timeline at ``t_end`` (the clock of the run's last
-        event), evaluate the SLO policy over it and build the result."""
+        event), evaluate the SLO policy over its count document and
+        build the result (the full timeline document is rendered only
+        when someone reads ``result.timeline``)."""
         schemes = self.schemes
         metrics = self.metrics
         slo_stats: Optional[Dict[str, Any]] = None
         if self.sampler is not None:
             self.sampler.finish(t_end)
             if self.config.slo is not None:
-                slo_stats = evaluate_slo(self.config.slo, self.sampler.as_dict())
+                slo_stats = evaluate_slo(
+                    self.config.slo, self.sampler.as_dict(counts_only=True)
+                )
 
         volumes: List[Dict[str, Any]] = []
         if self.per_volume_metrics:

@@ -10,8 +10,10 @@ benchmarks/ (bench_replay_throughput.py, emit_bench.py).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+from typing import List
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.experiments.runner import SCHEME_CLASSES
 from repro.metrics.analysis import DetailedCollector
 from repro.obs.slo import SloObjective, SloPolicy
 from repro.obs.timeline import TimelineConfig
+from repro.sim import batch
 from repro.sim.replay import (
     ReplayConfig,
     ReplayRun,
@@ -67,21 +70,50 @@ def fingerprint(result) -> str:
     return json.dumps(doc, sort_keys=True, default=str)
 
 
+#: One entry per replay that took the columnar driver.
+DRIVER_CALLS: List[int] = []
+
+
+@pytest.fixture(autouse=True)
+def spy_driver(monkeypatch):
+    """Counts the replays that take the columnar driver, so that
+    ``replay`` can check which loop ran (a capability rule that sent a
+    config to the event loop would otherwise compare that loop with
+    itself)."""
+    replay_columnar = batch.replay_columnar
+
+    def spy(*args, **kwargs):
+        DRIVER_CALLS.append(1)
+        return replay_columnar(*args, **kwargs)
+
+    monkeypatch.setattr(batch, "replay_columnar", spy)
+
+
 def replay(traces, scheme_name, batch_size, config=None, collector=None,
-           **overrides):
+           driver=None, **overrides):
+    """Replay on a fresh scheme and check the loop that ran: the
+    driver for a batch size, the event loop for ``None`` (or as
+    ``driver`` says)."""
     params = dict(
         logical_blocks=sum(t.logical_blocks for t in traces),
         memory_bytes=256 * 1024,
     )
     params.update(overrides)
     scheme = SCHEME_CLASSES[scheme_name](SchemeConfig(**params))
-    return replay_traces(
+    calls = len(DRIVER_CALLS)
+    result = replay_traces(
         traces,
         scheme,
         config if config is not None else ReplayConfig(),
         collector=collector,
         batch_size=batch_size,
     )
+    took = len(DRIVER_CALLS) > calls
+    expected = batch_size is not None if driver is None else driver
+    assert took == expected, (
+        f"batch_size={batch_size} ran on the {'driver' if took else 'event loop'}"
+    )
+    return result
 
 
 def driver_reason(config, scheme_name="POD"):
@@ -195,7 +227,8 @@ def test_ineligible_config_falls_back(web_trace):
     config = ReplayConfig(spans=True)
     assert driver_reason(config) == "span tracing runs on the event loop"
     base = fingerprint(replay([web_trace], "POD", None, config=config))
-    assert fingerprint(replay([web_trace], "POD", 4096, config=config)) == base
+    got = replay([web_trace], "POD", 4096, config=config, driver=False)
+    assert fingerprint(got) == base
 
 
 def test_replay_trace_entry_point(web_trace):
@@ -252,6 +285,26 @@ def test_telemetry_bit_identity(scheme_name, multi, web_trace, homes_trace):
     for batch_size in (1, 7, 4096):
         got = replay(
             traces, scheme_name, batch_size, config=TELEMETRY, icache_epoch=1.0
+        )
+        where = f"{scheme_name} diverges at batch_size={batch_size}"
+        assert _timeline_jsonl(got) == _timeline_jsonl(base), where
+        assert got.slo_stats == base.slo_stats, where
+        assert fingerprint(got) == fingerprint(base), where
+
+
+@pytest.mark.parametrize("window", [0.05, 1000.0])
+@pytest.mark.parametrize("scheme_name", ["Native", "POD"])
+def test_telemetry_window_scale_bit_identity(scheme_name, window, web_trace):
+    """Planning batches ignore timeline windows: at 0.05 s one planning
+    batch spans many windows (each batch's NVRAM bytes fold into every
+    window it touches), at 1000 s one window spans every batch."""
+    config = dataclasses.replace(TELEMETRY, timeline=TimelineConfig(window=window))
+    base = replay([web_trace], scheme_name, None, config=config, icache_epoch=1.0)
+    windows = base.timeline.as_dict()["windows_total"]
+    assert windows > 100 if window < 1 else windows == 1
+    for batch_size in (1, 7, 4096):
+        got = replay(
+            [web_trace], scheme_name, batch_size, config=config, icache_epoch=1.0
         )
         where = f"{scheme_name} diverges at batch_size={batch_size}"
         assert _timeline_jsonl(got) == _timeline_jsonl(base), where
