@@ -18,8 +18,8 @@ from pathlib import Path
 
 from repro.experiments import figures
 from repro.experiments.export import export_all
-from repro.experiments.parallel import run_matrix_parallel
 from repro.experiments.report_md import build_report
+from repro.experiments.runner import run_matrix
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
 
     t0 = time.time()
     print(f"running the 3x5 matrix at scale {scale} on all cores ...")
-    matrix = run_matrix_parallel(scale=scale)
+    matrix = run_matrix(scale=scale)
     print(f"matrix done in {time.time() - t0:.0f}s")
 
     for (trace, scheme), result in sorted(matrix.items()):

@@ -15,8 +15,8 @@ paper's comparison baselines.
   Rangaswami, FAST'10): a content-addressed read cache; extension
   baseline for Table I.
 * :mod:`repro.baselines.registry` -- the declarative
-  :class:`SchemeRegistry` every consumer (CLI, runner, parallel
-  matrix) resolves and builds schemes through.
+  :class:`SchemeRegistry` every consumer (CLI, experiment runner)
+  resolves and builds schemes through.
 
 The paper's own schemes (Select-Dedupe, POD) live in
 :mod:`repro.core` and implement the same interface.

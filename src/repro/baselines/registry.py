@@ -7,14 +7,13 @@ experiment runner, plus ad-hoc name handling in the CLI.  The
 :class:`SchemeRegistry` replaces all of that with one declarative
 table: each :class:`SchemeEntry` names a scheme once (canonical report
 name, class, CLI aliases, whether it belongs to the paper's headline
-comparison set) and every consumer -- :mod:`repro.cli`,
-:mod:`repro.experiments.runner`, :mod:`repro.experiments.parallel` --
-resolves and builds through the same object.
+comparison set) and every consumer -- :mod:`repro.cli` and
+:mod:`repro.experiments.runner` -- resolves and builds through the
+same object.
 
 The registry is also the extension point for later PRs: registering a
 new scheme makes it available to ``repro run``, ``repro run-multi``,
-``repro compare`` and the parallel matrix without touching any of
-them.
+``repro compare`` and the run matrix without touching any of them.
 """
 
 from __future__ import annotations

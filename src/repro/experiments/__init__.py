@@ -3,7 +3,10 @@
 * :mod:`repro.experiments.runner` -- :class:`RunSpec` describes one
   replay (traces, tenants, scheme, nodes, configs, seed, scale) and
   :func:`execute` runs it, memoising plain runs so every figure bench
-  shares one run matrix.
+  shares one run matrix; :func:`execute_many` runs a batch of plain
+  runs (on a process pool when there are cores to spare) into the
+  same memo, and :func:`run_matrix` is the (trace, scheme) grid of
+  such a batch.
 * :mod:`repro.experiments.figures` -- one function per table/figure
   of the paper, returning the rows and a rendered text table.
 """
@@ -17,6 +20,7 @@ from repro.experiments.runner import (
     build_scheme,
     clear_run_cache,
     execute,
+    execute_many,
     multi_tenant_traces,
     run_matrix,
 )
@@ -28,6 +32,7 @@ __all__ = [
     "RunSpec",
     "Tenants",
     "execute",
+    "execute_many",
     "multi_tenant_traces",
     "run_matrix",
     "clear_run_cache",

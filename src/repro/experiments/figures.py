@@ -206,12 +206,13 @@ def fig3_partition_sweep(
             inter_gap=max(spec.burst.inter_gap, 0.5),
         ),
     )
+    results = runner.execute_many([
+        runner.RunSpec(calm, "Full-Dedupe", {"index_fraction": f}, scale=scale)
+        for f in fractions
+    ])
     rows: List[dict] = []
     body = []
-    for fraction in fractions:
-        result = runner.execute(runner.RunSpec(
-            calm, "Full-Dedupe", {"index_fraction": fraction}, scale=scale
-        ))
+    for fraction, result in zip(fractions, results):
         read = result.metrics.read_summary()
         write = result.metrics.write_summary()
         rows.append(

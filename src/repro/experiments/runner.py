@@ -6,12 +6,20 @@ frozen :class:`RunSpec` and run by :func:`execute`.  Figures 8, 9a,
 9b, 10 and 11 are all views of the same fifteen replays (3 traces x
 5 schemes), so :func:`execute` memoises the plain single-trace runs
 by their spec; the figure benches then share one matrix instead of
-re-simulating.
+re-simulating.  :func:`execute_many` runs a batch of such specs, on a
+process pool when there is more than one to run and more than one
+core: each distinct trace is converted to columns once (memoised next
+to the trace) and shipped to the workers as flat NumPy buffers, and
+every result lands in the same memo, so the result of a spec does not
+depend on which process ran it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union,
@@ -22,7 +30,10 @@ from repro.baselines.registry import DEFAULT_REGISTRY
 from repro.cluster.replay import ClusterConfig, replay_cluster
 from repro.errors import ConfigError
 from repro.obs.trace import TraceRecorder
-from repro.sim.replay import ReplayConfig, ReplayResult, replay_traces
+from repro.sim.replay import (
+    DEFAULT_BATCH_SIZE, ReplayConfig, ReplayResult, ReplayRun, refusal,
+    replay_traces,
+)
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
 from repro.traces.synthetic import (
@@ -50,13 +61,18 @@ DEFAULT_SCALE: float = 0.25
 #: A trace is a preset name (:func:`paper_traces`) or a custom spec.
 TraceRef = Union[str, TraceSpec]
 
-_trace_cache: Dict[Tuple[str, float, Optional[int]], Trace] = {}
+#: A generated trace's memo key: (spec name, scale, seed).
+TraceKey = Tuple[str, float, Optional[int]]
+
+_trace_cache: Dict[TraceKey, Trace] = {}
+_columns_cache: Dict[TraceKey, ColumnarTrace] = {}
 _run_cache: Dict[tuple, ReplayResult] = {}
 
 
 def clear_run_cache() -> None:
-    """Forget all memoised traces and replays (tests use this)."""
+    """Forget all memoised traces, columns and replays (tests use this)."""
     _trace_cache.clear()
+    _columns_cache.clear()
     _run_cache.clear()
 
 
@@ -66,6 +82,18 @@ def get_trace(spec: TraceSpec, scale: float = 1.0, seed: Optional[int] = None) -
     if key not in _trace_cache:
         _trace_cache[key] = generate_trace(spec, seed=seed, scale=scale)
     return _trace_cache[key]
+
+
+def get_columns(
+    spec: TraceSpec, scale: float = 1.0, seed: Optional[int] = None
+) -> ColumnarTrace:
+    """The memoised columnar form of :func:`get_trace`'s trace: every
+    replay of one trace reads the same columns (no replay writes
+    them)."""
+    key = (spec.name, scale, seed)
+    if key not in _columns_cache:
+        _columns_cache[key] = ColumnarTrace.from_trace(get_trace(spec, scale, seed))
+    return _columns_cache[key]
 
 
 def _trace_spec(trace: TraceRef) -> TraceSpec:
@@ -219,25 +247,41 @@ class RunSpec:
         return [_trace_spec(t) for t in self.traces]
 
     @property
-    def memo_key(self) -> Optional[tuple]:
-        """The memo key, or None for runs :func:`execute` never memoises.
+    def memo_refusal(self) -> Optional[str]:
+        """Why :func:`execute` never memoises this run, or None.
 
         Only plain single-trace runs are memoised.  Tenant and cluster
         runs are interactive by design, and a run arming the timeline,
         spans, an SLO or the job subsystem carries per-run mutable
         state (sampler, tracer, job summaries) each caller must get
-        fresh.  A custom :class:`TraceSpec` is keyed by its name (it
-        is not hashable) -- give variants distinct names.
+        fresh.
         """
         r = self.replay
-        armed = r.timeline is not None or r.spans or r.slo is not None
-        if armed or r.jobs is not None or len(self.traces) > 1 or (
-            self.tenants is not None or self.nodes is not None
+        for reason, applies in (
+            ("replays several traces", len(self.traces) > 1),
+            ("expands tenants", self.tenants is not None),
+            ("runs on a cluster", self.nodes is not None),
+            ("arms the timeline", r.timeline is not None),
+            ("arms spans", r.spans),
+            ("arms an SLO", r.slo is not None),
+            ("arms the job subsystem", r.jobs is not None),
         ):
+            if applies:
+                return reason
+        return None
+
+    @property
+    def memo_key(self) -> Optional[tuple]:
+        """The memo key, or None for runs :func:`execute` never memoises
+        (:attr:`memo_refusal` says why).  A custom :class:`TraceSpec` is
+        keyed by its name (it is not hashable) -- give variants distinct
+        names.
+        """
+        if self.memo_refusal is not None:
             return None
         trace = self.traces[0]
         name = trace if isinstance(trace, str) else ("custom", trace.name)
-        return (name, self.scheme, self.overrides, r, self.seed, self.scale)
+        return (name, self.scheme, self.overrides, self.replay, self.seed, self.scale)
 
     def as_dict(self) -> Dict[str, Any]:
         """The run report's ``config`` section (JSON-ready)."""
@@ -323,13 +367,19 @@ def execute(spec: RunSpec, recorder: Optional[TraceRecorder] = None) -> ReplayRe
     A run with a ``recorder`` always replays (the recorder must see
     the events); see :attr:`RunSpec.memo_key` for the rest of the
     memo's scope.  The trace cache is shared by every run: trace
-    generation is deterministic in (spec, scale, seed).
+    generation is deterministic in (spec, scale, seed).  A memoised
+    run the columnar driver takes reads its trace's memoised columns.
     """
     key = spec.memo_key if recorder is None else None
     if key is not None and key in _run_cache:
         return _run_cache[key]
     t = spec.tenants
-    if t is None:
+    if key is not None and _on_driver(spec.replay):
+        (base,) = spec.trace_specs()
+        volumes: Sequence[Union[Trace, ColumnarTrace]] = [
+            get_columns(base, scale=spec.scale, seed=spec.seed)
+        ]
+    elif t is None:
         volumes = [
             get_trace(s, scale=spec.scale, seed=spec.seed)
             for s in spec.trace_specs()
@@ -345,11 +395,87 @@ def execute(spec: RunSpec, recorder: Optional[TraceRecorder] = None) -> ReplayRe
     return result
 
 
-def remember(spec: RunSpec, result: ReplayResult) -> None:
-    """Memoise a result replayed elsewhere (the parallel runner's
-    workers) under ``spec``'s key, as :func:`execute` would have."""
-    if spec.memo_key is not None:
-        _run_cache[spec.memo_key] = result
+def _on_driver(config: ReplayConfig) -> bool:
+    """Does the columnar driver run a one-node replay of ``config``?
+    (The scheme-dependent rules refuse a run on every path.)"""
+    run = ReplayRun(config, ClusterConfig(), (), batch_size=DEFAULT_BATCH_SIZE)
+    return refusal(run, driver=True) is None
+
+
+#: The column payloads of one :func:`execute_many` pool, by trace key
+#: (set in each worker by :func:`_receive_columns`).
+_shipped: Dict[TraceKey, ColumnarTrace] = {}
+
+
+def _receive_columns(payloads: Dict[TraceKey, Dict[str, Any]]) -> None:
+    """Pool initializer: rebuild every shipped trace once per worker."""
+    _shipped.update(
+        (key, ColumnarTrace.from_payload(p)) for key, p in payloads.items()
+    )
+
+
+def _replay_shipped(job: Tuple[RunSpec, TraceKey]) -> ReplayResult:
+    """Worker entry point (module-level, so it pickles): the replay
+    :func:`execute` runs, on the shipped columns."""
+    spec, trace_key = job
+    return replay_spec(spec, [_shipped[trace_key]])
+
+
+def execute_many(
+    specs: Sequence[RunSpec], workers: Optional[int] = None
+) -> List[ReplayResult]:
+    """Run a batch of memoised specs; the results in spec order.
+
+    Every spec must be one :func:`execute` memoises (``ConfigError``
+    says why one is not).  Memo hits cost nothing and a spec listed
+    twice runs once.  ``workers`` defaults to one per pending run, up
+    to the CPU count; at one worker each run goes through
+    :func:`execute` in this process.  Above one, a pool of spawned
+    processes runs them (no worker inherits this process's threads or
+    state): each distinct trace's columns are shipped once per worker,
+    and every result is memoised here under its spec's key.  The
+    columnar round-trip is lossless and the replay deterministic, so
+    the results do not depend on the worker count.  A spawned worker
+    imports the calling script, so a script that calls this keeps its
+    entry point under ``if __name__ == "__main__"``.
+    """
+    keys: List[tuple] = []
+    for spec in specs:
+        key = spec.memo_key
+        if key is None:
+            raise ConfigError(
+                f"execute_many takes memoised runs only, and this "
+                f"{spec.scheme} run {spec.memo_refusal}; run it with execute"
+            )
+        keys.append(key)
+    if workers is not None and workers < 1:
+        raise ConfigError(f"execute_many needs at least one worker, got {workers}")
+    pending: Dict[tuple, RunSpec] = {}
+    for key, spec in zip(keys, specs):
+        if key not in _run_cache:
+            pending.setdefault(key, spec)
+    workers = min(len(pending), workers or os.cpu_count() or 1)
+    if workers <= 1:
+        for spec in pending.values():
+            execute(spec)
+    else:
+        jobs: List[Tuple[RunSpec, TraceKey]] = []
+        payloads: Dict[TraceKey, Dict[str, Any]] = {}
+        for spec in pending.values():
+            (base,) = spec.trace_specs()
+            trace_key = (base.name, spec.scale, spec.seed)
+            if trace_key not in payloads:
+                payloads[trace_key] = get_columns(
+                    base, scale=spec.scale, seed=spec.seed
+                ).payload()
+            jobs.append((spec, trace_key))
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_receive_columns, initargs=(payloads,),
+        ) as pool:
+            for key, result in zip(pending, pool.map(_replay_shipped, jobs)):
+                _run_cache[key] = result
+    return [_run_cache[key] for key in keys]
 
 
 def run_matrix(
@@ -357,12 +483,12 @@ def run_matrix(
     scheme_names: Optional[Iterable[str]] = None,
     scale: float = DEFAULT_SCALE,
     seed: Optional[int] = None,
+    workers: Optional[int] = None,
 ) -> Dict[Tuple[str, str], ReplayResult]:
-    """Replay every (trace, scheme) combination."""
+    """Replay every (trace, scheme) combination (:func:`execute_many`),
+    keyed by (trace, scheme) name."""
     traces = list(trace_names) if trace_names is not None else sorted(paper_traces())
     schemes = list(scheme_names) if scheme_names is not None else list(PAPER_SCHEMES)
-    return {
-        (t, s): execute(RunSpec(t, s, seed=seed, scale=scale))
-        for t in traces
-        for s in schemes
-    }
+    keys = [(t, s) for t in traces for s in schemes]
+    specs = [RunSpec(t, s, seed=seed, scale=scale) for t, s in keys]
+    return dict(zip(keys, execute_many(specs, workers)))

@@ -245,10 +245,6 @@ class MetricsCollector:
         if self._volumes is None:
             self._volumes = {}
 
-    @property
-    def tracks_volumes(self) -> bool:
-        return self._volumes is not None
-
     def _volume_series(self, volume_id: int) -> _VolumeSeries:
         assert self._volumes is not None
         series = self._volumes.get(volume_id)
@@ -703,10 +699,6 @@ class MetricsCollector:
             "intra_volume_deduped_blocks": deduped - cross,
             "read_cache_hit_blocks": series.cache_hit_blocks.value,
         }
-
-    def volumes_as_dict(self) -> list:
-        """Per-volume summaries for every tracked volume, id-ordered."""
-        return [self.volume_as_dict(vid) for vid in self.volume_ids()]
 
     def as_dict(self) -> Dict[str, float]:
         """Flat summary used by benches, reports and EXPERIMENTS.md."""

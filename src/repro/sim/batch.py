@@ -96,8 +96,9 @@ def replay_columnar(
 ) -> ReplayResult:
     """Replay N trace streams through the columnar batch core.
 
-    Accepts :class:`Trace` or :class:`ColumnarTrace` inputs (the shard
-    workers of the parallel runner ship columns directly).  Takes only
+    Accepts :class:`Trace` or :class:`ColumnarTrace` inputs (the
+    experiment runner hands over each trace's memoised columns, and its
+    pool workers the columns it ships them).  Takes only
     runs :data:`~repro.sim.replay.CAPABILITIES` gives the driver;
     :func:`repro.sim.replay.replay_traces` routes every other run to
     the one-node event loop.

@@ -18,11 +18,6 @@ fleet scale that caps every experiment at interpreter speed.  A
 The representation is lossless: ``from_trace`` / ``to_trace`` round-
 trip exactly (property-tested), and the columnar replay driver in
 :mod:`repro.sim.batch` is bit-identical to the object path.
-
-Batch classification for reporting happens here too:
-:func:`classify_chunks` buckets every chunk as unique / cold / hot by
-global occurrence count (the hot set is what POD's Index table is
-designed to capture).
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ __all__ = [
     "ColumnarTrace",
     "MergedColumns",
     "merge_columnar",
-    "classify_chunks",
 ]
 
 #: ``ops`` column encoding.
@@ -134,11 +128,6 @@ class ColumnarTrace:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def total_chunks(self) -> int:
-        """Total write chunks (= fingerprint column length)."""
-        return len(self.fp_ids)
 
     # ------------------------------------------------------------------
     # conversions
@@ -396,39 +385,3 @@ def merge_columnar(
         fp_ids=fp_ids,
         pool=pool,
     )
-
-
-# ----------------------------------------------------------------------
-# vectorized fingerprint classification
-# ----------------------------------------------------------------------
-
-
-def classify_chunks(
-    fp_ids: np.ndarray, hot_threshold: int = 3
-) -> Dict[str, int]:
-    """Bucket every write chunk by global fingerprint popularity.
-
-    * ``unique`` -- its fingerprint occurs exactly once in the stream;
-    * ``cold``   -- duplicated, but fewer than ``hot_threshold`` times;
-    * ``hot``    -- duplicated ``hot_threshold`` or more times (the
-      working set POD's hot-entry-only Index table is built to hold).
-
-    Pure observation over the columns (one ``bincount``), for
-    reporting.
-    """
-    if hot_threshold < 2:
-        raise TraceError("hot_threshold must be >= 2")
-    total = int(len(fp_ids))
-    if total == 0:
-        return {"chunks": 0, "unique": 0, "cold": 0, "hot": 0, "distinct": 0}
-    counts = np.bincount(fp_ids)
-    per_chunk = counts[fp_ids]
-    unique = int(np.count_nonzero(per_chunk == 1))
-    hot = int(np.count_nonzero(per_chunk >= hot_threshold))
-    return {
-        "chunks": total,
-        "unique": unique,
-        "cold": total - unique - hot,
-        "hot": hot,
-        "distinct": int(np.count_nonzero(counts)),
-    }

@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import figures, runner
-from repro.experiments.parallel import run_matrix_parallel
 from repro.jobs import JobsConfig
 from repro.obs.report import build_run_report
 from repro.obs.slo import SloPolicy
@@ -77,11 +76,11 @@ class TestRunner:
 
     @pytest.mark.parametrize("case", ["plain", "parallel"] + sorted(FRESH))
     def test_memo_scope(self, case):
-        """Plain single-trace specs are memoised (also when the parallel
-        runner computed them); anything carrying per-run state replays."""
+        """Plain single-trace specs are memoised (also when a pool
+        worker computed them); anything carrying per-run state replays."""
         if case == "parallel":
-            out = run_matrix_parallel(
-                ["homes"], ["Native"], scale=SCALE, max_workers=2
+            out = runner.run_matrix(
+                ["homes"], ["Native", "POD"], scale=SCALE, workers=2
             )
             spec = runner.RunSpec("homes", "Native", scale=SCALE)
             assert runner.execute(spec) is out[("homes", "Native")]

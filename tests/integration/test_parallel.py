@@ -1,10 +1,15 @@
-"""Tests for the parallel experiment runner."""
+"""The experiment runner's batch executor: ``execute_many`` and the
+``run_matrix`` grid built on it, in process and on a process pool."""
+
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.experiments import runner
-from repro.experiments.parallel import run_matrix_parallel
+from repro.obs.timeline import TimelineConfig
 from repro.sim.replay import ReplayConfig, replay_trace
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.synthetic import paper_traces
 
 SCALE = 0.02
@@ -17,12 +22,16 @@ def fresh_cache():
     runner.clear_run_cache()
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called where nothing should run")
+
+
 def test_parallel_matches_serial():
-    """The parallel matrix is bit-identical to the serial one."""
-    serial = runner.run_matrix(["web-vm"], ["Native", "POD"], scale=SCALE)
+    """The pool's matrix is bit-identical to the in-process one."""
+    serial = runner.run_matrix(["web-vm"], ["Native", "POD"], scale=SCALE, workers=1)
     runner.clear_run_cache()
-    parallel = run_matrix_parallel(
-        ["web-vm"], ["Native", "POD"], scale=SCALE, max_workers=2
+    parallel = runner.run_matrix(
+        ["web-vm"], ["Native", "POD"], scale=SCALE, workers=2
     )
     assert set(parallel) == set(serial)
     for key in serial:
@@ -30,13 +39,15 @@ def test_parallel_matches_serial():
         assert parallel[key].capacity_blocks == serial[key].capacity_blocks
 
 
-def test_single_worker_path():
-    out = run_matrix_parallel(["homes"], ["Native"], scale=SCALE, max_workers=1)
+def test_single_worker_path(monkeypatch):
+    """One worker runs every spec in process: no pool is started."""
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _must_not_run)
+    out = runner.run_matrix(["homes"], ["Native", "POD"], scale=SCALE, workers=1)
     assert out[("homes", "Native")].metrics.requests > 0
 
 
 def test_defaults_cover_paper_grid():
-    out = run_matrix_parallel(scale=0.01, max_workers=2)
+    out = runner.run_matrix(scale=0.01, workers=2)
     assert len(out) == 3 * len(runner.PAPER_SCHEMES)
 
 
@@ -62,17 +73,17 @@ def test_worker_count_invariance():
     base = None
     for workers in (1, 2, 3):
         runner.clear_run_cache()
-        got = _fingerprints(run_matrix_parallel(max_workers=workers, **grid))
+        got = _fingerprints(runner.run_matrix(workers=workers, **grid))
         if base is None:
             base = got
-        assert got == base, f"matrix differs at max_workers={workers}"
+        assert got == base, f"matrix differs at workers={workers}"
 
 
 def test_batch_size_matches_object_path():
-    """The parallel matrix (columnar driver in the workers) equals a
+    """The pool's matrix (columnar driver in the workers) equals a
     per-pair replay on the reference object event loop."""
-    batched = run_matrix_parallel(
-        ["web-vm", "homes"], ["Native", "POD"], scale=SCALE, max_workers=2
+    batched = runner.run_matrix(
+        ["web-vm", "homes"], ["Native", "POD"], scale=SCALE, workers=2
     )
     specs = paper_traces()
     reference = {}
@@ -85,3 +96,85 @@ def test_batch_size_matches_object_path():
             batch_size=None,
         )
     assert _fingerprints(batched) == _fingerprints(reference)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_columns_once_per_trace(workers, monkeypatch):
+    """A 3-trace x 4-scheme matrix converts each trace to columns once,
+    in process and on the pool."""
+    converted = []
+    from_trace = ColumnarTrace.from_trace
+
+    def spy(trace):
+        converted.append(trace.name)
+        return from_trace(trace)
+
+    monkeypatch.setattr(ColumnarTrace, "from_trace", staticmethod(spy))
+    out = runner.run_matrix(
+        ["web-vm", "homes", "mail"],
+        ["Native", "Full-Dedupe", "Select-Dedupe", "POD"],
+        scale=SCALE, workers=workers,
+    )
+    assert len(out) == 12
+    assert sorted(converted) == ["homes", "mail", "web-vm"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_execute_many_order_and_dedup(workers, monkeypatch):
+    """Results come back in spec order, a spec listed twice runs once,
+    and a second call is all memo hits."""
+    pod = runner.RunSpec("homes", "POD", scale=SCALE)
+    native = runner.RunSpec("homes", "Native", scale=SCALE)
+    replayed = []
+    replay_spec = runner.replay_spec
+
+    def spy(spec, volumes, recorder=None):
+        replayed.append(spec.scheme)
+        return replay_spec(spec, volumes, recorder)
+
+    def recording_pool(*args, **kwargs):
+        # The workers replay in other processes: record what the pool
+        # is handed instead.
+        pool = ProcessPoolExecutor(*args, **kwargs)
+        pool_map = pool.map
+
+        def map_jobs(fn, jobs):
+            jobs = list(jobs)
+            replayed.extend(spec.scheme for spec, _trace in jobs)
+            return pool_map(fn, jobs)
+
+        pool.map = map_jobs
+        return pool
+
+    monkeypatch.setattr(runner, "replay_spec", spy)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", recording_pool)
+    twin = runner.RunSpec("homes", "POD", scale=SCALE)
+    first = runner.execute_many([pod, native, twin, pod], workers=workers)
+    assert [r.scheme_name for r in first] == ["POD", "Native", "POD", "POD"]
+    assert first[0] is first[2] is first[3]
+    assert sorted(replayed) == ["Native", "POD"]
+    monkeypatch.setattr(runner, "replay_spec", _must_not_run)
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _must_not_run)
+    again = runner.execute_many([native, pod], workers=workers)
+    assert again[0] is first[1] and again[1] is first[0]
+    assert runner.execute(pod) is first[0]
+
+
+@pytest.mark.parametrize("fields, reason", [
+    (dict(tenants=runner.Tenants(copies=1)), "expands tenants"),
+    (dict(nodes=1), "runs on a cluster"),
+    (dict(replay=ReplayConfig(timeline=TimelineConfig(window=1.0))),
+     "arms the timeline"),
+])
+def test_execute_many_rejects_unmemoised_specs(fields, reason, monkeypatch):
+    """A spec execute would not memoise is refused before anything runs."""
+    monkeypatch.setattr(runner, "replay_spec", _must_not_run)
+    plain = runner.RunSpec("homes", "Native", scale=SCALE)
+    spec = runner.RunSpec("homes", "POD", scale=SCALE, **fields)
+    with pytest.raises(ConfigError, match=reason):
+        runner.execute_many([plain, spec], workers=1)
+
+
+def test_execute_many_needs_a_worker():
+    with pytest.raises(ConfigError, match="at least one worker"):
+        runner.execute_many([runner.RunSpec("homes", "POD", scale=SCALE)], workers=0)

@@ -54,7 +54,7 @@ class TestSubpackageImports:
             "repro.traces",
             "repro.metrics",
             "repro.experiments",
-            "repro.experiments.parallel",
+            "repro.experiments.runner",
             "repro.experiments.export",
             "repro.experiments.report_md",
             "repro.cli",

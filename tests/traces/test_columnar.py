@@ -1,5 +1,5 @@
 """Columnar trace representation: lossless round-trips, payload
-shipping and vectorized fingerprint classification."""
+shipping, validation and the multi-volume merge."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.errors import TraceError
 from repro.sim.request import OpType
 from repro.traces.columnar import (
     ColumnarTrace,
-    classify_chunks,
     merge_columnar,
 )
 from repro.traces.format import Trace, TraceRecord
@@ -144,25 +143,6 @@ class TestValidation:
     def test_bad_columns_rejected(self, over):
         with pytest.raises(TraceError):
             ColumnarTrace(**self._columns(**over))
-
-
-class TestClassification:
-    @given(
-        ids=st.lists(st.integers(min_value=0, max_value=12), max_size=60),
-        threshold=st.integers(min_value=2, max_value=5),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_classify_chunks_partitions(self, ids, threshold):
-        fp_ids = np.asarray(ids, dtype=np.int64)
-        out = classify_chunks(fp_ids, hot_threshold=threshold)
-        assert out["chunks"] == len(ids)
-        assert out["unique"] + out["cold"] + out["hot"] == out["chunks"]
-        assert out["distinct"] == len(set(ids))
-        assert out["unique"] == sum(1 for f in ids if ids.count(f) == 1)
-
-    def test_hot_threshold_validated(self):
-        with pytest.raises(TraceError):
-            classify_chunks(np.asarray([0], dtype=np.int64), hot_threshold=1)
 
 
 class TestMerge:
