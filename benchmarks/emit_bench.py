@@ -33,20 +33,38 @@ benchmark's host-speed calibration (``perfbench/calibration.py``), and
 the entry also records the median rate scaled to the reference host:
 on a shared machine the best raw rate moves with the neighbours.
 
+``--against REV`` also times the ``mail x4`` row against revision
+``REV`` of this repository's git history, and records the median
+per-round CPU-time ratio (this tree / REV) with its quartiles beside
+the raw rates: the best-of rates above move with the neighbours on a
+shared machine, a paired ratio much less.  ``git archive REV`` and a
+copy of this tree's ``src/`` are unpacked side by side into one
+temporary directory, so the two paths have the same length.  Each
+round runs both trees at once, each pinned to its own CPU and the CPUs
+swapped every round; below two CPUs the rounds alternate which tree
+runs first.  Each tree reports the least CPU time of ``--trials``
+replays.  Nothing is fetched: ``REV`` must be in the local history.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/emit_bench.py [--trials 3] [--dry-run]
+        [--against REV [--rounds 5]]
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -232,18 +250,38 @@ def measure(trials: int) -> List[Dict[str, Any]]:
     return entries
 
 
-def measure_tenants(trials: int) -> Dict[str, Any]:
-    """The pod-tenants row: both loops on the merged tenant stream."""
+def _tenants_inputs() -> Tuple[List[Trace], List[ColumnarTrace], SchemeConfig]:
+    """The pod-tenants row's volumes, their columns and POD's config."""
     name, copies, scale, seed = TENANTS_ROW
     volumes = multi_tenant_traces((name,), copies=copies, scale=scale, seed=seed)
-    columns = [ColumnarTrace.from_trace(t) for t in volumes]
-    n = sum(len(t.records) for t in volumes)
     config = SchemeConfig(
         logical_blocks=sum(t.logical_blocks for t in volumes),
         memory_bytes=copies * paper_traces()[name].scaled(scale).memory_bytes,
         icache_epoch=max(1.0, 16.0 * scale),
         chunking=ChunkingConfig(),
     )
+    return volumes, [ColumnarTrace.from_trace(t) for t in volumes], config
+
+
+def time_tenants_row(trials: int) -> None:
+    """Print the least CPU time of ``trials`` columnar replays of the
+    pod-tenants row, as one JSON line: the per-tree measurement of
+    ``--against``, run by the ``repro`` on ``PYTHONPATH``."""
+    _volumes, columns, config = _tenants_inputs()
+    best = float("inf")
+    for _ in range(trials):
+        scheme = SCHEME_CLASSES["POD"](config)
+        t0 = time.process_time()
+        replay_traces(columns, scheme, TENANTS, batch_size=DEFAULT_BATCH_SIZE)
+        best = min(best, time.process_time() - t0)
+    print(json.dumps({"requests": sum(len(c) for c in columns), "cpu_s": best}))
+
+
+def measure_tenants(trials: int) -> Dict[str, Any]:
+    """The pod-tenants row: both loops on the merged tenant stream."""
+    name, copies, scale, _seed = TENANTS_ROW
+    volumes, columns, config = _tenants_inputs()
+    n = sum(len(t.records) for t in volumes)
 
     def replay(batch_size: Optional[int]) -> Tuple[ReplayResult, float]:
         scheme = SCHEME_CLASSES["POD"](config)
@@ -272,6 +310,95 @@ def measure_tenants(trials: int) -> Dict[str, Any]:
         f"{entry['trace']:8s} POD      cdc          object {obj:9.0f} req/s  "
         f"columnar {col:9.0f} req/s  speedup {col / obj:5.2f}x  bit-identical {identical}"
     )
+    return entry
+
+
+def _unpack_trees(rev: str, base: Path) -> Tuple[Path, Path]:
+    """``git archive REV`` into ``base/a`` and this tree's ``src/`` into
+    ``base/b``: two trees whose paths have the same length."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev, "src"],
+        cwd=REPO_ROOT, check=True, capture_output=True,
+    ).stdout
+    # The "data" filter where this Python has it (3.12; later 3.8+
+    # patch releases): git's archive holds plain files only.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(base / "a", **safe)
+    shutil.copytree(
+        REPO_ROOT / "src", base / "b" / "src",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    return base / "a", base / "b"
+
+
+def _time_tree(tree: Path, trials: int, cpu: Optional[int]) -> "subprocess.Popen[str]":
+    """Start :func:`time_tenants_row` on ``tree``'s ``repro``, pinned to
+    ``cpu`` when given."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(tree / "src"), str(REPO_ROOT / "benchmarks")])
+    pin = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    return subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys, emit_bench; emit_bench.time_tenants_row(int(sys.argv[1]))",
+         str(trials)],
+        cwd=tree, env=env, stdout=subprocess.PIPE, text=True, preexec_fn=pin,
+    )
+
+
+def _round(
+    trees: Dict[str, Path], order: str, trials: int, cpus: List[int]
+) -> Dict[str, Dict[str, float]]:
+    """One round: each tree's timing, both at once pinned to ``cpus``
+    (in ``order``), or one after the other when ``cpus`` is empty."""
+    procs: Dict[str, "subprocess.Popen[str]"] = {}
+    for k, key in enumerate(order):
+        procs[key] = _time_tree(trees[key], trials, cpus[k] if cpus else None)
+        if not cpus:
+            procs[key].wait()
+    outs = {key: proc.communicate()[0] for key, proc in procs.items()}
+    failed = [key for key, proc in procs.items() if proc.returncode]
+    if failed:
+        raise RuntimeError(f"timing run of tree {failed[0]} failed")
+    return {key: json.loads(out.strip().splitlines()[-1]) for key, out in outs.items()}
+
+
+def measure_against(rev: str, rounds: int, trials: int) -> Dict[str, Any]:
+    """The ``mail x4`` row timed against ``rev``: per-round CPU-time
+    ratios (this tree / ``rev``), their median and quartiles, and each
+    tree's median rate."""
+    resolved = subprocess.check_output(
+        ["git", "rev-parse", "--short", rev], cwd=REPO_ROOT, text=True
+    ).strip()
+    affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    concurrent = len(affinity) >= 2
+    cpus = affinity[:2] if concurrent else []
+    ratios: List[float] = []
+    rates: Dict[str, List[float]] = {"a": [], "b": []}
+    with tempfile.TemporaryDirectory(prefix="against-") as tmp:
+        trees = dict(zip("ab", _unpack_trees(rev, Path(tmp))))
+        for r in range(rounds):
+            got = _round(trees, "ab" if r % 2 == 0 else "ba", trials, cpus)
+            ratios.append(got["b"]["cpu_s"] / got["a"]["cpu_s"])
+            for key in "ab":
+                rates[key].append(got[key]["requests"] / got[key]["cpu_s"])
+            print(f"against {resolved} round {r}: {rev} {rates['a'][-1]:9.0f} req/s  "
+                  f"this tree {rates['b'][-1]:9.0f} req/s  CPU-time ratio {ratios[-1]:.4f}")
+    quartiles = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    entry = {
+        "rev": resolved,
+        "rounds": rounds,
+        "concurrent": concurrent,
+        "cpu_ratio_median": round(statistics.median(ratios), 4),
+        "cpu_ratio_q1": round(quartiles[0], 4),
+        "cpu_ratio_q3": round(quartiles[2], 4),
+        "cpu_ratios": [round(x, 4) for x in ratios],
+        "rev_cpu_req_per_s": round(statistics.median(rates["a"]), 1),
+        "cpu_req_per_s": round(statistics.median(rates["b"]), 1),
+    }
+    print(f"against {resolved}: median CPU-time ratio {entry['cpu_ratio_median']:.4f} "
+          f"(quartiles {entry['cpu_ratio_q1']:.4f}-{entry['cpu_ratio_q3']:.4f}, "
+          f"{rounds} rounds, {'concurrent' if concurrent else 'alternating'})")
     return entry
 
 
@@ -344,12 +471,27 @@ def main() -> int:
         action="store_true",
         help="measure and print, but do not rewrite the trajectory file",
     )
+    parser.add_argument(
+        "--against",
+        metavar="REV",
+        help="also time the mail x4 row against this git revision",
+    )
+    parser.add_argument(
+        "--rounds",
+        type=int,
+        default=5,
+        help="paired rounds of --against (default 5)",
+    )
     args = parser.parse_args()
     if args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
 
     entries = measure(args.trials)
     entries.append(measure_tenants(args.trials))
+    if args.against is not None:
+        entries[-1]["against"] = measure_against(args.against, args.rounds, args.trials)
     cluster = measure_cluster(args.trials)
     run = {
         "git_rev": _git_rev(),

@@ -27,7 +27,8 @@ A request is planned with one call per request into each piece of
 state.  A write is one probe of the hot Index table, one policy
 decision, then the commit kernel: one loop over the blocks applies the
 Map-table updates, the content and the log-block allocations in block
-order and records a change log, which the read cache, the Index table,
+order (the NVRAM meter takes one update per request) and records a
+change log, which the read cache, the Index table,
 the ghost index and per-scheme side state then each take in one call
 (:meth:`DedupScheme._on_changes` is the per-scheme hook).  A read is
 one Map-table translation, one read-cache probe and one fill.  The
@@ -56,7 +57,7 @@ from repro.dedup.chunking import OFFSET_BITS, ChunkingConfig, ChunkTransform
 from repro.dedup.index_table import IndexTable
 from repro.dedup.map_table import FREED, REMAPPED, WROTE, Change, MapTable
 from repro.dedup.fingerprint import HashEngine
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DedupError
 from repro.cache.api import DramCache
 from repro.cache.partition import PartitionedCache
 from repro.obs.events import EventType, TraceLevel
@@ -253,6 +254,9 @@ class DedupScheme(abc.ABC):
     features: Dict[str, object] = {}
     #: Simulated seconds between cache-management epochs, or ``None``.
     epoch_interval: Optional[float] = None
+    #: Whether :meth:`_on_changes` reads ``REMAPPED`` entries; the
+    #: commit kernel logs a deduplicated block's remap only then.
+    reads_remaps: bool = False
 
     def __init__(self, config: SchemeConfig) -> None:
         self.config = config
@@ -638,19 +642,22 @@ class DedupScheme(abc.ABC):
         indices are the request chunks whose write was eliminated (in
         ascending order; ``len()`` of it is the deduped block count).
 
-        The commit kernel: one loop over the blocks decides and applies
-        each block's Map-table remap or placement (the rule of
-        :meth:`MapTable.choose_write_target`, inlined; mutations go
-        through :meth:`MapTable.rebind`), its content and the log
+        The commit kernel: one loop over the blocks decides each block's
+        remap or placement (the rule of
+        :meth:`MapTable.choose_write_target`, inlined) and applies its
+        Map-table update (:meth:`MapTable.rebind`'s rules, inlined, with
+        the journal written ahead per block), its content and the log
         blocks it allocates or recycles -- in block order, because a
         recycled block feeds a later allocation and a written block
-        feeds a later block's stale-target check.  The loop records a
-        change log (:data:`~repro.dedup.map_table.WROTE` ...); the
-        state owners nothing in the loop reads -- the read cache, the
-        Index table, the ghost index and per-scheme side state -- then
-        see the whole request in one call each (:meth:`_settle`), in
-        the same per-block order.  A request reaching past the logical
-        space is rejected before any of its blocks is committed.
+        feeds a later block's stale-target check.  The NVRAM meter takes
+        the request's net entry change and its high-water mark once.
+        The loop records a change log (:data:`~repro.dedup.map_table.WROTE`
+        ...; remaps only when :attr:`reads_remaps`); the state owners
+        nothing in the loop reads -- the read cache, the Index table,
+        the ghost index and per-scheme side state -- then see the whole
+        request in one call each (:meth:`_settle`), in the same
+        per-block order.  A request reaching past the logical space is
+        rejected before any of its blocks is committed.
         """
         fingerprints = request.fingerprints
         assert fingerprints is not None
@@ -658,80 +665,109 @@ class DedupScheme(abc.ABC):
         table = self.map_table
         table.check_range(lba0, len(fingerprints))
         self.written_lbas.update(range(lba0, lba0 + len(fingerprints)))
-        mapped = table._map.get  # pod: ignore[POD007]
-        refs = table._refs.get  # pod: ignore[POD007]
-        rebind = table.rebind
+        entries, refcounts = table.commit_state()
+        mapped = entries.get
+        refs = refcounts.get
+        journal = table.journal
         log_lo, log_hi = self._log_span
         content = self.content._content  # pod: ignore[POD007]
         stored = content.get
         allocate = self.log_alloc.allocate
         release = self._release
         quarantined = self.quarantined_lbas
+        log_remaps = self.reads_remaps
         changes: List[Change] = []
         note = changes.append
         write_pbas: List[int] = []
+        add_write = write_pbas.append
         dropped: List[int] = []
         deduped: List[int] = []
+        add_deduped = deduped.append
         stale = heals = redirected = 0
+        # Net Map-table entries added so far, and the most at any point.
+        grown = high = 0
         try:
             for i, fp in enumerate(fingerprints):
                 lba = lba0 + i
                 current = mapped(lba)
+                target = None
                 if dedupe_idx and i in dedupe_idx:
                     target = duplicate_pbas[i]
-                    assert target is not None
                     # Safety net: the duplicate target must still hold
                     # the claimed content (an earlier chunk of this very
                     # request may have overwritten or freed it).
-                    if target not in write_pbas and stored(target) == fp:
-                        if target != (lba if current is None else current):
-                            freed = rebind(lba, current, None if target == lba else target)
-                            if freed is not None:
-                                release(freed, changes, dropped)
-                        note((REMAPPED, target, lba))
-                        deduped.append(i)
-                        continue
-                    stale += 1
-
-                # Normal (non-deduplicated) write.
-                if quarantined and lba in quarantined:
-                    # Real data reaching a quarantined LBA heals it: the
-                    # map entry below is rebuilt from scratch and the
-                    # content is again vouched for.
-                    quarantined.discard(lba)
-                    heals += 1
-                if refs(lba, 0) <= 0:
-                    # The home block is unreferenced: write in place and
-                    # drop a stale redirection.
-                    target = lba
+                    if target in write_pbas or stored(target) != fp:
+                        stale += 1
+                        target = None
+                    else:
+                        add_deduped(i)
+                        entry = None if target == lba else target
+                if target is None:
+                    # Normal (non-deduplicated) write.
+                    if quarantined and lba in quarantined:
+                        # Real data reaching a quarantined LBA heals it:
+                        # the map entry below is rebuilt from scratch and
+                        # the content is again vouched for.
+                        quarantined.discard(lba)
+                        heals += 1
+                    if refs(lba, 0) <= 0:
+                        # The home block is unreferenced: write in place
+                        # and drop a stale redirection.
+                        entry = None
+                    elif (
+                        current is not None
+                        and current != lba
+                        and log_lo <= current < log_hi
+                        and refs(current) == 1
+                    ):
+                        entry = current  # the LBA's private log block
+                    else:
+                        # Every candidate is shared: redirect to a fresh
+                        # block.
+                        entry = allocate()
+                        redirected += 1
+                # ``entry`` is the LBA's Map-table entry after this block
+                # (``None``: its home block); move it there as
+                # :meth:`MapTable.rebind` does.
+                if entry != current:
                     if current is not None:
-                        freed = rebind(lba, current, None)
-                        if freed is not None:
-                            release(freed, changes, dropped)
-                elif (
-                    current is not None
-                    and current != lba
-                    and log_lo <= current < log_hi
-                    and refs(current) == 1
-                ):
-                    target = current  # the LBA's private log block
-                else:
-                    # Every candidate is shared: redirect to a fresh block.
-                    target = allocate()
-                    redirected += 1
-                    freed = rebind(lba, current, target)
-                    if freed is not None:
-                        release(freed, changes, dropped)
+                        if journal is not None:
+                            journal.append_clear(lba)  # write-ahead
+                        del entries[lba]
+                        grown -= 1
+                        count = refs(current, 0)
+                        if count <= 0:
+                            raise DedupError(f"refcount underflow on PBA {current}")
+                        if count == 1:
+                            del refcounts[current]
+                            release(current, changes, dropped)
+                        else:
+                            refcounts[current] = count - 1
+                    if entry is not None:
+                        if journal is not None:
+                            journal.append_set(lba, entry)  # write-ahead
+                        entries[lba] = entry
+                        refcounts[entry] = refs(entry, 0) + 1
+                        grown += 1
+                        if grown > high:
+                            high = grown
+                if target is not None:
+                    if log_remaps:
+                        note((REMAPPED, target, lba))
+                    continue
+                target = lba if entry is None else entry
                 content[target] = fp
                 note((WROTE, target, fp))
-                write_pbas.append(target)
+                add_write(target)
         finally:
             # A block that raised (the log region ran out) leaves the
             # blocks before it committed: settle those as well.
+            if grown or high:
+                self.nvram.commit(grown, high)
             self.stale_dedupe_avoided += stale
             self.quarantine_heals += heals
             self.redirected_writes += redirected
-            self._settle(changes, write_pbas + dropped)
+            self._settle(changes, write_pbas + dropped if dropped else write_pbas)
         self.write_blocks_written += len(write_pbas)
         return extents_to_ops(_WRITE, write_pbas), tuple(deduped)
 
@@ -762,12 +798,15 @@ class DedupScheme(abc.ABC):
                 evicted = self.index_table.drain_evicted()
                 if evicted:
                     self.cache.note_index_evictions(evicted)
-        self._on_changes(changes)
+        if changes:
+            self._on_changes(changes)
 
     def _on_changes(self, changes: List[Change]) -> None:
-        """Hook: one commit's change log, in commit order.  Schemes with
-        extra per-PBA state (SAR's SSD residency, Full-Dedupe's full
-        index, Post-Process's offline index) update it here."""
+        """Hook: one commit's change log, in commit order, when it is
+        not empty.  Schemes with extra per-PBA state (SAR's SSD
+        residency, Full-Dedupe's full index, Post-Process's offline
+        index) update it here; only a scheme with :attr:`reads_remaps`
+        sees ``REMAPPED`` entries."""
 
     # ------------------------------------------------------------------
     # swap traffic (iCache)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.base import DedupScheme, SchemeConfig
-from repro.dedup.map_table import REMAPPED, WROTE, Change
+from repro.dedup.map_table import WROTE, Change
 from repro.sim.request import IORequest, OpType
 from repro.storage.volume import VolumeOp
 
@@ -101,8 +101,6 @@ class FullDedupe(DedupScheme):
         full = self._full_index
         by_pba = self._full_by_pba
         for kind, pba, arg in changes:
-            if kind == REMAPPED:
-                continue
             stale_fp = by_pba.pop(pba, None)
             if stale_fp is not None and full.get(stale_fp) == pba:
                 del full[stale_fp]

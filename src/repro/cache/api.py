@@ -54,7 +54,7 @@ class DramCache(Protocol):
         """:meth:`on_index_miss` for every miss of one write, in order."""
         ...
 
-    def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:
+    def note_index_evictions(self, evicted: Sequence[Tuple[int, Any]]) -> None:
         ...
 
     # -- read side -----------------------------------------------------

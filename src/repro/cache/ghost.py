@@ -11,14 +11,17 @@ The paper bounds ``actual + ghost`` by the total DRAM size, so the
 ghost capacity is expressed in the same bytes-of-actual-data units as
 the cache it shadows.  Every key stands in for one
 ``default_entry_size`` entry of that cache, so the byte bound is a
-key-count bound (``capacity_bytes // default_entry_size``) and the
-ghost stores keys only.
+key-count bound (``capacity_bytes // default_entry_size``).  Each key
+carries the payload it was recorded with: iCache's ghost index keeps
+the swapped-out Index entries parked in the reserved area there, so
+they leave with their key.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Generic, Iterable, Iterator, List, Optional, Tuple, TypeVar
+from types import MappingProxyType
+from typing import Any, Generic, Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 from repro.errors import CacheError
 
@@ -40,8 +43,8 @@ class GhostCache(Generic[K]):
             raise CacheError("default entry size must be positive")
         self.capacity_bytes = capacity_bytes
         self.default_entry_size = default_entry_size
-        #: Keys in eviction order (values unused).
-        self._keys: "OrderedDict[K, None]" = OrderedDict()
+        #: Keys in eviction order, each with its recorded payload.
+        self._keys: "OrderedDict[K, Any]" = OrderedDict()
         #: Hits this epoch (the Access Monitor resets these).
         self.hits = 0
         #: Hits over the ghost cache's whole lifetime (observability;
@@ -65,46 +68,40 @@ class GhostCache(Generic[K]):
     def used_bytes(self) -> int:
         return len(self._keys) * self.default_entry_size
 
+    @property
+    def entries(self) -> "MappingProxyType[K, Any]":
+        """Read-only live view of the keys and their payloads, least
+        recently evicted first."""
+        return MappingProxyType(self._keys)
+
     def record_eviction(self, key: K) -> None:
         """Remember an evicted key (the least recent keys age out)."""
         self.record_evictions(((key, None),))
 
-    def record_evictions(
-        self,
-        evicted: Iterable[Tuple[K, Any]],
-        parked: Optional[Dict[K, Any]] = None,
-    ) -> None:
+    def record_evictions(self, evicted: Sequence[Tuple[K, Any]]) -> None:
         """:meth:`record_eviction` for every ``(key, payload)`` of a batch,
         in order, in one call.
 
-        With ``parked``, each step also parks the key's payload there
-        and drops the payloads of the keys it ages out -- iCache's
-        reserved-area store, kept in step with the ghost index (a key
-        aged out by one step and re-recorded by a later one keeps its
-        new payload).  A ghost too small for one entry ages each key
-        out as it arrives.
+        A re-recorded key keeps its newest payload and becomes the most
+        recent; a key aged out takes its payload with it.  A ghost too
+        small for one entry ages each key out as it arrives.
         """
         keys = self._keys
         refresh = keys.move_to_end
         popitem = keys.popitem
         slots = self.slots
         held = len(keys)
-        recorded = 0
         for key, payload in evicted:
-            recorded += 1
-            if parked is not None:
-                parked[key] = payload
             if key in keys:
+                keys[key] = payload
                 refresh(key)
                 continue
-            keys[key] = None
+            keys[key] = payload
             held += 1
             while held > slots:
-                aged = popitem(last=False)[0]
+                popitem(last=False)
                 held -= 1
-                if parked is not None:
-                    parked.pop(aged, None)
-        self.evictions_recorded += recorded
+        self.evictions_recorded += len(evicted)
 
     def hit(self, key: K) -> bool:
         """Check for *key*; on a hit, count it and remove the key
@@ -153,6 +150,10 @@ class GhostCache(Generic[K]):
     def keys_mru(self) -> Iterator[K]:
         """Keys from most- to least-recently evicted (swap-in order)."""
         return reversed(self._keys)
+
+    def items_mru(self) -> Iterator[Tuple[K, Any]]:
+        """``(key, payload)`` from most- to least-recently evicted."""
+        return reversed(self._keys.items())
 
     def reset_counters(self) -> None:
         self.hits = 0

@@ -126,7 +126,7 @@ class PartitionedCache:
     def on_index_misses(self, fingerprints: Iterable[int]) -> None:
         """Fixed partitions keep no ghost history; nothing to record."""
 
-    def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:
+    def note_index_evictions(self, evicted: Sequence[Tuple[int, Any]]) -> None:
         """Fixed partitions keep no ghost history; victims are dropped."""
 
     def on_epoch(self, now: float) -> float:

@@ -149,9 +149,6 @@ class ICache:
         #: Attached observability recorder + clock (set by the scheme).
         self.obs: TraceRecorder = NULL_RECORDER
         self._obs_clock: Optional[Callable[[], float]] = None
-        #: Swapped-out index entries parked in the reserved area,
-        #: keyed by fingerprint (pruned with the ghost index).
-        self._index_store: Dict[int, Any] = {}
         #: Set by the owning scheme so swap-in can restore entries
         #: through the IndexTable (keeping its PBA reverse map sound).
         self._index_table: Optional[Any] = None
@@ -161,13 +158,14 @@ class ICache:
         self._index_table = index_table
 
     def parked_index_entries(self) -> "MappingProxyType[int, Any]":
-        """Read-only live view of swap-parked index entries.
+        """Read-only live view of swap-parked index entries: the ghost
+        index's keys and the entries recorded with them.
 
         The sanctioned inspection surface for validators: the POD
         sanitizer sums the parked entries' ``Count`` values into its
         conservative Count bookkeeping check (``INV-INDEX-COUNT``).
         """
-        return MappingProxyType(self._index_store)
+        return self.ghost_index.entries
 
     def attach_observer(
         self, recorder: TraceRecorder, clock: Optional[Callable[[], float]] = None
@@ -249,14 +247,9 @@ class ICache:
     def on_index_misses(self, fingerprints: Iterable[int]) -> None:
         """:meth:`on_index_miss` for every miss of one write, in order
         (one ghost probe call per request on the write path).  A hit
-        key leaves the ghost index, so its parked entry goes too."""
+        key leaves the ghost index with its parked entry."""
         hits = self.ghost_index.hit_many(fingerprints)
-        if not hits:
-            return
-        pop = self._index_store.pop
-        for fingerprint in hits:
-            pop(fingerprint, None)
-        if self.obs.level >= TraceLevel.CHUNK:
+        if hits and self.obs.level >= TraceLevel.CHUNK:
             now = self._obs_clock() if self._obs_clock is not None else 0.0
             for fingerprint in hits:
                 self.obs.emit(
@@ -267,11 +260,11 @@ class ICache:
                     key=fingerprint,
                 )
 
-    def note_index_evictions(self, evicted: Iterable[Tuple[int, Any]]) -> None:
-        """Feed IndexTable victims into the ghost index and park their
-        data in the reserved swap area for a later swap-in (one call
-        per request)."""
-        self.ghost_index.record_evictions(evicted, self._index_store)
+    def note_index_evictions(self, evicted: Sequence[Tuple[int, Any]]) -> None:
+        """Feed IndexTable victims into the ghost index, which parks
+        their entries (the reserved swap area) for a later swap-in (one
+        call per request)."""
+        self.ghost_index.record_evictions(evicted)
 
     # ------------------------------------------------------------------
     # the Access Monitor + Swap Module
@@ -357,9 +350,7 @@ class ICache:
             self._swap_in_index()
         # Ghost capacities track the complement of their actual cache;
         # the keys the ghost index ages out take their parked entries.
-        pop = self._index_store.pop
-        for fingerprint in self.ghost_index.resize(total - new_index_bytes):
-            pop(fingerprint, None)
+        self.ghost_index.resize(total - new_index_bytes)
         self.ghost_read.resize(total - new_read_bytes)
 
     def _swap_in_index(self) -> None:
@@ -368,21 +359,19 @@ class ICache:
         Candidates are ordered by their ``Count`` popularity first and
         eviction recency second -- the Index table keeps Count exactly
         so the hot entries can be told apart (Section III-B).  One pass
-        over the ghost keys groups the parked entries by Count, most
+        over the ghost index groups the parked entries by Count, most
         recent first within a group, and the Index table restores the
         groups in descending Count in one call.
         """
-        store = self._index_store
-        find = store.get
         groups: Dict[int, List[Tuple[int, Any]]] = {}
-        for fp in self.ghost_index.keys_mru():
-            entry = find(fp)
+        for item in self.ghost_index.items_mru():
+            entry = item[1]
             if entry is not None:
                 group = groups.get(entry.count)
                 if group is None:
-                    groups[entry.count] = [(fp, entry)]
+                    groups[entry.count] = [item]
                 else:
-                    group.append((fp, entry))
+                    group.append(item)
         candidates = (
             item for count in sorted(groups, reverse=True) for item in groups[count]
         )
@@ -396,8 +385,6 @@ class ICache:
                 self.index.put(fp, entry)
                 restored.append(fp)
         self.ghost_index.remove_many(restored)
-        for fp in restored:
-            store.pop(fp, None)
 
     def _swap_in_read(self) -> None:
         """Refill grown read space with the most recent ghost blocks."""

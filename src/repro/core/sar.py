@@ -43,6 +43,7 @@ class SARDedupe(SelectDedupe):
 
     name = "SAR"
     uses_ssd = True
+    reads_remaps = True
     features = {
         "capacity_saving": True,
         "performance_enhancement": True,

@@ -56,6 +56,9 @@ class IndexEntry:
     __hash__ = None  # type: ignore[assignment]
 
 
+_new_entry = object.__new__
+
+
 class IndexTable:
     """Fingerprint -> :class:`IndexEntry` over a shared LRU cache.
 
@@ -113,11 +116,12 @@ class IndexTable:
         pbas: List[Optional[int]] = []
         missed: List[int] = []
         add_pba = pbas.append
+        add_miss = missed.append
         for fingerprint in fingerprints:
             entry = find(fingerprint)
             if entry is None:
                 add_pba(None)
-                missed.append(fingerprint)
+                add_miss(fingerprint)
             else:
                 promote(fingerprint)
                 entry.count += 1
@@ -172,8 +176,9 @@ class IndexTable:
         held = len(entries)
         by_pba = self._by_pba
         claim = by_pba.pop
-        queue = self._evicted.append
-        evictions = 0
+        evicted = self._evicted
+        queued = len(evicted)
+        queue = evicted.append
         for kind, pba, arg in changes:
             if kind == WROTE:
                 claimant = claim(pba, None)
@@ -185,20 +190,23 @@ class IndexTable:
                     claim(old.pba, None)
                 if not slots:
                     continue  # larger than the whole table: nothing kept
-                entries[arg] = IndexEntry(pba)
+                # ``IndexEntry(pba)`` without the ``__init__`` frame.
+                entry = _new_entry(IndexEntry)
+                entry.pba = pba
+                entry.count = 0
+                entries[arg] = entry
                 held += 1
                 by_pba[pba] = arg
                 while held > slots:
-                    victim, entry = popitem(last=False)
+                    victim = popitem(last=False)
                     held -= 1
-                    claim(entry.pba, None)
-                    queue((victim, entry))
-                    evictions += 1
+                    claim(victim[1].pba, None)
+                    queue(victim)
             elif kind == FREED and arg:
                 claimant = claim(pba, None)
                 if claimant is not None and pop(claimant, None) is not None:
                     held -= 1
-        lru.evictions += evictions
+        lru.evictions += len(evicted) - queued
 
     def remove(self, fingerprint: int) -> bool:
         """Drop an entry (not counted as an eviction)."""
@@ -225,11 +233,11 @@ class IndexTable:
         directly would leave stale PBA claims behind that block later
         swap-ins and invalidations.
         """
-        out: List[Tuple[int, IndexEntry]] = []
-        for key, value in self.lru.resize(new_capacity_bytes):
-            self._by_pba.pop(value.pba, None)
-            out.append((key, value))
-        return out
+        evicted = self.lru.resize(new_capacity_bytes)
+        claim = self._by_pba.pop
+        for _key, value in evicted:
+            claim(value.pba, None)
+        return evicted
 
     def restore(self, fingerprint: int, entry: IndexEntry) -> bool:
         """Swap a previously evicted entry back in (iCache swap-in).

@@ -41,7 +41,9 @@ WROTE = 0
 #: to the allocator (its content discarded);
 FREED = 1
 #: ``(REMAPPED, pba, lba)`` -- ``lba`` now resolves to the existing
-#: duplicate block ``pba`` (a deduplicated block).
+#: duplicate block ``pba`` (a deduplicated block).  Logged only for a
+#: scheme that reads it (``DedupScheme.reads_remaps``, SAR's SSD
+#: admission); no other owner does anything with a remap.
 REMAPPED = 2
 
 #: One change-log entry.
@@ -171,10 +173,22 @@ class MapTable:
             return None
         return self.rebind(lba, current, None)
 
+    def commit_state(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """The live entry and reference-count dicts, for the write
+        path's commit kernel (``DedupScheme._commit_write``).
+
+        The kernel applies a request's updates to them in place with
+        :meth:`rebind`'s rules: it journals each mutation write-ahead,
+        keeps the reference counts exact, and reports the request's net
+        entry change to the NVRAM meter once (:meth:`NvramMeter.commit`).
+        Fetch them per request: :meth:`restore_mapping` replaces them.
+        """
+        return self._map, self._refs
+
     def rebind(self, lba: int, current: Optional[int], pba: Optional[int]) -> Optional[int]:
         """Move ``lba`` from its explicit entry ``current`` to ``pba``.
 
-        The one implementation of a Map-table update: ``None`` stands
+        A Map-table update outside the commit kernel: ``None`` stands
         for the identity (home) mapping on either side.  Journals
         write-ahead, keeps the reference counts and the NVRAM meter,
         and returns the PBA whose last reference went away, or

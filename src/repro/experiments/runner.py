@@ -402,6 +402,16 @@ def _on_driver(config: ReplayConfig) -> bool:
     return refusal(run, driver=True) is None
 
 
+#: Pending requests each worker of an :func:`execute_many` pool must
+#: bring, so that the pool beats one process.  A spawned worker spends
+#: about 0.8 s importing ``repro`` before its first replay, and the
+#: dedup schemes replay 23-63k req/s on the columnar driver (a shared
+#: 2-core VM; Native 74-205k), about 40k at the median: a pool of w
+#: workers finishes first only above about 0.8 s x 40k req/s x
+#: w/(w-1) requests, i.e. 64k for two workers.  A Fig. 8 matrix holds
+#: 17k requests at scale 0.02 (in process) and 214k at 0.25 (a pool).
+POOL_REQUESTS_PER_WORKER = 32_000
+
 #: The column payloads of one :func:`execute_many` pool, by trace key
 #: (set in each worker by :func:`_receive_columns`).
 _shipped: Dict[TraceKey, ColumnarTrace] = {}
@@ -428,8 +438,10 @@ def execute_many(
 
     Every spec must be one :func:`execute` memoises (``ConfigError``
     says why one is not).  Memo hits cost nothing and a spec listed
-    twice runs once.  ``workers`` defaults to one per pending run, up
-    to the CPU count; at one worker each run goes through
+    twice runs once.  ``workers`` defaults to one per
+    :data:`POOL_REQUESTS_PER_WORKER` pending requests, up to one per
+    pending run and the CPU count; an explicit count is capped at one
+    per pending run.  At one worker each run goes through
     :func:`execute` in this process.  Above one, a pool of spawned
     processes runs them (no worker inherits this process's threads or
     state): each distinct trace's columns are shipped once per worker,
@@ -454,7 +466,14 @@ def execute_many(
     for key, spec in zip(keys, specs):
         if key not in _run_cache:
             pending.setdefault(key, spec)
-    workers = min(len(pending), workers or os.cpu_count() or 1)
+    if workers is None:
+        requests = sum(
+            len(get_trace(base, scale=spec.scale, seed=spec.seed))
+            for spec in pending.values()
+            for base in spec.trace_specs()
+        )
+        workers = min(os.cpu_count() or 1, requests // POOL_REQUESTS_PER_WORKER)
+    workers = min(len(pending), workers)
     if workers <= 1:
         for spec in pending.values():
             execute(spec)

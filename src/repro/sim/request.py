@@ -13,7 +13,9 @@ path materialises one ``IORequest`` per trace record and several
 classes (no per-instance ``__dict__``, no generated-``__init__``
 indirection).  The columnar batch driver additionally constructs
 requests through :meth:`IORequest.raw`, which skips re-validation of
-fields the trace layer already validated.
+fields the columnar layer already validated
+(:meth:`~repro.traces.columnar.ColumnarTrace.from_trace` checks every
+record as this class does).
 """
 
 from __future__ import annotations
@@ -116,10 +118,9 @@ class IORequest:
         """Construct without validation.
 
         Only for callers that re-materialise requests from an already
-        validated source (a :class:`~repro.traces.format.Trace` checks
-        every record in ``__post_init__``; the columnar layer round-
-        trips through it) -- the hot path must not pay for the same
-        checks twice.
+        validated source (a :class:`~repro.traces.columnar.ColumnarTrace`
+        checks every record's shape, time and LBA range on construction)
+        -- the hot path must not pay for the same checks twice.
         """
         self = cls.__new__(cls)
         self.time = time

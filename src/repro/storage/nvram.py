@@ -58,6 +58,22 @@ class NvramMeter:
             raise DedupError("removing more entries than exist")
         self._entries -= n
 
+    def commit(self, delta: int, high: int) -> None:
+        """Record one batch of adds and removes at once: the live count
+        moved by ``delta`` and was at most ``high`` above its starting
+        value in between (``high >= max(delta, 0)``).
+
+        The commit kernel's one meter update per write request; the
+        count and the high-water mark equal those of the per-entry
+        :meth:`add` / :meth:`remove` calls.
+        """
+        start = self._entries
+        if start + delta < 0:
+            raise DedupError("removing more entries than exist")
+        self._entries = start + delta
+        if start + high > self._peak_entries:
+            self._peak_entries = start + high
+
     def resync(self, entries: int) -> None:
         """Reset the live-entry count after crash recovery.
 

@@ -105,9 +105,27 @@ def coalesce_extents(pbas: Sequence[int]) -> List[Tuple[int, int]]:
     return runs
 
 
+_new_op = object.__new__
+
+
 def extents_to_ops(op: OpType, pbas: Sequence[int]) -> List[VolumeOp]:
-    """Plan the minimal list of :class:`VolumeOp` covering ``pbas``."""
-    return [VolumeOp(op, start, length) for start, length in coalesce_extents(pbas)]
+    """Plan the minimal list of :class:`VolumeOp` covering ``pbas``.
+
+    The PBAs are translated or allocated blocks, so each run starts
+    at a valid block and spans at least one: the ops are built without
+    :class:`VolumeOp`'s checks (one or more per planned request).
+    """
+    ops: List[VolumeOp] = []
+    if not pbas:
+        return ops
+    runs = [(pbas[0], 1)] if len(pbas) == 1 else coalesce_extents(pbas)
+    for start, length in runs:
+        vop = _new_op(VolumeOp)
+        vop.op = op
+        vop.pba = start
+        vop.nblocks = length
+        ops.append(vop)
+    return ops
 
 
 class ContentStore:

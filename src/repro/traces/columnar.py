@@ -135,7 +135,14 @@ class ColumnarTrace:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        """Intern a request-level trace into columns (lossless)."""
+        """Intern a request-level trace into columns (lossless).
+
+        The columns are validated on the way: a :class:`Trace` checks
+        only time order and the upper LBA bound, while the columnar
+        driver builds its requests unchecked (:meth:`IORequest.raw`), so
+        a record the event loop's :class:`IORequest` would refuse is
+        refused here with the same :class:`TraceError`.
+        """
         times: List[float] = []
         ops: List[int] = []
         lbas: List[int] = []
@@ -170,7 +177,6 @@ class ColumnarTrace:
             fp_offsets=np.array(fp_offsets, dtype=np.int64),
             fp_ids=np.array(fp_ids, dtype=np.int64),
             pool=pool,
-            validate=False,  # the Trace already validated every record
         )
 
     def to_trace(self) -> Trace:
@@ -321,21 +327,17 @@ def merge_columnar(
 
     # Unify the fingerprint pools (chunk ids remapped into the merged
     # pool; values can exceed int64 so the pool stays a Python list).
-    pool: List[int] = []
+    # A new fingerprint's id is the intern table's size as it arrives,
+    # so the table's keys, in order, are the merged pool.
     intern: Dict[int, int] = {}
+    add = intern.setdefault
     remapped: List[np.ndarray] = []
     for ct in ctraces:
-        remap = np.empty(len(ct.pool), dtype=np.int64)
-        for local_id, fp in enumerate(ct.pool):
-            fid = intern.get(fp)
-            if fid is None:
-                fid = len(pool)
-                intern[fp] = fid
-                pool.append(fp)
-            remap[local_id] = fid
+        remap = np.array([add(fp, len(intern)) for fp in ct.pool], dtype=np.int64)
         remapped.append(
             remap[ct.fp_ids] if len(ct.fp_ids) else np.empty(0, dtype=np.int64)
         )
+    pool: List[int] = list(intern)
 
     times = np.concatenate([ct.times for ct in ctraces])
     # Stable sort on time == heapq.merge order: ties keep concatenation

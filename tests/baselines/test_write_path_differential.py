@@ -15,13 +15,19 @@ twice -- fused and reference -- from the same starting state:
   read cache can remember a block,
 * iCache / Post-Process epochs between requests,
 * a write-ahead journal on the Map table,
+* a Select-Dedupe threshold of 3 chunks or 1 (every redundant chunk
+  deduplicated),
+* requests planned one call each (``process``) or through the columnar
+  driver's call (``plan_columns``) with its NVRAM samples,
 * quarantined LBAs (dedupe bypass and healing),
 * rewrites of earlier content runs, so fully redundant, sequential
   partial and scattered partial requests all occur, plus dedupe
   targets that an earlier chunk of the same request overwrites.
 
 Each request's :class:`PlannedIO` must match field by field, and so
-must the final ``stats()``, Map-table snapshot, on-disk content, index
+must the NVRAM meter's live and peak bytes after it and, under iCache,
+the ghost index's key order and parked entries; then the final
+``stats()``, Map-table snapshot, on-disk content, index
 LRU order (with each entry's PBA and Count), read-cache order, ghost
 and journal state, iCache epoch timeline, and the CHUNK-level trace
 events.
@@ -114,6 +120,8 @@ setups = st.fixed_dictionaries(
         "index_entries": st.one_of(st.integers(1, 12), st.integers(128, 140)),
         "read_blocks": st.integers(min_value=1, max_value=4),
         "log_fraction": st.sampled_from([0.5, 0.15]),
+        "select_threshold": st.sampled_from([3, 1]),
+        "driver": st.booleans(),
     }
 )
 
@@ -126,6 +134,7 @@ def _build(cls: Type[DedupScheme], setup: Dict[str, Any]) -> DedupScheme:
         memory_bytes=memory,
         index_fraction=index_bytes / memory,
         idedup_threshold=2,
+        select_threshold=setup["select_threshold"],
         log_fraction=setup["log_fraction"],
         icache_min_fraction=0.0,
         icache_step=0.25,
@@ -153,18 +162,62 @@ def _plan_fields(plan: PlannedIO) -> Tuple[Any, ...]:
     )
 
 
-def _replay(scheme: DedupScheme, workload: List[Tuple[Any, ...]]) -> List[Any]:
-    """Per-op outcomes; stops at the first error (recorded as such)."""
+def _columns(workload: List[Tuple[Any, ...]]) -> Dict[str, Any]:
+    """The workload as the columnar driver's merged columns (rows that
+    are not requests are never planned)."""
+    cols: Dict[str, Any] = {
+        "times": [], "is_write": [], "lbas": [], "nblocks": [],
+        "volume_ids": [], "fp_offsets": [0], "fp_ids": [], "pool": [],
+    }
+    for k, op in enumerate(workload):
+        cols["times"].append(0.01 * (k + 1))
+        cols["is_write"].append(op[0] == "w")
+        cols["lbas"].append(op[1] if op[0] in "wr" else 0)
+        cols["nblocks"].append(len(op[2]) if op[0] == "w" else op[2] if op[0] == "r" else 1)
+        cols["volume_ids"].append(0)
+        if op[0] == "w":
+            for fp in op[2]:
+                cols["fp_ids"].append(len(cols["pool"]))
+                cols["pool"].append(fp)
+        cols["fp_offsets"].append(len(cols["fp_ids"]))
+    return cols
+
+
+def _after_request(scheme: DedupScheme) -> Tuple[Any, ...]:
+    """What a request leaves that a later one may not overwrite: the
+    NVRAM meter and, under iCache, the ghost index."""
+    out: Tuple[Any, ...] = (scheme.nvram.bytes_used, scheme.nvram.peak_bytes)
+    if hasattr(scheme.cache, "ghost_index"):
+        out += (
+            list(scheme.cache.ghost_index.keys_mru()),
+            {fp: (e.pba, e.count) for fp, e in scheme.cache.parked_index_entries().items()},
+        )
+    return out
+
+
+def _replay(
+    scheme: DedupScheme, workload: List[Tuple[Any, ...]], driver: bool = False
+) -> List[Any]:
+    """Per-op outcomes; stops at the first error (recorded as such).
+
+    With ``driver``, each request is planned by ``plan_columns`` over
+    the workload's columns, and the NVRAM bytes it samples before the
+    request are part of the outcome."""
     out: List[Any] = []
+    cols = _columns(workload) if driver else None
     for k, op in enumerate(workload):
         now = 0.01 * (k + 1)
         try:
-            if op[0] == "w":
+            if op[0] in "wr" and cols is not None:
+                samples: List[int] = []
+                (plan,) = scheme.plan_columns(k, k + 1, nvram_out=samples, **cols)
+                out.append((_plan_fields(plan), samples, _after_request(scheme)))
+            elif op[0] == "w":
                 request = IORequest.write(time=now, lba=op[1], fingerprints=op[2], req_id=k)
-                out.append(_plan_fields(scheme.process(request, now)))
+                out.append((_plan_fields(scheme.process(request, now)), _after_request(scheme)))
             elif op[0] == "r":
                 request = IORequest.read(time=now, lba=op[1], nblocks=op[2], req_id=k)
-                out.append(_plan_fields(scheme.process(request, now)))
+                out.append((_plan_fields(scheme.process(request, now)), _after_request(scheme)))
             elif op[0] == "e":
                 if scheme.epoch_interval is not None:
                     out.append([(o.op, o.pba, o.nblocks) for o in scheme.on_epoch(now)])
@@ -220,7 +273,8 @@ def _state(scheme: DedupScheme) -> Dict[str, Any]:
 #: first chunk out: only the intra-request overwrite check can tell
 #: these apart.  Then the commit paths random workloads rarely reach.
 PLAIN = {"journal": False, "traced": False, "index_entries": 12,
-         "read_blocks": 2, "log_fraction": 0.5}
+         "read_blocks": 2, "log_fraction": 0.5, "select_threshold": 3,
+         "driver": False}
 REWRITE_BYPASSED = [("w", 0, (1,)), ("q", frozenset({0})), ("w", 0, (1, 1))]
 REWRITE_OUTSIDE_RUN = [("w", 0, (1, 2, 3)), ("w", 1, (2, 5, 1, 2, 3))]
 #: Redirect then recycle: LBAs 0-1 are redirected to log blocks
@@ -240,6 +294,24 @@ NOOP_REMAP = [("w", 0, (1, 2)), ("w", 2, (1, 2)), ("w", 10, (3, 4)),
 #: blocks are recycled and their SSD copies must go with them.
 SSD_RECYCLE = [("w", 0, (1, 2)), ("w", 2, (1, 2)), ("w", 0, (5, 6)), ("w", 4, (5, 6)),
                ("w", 4, (7, 8)), ("w", 2, (9, 10)), ("w", 0, (11, 12)), ("r", 0, 6)]
+#: With every redundant chunk deduplicated, SAR's last request remaps
+#: LBA 0 onto block 20 (staging it on the 2-block SSD, which evicts
+#: block 0) and then overwrites block 1, an SSD copy that lost its last
+#: reference: the SSD must end holding block 20 alone, as the per-block
+#: chain leaves it (removals first would keep block 0 too).
+EVERY_CHUNK = dict(PLAIN, select_threshold=1, driver=True)
+SSD_REMAP_THEN_OVERWRITE = [("w", 0, (1,)), ("w", 1, (2,)), ("w", 10, (1,)),
+                            ("w", 11, (2,)), ("w", 11, (9,)), ("w", 20, (3,)),
+                            ("w", 0, (3, 4)), ("r", 0, 2)]
+#: One request adds a Map-table entry (LBA 0 is redirected: its home
+#: is shared) and then drops one (LBA 1 returns home): the NVRAM peak
+#: is the count between the two blocks, not either end's.
+PEAK_INSIDE_REQUEST = [("w", 0, (1,)), ("w", 5, (1,)), ("w", 1, (1,)), ("w", 0, (8, 9))]
+#: A one-entry Index table evicts fingerprint 1 twice within one
+#: request: iCache's ghost index must park the entry of its second
+#: copy (block 2), not the first.
+ONE_INDEX_ENTRY = dict(PLAIN, index_entries=1)
+EVICTED_TWICE = [("w", 0, (1, 2, 1, 2)), ("w", 8, (3,))]
 #: The log region (7 blocks) runs out mid-request, after 7 of 8
 #: redirected blocks were committed: the state they left must match.
 SMALL_LOG = dict(PLAIN, log_fraction=0.15)
@@ -267,12 +339,17 @@ SPLIT_FULLY_REDUNDANT = [("w", 0, (1, 2, 3)), ("w", 20, (4, 5, 6)),
 @example(setup=PLAIN, workload=RUN_AT_THRESHOLD)
 @example(setup=PLAIN, workload=RUNS_SUM_TO_THRESHOLD)
 @example(setup=PLAIN, workload=SPLIT_FULLY_REDUNDANT)
+@example(setup=EVERY_CHUNK, workload=SSD_REMAP_THEN_OVERWRITE)
+@example(setup=ONE_INDEX_ENTRY, workload=EVICTED_TWICE)
+@example(setup=EVERY_CHUNK, workload=PEAK_INSIDE_REQUEST)
+@example(setup=dict(PLAIN, driver=True), workload=PEAK_INSIDE_REQUEST)
 def test_fused_write_path_matches_per_block_chain(
     cls: Type[DedupScheme], setup: Dict[str, Any], workload: List[Tuple[Any, ...]]
 ) -> None:
     fused = _build(cls, setup)
     reference = _build(reference_class(cls), setup)
-    assert _replay(fused, workload) == _replay(reference, workload)
+    driver = setup["driver"]
+    assert _replay(fused, workload, driver) == _replay(reference, workload, driver)
     assert _state(fused) == _state(reference)
 
 
@@ -280,10 +357,7 @@ def test_reference_chain_is_the_per_block_one() -> None:
     """The reference really is a different code path: it probes chunk
     by chunk, reads block by block on the per-key cache chain, and
     never reaches the request-level kernels."""
-    reference = _build(reference_class(POD), {
-        "journal": False, "traced": False, "index_entries": 4,
-        "read_blocks": 1, "log_fraction": 0.5,
-    })
+    reference = _build(reference_class(POD), dict(PLAIN, index_entries=4, read_blocks=1))
     calls: List[str] = []
 
     def spy(owner: Any, name: str) -> None:

@@ -46,6 +46,47 @@ def test_single_worker_path(monkeypatch):
     assert out[("homes", "Native")].metrics.requests > 0
 
 
+def test_small_default_batch_runs_in_process(monkeypatch):
+    """By default a batch too small to pay for spawning a worker runs
+    in process: the Fig. 8 matrix at scale 0.02 holds about 17k
+    requests, under one worker's share."""
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _must_not_run)
+    out = runner.run_matrix(scale=SCALE)
+    assert len(out) == 3 * len(runner.PAPER_SCHEMES)
+
+
+def test_default_worker_count_follows_requests(monkeypatch):
+    """The default pool has one worker per
+    ``POOL_REQUESTS_PER_WORKER`` pending requests, capped at the
+    pending runs and the CPU count; one worker's worth runs in
+    process."""
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [runner.execute(spec) for spec, _key in jobs]
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+    specs = [runner.RunSpec("homes", s, scale=SCALE) for s in ("Native", "POD", "iDedup")]
+    requests = len(runner.get_trace(paper_traces()["homes"], scale=SCALE))
+    for share, expect in ((requests * 3, None), (requests, 3), (requests * 3 // 2, 2)):
+        runner.clear_run_cache()
+        started.clear()
+        monkeypatch.setattr(runner, "POOL_REQUESTS_PER_WORKER", share)
+        runner.execute_many(specs)
+        assert started == ([] if expect is None else [expect]), share
+
+
 def test_defaults_cover_paper_grid():
     out = runner.run_matrix(scale=0.01, workers=2)
     assert len(out) == 3 * len(runner.PAPER_SCHEMES)
