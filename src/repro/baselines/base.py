@@ -895,20 +895,3 @@ class DedupScheme(abc.ABC):
         if self.index_table is not None:
             out.update({f"index_{k}": v for k, v in self.index_table.stats().items()})
         return out
-
-    def check_integrity(self, expected: Dict[int, int]) -> List[str]:
-        """Verify that every LBA reads back its last-written content.
-
-        ``expected`` maps LBA -> fingerprint (maintained by the test
-        oracle).  Returns a list of violation descriptions (empty when
-        consistent).
-        """
-        problems: List[str] = []
-        for lba, fp in sorted(expected.items()):
-            pba = self.map_table.translate(lba)
-            stored = self.content.read(pba)
-            if stored != fp:
-                problems.append(
-                    f"LBA {lba} -> PBA {pba}: expected fp {fp}, found {stored}"
-                )
-        return problems

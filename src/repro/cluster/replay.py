@@ -56,7 +56,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,6 +103,7 @@ from repro.storage.disk import queue_lag
 from repro.storage.rebuild import RebuildController
 from repro.storage.ssd import Ssd
 from repro.storage.volume import VolumeOp
+from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
 
 #: Trace levels read per arrival, completion and RPC destination,
@@ -160,7 +161,7 @@ class ClusterConfig:
 
 
 def replay_cluster(
-    traces: Sequence[Trace],
+    traces: Sequence[Union[Trace, ColumnarTrace]],
     schemes: Sequence[DedupScheme],
     cluster: ClusterConfig = ClusterConfig(),
     config: ReplayConfig = ReplayConfig(),
@@ -210,7 +211,7 @@ def replay_cluster(
 
 
 def _check_inputs(
-    traces: Sequence[Trace],
+    traces: Sequence[Union[Trace, ColumnarTrace]],
     schemes: Sequence[DedupScheme],
     cluster: ClusterConfig,
     config: ReplayConfig,
@@ -282,7 +283,7 @@ class _ClusterReplay:
 
     def __init__(
         self,
-        traces: Sequence[Trace],
+        traces: Sequence[Union[Trace, ColumnarTrace]],
         schemes: Sequence[DedupScheme],
         cluster: ClusterConfig,
         config: ReplayConfig,

@@ -131,10 +131,6 @@ class FingerprintRouter:
         i = bisect_right(self._tokens, h) % len(self._tokens)
         return self._owners[i]
 
-    def route_many(self, fingerprints: Sequence[int]) -> List[int]:
-        """Vector form of :meth:`route` (preserves order)."""
-        return [self.route(fp) for fp in fingerprints]
-
     def route_replicas(self, fingerprint: int, count: int) -> List[int]:
         """The first ``count`` *distinct* owners clockwise from the
         fingerprint's ring position (the replica preference order).

@@ -361,8 +361,21 @@ class ICache:
         so the hot entries can be told apart (Section III-B).  One pass
         over the ghost index groups the parked entries by Count, most
         recent first within a group, and the Index table restores the
-        groups in descending Count in one call.
+        groups in descending Count in one call.  A bare iCache (no Index
+        table) parks raw values without a Count: recency alone orders
+        them.
         """
+        if self._index_table is None:
+            restored = []
+            for fp, entry in self.ghost_index.items_mru():
+                if entry is None:
+                    continue
+                if self.index.free_bytes < INDEX_ENTRY_SIZE:
+                    break
+                self.index.put(fp, entry)
+                restored.append(fp)
+            self.ghost_index.remove_many(restored)
+            return
         groups: Dict[int, List[Tuple[int, Any]]] = {}
         for item in self.ghost_index.items_mru():
             entry = item[1]
@@ -372,19 +385,9 @@ class ICache:
                     groups[entry.count] = [item]
                 else:
                     group.append(item)
-        candidates = (
+        self.ghost_index.remove_many(self._index_table.restore_many(
             item for count in sorted(groups, reverse=True) for item in groups[count]
-        )
-        if self._index_table is not None:
-            restored = self._index_table.restore_many(candidates)
-        else:
-            restored = []
-            for fp, entry in candidates:
-                if self.index.free_bytes < INDEX_ENTRY_SIZE:
-                    break
-                self.index.put(fp, entry)
-                restored.append(fp)
-        self.ghost_index.remove_many(restored)
+        ))
 
     def _swap_in_read(self) -> None:
         """Refill grown read space with the most recent ghost blocks."""

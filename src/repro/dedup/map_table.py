@@ -89,10 +89,6 @@ class MapTable:
             return pba
         return self.regions.home_of(lba)
 
-    def translate_many(self, lbas: Iterable[int]) -> list:
-        """Translate a batch of LBAs."""
-        return [self.translate(lba) for lba in lbas]
-
     def translate_range(self, lba: int, nblocks: int) -> List[int]:
         """Translate the run ``[lba, lba + nblocks)`` in one call (the
         read path's one Map-table call per request).
@@ -134,11 +130,6 @@ class MapTable:
         """Number of explicit map entries referencing ``pba``."""
         return self._refs.get(pba, 0)
 
-    def is_referenced(self, pba: int) -> bool:
-        """True if overwriting ``pba`` in place would corrupt some LBA
-        other than its implicit home owner."""
-        return self.refs(pba) > 0
-
     def referencing_lbas(self, pba: int) -> Set[int]:
         """All LBAs explicitly mapped to ``pba`` (O(n); tests only)."""
         return {lba for lba, p in self._map.items() if p == pba}
@@ -162,16 +153,6 @@ class MapTable:
         if pba < 0 or pba >= self._total_blocks:
             raise DedupError(f"PBA {pba} outside the volume")
         return self.rebind(lba, self._map.get(lba), None if pba == home else pba)
-
-    def clear_mapping(self, lba: int) -> Optional[int]:
-        """Return ``lba`` to its identity (home) mapping.
-
-        Returns the PBA that became unreferenced, if any.
-        """
-        current = self._map.get(lba)
-        if current is None:
-            return None
-        return self.rebind(lba, current, None)
 
     def commit_state(self) -> Tuple[Dict[int, int], Dict[int, int]]:
         """The live entry and reference-count dicts, for the write

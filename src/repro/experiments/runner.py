@@ -8,10 +8,10 @@ frozen :class:`RunSpec` and run by :func:`execute`.  Figures 8, 9a,
 by their spec; the figure benches then share one matrix instead of
 re-simulating.  :func:`execute_many` runs a batch of such specs, on a
 process pool when there is more than one to run and more than one
-core: each distinct trace is converted to columns once (memoised next
-to the trace) and shipped to the workers as flat NumPy buffers, and
-every result lands in the same memo, so the result of a spec does not
-depend on which process ran it.
+core: each distinct trace's columns (the only form a trace is stored
+in) are shipped to the workers as flat NumPy buffers, and every result
+lands in the same memo, so the result of a spec does not depend on
+which process ran it.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ from repro.baselines.registry import DEFAULT_REGISTRY
 from repro.cluster.replay import ClusterConfig, replay_cluster
 from repro.errors import ConfigError
 from repro.obs.trace import TraceRecorder
-from repro.sim.replay import (
-    DEFAULT_BATCH_SIZE, ReplayConfig, ReplayResult, ReplayRun, refusal,
-    replay_traces,
-)
+from repro.sim.replay import ReplayConfig, ReplayResult, replay_traces
 from repro.traces.columnar import ColumnarTrace
 from repro.traces.format import Trace
 from repro.traces.synthetic import (
@@ -65,14 +62,12 @@ TraceRef = Union[str, TraceSpec]
 TraceKey = Tuple[str, float, Optional[int]]
 
 _trace_cache: Dict[TraceKey, Trace] = {}
-_columns_cache: Dict[TraceKey, ColumnarTrace] = {}
 _run_cache: Dict[tuple, ReplayResult] = {}
 
 
 def clear_run_cache() -> None:
-    """Forget all memoised traces, columns and replays (tests use this)."""
+    """Forget all memoised traces and replays (tests use this)."""
     _trace_cache.clear()
-    _columns_cache.clear()
     _run_cache.clear()
 
 
@@ -82,18 +77,6 @@ def get_trace(spec: TraceSpec, scale: float = 1.0, seed: Optional[int] = None) -
     if key not in _trace_cache:
         _trace_cache[key] = generate_trace(spec, seed=seed, scale=scale)
     return _trace_cache[key]
-
-
-def get_columns(
-    spec: TraceSpec, scale: float = 1.0, seed: Optional[int] = None
-) -> ColumnarTrace:
-    """The memoised columnar form of :func:`get_trace`'s trace: every
-    replay of one trace reads the same columns (no replay writes
-    them)."""
-    key = (spec.name, scale, seed)
-    if key not in _columns_cache:
-        _columns_cache[key] = ColumnarTrace.from_trace(get_trace(spec, scale, seed))
-    return _columns_cache[key]
 
 
 def _trace_spec(trace: TraceRef) -> TraceSpec:
@@ -367,20 +350,14 @@ def execute(spec: RunSpec, recorder: Optional[TraceRecorder] = None) -> ReplayRe
     A run with a ``recorder`` always replays (the recorder must see
     the events); see :attr:`RunSpec.memo_key` for the rest of the
     memo's scope.  The trace cache is shared by every run: trace
-    generation is deterministic in (spec, scale, seed).  A memoised
-    run the columnar driver takes reads its trace's memoised columns.
+    generation is deterministic in (spec, scale, seed).
     """
     key = spec.memo_key if recorder is None else None
     if key is not None and key in _run_cache:
         return _run_cache[key]
     t = spec.tenants
-    if key is not None and _on_driver(spec.replay):
-        (base,) = spec.trace_specs()
-        volumes: Sequence[Union[Trace, ColumnarTrace]] = [
-            get_columns(base, scale=spec.scale, seed=spec.seed)
-        ]
-    elif t is None:
-        volumes = [
+    if t is None:
+        volumes: Sequence[Trace] = [
             get_trace(s, scale=spec.scale, seed=spec.seed)
             for s in spec.trace_specs()
         ]
@@ -393,13 +370,6 @@ def execute(spec: RunSpec, recorder: Optional[TraceRecorder] = None) -> ReplayRe
     if key is not None:
         _run_cache[key] = result
     return result
-
-
-def _on_driver(config: ReplayConfig) -> bool:
-    """Does the columnar driver run a one-node replay of ``config``?
-    (The scheme-dependent rules refuse a run on every path.)"""
-    run = ReplayRun(config, ClusterConfig(), (), batch_size=DEFAULT_BATCH_SIZE)
-    return refusal(run, driver=True) is None
 
 
 #: Pending requests each worker of an :func:`execute_many` pool must
@@ -446,8 +416,8 @@ def execute_many(
     processes runs them (no worker inherits this process's threads or
     state): each distinct trace's columns are shipped once per worker,
     and every result is memoised here under its spec's key.  The
-    columnar round-trip is lossless and the replay deterministic, so
-    the results do not depend on the worker count.  A spawned worker
+    workers replay the trace's own columns and the replay is
+    deterministic, so the results do not depend on the worker count.  A spawned worker
     imports the calling script, so a script that calls this keeps its
     entry point under ``if __name__ == "__main__"``.
     """
@@ -484,9 +454,9 @@ def execute_many(
             (base,) = spec.trace_specs()
             trace_key = (base.name, spec.scale, spec.seed)
             if trace_key not in payloads:
-                payloads[trace_key] = get_columns(
+                payloads[trace_key] = get_trace(
                     base, scale=spec.scale, seed=spec.seed
-                ).payload()
+                ).columns.payload()
             jobs.append((spec, trace_key))
         with ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn"),

@@ -17,7 +17,7 @@ so a replay without ``spans=True`` pays one pointer test per site.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Union
+from typing import Any, Dict, IO, List, Union
 
 #: Bumped on any breaking change to the span record layout.
 SPAN_SCHEMA_VERSION = 1
@@ -177,18 +177,3 @@ class SpanTracer:
             lines += 1
         return lines
 
-
-def span_children(spans: List[Span]) -> Dict[int, List[Span]]:
-    """Parent id -> children, for tree reconstruction in tests/tools."""
-    out: Dict[int, List[Span]] = {}
-    for span in spans:
-        out.setdefault(span.parent, []).append(span)
-    return out
-
-
-def find_root(spans: List[Span], req_id: int) -> Optional[Span]:
-    """The root (parent == -1) span of request ``req_id``, if any."""
-    for span in spans:
-        if span.parent == -1 and span.req_id == req_id:
-            return span
-    return None

@@ -96,9 +96,9 @@ def replay_columnar(
 ) -> ReplayResult:
     """Replay N trace streams through the columnar batch core.
 
-    Accepts :class:`Trace` or :class:`ColumnarTrace` inputs (the
-    experiment runner hands over each trace's memoised columns, and its
-    pool workers the columns it ships them).  Takes only
+    Accepts :class:`Trace` or :class:`ColumnarTrace` inputs and reads
+    their columns as they are (a trace is its columns; the experiment
+    runner's pool workers hand over the columns it ships them).  Takes only
     runs :data:`~repro.sim.replay.CAPABILITIES` gives the driver;
     :func:`repro.sim.replay.replay_traces` routes every other run to
     the one-node event loop.
@@ -108,10 +108,7 @@ def replay_columnar(
     if batch_size < 1:
         raise ConfigError("batch_size must be >= 1")
 
-    ctraces = [
-        t if isinstance(t, ColumnarTrace) else ColumnarTrace.from_trace(t)
-        for t in traces
-    ]
+    ctraces = [t.columns for t in traces]
     scaffold = ReplayScaffold(
         ctraces, [scheme], config, collector, per_volume_metrics, [0] * len(ctraces)
     )

@@ -36,11 +36,10 @@ fields every replay has.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, NamedTuple, Optional,
+    TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional,
     Sequence, Tuple, Union,
 )
 
@@ -55,12 +54,12 @@ from repro.obs.slo import SloPolicy, evaluate_slo
 from repro.obs.spans import SpanTracer
 from repro.obs.timeline import TimelineConfig, TimelineSampler
 from repro.obs.trace import TraceRecorder
-from repro.sim.request import IORequest
+from repro.sim.request import IORequest, OpType
 from repro.storage.disk import Disk, DiskParams, disk_utilisation
 from repro.storage.namespace import NamespaceMapper
 from repro.storage.raid import RaidArray, RaidGeometry, RaidLevel
 from repro.storage.ssd import SsdParams
-from repro.traces.columnar import ColumnarTrace
+from repro.traces.columnar import OP_WRITE, ColumnarTrace, merge_columnar
 from repro.traces.format import Trace
 
 if TYPE_CHECKING:
@@ -245,7 +244,7 @@ def size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
 
 
 def _merge_streams(
-    traces: Sequence[Trace], bases: Sequence[int]
+    traces: Sequence[Union[Trace, ColumnarTrace]], bases: Sequence[int]
 ) -> Tuple[List[IORequest], List[bool]]:
     """Merge-sort N timestamped streams into one global request list.
 
@@ -258,37 +257,27 @@ def _merge_streams(
     Returns the requests plus a parallel measured-flag list (a request
     is measured when it is past its *own* volume's warm-up prefix).
 
-    For N=1 at base 0 this degenerates to exactly
-    ``list(trace.requests())`` with ``measured[i] = i >= warmup_count``
-    -- the classic path.
+    The order and the rebased columns are :func:`merge_columnar`'s;
+    the requests are built from them unchecked (:meth:`IORequest.raw`),
+    since a trace's columns were validated when it was built.
     """
-
-    def stream(vid: int, trace: Trace) -> Iterator[Tuple[float, int, IORequest, bool]]:
-        base = bases[vid]
-        warmup = trace.warmup_count
-        for i, rec in enumerate(trace.records):
-            req = IORequest(
-                time=rec.time,
-                op=rec.op,
-                lba=base + rec.lba,
-                nblocks=rec.nblocks,
-                fingerprints=rec.fingerprints,
-                req_id=-1,
-                volume_id=vid,
-            )
-            yield rec.time, vid, req, i >= warmup
-
-    merged = heapq.merge(
-        *(stream(vid, t) for vid, t in enumerate(traces)),
-        key=lambda item: item[0],
-    )
-    requests: List[IORequest] = []
-    measured: List[bool] = []
-    for req_id, (_t, _vid, req, is_measured) in enumerate(merged):
-        req.req_id = req_id
-        requests.append(req)
-        measured.append(is_measured)
-    return requests, measured
+    merged = merge_columnar([t.columns for t in traces], bases)
+    offsets = merged.fp_offsets.tolist()
+    pool = merged.pool
+    values = [pool[j] for j in merged.fp_ids.tolist()]
+    raw = IORequest.raw
+    write, read = OpType.WRITE, OpType.READ
+    requests = [
+        raw(time, write, lba, n, tuple(values[offsets[i] : offsets[i + 1]]), i, vid)
+        if is_write
+        else raw(time, read, lba, n, None, i, vid)
+        for i, (time, is_write, lba, n, vid) in enumerate(zip(
+            merged.times.tolist(), (merged.ops == OP_WRITE).tolist(),
+            merged.lbas.tolist(), merged.nblocks.tolist(),
+            merged.volume_ids.tolist(),
+        ))
+    ]
+    return requests, merged.measured.tolist()
 
 
 def _aggregate_stats(stats_list: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
@@ -716,11 +705,8 @@ def replay_traces(
             batch_size=batch_size,
             per_volume_metrics=per_volume_metrics,
         )
-    # Columnar inputs on the event loop materialise back to
-    # request-level traces -- the round-trip is lossless, so the
-    # result is identical.
     return replay_cluster(
-        [t.to_trace() if isinstance(t, ColumnarTrace) else t for t in traces],
+        traces,
         [scheme],
         run.cluster,
         config,

@@ -11,11 +11,10 @@ Both classes here are deliberately *not* dataclasses: the replay hot
 path materialises one ``IORequest`` per trace record and several
 ``DiskOp`` objects per request, so they are hand-written ``__slots__``
 classes (no per-instance ``__dict__``, no generated-``__init__``
-indirection).  The columnar batch driver additionally constructs
-requests through :meth:`IORequest.raw`, which skips re-validation of
-fields the columnar layer already validated
-(:meth:`~repro.traces.columnar.ColumnarTrace.from_trace` checks every
-record as this class does).
+indirection).  Both replay loops construct their requests through
+:meth:`IORequest.raw`, which skips re-validation of
+fields the columnar layer already validated (a trace's columns are
+checked, as this class checks a request, when the trace is built).
 """
 
 from __future__ import annotations

@@ -84,12 +84,6 @@ class RegionMap:
     def is_log(self, pba: int) -> bool:
         return self.log_base <= pba < self.index_base
 
-    def is_index(self, pba: int) -> bool:
-        return self.index_base <= pba < self.swap_base
-
-    def is_swap(self, pba: int) -> bool:
-        return self.swap_base <= pba < self.total_blocks
-
     @staticmethod
     def for_logical_space(
         logical_blocks: int,

@@ -1,9 +1,6 @@
-"""Columnar (structure-of-arrays) trace representation.
+"""Columnar (structure-of-arrays) traces: the one stored form of a trace.
 
-The object replay path materialises one Python object per request; at
-fleet scale that caps every experiment at interpreter speed.  A
-:class:`ColumnarTrace` stores the same information as a
-:class:`~repro.traces.format.Trace` in NumPy columns:
+A :class:`ColumnarTrace` holds one trace in NumPy columns:
 
 * ``times`` / ``ops`` / ``lbas`` / ``nblocks`` -- one entry per
   request (``ops`` is 0 for reads, 1 for writes);
@@ -13,32 +10,46 @@ fleet scale that caps every experiment at interpreter speed.  A
 * ``pool`` -- the interned fingerprint values.  Fingerprint *values*
   are arbitrary-precision ints (FIU traces carry 128-bit MD5s), so the
   pool stays a Python list and the columns index into it with small
-  dtypes.
+  dtypes.  Every trace this package builds interns canonically: the
+  pool holds distinct values, numbered in first-occurrence order.
 
-The representation is lossless: ``from_trace`` / ``to_trace`` round-
-trip exactly (property-tested), and the columnar replay driver in
-:mod:`repro.sim.batch` is bit-identical to the object path.
+A :class:`~repro.traces.format.Trace` holds one of these and builds its
+``records`` on demand; the generator, salting and cloning write
+columns, and both replay loops read them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TraceError
 from repro.sim.request import OpType
-from repro.traces.format import Trace, TraceRecord
+
+if TYPE_CHECKING:
+    from repro.traces.format import Trace, TraceRecord
 
 __all__ = [
     "ColumnarTrace",
     "MergedColumns",
+    "intern_fingerprints",
     "merge_columnar",
 ]
 
 #: ``ops`` column encoding.
 OP_READ = 0
 OP_WRITE = 1
+
+
+def intern_fingerprints(values: Iterable[int]) -> Tuple[np.ndarray, List[int]]:
+    """Intern a flat fingerprint sequence: ``(fp_ids, pool)`` with
+    ``pool[fp_ids[k]] == values[k]``, the distinct values numbered in
+    first-occurrence order."""
+    intern: Dict[int, int] = {}
+    add = intern.setdefault
+    return np.array([add(v, len(intern)) for v in values], dtype=np.int64), list(intern)
 
 
 class ColumnarTrace:
@@ -133,77 +144,105 @@ class ColumnarTrace:
     # conversions
     # ------------------------------------------------------------------
 
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        """Intern a request-level trace into columns (lossless).
+    @property
+    def columns(self) -> "ColumnarTrace":
+        """This trace's columns: itself (a :class:`Trace` holds one),
+        so a replay reads ``t.columns`` of either kind."""
+        return self
 
-        The columns are validated on the way: a :class:`Trace` checks
-        only time order and the upper LBA bound, while the columnar
-        driver builds its requests unchecked (:meth:`IORequest.raw`), so
-        a record the event loop's :class:`IORequest` would refuse is
-        refused here with the same :class:`TraceError`.
-        """
-        times: List[float] = []
-        ops: List[int] = []
-        lbas: List[int] = []
-        nblocks: List[int] = []
-        fp_offsets = [0]
-        fp_ids: List[int] = []
-        pool: List[int] = []
-        intern: Dict[int, int] = {}
-        get_fid = intern.get
-        append_fp = fp_ids.append
-        for rec in trace.records:
-            times.append(rec.time)
-            ops.append(OP_WRITE if rec.op is OpType.WRITE else OP_READ)
-            lbas.append(rec.lba)
-            nblocks.append(rec.nblocks)
-            if rec.fingerprints is not None:
-                for fp in rec.fingerprints:
-                    fid = get_fid(fp)
-                    if fid is None:
-                        fid = intern[fp] = len(pool)
-                        pool.append(fp)
-                    append_fp(fid)
-            fp_offsets.append(len(fp_ids))
+    @classmethod
+    def from_lists(
+        cls,
+        name: str,
+        logical_blocks: int,
+        warmup_count: int,
+        times: List[float],
+        ops: List[int],
+        lbas: List[int],
+        nblocks: List[int],
+        fp_offsets: List[int],
+        fingerprints: List[int],
+    ) -> "ColumnarTrace":
+        """Build (and validate) from per-request lists plus the flat
+        fingerprint values, which are interned here."""
+        fp_ids, pool = intern_fingerprints(fingerprints)
         return cls(
-            name=trace.name,
-            logical_blocks=trace.logical_blocks,
-            warmup_count=trace.warmup_count,
+            name=name,
+            logical_blocks=logical_blocks,
+            warmup_count=warmup_count,
             times=np.array(times, dtype=np.float64),
             ops=np.array(ops, dtype=np.uint8),
             lbas=np.array(lbas, dtype=np.int64),
             nblocks=np.array(nblocks, dtype=np.int64),
             fp_offsets=np.array(fp_offsets, dtype=np.int64),
-            fp_ids=np.array(fp_ids, dtype=np.int64),
+            fp_ids=fp_ids,
             pool=pool,
         )
 
-    def to_trace(self) -> Trace:
-        """Materialise back to a request-level :class:`Trace`."""
-        records: List[TraceRecord] = []
+    @classmethod
+    def from_records(
+        cls,
+        name: str,
+        records: Iterable["TraceRecord"],
+        logical_blocks: int,
+        warmup_count: int = 0,
+    ) -> "ColumnarTrace":
+        """Intern request records into columns, validated once: a
+        record the event loop's :class:`~repro.sim.request.IORequest`
+        would refuse is refused here with the same :class:`TraceError`
+        (both loops then build their requests unchecked)."""
+        times: List[float] = []
+        ops: List[int] = []
+        lbas: List[int] = []
+        nblocks: List[int] = []
+        fp_offsets = [0]
+        flat: List[int] = []
+        write = OpType.WRITE
+        for rec in records:
+            times.append(rec.time)
+            ops.append(OP_WRITE if rec.op is write else OP_READ)
+            lbas.append(rec.lba)
+            nblocks.append(rec.nblocks)
+            if rec.fingerprints is not None:
+                flat.extend(rec.fingerprints)
+            fp_offsets.append(len(flat))
+        return cls.from_lists(
+            name, logical_blocks, warmup_count, times, ops, lbas, nblocks,
+            fp_offsets, flat,
+        )
+
+    @classmethod
+    def from_trace(cls, trace: "Trace") -> "ColumnarTrace":
+        """The trace's own columns (no copy)."""
+        return trace.columns
+
+    def to_trace(self) -> "Trace":
+        """A :class:`Trace` handle on these columns (no copy)."""
+        from repro.traces.format import Trace
+
+        return Trace.of(self)
+
+    def replace(self, **changes: Any) -> "ColumnarTrace":
+        """These columns with ``changes`` (fields by name); the rest are
+        shared, not copied, and nothing is validated again: a change
+        must keep the columns valid."""
+        return ColumnarTrace(validate=False, **{**self.payload(), **changes})
+
+    def fp_values(self) -> List[int]:
+        """Every write block's fingerprint value, in stream order."""
         pool = self.pool
-        offsets = self.fp_offsets
-        fp_ids = self.fp_ids
-        for i in range(len(self.times)):
-            is_write = self.ops[i] == OP_WRITE
-            fps: Optional[Tuple[int, ...]] = None
-            if is_write:
-                fps = tuple(pool[j] for j in fp_ids[offsets[i] : offsets[i + 1]])
-            records.append(
-                TraceRecord(
-                    time=float(self.times[i]),
-                    op=OpType.WRITE if is_write else OpType.READ,
-                    lba=int(self.lbas[i]),
-                    nblocks=int(self.nblocks[i]),
-                    fingerprints=fps,
-                )
+        return [pool[j] for j in self.fp_ids.tolist()]
+
+    def same_records(self, other: "ColumnarTrace") -> bool:
+        """Do both hold the same requests (times, ops, LBAs, lengths
+        and fingerprint values), whatever their pools' order?"""
+        return self is other or (
+            len(self) == len(other)
+            and all(
+                np.array_equal(getattr(self, col), getattr(other, col))
+                for col in ("times", "ops", "lbas", "nblocks", "fp_offsets")
             )
-        return Trace(
-            name=self.name,
-            records=records,
-            logical_blocks=self.logical_blocks,
-            warmup_count=self.warmup_count,
+            and self.fp_values() == other.fp_values()
         )
 
     # ------------------------------------------------------------------
@@ -242,49 +281,27 @@ class ColumnarTrace:
 # ----------------------------------------------------------------------
 
 
+@dataclass(eq=False)
 class MergedColumns:
     """N volume streams merge-sorted into one global columnar stream.
 
-    The columnar mirror of :func:`repro.sim.replay._merge_streams`:
-    requests are rebased into their volume's slice of the shared
+    Requests are rebased into their volume's slice of the shared
     domain, global request ids are positional, and the merge is stable
     (equal timestamps keep volume order).  ``measured`` flags requests
-    past their own volume's warm-up prefix.
+    past their own volume's warm-up prefix.  The columnar driver plans
+    straight off it, and the event loop builds its requests from it
+    (:func:`repro.sim.replay._merge_streams`).
     """
 
-    __slots__ = (
-        "times",
-        "ops",
-        "lbas",
-        "nblocks",
-        "volume_ids",
-        "measured",
-        "fp_offsets",
-        "fp_ids",
-        "pool",
-    )
-
-    def __init__(
-        self,
-        times: np.ndarray,
-        ops: np.ndarray,
-        lbas: np.ndarray,
-        nblocks: np.ndarray,
-        volume_ids: np.ndarray,
-        measured: np.ndarray,
-        fp_offsets: np.ndarray,
-        fp_ids: np.ndarray,
-        pool: List[int],
-    ) -> None:
-        self.times = times
-        self.ops = ops
-        self.lbas = lbas
-        self.nblocks = nblocks
-        self.volume_ids = volume_ids
-        self.measured = measured
-        self.fp_offsets = fp_offsets
-        self.fp_ids = fp_ids
-        self.pool = pool
+    times: np.ndarray
+    ops: np.ndarray
+    lbas: np.ndarray
+    nblocks: np.ndarray
+    volume_ids: np.ndarray
+    measured: np.ndarray
+    fp_offsets: np.ndarray
+    fp_ids: np.ndarray
+    pool: List[int]
 
     def __len__(self) -> int:
         return len(self.times)

@@ -17,12 +17,14 @@ output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 from repro.errors import TraceError
 from repro.sim.request import IORequest, OpType
+from repro.traces.columnar import OP_WRITE, ColumnarTrace
 
 
 @dataclass(frozen=True)
@@ -50,50 +52,159 @@ class TraceRecord:
         return self.op is OpType.WRITE
 
 
-@dataclass
-class Trace:
-    """An ordered request sequence plus replay metadata.
+#: Records an iteration builds at a time (bounds its transient lists).
+_SPAN = 4096
 
-    Attributes
-    ----------
-    name:
-        Trace identity ("web-vm", "homes", "mail", ...).
-    records:
-        The requests, ordered by non-decreasing timestamp.
-    logical_blocks:
-        Size of the logical address space the trace touches.
-    warmup_count:
-        How many leading records are warm-up (the paper warms the
-        caches with days 1-14 and measures day 15); the replay
-        harness excludes them from the metrics.
+
+class TraceRecords(Sequence[TraceRecord]):
+    """A trace's requests as :class:`TraceRecord` s, built on demand
+    from its columns; the view stores nothing else.
+
+    Supports ``len``, indexing, slicing (a list), iteration and ``==``
+    against another view or a list of records.  Every field is a plain
+    Python ``float``/``int``/``tuple``, never a NumPy scalar.
     """
 
-    name: str
-    records: List[TraceRecord]
-    logical_blocks: int
-    warmup_count: int = 0
+    __slots__ = ("columns",)
 
-    def __post_init__(self) -> None:
-        if self.logical_blocks <= 0:
-            raise TraceError("trace needs a positive logical space")
-        if not (0 <= self.warmup_count <= len(self.records)):
-            raise TraceError("warmup count outside the trace")
-        last = -1.0
-        for i, rec in enumerate(self.records):
-            if rec.time < last:
-                raise TraceError(f"record {i} goes back in time")
-            last = rec.time
-            if rec.lba + rec.nblocks > self.logical_blocks:
-                raise TraceError(
-                    f"record {i} touches LBA {rec.lba + rec.nblocks - 1} outside "
-                    f"logical space {self.logical_blocks}"
-                )
+    def __init__(self, columns: ColumnarTrace) -> None:
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns)
+
+    @overload
+    def __getitem__(self, index: int) -> TraceRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[TraceRecord]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[TraceRecord, List[TraceRecord]]:
+        rows = range(len(self.columns))[index]
+        if isinstance(rows, int):
+            return self._span(rows, rows + 1)[0]
+        if rows.step == 1:
+            return self._span(rows.start, max(rows.start, rows.stop))
+        return [self._span(i, i + 1)[0] for i in rows]
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        n = len(self.columns)
+        for lo in range(0, n, _SPAN):
+            yield from self._span(lo, min(n, lo + _SPAN))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TraceRecords):
+            return self.columns.same_records(other.columns)
+        if isinstance(other, (list, tuple)):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} records of trace {self.columns.name!r}>"
+
+    def _span(self, lo: int, hi: int) -> List[TraceRecord]:
+        """Records ``lo`` to ``hi`` (``lo <= hi``), built from the columns."""
+        cols = self.columns
+        times = cols.times[lo:hi].tolist()
+        ops = cols.ops[lo:hi].tolist()
+        lbas = cols.lbas[lo:hi].tolist()
+        nblocks = cols.nblocks[lo:hi].tolist()
+        offsets = cols.fp_offsets[lo : hi + 1].tolist()
+        k0 = offsets[0]
+        pool = cols.pool
+        values = [pool[j] for j in cols.fp_ids[k0 : offsets[-1]].tolist()]
+        write, read = OpType.WRITE, OpType.READ
+        return [
+            TraceRecord(
+                time, write, lba, n,
+                tuple(values[offsets[i] - k0 : offsets[i + 1] - k0]),
+            )
+            if op == OP_WRITE
+            else TraceRecord(time, read, lba, n, None)
+            for i, (time, op, lba, n) in enumerate(zip(times, ops, lbas, nblocks))
+        ]
+
+
+class Trace:
+    """An ordered request sequence plus replay metadata, stored only as
+    its :class:`~repro.traces.columnar.ColumnarTrace` (``columns``).
+
+    ``name`` ("web-vm", "homes", "mail", ...), ``logical_blocks`` (the
+    logical space the trace touches) and ``warmup_count`` (the leading
+    requests that only warm the caches, as days 1-14 do in the paper;
+    the replay excludes them from the metrics) read through to the
+    columns.  ``records`` -- the requests in non-decreasing time order
+    -- is a read-only :class:`TraceRecords` view built on demand.
+
+    ``Trace(name, records, logical_blocks, warmup_count)`` interns the
+    records and validates them once: a malformed record (wrong
+    fingerprint count, a read with fingerprints, a zero-block request,
+    a negative LBA or time, time going back, an LBA outside the logical
+    space) raises :class:`TraceError` here, not at replay.  :meth:`of`
+    wraps existing columns.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(
+        self,
+        name: str,
+        records: Iterable[TraceRecord],
+        logical_blocks: int,
+        warmup_count: int = 0,
+    ) -> None:
+        self.columns = ColumnarTrace.from_records(
+            name, records, logical_blocks, warmup_count
+        )
+
+    @classmethod
+    def of(cls, columns: ColumnarTrace) -> "Trace":
+        """A trace over ``columns`` (shared, not copied)."""
+        trace = cls.__new__(cls)
+        trace.columns = columns
+        return trace
+
+    @property
+    def name(self) -> str:
+        return self.columns.name
+
+    @property
+    def logical_blocks(self) -> int:
+        return self.columns.logical_blocks
+
+    @property
+    def warmup_count(self) -> int:
+        return self.columns.warmup_count
+
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self.columns)
+
+    def __len__(self) -> int:
+        return len(self.columns)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        a, b = self.columns, other.columns
+        return (a.name, a.logical_blocks, a.warmup_count) == (
+            b.name, b.logical_blocks, b.warmup_count
+        ) and a.same_records(b)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace(name={self.name!r}, records=<{len(self)}>, "
+            f"logical_blocks={self.logical_blocks}, warmup_count={self.warmup_count})"
+        )
 
     @property
     def measured_records(self) -> List[TraceRecord]:
@@ -101,7 +212,7 @@ class Trace:
         return self.records[self.warmup_count :]
 
     def measured_only(self) -> "Trace":
-        """A view of this trace without the warm-up prefix."""
+        """This trace without the warm-up prefix."""
         return Trace(
             name=self.name,
             records=self.measured_records,

@@ -22,10 +22,13 @@ different LBA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+import numpy as np
 
 from repro.errors import TraceError
-from repro.traces.format import Trace, TraceRecord
+from repro.traces.columnar import OP_WRITE
+from repro.traces.format import Trace
 
 #: Fig. 1's request-size buckets, in KB (">= 64" is the last bucket).
 SIZE_BUCKETS_KB: Tuple[int, ...] = (4, 8, 16, 32, 64)
@@ -43,16 +46,18 @@ class TraceCharacteristics:
 
 def trace_characteristics(trace: Trace, measured_only: bool = True) -> TraceCharacteristics:
     """Compute the Table II row for a trace."""
-    records = trace.measured_records if measured_only else trace.records
-    if not records:
+    cols = trace.columns
+    start = trace.warmup_count if measured_only else 0
+    count = len(cols) - start
+    if not count:
         raise TraceError("empty trace")
-    writes = sum(1 for r in records if r.is_write)
-    blocks = sum(r.nblocks for r in records)
+    writes = int(np.count_nonzero(cols.ops[start:] == OP_WRITE))
+    blocks = int(cols.nblocks[start:].sum())
     return TraceCharacteristics(
         name=trace.name,
-        write_ratio=writes / len(records),
-        io_count=len(records),
-        mean_request_kb=blocks * 4.0 / len(records),
+        write_ratio=writes / count,
+        io_count=count,
+        mean_request_kb=blocks * 4.0 / count,
     )
 
 

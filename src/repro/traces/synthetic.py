@@ -43,8 +43,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import TraceError
-from repro.sim.request import OpType
-from repro.traces.format import Trace, TraceRecord
+from repro.traces.columnar import OP_READ, OP_WRITE, ColumnarTrace, intern_fingerprints
+from repro.traces.format import Trace
 from repro.traces.workload import (
     ArrivalProcess,
     BurstModel,
@@ -416,25 +416,31 @@ def _generate(state: _GeneratorState) -> Trace:
     )
 
     total = spec.warmup_requests + spec.n_requests
-    records: List[TraceRecord] = []
+    times: List[float] = []
+    ops: List[int] = []
+    lbas: List[int] = []
+    nblocks: List[int] = []
+    fp_offsets = [0]
+    flat: List[int] = []
     for _ in range(total):
-        t = arrivals.next_time()
+        times.append(arrivals.next_time())
         if phases.next_is_write() or not state.segments:
             lba, fps = _gen_write(state)
             state.remember(lba, fps)
-            records.append(
-                TraceRecord(time=t, op=OpType.WRITE, lba=lba, nblocks=len(fps), fingerprints=fps)
-            )
+            ops.append(OP_WRITE)
+            nblocks.append(len(fps))
+            flat.extend(fps)
         else:
             lba, n = _gen_read(state)
-            records.append(TraceRecord(time=t, op=OpType.READ, lba=lba, nblocks=n))
+            ops.append(OP_READ)
+            nblocks.append(n)
+        lbas.append(lba)
+        fp_offsets.append(len(flat))
 
-    return Trace(
-        name=spec.name,
-        records=records,
-        logical_blocks=spec.logical_blocks,
-        warmup_count=spec.warmup_requests,
-    )
+    return Trace.of(ColumnarTrace.from_lists(
+        spec.name, spec.logical_blocks, spec.warmup_requests,
+        times, ops, lbas, nblocks, fp_offsets, flat,
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -461,26 +467,17 @@ def salt_fingerprints(trace: Trace, salt: int, name: Optional[str] = None) -> Tr
     Used when merging *unrelated* workloads onto one shared dedup
     domain: each family gets a disjoint fingerprint range so only
     genuine (intra-family) redundancy deduplicates.  ``salt=0`` with
-    no rename returns the trace unchanged.
+    no rename returns the trace unchanged.  The shift is one pass over
+    the interned pool; every other column is shared with ``trace``.
     """
     if salt < 0:
         raise TraceError(f"negative fingerprint salt {salt}")
     if salt == 0 and name is None:
         return trace
-    records = [
-        rec
-        if rec.fingerprints is None
-        else TraceRecord(
-            rec.time, rec.op, rec.lba, rec.nblocks, tuple([fp + salt for fp in rec.fingerprints])
-        )
-        for rec in trace.records
-    ]
-    return Trace(
-        name=trace.name if name is None else name,
-        records=records,
-        logical_blocks=trace.logical_blocks,
-        warmup_count=trace.warmup_count,
-    )
+    cols = trace.columns
+    return Trace.of(cols.replace(
+        name=cols.name if name is None else name, pool=[fp + salt for fp in cols.pool]
+    ))
 
 
 def clone_tenants(
@@ -508,6 +505,9 @@ def clone_tenants(
       uneven per-tenant intensity real multi-VM hosts see (heavy
       tenants dominate early, light tenants trickle).
 
+    On columns a tenant is a remap of the interned pool (the base's
+    distinct fingerprints in first-occurrence order, one draw each)
+    plus one division of ``times``; the other columns are shared.
     Deterministic given ``(base, copies, divergence, arrival_skew,
     seed)``.  ``copies=1`` returns ``[base]`` unchanged.
     """
@@ -520,58 +520,27 @@ def clone_tenants(
     if copies == 1:
         return [base]
 
-    # Distinct base fingerprints, in first-occurrence order (the draw
-    # order below must be independent of dict/set iteration).
-    seen: Dict[int, None] = {}
-    for rec in base.records:
-        if rec.fingerprints is not None:
-            for fp in rec.fingerprints:
-                if fp not in seen:
-                    seen[fp] = None
-    base_fps = list(seen)
-
-    tenants: List[Trace] = []
-    for k in range(copies):
-        name = f"{base.name}/t{k}"
-        if k == 0:
-            # The pristine golden image, at full rate.
-            tenants.append(
-                Trace(
-                    name=name,
-                    records=list(base.records),
-                    logical_blocks=base.logical_blocks,
-                    warmup_count=base.warmup_count,
-                )
-            )
-            continue
+    cols = base.columns
+    # One draw per distinct base fingerprint, in first-occurrence
+    # order: the (canonically interned) pool.
+    pool = cols.pool
+    seen = set(pool)
+    tenants = [Trace.of(cols.replace(name=f"{base.name}/t0"))]
+    for k in range(1, copies):
         rng = np.random.default_rng([seed, k])
-        draws = rng.random(len(base_fps)) if base_fps else np.empty(0)
+        draws = rng.random(len(pool)) if pool else np.empty(0)
         salt = k * FP_TENANT_STRIDE
-        remap = {
-            fp: fp + salt
-            for fp, draw in zip(base_fps, draws)
-            if draw < divergence
-        }
-        rate = float(k + 1) ** (-arrival_skew)
-        records: List[TraceRecord] = []
-        get = remap.get
-        for rec in base.records:
-            fps = rec.fingerprints
-            records.append(
-                TraceRecord(
-                    rec.time / rate,
-                    rec.op,
-                    rec.lba,
-                    rec.nblocks,
-                    None if fps is None else tuple(map(get, fps, fps)),
-                )
-            )
-        tenants.append(
-            Trace(
-                name=name,
-                records=records,
-                logical_blocks=base.logical_blocks,
-                warmup_count=base.warmup_count,
-            )
+        diverged = (draws < divergence).tolist()
+        remapped = [fp + salt if d else fp for fp, d in zip(pool, diverged)]
+        tenant = cols.replace(
+            name=f"{base.name}/t{k}",
+            times=cols.times / float(k + 1) ** (-arrival_skew),
+            pool=remapped,
         )
+        if any(fp in seen for fp, d in zip(remapped, diverged) if d):
+            # A private fingerprint landed on a base value: intern again
+            # so equal values share one id.
+            fp_ids, pool_k = intern_fingerprints(tenant.fp_values())
+            tenant = tenant.replace(fp_ids=fp_ids, pool=pool_k)
+        tenants.append(Trace.of(tenant))
     return tenants

@@ -74,13 +74,15 @@ class TestMapTableInvariants:
     def test_out_of_volume_target_fires_map_live(self):
         scheme = make_scheme()
         warm(scheme)
-        scheme.map_table._map[512] = scheme.regions.total_blocks + 7
+        entries, _refs = scheme.map_table.commit_state()
+        entries[512] = scheme.regions.total_blocks + 7
         assert "INV-MAP-LIVE" in check_codes(scheme)
 
     def test_metadata_region_target_fires_map_live(self):
         scheme = make_scheme()
         warm(scheme)
-        scheme.map_table._map[512] = scheme.regions.swap_base
+        entries, _refs = scheme.map_table.commit_state()
+        entries[512] = scheme.regions.swap_base
         assert "INV-MAP-LIVE" in check_codes(scheme)
 
     def test_dangling_content_fires_map_live(self):
@@ -88,33 +90,38 @@ class TestMapTableInvariants:
         warm(scheme)
         # Redirect to a never-written home block: inside the volume,
         # but holding no content.
-        scheme.map_table._map[512] = scheme.regions.home_of(3999)
+        entries, _refs = scheme.map_table.commit_state()
+        entries[512] = scheme.regions.home_of(3999)
         assert "INV-MAP-LIVE" in check_codes(scheme)
 
     def test_identity_mapping_fires_map_minimal(self):
         scheme = make_scheme()
         warm(scheme)
-        scheme.map_table._map[512] = scheme.regions.home_of(512)
+        entries, _refs = scheme.map_table.commit_state()
+        entries[512] = scheme.regions.home_of(512)
         assert "INV-MAP-MINIMAL" in check_codes(scheme)
 
     def test_inflated_refcount_fires(self):
         scheme = make_scheme()
         warm(scheme)
-        pba = next(iter(scheme.map_table._refs))
-        scheme.map_table._refs[pba] += 5
+        _entries, refs = scheme.map_table.commit_state()
+        pba = next(iter(refs))
+        refs[pba] += 5
         assert "INV-REFCOUNT" in check_codes(scheme)
 
     def test_leaked_refcount_entry_fires(self):
         scheme = make_scheme()
         warm(scheme)
-        scheme.map_table._refs[scheme.regions.home_of(2000)] = 2
+        _entries, refs = scheme.map_table.commit_state()
+        refs[scheme.regions.home_of(2000)] = 2
         assert "INV-REFCOUNT" in check_codes(scheme)
 
     def test_missing_refcount_entry_fires(self):
         scheme = make_scheme()
         warm(scheme)
-        pba = next(iter(scheme.map_table._refs))
-        del scheme.map_table._refs[pba]
+        _entries, refs = scheme.map_table.commit_state()
+        pba = next(iter(refs))
+        del refs[pba]
         assert "INV-REFCOUNT" in check_codes(scheme)
 
 
@@ -407,16 +414,16 @@ class TestSanitizerBehaviour:
         scheme = make_scheme()
         warm(scheme)
         before = (
-            dict(scheme.map_table._map),
-            dict(scheme.map_table._refs),
+            dict(scheme.map_table.mapping),
+            dict(scheme.map_table.refcounts),
             scheme.cache.index.used_bytes,
             scheme.cache.read.used_bytes,
             scheme.nvram.entries,
         )
         PodSanitizer(fail_fast=False).check_scheme(scheme)
         after = (
-            dict(scheme.map_table._map),
-            dict(scheme.map_table._refs),
+            dict(scheme.map_table.mapping),
+            dict(scheme.map_table.refcounts),
             scheme.cache.index.used_bytes,
             scheme.cache.read.used_bytes,
             scheme.nvram.entries,
@@ -449,8 +456,9 @@ class TestRefsDeltaInvariant:
         # forge a redirection without any write-path operation: the
         # entry count grows, the accounting counters do not.
         pba = scheme.map_table.translate(512)  # live, deduped target
-        scheme.map_table._map[999] = pba
-        scheme.map_table._refs[pba] += 1
+        entries, refs = scheme.map_table.commit_state()
+        entries[999] = pba
+        refs[pba] += 1
         codes = {v.code for v in sanitizer.check_scheme(scheme, now + 1.0)}
         assert "INV-REFS-DELTA" in codes
         msgs = [
@@ -507,5 +515,5 @@ class TestRefsDeltaInvariant:
             len(scheme.map_table)
         )
         assert registry.gauge("sanitizer.refcount_total").value == float(
-            sum(scheme.map_table._refs.values())
+            sum(scheme.map_table.refcounts.values())
         )

@@ -38,6 +38,7 @@ from repro.core.select_dedupe import SelectDedupe
 from repro.obs.events import EventType, TraceLevel
 from repro.sim.request import IORequest, OpType
 from repro.storage.volume import VolumeOp, extents_to_ops
+from tests.helpers import clear_mapping
 
 from tests.baselines.reference_caches import attach_reference_index, reference_cache
 
@@ -187,7 +188,7 @@ class ReferenceWritePath(DedupScheme):
     def _map_dedupe(self, lba: int, target: int) -> None:
         if self.map_table.translate(lba) != target:
             if target == self.regions.home_of(lba):
-                freed = self.map_table.clear_mapping(lba)
+                freed = clear_mapping(self.map_table, lba)
             else:
                 freed = self.map_table.set_mapping(lba, target)
             self._reclaim(freed)
@@ -208,7 +209,7 @@ class ReferenceWritePath(DedupScheme):
             self._reclaim(freed, keep=target)
             self.redirected_writes += 1
         elif target == home and current != home:
-            freed = self.map_table.clear_mapping(lba)
+            freed = clear_mapping(self.map_table, lba)
             self._reclaim(freed, keep=target)
         return target
 

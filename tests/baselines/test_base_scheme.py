@@ -12,6 +12,7 @@ from repro.baselines.base import PlannedIO, SchemeConfig
 from repro.core.select_dedupe import SelectDedupe
 from repro.sim.request import OpType
 from tests.conftest import Oracle
+from tests.helpers import is_swap
 
 
 @pytest.fixture
@@ -35,8 +36,8 @@ class TestSwapOps:
         ops = scheme._swap_ops(64 * 4096)
         assert len(ops) == 2
         for op in ops:
-            assert scheme.regions.is_swap(op.pba)
-            assert scheme.regions.is_swap(op.pba + op.nblocks - 1)
+            assert is_swap(scheme.regions, op.pba)
+            assert is_swap(scheme.regions, op.pba + op.nblocks - 1)
         assert ops[0].op is OpType.READ and ops[1].op is OpType.WRITE
 
     def test_zero_bytes_no_ops(self, scheme):

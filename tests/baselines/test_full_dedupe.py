@@ -7,6 +7,7 @@ from repro.baselines.full_dedupe import FullDedupe
 from repro.constants import INDEX_ENTRY_SIZE
 from repro.sim.request import OpType
 from tests.conftest import Oracle
+from tests.helpers import is_index
 
 
 def make(entries=1024, charge_index_io=True):
@@ -60,7 +61,7 @@ class TestFullDedupe:
             o.write(i * 4, [100 + i])
         planned = o.write(200, [100])
         index_reads = [
-            op for op in planned.volume_ops if s.regions.is_index(op.pba)
+            op for op in planned.volume_ops if is_index(s.regions, op.pba)
         ]
         assert index_reads and all(op.op is OpType.READ for op in index_reads)
 
@@ -70,7 +71,7 @@ class TestFullDedupe:
         for i in range(10):
             o.write(i * 4, [100 + i])
         planned = o.write(200, [100])
-        assert not any(s.regions.is_index(op.pba) for op in planned.volume_ops)
+        assert not any(is_index(s.regions, op.pba) for op in planned.volume_ops)
         assert s.disk_index_lookups > 0  # still counted
 
     def test_full_index_finds_evicted_duplicates(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.base import SchemeConfig
 from repro.baselines.idedup import IDedup
+from tests.helpers import translate_many
 from tests.conftest import Oracle
 
 
@@ -41,7 +42,7 @@ class TestIDedup:
         o.write(0, [1, 2, 3, 4, 5])
         planned = o.write(100, [1, 2, 3, 4, 5])
         assert planned.eliminated
-        assert idedup.map_table.translate_many(range(100, 105)) == list(range(5))
+        assert translate_many(idedup.map_table, range(100, 105)) == list(range(5))
         o.check()
 
     def test_partial_long_run_dedupes_run_only(self, idedup):

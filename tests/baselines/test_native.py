@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.base import SchemeConfig
 from repro.baselines.native import Native
 from repro.sim.request import OpType
+from tests.helpers import translate_many
 from tests.conftest import Oracle
 
 
@@ -30,7 +31,7 @@ class TestNative:
     def test_writes_land_in_place(self, native):
         o = Oracle(native)
         o.write(5, [1, 2, 3])
-        assert native.map_table.translate_many([5, 6, 7]) == [5, 6, 7]
+        assert translate_many(native.map_table, [5, 6, 7]) == [5, 6, 7]
         assert len(native.map_table) == 0
 
     def test_full_memory_is_read_cache(self, native):

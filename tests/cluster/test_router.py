@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.router import DEFAULT_VNODES, MASK64, FingerprintRouter, mix64
 from repro.errors import ClusterError
+from tests.helpers import route_many
 
 FPS = list(range(0, 5000, 7))
 
@@ -35,7 +36,7 @@ class TestMembership:
         a = FingerprintRouter([2, 0, 1])
         b = FingerprintRouter([0, 1, 2])
         assert a.members == b.members == (0, 1, 2)
-        assert a.route_many(FPS) == b.route_many(FPS)
+        assert route_many(a, FPS) == route_many(b, FPS)
 
     def test_ring_size(self):
         r = FingerprintRouter([0, 1], vnodes=8)
@@ -67,16 +68,16 @@ class TestMembership:
 class TestRouting:
     def test_single_member_owns_everything(self):
         r = FingerprintRouter([3])
-        assert set(r.route_many(FPS)) == {3}
+        assert set(route_many(r, FPS)) == {3}
 
     def test_routes_land_on_members(self):
         r = FingerprintRouter([0, 1, 2, 3])
-        assert set(r.route_many(FPS)) <= {0, 1, 2, 3}
+        assert set(route_many(r, FPS)) <= {0, 1, 2, 3}
 
     def test_roughly_fair_split(self):
         """With default vnodes no member owns a grossly unfair share."""
         r = FingerprintRouter([0, 1, 2, 3])
-        routes = r.route_many(range(20000))
+        routes = route_many(r, range(20000))
         for m in (0, 1, 2, 3):
             share = routes.count(m) / len(routes)
             assert 0.10 < share < 0.45
@@ -84,9 +85,9 @@ class TestRouting:
     def test_exact_removal_property(self):
         """Removing a member never remaps a surviving member's keys."""
         r = FingerprintRouter([0, 1, 2])
-        before = r.route_many(FPS)
+        before = route_many(r, FPS)
         r.remove_member(1)
-        after = r.route_many(FPS)
+        after = route_many(r, FPS)
         for b, a in zip(before, after):
             if b != 1:
                 assert a == b
@@ -95,10 +96,10 @@ class TestRouting:
 
     def test_add_then_remove_round_trips(self):
         r = FingerprintRouter([0, 1])
-        before = r.route_many(FPS)
+        before = route_many(r, FPS)
         r.add_member(2)
         r.remove_member(2)
-        assert r.route_many(FPS) == before
+        assert route_many(r, FPS) == before
 
     def test_replica_walks_follow_membership_changes(self):
         """Replica sets after a membership change are the fresh ring's,
@@ -119,7 +120,7 @@ class TestRouting:
     def test_pinned_golden_routes(self):
         """Cross-process stability: exact routes, captured once."""
         r = FingerprintRouter([0, 1, 2], vnodes=16)
-        assert r.route_many([0, 1, 2, 3, 4, 1000, 12345, 999999]) == [
+        assert route_many(r, [0, 1, 2, 3, 4, 1000, 12345, 999999]) == [
             mix_route for mix_route in GOLDEN_ROUTES
         ]
 

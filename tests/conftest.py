@@ -14,6 +14,7 @@ from repro.baselines.postprocess import PostProcessDedupe
 from repro.core.pod import POD
 from repro.core.select_dedupe import SelectDedupe
 from repro.sim.request import IORequest
+from tests.helpers import check_integrity
 
 #: All scheme classes, for parametrised tests.
 ALL_SCHEMES = [Native, FullDedupe, IDedup, SelectDedupe, POD, IODedup, PostProcessDedupe]
@@ -83,5 +84,5 @@ class Oracle:
         return self.scheme.process(req, self.now)
 
     def check(self):
-        problems = self.scheme.check_integrity(self.expected)
+        problems = check_integrity(self.scheme, self.expected)
         assert problems == [], problems

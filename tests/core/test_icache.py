@@ -209,3 +209,30 @@ class TestParkedStore:
         assert len(ic.ghost_index) == 16
         self._parked_within_ghost(ic)
         assert len(ic.parked_index_entries()) == 16
+
+
+class TestBareICache:
+    """An iCache with no Index table attached parks raw PBA ints (as
+    ``index_insert`` stores them), which carry no Count."""
+
+    def test_index_regrows_after_an_evicting_shrink(self):
+        # 128 index-entry slots, half of them the index; each epoch's
+        # repartition moves 16 of them.
+        ic = ICache(
+            ICacheConfig(total_bytes=128 * INDEX_ENTRY_SIZE, step_fraction=0.125)
+        )
+        for fp in range(60):
+            ic.index_insert(fp, 1000 + fp)
+        # A read-favouring epoch shrinks the index to 48 slots ...
+        ic.ghost_read.hits += 1
+        ic.on_epoch(1.0)
+        assert len(ic.index) == 48
+        parked = dict(ic.parked_index_entries())
+        assert len(parked) == 12
+        # ... and an index-favouring one grows it back, swapping the
+        # parked PBAs in.
+        ic.ghost_index.hits += 1
+        ic.on_epoch(2.0)
+        assert len(ic.index) == 60
+        assert {fp: ic.index.peek(fp) for fp in parked} == parked
+        assert not ic.parked_index_entries()

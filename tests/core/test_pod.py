@@ -6,6 +6,7 @@ from repro.baselines.base import SchemeConfig
 from repro.core.icache import ICache
 from repro.core.pod import POD
 from tests.conftest import Oracle
+from tests.helpers import is_swap
 
 
 @pytest.fixture
@@ -51,7 +52,7 @@ class TestEpochBehaviour:
         ops = pod.on_epoch(1.0)
         assert len(ops) == 2  # swap-in read + swap-out write
         for op in ops:
-            assert pod.regions.is_swap(op.pba)
+            assert is_swap(pod.regions, op.pba)
 
     def test_quiet_epoch_no_swap(self, pod):
         assert pod.on_epoch(1.0) == []
@@ -63,8 +64,8 @@ class TestEpochBehaviour:
             side.record_eviction(i)
             side.hit(i)
             for op in pod.on_epoch(float(i + 1)):
-                assert pod.regions.is_swap(op.pba)
-                assert pod.regions.is_swap(op.pba + op.nblocks - 1)
+                assert is_swap(pod.regions, op.pba)
+                assert is_swap(pod.regions, op.pba + op.nblocks - 1)
 
     def test_integrity_with_epochs_interleaved(self, pod, rng):
         o = Oracle(pod)

@@ -8,6 +8,7 @@ from repro.baselines.base import SchemeConfig
 from repro.core.categorize import Category, categorize_write
 from repro.core.select_dedupe import SelectDedupe
 from repro.sim.request import IORequest
+from tests.helpers import translate_many
 from tests.conftest import Oracle
 
 
@@ -43,7 +44,7 @@ class TestFullyRedundantWrites:
         assert planned.eliminated
         assert scheme.category_counts[Category.FULLY_REDUNDANT] == 1
         # LBAs 500..503 must now resolve to the donor blocks 0..3.
-        assert scheme.map_table.translate_many(range(500, 504)) == [0, 1, 2, 3]
+        assert translate_many(scheme.map_table, range(500, 504)) == [0, 1, 2, 3]
         o.check()
 
     def test_eliminated_write_pays_only_fingerprint_delay(self, scheme):
@@ -78,7 +79,7 @@ class TestSequentialPartialWrites:
         assert scheme.category_counts[Category.SEQUENTIAL_PARTIAL] == 1
         written = sum(op.nblocks for op in planned.volume_ops)
         assert written == 2  # only the unique tail hits the disk
-        assert scheme.map_table.translate_many(range(200, 203)) == [0, 1, 2]
+        assert translate_many(scheme.map_table, range(200, 203)) == [0, 1, 2]
         o.check()
 
 

@@ -10,6 +10,7 @@ from repro.experiments import runner
 from repro.obs.timeline import TimelineConfig
 from repro.sim.replay import ReplayConfig, replay_trace
 from repro.traces.columnar import ColumnarTrace
+from repro.traces import format as format_module
 from repro.traces.synthetic import paper_traces
 
 SCALE = 0.02
@@ -141,23 +142,30 @@ def test_batch_size_matches_object_path():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_columns_once_per_trace(workers, monkeypatch):
-    """A 3-trace x 4-scheme matrix converts each trace to columns once,
-    in process and on the pool."""
+    """A 3-trace x 4-scheme matrix never converts a trace, in process
+    and on the pool: generation writes each trace's columns once, and
+    every replay (and every shipped payload) reads them."""
     converted = []
-    from_trace = ColumnarTrace.from_trace
+    from_records = ColumnarTrace.from_records.__func__
+    build = format_module.TraceRecord
 
-    def spy(trace):
-        converted.append(trace.name)
-        return from_trace(trace)
+    def spy_from_records(cls, name, *args, **kwargs):
+        converted.append(name)
+        return from_records(cls, name, *args, **kwargs)
 
-    monkeypatch.setattr(ColumnarTrace, "from_trace", staticmethod(spy))
+    def spy_record(*args, **kwargs):
+        converted.append("record")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ColumnarTrace, "from_records", classmethod(spy_from_records))
+    monkeypatch.setattr(format_module, "TraceRecord", spy_record)
     out = runner.run_matrix(
         ["web-vm", "homes", "mail"],
         ["Native", "Full-Dedupe", "Select-Dedupe", "POD"],
         scale=SCALE, workers=workers,
     )
     assert len(out) == 12
-    assert sorted(converted) == ["homes", "mail", "web-vm"]
+    assert converted == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -12,9 +12,8 @@ from repro.obs.spans import (
     DEFAULT_MAX_SPANS,
     SPAN_SCHEMA_VERSION,
     SpanTracer,
-    find_root,
-    span_children,
 )
+from tests.helpers import find_root, span_children
 
 
 class TestLifecycle:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.dedup.map_table import MapTable
 from repro.storage.allocator import RegionMap
+from tests.helpers import clear_mapping
 
 LOGICAL = 64
 
@@ -39,7 +40,7 @@ class TestMapTableProperties:
                 else:
                     model[lba] = pba
             else:
-                t.clear_mapping(lba)
+                clear_mapping(t, lba)
                 model.pop(lba, None)
             # refcount oracle
             from collections import Counter
@@ -62,7 +63,7 @@ class TestMapTableProperties:
                 else:
                     model[lba] = pba
             else:
-                t.clear_mapping(lba)
+                clear_mapping(t, lba)
                 model.pop(lba, None)
         for lba in range(LOGICAL):
             assert t.translate(lba) == model.get(lba, lba)
@@ -75,7 +76,7 @@ class TestMapTableProperties:
             if op == "set":
                 t.set_mapping(lba, pba)
             else:
-                t.clear_mapping(lba)
+                clear_mapping(t, lba)
             assert t.nvram.entries == len(t)
             assert t.nvram.peak_entries >= t.nvram.entries
 
@@ -89,7 +90,7 @@ class TestMapTableProperties:
             if op == "set":
                 t.set_mapping(lba, pba)
             else:
-                t.clear_mapping(lba)
+                clear_mapping(t, lba)
         for lba in range(0, LOGICAL, 7):
             target = t.choose_write_target(lba)
             if target is None:
@@ -106,7 +107,7 @@ class TestMapTableProperties:
             if op == "set":
                 t.set_mapping(lba, pba)
             else:
-                t.clear_mapping(lba)
+                clear_mapping(t, lba)
         live = t.live_pbas(lbas)
         assert live == {t.translate(l) for l in lbas}
         assert len(live) <= len(lbas)

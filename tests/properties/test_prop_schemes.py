@@ -23,6 +23,7 @@ from repro.baselines.postprocess import PostProcessDedupe
 from repro.core.pod import POD
 from repro.core.select_dedupe import SelectDedupe
 from repro.sim.request import IORequest
+from tests.helpers import check_integrity
 
 LOGICAL = 512
 
@@ -82,20 +83,20 @@ class TestSchemeIntegrity:
     @settings(max_examples=60, deadline=None)
     def test_read_after_write_integrity(self, writes, cls):
         scheme, expected = run_workload(cls, writes)
-        assert scheme.check_integrity(expected) == []
+        assert check_integrity(scheme, expected) == []
 
     @given(writes=write_ops)
     @settings(max_examples=30, deadline=None)
     def test_pod_integrity_with_epochs(self, writes):
         scheme, expected = run_workload(POD, writes, epoch_every=5)
-        assert scheme.check_integrity(expected) == []
+        assert check_integrity(scheme, expected) == []
 
     @given(writes=write_ops)
     @settings(max_examples=30, deadline=None)
     def test_postprocess_integrity_with_background_passes(self, writes):
         scheme, expected = run_workload(PostProcessDedupe, writes, epoch_every=3)
         scheme.on_epoch(1e9)  # final pass over remaining dirty blocks
-        assert scheme.check_integrity(expected) == []
+        assert check_integrity(scheme, expected) == []
 
     @given(writes=write_ops, cls=scheme_classes)
     @settings(max_examples=40, deadline=None)

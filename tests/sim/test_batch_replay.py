@@ -147,9 +147,8 @@ def test_multi_volume_bit_identity(scheme_name, web_trace, homes_trace):
 
 @pytest.mark.parametrize("scheme_name", ["Native", "POD"])
 def test_columnar_trace_input_identical(scheme_name, web_trace):
-    """A pre-interned ColumnarTrace replays identically to the Trace it
-    came from -- on the batch driver and (via lossless to_trace
-    materialisation) on the object path."""
+    """A trace's bare columns replay identically to the Trace that
+    holds them, on the batch driver and on the object path."""
     ctrace = ColumnarTrace.from_trace(web_trace)
     base = fingerprint(replay([web_trace], scheme_name, None))
     assert fingerprint(replay([ctrace], scheme_name, None)) == base

@@ -1,11 +1,13 @@
-"""Every replay path refuses a malformed trace record up front.
+"""A malformed trace record is refused when the trace is built.
 
-A :class:`~repro.traces.format.Trace` checks only time order and the
-upper LBA bound; the event loop's :class:`~repro.sim.request.IORequest`
-checks the rest, and the columnar driver gets the same checks from
-:meth:`ColumnarTrace.from_trace`.  Hypothesis builds a valid trace,
-puts one malformed record into it, and each entry point must raise
-:class:`TraceError` before the scheme has planned a single request.
+A :class:`~repro.traces.format.Trace` is its columns, validated once
+as the records are interned: every check the event loop's
+:class:`~repro.sim.request.IORequest` makes runs there, and both replay
+loops then build their requests unchecked.  Hypothesis builds a valid
+trace, puts one malformed record into it, and building the
+:class:`Trace` must raise :class:`TraceError`, so no replay entry point
+is ever handed one; each entry point replays the trace without it.  The
+positive control replays a fixed trace on every entry point.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ def _read(time: float, lba: int, nblocks: int) -> TraceRecord:
 
 
 #: Each malformed shape, as a function of the time it arrives at.
-#: Every one passes ``Trace.__post_init__``.
+#: Every one is in time order and inside the logical space.
 MALFORMED: Dict[str, Callable[[float], TraceRecord]] = {
     "write with one fingerprint too few": lambda t: TraceRecord(
         t, OpType.WRITE, 4, 2, (7,)
@@ -73,15 +75,6 @@ def _scheme() -> POD:
     return POD(SchemeConfig(logical_blocks=LOGICAL, memory_bytes=64 * 1024))
 
 
-def _untouched(scheme: POD) -> Dict[str, Any]:
-    return {
-        "stats": scheme.stats(),
-        "map": scheme.map_table.snapshot(),
-        "written": sorted(scheme.written_lbas),
-        "nvram": (scheme.nvram.bytes_used, scheme.nvram.peak_bytes),
-    }
-
-
 ENTRY_POINTS: Dict[str, Callable[[Trace, POD], Any]] = {
     "replay_trace": lambda trace, scheme: replay_trace(trace, scheme, ReplayConfig()),
     "replay_trace(batch_size=None)": lambda trace, scheme: replay_trace(
@@ -104,19 +97,25 @@ ENTRY_POINTS: Dict[str, Callable[[Trace, POD], Any]] = {
 def test_malformed_record_refused_before_planning(
     entry: str, records: List[TraceRecord], shape: str, where: float
 ) -> None:
+    """Building the trace refuses the malformed record, so no entry
+    point can plan it; the same trace without it replays there."""
     if shape == "negative time":
         # Time order holds only with the record first.
         position = 0
     else:
         position = int(where * len(records))
     time = records[position - 1].time if position else 0.0
-    records = records[:position] + [MALFORMED[shape](time)] + records[position:]
-    trace = Trace("malformed", records, logical_blocks=LOGICAL)
-    scheme = _scheme()
-    before = _untouched(scheme)
+    malformed = records[:position] + [MALFORMED[shape](time)] + records[position:]
     with pytest.raises(TraceError):
-        ENTRY_POINTS[entry](trace, scheme)
-    assert _untouched(scheme) == before
+        Trace("malformed", malformed, logical_blocks=LOGICAL)
+    if records:
+        ENTRY_POINTS[entry](Trace("valid", records, logical_blocks=LOGICAL), _scheme())
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_every_shape_refused_alone(shape: str) -> None:
+    with pytest.raises(TraceError):
+        Trace("malformed", [MALFORMED[shape](0.0)], logical_blocks=LOGICAL)
 
 
 def test_valid_trace_replays_on_every_entry_point() -> None:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.allocator import LogAllocator, RegionMap
+from tests.helpers import is_index, is_swap
 
 
 class TestRegionMap:
@@ -27,8 +28,8 @@ class TestRegionMap:
         rm = RegionMap(100, 20, 10, 5)
         assert rm.is_home(0) and rm.is_home(99) and not rm.is_home(100)
         assert rm.is_log(100) and rm.is_log(119) and not rm.is_log(120)
-        assert rm.is_index(120) and not rm.is_index(130)
-        assert rm.is_swap(130) and rm.is_swap(134) and not rm.is_swap(135)
+        assert is_index(rm, 120) and not is_index(rm, 130)
+        assert is_swap(rm, 130) and is_swap(rm, 134) and not is_swap(rm, 135)
 
     def test_for_logical_space(self):
         rm = RegionMap.for_logical_space(1000, log_fraction=0.5)

@@ -11,6 +11,7 @@ from repro.storage.journal import (
     MapJournal,
 )
 from repro.storage.nvram import NvramMeter
+from tests.helpers import clear_mapping
 
 
 class TestRecords:
@@ -135,7 +136,7 @@ class TestMapTableIntegration:
         j = self.attach(table)
         log_pba = table.regions.log_base
         table.set_mapping(3, log_pba)
-        table.clear_mapping(3)
+        clear_mapping(table, 3)
         assert j.records_appended == 2
         mapping, _, torn = j.replay()
         assert mapping == {} and not torn
@@ -172,7 +173,7 @@ class TestMapTableIntegration:
         for i in range(10):
             table.set_mapping(i, log + (i % 4))
         for i in range(0, 10, 3):
-            table.clear_mapping(i)
+            clear_mapping(table, i)
         truth = table.snapshot()
         mapping, _, torn = table.journal.replay()
         assert not torn and mapping == truth
