@@ -42,8 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import filterfalse
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.directory.gc import GcSpec
 from repro.cluster.directory.replica import ReplicaPlacer
@@ -171,6 +170,10 @@ class RequestRound:
     :meth:`ReplicatedDirectory.lookup_register`, and the wire tallies
     the call fills in."""
 
+    __slots__ = (
+        "fingerprints", "lba", "shadow", "per_dst", "repair_links", "remote_dups"
+    )
+
     def __init__(
         self, fingerprints: Sequence[int], lba: int, shadow: Dict[int, int]
     ) -> None:
@@ -185,6 +188,10 @@ class RequestRound:
         self.repair_links: Dict[Tuple[int, int], int] = {}
         #: Blocks whose first writer is another node.
         self.remote_dups = 0
+
+
+# A route's liveness (the last slot of a route-cache row).
+_LIVE, _DEGRADED, _UNAVAILABLE = 0, 1, 2
 
 
 class ReplicatedDirectory:
@@ -223,6 +230,12 @@ class ReplicatedDirectory:
         #: Queued refcount-decrement intents, in overwrite order.
         self.decrement_intents: List[int] = []
         self._seq = 0
+        # Route cache: interned placement -> [contacted members, their
+        # tables, blocks routed in the current request, liveness].
+        # Valid for one placement memo (ring epoch) and one ``down``.
+        self._routes: Dict[Tuple[int, ...], List[Any]] = {}
+        self._routes_memo: Optional[Dict[int, Tuple[int, ...]]] = None
+        self._routes_down = 0
         # -- counters ---------------------------------------------------
         self.lookups = 0
         self.registrations = 0
@@ -260,6 +273,34 @@ class ReplicatedDirectory:
     # the lookup + register + read-repair round
     # ------------------------------------------------------------------
 
+    def _route_cache(
+        self, memo: Dict[int, Tuple[int, ...]]
+    ) -> Dict[Tuple[int, ...], List[Any]]:
+        """The route cache for this placement memo and ``down`` set,
+        emptied when either changed since it was filled."""
+        if memo is not self._routes_memo or len(self.down) != self._routes_down:
+            self._routes = {}
+            self._routes_memo = memo
+            self._routes_down = len(self.down)
+        return self._routes
+
+    def _route(self, placement: Tuple[int, ...]) -> List[Any]:
+        """Cache and return ``placement``'s route: its first
+        ``required`` live replicas (all live ones when fewer; none when
+        every replica is dead) and their tables."""
+        down = self.down
+        live = tuple(m for m in placement if m not in down)
+        if not live:
+            state = _UNAVAILABLE
+        elif len(live) < self._need:
+            state = _DEGRADED
+        else:
+            state = _LIVE
+            live = live[: self._need]
+        route = [live, tuple(self.tables[m] for m in live), 0, state]
+        self._routes[placement] = route
+        return route
+
     def lookup_register(
         self,
         fingerprint: int,
@@ -267,7 +308,7 @@ class ReplicatedDirectory:
         new_holder: bool,
         *,
         request: Optional[RequestRound] = None,
-    ) -> LookupResult:
+    ) -> Optional[LookupResult]:
         """One write block's directory round, or one write request's.
 
         Consults the first ``required`` live replicas in preference
@@ -282,33 +323,25 @@ class ReplicatedDirectory:
         request's shadow -- replaced content gets a decrement intent,
         and a block that changes content is a new holder -- then does
         the round above.  The request's wire tallies land in
-        ``request``; the returned result stays empty.
+        ``request`` and the call returns ``None``.
         """
-        res = LookupResult()
-        sink: Optional[LookupResult] = None
         if request is None:
-            # A shadow that already holds the content makes the block an
-            # existing holder; an empty one makes it a new holder.
-            request = RequestRound(
-                (fingerprint,), 0, {} if new_holder else {0: fingerprint}
-            )
-            sink = res
+            return self._lookup_block(fingerprint, origin, new_holder)
         memo = self.placer.memo()
+        routes = self._route_cache(memo)
         placement = self.placer.placement
-        down = self.down
-        need = self._need
-        tables = self.tables
+        new_route = self._route
         received = self.repairs_received
         live_counts = self.live_counts
         overwrite = self.note_overwrite
         seq = self._seq
         shadow = request.shadow
         repair_links = request.repair_links
-        # Contacted replica set -> blocks that contacted it, folded
-        # into the per-member counters once per request.
-        contacts: Dict[Tuple[int, ...], int] = {}
+        # Routes this request used, in first-use order; each counts its
+        # blocks until the fold below.
+        used: List[List[Any]] = []
         remote_dups = registrations = read_repairs = repair_pushes = 0
-        degraded = unavailable = remote_refs = 0
+        remote_refs = 0
         for addr, fp in enumerate(request.fingerprints, request.lba):
             old = shadow.get(addr)
             new_holder = old != fp
@@ -317,34 +350,20 @@ class ReplicatedDirectory:
                     overwrite(old)
                 shadow[addr] = fp
                 live_counts[fp] = live_counts.get(fp, 0) + 1
-            live = memo.get(fp) or placement(fp)
-            if down:
-                live = tuple(filterfalse(down.__contains__, live))
-            if len(live) < need:
-                if not live:
-                    # Every replica dead: miss-as-unique, nothing recorded.
-                    unavailable += 1
-                    if sink is not None:
-                        sink.unavailable = True
-                    continue
-                degraded += 1
-                if sink is not None:
-                    sink.degraded = True
-                contacted = live
-            else:
-                contacted = live[:need]
-            contacts[contacted] = contacts.get(contacted, 0) + 1
-            if sink is not None:
-                sink.contacted = list(contacted)
+            where = memo.get(fp) or placement(fp)
+            route = routes.get(where) or new_route(where)
+            blocks = route[2]
+            if not blocks:
+                used.append(route)
+            route[2] = blocks + 1
+            tables = route[1]
             # The winner is the lowest seq (the true first registration,
             # first in preference order on a tie); any missing or
             # different copy among the contacted ones is divergence.
-            entries: List[Optional[DirectoryEntry]] = []
             winner: Optional[DirectoryEntry] = None
             diverged = False
-            for m in contacted:
-                entry = tables[m].get(fp)
-                entries.append(entry)
+            for table in tables:
+                entry = table.get(fp)
                 if entry is None:
                     diverged = True
                 elif winner is None:
@@ -354,50 +373,47 @@ class ReplicatedDirectory:
                     if entry.seq < winner.seq:
                         winner = entry
             if winner is None:
+                if not tables:
+                    # Every replica dead: miss-as-unique, nothing recorded.
+                    continue
                 # Directory miss: register origin as first writer on the
                 # contacted replicas (the uncontacted ones stay stale
                 # until a read repair finds them).
                 seq += 1
                 registrations += 1
-                for m in contacted:
-                    tables[m][fp] = DirectoryEntry(origin, seq, 1)
-                if sink is not None:
-                    sink.registered = True
+                for table in tables:
+                    table[fp] = DirectoryEntry(origin, seq, 1)
                 continue
-            stale: List[int] = []
             if diverged:
                 # Read repair: contacted replicas whose copy is missing
                 # or lost the seq race re-converge to the winner; the
                 # origin coordinates the push (Cassandra style).
                 wseq = winner.seq
-                for k, m in enumerate(contacted):
-                    entry = entries[k]
+                for m, table in zip(route[0], tables):
+                    entry = table.get(fp)
                     if entry is None or entry.seq != wseq:
-                        stale.append(m)
                         received[m] += 1
-                        entries[k] = tables[m][fp] = DirectoryEntry(
-                            winner.writer, wseq, winner.refs
-                        )
+                        repair_pushes += 1
+                        table[fp] = DirectoryEntry(winner.writer, wseq, winner.refs)
                         link = (origin, m)
                         repair_links[link] = repair_links.get(link, 0) + 1
                 read_repairs += 1
-                repair_pushes += len(stale)
-            remote = winner.writer != origin
-            if remote:
+            if winner.writer != origin:
                 remote_dups += 1
-            if new_holder:
-                if remote:
+                if new_holder:
                     remote_refs += 1
-                for entry in entries:
-                    if entry is not None:
-                        entry.refs += 1
-            if sink is not None:
-                sink.writer = winner.writer
-                sink.remote_dup = remote
-                sink.repairs = stale
+            if new_holder:
+                for table in tables:
+                    table[fp].refs += 1
         served = self.lookups_served
         per_dst = request.per_dst
-        for contacted, blocks in contacts.items():
+        for route in used:
+            contacted, _tables, blocks, state = route
+            route[2] = 0
+            if state == _DEGRADED:
+                self.degraded_lookups += blocks
+            elif state == _UNAVAILABLE:
+                self.unavailable_lookups += blocks
             for m in contacted:
                 served[m] += blocks
                 if m != origin:
@@ -407,10 +423,38 @@ class ReplicatedDirectory:
         self.registrations += registrations
         self.read_repairs += read_repairs
         self.repair_pushes += repair_pushes
-        self.degraded_lookups += degraded
-        self.unavailable_lookups += unavailable
         self.remote_refs_registered += remote_refs
         request.remote_dups += remote_dups
+        return None
+
+    def _lookup_block(
+        self, fingerprint: int, origin: int, new_holder: bool
+    ) -> LookupResult:
+        """The one-block form: a one-block request round, read back
+        into a :class:`LookupResult`."""
+        # A shadow that already holds the content makes the block an
+        # existing holder; an empty one makes it a new holder.
+        rnd = RequestRound(
+            (fingerprint,), 0, {} if new_holder else {0: fingerprint}
+        )
+        registrations = self.registrations
+        self.lookup_register(fingerprint, origin, new_holder, request=rnd)
+        res = LookupResult()
+        contacted, tables, _blocks, state = self._routes[
+            self.placer.placement(fingerprint)
+        ]
+        if state == _UNAVAILABLE:
+            res.unavailable = True
+            return res
+        res.degraded = state == _DEGRADED
+        res.contacted = list(contacted)
+        if self.registrations != registrations:
+            res.registered = True
+            return res
+        # Every contacted copy holds the winner's entry after the round.
+        res.writer = tables[0][fingerprint].writer
+        res.remote_dup = rnd.remote_dups > 0
+        res.repairs = [m for _origin, m in rnd.repair_links]
         return res
 
     # ------------------------------------------------------------------

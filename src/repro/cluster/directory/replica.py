@@ -22,7 +22,7 @@ hypothesis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cluster.router import FingerprintRouter
 from repro.errors import ClusterError
@@ -47,7 +47,8 @@ class ReplicaPlacer:
     The directory asks one object "where does this fingerprint live"
     without re-threading ``r`` through every call site.  Each
     fingerprint's replica set is walked once per ring epoch
-    (:attr:`FingerprintRouter.epoch`) and kept as a tuple shared by
+    (:attr:`FingerprintRouter.epoch`), or placed with a whole
+    population by :meth:`place_all`, and kept as a tuple shared by
     every fingerprint with the same set; a membership change drops the
     memo.  Liveness is not placement: callers filter dead members out
     of the memoized set themselves.
@@ -81,6 +82,24 @@ class ReplicaPlacer:
             walk = tuple(self.router.route_replicas(fingerprint, self.replication))
             row = memo[fingerprint] = self._sets.setdefault(walk, walk)
         return row
+
+    def place_all(self, fingerprints: Sequence[int]) -> None:
+        """Fill the memo for every fingerprint of ``fingerprints`` in
+        one vectorised pass: each fingerprint's ring position
+        (:meth:`FingerprintRouter.ring_positions`) picks that position's
+        preference list, interned like a walked one, so
+        :meth:`placement` then hits for all of them.  Later ring epochs
+        drop the memo and place by walking again."""
+        router = self.router
+        memo = self.memo()
+        sets = self._sets
+        rows = [
+            sets.setdefault(row, row)
+            for row in map(tuple, router.preference_lists(self.replication))
+        ]
+        memo.update(
+            zip(fingerprints, map(rows.__getitem__, router.ring_positions(fingerprints)))
+        )
 
     def replicas(self, fingerprint: int) -> List[int]:
         """Preference-ordered replica set for ``fingerprint``."""

@@ -381,9 +381,14 @@ class _ClusterReplay:
         self.lookup = self.directory_lookup if dir_active else self.remote_lookup
         self.lookups_on = dir_active or net_active
 
-        self.requests, self.measured_flags = _merge_cluster_streams(
+        self.requests, self.measured_flags, pool = _merge_cluster_streams(
             traces, scaffold.bases
         )
+        if self.directory is not None:
+            # The ring cannot change while the directory is armed
+            # (directory plus rebalance is refused), so the run's whole
+            # fingerprint pool is placed once, up front.
+            self.directory.placer.place_all(pool)
         # Handed over after the fault injector's callbacks and before every
         # other: the arrivals win timestamp ties against jobs, epochs and
         # finishes, and lose them against timed faults.
@@ -403,10 +408,11 @@ class _ClusterReplay:
         #: Per-node first-writer maps for the cross-volume vs intra-volume
         #: split (content only collapses within a node, so classification
         #: is a per-node question; one dict at N=1, exactly the classic
-        #: multi-volume path).
-        self.fp_owner: Optional[List[Dict[int, int]]] = (
-            [{} for _ in range(nnodes)] if self.multi else None
-        )
+        #: multi-volume path).  A node hosting one volume keeps none: its
+        #: cross-volume count is always 0 (volumes never move).
+        self.fp_owner: List[Optional[Dict[int, int]]] = [
+            {} if assignment.count(n) > 1 else None for n in range(nnodes)
+        ]
         # Measured completions, buffered as rows (see ``finish``).
         self.done: List[Tuple[Any, ...]] = []
         # Fig. 11 counts removed write requests over the measured day only,
@@ -731,13 +737,14 @@ class _ClusterReplay:
             )
         node.requests_served += 1
         planned = node.scheme.process(request, now)
+        is_write = request.is_write
         if self.oracles is not None:
-            if request.is_write:
+            if is_write:
                 self.oracles[node.node_id].note_write(request)
             else:
                 self.oracles[node.node_id].check_read(request, node.scheme)
         net_info: Tuple[float, int, int] = (0.0, 0, 0)
-        if self.lookups_on and request.is_write and request.fingerprints is not None:
+        if self.lookups_on and is_write and request.fingerprints is not None:
             origin = node.node_id
             per_dst, repair_links, remote_dups = self.lookup(node, request)
             # One batched lookup RPC per remote destination and one
@@ -758,8 +765,8 @@ class _ClusterReplay:
             node.remote_duplicate_blocks += remote_dups
             node.net_delay_total += net_info[0]
         cross = 0
-        if self.fp_owner is not None and request.fingerprints is not None:
-            owners = self.fp_owner[node.node_id]
+        owners = self.fp_owner[node.node_id]
+        if owners is not None and request.fingerprints is not None:
             vid = request.volume_id
             for i in planned.deduped_idx:
                 owner = owners.get(request.fingerprints[i])

@@ -22,12 +22,18 @@ The ring is a classic consistent hash with virtual nodes:
 
 Everything here is integer arithmetic on frozen inputs: routing is
 bit-for-bit reproducible across seeds, processes and platforms.
+:func:`mix64_array` and :meth:`FingerprintRouter.ring_positions` do the
+same arithmetic on a ``uint64`` array (wrapping multiplies), so a whole
+fingerprint population lands on the ring in one pass, exactly where the
+scalar walk puts each one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from typing import List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import ClusterError
 
@@ -49,6 +55,18 @@ def mix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return (x ^ (x >> 31)) & MASK64
+
+
+def mix64_array(values: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of every element of a ``uint64`` array.
+
+    ``uint64`` array arithmetic wraps modulo 2**64, which is exactly
+    the scalar mixer's ``& MASK64`` after every step.
+    """
+    x = values + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 class FingerprintRouter:
@@ -148,18 +166,44 @@ class FingerprintRouter:
         if count < 1:
             raise ClusterError(f"need at least one replica, got {count}")
         h = mix64(fingerprint & MASK64)
+        return self._walk(bisect_right(self._tokens, h) % len(self._tokens), count)
+
+    def _walk(self, position: int, count: int) -> List[int]:
+        """The first ``count`` distinct owners clockwise from token
+        ``position`` (every member when the ring has fewer)."""
         n = len(self._tokens)
-        i = bisect_right(self._tokens, h) % n
         out: List[int] = []
         seen: Set[int] = set()
         for k in range(n):
-            owner = self._owners[(i + k) % n]
+            owner = self._owners[(position + k) % n]
             if owner not in seen:
                 seen.add(owner)
                 out.append(owner)
                 if len(out) >= count:
                     break
         return out
+
+    def ring_positions(self, fingerprints: Sequence[int]) -> List[int]:
+        """Each fingerprint's ring position: the index of the first
+        token clockwise from its mix, as :meth:`route_replicas` finds
+        it, for the whole sequence in one vectorised pass."""
+        # Masking first makes any Python int (negative, or 2**64 and
+        # above) a valid uint64, the scalar path's ``fp & MASK64``.
+        h = mix64_array(
+            np.array([fp & MASK64 for fp in fingerprints], dtype=np.uint64)
+        )
+        tokens = np.array(self._tokens, dtype=np.uint64)
+        positions = np.searchsorted(tokens, h, side="right") % len(self._tokens)
+        return positions.tolist()
+
+    def preference_lists(self, count: int) -> List[List[int]]:
+        """Per ring position, the replica preference order of a
+        fingerprint that lands there: ``route_replicas(fp, count) ==
+        preference_lists(count)[i]`` for a fingerprint at position
+        ``i``."""
+        if count < 1:
+            raise ClusterError(f"need at least one replica, got {count}")
+        return [self._walk(i, count) for i in range(len(self._tokens))]
 
     # ------------------------------------------------------------------
 

@@ -245,7 +245,7 @@ def size_disks(total_volume_blocks: int, config: ReplayConfig) -> DiskParams:
 
 def _merge_streams(
     traces: Sequence[Union[Trace, ColumnarTrace]], bases: Sequence[int]
-) -> Tuple[List[IORequest], List[bool]]:
+) -> Tuple[List[IORequest], List[bool], List[int]]:
     """Merge-sort N timestamped streams into one global request list.
 
     Each stream's requests are rebased by its volume's base address
@@ -254,8 +254,10 @@ def _merge_streams(
     with the volume id; global ``req_id``s are assigned in merged order.
     The merge is stable: equal timestamps keep volume order, so the
     merged stream is a pure function of its inputs (determinism).
-    Returns the requests plus a parallel measured-flag list (a request
-    is measured when it is past its *own* volume's warm-up prefix).
+    Returns the requests, a parallel measured-flag list (a request
+    is measured when it is past its *own* volume's warm-up prefix) and
+    the merged fingerprint pool (every distinct fingerprint, in first
+    interned order).
 
     The order and the rebased columns are :func:`merge_columnar`'s;
     the requests are built from them unchecked (:meth:`IORequest.raw`),
@@ -277,7 +279,7 @@ def _merge_streams(
             merged.volume_ids.tolist(),
         ))
     ]
-    return requests, merged.measured.tolist()
+    return requests, merged.measured.tolist(), pool
 
 
 def _aggregate_stats(stats_list: Sequence[Dict[str, Any]]) -> Dict[str, Any]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Set
+from typing import Deque, Set
 
 from repro.errors import StorageError
 
@@ -145,10 +145,6 @@ class LogAllocator:
             raise StorageError("log region exhausted")
         self._allocated.add(pba)
         return pba
-
-    def allocate_run(self, n: int) -> List[int]:
-        """Allocate ``n`` blocks, contiguous when the frontier allows."""
-        return [self.allocate() for _ in range(n)]
 
     def free(self, pba: int) -> None:
         """Return a block to the allocator."""

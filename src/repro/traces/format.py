@@ -227,7 +227,10 @@ class Trace:
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
-    """Write a trace in the line-oriented text format."""
+    """Write a trace in the line-oriented text format.
+
+    Times are written with ``repr`` (the shortest string that parses
+    back to the same float), so a saved trace loads back as itself."""
     path = Path(path)
     with path.open("w") as fh:
         fh.write(f"# trace {trace.name}\n")
@@ -239,7 +242,7 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
                 if rec.fingerprints is not None
                 else "-"
             )
-            fh.write(f"{rec.time:.6f} {rec.op.value} {rec.lba} {rec.nblocks} {fps}\n")
+            fh.write(f"{rec.time!r} {rec.op.value} {rec.lba} {rec.nblocks} {fps}\n")
 
 
 def load_trace(path: Union[str, Path]) -> Trace:

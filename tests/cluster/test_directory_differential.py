@@ -15,6 +15,10 @@ QUORUM and ALL:
   get overwritten (with new content and with the content they hold);
 * metadata-node kills between requests, up to every member, so
   lookups degrade, go unavailable and read-repair shifted windows;
+* ring membership changes between requests (``remove_member`` /
+  ``add_member`` on the router both directories share), so placement
+  and the kernel's cached contact sets must follow the ring epoch (the
+  kernel's memo starts filled by ``place_all``);
 * refcount-GC commits between requests (whose wire plan and
   decrements use the memoized ``live_replicas``);
 * one-block ``lookup_register`` calls, whose :class:`LookupResult`
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.directory import (
@@ -52,15 +56,15 @@ FPS = 12
 
 @st.composite
 def operation(draw: Any, nnodes: int) -> Tuple[Any, ...]:
-    kind = draw(st.sampled_from(["w"] * 6 + ["kill", "gc", "one"]))
+    kind = draw(st.sampled_from(["w"] * 6 + ["kill", "gc", "one", "ring"]))
     if kind == "w":
         n = draw(st.integers(min_value=1, max_value=6))
         lba = draw(st.integers(min_value=0, max_value=LBAS - n))
         fps = draw(st.lists(st.integers(0, FPS - 1), min_size=n, max_size=n))
         origin = draw(st.integers(0, nnodes - 1))
         return ("w", origin, lba, tuple(fps))
-    if kind == "kill":
-        return ("kill", draw(st.integers(0, nnodes - 1)))
+    if kind in ("kill", "ring"):
+        return (kind, draw(st.integers(0, nnodes - 1)))
     if kind == "one":
         return (
             "one",
@@ -108,18 +112,46 @@ def _directories(
     nnodes: int, replication: int, consistency: Consistency, vnodes: int
 ) -> List[ReplicatedDirectory]:
     config = DirectoryConfig(replication=replication, consistency=consistency)
+    router = FingerprintRouter(range(nnodes), vnodes=vnodes)
     return [
-        cls(FingerprintRouter(range(nnodes), vnodes=vnodes), nnodes, config)
+        cls(router, nnodes, config)
         for cls in (ReplicatedDirectory, ReferenceDirectory)
     ]
+
+
+def _toggle_member(router: FingerprintRouter, member: int) -> None:
+    """Take ``member`` off the ring, or put it back; the last member
+    stays."""
+    if member not in router:
+        router.add_member(member)
+    elif len(router.members) > 1:
+        router.remove_member(member)
 
 
 class TestDirectoryDifferential:
     @settings(max_examples=300, deadline=None)
     @given(scenario())
+    # A one-block round right after a kill: the contact window shifts
+    # onto the replica the registration skipped, and the cached route
+    # of the placement must be rebuilt, not reused.
+    @example((
+        3, 3, Consistency.QUORUM, 4,
+        [("w", 0, 0, (1, 2, 3, 4)), ("kill", 0), ("one", 1, 1, True),
+         ("one", 2, 2, False), ("kill", 1), ("one", 0, 3, True),
+         ("w", 1, 2, (3, 4, 5))],
+    ))
+    # Ring changes between requests: placements (and their cached
+    # routes) follow the epoch, with kills and GC around them.
+    @example((
+        4, 2, Consistency.QUORUM, 2,
+        [("w", 0, 0, (1, 2, 3, 4, 5, 6)), ("ring", 1), ("w", 2, 0, (1, 2, 7)),
+         ("kill", 3), ("ring", 3), ("one", 0, 5, True), ("gc",), ("ring", 1),
+         ("w", 1, 3, (6, 5, 4)), ("ring", 0), ("ring", 2), ("one", 3, 2, False)],
+    ))
     def test_kernel_matches_per_block_round(self, scen):
         nnodes, replication, consistency, vnodes, ops = scen
         fused, ref = _directories(nnodes, replication, consistency, vnodes)
+        fused.placer.place_all(range(FPS))
         gcs = [RefcountGc(fused), RefcountGc(ref)]
         shadows: List[List[Dict[int, int]]] = [
             [{} for _ in range(nnodes)] for _ in range(2)
@@ -129,13 +161,15 @@ class TestDirectoryDifferential:
                 _, origin, lba, fps = op
                 rnd = RequestRound(fps, lba, shadows[0][origin])
                 got = fused.lookup_register(0, origin, True, request=rnd)
-                assert _result(got) == _result(LookupResult())
+                assert got is None
                 want = reference_request(ref, fps, lba, shadows[1][origin], origin)
                 assert (rnd.per_dst, rnd.repair_links, rnd.remote_dups) == want, op
                 assert shadows[0] == shadows[1]
             elif op[0] == "kill":
                 fused.kill(op[1])
                 ref.kill(op[1])
+            elif op[0] == "ring":
+                _toggle_member(fused.placer.router, op[1])
             elif op[0] == "one":
                 _, origin, fp, new_holder = op
                 got = fused.lookup_register(fp, origin, new_holder)

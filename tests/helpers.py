@@ -3,7 +3,7 @@
 Nothing in ``src/`` needs these; they read or drive state through the
 public API (``FingerprintRouter.route``, ``MapTable.translate`` /
 ``rebind`` / ``mapping``, ``DedupScheme.content``, ``RegionMap``'s
-bases, span fields).
+bases, ``LogAllocator.allocate``, span fields).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.baselines.base import DedupScheme
 from repro.cluster.router import FingerprintRouter
 from repro.dedup.map_table import MapTable
 from repro.obs.spans import Span
-from repro.storage.allocator import RegionMap
+from repro.storage.allocator import LogAllocator, RegionMap
 
 
 def route_many(router: FingerprintRouter, fingerprints: Iterable[int]) -> List[int]:
@@ -34,6 +34,11 @@ def clear_mapping(table: MapTable, lba: int) -> Optional[int]:
     if current is None:
         return None
     return table.rebind(lba, current, None)
+
+
+def allocate_run(allocator: LogAllocator, n: int) -> List[int]:
+    """Allocate ``n`` blocks, contiguous when the frontier allows."""
+    return [allocator.allocate() for _ in range(n)]
 
 
 def is_index(regions: RegionMap, pba: int) -> bool:

@@ -14,6 +14,9 @@ checked here over random memberships and fingerprint populations:
   sets that member appeared in, and in those sets the survivors keep
   their relative order (the replacement is appended by the clockwise
   walk, never spliced into the middle arbitrarily).
+
+The vectorised placement (``ReplicaPlacer.place_all``) must put every
+fingerprint exactly where the scalar ``route_replicas`` walk does.
 """
 
 from hypothesis import given, settings
@@ -109,3 +112,60 @@ class TestReplicaProperties:
                     before[fp], keep
                 )
                 assert victim not in after
+
+
+#: Any Python int, with the uint64 edges drawn often: negative, zero,
+#: 2**63 - 1, 2**63 and values of 2**64 and above.
+any_fingerprint = st.one_of(
+    st.integers(),
+    st.sampled_from(
+        [0, -1, -(2**63), 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**64 + 7, 2**130 + 3]
+    ),
+)
+
+
+def _assert_vectorised_placement(router, fps, r):
+    placer = ReplicaPlacer(router, r)
+    placer.place_all(fps)
+    memo = placer.memo()
+    for fp in fps:
+        assert memo[fp] == tuple(router.route_replicas(fp, r)), (fp, r)
+        assert placer.placement(fp) is memo[fp]
+
+
+class TestVectorisedPlacement:
+    @settings(max_examples=150)
+    @given(
+        members=st.lists(
+            st.integers(min_value=0, max_value=63), min_size=1, max_size=5, unique=True
+        ),
+        fps=st.lists(any_fingerprint, min_size=1, max_size=60),
+        vnodes=st.integers(min_value=1, max_value=16),
+        data=st.data(),
+    )
+    def test_place_all_equals_the_scalar_walk(self, members, fps, vnodes, data):
+        router = FingerprintRouter(members, vnodes=vnodes)
+        r = data.draw(st.integers(min_value=1, max_value=len(members) + 1))
+        _assert_vectorised_placement(router, fps, r)
+        newcomer = data.draw(
+            st.integers(min_value=0, max_value=63).filter(lambda m: m not in members)
+        )
+        router.add_member(newcomer)
+        _assert_vectorised_placement(router, fps, r)
+        victim = data.draw(st.sampled_from(router.members))
+        router.remove_member(victim)
+        _assert_vectorised_placement(router, fps, r)
+
+    def test_place_all_memo_drops_on_a_ring_change(self):
+        """A placer filled in one pass walks again after the ring
+        changes, and lands where a fresh ring puts each fingerprint."""
+        router = FingerprintRouter(range(3), vnodes=8)
+        placer = ReplicaPlacer(router, 2)
+        fps = [-5, 0, 2**63, 2**64 + 1] + list(range(100))
+        placer.place_all(fps)
+        router.add_member(3)
+        fresh = FingerprintRouter(range(4), vnodes=8)
+        assert placer.memo() == {}
+        assert [placer.placement(fp) for fp in fps] == [
+            tuple(fresh.route_replicas(fp, 2)) for fp in fps
+        ]

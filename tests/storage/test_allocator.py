@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.allocator import LogAllocator, RegionMap
-from tests.helpers import is_index, is_swap
+from tests.helpers import allocate_run, is_index, is_swap
 
 
 class TestRegionMap:
@@ -48,7 +48,7 @@ class TestLogAllocator:
 
     def test_allocate_run(self):
         a = LogAllocator(0, 10)
-        assert a.allocate_run(4) == [0, 1, 2, 3]
+        assert allocate_run(a, 4) == [0, 1, 2, 3]
 
     def test_free_and_recycle(self):
         a = LogAllocator(0, 3)

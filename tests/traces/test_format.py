@@ -1,10 +1,12 @@
 """Unit tests for trace records and serialisation."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TraceError
 from repro.sim.request import OpType
 from repro.traces.format import Trace, TraceRecord, load_trace, save_trace
+from repro.traces.synthetic import WEB_VM, generate_trace
 
 
 def sample_trace():
@@ -76,6 +78,22 @@ class TestRoundtrip:
         assert loaded.logical_blocks == t.logical_blocks
         assert loaded.warmup_count == t.warmup_count
         assert loaded.records == t.records
+
+    def test_generated_trace_loads_back_as_itself(self, tmp_path):
+        """Times survive the text format exactly (no rounding), so the
+        loaded trace equals the generated one, records and columns."""
+        t = generate_trace(WEB_VM, scale=0.02)
+        path = tmp_path / "web.trace"
+        save_trace(t, path)
+        loaded = load_trace(path)
+        assert loaded == t
+        assert loaded.records == t.records
+        for col in ("times", "ops", "lbas", "nblocks", "fp_offsets"):
+            assert np.array_equal(getattr(loaded.columns, col), getattr(t.columns, col)), col
+        pool, got = t.columns.pool, loaded.columns.pool
+        assert [pool[j] for j in t.columns.fp_ids.tolist()] == [
+            got[j] for j in loaded.columns.fp_ids.tolist()
+        ]
 
     def test_load_infers_logical_space_when_missing(self, tmp_path):
         path = tmp_path / "x.trace"
