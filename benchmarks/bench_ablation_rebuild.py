@@ -33,7 +33,9 @@ def offline_rebuild_time(raid, params, controller) -> float:
     disks = [Disk(params, disk_id=i) for i in range(raid.geometry.ndisks)]
     done = 0.0
     while not controller.done:
-        batch = controller.next_batch(BATCH_ROWS)
+        start = controller.cursor
+        batch, end = controller.plan_rows(start, BATCH_ROWS)
+        controller.commit_rows(start, end)
         if batch:
             done = service_disk_ops(disks, done, batch)
     return done

@@ -309,13 +309,6 @@ class DedupScheme(abc.ABC):
         #: Simulated time of the request currently being processed
         #: (timestamp source for events emitted below ``process``).
         self._obs_now: float = 0.0
-        #: Attached span tracer (:class:`repro.obs.spans.SpanTracer`)
-        #: and the current request's root span id -- set by the replay
-        #: driver per request when ``--spans`` is armed.  ``None`` by
-        #: default: the off path pays one ``is not None`` test per
-        #: processed request.
-        self.spans: Optional[Any] = None
-        self.span_parent: int = -1
         # ---- counters -------------------------------------------------
         self.reads_total = 0
         self.read_blocks_total = 0
@@ -364,26 +357,6 @@ class DedupScheme(abc.ABC):
     def process(self, request: IORequest, now: float) -> PlannedIO:
         """Plan the physical I/O for one user request."""
         self._obs_now = now
-        if self.spans is None:
-            return self._plan(request, now)
-        # Span-traced path: the Index/Map lookup (and any dedup
-        # classification work inside it) is one child of the request's
-        # root span.  Planning happens at one simulated instant, so
-        # the span is zero-width; its attrs carry the outcome.
-        sid = self.spans.start(
-            now, "scheme.lookup", parent=self.span_parent, req_id=request.req_id
-        )
-        planned = self._plan(request, now)
-        self.spans.end(
-            now,
-            sid,
-            eliminated=planned.eliminated,
-            deduped_blocks=planned.deduped_blocks,
-            cache_hit_blocks=planned.cache_hit_blocks,
-        )
-        return planned
-
-    def _plan(self, request: IORequest, now: float) -> PlannedIO:
         if request.op is _WRITE:
             if self.chunker is not None:
                 request = self._chunked(request)

@@ -59,7 +59,7 @@ class Native(DedupScheme):
         returns the (unreferenced) home block, and the log allocator is
         never consulted.  The specialisation additionally requires the
         plain fixed-partition read cache with uniform 4 KB entries and
-        none of the optional hooks (observation, spans, decision hook,
+        none of the optional hooks (observation, decision hook,
         quarantine, chunking) armed.
         """
         return (
@@ -67,7 +67,6 @@ class Native(DedupScheme):
             and len(self.map_table) == 0
             and not self.quarantined_lbas
             and self.decision_hook is None
-            and self.spans is None
             and self.chunker is None
             and self.obs is NULL_RECORDER
             and type(self.cache) is PartitionedCache

@@ -13,21 +13,30 @@ invariants and the content oracle all remain per-node properties.
 Disk service is :func:`repro.storage.raid.service_volume_ops` (the
 path the columnar driver's :meth:`RaidArray.service` kernel is pinned
 to), with the node's fault hook when a
-:class:`~repro.faults.injector.FaultInjector` targets the node.
+:class:`~repro.faults.injector.FaultInjector` targets the node.  A
+member failure is :meth:`ClusterNode.fail_member`, shared by a fault
+plan's member failure and the cluster's node failure.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Union
 
 from repro.baselines.base import DedupScheme
 from repro.errors import ClusterError
+from repro.jobs.jobs import RebuildJob
+from repro.jobs.runtime import JobRuntime, pace
 from repro.obs.trace import TraceRecorder
 from repro.sim.request import DiskOp
 from repro.storage.disk import Disk
 from repro.storage.namespace import NamespaceMapper
 from repro.storage.raid import FaultHook, RaidArray, service_disk_ops, service_volume_ops
+from repro.storage.rebuild import RebuildController
 from repro.storage.volume import VolumeOp
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.faults.plan import MemberFailureSpec, NodeFailureSpec
+    from repro.sim.engine import Simulator
 
 
 class ClusterNode:
@@ -99,6 +108,53 @@ class ClusterNode:
     ) -> float:
         """Issue raw per-disk ops (rebuild, scrub) on the node's disks."""
         return service_disk_ops(self.disks, now, ops, obs, self.fault_hook)
+
+    def fail_member(
+        self,
+        sim: "Simulator",
+        spec: Union["MemberFailureSpec", "NodeFailureSpec"],
+        obs: TraceRecorder,
+        jobs: Optional[JobRuntime],
+        timeline: Optional[Any],
+        on_done: Callable[[float], None],
+    ) -> RebuildController:
+        """Fail member ``spec.disk`` now and rebuild it in place.
+
+        Foreground traffic runs degraded until the rebuild is done.  The
+        rebuild is one :class:`~repro.jobs.jobs.RebuildJob` issuing on
+        this node's spindles (through the fault hook): submitted to
+        ``jobs`` when leased jobs are armed, otherwise paced every
+        ``spec.interval`` with its progress noted as ``rebuild``
+        activity on ``timeline``.  The array heals before
+        ``on_done(now)`` runs.
+        """
+        self.failed_disk = spec.disk
+        su = self.raid.geometry.stripe_unit_blocks
+        disk_rows = max(1, self.disks[spec.disk].params.total_blocks // su)
+        scheme = self.scheme
+        live = (
+            scheme.map_table.live_pbas(scheme.written_lbas)
+            if spec.capacity_aware
+            else None
+        )
+        ctrl = RebuildController(self.raid, spec.disk, disk_rows, live)
+        job = RebuildJob(
+            ctrl, spec.rows_per_batch,
+            lambda ops: self.service_disk_ops(obs, sim.now, ops),
+        )
+
+        def heal(now: float) -> None:
+            self.failed_disk = None
+            on_done(now)
+
+        if jobs is not None:
+            jobs.submit("rebuild", job, spec.interval, on_done=heal)
+        else:
+            pace(sim, job, spec.interval, on_done=heal, on_step=(
+                None if timeline is None
+                else lambda now: timeline.note_activity(now, "rebuild", ctrl.progress)
+            ))
+        return ctrl
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,10 +3,10 @@
 When the ring gains or loses a member, ownership of some fingerprint
 arcs moves.  The directory entries backing those arcs do not teleport:
 a :class:`ShardMigrator` walks the displaced entries in deterministic
-order and moves them in bounded batches over the network fabric --
-the same "bounded background load on a pacing timer" idiom as
-:class:`~repro.storage.rebuild.RebuildController` uses for RAID
-reconstruction.
+order and moves them in bounded batches over the network fabric, one
+:class:`~repro.jobs.jobs.MigrationJob` step per batch -- paced or
+leased exactly like the RAID rebuild's
+:class:`~repro.jobs.jobs.RebuildJob`.
 
 Between the ring change (instantaneous, at the spec'd time) and the
 moment a given entry lands at its new owner, lookups for that
@@ -44,9 +44,9 @@ class RebalanceSpec:
     remove_node:
         A member id to remove, or None.
     entries_per_batch:
-        Directory entries migrated per pacing tick.
+        Directory entries migrated per migration step.
     interval:
-        Seconds between migration ticks.
+        Seconds between migration steps.
     """
 
     time: float
@@ -141,7 +141,7 @@ class ShardMigrator:
         on the immutable move list), so a leased-job worker can
         re-plan the same step after a stale-lease re-claim.  Returns
         ``(links, end)`` where ``links`` is the per-directed-link wire
-        cost the driver charges the fabric.
+        cost ``(src, dst) -> entries`` the driver charges the fabric.
         """
         if entries <= 0:
             raise ClusterError(f"batch size must be positive, got {entries}")
@@ -157,9 +157,12 @@ class ShardMigrator:
     def commit_batch(self, start: int, end: int) -> None:
         """Apply one planned batch: move the directory entries.
 
-        Rejects a commit whose start does not match the committed
-        cursor -- the hard stop against a fenced worker's step being
-        double-applied.
+        Entries superseded by a write that already re-registered the
+        fingerprint at the destination are dropped (first registration
+        wins) but still counted against the batch -- the bytes were
+        already on the wire.  Rejects a commit whose start does not
+        match the committed cursor -- the hard stop against a fenced
+        worker's step being double-applied.
         """
         if start != self._cursor:
             raise ClusterError(
@@ -183,23 +186,6 @@ class ShardMigrator:
             self.entries_migrated += 1
             self.pending.discard(fp)
         self._cursor = end
-
-    def next_batch(self, entries: int) -> Dict[Tuple[int, int], int]:
-        """Migrate up to ``entries`` queued movers.
-
-        Returns the wire cost grouped per directed link:
-        ``(src, dst) -> entries moved`` (the driver charges the
-        network fabric per link).  Entries superseded by a write that
-        already re-registered the fingerprint at the destination are
-        dropped (first registration wins) but still counted against
-        the batch -- the bytes were already on the wire.
-
-        Equivalent to :meth:`plan_batch` + :meth:`commit_batch` in one
-        call (the jobs-off pacing path).
-        """
-        links, end = self.plan_batch(self._cursor, entries)
-        self.commit_batch(self._cursor, end)
-        return links
 
     def note_registered(self, fingerprint: int) -> None:
         """A live write re-registered a fingerprint at its new owner;

@@ -77,8 +77,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.oracle import ContentOracle
 from repro.faults.plan import FailSlowSpec, NodeFailureSpec
 from repro.jobs.admission import AdmissionController
-from repro.jobs.jobs import MigrationJob, RebuildJob, ScrubJob
-from repro.jobs.runtime import JobRuntime
+from repro.jobs.jobs import MigrationJob, ScrubJob
+from repro.jobs.runtime import JobRuntime, pace
 from repro.metrics.collector import Completions, MetricsCollector
 from repro.obs.events import EventType, TraceLevel
 # Not called here (the scaffold evaluates SLOs): kept as a module
@@ -348,9 +348,6 @@ class _ClusterReplay:
             for fs in cluster.fail_slow:
                 sampler.annotate_interval("fail_slow", fs.start, fs.end)
         self.tracer: Optional[SpanTracer] = SpanTracer() if config.spans else None
-        if self.tracer is not None:
-            for node in nodes:
-                node.scheme.spans = self.tracer
         self.sanitizer: Optional[PodSanitizer] = None
         if config.check_invariants:
             self.sanitizer = PodSanitizer(registry=metrics.registry)
@@ -459,7 +456,8 @@ class _ClusterReplay:
         """Leased background jobs (see repro.jobs): the cluster's
         maintenance work -- node-failure rebuild, shard migration, one
         scrubber per node, online GC -- runs under epoch-fenced worker
-        leases; without jobs the legacy self-paced ticks run instead."""
+        leases; without jobs the rebuild and migration jobs are paced
+        (:func:`~repro.jobs.runtime.pace`)."""
         jobs = self.config.jobs
         assert jobs is not None
         horizon = self.last_arrival
@@ -476,8 +474,7 @@ class _ClusterReplay:
         self.jobs_runtime = runtime
         self.admission = runtime.admission
         if injector is not None:
-            # Member-failure rebuilds become leased jobs instead of
-            # self-paced ticks.
+            # A fault plan's member rebuild is submitted here too.
             injector.jobs = runtime
         scrub = jobs.scrub
         if scrub is not None:
@@ -719,7 +716,6 @@ class _ClusterReplay:
                     arrival, now, "admission.stall",
                     parent=root, req_id=request.req_id, **tags,
                 )
-            node.scheme.span_parent = root
         if self.sampler is not None:
             self.sampler.note_gauges(
                 now,
@@ -736,7 +732,19 @@ class _ClusterReplay:
                 nblocks=request.nblocks, **extra,
             )
         node.requests_served += 1
-        planned = node.scheme.process(request, now)
+        if tracer is None:
+            planned = node.scheme.process(request, now)
+        else:
+            # The Index/Map lookup (and any dedup classification in it)
+            # is one zero-width child of the root span: planning takes
+            # no simulated time; its attrs carry the outcome.
+            sid = tracer.start(now, "scheme.lookup", parent=root, req_id=request.req_id)
+            planned = node.scheme.process(request, now)
+            tracer.end(
+                now, sid, eliminated=planned.eliminated,
+                deduped_blocks=planned.deduped_blocks,
+                cache_hit_blocks=planned.cache_hit_blocks,
+            )
         is_write = request.is_write
         if self.oracles is not None:
             if is_write:
@@ -930,65 +938,20 @@ class _ClusterReplay:
         """Degrade one node's array and start rebuilding it in place."""
         spec = self.cluster.node_failure
         assert spec is not None
-        sim = self.sim
-        node = self.nodes[spec.node]
-        node.failed_disk = spec.disk
-        self.failed_at = sim.now
-        su = self.config.stripe_unit_blocks
-        disk_rows = max(1, node.disks[spec.disk].params.total_blocks // su)
-        live = (
-            node.scheme.map_table.live_pbas(node.scheme.written_lbas)
-            if spec.capacity_aware
-            else None
+        self.failed_at = self.sim.now
+        self.rebuild_ctrl = self.nodes[spec.node].fail_member(
+            self.sim, spec, self.obs, self.jobs_runtime, self.sampler,
+            self.complete_node_failure,
         )
-        ctrl = RebuildController(node.raid, spec.disk, disk_rows, live)
-        self.rebuild_ctrl = ctrl
         if self.sampler is not None:
-            self.sampler.note_activity(sim.now, "node_failure", 1.0)
+            self.sampler.note_activity(self.sim.now, "node_failure", 1.0)
         self._summary(EventType.CLUSTER_NODE_FAIL, node=spec.node, disk=spec.disk)
-        if self.jobs_runtime is not None:
-            # Reconstruction runs as a leased job: a worker claims it,
-            # plans batches from the committed cursor, and a fail-slow
-            # stall that outlives the lease hands the job to the next
-            # epoch's claimant.
-            self.jobs_runtime.submit(
-                "rebuild",
-                RebuildJob(ctrl, spec.rows_per_batch, self.rebuild_issue),
-                spec.interval,
-                on_done=lambda _t: self.complete_node_failure(),
-            )
-            return
-        sim.schedule_callback(sim.now + spec.interval, self.rebuild_tick)
 
-    def rebuild_issue(self, ops: List[Any]) -> float:
-        """Background rebuild load on the failed node's spindles only."""
-        spec = self.cluster.node_failure
-        assert spec is not None
-        return self.nodes[spec.node].service_disk_ops(self.obs, self.sim.now, ops)
-
-    def rebuild_tick(self) -> None:
-        """One self-paced rebuild batch (no jobs subsystem)."""
+    def complete_node_failure(self, now: float) -> None:
+        """Record the failed node's recovery once its array has healed."""
         spec = self.cluster.node_failure
         ctrl = self.rebuild_ctrl
         assert spec is not None and ctrl is not None
-        if not ctrl.done:
-            ops = ctrl.next_batch(spec.rows_per_batch)
-            if ops:
-                self.rebuild_issue(ops)
-        if self.sampler is not None:
-            self.sampler.note_activity(self.sim.now, "rebuild", ctrl.progress)
-        if ctrl.done:
-            self.complete_node_failure()
-            return
-        self.sim.schedule_callback(self.sim.now + spec.interval, self.rebuild_tick)
-
-    def complete_node_failure(self) -> None:
-        """Heal the failed node's array once its rebuild is done."""
-        spec = self.cluster.node_failure
-        ctrl = self.rebuild_ctrl
-        assert spec is not None and ctrl is not None
-        now = self.sim.now
-        self.nodes[spec.node].failed_disk = None
         if self.tracer is not None:
             self.tracer.emit(
                 self.failed_at, now, "recovery.rebuild",
@@ -1066,34 +1029,25 @@ class _ClusterReplay:
         )
         if migrator.done:
             return
+        job = MigrationJob(migrator, rb.entries_per_batch, self.send_background)
         if self.jobs_runtime is not None:
-            # Migration runs as a leased job; the per-link wire charge
-            # happens at plan time (sunk cost on a fenced step -- the
-            # bytes were already on the wire), the directory mutation
-            # only at the fenced commit.
-            self.jobs_runtime.submit(
-                "migrate",
-                MigrationJob(migrator, rb.entries_per_batch, self.send_background),
-                rb.interval,
-            )
-            return
-        self.sim.schedule_callback(self.sim.now + rb.interval, self.migrate_tick)
+            # The per-link wire charge happens at plan time (sunk cost
+            # on a fenced step -- the bytes were already on the wire),
+            # the directory mutation only at the fenced commit.
+            self.jobs_runtime.submit("migrate", job, rb.interval)
+        else:
+            pace(self.sim, job, rb.interval, self.note_migration)
 
-    def migrate_tick(self) -> None:
-        """One self-paced migration batch (no jobs subsystem)."""
-        rb = self.cluster.rebalance
+    def note_migration(self, now: float) -> None:
+        """A paced migration step's progress note and event."""
         migrator = self.migrator
-        assert rb is not None and migrator is not None
-        links = migrator.next_batch(rb.entries_per_batch)
+        assert migrator is not None
         if self.sampler is not None:
-            self.sampler.note_activity(self.sim.now, "migration", migrator.progress)
-        self.send_background(links)
+            self.sampler.note_activity(now, "migration", migrator.progress)
         self._summary(
             EventType.CLUSTER_MIGRATE,
             moved=migrator.entries_migrated, remaining=migrator.remaining,
         )
-        if not migrator.done:
-            self.sim.schedule_callback(self.sim.now + rb.interval, self.migrate_tick)
 
     # ------------------------------------------------------------------
     # run and result

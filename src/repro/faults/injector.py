@@ -21,9 +21,9 @@ fail-slow disks     per-disk latency-multiplier windows inside
                     slow).
 member failure      the node's ``failed_disk`` flips mid-replay, so
                     foreground traffic pays degraded-read/write costs,
-                    while a :class:`~repro.storage.rebuild.RebuildController`
-                    runs as paced background load until the spare is
-                    rebuilt and the array heals.
+                    while the node's rebuild job
+                    (``ClusterNode.fail_member``) runs as background
+                    load until the spare is rebuilt and the array heals.
 NVRAM power loss    DRAM state drops, the Map table is re-derived from
                     the write-ahead :class:`~repro.storage.journal.MapJournal`
                     (torn-tail detection, replay, refcount
@@ -104,8 +104,7 @@ class FaultInjector:
         #: for per-volume recovery.
         self.mapper: Optional[Any] = None
         #: Leased-job runtime (set by the harness when jobs are armed):
-        #: the rebuild then runs as a leased job instead of the legacy
-        #: pacing tick.
+        #: the member rebuild is submitted to it instead of paced.
         self.jobs: Optional[Any] = None
         #: True while the scrubber job's region read is in flight
         #: (synchronous in the analytic path); attributes LSE
@@ -321,47 +320,25 @@ class FaultInjector:
     def _begin_member_failure(self, spec: MemberFailureSpec) -> None:
         sim, node = self._sim, self._node
         assert sim is not None and node is not None
-        scheme = node.scheme
-        node.failed_disk = spec.disk
         self._member_failed_at = sim.now
         self._count("member_failures")
-        su = node.raid.geometry.stripe_unit_blocks
-        disk_rows = max(1, node.disks[spec.disk].params.total_blocks // su)
-        live = (
-            scheme.map_table.live_pbas(scheme.written_lbas)
-            if spec.capacity_aware
-            else None
+        self.rebuild = ctrl = node.fail_member(
+            sim, spec, self.obs, self.jobs, self.timeline,
+            lambda _now: self._complete_member_failure(spec),
         )
-        ctrl = RebuildController(node.raid, spec.disk, disk_rows, live)
-        self.rebuild = ctrl
         if self.timeline is not None:
             self.timeline.note_activity(sim.now, "degraded", 1.0)
         if self.obs.level >= TraceLevel.SUMMARY:
             self.obs.emit(
                 TraceLevel.SUMMARY, sim.now, EventType.FAULT_INJECT,
                 kind="member_failure",
-                detail=f"disk {spec.disk} failed; rebuilding {disk_rows} rows",
+                detail=f"disk {spec.disk} failed; rebuilding {ctrl.disk_rows} rows",
             )
-        if self.jobs is not None:
-            # Jobs armed: the rebuild runs as a leased job -- a worker
-            # claims it, paces the same batches, and survives stale
-            # leases via epoch-fenced re-claim.
-            from repro.jobs.jobs import RebuildJob
-
-            self.jobs.submit(
-                "rebuild",
-                RebuildJob(ctrl, spec.rows_per_batch, self._issue_rebuild),
-                spec.interval,
-                on_done=lambda _t: self._complete_member_failure(spec),
-            )
-            return
-        sim.schedule_callback(sim.now + spec.interval, self._rebuild_tick, spec)
 
     def _complete_member_failure(self, spec: MemberFailureSpec) -> None:
-        """The array heals: shared by the legacy tick and the job path."""
-        sim, node, ctrl = self._sim, self._node, self.rebuild
-        assert sim is not None and node is not None and ctrl is not None
-        node.failed_disk = None
+        """The array has healed: count the recovery and record it."""
+        sim, ctrl = self._sim, self.rebuild
+        assert sim is not None and ctrl is not None
         assert self._member_failed_at is not None
         duration = sim.now - self._member_failed_at
         self._count("rebuilds_completed")
@@ -380,28 +357,6 @@ class FaultInjector:
                     f"rebuilt, {ctrl.rows_skipped} skipped"
                 ),
             )
-
-    def _issue_rebuild(self, ops: List[DiskOp]) -> float:
-        """Issue one rebuild batch on the node's spindles (through the
-        fault hook) at the current clock; returns its completion."""
-        assert self._sim is not None and self._node is not None
-        return self._node.service_disk_ops(self.obs, self._sim.now, ops)
-
-    def _rebuild_tick(self, spec: MemberFailureSpec) -> None:
-        sim, ctrl = self._sim, self.rebuild
-        assert sim is not None and ctrl is not None
-        if not ctrl.done:
-            ops = ctrl.next_batch(spec.rows_per_batch)
-            if ops:
-                # Background load: competes for the spindles, gates
-                # nothing.
-                self._issue_rebuild(ops)
-        if self.timeline is not None:
-            self.timeline.note_activity(sim.now, "rebuild", ctrl.progress)
-        if ctrl.done:
-            self._complete_member_failure(spec)
-            return
-        sim.schedule_callback(sim.now + spec.interval, self._rebuild_tick, spec)
 
     # ------------------------------------------------------------------
     # NVRAM power loss + journal recovery

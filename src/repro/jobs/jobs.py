@@ -12,7 +12,8 @@ replacement worker re-plans the same step from the same committed
 cursor, so no step is lost and none is double-applied.  The
 :class:`~repro.faults.oracle.ContentOracle` step ledger checks exactly
 this: committed cursor intervals must chain ``0 -> total`` with no
-overlap and no gap.
+overlap and no gap.  Without leases, :func:`repro.jobs.runtime.pace`
+runs the same steps on a fixed cadence and commits each at once.
 
 Three job kinds exist today:
 

@@ -39,6 +39,36 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Simulator
 
 
+def pace(
+    sim: "Simulator",
+    job: LeasedJob,
+    interval: float,
+    on_step: Optional[Callable[[float], None]] = None,
+    on_done: Optional[Callable[[float], None]] = None,
+) -> None:
+    """Run ``job`` without leases: one step every ``interval`` seconds
+    from ``sim.now + interval``, committed as soon as it is issued.
+
+    Each tick steps the job unless it is done, calls ``on_step``, then
+    stops with ``on_done`` once the job is done.  The step's physical
+    work is background load: its completion gates nothing.
+    """
+
+    def tick() -> None:
+        now = sim.now
+        if not job.done():
+            job.run_step(now).commit()
+        if on_step is not None:
+            on_step(now)
+        if job.done():
+            if on_done is not None:
+                on_done(now)
+            return
+        sim.schedule_callback(now + interval, tick)
+
+    sim.schedule_callback(sim.now + interval, tick)
+
+
 class _Worker:
     __slots__ = ("worker_id", "busy", "parked", "fence_streak")
 

@@ -386,27 +386,6 @@ def _replay_merged(
 
     cursor = 0
     t_last = last_arrival_f
-    if not tick_times:
-        # No epoch ticks: the event stream is pure in-order arrivals
-        # until some plan carries a delay (then the generic heap loop
-        # below takes over from the current position).
-        while cursor < n:
-            i = cursor
-            if plan_cursor <= i:
-                ensure_planned(i)
-            plan = planned[i]
-            assert plan is not None
-            if plan.delay > 0:
-                break
-            cursor = i + 1
-            now = times_l[i]
-            if sampler is not None:
-                if i == seg_next:
-                    seg_k += 1
-                    seg_next = seg_ends[seg_k]
-                if horizon - now > seg_lag[seg_k]:
-                    seg_lag[seg_k] = horizon - now
-            _finish(i, now)
     while cursor < n or heap:
         if cursor < n and (not heap or times_l[cursor] <= heap[0][0]):
             i = cursor

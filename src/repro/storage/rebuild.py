@@ -16,8 +16,9 @@ competes with foreground traffic for the same spindles.
   scheme shrinks); this is the dedup-rebuild synergy measured by
   ``benchmarks/bench_ablation_rebuild.py``.
 
-The controller only *plans* disk ops; the replay harness paces the
-batches and charges them as background load.
+The controller only *plans* disk ops; its
+:class:`~repro.jobs.jobs.RebuildJob` issues them as background load,
+paced or leased (see ``ClusterNode.fail_member``).
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class RebuildController:
         self._next_row = 0
         self.rows_rebuilt = 0
         self.rows_skipped = 0
-        #: Total rows examined by :meth:`next_batch` (rebuilt + skipped);
-        #: the unit in which per-batch work is bounded.
+        #: Total rows examined (rebuilt + skipped); the unit in which
+        #: per-batch work is bounded.
         self.rows_scanned = 0
         #: Rows containing at least one live block, or None = all rows.
         self._live_rows: Optional[Set[int]] = None
@@ -82,10 +83,19 @@ class RebuildController:
         """Plan reconstruction traffic for ``rows`` rows from
         ``start_row`` *without* advancing any state.
 
+        Each rebuilt row costs one stripe-unit read per surviving
+        member plus one stripe-unit write to the spare (modelled as
+        the failed slot's replacement, same disk id).  Rows with no
+        live data are skipped in capacity-aware mode.
+
+        Work is bounded by rows *scanned*, not rows rebuilt: a batch
+        over a sparse disk examines at most ``rows`` rows even when
+        every one of them is skipped, so one paced batch never walks
+        a mostly-empty disk in a single step.
+
         Pure with respect to controller state so a leased-job worker
-        can re-plan the same step after a stale-lease re-claim; the
-        legacy pacing path composes this with :meth:`commit_rows`.
-        Returns ``(ops, next_row)``.
+        can re-plan the same step after a stale-lease re-claim;
+        :meth:`commit_rows` applies it.  Returns ``(ops, next_row)``.
         """
         if rows < 1:
             raise StorageError("batch must cover at least one row")
@@ -128,25 +138,3 @@ class RebuildController:
             else:
                 self.rows_rebuilt += 1
         self._next_row = next_row
-
-    def next_batch(self, rows: int = 1) -> List[DiskOp]:
-        """Plan the next ``rows`` rows' reconstruction traffic.
-
-        Each rebuilt row costs one stripe-unit read per surviving
-        member plus one stripe-unit write to the spare (modelled as
-        the failed slot's replacement, same disk id).  Rows with no
-        live data are skipped in capacity-aware mode.
-
-        Work is bounded by rows *scanned*, not rows rebuilt: a batch
-        over a sparse disk examines at most ``rows`` rows even when
-        every one of them is skipped.  (The earlier behaviour --
-        decrementing the budget only for rebuilt rows -- let a single
-        call walk arbitrarily many rows on a mostly-empty disk,
-        defeating the pacing the replay harness relies on.)
-
-        Equivalent to :meth:`plan_rows` + :meth:`commit_rows` in one
-        call (the jobs-off pacing path).
-        """
-        ops, end = self.plan_rows(self._next_row, rows)
-        self.commit_rows(self._next_row, end)
-        return ops

@@ -28,6 +28,15 @@ class TestRebalanceSpec:
             RebalanceSpec(time=1.0, add_nodes=1, interval=0.0)
 
 
+def step(mig, entries):
+    """Plan up to ``entries`` movers from the committed cursor and
+    commit them, as one paced migration step does; returns the
+    per-link wire cost."""
+    links, end = mig.plan_batch(mig.cursor, entries)
+    mig.commit_batch(mig.cursor, end)
+    return links
+
+
 def _grow_ring(nfps=2000):
     """Two-member ring grows to three; shards populated pre-change."""
     router = FingerprintRouter([0, 1], vnodes=16)
@@ -55,7 +64,7 @@ class TestShardMigrator:
         total = mig.entries_total
         drained = 0
         while not mig.done:
-            links = mig.next_batch(64)
+            links = step(mig, 64)
             batch = sum(links.values())
             assert 0 < batch <= 64
             drained += batch
@@ -69,7 +78,7 @@ class TestShardMigrator:
         router, shards = _grow_ring()
         mig = ShardMigrator(router, shards)
         while not mig.done:
-            mig.next_batch(256)
+            step(mig, 256)
         # post-migration the shard map agrees with the ring everywhere
         for member, shard in shards.items():
             for fp in shard:
@@ -91,7 +100,7 @@ class TestShardMigrator:
         shards.setdefault(dst, {})[fp] = 99
         mig.note_registered(fp)
         assert fp not in mig.pending
-        mig.next_batch(1)
+        step(mig, 1)
         assert mig.entries_superseded == 1
         assert shards[dst][fp] == 99  # migration did not clobber it
 
@@ -106,7 +115,7 @@ class TestShardMigrator:
         # exact-removal property: only the leaver's entries move
         assert mig.entries_total == leaving
         while not mig.done:
-            mig.next_batch(128)
+            step(mig, 128)
         assert not shards[2]
         for member in (0, 1):
             for fp in shards[member]:
@@ -116,7 +125,7 @@ class TestShardMigrator:
         router, shards = _grow_ring()
         mig = ShardMigrator(router, shards)
         with pytest.raises(ClusterError):
-            mig.next_batch(0)
+            mig.plan_batch(mig.cursor, 0)
 
     def test_summary_keys(self):
         router, shards = _grow_ring()

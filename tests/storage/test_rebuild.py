@@ -15,10 +15,18 @@ def raid5(ndisks=4):
     return RaidArray(RaidGeometry(RaidLevel.RAID5, ndisks))
 
 
+def step(rc, rows):
+    """Plan ``rows`` rows from the committed cursor and commit them, as
+    one paced rebuild step does; returns the planned ops."""
+    ops, end = rc.plan_rows(rc.cursor, rows)
+    rc.commit_rows(rc.cursor, end)
+    return ops
+
+
 class TestBatches:
     def test_one_row_traffic(self):
         rc = RebuildController(raid5(), failed_disk=2, disk_rows=10)
-        ops = rc.next_batch(1)
+        ops = step(rc, 1)
         reads = [o for o in ops if o.op is OpType.READ]
         writes = [o for o in ops if o.op is OpType.WRITE]
         assert len(reads) == 3 and len(writes) == 1
@@ -29,15 +37,15 @@ class TestBatches:
     def test_rows_advance(self):
         rc = RebuildController(raid5(), failed_disk=0, disk_rows=3)
         for expected_pba in (0, SU, 2 * SU):
-            ops = rc.next_batch(1)
+            ops = step(rc, 1)
             assert all(o.pba == expected_pba for o in ops)
         assert rc.done
-        assert rc.next_batch(1) == []
+        assert step(rc, 1) == []
         assert rc.progress == 1.0
 
     def test_multi_row_batch(self):
         rc = RebuildController(raid5(), failed_disk=1, disk_rows=8)
-        ops = rc.next_batch(4)
+        ops = step(rc, 4)
         assert len(ops) == 4 * 4  # (3 reads + 1 write) x 4 rows
         assert rc.progress == pytest.approx(0.5)
 
@@ -45,7 +53,7 @@ class TestBatches:
         rc = RebuildController(raid5(), failed_disk=3, disk_rows=17)
         pbas = []
         while not rc.done:
-            for op in rc.next_batch(5):
+            for op in step(rc, 5):
                 if op.op is OpType.WRITE:
                     pbas.append(op.pba)
         assert pbas == [row * SU for row in range(17)]
@@ -60,7 +68,7 @@ class TestCapacityAware:
         rc = RebuildController(raid5(), failed_disk=1, disk_rows=4, live_pbas=live)
         pbas = []
         while not rc.done:
-            for op in rc.next_batch(1):
+            for op in step(rc, 1):
                 if op.op is OpType.WRITE:
                     pbas.append(op.pba)
         assert pbas == [0, 2 * SU]
@@ -68,12 +76,12 @@ class TestCapacityAware:
 
     def test_empty_live_set_skips_everything(self):
         rc = RebuildController(raid5(), failed_disk=1, disk_rows=5, live_pbas=[])
-        assert rc.next_batch(10) == []
+        assert step(rc, 10) == []
         assert rc.done and rc.rows_skipped == 5
 
 
 class TestBoundedScan:
-    """next_batch work is bounded by rows *scanned*, not rows rebuilt.
+    """A step's work is bounded by rows *scanned*, not rows rebuilt.
 
     Regression tests for the unbounded-walk bug: on a mostly-empty
     disk the old controller kept walking until it found ``rows`` live
@@ -87,13 +95,13 @@ class TestBoundedScan:
         rc = RebuildController(
             raid5(), failed_disk=1, disk_rows=100, live_pbas={99 * row_blocks}
         )
-        assert rc.next_batch(10) == []  # nothing live in rows 0..9 ...
+        assert step(rc, 10) == []  # nothing live in rows 0..9 ...
         assert rc.rows_scanned == 10  # ... but only 10 rows examined
         assert rc.rows_skipped == 10 and not rc.done
         batches = 1
         while not rc.done:
             before = rc.rows_scanned
-            rc.next_batch(10)
+            step(rc, 10)
             assert rc.rows_scanned - before <= 10
             batches += 1
         assert batches == 10
@@ -104,7 +112,7 @@ class TestBoundedScan:
         live = {r * row_blocks for r in (0, 3, 4, 9)}
         rc = RebuildController(raid5(), failed_disk=0, disk_rows=12, live_pbas=live)
         while not rc.done:
-            rc.next_batch(5)
+            step(rc, 5)
             assert rc.rows_scanned == rc.rows_rebuilt + rc.rows_skipped
         assert rc.rows_scanned == 12
         assert rc.rows_rebuilt == 4 and rc.rows_skipped == 8
@@ -112,13 +120,13 @@ class TestBoundedScan:
     def test_oblivious_mode_scans_exactly_what_it_rebuilds(self):
         rc = RebuildController(raid5(), failed_disk=2, disk_rows=7)
         while not rc.done:
-            rc.next_batch(2)
+            step(rc, 2)
         assert rc.rows_scanned == rc.rows_rebuilt == 7
         assert rc.rows_skipped == 0
 
     def test_progress_counts_scanned_rows(self):
         rc = RebuildController(raid5(), failed_disk=1, disk_rows=8, live_pbas=[])
-        rc.next_batch(4)
+        step(rc, 4)
         assert rc.progress == pytest.approx(0.5)
         assert rc.rows_scanned == 4
 
@@ -138,4 +146,4 @@ class TestGuards:
             RebuildController(raid5(), 0, 0)
         rc = RebuildController(raid5(), 0, 5)
         with pytest.raises(StorageError):
-            rc.next_batch(0)
+            rc.plan_rows(rc.cursor, 0)
