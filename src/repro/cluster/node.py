@@ -13,9 +13,7 @@ invariants and the content oracle all remain per-node properties.
 Disk service is :func:`repro.storage.raid.service_volume_ops` (the
 path the columnar driver's :meth:`RaidArray.service` kernel is pinned
 to), with the node's fault hook when a
-:class:`~repro.faults.injector.FaultInjector` targets the node.  A
-member failure is :meth:`ClusterNode.fail_member`, shared by a fault
-plan's member failure and the cluster's node failure.
+:class:`~repro.faults.injector.FaultInjector` targets the node.
 """
 
 from __future__ import annotations
